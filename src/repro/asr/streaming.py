@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.beam import prune
+from repro.core.batch import advance_segments
 from repro.core.composition import LookupStats
 from repro.core.decoder import DecodeResult, DecoderStats, OnTheFlyDecoder
-from repro.core.lattice import LatticeNode, WordLattice
+from repro.core.lattice import LatticeNode
 from repro.core.tokens import SoaTokenTable, TokenTable
 
 
@@ -97,14 +97,14 @@ class SessionSnapshot:
 class StreamingSession:
     """Incremental decoding over one utterance.
 
-    The per-frame work dispatches exactly as
-    :meth:`~repro.core.decoder.OnTheFlyDecoder.decode` does: the
-    vectorized emitting expansion plus the batched epsilon phase
-    whenever the decoder's structure allows them, and the scalar
-    reference loop otherwise (always under a trace sink, which needs
-    exact per-event ordering).  Both paths produce bit-identical
-    partials, results and :class:`DecoderStats` — the streaming analogue
-    of the offline decoder's parity contract.
+    The session's state is one :class:`~repro.core.batch.BatchSegment`
+    and its frames go through the same
+    :func:`~repro.core.batch.step_segments` as
+    :meth:`~repro.core.decoder.OnTheFlyDecoder.decode`'s, so it takes
+    the same regime on every frame (scalar for small frontiers and
+    always under a trace sink, numpy kernels otherwise) and produces
+    bit-identical partials, results and :class:`DecoderStats` — the
+    streaming analogue of the offline decoder's parity contract.
     """
 
     def __init__(
@@ -116,7 +116,6 @@ class StreamingSession:
         pipeline_chunk_frames: int | None = None,
     ) -> None:
         self.decoder = decoder
-        config = decoder.config
         # Raw-feature streaming (:meth:`push_features`) needs an
         # acoustic scorer; sessions fed pre-scored matrices leave both
         # unset.  A shared ``pipeline`` (serving layers) takes priority
@@ -131,26 +130,8 @@ class StreamingSession:
         # ``decoder.lookup.fork()`` instead, giving every session its
         # own OLT/expansion-cache evolution (solo-identical counters)
         # and making the sessions fusable by :func:`push_sessions`.
-        self._lookup = lookup if lookup is not None else decoder.lookup
-        self._vectorized = (
-            config.vectorized
-            and not decoder._tracing
-            and decoder._arcs.pure_emitting
-        )
-        self._batched_epsilon = (
-            self._vectorized and decoder._epsilon_batchable()
-        )
-        self._table: TokenTable | SoaTokenTable = (
-            SoaTokenTable(decoder._num_lm)
-            if self._vectorized
-            else TokenTable()
-        )
-        self._table.insert(
-            decoder.am.loop_state, decoder.lm.fst.start, 0.0, -1
-        )
-        self._lattice = WordLattice()
-        self._stats = DecoderStats()
-        self._frames = 0
+        self._seg = decoder.new_segment(lookup)
+        self._vectorized = decoder._vectorized
         self._finished = False
         # Lookup-counter baseline so finish() can report this
         # utterance's delta, as decode() does.  With several sessions
@@ -158,11 +139,19 @@ class StreamingSession:
         # decoder-wide over the session's lifetime rather than
         # per-utterance — unless each session got its own fork;
         # transcripts are unaffected either way.
-        self._lookup_start = decoder._snapshot_lookup(self._lookup)
+        self._lookup_start = decoder._snapshot_lookup(self._seg.lookup)
+
+    @property
+    def _table(self) -> TokenTable | SoaTokenTable:
+        return self._seg.table
+
+    @_table.setter
+    def _table(self, table: TokenTable | SoaTokenTable) -> None:
+        self._seg.table = table
 
     @property
     def frames_consumed(self) -> int:
-        return self._frames
+        return self._seg.frame
 
     def snapshot(self) -> SessionSnapshot:
         """Checkpoint the session between batches.
@@ -178,19 +167,11 @@ class StreamingSession:
                 "a feature batch is still being scored; drain it "
                 "(push_features/finish) before taking a snapshot"
             )
-        if isinstance(self._table, SoaTokenTable):
-            am, lm, cost, node = self._table.columns()
-            am, lm, cost, node = am.copy(), lm.copy(), cost.copy(), node.copy()
-        else:
-            tokens = list(self._table)
-            am = np.array([t.am_state for t in tokens], dtype=np.int64)
-            lm = np.array([t.lm_state for t in tokens], dtype=np.int64)
-            cost = np.array([t.cost for t in tokens], dtype=np.float64)
-            node = np.array(
-                [t.lattice_node for t in tokens], dtype=np.int64
-            )
+        seg = self._seg
+        # Copies: a SoaTokenTable hands out its live columns.
+        am, lm, cost, node = (col.copy() for col in seg.table.columns())
         return SessionSnapshot(
-            frames=self._frames,
+            frames=seg.frame,
             vectorized=self._vectorized,
             num_lm=self.decoder._num_lm,
             table_am=am,
@@ -199,11 +180,11 @@ class StreamingSession:
             table_node=node,
             lattice_nodes=[
                 (n.word, n.frame, n.cost, n.backpointer)
-                for n in self._lattice.nodes
+                for n in seg.lattice.nodes
             ],
-            stats=_copy_stats(self._stats),
+            stats=_copy_stats(seg.stats),
             lookup_start=self._lookup_start.clone(),
-            lookup_state=self._lookup.export_transient_state(),
+            lookup_state=seg.lookup.export_transient_state(),
             partial=self._partial(),
         )
 
@@ -237,124 +218,29 @@ class StreamingSession:
             raise ValueError(
                 "decoder LM state count does not match the snapshot"
             )
-        am = snapshot.table_am.copy()
-        lm = snapshot.table_lm.copy()
-        cost = snapshot.table_cost.copy()
-        node = snapshot.table_node.copy()
-        if snapshot.vectorized:
-            table: TokenTable | SoaTokenTable = SoaTokenTable(
-                snapshot.num_lm
-            )
-            if am.shape[0]:
-                keys = am * snapshot.num_lm + lm
-                order = np.argsort(keys, kind="stable")
-                table.bulk_fill(am, lm, cost, node, keys[order], order, 0, 0)
-        else:
-            table = TokenTable()
-            for a, l, c, n in zip(
-                am.tolist(), lm.tolist(), cost.tolist(), node.tolist()
-            ):
-                table.insert(a, l, c, n)
-        session._table = table
-        lattice = WordLattice()
-        lattice.nodes = [
-            LatticeNode(word, frame, cost_, backpointer)
-            for word, frame, cost_, backpointer in snapshot.lattice_nodes
+        seg = session._seg
+        # Either table type steps in either regime; columns restore
+        # without building a Token per entry.
+        seg.table = SoaTokenTable.from_columns(
+            decoder._num_lm,
+            snapshot.table_am.copy(),
+            snapshot.table_lm.copy(),
+            snapshot.table_cost.copy(),
+            snapshot.table_node.copy(),
+        )
+        seg.lattice.nodes = [
+            LatticeNode(word, frame, cost, backpointer)
+            for word, frame, cost, backpointer in snapshot.lattice_nodes
         ]
-        session._lattice = lattice
-        session._stats = _copy_stats(snapshot.stats)
-        session._frames = snapshot.frames
-        session._lookup.load_transient_state(snapshot.lookup_state)
+        seg.stats = _copy_stats(snapshot.stats)
+        seg.frame = snapshot.frames
+        seg.lookup.load_transient_state(snapshot.lookup_state)
         session._lookup_start = snapshot.lookup_start.clone()
         return session
 
     def push(self, scores: np.ndarray) -> PartialHypothesis:
         """Consume one batch of frames; returns the running best guess."""
-        if self._finished:
-            raise RuntimeError("session already finished")
-        if scores.ndim != 2:
-            raise ValueError(f"bad score batch shape {scores.shape}")
-        # Width is validated *before* the zero-frame early return: a
-        # (0, k) batch with a wrong senone width is a malformed client
-        # payload and must be rejected, not silently accepted because
-        # it happens to carry no frames.  The one zero-frame shape with
-        # no width information — (0, 0), what an empty wire payload
-        # decodes to — stays a legal keep-alive.
-        if scores.shape[1] < self.decoder.am.num_senones and scores.shape != (
-            0,
-            0,
-        ):
-            raise ValueError(f"bad score batch shape {scores.shape}")
-        if scores.shape[0] == 0:
-            # A zero-frame batch is a legal keep-alive: no decoding
-            # work, the running hypothesis is simply re-read.
-            return self._partial()
-        decoder = self.decoder
-        stats = self._stats
-        lattice = self._lattice
-        lookup = self._lookup
-        beam_config = decoder.config.beam_config()
-        vectorized = self._vectorized
-        scores = np.ascontiguousarray(scores, dtype=np.float64)
-        # The scalar hot loop wants plain Python floats, not
-        # per-element numpy indexing: one conversion per batch.
-        rows = None if vectorized else scores.tolist()
-        current = self._table
-        for i in range(scores.shape[0]):
-            if vectorized:
-                next_table, num_survivors, frame_expansions, pruned = (
-                    decoder._expand_frame_vectorized(
-                        current, scores[i], beam_config
-                    )
-                )
-            else:
-                survivors, pruned = prune(current, beam_config)
-                num_survivors = len(survivors)
-                next_table = TokenTable()
-                frame_expansions = decoder._expand_emitting_scalar(
-                    survivors, rows[i], next_table
-                )
-            stats.beam_pruned += pruned
-            stats.am_state_fetches += num_survivors
-            stats.am_arc_fetches += frame_expansions
-            stats.expansions += frame_expansions
-            expansions_before = stats.expansions
-            probes_before = lookup.stats.arc_probes
-            writes_before = stats.token_writes
-            if self._batched_epsilon:
-                decoder._epsilon_phase_batched(
-                    next_table,
-                    self._frames,
-                    lattice,
-                    stats,
-                    beam_config,
-                    lookup=lookup,
-                )
-            else:
-                decoder._epsilon_phase(
-                    next_table,
-                    self._frames,
-                    lattice,
-                    stats,
-                    beam_config,
-                    lookup=lookup,
-                )
-            stats.frame_work.append(
-                (
-                    num_survivors,
-                    frame_expansions
-                    + (stats.expansions - expansions_before),
-                    lookup.stats.arc_probes - probes_before,
-                    stats.token_writes - writes_before,
-                )
-            )
-            stats.tokens_created += next_table.inserts
-            stats.tokens_recombined += next_table.recombinations
-            stats.active_history.append(len(next_table))
-            current = next_table
-            self._frames += 1
-        self._table = current
-        return self._partial()
+        return push_sessions([self], [scores])[0]
 
     def push_features(self, features: np.ndarray) -> PartialHypothesis:
         """Consume raw features, scoring asynchronously ahead of search.
@@ -406,23 +292,24 @@ class StreamingSession:
     def _partial(self) -> PartialHypothesis:
         best_cost = math.inf
         best_node = -1
-        if isinstance(self._table, SoaTokenTable):
+        table = self._seg.table
+        if isinstance(table, SoaTokenTable):
             # Column order is iteration order, and argmin returns the
             # first minimum — the same winner the scalar scan picks.
-            _, _, cost_col, node_col = self._table.columns()
+            _, _, cost_col, node_col = table.columns()
             if cost_col.shape[0]:
                 best = int(np.argmin(cost_col))
                 best_cost = float(cost_col[best])
                 best_node = int(node_col[best])
         else:
-            for token in self._table:
+            for token in table:
                 if token.cost < best_cost:
                     best_cost = token.cost
                     best_node = token.lattice_node
         words = (
             [
                 self.decoder.lm.words.symbol_of(w)
-                for w in self._lattice.backtrace(best_node)
+                for w in self._seg.lattice.backtrace(best_node)
             ]
             if best_node >= 0
             else []
@@ -430,8 +317,8 @@ class StreamingSession:
         return PartialHypothesis(
             words=words,
             cost=best_cost,
-            frames_consumed=self._frames,
-            active_tokens=len(self._table),
+            frames_consumed=self._seg.frame,
+            active_tokens=len(table),
         )
 
     def finish(self) -> DecodeResult:
@@ -440,11 +327,12 @@ class StreamingSession:
             raise RuntimeError("session already finished")
         self._drain_pending()
         self._finished = True
-        self._stats.frames = self._frames
-        self._stats.lookup = self.decoder._lookup_delta(
-            self._lookup_start, lookup=self._lookup
+        seg = self._seg
+        seg.stats.frames = seg.frame
+        seg.stats.lookup = self.decoder._lookup_delta(
+            self._lookup_start, lookup=seg.lookup
         )
-        return self.decoder._finalize(self._table, self._lattice, self._stats)
+        return self.decoder._finalize(seg.table, seg.lattice, seg.stats)
 
 
 def push_sessions(
@@ -453,24 +341,18 @@ def push_sessions(
 ) -> list[PartialHypothesis]:
     """Advance several sessions through their batches in lockstep.
 
-    The multi-session analogue of :meth:`StreamingSession.push`: per
-    frame index, every session still holding frames advances through
-    one fused :func:`~repro.core.batch.step_segments` kernel call
-    (ragged batches retire early, zero-frame batches are keep-alives).
-    Each session's partials, final result and stats are bit-identical
-    to pushing its batch alone — provided the sessions share one
-    decoder but *not* one lookup (each needs its own
-    ``decoder.lookup.fork()``, or the interleaving would reorder a
-    shared cache's evolution).  Sessions that don't meet the fusion
-    conditions — mixed decoders, a shared lookup, scalar or traced
-    configs — are simply pushed one by one.
+    Per frame index, every session still holding frames advances
+    through one :func:`~repro.core.batch.step_segments` call (ragged
+    batches retire early, zero-frame batches are keep-alives), which
+    fuses the sessions whose frontiers are large enough for it.  Each
+    session's partials, final result and stats are bit-identical to
+    pushing its batch alone — provided the sessions share one decoder
+    but *not* one lookup (each needs its own ``decoder.lookup.fork()``,
+    or the interleaving would reorder a shared cache's evolution);
+    sessions that don't are simply pushed one by one.
     """
-    from repro.core.batch import BatchSegment, lockstep_supported, step_segments
-
     if len(sessions) != len(batches):
         raise ValueError("one score batch per session required")
-    if not sessions:
-        return []
     # Validate everything before touching anyone's state: a caller
     # seeing an exception from here may retry the batches one session
     # at a time (to attribute the failure), which is only safe when a
@@ -479,47 +361,25 @@ def push_sessions(
     for session, scores in zip(sessions, batches):
         if session._finished:
             raise RuntimeError("session already finished")
+        # Width is validated even on zero-frame batches: a (0, k) batch
+        # with a wrong senone width is a malformed client payload.  The
+        # one zero-frame shape with no width information — (0, 0), what
+        # an empty wire payload decodes to — stays a legal keep-alive.
         if scores.ndim != 2 or (
             scores.shape[1] < session.decoder.am.num_senones
             and scores.shape != (0, 0)
         ):
-            # Same rule as StreamingSession.push: width is checked even
-            # on zero-frame batches, with widthless (0, 0) keep-alives
-            # (an empty wire payload) exempt.
             raise ValueError(f"bad score batch shape {scores.shape}")
         matrices.append(np.ascontiguousarray(scores, dtype=np.float64))
-    decoder = sessions[0].decoder
-    fusable = (
-        len(sessions) > 1
-        and all(s.decoder is decoder for s in sessions)
-        and lockstep_supported(decoder)
-        and all(s._batched_epsilon for s in sessions)
-        and len({id(s._lookup) for s in sessions}) == len(sessions)
-    )
-    if not fusable:
-        return [s.push(b) for s, b in zip(sessions, matrices)]
-    segments = [
-        # scores stays None: the segment's frame field is the *global*
-        # lattice frame stamp, while this batch indexes from zero — the
-        # loop below drives consumption with its own local index.
-        BatchSegment(
-            table=session._table,
-            lookup=session._lookup,
-            lattice=session._lattice,
-            stats=session._stats,
-            frame=session._frames,
-            index=i,
-        )
-        for i, session in enumerate(sessions)
-    ]
-    lengths = [m.shape[0] for m in matrices]
-    for local in range(max(lengths)):
-        active = [seg for seg in segments if local < lengths[seg.index]]
-        rows = [matrices[seg.index][local] for seg in active]
-        step_segments(decoder, active, rows)
-    for session, seg in zip(sessions, segments):
-        session._table = seg.table
-        session._frames = seg.frame
+    segments = [session._seg for session in sessions]
+    decoders = {id(session.decoder) for session in sessions}
+    if len(decoders) == 1 and len({id(seg.lookup) for seg in segments}) == len(
+        segments
+    ):
+        advance_segments(sessions[0].decoder, segments, matrices)
+    else:
+        for session, matrix in zip(sessions, matrices):
+            advance_segments(session.decoder, [session._seg], [matrix])
     return [session._partial() for session in sessions]
 
 

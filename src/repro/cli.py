@@ -112,20 +112,17 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
+def serve_setup(args: argparse.Namespace):
+    """(task, scorer, decoder config, serve config) for ``repro serve``."""
     from repro.asr import build_scorer, build_task
     from repro.core import DecoderConfig
-    from repro.serve import ServeConfig, TranscriptionServer
+    from repro.serve import ServeConfig
 
     task = build_task(_task_config(args.task))
-    # Worker and shard processes decode the shared-memory recognizer,
-    # so they need the scorer; the in-process engine decodes the
-    # graphs directly.
-    scorer = (
-        build_scorer(task) if args.workers > 1 or args.shards > 1 else None
-    )
+    # Always built: worker and shard processes decode the shared-memory
+    # recognizer, which carries it, and the in-process engine needs it
+    # to serve sessions that negotiate ``payload: features``.
+    scorer = build_scorer(task)
     config = DecoderConfig(beam=args.beam, vectorized=True)
     serve_config = ServeConfig(
         host=args.host,
@@ -138,11 +135,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
         request_deadline_seconds=args.request_deadline,
         checkpoint_interval_frames=args.checkpoint_interval or None,
     )
+    return task, scorer, config, serve_config
+
+
+def serve_server(args: argparse.Namespace):
+    """The (unstarted) single-process server ``repro serve`` runs."""
+    from repro.serve import TranscriptionServer
+
+    task, scorer, config, serve_config = serve_setup(args)
+    return TranscriptionServer(
+        task.am,
+        task.lm,
+        decoder_config=config,
+        serve_config=serve_config,
+        scorer=scorer,
+    )
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
 
     async def _serve() -> None:
         if args.shards > 1:
             from repro.serve import ShardedServer
 
+            task, scorer, config, serve_config = serve_setup(args)
             sharded = ShardedServer(
                 task.am,
                 task.lm,
@@ -167,16 +184,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             finally:
                 await sharded.stop()
             return
-        server = TranscriptionServer(
-            task.am,
-            task.lm,
-            decoder_config=config,
-            serve_config=serve_config,
-            scorer=scorer,
-        )
+        server = serve_server(args)
         await server.start()
         print(
-            f"serving {task.name} on {server.config.host}:{server.port} "
+            f"serving {args.task} on {server.config.host}:{server.port} "
             f"(workers={args.workers}, max_sessions={args.max_sessions}; "
             f"Ctrl-C drains and stops)",
             flush=True,
@@ -229,7 +240,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return report_main([args.output])
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="UNFOLD reproduction toolkit"
     )
@@ -409,7 +420,11 @@ def main(argv: list[str] | None = None) -> int:
     p_report.add_argument("output", nargs="?", default="EXPERIMENTS.md")
     p_report.set_defaults(func=cmd_report)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -10,6 +10,7 @@ from repro.core.arcs import (
 from repro.core.batch import (
     BatchDecoder,
     BatchSegment,
+    advance_segments,
     lockstep_supported,
     step_segments,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "OnTheFlyDecoder",
     "BatchDecoder",
     "BatchSegment",
+    "advance_segments",
     "lockstep_supported",
     "step_segments",
     "FullyComposedDecoder",

@@ -497,7 +497,7 @@ def stable_cost_order(costs: np.ndarray) -> np.ndarray:
 
 
 def plan_recombination(
-    keys: np.ndarray, costs: np.ndarray, encoded_order: bool = False
+    keys: np.ndarray, costs: np.ndarray
 ) -> RecombinationPlan:
     """Replay ``TokenTable.insert`` over a whole candidate batch.
 
@@ -515,26 +515,21 @@ def plan_recombination(
     Strict drops of that running minimum are exactly the sequential
     insert/improve events.
 
-    ``encoded_order`` replaces the stable key sort with an introsort
-    over ``key * 2**b + arrival`` (arrival index packed into the low
-    bits) — the identical permutation, roughly 3x cheaper on the fused
-    lockstep batches whose key sort dominates.  Opt-in so the solo
-    decoder's measured profile is untouched; falls back to the stable
-    sort when the packed value would overflow ``int64``.
+    The stable key sort runs as an introsort over
+    ``key * 2**b + arrival`` (arrival index packed into the low bits)
+    — the identical permutation, roughly 3x cheaper; numpy's stable
+    sort is only the fallback for keys so large that the packed value
+    would overflow ``int64``.
     """
     total = int(keys.shape[0])
     if total == 0:
         raise ValueError("empty candidate batch")
-    order = None
-    if encoded_order and total > 1:
-        bits = int(total - 1).bit_length()
-        max_key = int(keys.max())
-        if max_key < (1 << (62 - bits)):
-            encoded = (keys << np.int64(bits)) + np.arange(
-                total, dtype=np.int64
-            )
-            order = np.argsort(encoded)
-    if order is None:
+    bits = int(total - 1).bit_length()
+    if int(keys.max()) < (1 << (62 - bits)):
+        order = np.argsort(
+            (keys << np.int64(bits)) + np.arange(total, dtype=np.int64)
+        )
+    else:
         order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     new_group = np.empty(total, dtype=bool)
@@ -569,11 +564,9 @@ def plan_recombination(
     # Reorder groups into first-arrival order to match dict insertion.
     first_pos = np.flatnonzero(new_group)
     first_arrival = order[first_pos]
-    # One candidate per group, so the values are distinct and sort
-    # stability is irrelevant; introsort when the caller opted in.
-    perm = np.argsort(
-        first_arrival, kind=None if encoded_order else "stable"
-    )
+    # One candidate per group: the values are distinct, so sort
+    # stability is irrelevant.
+    perm = np.argsort(first_arrival)
     winners = winners[perm]
     slots = np.empty(num_groups, dtype=np.int64)
     slots[perm] = np.arange(num_groups, dtype=np.int64)

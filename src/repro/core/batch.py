@@ -1,22 +1,25 @@
-"""Lockstep cross-utterance batched Viterbi decoding.
+"""The frame step, and lockstep cross-utterance batched Viterbi decoding.
 
-One utterance at a time, the vectorized decoder already spends its
-frames in a handful of numpy calls — but each call runs over only that
-utterance's active tokens, so B concurrent utterances (a batch decode,
-or B serve sessions) pay B small-array dispatch overheads per frame.
-This module advances B utterances *in lockstep*: per frame, the
-segments' active-token SoA columns are concatenated with a segment-id
-column and the emitting expansion, Viterbi recombination and the
-epsilon/back-off phase run as single fused numpy calls over the
-concatenation — the software analogue of Braun et al.'s GPU batched
-decoder (arXiv:1910.10032) and of the multi-channel sharing UNFOLD's
-on-the-fly design enables (Section 3: small per-channel state instead
-of a giant composed WFST per stream).
+Every way of driving the on-the-fly decoder — an offline decode, a
+streaming push, several sessions pushed together, the lockstep
+:class:`BatchDecoder` — advances :class:`BatchSegment` state through
+:func:`step_segments`, which picks a regime per segment and per frame
+from the size of the segment's frontier: the scalar reference body for
+small frontiers (UNFOLD's design point is a *small* per-channel search
+state; a frame with a dozen live tokens costs less walked token by
+token than the few dozen numpy dispatches of a vectorized frame), the
+solo numpy kernels for one large segment, and one *fused* kernel call
+for several.  The fused regime is the software analogue of Braun et
+al.'s GPU batched decoder (arXiv:1910.10032) and of the multi-channel
+sharing UNFOLD's on-the-fly design enables (Section 3): the segments'
+active-token SoA columns are concatenated with a segment-id column and
+the emitting expansion, Viterbi recombination and the epsilon/back-off
+phase run as single numpy calls over the concatenation, instead of B
+small-array dispatch overheads per frame.
 
-Exactness is non-negotiable: a fused step must be bit-identical, per
-segment, to the frame body of
-:meth:`~repro.core.decoder.OnTheFlyDecoder.decode`.  The construction
-that makes this work:
+Exactness is non-negotiable: every regime must leave, per segment,
+bit-identical state to the scalar reference body.  The construction
+that makes the fused kernel do so:
 
 * Fused recombination keys are ``seg * K + am * num_lm + lm`` with
   ``K = num_am * num_lm``, so segments occupy disjoint key bands and a
@@ -37,129 +40,106 @@ that makes this work:
 
 from __future__ import annotations
 
+from time import perf_counter
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.arcs import plan_recombination, stable_cost_order
-from repro.core.decoder import DecodeResult, DecoderStats, OnTheFlyDecoder
-from repro.core.lattice import WordLattice
-from repro.core.tokens import SoaTokenTable
+from repro.core.beam import prune
+from repro.core.tokens import SoaTokenTable, TokenTable
 from repro.wfst.fst import EPSILON
+
+if TYPE_CHECKING:
+    from repro.core.composition import LmLookup
+    from repro.core.decoder import DecodeResult, DecoderStats, OnTheFlyDecoder
+    from repro.core.lattice import WordLattice
 
 __all__ = [
     "BatchDecoder",
     "BatchSegment",
+    "SCALAR_FRONTIER_MAX",
+    "advance_segments",
     "lockstep_supported",
     "step_segments",
 ]
 
+#: Frontier size (tokens entering a frame) up to which a segment takes
+#: the scalar frame body instead of the numpy kernels: below it the few
+#: dozen fixed numpy dispatches of a vectorized frame cost more than
+#: walking the tokens.  Read off a measured crossover curve
+#: (``tools/frame_step_crossover.py``; table and reasoning in DESIGN.md,
+#: "Frame-step regimes"): scalar beats the solo and 2-wide fused kernels
+#: up to ~190 tokens and loses to the 8-wide fused kernel from ~40; 128
+#: minimizes the worst per-frame loss across those widths.
+SCALAR_FRONTIER_MAX = 128
+
 
 class BatchSegment:
-    """One utterance's (or session's) live state inside a lockstep batch.
+    """One utterance's (or session's) live search state.
 
-    The fused kernel reads and writes exactly these fields; anything
-    holding them — the offline :class:`BatchDecoder`, the streaming
-    multi-session API — can be stepped.
+    The frame step reads and writes exactly these fields; anything
+    holding them — an offline decode, the :class:`BatchDecoder`, a
+    streaming session — can be stepped.  ``table`` is a
+    :class:`TokenTable` after a scalar frame and a
+    :class:`SoaTokenTable` after a vectorized one; both regimes read
+    either (``columns``/``survivors``/``best_cost``).
     """
 
-    __slots__ = (
-        "table",
-        "lattice",
-        "stats",
-        "lookup",
-        "frame",
-        "scores",
-        "num_frames",
-        "index",
-    )
+    __slots__ = ("table", "lattice", "stats", "lookup", "frame")
 
     def __init__(
         self,
-        table: SoaTokenTable,
-        lookup,
-        lattice: WordLattice | None = None,
-        stats: DecoderStats | None = None,
+        table: TokenTable | SoaTokenTable,
+        lookup: LmLookup,
+        lattice: WordLattice,
+        stats: DecoderStats,
         frame: int = 0,
-        scores: np.ndarray | None = None,
-        index: int = 0,
     ) -> None:
         self.table = table
-        self.lattice = lattice if lattice is not None else WordLattice()
-        self.stats = stats if stats is not None else DecoderStats()
         self.lookup = lookup
+        self.lattice = lattice
+        self.stats = stats
         #: Index of the next frame this segment consumes (the lattice
         #: frame stamp of its epsilon-phase word arrivals).
         self.frame = frame
-        self.scores = scores
-        self.num_frames = scores.shape[0] if scores is not None else 0
-        self.index = index
-
-    @property
-    def done(self) -> bool:
-        return self.frame >= self.num_frames
 
 
 def lockstep_supported(decoder: OnTheFlyDecoder) -> bool:
     """Whether the fused kernel preserves ``decoder``'s solo semantics.
 
-    The same gates the solo decode uses to pick its fast paths: the
-    vectorized emitting expansion (no trace sink, pure-emitting AM) and
-    the batched epsilon phase (single-level epsilon graph, non-negative
-    weights).  Anything else falls back to sequential decoding.
+    The gates of the two fast paths it fuses: the vectorized emitting
+    expansion (no trace sink, pure-emitting AM) and the batched epsilon
+    phase (single-level epsilon graph, non-negative weights).  Other
+    decoders still step through :func:`step_segments`, one segment at a
+    time.
     """
-    return (
-        decoder.config.vectorized
-        and not decoder._tracing
-        and decoder._arcs.pure_emitting
-        and decoder._epsilon_batchable()
-    )
+    return decoder._vectorized and decoder._epsilon_batchable()
 
 
-def _step_single(
-    decoder: OnTheFlyDecoder, seg: BatchSegment, row: np.ndarray
-) -> None:
-    """The solo frame body, against one segment's state.
+def advance_segments(
+    decoder: OnTheFlyDecoder,
+    segments: list[BatchSegment],
+    matrices: list[np.ndarray],
+) -> int:
+    """Consume ``matrices[i]`` (float64 score rows) on ``segments[i]``.
 
-    Ragged batches end in a tail where only the longest utterance is
-    still live; fusion machinery (concatenation, segment ids, slice
-    splitting) would only add copies there, so a single live segment
-    steps through the decoder's own frame body — bit-identity is by
-    construction.
+    The one frame loop behind offline decode, streaming push, fused
+    multi-session push and the lockstep batch decoder: per frame index,
+    every segment still holding frames advances through one
+    :func:`step_segments` call; ragged lengths retire early.  Returns
+    the number of steps taken (the longest matrix's frame count).
     """
-    beam_config = decoder.config.beam_config()
-    stats = seg.stats
-    next_table, num_survivors, frame_expansions, pruned = (
-        decoder._expand_frame_vectorized(
-            seg.table, row, beam_config, encoded_order=True
-        )
-    )
-    stats.beam_pruned += pruned
-    stats.am_state_fetches += num_survivors
-    stats.am_arc_fetches += frame_expansions
-    stats.expansions += frame_expansions
-    expansions_before = stats.expansions
-    probes_before = seg.lookup.stats.arc_probes
-    writes_before = stats.token_writes
-    decoder._epsilon_phase_batched(
-        next_table,
-        seg.frame,
-        seg.lattice,
-        stats,
-        beam_config,
-        lookup=seg.lookup,
-    )
-    stats.frame_work.append(
-        (
-            num_survivors,
-            frame_expansions + (stats.expansions - expansions_before),
-            seg.lookup.stats.arc_probes - probes_before,
-            stats.token_writes - writes_before,
-        )
-    )
-    stats.tokens_created += next_table.inserts
-    stats.tokens_recombined += next_table.recombinations
-    stats.active_history.append(len(next_table))
-    seg.table = next_table
-    seg.frame += 1
+    lengths = [m.shape[0] for m in matrices]
+    steps = max(lengths, default=0)
+    live: list[int] = []
+    active: list[BatchSegment] = []
+    for local in range(steps):
+        if local == 0 or local in lengths:
+            live = [i for i, n in enumerate(lengths) if local < n]
+            active = [segments[i] for i in live]
+        step_segments(decoder, active, [matrices[i][local] for i in live])
+    return steps
 
 
 def step_segments(
@@ -167,27 +147,135 @@ def step_segments(
     segments: list[BatchSegment],
     rows: list[np.ndarray] | np.ndarray,
 ) -> None:
-    """Advance every segment one frame through one fused kernel call.
+    """Advance every segment one frame, each in the regime it can use.
 
     ``rows[i]`` is segment ``i``'s acoustic score row for its current
-    frame (float64, at least ``num_senones`` wide); a ready-stacked 2-D
-    array is used as-is.  Each segment's
-    table, lattice, stats and lookup evolve bit-identically to the solo
-    decode's frame body; ``seg.table`` is replaced by the next frontier
-    and ``seg.frame`` advances.
-
-    Requires :func:`lockstep_supported` on ``decoder``; callers gate.
+    frame (float64, at least ``num_senones`` wide).  The regime is
+    picked per segment and per frame from the one thing the step can
+    observe, the size of the segment's own frontier: at or below
+    :data:`SCALAR_FRONTIER_MAX` tokens (always, under a trace sink or a
+    scalar config) the scalar reference body; above it the numpy
+    kernels — fused across the large segments when the decoder allows
+    (:func:`lockstep_supported`), solo otherwise.  Every entry point
+    steps through here, so a segment takes the same regimes — and
+    reports the same counters, expansion cache included — however it is
+    driven.  All regimes leave bit-identical table contents, lattice,
+    stats and lookup state; ``seg.table`` is replaced by the next
+    frontier and ``seg.frame`` advances.
     """
+    limit = SCALAR_FRONTIER_MAX if decoder._vectorized else float("inf")
+    large = []
+    for i, seg in enumerate(segments):
+        if len(seg.table) > limit:
+            large.append(i)
+        else:
+            _step_one(decoder, seg, rows[i], scalar=True)
+    if len(large) > 1 and lockstep_supported(decoder):
+        _step_fused(
+            decoder,
+            [segments[i] for i in large],
+            [rows[i] for i in large],
+        )
+    else:
+        for i in large:
+            _step_one(decoder, segments[i], rows[i], scalar=False)
+
+
+def _begin_epsilon(
+    seg: BatchSegment, num_survivors: int, expansions: int, pruned: int
+) -> tuple[int, int, int, int, int]:
+    """Account a frame's emitting expansion; marks for :func:`_end_frame`."""
+    stats = seg.stats
+    stats.beam_pruned += pruned
+    stats.am_state_fetches += num_survivors
+    stats.am_arc_fetches += expansions
+    stats.expansions += expansions
+    return (
+        num_survivors,
+        expansions,
+        stats.expansions,
+        seg.lookup.stats.arc_probes,
+        stats.token_writes,
+    )
+
+
+def _end_frame(
+    decoder: OnTheFlyDecoder,
+    seg: BatchSegment,
+    next_table: TokenTable | SoaTokenTable,
+    marks: tuple[int, int, int, int, int],
+) -> None:
+    """Account the finished frame and install its frontier."""
+    num_survivors, expansions, exp_before, probes_before, writes_before = marks
+    stats = seg.stats
+    stats.frame_work.append(
+        (
+            num_survivors,
+            expansions + (stats.expansions - exp_before),
+            seg.lookup.stats.arc_probes - probes_before,
+            stats.token_writes - writes_before,
+        )
+    )
+    stats.tokens_created += next_table.inserts
+    stats.tokens_recombined += next_table.recombinations
+    stats.active_history.append(len(next_table))
+    if decoder._tracing:
+        decoder.sink.on_frame_end(seg.frame, len(next_table))
+    seg.table = next_table
+    seg.frame += 1
+
+
+def _step_one(
+    decoder: OnTheFlyDecoder,
+    seg: BatchSegment,
+    row: np.ndarray,
+    scalar: bool,
+) -> None:
+    """One segment's frame: the scalar reference body or the solo kernels."""
+    phases = decoder._phase_seconds
+    beam_config = decoder._beam_config
+    mark = perf_counter() if phases is not None else 0.0
+    if scalar:
+        survivors, pruned = prune(seg.table, beam_config)
+        num_survivors = len(survivors)
+        next_table: TokenTable | SoaTokenTable = TokenTable()
+        # Plain-list scores: per-element numpy indexing would dominate
+        # the token loop.
+        expansions = decoder._expand_emitting_scalar(
+            survivors, row.tolist(), next_table
+        )
+        epsilon_phase = decoder._epsilon_phase
+    else:
+        next_table, num_survivors, expansions, pruned = (
+            decoder._expand_frame_vectorized(seg.table, row, beam_config)
+        )
+        epsilon_phase = (
+            decoder._epsilon_phase_batched
+            if decoder._epsilon_batchable()
+            else decoder._epsilon_phase
+        )
+    if phases is not None:
+        phases[0] += perf_counter() - mark
+    marks = _begin_epsilon(seg, num_survivors, expansions, pruned)
+    mark = perf_counter() if phases is not None else 0.0
+    epsilon_phase(
+        next_table, seg.frame, seg.lattice, seg.stats, beam_config, seg.lookup
+    )
+    if phases is not None:
+        phases[1] += perf_counter() - mark
+    _end_frame(decoder, seg, next_table, marks)
+
+
+def _step_fused(
+    decoder: OnTheFlyDecoder,
+    segments: list[BatchSegment],
+    rows: list[np.ndarray],
+) -> None:
+    """Two or more large segments through one fused kernel call."""
     n = len(segments)
-    if n == 0:
-        return
-    if n == 1:
-        _step_single(decoder, segments[0], rows[0])
-        return
     config = decoder.config
-    beam_config = config.beam_config()
-    beam = beam_config.beam
-    max_active = beam_config.max_active
+    beam = config.beam
+    max_active = config.max_active
     num_lm = decoder._num_lm
     num_am = decoder.am.fst.num_states
     seg_span = np.int64(num_am) * np.int64(num_lm)
@@ -235,10 +323,7 @@ def step_segments(
         cand_src = keep[token_index]
         seg_cand = seg_ids[cand_src]
         cand_counts = np.bincount(seg_cand, minlength=n)
-        if isinstance(rows, np.ndarray) and rows.ndim == 2:
-            rows2d = rows[:, :num_senones]
-        else:
-            rows2d = np.stack([r[:num_senones] for r in rows])
+        rows2d = np.stack([r[:num_senones] for r in rows])
         cand_cost = (
             cost_f[cand_src]
             + arcs.weight[flat]
@@ -251,7 +336,7 @@ def step_segments(
             + cand_next * np.int64(num_lm)
             + cand_lm
         )
-        plan = plan_recombination(keys, cand_cost, encoded_order=True)
+        plan = plan_recombination(keys, cand_cost)
         winners = plan.winners
         win_next = cand_next[winners]
         win_lm = cand_lm[winners]
@@ -287,43 +372,18 @@ def step_segments(
                 )
         next_tables.append(table)
 
-    # -- per-segment bookkeeping, exactly the solo frame body's --------
-    eps_marks = []
-    for i, seg in enumerate(segments):
-        stats = seg.stats
-        stats.beam_pruned += int(pruned_counts[i])
-        stats.am_state_fetches += int(kept_counts[i])
-        fe = int(cand_counts[i]) if num_cand else 0
-        stats.am_arc_fetches += fe
-        stats.expansions += fe
-        eps_marks.append(
-            (
-                stats.expansions,
-                seg.lookup.stats.arc_probes,
-                stats.token_writes,
-                fe,
-            )
+    marks = [
+        _begin_epsilon(
+            seg,
+            int(kept_counts[i]),
+            int(cand_counts[i]) if num_cand else 0,
+            int(pruned_counts[i]),
         )
-
+        for i, seg in enumerate(segments)
+    ]
     _epsilon_fused(decoder, segments, next_tables)
-
-    for i, seg in enumerate(segments):
-        stats = seg.stats
-        exp_before, probes_before, writes_before, fe = eps_marks[i]
-        stats.frame_work.append(
-            (
-                int(kept_counts[i]),
-                fe + (stats.expansions - exp_before),
-                seg.lookup.stats.arc_probes - probes_before,
-                stats.token_writes - writes_before,
-            )
-        )
-        table = next_tables[i]
-        stats.tokens_created += table.inserts
-        stats.tokens_recombined += table.recombinations
-        stats.active_history.append(len(table))
-        seg.table = table
-        seg.frame += 1
+    for seg, table, seg_marks in zip(segments, next_tables, marks):
+        _end_frame(decoder, seg, table, seg_marks)
 
 
 def _epsilon_fused(
@@ -484,7 +544,7 @@ class BatchDecoder:
             raise ValueError("batch_size must be positive")
         self.decoder = decoder
         self.batch_size = batch_size
-        #: Fused kernel invocations across all decodes (the bench's
+        #: Lockstep frame steps across all decodes (the bench's
         #: kernel-calls metric; a solo decode costs one per frame).
         self.kernel_calls = 0
 
@@ -504,59 +564,23 @@ class BatchDecoder:
                     f"with {num_senones} senones"
                 )
             matrices.append(np.ascontiguousarray(scores, dtype=np.float64))
+        results = []
         if not self.lockstep_supported:
-            out = []
             for scores in matrices:
                 decoder.lookup.reset_transient_state()
-                out.append(decoder.decode(scores))
-            return out
-        results: list[DecodeResult | None] = [None] * len(matrices)
+                results.append(decoder.decode(scores))
+            return results
         label = f"batch[{self.batch_size}]"
         for start in range(0, len(matrices), self.batch_size):
             chunk = matrices[start : start + self.batch_size]
-            wave = [
-                self._new_segment(scores, start + j)
-                for j, scores in enumerate(chunk)
-            ]
-            # One padded (B, T, senones) tensor per wave: each step's
-            # stacked score rows become a single fancy-index gather.
-            t_max = max(s.shape[0] for s in chunk)
-            pad = np.zeros((len(chunk), max(t_max, 1), num_senones))
-            for j, scores in enumerate(chunk):
-                pad[j, : scores.shape[0]] = scores[:, :num_senones]
-            while True:
-                active = [seg for seg in wave if not seg.done]
-                if not active:
-                    break
-                # Active segments advance together, so they share a
-                # frame index; retired ones just drop out of the gather.
-                frame = active[0].frame
-                idx = np.array(
-                    [seg.index - start for seg in active], dtype=np.int64
-                )
-                step_segments(decoder, active, pad[idx, frame])
-                self.kernel_calls += 1
-            for seg in wave:
-                results[seg.index] = self._finish(seg, label)
+            wave = [decoder.new_segment(decoder.lookup.fork()) for _ in chunk]
+            self.kernel_calls += advance_segments(decoder, wave, chunk)
+            for seg, scores in zip(wave, chunk):
+                seg.stats.frames = scores.shape[0]
+                # The fork started from zero, so its running totals
+                # *are* this utterance's delta — what decode() reports.
+                seg.stats.lookup = decoder._snapshot_lookup(seg.lookup)
+                result = decoder._finalize(seg.table, seg.lattice, seg.stats)
+                result.strategy = label
+                results.append(result)
         return results
-
-    def _new_segment(self, scores: np.ndarray, index: int) -> BatchSegment:
-        decoder = self.decoder
-        table = SoaTokenTable(decoder._num_lm)
-        table.insert(decoder.am.loop_state, decoder.lm.fst.start, 0.0, -1)
-        return BatchSegment(
-            table=table,
-            lookup=decoder.lookup.fork(),
-            scores=scores,
-            index=index,
-        )
-
-    def _finish(self, seg: BatchSegment, label: str) -> DecodeResult:
-        stats = seg.stats
-        stats.frames = seg.num_frames
-        # The fork started from zero, so its running totals *are* this
-        # utterance's delta — what decode() reports per utterance.
-        stats.lookup = self.decoder._snapshot_lookup(seg.lookup)
-        result = self.decoder._finalize(seg.table, seg.lattice, stats)
-        result.strategy = label
-        return result

@@ -24,7 +24,8 @@ from repro.core.arcs import (
     plan_recombination,
     stable_cost_order,
 )
-from repro.core.beam import BeamConfig, prune
+from repro.core.batch import BatchSegment, advance_segments
+from repro.core.beam import BeamConfig
 from repro.core.composition import LmLookup, LookupStats, LookupStrategy
 from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES, WordLattice
 from repro.core.tokens import SoaTokenTable, TokenTable
@@ -46,10 +47,11 @@ class DecoderConfig:
     #: Word-lattice record format: compact (Price [22], UNFOLD's choice)
     #: or the raw 16-byte records of the MICRO-49 baseline.
     compact_lattice: bool = True
-    #: Bulk-numpy emitting expansion.  Ignored (scalar path forced)
-    #: whenever a real TraceSink is attached: cycle-level simulation
-    #: needs exact per-event ordering.  Both paths produce identical
-    #: results and DecoderStats.
+    #: Bulk-numpy frame kernels for frontiers large enough to pay for
+    #: their dispatch (see :data:`repro.core.batch.SCALAR_FRONTIER_MAX`).
+    #: Ignored (scalar path forced) whenever a real TraceSink is
+    #: attached: cycle-level simulation needs exact per-event ordering.
+    #: Both paths produce identical results and DecoderStats.
     vectorized: bool = True
     #: LM expansion cache capacity, in LM states (the software analogue
     #: of the paper's LM arc cache).  Only the batched epsilon engine
@@ -228,15 +230,24 @@ class OnTheFlyDecoder:
             )
         else:
             # Prebuilt (typically shared-memory) columns: the scalar
-            # per-state views rebuild lazily from them — only the
-            # scalar/traced paths want them, and the vectorized serving
-            # stack never does, keeping per-process private state small.
+            # per-state views rebuild from them on the first scalar
+            # frame (private to the process; see DESIGN.md, "Frame-step
+            # regimes", for their size).
             self._scalar_emitting = None
             self._scalar_epsilon = None
             self._arcs = tables.emitting
             self._eps_arcs = tables.epsilon
             self._lm_final_w = tables.lm_final_weights
+        self._beam_config = self.config.beam_config()
+        #: Whether large frontiers may take the numpy frame kernels.
+        self._vectorized = (
+            self.config.vectorized
+            and not self._tracing
+            and self._arcs.pure_emitting
+        )
         self._batched_epsilon_ok: bool | None = None  # resolved lazily
+        #: [expand, epsilon] seconds of the profiled decode in flight.
+        self._phase_seconds: list[float] | None = None
         self._num_lm = lm.fst.num_states
         self._epsilon_flags = self._eps_arcs.has_arcs
         #: Wall-clock phase breakdown of the last decode (when
@@ -260,6 +271,17 @@ class OnTheFlyDecoder:
             self._scalar_epsilon = lists
         return lists
 
+    def new_segment(self, lookup: LmLookup | None = None) -> BatchSegment:
+        """Start-of-utterance search state (one token at the loop state)."""
+        table = TokenTable()
+        table.insert(self.am.loop_state, self.lm.fst.start, 0.0, -1)
+        return BatchSegment(
+            table,
+            lookup if lookup is not None else self.lookup,
+            WordLattice(),
+            DecoderStats(),
+        )
+
     def decode(self, scores: np.ndarray) -> DecodeResult:
         """Decode one utterance from its acoustic score matrix."""
         if scores.ndim != 2 or scores.shape[1] < self.am.num_senones:
@@ -267,88 +289,22 @@ class OnTheFlyDecoder:
                 f"score matrix shape {scores.shape} incompatible with "
                 f"{self.am.num_senones} senones"
             )
-        config = self.config
-        beam_config = config.beam_config()
-        stats = DecoderStats()
-        start_lookup = self._snapshot_lookup()
-        lattice = WordLattice()
-        sink = self.sink
-
-        num_frames = scores.shape[0]
-        tracing = self._tracing
-        # Both paths see bit-identical float64 score values (the scalar
-        # path consumed widened Python floats already).
-        scores = np.ascontiguousarray(scores, dtype=np.float64)
-        vectorized = (
-            config.vectorized and not tracing and self._arcs.pure_emitting
-        )
-        batched_epsilon = vectorized and self._epsilon_batchable()
-        profile = config.profile
-        expand_seconds = epsilon_seconds = 0.0
+        profile = self.config.profile
         started = perf_counter() if profile else 0.0
-
-        current: TokenTable | SoaTokenTable = (
-            SoaTokenTable(self._num_lm) if vectorized else TokenTable()
+        self._phase_seconds = [0.0, 0.0] if profile else None
+        start_lookup = self._snapshot_lookup()
+        seg = self.new_segment()
+        # Every regime sees bit-identical float64 score values.
+        advance_segments(
+            self, [seg], [np.ascontiguousarray(scores, dtype=np.float64)]
         )
-        current.insert(self.am.loop_state, self.lm.fst.start, 0.0, -1)
-        # Plain-list scores: per-element numpy indexing dominates the
-        # scalar hot loop otherwise.  Converted once for all frames.
-        rows = None if vectorized else scores.tolist()
-
-        for frame in range(num_frames):
-            mark = perf_counter() if profile else 0.0
-            if vectorized:
-                next_table, num_survivors, frame_expansions, pruned = (
-                    self._expand_frame_vectorized(
-                        current, scores[frame], beam_config
-                    )
-                )
-            else:
-                survivors, pruned = prune(current, beam_config)
-                num_survivors = len(survivors)
-                next_table = TokenTable()
-                frame_expansions = self._expand_emitting_scalar(
-                    survivors, rows[frame], next_table
-                )
-            if profile:
-                expand_seconds += perf_counter() - mark
-            stats.beam_pruned += pruned
-            stats.am_state_fetches += num_survivors
-            stats.am_arc_fetches += frame_expansions
-            stats.expansions += frame_expansions
-            expansions_before = stats.expansions
-            probes_before = self.lookup.stats.arc_probes
-            writes_before = stats.token_writes
-            mark = perf_counter() if profile else 0.0
-            if batched_epsilon:
-                self._epsilon_phase_batched(
-                    next_table, frame, lattice, stats, beam_config
-                )
-            else:
-                self._epsilon_phase(
-                    next_table, frame, lattice, stats, beam_config
-                )
-            if profile:
-                epsilon_seconds += perf_counter() - mark
-            stats.frame_work.append(
-                (
-                    num_survivors,
-                    frame_expansions + (stats.expansions - expansions_before),
-                    self.lookup.stats.arc_probes - probes_before,
-                    stats.token_writes - writes_before,
-                )
-            )
-            stats.tokens_created += next_table.inserts
-            stats.tokens_recombined += next_table.recombinations
-            stats.active_history.append(len(next_table))
-            if tracing:
-                sink.on_frame_end(frame, len(next_table))
-            current = next_table
-        stats.frames = num_frames
-        stats.lookup = self._lookup_delta(start_lookup)
-        result = self._finalize(current, lattice, stats)
+        seg.stats.frames = scores.shape[0]
+        seg.stats.lookup = self._lookup_delta(start_lookup)
+        result = self._finalize(seg.table, seg.lattice, seg.stats)
         if profile:
             total = perf_counter() - started
+            expand_seconds, epsilon_seconds = self._phase_seconds
+            self._phase_seconds = None
             self.last_phase_seconds = {
                 "expand": expand_seconds,
                 "epsilon": epsilon_seconds,
@@ -365,9 +321,9 @@ class OnTheFlyDecoder:
     ) -> int:
         """One frame's emitting expansion, token by token.
 
-        The reference path: always used when a TraceSink is attached
-        (exact per-event ordering), and shared with the streaming
-        session, which expands frames incrementally.
+        The reference path: every frame under a TraceSink (exact
+        per-event ordering) or a scalar config, and any frame whose
+        frontier is too small to pay for the numpy kernels' dispatch.
         """
         sink = self.sink
         tracing = self._tracing
@@ -401,7 +357,6 @@ class OnTheFlyDecoder:
         table: SoaTokenTable,
         score_row: np.ndarray,
         beam_config: BeamConfig,
-        encoded_order: bool = False,
     ) -> tuple[SoaTokenTable, int, int, int]:
         """Prune + emitting expansion for one frame, in bulk numpy.
 
@@ -410,10 +365,6 @@ class OnTheFlyDecoder:
         argsort reproduces it), candidate costs computed with the same
         operation order on the same float64 values, and sequential
         recombination outcomes replayed by :func:`plan_recombination`.
-
-        ``encoded_order`` swaps the two stable sorts for their
-        bit-identical encoded-introsort equivalents (the lockstep batch
-        path opts in; the solo profile stays untouched).
 
         Returns (next_table, num_survivors, frame_expansions, pruned).
         """
@@ -427,13 +378,7 @@ class OnTheFlyDecoder:
         pruned = total - keep.shape[0]
         max_active = beam_config.max_active
         if max_active and keep.shape[0] > max_active:
-            kept_costs = cost_col[keep]
-            order = (
-                stable_cost_order(kept_costs)
-                if encoded_order
-                else np.argsort(kept_costs, kind="stable")
-            )
-            keep = keep[order[:max_active]]
+            keep = keep[stable_cost_order(cost_col[keep])[:max_active]]
             pruned = total - max_active
         num_survivors = int(keep.shape[0])
         arcs = self._arcs
@@ -451,7 +396,7 @@ class OnTheFlyDecoder:
         candidate_next = arcs.nextstate[flat]
         candidate_lm = survivor_lm[token_index]
         keys = candidate_next * np.int64(self._num_lm) + candidate_lm
-        plan = plan_recombination(keys, candidate_cost, encoded_order)
+        plan = plan_recombination(keys, candidate_cost)
         winners = plan.winners
         next_table.bulk_fill(
             candidate_next[winners],

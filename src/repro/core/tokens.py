@@ -83,6 +83,18 @@ class TokenTable:
         """Tokens whose cost beats ``threshold`` (beam pruning)."""
         return [t for t in self.tokens.values() if t.cost <= threshold]
 
+    def columns(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The frontier as (am, lm, cost, lattice_node) arrays."""
+        tokens = list(self.tokens.values())
+        return (
+            np.array([t.am_state for t in tokens], dtype=np.int64),
+            np.array([t.lm_state for t in tokens], dtype=np.int64),
+            np.array([t.cost for t in tokens], dtype=np.float64),
+            np.array([t.lattice_node for t in tokens], dtype=np.int64),
+        )
+
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
 _EMPTY_FLOAT = np.empty(0, dtype=np.float64)
@@ -206,6 +218,43 @@ class SoaTokenTable:
         if am_states.shape[0]:
             self.best_cost = float(costs.min())
 
+    @classmethod
+    def from_columns(
+        cls,
+        num_lm: int,
+        am_states: np.ndarray,
+        lm_states: np.ndarray,
+        costs: np.ndarray,
+        nodes: np.ndarray,
+    ) -> "SoaTokenTable":
+        """A table holding exactly these tokens, in this iteration order.
+
+        For a frontier that no bulk expansion produced (a restored
+        snapshot).  Contents, order and ``best_cost`` carry over; the
+        insert counters of the frame that built the frontier do not
+        (that frame has already been accounted).
+        """
+        table = cls(num_lm)
+        if am_states.shape[0]:
+            keys = am_states * np.int64(num_lm) + lm_states
+            order = np.argsort(keys)
+            table.bulk_fill(
+                am_states, lm_states, costs, nodes, keys[order], order, 0, 0
+            )
+        return table
+
+    def survivors(self, threshold: float) -> list[Token]:
+        """Same contract as :meth:`TokenTable.survivors` (fresh Tokens:
+        the scalar expansion only reads them)."""
+        am, lm, cost, node = self.columns()
+        return [
+            Token(a, l, c, n)
+            for a, l, c, n in zip(
+                am.tolist(), lm.tolist(), cost.tolist(), node.tolist()
+            )
+            if c <= threshold
+        ]
+
     def find_slot(self, key: int) -> int | None:
         """Slot of a packed key, or None when absent."""
         sorted_keys = self._sorted_keys
@@ -312,27 +361,6 @@ class SoaTokenTable:
                 seeds.append(self.materialize(key, base_size + index))
         return seeds
 
-    def epsilon_seed_columns(
-        self, has_epsilon: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Seed tokens as (am, lm, cost, node) arrays, in table order.
-
-        The array analogue of :meth:`epsilon_seeds` for the batched
-        epsilon phase: no Token objects are materialized, and the
-        returned columns are snapshots (the batched phase only runs
-        when seed costs provably cannot change mid-phase).
-        """
-        am_col, lm_col, cost_col, node_col = self.columns()
-        if not am_col.shape[0]:
-            return am_col, lm_col, cost_col, node_col
-        picked = np.flatnonzero(has_epsilon[am_col])
-        return (
-            am_col[picked],
-            lm_col[picked],
-            cost_col[picked],
-            node_col[picked],
-        )
-
     def base_slot_hints(self, keys: np.ndarray) -> np.ndarray:
         """Bulk-winner slot of each packed key, -1 where absent.
 
@@ -425,21 +453,3 @@ class SoaTokenTable:
 
     def __iter__(self):
         return self.tokens.values()
-
-    def clear(self) -> None:
-        self.best_cost = math.inf
-        self.inserts = 0
-        self.improvements = 0
-        self.recombinations = 0
-        self._base_am = _EMPTY_INT
-        self._base_lm = _EMPTY_INT
-        self._base_cost = _EMPTY_FLOAT
-        self._base_node = _EMPTY_INT
-        self._extra_am = []
-        self._extra_lm = []
-        self._extra_cost = []
-        self._extra_node = []
-        self._sorted_keys = _EMPTY_INT
-        self._slot_for_sorted = _EMPTY_INT
-        self._extra_slot = {}
-        self._materialized = {}

@@ -162,8 +162,17 @@ def matrix_to_payload(
     )
 
 
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    # The search's exactness contract (heap vs argsort survivor order,
+    # scalar vs vectorized regimes) is stated over finite costs, and a
+    # NaN never compares: it must not reach a beam.
+    if not np.isfinite(matrix).all():
+        raise ProtocolError("matrix payload holds NaN or infinite values")
+    return matrix
+
+
 def payload_to_matrix(payload) -> np.ndarray:
-    """Any wire form back to a float64 (frames, width) matrix.
+    """Any wire form back to a finite float64 (frames, width) matrix.
 
     Self-describing: nested lists decode as exact float64, a ``b64f32``
     object decodes its float32 block (the matrix both sides agree on).
@@ -191,7 +200,7 @@ def payload_to_matrix(payload) -> np.ndarray:
                 f"needs {expected}"
             )
         block = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        return block.astype(np.float64)
+        return _finite(block.astype(np.float64))
     if not isinstance(payload, list):
         raise ProtocolError("matrix must be a list of frame rows")
     try:
@@ -206,7 +215,7 @@ def payload_to_matrix(payload) -> np.ndarray:
         raise ProtocolError(
             f"matrix payload must be 2-D, got shape {matrix.shape}"
         )
-    return matrix
+    return _finite(matrix)
 
 
 def scores_to_payload(scores: np.ndarray) -> list[list[float]]:

@@ -36,7 +36,6 @@ import numpy as np
 from repro.am.graph import AmGraph
 from repro.am.hmm import HmmTopology
 from repro.am.scorer import AcousticScorer, ScorerKind
-from repro.asr.persist import _scorer_arrays, _scorer_from_arrays
 from repro.core.arcs import EmittingArcs, EpsilonArcs, LmWordArcs
 from repro.core.decoder import DecoderTables
 from repro.lm.graph import LmGraph
@@ -200,6 +199,11 @@ def pack_recognizer(
         ),
     }
     if scorer is not None:
+        # Function-level: repro.asr imports this package (the decode
+        # pool attaches segments), so a module-level import is a cycle
+        # for any process that imports repro.shm first.
+        from repro.asr.persist import _scorer_arrays
+
         for key, value in _scorer_arrays(scorer).items():
             arrays[_SCORER_PREFIX + key] = np.asarray(value)
     meta = {
@@ -309,6 +313,8 @@ def _reconstruct(shared: SharedArrays) -> AttachedRecognizer:
     )
     scorer = None
     if meta["scorer_kind"] is not None:
+        from repro.asr.persist import _scorer_from_arrays  # see pack_recognizer
+
         scorer = _scorer_from_arrays(
             ScorerKind(meta["scorer_kind"]),
             {

@@ -236,14 +236,20 @@ def test_stable_cost_order_matches_stable_argsort(seed, size):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 300))
 def test_plan_recombination_encoded_order_parity(seed, size):
-    """encoded_order=True is a pure speedup: identical plans."""
+    """The encoded introsort and its int64-overflow fallback (numpy's
+    stable sort, taken when ``key << bits`` would not fit) build
+    identical plans: shifting every key by a constant that forces the
+    fallback changes nothing but ``sorted_keys``, by that constant."""
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 40, size=size).astype(np.int64)
     costs = np.round(rng.uniform(0.0, 6.0, size=size), 1)
-    plain = plan_recombination(keys, costs)
-    fast = plan_recombination(keys, costs, encoded_order=True)
+    shift = np.int64(1) << np.int64(62)
+    bits = int(size - 1).bit_length()
+    assert int(keys.max()) < (1 << (62 - bits)) <= int(shift)
+    fast = plan_recombination(keys, costs)
+    plain = plan_recombination(keys + shift, costs)
     np.testing.assert_array_equal(plain.winners, fast.winners)
-    np.testing.assert_array_equal(plain.sorted_keys, fast.sorted_keys)
+    np.testing.assert_array_equal(plain.sorted_keys - shift, fast.sorted_keys)
     np.testing.assert_array_equal(plain.slots, fast.slots)
     np.testing.assert_array_equal(
         plain.improved_sources, fast.improved_sources

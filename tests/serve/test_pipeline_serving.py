@@ -143,6 +143,24 @@ class TestFeatureStreaming:
 
         asyncio.run(scenario())
 
+    def test_cli_configured_server_serves_features(self, tiny_utterances):
+        """``python -m repro serve --workers 1`` used to build no scorer
+        and reject every ``payload=features`` session."""
+        import repro.cli as cli
+
+        args = cli.build_parser().parse_args(["serve", "tiny", "--workers", "1"])
+
+        async def scenario():
+            async with cli.serve_server(args) as server:
+                final = await stream_one(
+                    server.connect_local(), tiny_utterances[0].features
+                )
+                return final, server.status_message()
+
+        final, status = asyncio.run(scenario())
+        assert final["words"] and np.isfinite(final["cost"])
+        assert status["scoring"] is not None
+
     def test_tcp_feature_streaming_matches_local(
         self, tiny_task, tiny_scorer, tiny_utterances, sequential_results
     ):

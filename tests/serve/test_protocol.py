@@ -54,6 +54,20 @@ class TestScorePayload:
         with pytest.raises(protocol.ProtocolError):
             protocol.payload_to_scores(bad)
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("encoding", protocol.ENCODINGS)
+    def test_non_finite_values_rejected(self, encoding, poison):
+        matrix = np.zeros((3, 4))
+        matrix[2, 1] = poison
+        wire = protocol.decode_message(
+            protocol.encode_message(
+                {"type": "frames",
+                 "scores": protocol.matrix_to_payload(matrix, encoding)}
+            )
+        )
+        with pytest.raises(protocol.ProtocolError, match="NaN or infinite"):
+            protocol.payload_to_matrix(wire["scores"])
+
     def test_non_matrix_scores_rejected(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.scores_to_payload(np.zeros(3))

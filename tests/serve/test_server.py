@@ -308,6 +308,95 @@ class TestTcpTransport:
         asyncio.run(scenario())
 
 
+    @pytest.mark.parametrize(
+        "encoding,poison",
+        [("list", np.nan), ("list", -np.inf), ("b64f32", np.inf)],
+    )
+    def test_non_finite_push_rejected_session_and_group_unaffected(
+        self, tiny_task, tiny_scores, sequential_results, encoding, poison
+    ):
+        """A NaN/inf batch gets a typed ``error`` reply and is not
+        applied: its session and the one fused with it still reach the
+        sequential finals."""
+        from repro.serve import protocol
+
+        async def scenario():
+            try:
+                server = make_server(tiny_task, port=0)
+                await server.start()
+            except OSError as exc:  # pragma: no cover - no loopback
+                pytest.skip(f"cannot bind a TCP socket: {exc}")
+            async with server:
+                reader, writer = await asyncio.open_connection(
+                    server.config.host, server.port
+                )
+
+                async def send(message):
+                    writer.write(protocol.encode_message(message))
+                    await writer.drain()
+
+                async def receive():
+                    return protocol.decode_message(await reader.readline())
+
+                sessions = []
+                for _ in range(2):
+                    await send({"type": "start", "encoding": encoding})
+                    sessions.append((await receive())["session"])
+                bad = np.array(tiny_scores[0][:2])
+                bad[1, 3] = poison
+                await send(
+                    {
+                        "type": "frames",
+                        "session": sessions[0],
+                        "scores": protocol.matrix_to_payload(bad, encoding),
+                    }
+                )
+                errors, finals = [], {}
+
+                async def collect(kind, count):
+                    while count:
+                        message = await receive()
+                        if message["type"] == "error":
+                            errors.append(message["error"])
+                        elif message["type"] == kind:
+                            count -= 1
+                            if kind == "final":
+                                finals[message["session"]] = message
+
+                # Both sessions push in step (they fuse), one reply
+                # awaited per push: the frame queues are bounded.
+                longest = max(s.shape[0] for s in tiny_scores[:2])
+                for start in range(0, longest, BATCH_FRAMES):
+                    sent = 0
+                    for session, scores in zip(sessions, tiny_scores):
+                        if start < scores.shape[0]:
+                            await send(
+                                {
+                                    "type": "frames",
+                                    "session": session,
+                                    "scores": protocol.matrix_to_payload(
+                                        scores[start : start + BATCH_FRAMES],
+                                        encoding,
+                                    ),
+                                }
+                            )
+                            sent += 1
+                    await collect("partial", sent)
+                for session in sessions:
+                    await send({"type": "finish", "session": session})
+                await collect("final", 2)
+                writer.close()
+                return errors, [finals[s] for s in sessions]
+
+        errors, finals = asyncio.run(scenario())
+        assert len(errors) == 1 and "NaN or infinite" in errors[0]
+        for final, want in zip(finals, sequential_results):
+            assert final["words"] == want.words
+            assert final["frames"] == want.stats.frames
+            if encoding == "list":
+                assert final["cost"] == want.cost
+
+
 class TestProcessEngine:
     def test_worker_processes_match_pool_reference(
         self, tiny_task, tiny_scorer, tiny_scores
