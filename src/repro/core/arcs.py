@@ -35,15 +35,40 @@ first appeared (dict insertion order), and the exact
 insert/improvement/recombination counter outcomes the scalar
 ``TokenTable`` would have produced.  The vectorized decoders are
 equivalence-tested against the scalar path down to ``DecoderStats``.
+
+The primitives every vectorized frame runs — the CSR gather,
+:func:`stable_cost_order` (``max_active`` truncation) and
+:func:`plan_recombination` — order by in-place *value* sorts of
+``int64`` words with the arrival index packed into the low bits (one
+word carries sort key and permutation: the CPU analogue of Braun et
+al.'s packed 64-bit token recombination, arXiv:1910.10032), compare
+float costs only inside a key's group, and slice one shared read-only
+``iota`` for index columns.  Measurements: DESIGN.md, "The sorts".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.wfst.fst import EPSILON, Arc
+
+
+#: Shared ``0, 1, 2, ...`` column, regrown on demand.  Read-only: a
+#: stray in-place write must raise, not corrupt every later frame.
+_IOTA = np.arange(0, dtype=np.int64)
+
+
+def _iota(n: int) -> np.ndarray:
+    """``np.arange(n)`` as a read-only view (no per-call allocation)."""
+    global _IOTA
+    iota = _IOTA
+    if iota.shape[0] < n:  # racing growers each keep a valid column
+        iota = np.arange(max(n, 2 * iota.shape[0], 4096), dtype=np.int64)
+        iota.flags.writeable = False
+        _IOTA = iota
+    return iota[:n]
 
 
 def _csr_gather(
@@ -56,16 +81,20 @@ def _csr_gather(
     arc ``flat[i]`` came from.  Arcs appear grouped by token, in
     ``states`` order — exactly the scalar loops' visit order.
     """
+    num_states = states.shape[0]
+    # In-place arithmetic only on the fresh fancy-index results.
     starts = offsets[states]
-    counts = offsets[states + 1] - starts
-    total = int(counts.sum())
-    token_index = np.repeat(np.arange(states.shape[0]), counts)
-    # Position of each arc within its own group, via a segmented iota.
-    segment_starts = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64) - segment_starts
-    )
-    return token_index, flat
+    counts = offsets[1:][states]
+    counts -= starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if num_states else 0
+    # flat = arc-slice start + position within the slice, the latter
+    # being the global position minus the slice's exclusive prefix.
+    starts -= ends
+    starts += counts
+    flat = np.repeat(starts, counts)
+    flat += _iota(total)
+    return np.repeat(_iota(num_states), counts), flat
 
 
 @dataclass(frozen=True)
@@ -463,37 +492,48 @@ class RecombinationPlan:
     inserts: int
     improvements: int
     recombinations: int
-    #: Candidate index of every insert-or-improve event, in the sorted
-    #: key order the replay walked.  The lockstep batch decoder uses it
-    #: to split the aggregate counters back out per utterance (events
-    #: of a fused segment are exactly the events its solo decode sees).
-    improved_sources: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
+    #: The (key, arrival)-sorted permutation of the batch, and the
+    #: positions in it of the insert-or-improve events.
+    _order: np.ndarray
+    _improved_pos: np.ndarray
+
+    @property
+    def improved_sources(self) -> np.ndarray:
+        """Candidate index of every insert-or-improve event, in sorted
+        key order.  Built on demand: only the lockstep batch decoder
+        reads it, to split the aggregate counters back out per segment
+        (a fused segment's events are exactly its solo decode's)."""
+        return self._order[self._improved_pos]
 
 
 def stable_cost_order(costs: np.ndarray) -> np.ndarray:
     """``np.argsort(costs, kind="stable")``, cheaper.
 
-    Stable float sorts cost several times an introsort per element;
-    two introsorts — one for exact tie-sharing integer ranks, one over
-    ``rank * 2**b + arrival`` (arrival index in the low bits) —
-    reproduce the stable permutation bit-for-bit: the ranks compare
-    exactly like the floats do, and arrival order breaks ties.
+    A stable float sort costs several times an introsort of plain
+    values.  Non-negative IEEE-754 doubles order like their own bit
+    patterns read as integers, so when a batch's patterns span few
+    enough values to leave the low bits free, the arrival index is
+    packed under ``pattern - min`` and one in-place value sort yields
+    the stable permutation in those low bits — a frame's costs sit
+    within a beam of each other, far from zero, so truncation always
+    qualifies in practice.  Any other batch (a negative cost or a
+    ``-0.0``, which equals ``0.0`` under another pattern; costs spread
+    over many binades) takes numpy's stable sort.
     """
     total = int(costs.shape[0])
     if total < 2:
         return np.zeros(total, dtype=np.int64)
-    cost_order = np.argsort(costs)
-    sorted_costs = costs[cost_order]
-    distinct = np.empty(total, dtype=np.int64)
-    distinct[0] = 0
-    np.not_equal(sorted_costs[1:], sorted_costs[:-1], out=distinct[1:])
-    ranks = np.empty(total, dtype=np.int64)
-    ranks[cost_order] = np.cumsum(distinct)
     bits = int(total - 1).bit_length()
-    encoded = (ranks << np.int64(bits)) + np.arange(total, dtype=np.int64)
-    return np.argsort(encoded)
+    pattern = costs.view(np.int64)
+    low = int(pattern.min())
+    if low < 0 or int(pattern.max()) - low >= (1 << (62 - bits)):
+        return np.argsort(costs, kind="stable")
+    packed = pattern - np.int64(low)
+    packed <<= bits
+    packed |= _iota(total)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
 
 
 def plan_recombination(
@@ -508,74 +548,84 @@ def plan_recombination(
     recombines.  The key's final owner is therefore the *first*
     candidate to reach the key's minimum cost.
 
-    Strategy: stable-sort by key so each key's candidates stay in
-    arrival order, convert costs to exact integer ranks (ties share a
-    rank), then shift each key's ranks into its own disjoint band so a
-    single global running minimum acts as a per-key running minimum.
-    Strict drops of that running minimum are exactly the sequential
-    insert/improve events.
-
-    The stable key sort runs as an introsort over
-    ``key * 2**b + arrival`` (arrival index packed into the low bits)
-    — the identical permutation, roughly 3x cheaper; numpy's stable
-    sort is only the fallback for keys so large that the packed value
-    would overflow ``int64``.
+    Strategy: one in-place value sort of ``key * 2**b + arrival``
+    (arrival index packed into the low bits) both groups the batch by
+    key and keeps each group in arrival order; the permutation and the
+    sorted keys unpack with a mask and a shift.  Costs are compared
+    only inside the groups: a candidate inserts or improves exactly
+    when it opens its group or is strictly below the running minimum
+    of its group's earlier arrivals — a segmented running minimum over
+    the raw float64 costs by stride doubling, ``ceil(log2(w - 1))``
+    passes for a widest group of ``w`` (none when no key has more than
+    two candidates, the common frame).  It performs only the float
+    comparisons ``TokenTable.insert`` performs, so ties, infinities and
+    signed zeros behave identically.  First-arrival (dict insertion)
+    order of the groups comes from a second, smaller value sort.
+    numpy's stable ``argsort`` is the fallback for keys so large that
+    the packed value would overflow ``int64``.
     """
     total = int(keys.shape[0])
     if total == 0:
         raise ValueError("empty candidate batch")
     bits = int(total - 1).bit_length()
     if int(keys.max()) < (1 << (62 - bits)):
-        order = np.argsort(
-            (keys << np.int64(bits)) + np.arange(total, dtype=np.int64)
-        )
+        sorted_keys = keys << bits
+        sorted_keys |= _iota(total)
+        sorted_keys.sort()
+        order = sorted_keys & ((1 << bits) - 1)
+        sorted_keys >>= bits
     else:
         order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    new_group = np.empty(total, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-    group_index = np.cumsum(new_group) - 1
-    num_groups = int(group_index[-1]) + 1
-    # Exact tie-aware integer ranks of the float costs (ties share a
-    # rank, so ranks compare exactly like the floats do).
-    cost_order = np.argsort(costs)
-    sorted_costs = costs[cost_order]
-    distinct = np.empty(total, dtype=np.int64)
-    distinct[0] = 0
-    np.not_equal(sorted_costs[1:], sorted_costs[:-1], out=distinct[1:])
-    ranks = np.empty(total, dtype=np.int64)
-    ranks[cost_order] = np.cumsum(distinct)
-    banded = ranks[order] - group_index * np.int64(total + 1)
-    running = np.minimum.accumulate(banded)
-    improved = np.empty(total, dtype=bool)
-    improved[0] = True
-    np.less(running[1:], running[:-1], out=improved[1:])
-    improved_total = int(np.count_nonzero(improved))
-    # Winner of each group: its last strict improvement.  Improvement
-    # positions are ascending with non-decreasing group index, so the
-    # last position before each group boundary is the group's winner.
-    improved_pos = np.flatnonzero(improved)
-    improved_group = group_index[improved_pos]
-    last_of_group = np.empty(improved_pos.shape[0], dtype=bool)
-    last_of_group[-1] = True
-    np.not_equal(improved_group[1:], improved_group[:-1], out=last_of_group[:-1])
-    winners = order[improved_pos[last_of_group]]
-    # Reorder groups into first-arrival order to match dict insertion.
-    first_pos = np.flatnonzero(new_group)
-    first_arrival = order[first_pos]
-    # One candidate per group: the values are distinct, so sort
-    # stability is irrelevant.
-    perm = np.argsort(first_arrival)
-    winners = winners[perm]
+        sorted_keys = keys[order]
+    # Group openings, with a sentinel opening one past the end so that
+    # widths, and "the event before the next opening", need no edge case.
+    new_group = np.empty(total + 1, dtype=bool)
+    new_group[0] = new_group[total] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:total])
+    bounds = np.flatnonzero(new_group)
+    first_pos = bounds[:-1]
+    num_groups = int(first_pos.shape[0])
+    widest = int((bounds[1:] - first_pos).max())
+    sorted_costs = costs[order]
+    # running[i]: minimum cost of i's group up to and including i, once
+    # the strides cover the widest group's predecessors.
+    running = sorted_costs
+    stride = 1
+    while stride < widest - 1:
+        if running is sorted_costs:
+            running = sorted_costs.copy()
+        np.minimum(
+            running[stride:],
+            running[:-stride],
+            out=running[stride:],
+            where=sorted_keys[stride:] == sorted_keys[:-stride],
+        )
+        stride *= 2
+    improved = new_group.copy()
+    improved[1:total] |= sorted_costs[1:] < running[:-1]
+    events = np.flatnonzero(improved)
+    improved_pos = events[:-1]
+    improved_total = int(improved_pos.shape[0])
+    # Winner of each group: its last event — the one followed by an
+    # opening (every opening is itself an event).
+    winners = order[improved_pos[new_group[events[1:]]]]
+    # Reorder groups into first-arrival order to match dict insertion:
+    # value-sort (first arrival, group), the group in the low bits.
+    group_bits = int(num_groups - 1).bit_length()
+    perm = order[first_pos]
+    perm <<= group_bits
+    perm |= _iota(num_groups)
+    perm.sort()
+    perm &= (1 << group_bits) - 1
     slots = np.empty(num_groups, dtype=np.int64)
-    slots[perm] = np.arange(num_groups, dtype=np.int64)
+    slots[perm] = _iota(num_groups)
     return RecombinationPlan(
-        winners=winners,
+        winners=winners[perm],
         sorted_keys=sorted_keys[first_pos],
         slots=slots,
         inserts=num_groups,
         improvements=improved_total - num_groups,
         recombinations=total - improved_total,
-        improved_sources=order[improved_pos],
+        _order=order,
+        _improved_pos=improved_pos,
     )

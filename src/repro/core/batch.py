@@ -69,10 +69,11 @@ __all__ = [
 #: dozen fixed numpy dispatches of a vectorized frame cost more than
 #: walking the tokens.  Read off a measured crossover curve
 #: (``tools/frame_step_crossover.py``; table and reasoning in DESIGN.md,
-#: "Frame-step regimes"): scalar beats the solo and 2-wide fused kernels
-#: up to ~190 tokens and loses to the 8-wide fused kernel from ~40; 128
-#: minimizes the worst per-frame loss across those widths.
-SCALAR_FRONTIER_MAX = 128
+#: "Frame-step regimes"): scalar beats the solo kernels up to ~130
+#: tokens (a 2-wide fusion up to ~190) and loses to the 8-wide fused
+#: kernel from ~30; 96 minimizes the worst per-frame loss across those
+#: widths.
+SCALAR_FRONTIER_MAX = 96
 
 
 class BatchSegment:
@@ -255,14 +256,14 @@ def _step_one(
             else decoder._epsilon_phase
         )
     if phases is not None:
-        phases[0] += perf_counter() - mark
+        phases["expand"] += perf_counter() - mark
     marks = _begin_epsilon(seg, num_survivors, expansions, pruned)
     mark = perf_counter() if phases is not None else 0.0
     epsilon_phase(
         next_table, seg.frame, seg.lattice, seg.stats, beam_config, seg.lookup
     )
     if phases is not None:
-        phases[1] += perf_counter() - mark
+        phases["epsilon"] += perf_counter() - mark
     _end_frame(decoder, seg, next_table, marks)
 
 

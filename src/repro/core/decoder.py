@@ -34,6 +34,19 @@ from repro.lm.graph import LmGraph
 from repro.wfst.fst import EPSILON
 
 
+#: Clocks a profiled decode accumulates (``other``/``total`` are derived).
+_PHASES = (
+    "expand", "epsilon", "prune", "gather", "plan", "fill", "resolve", "commit"
+)
+
+
+def _lap(phases: dict[str, float], name: str, mark: float) -> float:
+    """Charge the time since ``mark`` to ``name``; returns the new mark."""
+    now = perf_counter()
+    phases[name] += now - mark
+    return now
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Search parameters shared by the on-the-fly and baseline decoders."""
@@ -59,7 +72,8 @@ class DecoderConfig:
     #: change results — only how much search work is re-spent.
     expansion_cache_states: int = 1024
     #: Record a per-phase wall-clock breakdown of each decode on the
-    #: decoder's ``last_phase_seconds`` (perf harness support).
+    #: decoder's ``last_phase_seconds`` (perf harness support).  Only
+    #: reads clocks: the decode takes the same regimes either way.
     profile: bool = False
 
     def beam_config(self) -> BeamConfig:
@@ -246,13 +260,16 @@ class OnTheFlyDecoder:
             and self._arcs.pure_emitting
         )
         self._batched_epsilon_ok: bool | None = None  # resolved lazily
-        #: [expand, epsilon] seconds of the profiled decode in flight.
-        self._phase_seconds: list[float] | None = None
+        #: Phase -> seconds of the profiled decode in flight.
+        self._phase_seconds: dict[str, float] | None = None
         self._num_lm = lm.fst.num_states
         self._epsilon_flags = self._eps_arcs.has_arcs
         #: Wall-clock phase breakdown of the last decode (when
-        #: ``config.profile``): expand (prune + emitting), epsilon,
-        #: other (bookkeeping + finalize), total — in seconds.
+        #: ``config.profile``), in seconds: expand (prune + emitting),
+        #: epsilon, other (bookkeeping + finalize), total — and, for
+        #: the frames that took the numpy kernels, the sections of
+        #: expand (prune, gather, plan, fill) and of epsilon (resolve,
+        #: commit; its seed selection and gather are the remainder).
         self.last_phase_seconds: dict[str, float] | None = None
 
     @property
@@ -291,7 +308,7 @@ class OnTheFlyDecoder:
             )
         profile = self.config.profile
         started = perf_counter() if profile else 0.0
-        self._phase_seconds = [0.0, 0.0] if profile else None
+        self._phase_seconds = dict.fromkeys(_PHASES, 0.0) if profile else None
         start_lookup = self._snapshot_lookup()
         seg = self.new_segment()
         # Every regime sees bit-identical float64 score values.
@@ -303,14 +320,11 @@ class OnTheFlyDecoder:
         result = self._finalize(seg.table, seg.lattice, seg.stats)
         if profile:
             total = perf_counter() - started
-            expand_seconds, epsilon_seconds = self._phase_seconds
+            phases = self._phase_seconds
             self._phase_seconds = None
-            self.last_phase_seconds = {
-                "expand": expand_seconds,
-                "epsilon": epsilon_seconds,
-                "other": total - expand_seconds - epsilon_seconds,
-                "total": total,
-            }
+            phases["other"] = total - phases["expand"] - phases["epsilon"]
+            phases["total"] = total
+            self.last_phase_seconds = phases
         return result
 
     def _expand_emitting_scalar(
@@ -368,6 +382,8 @@ class OnTheFlyDecoder:
 
         Returns (next_table, num_survivors, frame_expansions, pruned).
         """
+        phases = self._phase_seconds
+        mark = perf_counter() if phases is not None else 0.0
         am_col, lm_col, cost_col, node_col = table.columns()
         total = am_col.shape[0]
         next_table = SoaTokenTable(self._num_lm)
@@ -381,6 +397,8 @@ class OnTheFlyDecoder:
             keep = keep[stable_cost_order(cost_col[keep])[:max_active]]
             pruned = total - max_active
         num_survivors = int(keep.shape[0])
+        if phases is not None:
+            mark = _lap(phases, "prune", mark)
         arcs = self._arcs
         token_index, flat = arcs.gather(am_col[keep])
         frame_expansions = int(flat.shape[0])
@@ -396,7 +414,11 @@ class OnTheFlyDecoder:
         candidate_next = arcs.nextstate[flat]
         candidate_lm = survivor_lm[token_index]
         keys = candidate_next * np.int64(self._num_lm) + candidate_lm
+        if phases is not None:
+            mark = _lap(phases, "gather", mark)
         plan = plan_recombination(keys, candidate_cost)
+        if phases is not None:
+            mark = _lap(phases, "plan", mark)
         winners = plan.winners
         next_table.bulk_fill(
             candidate_next[winners],
@@ -408,6 +430,8 @@ class OnTheFlyDecoder:
             plan.improvements,
             plan.recombinations,
         )
+        if phases is not None:
+            _lap(phases, "fill", mark)
         return next_table, num_survivors, frame_expansions, pruned
 
     def _epsilon_batchable(self) -> bool:
@@ -478,6 +502,8 @@ class OnTheFlyDecoder:
         pair_lm = lm_col[pair_pos]
         dest_am = eps.nextstate[flat]
 
+        phases = self._phase_seconds
+        mark = perf_counter() if phases is not None else 0.0
         is_word = olabels != EPSILON
         word_idx = np.flatnonzero(is_word)
         num_words = int(word_idx.shape[0])
@@ -517,6 +543,8 @@ class OnTheFlyDecoder:
         else:
             final_cost = base_cost
             final_lm = pair_lm
+        if phases is not None:
+            mark = _lap(phases, "resolve", mark)
 
         keys = dest_am * np.int64(self._num_lm) + final_lm
         hints = table.base_slot_hints(keys).tolist()
@@ -543,6 +571,8 @@ class OnTheFlyDecoder:
                 insert(pair_am[i], pair_lm_l[i], cost, pair_node[i], hints[i])
         stats.token_writes += words_done
         stats.words_emitted += words_done
+        if phases is not None:
+            _lap(phases, "commit", mark)
 
     def _epsilon_phase(
         self,

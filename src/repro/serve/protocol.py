@@ -183,10 +183,14 @@ def payload_to_matrix(payload) -> np.ndarray:
                 f"unknown matrix payload encoding {payload.get('enc')!r}"
             )
         shape = payload.get("shape")
+        # ``type(n) is int``: a JSON ``true`` is an ``int`` to
+        # ``isinstance`` but not to ``reshape``.  Frames of no width
+        # would pass the length check below with empty data.
         if (
             not isinstance(shape, list)
             or len(shape) != 2
-            or not all(isinstance(n, int) and n >= 0 for n in shape)
+            or not all(type(n) is int and n >= 0 for n in shape)
+            or (shape[0] > 0 and shape[1] == 0)
         ):
             raise ProtocolError(f"bad b64f32 shape {shape!r}")
         try:
@@ -199,7 +203,10 @@ def payload_to_matrix(payload) -> np.ndarray:
                 f"b64f32 data is {len(raw)} bytes, shape {shape} "
                 f"needs {expected}"
             )
-        block = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        try:
+            block = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        except ValueError as exc:  # zero frames by more than numpy indexes
+            raise ProtocolError(f"bad b64f32 shape {shape!r}: {exc}") from exc
         return _finite(block.astype(np.float64))
     if not isinstance(payload, list):
         raise ProtocolError("matrix must be a list of frame rows")

@@ -214,6 +214,9 @@ class Scheduler:
         self._sessions: dict[str, Session] = {}
         self._order: list[str] = []  # round-robin ring
         self._rr_next = 0
+        #: Batches queued across the live sessions — a running count,
+        #: adjusted wherever a queue changes (:meth:`_queue_changed`).
+        self._queued_batches = 0
         self._wake = asyncio.Event()
         self._stopping = False
         self._draining = False
@@ -307,7 +310,7 @@ class Scheduler:
             )
         session.queue.append(scores)
         session.last_activity = perf_counter()
-        self._update_queue_gauge()
+        self._queue_changed(1)
         self._wake.set()
 
     def request_finish(self, session: Session) -> None:
@@ -322,6 +325,7 @@ class Scheduler:
         """Drop a session without a final result (client went away)."""
         if session.closed:
             return
+        self._queue_changed(-len(session.queue))
         session.queue.clear()
         try:
             await self._run_engine(self.engine.cancel, session.session_id)
@@ -372,6 +376,7 @@ class Scheduler:
         # Migration is rare, so blocking briefly on an in-flight score
         # is acceptable where a per-dispatch block would not be.
         queued = [resolve_batch(batch) for batch in session.queue]
+        self._queue_changed(-len(session.queue))
         session.queue.clear()
         snapshot = await self._run_engine(
             self.engine.export_session, session_id
@@ -421,7 +426,7 @@ class Scheduler:
         self._order.append(session_id)
         self.metrics.counter("sessions_adopted").inc()
         self.metrics.gauge("active_sessions").set(len(self._sessions))
-        self._update_queue_gauge()
+        self._queue_changed(len(session.queue))
         self._wake.set()
         return session
 
@@ -648,7 +653,7 @@ class Scheduler:
 
     async def _decode_batch(self, session: Session) -> None:
         scores = session.queue.popleft()
-        self._update_queue_gauge()
+        self._queue_changed(-1)
         started = perf_counter()
         try:
             partial = await self._call_engine(
@@ -668,7 +673,7 @@ class Scheduler:
             session.inflight = True
         try:
             batches = [session.queue.popleft() for session in sessions]
-            self._update_queue_gauge()
+            self._queue_changed(-len(sessions))
             items = [
                 (session.session_id, scores)
                 for session, scores in zip(sessions, batches)
@@ -693,7 +698,7 @@ class Scheduler:
                 # others proceed.
                 for session, scores in zip(sessions, batches):
                     session.queue.appendleft(scores)
-                self._update_queue_gauge()
+                self._queue_changed(len(sessions))
                 for session in sessions:
                     await self._decode_batch(session)
                 return
@@ -796,16 +801,20 @@ class Scheduler:
 
     def _retire(self, session: Session, counter: str) -> None:
         session.closed = True
-        self._sessions.pop(session.session_id, None)
+        # Whatever a retiring session still holds leaves the count with
+        # it (a failed or timed-out session retires mid-queue).
+        if self._sessions.pop(session.session_id, None) is not None:
+            self._queue_changed(-len(session.queue))
         try:
             self._order.remove(session.session_id)
         except ValueError:
             pass
         self.metrics.counter(counter).inc()
         self.metrics.gauge("active_sessions").set(len(self._sessions))
-        self._update_queue_gauge()
 
-    def _update_queue_gauge(self) -> None:
-        self.metrics.gauge("queued_batches").set(
-            sum(len(s.queue) for s in self._sessions.values())
-        )
+    def _queue_changed(self, delta: int) -> None:
+        """Account ``delta`` batches entering (or leaving) the live
+        sessions' queues: the ``queued_batches`` gauge is their total,
+        kept as a running count instead of re-summed per event."""
+        self._queued_batches += delta
+        self.metrics.gauge("queued_batches").set(self._queued_batches)

@@ -225,12 +225,48 @@ def test_batched_equals_sequential_property(
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 200))
 def test_stable_cost_order_matches_stable_argsort(seed, size):
-    """The two-introsort float ordering == numpy's stable argsort."""
+    """The packed value-sort float ordering == numpy's stable argsort."""
     rng = np.random.default_rng(seed)
     # Heavy ties: quantized values exercise the rank-encoding path.
     costs = np.round(rng.uniform(0.0, 4.0, size=size), 1)
     expected = np.argsort(costs, kind="stable")
     np.testing.assert_array_equal(stable_cost_order(costs), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(2, 300),
+    st.sampled_from(["packed", "negative", "minus-zero", "wide"]),
+)
+def test_stable_cost_order_takes_both_branches(seed, size, family):
+    """Non-negative costs within a narrow range of bit patterns sort as
+    packed integers with no ``argsort`` at all; a negative cost, a
+    ``-0.0`` (equal to ``0.0``, different pattern) or a range too wide
+    to pack falls back to ranks from exactly one.  Both equal numpy's
+    stable order."""
+    from unittest import mock
+
+    from repro.core import arcs
+
+    rng = np.random.default_rng(seed)
+    # Heavy ties in every family; frame-like costs (a beam above 100).
+    costs = 100.0 + np.round(rng.uniform(0.0, 14.0, size=size), 1)
+    if family == "negative":
+        costs -= 107.0
+        costs[rng.integers(0, size)] = -3.5
+    elif family == "minus-zero":
+        costs -= 100.0
+        costs[rng.integers(0, size, size=size // 2 + 1)] = -0.0
+    elif family == "wide":
+        # More than 2**(62 - bits) representable doubles apart.
+        costs[rng.integers(0, size)] = 1e-300
+        costs[rng.integers(0, size)] = np.inf
+    expected = np.argsort(costs, kind="stable")
+    with mock.patch.object(arcs.np, "argsort", wraps=np.argsort) as argsort:
+        got = stable_cost_order(costs)
+    np.testing.assert_array_equal(got, expected)
+    assert argsort.call_count == (0 if family == "packed" else 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -206,25 +206,62 @@ def test_snapshot_in_scalar_regime_restores_across_a_regime_flip(
     _assert_same(straight.finish(), resumed.finish(), "restored")
 
 
-def test_profiled_decode_takes_the_same_regimes(tiny_task, tiny_scores):
+def test_profiled_decode_takes_the_same_regimes(
+    tiny_task, tiny_scores, monkeypatch
+):
     """``profile=True`` only reads clocks: same stats, expansion cache
-    included, and a phase breakdown that adds up."""
+    included, and a phase breakdown that adds up — the kernels' section
+    clocks sitting *under* ``expand`` and ``epsilon``."""
+    sections = {
+        "expand": ("prune", "gather", "plan", "fill"),
+        "epsilon": ("resolve", "commit"),
+    }
     config = DecoderConfig(beam=14.0)
-    plain = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
-    profiled = OnTheFlyDecoder(
-        tiny_task.am, tiny_task.lm, dataclasses.replace(config, profile=True)
-    )
-    for i, (want, got) in enumerate(
-        zip(_decode_cold(plain, tiny_scores), _decode_cold(profiled, tiny_scores))
-    ):
-        _assert_same(want, got, ("profile", i))
-    phases = profiled.last_phase_seconds
-    assert set(phases) == {"expand", "epsilon", "other", "total"}
-    assert phases["expand"] > 0 and phases["epsilon"] > 0
-    assert phases["total"] == pytest.approx(
-        phases["expand"] + phases["epsilon"] + phases["other"]
-    )
-    assert plain.last_phase_seconds is None
+    for limit in (batch.SCALAR_FRONTIER_MAX, 0):
+        monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", limit)
+        plain = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
+        profiled = OnTheFlyDecoder(
+            tiny_task.am, tiny_task.lm, dataclasses.replace(config, profile=True)
+        )
+        for i, (want, got) in enumerate(
+            zip(
+                _decode_cold(plain, tiny_scores),
+                _decode_cold(profiled, tiny_scores),
+            )
+        ):
+            _assert_same(want, got, ("profile", limit, i))
+        phases = profiled.last_phase_seconds
+        assert set(phases) == {
+            "expand", "epsilon", "other", "total",
+            *sections["expand"], *sections["epsilon"],
+        }
+        assert phases["expand"] > 0 and phases["epsilon"] > 0
+        assert phases["total"] == pytest.approx(
+            phases["expand"] + phases["epsilon"] + phases["other"]
+        )
+        for parent, names in sections.items():
+            assert sum(phases[name] for name in names) <= phases[parent]
+            if limit == 0:  # every frame took the kernels
+                assert all(phases[name] > 0 for name in names)
+        assert plain.last_phase_seconds is None
+
+
+def test_unprofiled_decode_reads_no_clock(tiny_task, tiny_scores, monkeypatch):
+    """Every ``perf_counter`` in the frame step sits behind the profile
+    switch, in every regime."""
+    from repro.core import decoder as decoder_module
+
+    def no_clock():
+        raise AssertionError("clock read without profile=True")
+
+    monkeypatch.setattr(batch, "perf_counter", no_clock)
+    monkeypatch.setattr(decoder_module, "perf_counter", no_clock)
+    for limit in (0, 10**9):
+        monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", limit)
+        decoder = OnTheFlyDecoder(
+            tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0)
+        )
+        assert decoder.decode(tiny_scores[0]).words
 
 
 def test_traced_decoder_runs_the_scalar_body_on_every_frame(

@@ -8,17 +8,19 @@ accelerator models.  These tests pin that contract:
 * a hypothesis sweep over random small tasks asserting scalar ==
   vectorized for both decoders;
 * ``plan_recombination`` checked against a brute-force sequential
-  replay of ``TokenTable.insert`` semantics;
+  replay of ``TokenTable.insert`` semantics, and ``_csr_gather``
+  against the per-state walk it replaces;
 * the traced-fallback rule: attaching a real ``TraceSink`` routes
   decoding through the scalar path, so traced runs see the same event
   stream the simulators were validated against.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.am import GmmAcousticModel
@@ -30,6 +32,7 @@ from repro.core import (
     VirtualComposedGraph,
     plan_recombination,
 )
+from repro.core.arcs import _csr_gather, _iota
 
 _TASK_CACHE: dict[int, tuple] = {}
 
@@ -87,42 +90,60 @@ def _replay(keys, costs):
     """Brute-force sequential TokenTable.insert semantics."""
     best: dict[int, float] = {}
     owner: dict[int, int] = {}
+    events: dict[int, list[int]] = {}  # insert-or-improve, per key
     inserts = improvements = recombinations = 0
     for i, (key, cost) in enumerate(zip(keys, costs)):
         if key not in best:
             best[key] = cost
             owner[key] = i
+            events[key] = [i]
             inserts += 1
         elif cost < best[key]:
             best[key] = cost
             owner[key] = i
+            events[key].append(i)
             improvements += 1
         else:
             recombinations += 1
     first_arrival = list(best)  # dict insertion order
     winners = [owner[key] for key in first_arrival]
-    return winners, first_arrival, inserts, improvements, recombinations
+    improved = [i for key in sorted(events) for i in events[key]]
+    return winners, first_arrival, improved, inserts, improvements, recombinations
 
 
-@settings(max_examples=200, deadline=None)
+#: Ties, both zeros (``-0.0 < 0.0`` is false: a recombination),
+#: subnormals, a negative and an infinity — whatever the scalar
+#: ``insert`` can be handed short of NaN.
+_COSTS = [0.0, -0.0, 5e-324, 2.5e-320, 1.0, 1.5, 2.0, 3.0, -1.0, math.inf]
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=7),
-            st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]),
+            # Skewed: key 0 collects a third of a batch, so groups of
+            # nine and more candidates (three and more scan passes) are
+            # routine, next to singletons and pairs.
+            st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7]),
+            st.sampled_from(_COSTS),
         ),
         min_size=1,
         max_size=60,
     )
 )
+# A 17-wide group improving at every arrival (four passes, each one
+# needed), and one whose only improvement is its last arrival.
+@example([(3, float(17 - i)) for i in range(17)] + [(1, 0.0)])
+@example([(0, 1.0)] * 11 + [(0, 0.5), (2, math.inf), (2, math.inf)])
 def test_plan_recombination_matches_sequential_replay(batch):
     keys = np.array([k for k, _ in batch], dtype=np.int64)
     costs = np.array([c for _, c in batch], dtype=np.float64)
     plan = plan_recombination(keys, costs)
-    winners, first_arrival, inserts, improvements, recombinations = _replay(
-        keys.tolist(), costs.tolist()
+    winners, first_arrival, improved, inserts, improvements, recombinations = (
+        _replay(keys.tolist(), costs.tolist())
     )
     assert plan.winners.tolist() == winners
+    assert plan.improved_sources.tolist() == improved
     assert plan.inserts == inserts
     assert plan.improvements == improvements
     assert plan.recombinations == recombinations
@@ -132,6 +153,43 @@ def test_plan_recombination_matches_sequential_replay(batch):
     assert [
         first_arrival[int(slot)] for slot in plan.slots
     ] == plan.sorted_keys.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12),
+    st.data(),
+)
+def test_csr_gather_matches_per_state_expansion(degrees, data):
+    """Against the scalar loops' own walk: every state's arc slice, in
+    ``states`` order — zero-arc states, repeats, one state, none."""
+    offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    states = np.array(
+        data.draw(
+            st.lists(st.integers(0, len(degrees) - 1), min_size=0, max_size=20)
+        ),
+        dtype=np.int64,
+    )
+    token_index, flat = _csr_gather(offsets, states)
+    expected = [
+        (position, arc)
+        for position, state in enumerate(states.tolist())
+        for arc in range(int(offsets[state]), int(offsets[state + 1]))
+    ]
+    assert list(zip(token_index.tolist(), flat.tolist())) == expected
+    assert token_index.dtype == flat.dtype == np.int64
+
+
+def test_shared_iota_is_read_only():
+    """The kernels slice one shared ``0, 1, 2, ...`` column: a stray
+    in-place write must raise, not corrupt every later frame."""
+    iota = _iota(10)
+    assert iota.tolist() == list(range(10))
+    with pytest.raises(ValueError, match="read-only"):
+        iota += 1
+    with pytest.raises(ValueError, match="read-only"):
+        _iota(100_000)[5] = 0  # a regrown column is read-only too
+    assert _iota(10).tolist() == list(range(10))
 
 
 def test_plan_recombination_rejects_empty_batch():

@@ -134,6 +134,13 @@ class TestMatrixPayload:
             {"enc": "b64f32", "shape": [1, -1], "data": ""},
             {"enc": "b64f32", "shape": [2, 2], "data": "AAAAAA=="},
             {"enc": "b64f32", "shape": [1, 1], "data": "!!!"},
+            # A JSON ``true`` is an ``int`` to ``isinstance``; the data
+            # is the 16 zero bytes a (1, 4) block needs.
+            {"enc": "b64f32", "shape": [True, 4], "data": "A" * 22 + "=="},
+            # Zero bytes "fill" these: more elements per frame than
+            # numpy can index, and frames of no width.
+            {"enc": "b64f32", "shape": [0, 2**62], "data": ""},
+            {"enc": "b64f32", "shape": [3, 0], "data": ""},
         ],
     )
     def test_bad_b64f32_payload_rejected(self, bad):

@@ -251,6 +251,71 @@ class TestMetricsAndStatus:
         assert latency["count"] == counters["batches_decoded"]
         assert latency["p95"] > 0
 
+    def test_queued_batches_gauge_equals_the_true_sum(
+        self, tiny_task, tiny_scores
+    ):
+        """The gauge is a running count: after every transition that
+        touches a queue it must equal the sum over the live sessions."""
+        from repro.serve.engine import EngineError, InlineEngine
+        from repro.serve.scheduler import Scheduler, SchedulerConfig
+
+        class FirstFusedPushFails(InlineEngine):
+            """Raises before any session advances, so the scheduler
+            puts the batches back and replays them one at a time."""
+
+            injected = 0
+
+            def push_many(self, items):
+                if not self.injected:
+                    self.injected += 1
+                    raise EngineError("injected fused-push failure")
+                return super().push_many(items)
+
+        def check(scheduler, step, want):
+            gauge = scheduler.metrics.gauge("queued_batches").value
+            truth = sum(len(s.queue) for s in scheduler._sessions.values())
+            assert gauge == truth == want, step
+
+        async def scenario():
+            config = SchedulerConfig(max_sessions=4)
+            home = Scheduler(
+                FirstFusedPushFails(tiny_task.am, tiny_task.lm, CONFIG), config
+            )
+            away = Scheduler(
+                InlineEngine(tiny_task.am, tiny_task.lm, CONFIG), config
+            )
+            batch = tiny_scores[0][:BATCH_FRAMES]
+            try:
+                a, b, c = [await home.admit() for _ in range(3)]
+                for session in (a, b, c):
+                    home.push(session, batch)
+                    home.push(session, batch)
+                check(home, "push", 6)
+                await home._decode_batch(a)
+                check(home, "solo pop", 5)
+                await home._serve_fused([a, b])
+                assert home.engine.injected == 1
+                check(home, "fused replay", 3)
+                home.push(a, batch)
+                await home._serve_fused([a, b])
+                check(home, "fused pop", 2)
+                handle = await home.export_session(c.session_id)
+                check(home, "export", 0)
+                adopted = await away.adopt_session(handle)
+                check(away, "adopt", 2)
+                await away.cancel(adopted)
+                check(away, "cancel", 0)
+                home.push(a, batch)
+                home.push(b, batch)
+                await home._fail(a, "boom")  # retires mid-queue
+                check(home, "retire", 1)
+            finally:
+                await home.stop(drain=False)
+                await away.stop(drain=False)
+            check(home, "stop", 0)
+
+        asyncio.run(scenario())
+
 
 class TestTcpTransport:
     def test_tcp_round_trip_matches_sequential(
@@ -310,13 +375,31 @@ class TestTcpTransport:
 
     @pytest.mark.parametrize(
         "encoding,poison",
-        [("list", np.nan), ("list", -np.inf), ("b64f32", np.inf)],
+        [
+            ("list", np.nan),
+            ("list", -np.inf),
+            ("b64f32", np.inf),
+            # Shapes the length check passes and ``reshape`` refuses:
+            # the reply must be a typed error, not a dead connection.
+            pytest.param(
+                "b64f32",
+                {"shape": [True, 4], "data": "A" * 22 + "=="},
+                id="b64f32-bool-shape",
+            ),
+            pytest.param(
+                "b64f32", {"shape": [0, 2**62], "data": ""}, id="b64f32-huge-shape"
+            ),
+            pytest.param(
+                "b64f32", {"shape": [2, 0], "data": ""}, id="b64f32-no-width"
+            ),
+        ],
     )
     def test_non_finite_push_rejected_session_and_group_unaffected(
         self, tiny_task, tiny_scores, sequential_results, encoding, poison
     ):
-        """A NaN/inf batch gets a typed ``error`` reply and is not
-        applied: its session and the one fused with it still reach the
+        """A NaN/inf batch — or one whose shape cannot be built — gets a
+        typed ``error`` reply and is not applied: its session and the
+        one sharing its connection (and fused with it) still reach the
         sequential finals."""
         from repro.serve import protocol
 
@@ -342,13 +425,17 @@ class TestTcpTransport:
                 for _ in range(2):
                     await send({"type": "start", "encoding": encoding})
                     sessions.append((await receive())["session"])
-                bad = np.array(tiny_scores[0][:2])
-                bad[1, 3] = poison
+                if isinstance(poison, dict):
+                    payload = {"enc": encoding, **poison}
+                else:
+                    bad = np.array(tiny_scores[0][:2])
+                    bad[1, 3] = poison
+                    payload = protocol.matrix_to_payload(bad, encoding)
                 await send(
                     {
                         "type": "frames",
                         "session": sessions[0],
-                        "scores": protocol.matrix_to_payload(bad, encoding),
+                        "scores": payload,
                     }
                 )
                 errors, finals = [], {}
@@ -389,7 +476,8 @@ class TestTcpTransport:
                 return errors, [finals[s] for s in sessions]
 
         errors, finals = asyncio.run(scenario())
-        assert len(errors) == 1 and "NaN or infinite" in errors[0]
+        reason = "b64f32 shape" if isinstance(poison, dict) else "NaN or infinite"
+        assert len(errors) == 1 and reason in errors[0]
         for final, want in zip(finals, sequential_results):
             assert final["words"] == want.words
             assert final["frames"] == want.stats.frames
