@@ -139,7 +139,7 @@ class StreamingSession:
         # decoder-wide over the session's lifetime rather than
         # per-utterance — unless each session got its own fork;
         # transcripts are unaffected either way.
-        self._lookup_start = decoder._snapshot_lookup(self._seg.lookup)
+        self._lookup_start = self._seg.lookup.stats.clone()
 
     @property
     def _table(self) -> TokenTable | SoaTokenTable:
@@ -329,9 +329,7 @@ class StreamingSession:
         self._finished = True
         seg = self._seg
         seg.stats.frames = seg.frame
-        seg.stats.lookup = self.decoder._lookup_delta(
-            self._lookup_start, lookup=seg.lookup
-        )
+        seg.stats.lookup = seg.lookup.stats.since(self._lookup_start)
         return self.decoder._finalize(seg.table, seg.lattice, seg.stats)
 
 

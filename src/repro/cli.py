@@ -131,7 +131,6 @@ def serve_setup(args: argparse.Namespace):
         max_queued_batches=args.max_queued_batches,
         idle_timeout_seconds=args.idle_timeout,
         workers=args.workers,
-        fuse_sessions=not args.no_fuse,
         request_deadline_seconds=args.request_deadline,
         checkpoint_interval_frames=args.checkpoint_interval or None,
     )
@@ -321,11 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="shard processes sharing one in-memory recognizer segment "
         "(>1 starts a ShardedServer; clients route by session key)",
-    )
-    p_serve.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help="disable lockstep session fusion on the in-process engine",
     )
     p_serve.add_argument(
         "--request-deadline",

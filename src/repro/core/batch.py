@@ -400,16 +400,14 @@ def _epsilon_fused(
     segment's own lookup, lattice and frame index (resolution *must*
     stay per-segment: each fork's OLT/expansion-cache evolution is what
     makes its counters match a solo decode).  Word items reach
-    ``resolve_batch`` in the same order and count as the solo phase's
-    call, so the replay-vs-vectorized path choice and every counter
-    land identically.
+    ``resolve_batch`` in the same order as the solo phase's call, so
+    every counter lands identically.
     """
     n = len(segments)
     eps = decoder._eps_arcs
     flags = decoder._epsilon_flags
     num_lm = decoder._num_lm
     beam = decoder.config.beam
-    preemptive = decoder.config.preemptive_pruning
 
     cols = [t.columns() for t in tables]
     counts = np.array([c[0].shape[0] for c in cols], dtype=np.int64)
@@ -457,13 +455,14 @@ def _epsilon_fused(
 
     olabels = eps.olabel[flat]
     pair_pos = keep_pos[token_index]
-    base_cost = cost_f[pair_pos] + eps.weight[flat]
+    token_cost = cost_f[pair_pos]
+    arc_weight = eps.weight[flat]
     pair_lm = lm_f[pair_pos]
     dest_am = eps.nextstate[flat]
     pair_node = node_f[pair_pos]
 
     is_word = olabels != EPSILON
-    final_cost = base_cost.copy()
+    final_cost = token_cost + arc_weight
     final_lm = pair_lm.copy()
     committed = np.ones(num_pairs, dtype=bool)
     p_off = np.concatenate(
@@ -477,17 +476,16 @@ def _epsilon_fused(
         if w_loc.shape[0] == 0:
             continue
         g = a + w_loc
-        result = seg.lookup.resolve_batch(
+        final_cost[g], final_lm[g], pruned = decoder._cross_word_batch(
+            seg.lookup,
             pair_lm[g],
             olabels[g],
-            base_cost[g],
-            threshold=float(thr[i]),
-            preemptive=preemptive,
+            token_cost[g],
+            arc_weight[g],
+            float(thr[i]),
         )
-        seg.stats.preemptive_pruned += int(np.count_nonzero(result.pruned))
-        final_cost[g] += result.weight
-        final_lm[g] = result.next_state
-        committed[g] = ~result.pruned
+        seg.stats.preemptive_pruned += int(np.count_nonzero(pruned))
+        committed[g] = ~pruned
 
     keys = dest_am * np.int64(num_lm) + final_lm
     fc = final_cost.tolist()
@@ -580,7 +578,7 @@ class BatchDecoder:
                 seg.stats.frames = scores.shape[0]
                 # The fork started from zero, so its running totals
                 # *are* this utterance's delta — what decode() reports.
-                seg.stats.lookup = decoder._snapshot_lookup(seg.lookup)
+                seg.stats.lookup = seg.lookup.stats.clone()
                 result = decoder._finalize(seg.table, seg.lattice, seg.stats)
                 result.strategy = label
                 results.append(result)

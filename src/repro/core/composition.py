@@ -74,6 +74,15 @@ class LookupStats:
         """An independent copy (checkpointing; delta baselines)."""
         return replace(self)
 
+    def since(self, before: "LookupStats") -> "LookupStats":
+        """Every counter's growth since the ``before`` clone was taken."""
+        return LookupStats(
+            **{
+                f.name: getattr(self, f.name) - getattr(before, f.name)
+                for f in fields(self)
+            }
+        )
+
     def assign(self, other: "LookupStats") -> None:
         """Overwrite every counter in place.
 
@@ -106,9 +115,8 @@ class OffsetLookupTable:
         # Validity is a generation stamp: an entry is live when its
         # stamp matches the current generation, so invalidation is a
         # counter bump instead of reallocating the arrays.  Stored as
-        # numpy columns so the batched resolve engine can gather and
-        # scatter entries in bulk; the scalar methods index them the
-        # same way they indexed the previous plain lists.
+        # numpy columns so a session checkpoint exports and reloads the
+        # table in bulk.
         self._generation = 1
         self._valid = np.zeros(num_entries, dtype=np.int64)
         self._tags = np.zeros(num_entries, dtype=np.int64)
@@ -224,7 +232,7 @@ def _binary_probe_counts(labels: np.ndarray, words: np.ndarray) -> np.ndarray:
         active[idx] = still
 
 
-@dataclass
+@dataclass(slots=True)
 class ExpansionRow:
     """One LM state's fully resolved expansion (the LM arc cache line).
 
@@ -233,39 +241,25 @@ class ExpansionRow:
     chain), the arc's weight / destination / ordinal there, and the
     per-level search probe counts the scalar engine would spend — so a
     batch of resolves replays scalar costs and counters exactly.
+
+    Held as native Python lists, the form the replay reads item by
+    item (per-item numpy scalar indexing would dominate its cost);
+    ``tolist`` round-trips float64 exactly, so replayed arithmetic is
+    bit-identical to the scalar engine's.
     """
 
-    chain: np.ndarray  # int64, the state's back-off chain
-    chain_weights: np.ndarray  # float64, per-hop penalties
-    found_level: np.ndarray  # int64[label_space]
-    steps: np.ndarray  # int64[chain length, label_space]
-    arc_weight: np.ndarray  # float64[label_space]
-    arc_next: np.ndarray  # int64[label_space]
-    arc_ordinal: np.ndarray  # int64[label_space]
-
-    def __post_init__(self) -> None:
-        # Native-Python mirrors for the small-batch sequential replay,
-        # where per-item numpy scalar indexing would dominate the cost.
-        # ``tolist`` round-trips float64 exactly, so replayed arithmetic
-        # stays bit-identical to the array path.
-        self.chain_py: list[int] = self.chain.tolist()
-        self.chain_weights_py: list[float] = self.chain_weights.tolist()
-        self.found_level_py: list[int] = self.found_level.tolist()
-        self.steps_py: list[list[int]] = self.steps.tolist()
-        self.arc_weight_py: list[float] = self.arc_weight.tolist()
-        self.arc_next_py: list[int] = self.arc_next.tolist()
-        self.arc_ordinal_py: list[int] = self.arc_ordinal.tolist()
+    chain: list[int]  # the state's back-off chain
+    chain_weights: list[float]  # per-hop penalties
+    found_level: list[int]  # [label_space]
+    steps: list[list[int]]  # [chain length][label_space]
+    arc_weight: list[float]  # [label_space]
+    arc_next: list[int]  # [label_space]
+    arc_ordinal: list[int]  # [label_space]
 
     def size_bytes(self) -> int:
-        return (
-            self.chain.nbytes
-            + self.chain_weights.nbytes
-            + self.found_level.nbytes
-            + self.steps.nbytes
-            + self.arc_weight.nbytes
-            + self.arc_next.nbytes
-            + self.arc_ordinal.nbytes
-        )
+        """Modelled storage: 8 bytes per entry of every column."""
+        depth = len(self.chain)
+        return 8 * (2 * depth + len(self.found_level) * (4 + depth))
 
 
 def expansion_row_bytes_bound(label_space: int, max_chain: int) -> int:
@@ -428,13 +422,13 @@ class LmExpansionCache:
             else:
                 steps[level] = _binary_probe_counts(labels, words)
         return ExpansionRow(
-            chain=chain,
-            chain_weights=chain_weights,
-            found_level=found_level,
-            steps=steps,
-            arc_weight=arc_weight,
-            arc_next=arc_next,
-            arc_ordinal=arc_ordinal,
+            chain=chain.tolist(),
+            chain_weights=chain_weights.tolist(),
+            found_level=found_level.tolist(),
+            steps=steps.tolist(),
+            arc_weight=arc_weight.tolist(),
+            arc_next=arc_next.tolist(),
+            arc_ordinal=arc_ordinal.tolist(),
         )
 
 
@@ -492,11 +486,6 @@ class LmLookup:
         # reference the same dict so B lockstep channels build each hot
         # row once between them instead of once per channel.
         self._row_memo: dict[int, ExpansionRow] = {}
-        # Below this many items a batch resolves by sequential replay
-        # over the cached expansion rows: fixed array-op overhead beats
-        # the per-item work until batches get fairly large.  Same
-        # results and counters either way; tests pin it to force a path.
-        self.batch_sequential_cutoff = 128
 
     def _scalar_views(self) -> tuple[list[list[Arc]], list[Arc | None]]:
         views = self._scalar_cell[0]
@@ -641,7 +630,7 @@ class LmLookup:
                 )
             current = backoff.nextstate
 
-    # -- batched resolution (the vectorized epsilon engine) -----------------
+    # -- batched resolution (the batched epsilon phase's engine) ------------
 
     def _ensure_batch_structures(self) -> LmWordArcs:
         if self._soa is None:
@@ -740,7 +729,7 @@ class LmLookup:
         which is what gives each utterance of a lockstep batch (and
         each serve session) the same cache evolution — hence identical
         counters — as a solo cold decode.  Forks never trace: batched
-        work has no per-event order to report, and the batched engines
+        work has no per-event order to report, and the batched kernels
         are gated off under a real sink anyway.
         """
         clone = object.__new__(LmLookup)
@@ -768,7 +757,6 @@ class LmLookup:
             capacity=clone._expansion_cache_states,
             row_source=clone._row_memo,
         )
-        clone.batch_sequential_cutoff = self.batch_sequential_cutoff
         return clone
 
     def resolve_batch(
@@ -779,54 +767,27 @@ class LmLookup:
         threshold: float = math.inf,
         preemptive: bool = False,
     ) -> BatchResolveResult:
-        """Vectorized :meth:`resolve` over a batch of (state, word) items.
+        """:meth:`resolve` over a batch of (state, word) items.
 
-        Equivalent to calling ``resolve`` item by item in array order —
-        bit-identical weights (the back-off accumulator is replayed
-        level by level in the scalar addition order) and identical
+        Literally the scalar ``resolve`` walk, item by item in array
+        order, except every arc search collapses to O(1) reads of the
+        item's cached :class:`ExpansionRow` — so equality with the
+        scalar engine holds by construction: bit-identical weights (the
+        back-off accumulator adds in the scalar order) and identical
         ``LookupStats`` counters, including the Offset Lookup Table's
         hit/miss/probe accounting and its final contents.  The items
         must not be interleaved with scalar resolves that the batch
-        order would not reproduce.
+        order would not reproduce.  Stats land on completion: every
+        item is accounted before an exhausted item raises.
         """
         if self._tracing:
             raise RuntimeError(
                 "resolve_batch has no per-event order; use resolve when tracing"
             )
-        n = int(states.shape[0])
-        arcs = self._ensure_batch_structures()
+        label_space = self._ensure_batch_structures().label_space
         cache = self.expansion_cache
         assert cache is not None
         rows = cache.rows_for(states)
-        if n <= self.batch_sequential_cutoff:
-            return self._resolve_batch_replay(
-                rows, words, entry_costs, threshold, preemptive,
-                arcs.label_space,
-            )
-        if np.any(words >= arcs.label_space) or np.any(words < 0):
-            raise ValueError("word id outside the LM label space")
-        return self._resolve_batch_vectorized(
-            rows, words, entry_costs, threshold, preemptive
-        )
-
-    def _resolve_batch_replay(
-        self,
-        rows: list[ExpansionRow],
-        words: np.ndarray,
-        entry_costs: np.ndarray,
-        threshold: float,
-        preemptive: bool,
-        label_space: int,
-    ) -> BatchResolveResult:
-        """Sequential replay of the batch over cached expansion rows.
-
-        Literally the scalar ``resolve`` walk, item by item, except
-        every arc search collapses to O(1) reads of the item's
-        :class:`ExpansionRow` — so equality with the scalar engine
-        (weights, counters, OLT evolution) holds by construction.
-        Stats land on completion; like the vectorized engine, every
-        item is accounted before an exhausted item raises.
-        """
         stats = self.stats
         n = words.shape[0]
         word_list = words.tolist()
@@ -852,10 +813,10 @@ class LmLookup:
             if word < 0 or word >= label_space:
                 raise ValueError("word id outside the LM label space")
             row = rows[i]
-            chain = row.chain_py
-            chain_w = row.chain_weights_py
-            steps = row.steps_py
-            fl = row.found_level_py[word]
+            chain = row.chain
+            chain_w = row.chain_weights
+            steps = row.steps
+            fl = row.found_level[word]
             entry = entry_list[i]
             accumulated = entry
             depth = len(chain)
@@ -892,13 +853,13 @@ class LmLookup:
                             if (
                                 found_here
                                 and ordinals[index]
-                                == row.arc_ordinal_py[word]
+                                == row.arc_ordinal[word]
                             ):
                                 hits += 1
                                 out_weight[i] = (
                                     accumulated - entry
-                                ) + row.arc_weight_py[word]
-                                out_next[i] = row.arc_next_py[word]
+                                ) + row.arc_weight[word]
+                                out_next[i] = row.arc_next[word]
                                 out_levels[i] = level
                                 break
                         misses += 1
@@ -906,7 +867,7 @@ class LmLookup:
                         if found_here:
                             valid[index] = generation
                             tags[index] = tag
-                            ordinals[index] = row.arc_ordinal_py[word]
+                            ordinals[index] = row.arc_ordinal[word]
                     else:
                         misses += 1
                         probes += steps[level][word]
@@ -915,14 +876,14 @@ class LmLookup:
                             tags[index] = (
                                 (state_l * 0x9E3779B1) ^ (word * 0x85EBCA77)
                             ) & tag_mask
-                            ordinals[index] = row.arc_ordinal_py[word]
+                            ordinals[index] = row.arc_ordinal[word]
                 else:
                     probes += steps[level][word]
                 if found_here:
-                    out_weight[i] = (accumulated - entry) + row.arc_weight_py[
+                    out_weight[i] = (accumulated - entry) + row.arc_weight[
                         word
                     ]
-                    out_next[i] = row.arc_next_py[word]
+                    out_next[i] = row.arc_next[word]
                     out_levels[i] = level
                     break
                 level += 1
@@ -943,219 +904,3 @@ class LmLookup:
             pruned=np.array(out_pruned, dtype=bool),
             backoff_levels=np.array(out_levels, dtype=np.int64),
         )
-
-    def _resolve_batch_vectorized(
-        self,
-        rows: list[ExpansionRow],
-        words: np.ndarray,
-        entry_costs: np.ndarray,
-        threshold: float,
-        preemptive: bool,
-    ) -> BatchResolveResult:
-        """Level-major vectorized engine for large batches."""
-        stats = self.stats
-        n = int(words.shape[0])
-        word_list = words.tolist()
-
-        max_levels = 0
-        for row in rows:
-            depth = row.chain.shape[0]
-            if depth > max_levels:
-                max_levels = depth
-        # Per-item views of the rows, padded to the deepest chain.
-        chain_len = np.empty(n, dtype=np.int64)
-        found_level = np.empty(n, dtype=np.int64)
-        term_weight = np.empty(n, dtype=np.float64)
-        term_next = np.empty(n, dtype=np.int64)
-        term_ordinal = np.empty(n, dtype=np.int64)
-        chain_state_mat = np.full((max_levels, n), -1, dtype=np.int64)
-        chain_weight_mat = np.zeros((max_levels, n), dtype=np.float64)
-        steps_mat = np.zeros((max_levels, n), dtype=np.int64)
-        for i, (row, word) in enumerate(zip(rows, word_list)):
-            depth = row.chain.shape[0]
-            chain_len[i] = depth
-            found_level[i] = row.found_level[word]
-            term_weight[i] = row.arc_weight[word]
-            term_next[i] = row.arc_next[word]
-            term_ordinal[i] = row.arc_ordinal[word]
-            chain_state_mat[:depth, i] = row.chain
-            chain_weight_mat[:depth, i] = row.chain_weights
-            steps_mat[:depth, i] = row.steps[:, word]
-
-        accumulated = entry_costs.astype(np.float64, copy=True)
-        out_weight = np.zeros(n, dtype=np.float64)
-        out_next = np.full(n, -1, dtype=np.int64)
-        out_pruned = np.zeros(n, dtype=bool)
-        out_levels = np.zeros(n, dtype=np.int64)
-        searched = np.zeros((max_levels, n), dtype=bool)
-        exhausted = np.zeros(n, dtype=bool)
-        alive = np.ones(n, dtype=bool)
-        for level in range(max_levels):
-            if level > 0:
-                # Items that missed at the previous level take one
-                # back-off arc (a probe), pay its penalty, then face
-                # the preemptive check — in exactly that scalar order.
-                dead_end = alive & (chain_len <= level)
-                if np.any(dead_end):
-                    exhausted |= dead_end
-                    alive &= ~dead_end
-                taking = int(np.count_nonzero(alive))
-                if taking == 0:
-                    break
-                stats.arc_probes += taking
-                stats.backoff_arcs_taken += taking
-                accumulated[alive] = (
-                    accumulated[alive] + chain_weight_mat[level, alive]
-                )
-                if preemptive:
-                    pruned_now = alive & (accumulated > threshold)
-                    count = int(np.count_nonzero(pruned_now))
-                    if count:
-                        stats.preemptive_prunes += count
-                        out_weight[pruned_now] = (
-                            accumulated[pruned_now] - entry_costs[pruned_now]
-                        )
-                        out_next[pruned_now] = chain_state_mat[level, pruned_now]
-                        out_pruned[pruned_now] = True
-                        out_levels[pruned_now] = level
-                        alive &= ~pruned_now
-            searching = int(np.count_nonzero(alive))
-            if searching == 0:
-                break
-            stats.lookups += searching
-            searched[level] = alive
-            found = alive & (found_level == level)
-            if np.any(found):
-                out_weight[found] = (
-                    accumulated[found] - entry_costs[found]
-                ) + term_weight[found]
-                out_next[found] = term_next[found]
-                out_levels[found] = level
-                alive &= ~found
-        exhausted |= alive  # missed at the deepest level, no back-off left
-
-        if self.strategy is LookupStrategy.OFFSET_TABLE:
-            self._replay_offset_table(
-                words, searched, found_level, term_ordinal, chain_state_mat,
-                steps_mat,
-            )
-        else:
-            stats.arc_probes += int(steps_mat[searched].sum())
-
-        if np.any(exhausted):
-            word = int(words[int(np.flatnonzero(exhausted)[0])])
-            raise LookupError(
-                f"word {word} not found at the unigram state; the LM "
-                "must keep all unigrams (Section 3.3 guarantee)"
-            )
-        return BatchResolveResult(
-            weight=out_weight,
-            next_state=out_next,
-            pruned=out_pruned,
-            backoff_levels=out_levels,
-        )
-
-    def _replay_offset_table(
-        self,
-        words: np.ndarray,
-        searched: np.ndarray,
-        found_level: np.ndarray,
-        term_ordinal: np.ndarray,
-        chain_state_mat: np.ndarray,
-        steps_mat: np.ndarray,
-    ) -> None:
-        """Replay the batch's OLT accesses exactly, in scalar order.
-
-        The access stream is item-major (each item walks its whole
-        chain before the next item starts).  An access's outcome
-        depends only on its slot's entry at access time; entries change
-        only when a *found-level* access misses and inserts — and after
-        any found-level access, hit or miss, the slot provably holds
-        exactly that (tag, ordinal) pair.  So each access's view of its
-        slot is: the nearest preceding found-level access in its slot
-        group if any, else the live table entry — a segmented
-        forward-fill, no sequential walk needed.
-        """
-        table = self.offset_table
-        assert table is not None
-        stats = self.stats
-        # (item, level) pairs in stream order.
-        pairs = np.argwhere(searched.T)
-        if pairs.shape[0] == 0:
-            return
-        item = pairs[:, 0]
-        level = pairs[:, 1]
-        a_state = chain_state_mat[level, item]
-        a_word = words[item]
-        a_found = found_level[item] == level
-        a_ordinal = term_ordinal[item]  # meaningful on found accesses
-        a_steps = steps_mat[level, item]
-        a_slot = (a_state ^ a_word) & table._mask
-        tag_mask = (1 << OffsetLookupTable.TAG_BITS) - 1
-        a_tag = ((a_state * 0x9E3779B1) ^ (a_word * 0x85EBCA77)) & tag_mask
-
-        # Group accesses by slot, keeping stream order within groups.
-        order = np.argsort(a_slot, kind="stable")
-        total = order.shape[0]
-        slot_sorted = a_slot[order]
-        tag_sorted = a_tag[order]
-        ordinal_sorted = a_ordinal[order]
-        found_sorted = a_found[order]
-        steps_sorted = a_steps[order]
-        new_group = np.empty(total, dtype=bool)
-        new_group[0] = True
-        np.not_equal(slot_sorted[1:], slot_sorted[:-1], out=new_group[1:])
-        group_index = np.cumsum(new_group) - 1
-        # Segmented forward-fill: index of the latest found-level access
-        # at-or-before each position within its slot group (-1 if none),
-        # via the banded running-max trick (bands are disjoint because
-        # every candidate is >= -1 and < total).
-        candidate = np.where(found_sorted, np.arange(total), -1)
-        band = candidate + group_index * np.int64(total + 1)
-        run_incl = np.maximum.accumulate(band) - group_index * np.int64(total + 1)
-        prev_found = np.empty(total, dtype=np.int64)
-        prev_found[0] = -1
-        prev_found[1:] = np.where(new_group[1:], -1, run_incl[:-1])
-
-        # Entry seen by each access: predecessor's pair, else live table.
-        has_prev = prev_found >= 0
-        prev_clipped = np.maximum(prev_found, 0)
-        entry_valid = np.where(
-            has_prev, True, table._valid[slot_sorted] == table._generation
-        )
-        entry_tag = np.where(
-            has_prev, tag_sorted[prev_clipped], table._tags[slot_sorted]
-        )
-        entry_ordinal = np.where(
-            has_prev, ordinal_sorted[prev_clipped], table._offsets[slot_sorted]
-        )
-
-        cached = entry_valid & (entry_tag == tag_sorted)
-        hit = found_sorted & cached & (entry_ordinal == ordinal_sorted)
-        # A live cached entry that fails validation costs one probe
-        # before the binary search.  (The scalar path would fault on an
-        # aliased ordinal past the state's arc count; the batch treats
-        # it as the failed validation probe it models.)
-        stale = cached & ~hit
-        misses = ~hit
-        stats.olt_hits += int(np.count_nonzero(hit))
-        stats.olt_misses += int(np.count_nonzero(misses))
-        stats.arc_probes += int(
-            np.count_nonzero(hit)
-            + np.count_nonzero(stale)
-            + steps_sorted[misses].sum()
-        )
-
-        # Final table contents: the last found-level access of each slot
-        # leaves exactly its own (tag, ordinal) pair, whether it hit
-        # (idempotent) or missed (inserted).
-        group_last = np.empty(total, dtype=bool)
-        group_last[-1] = True
-        group_last[:-1] = new_group[1:]
-        final_found = run_incl[group_last]
-        writes = final_found >= 0
-        write_pos = final_found[writes]
-        write_slot = slot_sorted[group_last][writes]
-        table._valid[write_slot] = table._generation
-        table._tags[write_slot] = tag_sorted[write_pos]
-        table._offsets[write_slot] = ordinal_sorted[write_pos]

@@ -192,6 +192,10 @@ class OnTheFlyDecoder:
     token tables and lattices are per-utterance.
     """
 
+    #: Where a traced fetch of a token's state and arcs goes: this
+    #: dataset, at the id :meth:`_trace_state` gives the token.
+    _trace_side = GraphSide.AM
+
     def __init__(
         self,
         am: AmGraph,
@@ -253,6 +257,11 @@ class OnTheFlyDecoder:
             self._eps_arcs = tables.epsilon
             self._lm_final_w = tables.lm_final_weights
         self._beam_config = self.config.beam_config()
+        self._lattice_record = (
+            COMPACT_RECORD_BYTES
+            if self.config.compact_lattice
+            else RAW_RECORD_BYTES
+        )
         #: Whether large frontiers may take the numpy frame kernels.
         self._vectorized = (
             self.config.vectorized
@@ -288,6 +297,9 @@ class OnTheFlyDecoder:
             self._scalar_epsilon = lists
         return lists
 
+    def _trace_state(self, am_state: int, lm_state: int) -> int:
+        return am_state
+
     def new_segment(self, lookup: LmLookup | None = None) -> BatchSegment:
         """Start-of-utterance search state (one token at the loop state)."""
         table = TokenTable()
@@ -309,14 +321,14 @@ class OnTheFlyDecoder:
         profile = self.config.profile
         started = perf_counter() if profile else 0.0
         self._phase_seconds = dict.fromkeys(_PHASES, 0.0) if profile else None
-        start_lookup = self._snapshot_lookup()
+        start_lookup = self.lookup.stats.clone()
         seg = self.new_segment()
         # Every regime sees bit-identical float64 score values.
         advance_segments(
             self, [seg], [np.ascontiguousarray(scores, dtype=np.float64)]
         )
         seg.stats.frames = scores.shape[0]
-        seg.stats.lookup = self._lookup_delta(start_lookup)
+        seg.stats.lookup = self.lookup.stats.since(start_lookup)
         result = self._finalize(seg.table, seg.lattice, seg.stats)
         if profile:
             total = perf_counter() - started
@@ -341,6 +353,7 @@ class OnTheFlyDecoder:
         """
         sink = self.sink
         tracing = self._tracing
+        side = self._trace_side
         emitting = self._emitting
         scale = self.config.acoustic_scale
         insert = next_table.insert
@@ -351,13 +364,14 @@ class OnTheFlyDecoder:
             token_cost = token.cost
             lattice_node = token.lattice_node
             if tracing:
-                sink.on_state_fetch(GraphSide.AM, am_state)
+                fetched = self._trace_state(am_state, lm_state)
+                sink.on_state_fetch(side, fetched)
                 sink.on_token_hash_access(am_state, lm_state)
             arcs = emitting[am_state]
             frame_expansions += len(arcs)
             for ordinal, arc in arcs:
                 if tracing:
-                    sink.on_arc_fetch(GraphSide.AM, am_state, ordinal)
+                    sink.on_arc_fetch(side, fetched, ordinal)
                 cost = (
                     token_cost
                     + arc.weight
@@ -455,6 +469,31 @@ class OnTheFlyDecoder:
             self._batched_epsilon_ok = ok
         return ok
 
+    def _cross_word_batch(
+        self,
+        lookup: LmLookup,
+        lm_states: np.ndarray,
+        words: np.ndarray,
+        token_cost: np.ndarray,
+        arc_weight: np.ndarray,
+        threshold: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A batch of cross-word arcs, composed with the LM.
+
+        Per arc: the arriving token's cost, its LM state, and whether
+        preemptive pruning dropped it mid-walk — added up in the scalar
+        loop's order, ``(token + arc) + lm``.
+        """
+        base_cost = token_cost + arc_weight
+        result = lookup.resolve_batch(
+            lm_states,
+            words,
+            base_cost,
+            threshold=threshold,
+            preemptive=self.config.preemptive_pruning,
+        )
+        return base_cost + result.weight, result.next_state, result.pruned
+
     def _epsilon_phase_batched(
         self,
         table: SoaTokenTable,
@@ -498,7 +537,8 @@ class OnTheFlyDecoder:
             return
         olabels = eps.olabel[flat]
         pair_pos = keep_pos[token_index]
-        base_cost = cost_col[pair_pos] + eps.weight[flat]
+        token_cost = cost_col[pair_pos]
+        arc_weight = eps.weight[flat]
         pair_lm = lm_col[pair_pos]
         dest_am = eps.nextstate[flat]
 
@@ -510,39 +550,32 @@ class OnTheFlyDecoder:
         committed = None
         if num_words == num_pairs:
             # Common AM shape: every epsilon arc is a cross-word arc.
-            result = lookup.resolve_batch(
-                pair_lm,
-                olabels,
-                base_cost,
-                threshold=threshold,
-                preemptive=self.config.preemptive_pruning,
+            final_cost, final_lm, pruned = self._cross_word_batch(
+                lookup, pair_lm, olabels, token_cost, arc_weight, threshold
             )
-            final_cost = base_cost + result.weight
-            final_lm = result.next_state
-            pruned = result.pruned
             num_pruned = int(np.count_nonzero(pruned))
             stats.preemptive_pruned += num_pruned
             if num_pruned:
                 committed = np.logical_not(pruned).tolist()
-        elif num_words:
-            result = lookup.resolve_batch(
-                pair_lm[word_idx],
-                olabels[word_idx],
-                base_cost[word_idx],
-                threshold=threshold,
-                preemptive=self.config.preemptive_pruning,
-            )
-            stats.preemptive_pruned += int(np.count_nonzero(result.pruned))
-            final_cost = base_cost.copy()
-            final_cost[word_idx] += result.weight
-            final_lm = pair_lm.copy()
-            final_lm[word_idx] = result.next_state
-            committed_arr = np.ones(num_pairs, dtype=bool)
-            committed_arr[word_idx] = ~result.pruned
-            committed = committed_arr.tolist()
         else:
-            final_cost = base_cost
+            final_cost = token_cost + arc_weight
             final_lm = pair_lm
+            if num_words:
+                word_cost, word_lm, pruned = self._cross_word_batch(
+                    lookup,
+                    pair_lm[word_idx],
+                    olabels[word_idx],
+                    token_cost[word_idx],
+                    arc_weight[word_idx],
+                    threshold,
+                )
+                stats.preemptive_pruned += int(np.count_nonzero(pruned))
+                final_cost[word_idx] = word_cost
+                final_lm = pair_lm.copy()
+                final_lm[word_idx] = word_lm
+                committed_arr = np.ones(num_pairs, dtype=bool)
+                committed_arr[word_idx] = ~pruned
+                committed = committed_arr.tolist()
         if phases is not None:
             mark = _lap(phases, "resolve", mark)
 
@@ -639,21 +672,18 @@ class OnTheFlyDecoder:
                 cost = base_cost + result.weight
                 node = lattice.add(arc.olabel, frame, cost, token.lattice_node)
                 if tracing:
-                    sink.on_token_write(
-                        COMPACT_RECORD_BYTES
-                        if config.compact_lattice
-                        else RAW_RECORD_BYTES
-                    )
+                    sink.on_token_write(self._lattice_record)
                 stats.token_writes += 1
                 stats.words_emitted += 1
                 inserted = table.insert(arc.nextstate, result.next_state, cost, node)
                 if inserted and self._epsilon[arc.nextstate]:
                     worklist.append(table.tokens[(arc.nextstate, result.next_state)])
 
-    def _finalize(
-        self, table: TokenTable, lattice: WordLattice, stats: DecoderStats
-    ) -> DecodeResult:
-        finals: list[tuple[float, int]] = []
+    def _final_hypotheses(
+        self, table: TokenTable | SoaTokenTable
+    ) -> list[tuple[float, int]]:
+        """(total cost, lattice node) of every token that can end the
+        utterance: at the word-boundary state, in a final LM state."""
         if isinstance(table, SoaTokenTable):
             # Same totals as the scalar loop, without materializing the
             # final frontier token by token.
@@ -661,20 +691,26 @@ class OnTheFlyDecoder:
             at_loop = np.flatnonzero(am_col == self.am.loop_state)
             totals = cost_col[at_loop] + self._lm_final_w[lm_col[at_loop]]
             finite = np.isfinite(totals)
-            finals = list(
+            return list(
                 zip(
                     totals[finite].tolist(),
                     node_col[at_loop][finite].tolist(),
                 )
             )
-        else:
-            for token in table:
-                if token.am_state != self.am.loop_state:
-                    continue  # mid-word hypotheses cannot end the utterance
-                final = self.lm.fst.final_weight(token.lm_state)
-                total = token.cost + final
-                if math.isfinite(total):
-                    finals.append((total, token.lattice_node))
+        finals = []
+        for token in table:
+            if token.am_state != self.am.loop_state:
+                continue  # mid-word hypotheses cannot end the utterance
+            final = self.lm.fst.final_weight(token.lm_state)
+            total = token.cost + final
+            if math.isfinite(total):
+                finals.append((total, token.lattice_node))
+        return finals
+
+    def _finalize(
+        self, table: TokenTable, lattice: WordLattice, stats: DecoderStats
+    ) -> DecodeResult:
+        finals = self._final_hypotheses(table)
         finals.sort()
         if finals:
             best_cost, best_node = finals[0]
@@ -689,34 +725,4 @@ class OnTheFlyDecoder:
             stats=stats,
             lattice=lattice,
             finals=finals,
-        )
-
-    def _snapshot_lookup(self, lookup: LmLookup | None = None) -> LookupStats:
-        s = (lookup or self.lookup).stats
-        return LookupStats(
-            lookups=s.lookups,
-            arc_probes=s.arc_probes,
-            olt_hits=s.olt_hits,
-            olt_misses=s.olt_misses,
-            backoff_arcs_taken=s.backoff_arcs_taken,
-            preemptive_prunes=s.preemptive_prunes,
-            expansion_hits=s.expansion_hits,
-            expansion_misses=s.expansion_misses,
-            expansion_evictions=s.expansion_evictions,
-        )
-
-    def _lookup_delta(
-        self, before: LookupStats, lookup: LmLookup | None = None
-    ) -> LookupStats:
-        s = (lookup or self.lookup).stats
-        return LookupStats(
-            lookups=s.lookups - before.lookups,
-            arc_probes=s.arc_probes - before.arc_probes,
-            olt_hits=s.olt_hits - before.olt_hits,
-            olt_misses=s.olt_misses - before.olt_misses,
-            backoff_arcs_taken=s.backoff_arcs_taken - before.backoff_arcs_taken,
-            preemptive_prunes=s.preemptive_prunes - before.preemptive_prunes,
-            expansion_hits=s.expansion_hits - before.expansion_hits,
-            expansion_misses=s.expansion_misses - before.expansion_misses,
-            expansion_evictions=s.expansion_evictions - before.expansion_evictions,
         )

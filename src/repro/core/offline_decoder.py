@@ -1,326 +1,52 @@
 """Fully-composed baseline Viterbi decoder (Reza et al. [34]).
 
-The same frame-synchronous beam search as the on-the-fly decoder, but
-over the single offline-composed WFST: one state id per token, one arc
-fetch per expansion, no LM lookups, no back-off walks at decode time —
-and, correspondingly, the gigabyte-scale dataset the paper is built to
+The same frame-synchronous beam search as the on-the-fly decoder, over
+the single offline-composed WFST: one state id per token, one arc fetch
+per expansion, no LM lookups, no back-off walks at decode time — and,
+correspondingly, the gigabyte-scale dataset the paper is built to
 eliminate.
 
-Runs over a :class:`~repro.core.virtual.VirtualComposedGraph`, which is
-path-identical to the materialized composition.
+A composed state *is* an (AM state, LM state) pair
+(:class:`~repro.core.virtual.VirtualComposedGraph` encodes it densely),
+and a composed arc is an AM arc with the LM side carried along — moved
+only on cross-word arcs, by exactly the LM transition the on-the-fly
+lookup would resolve.  So the baseline runs the on-the-fly decoder's
+token tables, frame step and kernels (every regime of
+:func:`repro.core.batch.step_segments`), and this module supplies only
+what a composed graph changes:
+
+* the weight of a cross-word arc was fixed offline as
+  ``am_weight + lm_weight`` — back-off penalties included — so an
+  arrival costs ``token + (am + lm)`` rather than the on-the-fly
+  ``(token + am) + lm``, and nothing at decode time can prune the
+  back-off walk or consult an Offset Lookup Table;
+* trace events address the one composed dataset, by encoded state id;
+* a hypothesis may end the utterance when *both* sides are final.
+
+The explored graph is path-identical to the materialized composition
+(the equivalence tests check it against ``VirtualComposedGraph``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import replace
 
 import numpy as np
 
-from repro.core.arcs import EmittingArcs, EpsilonArcs, plan_recombination
 from repro.core.beam import BeamConfig
-from repro.core.decoder import DecodeResult, DecoderConfig, DecoderStats
-from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES, WordLattice
-from repro.core.trace import GraphSide, NullSink, TraceSink
+from repro.core.composition import LmLookup, LookupStrategy
+from repro.core.decoder import DecoderConfig, DecoderStats, OnTheFlyDecoder
+from repro.core.lattice import WordLattice
+from repro.core.tokens import SoaTokenTable, TokenTable
+from repro.core.trace import GraphSide, TraceSink
 from repro.core.virtual import VirtualComposedGraph
 from repro.wfst.fst import EPSILON
 
 
-@dataclass(slots=True)
-class _Token:
-    state: int
-    cost: float
-    lattice_node: int
-
-
-@dataclass
-class _Table:
-    tokens: dict[int, _Token] = field(default_factory=dict)
-    best_cost: float = math.inf
-    inserts: int = 0
-    recombinations: int = 0
-
-    def insert(self, state: int, cost: float, lattice_node: int) -> bool:
-        existing = self.tokens.get(state)
-        if existing is None:
-            self.tokens[state] = _Token(state, cost, lattice_node)
-            self.inserts += 1
-        elif cost < existing.cost:
-            existing.cost = cost
-            existing.lattice_node = lattice_node
-        else:
-            self.recombinations += 1
-            return False
-        if cost < self.best_cost:
-            self.best_cost = cost
-        return True
-
-
-_EMPTY_INT = np.empty(0, dtype=np.int64)
-_EMPTY_FLOAT = np.empty(0, dtype=np.float64)
-
-
-class _LazyComposedMap:
-    """Dict-of-_Token facade over a :class:`_SoaTable` (lazy, identity-stable)."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: "_SoaTable") -> None:
-        self._table = table
-
-    def get(self, state: int, default=None):
-        slot = self._table.find_slot(state)
-        if slot is None:
-            return default
-        return self._table.materialize(state, slot)
-
-    def __getitem__(self, state: int) -> _Token:
-        slot = self._table.find_slot(state)
-        if slot is None:
-            raise KeyError(state)
-        return self._table.materialize(state, slot)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def values(self):
-        table = self._table
-        for slot, state in enumerate(table._base_state.tolist()):
-            yield table.materialize(state, slot)
-        base_size = table._base_state.shape[0]
-        for index, state in enumerate(table._extra_state):
-            yield table.materialize(state, base_size + index)
-
-
-class _SoaTable:
-    """Composed-state table storing the frontier as numpy columns.
-
-    Same design as :class:`repro.core.tokens.SoaTokenTable` (bulk fill
-    from the vectorized expansion, lazy _Token materialization for the
-    epsilon phase), keyed by composed state id.  Insert semantics and
-    counters match :class:`_Table`.
-    """
-
-    def __init__(self) -> None:
-        self.best_cost = math.inf
-        self.inserts = 0
-        self.recombinations = 0
-        self._base_state = _EMPTY_INT
-        self._base_cost = _EMPTY_FLOAT
-        self._base_node = _EMPTY_INT
-        self._extra_state: list[int] = []
-        self._extra_cost: list[float] = []
-        self._extra_node: list[int] = []
-        # Bulk winners are indexed by binary search over their sorted
-        # keys; epsilon arrivals land in a small dict (same scheme as
-        # SoaTokenTable).
-        self._sorted_keys = _EMPTY_INT
-        self._slot_for_sorted = _EMPTY_INT
-        self._extra_slot: dict[int, int] = {}
-        self._materialized: dict[int, _Token] = {}
-        self.tokens = _LazyComposedMap(self)
-
-    def bulk_fill(
-        self,
-        states: np.ndarray,
-        costs: np.ndarray,
-        nodes: np.ndarray,
-        sorted_keys: np.ndarray,
-        slots: np.ndarray,
-        recombinations: int,
-    ) -> None:
-        """Install a vectorized expansion's winners (empty table only)."""
-        self._base_state = states
-        self._base_cost = costs
-        self._base_node = nodes
-        self._sorted_keys = sorted_keys
-        self._slot_for_sorted = slots
-        self.inserts = states.shape[0]
-        self.recombinations = recombinations
-        if states.shape[0]:
-            self.best_cost = float(costs.min())
-
-    def find_slot(self, state: int) -> int | None:
-        sorted_keys = self._sorted_keys
-        size = sorted_keys.shape[0]
-        if size:
-            pos = int(np.searchsorted(sorted_keys, state))
-            if pos < size and sorted_keys[pos] == state:
-                return int(self._slot_for_sorted[pos])
-        return self._extra_slot.get(state)
-
-    def __len__(self) -> int:
-        return self._base_state.shape[0] + len(self._extra_state)
-
-    def insert(self, state: int, cost: float, lattice_node: int) -> bool:
-        slot = self.find_slot(state)
-        if slot is None:
-            self._extra_slot[state] = self._base_state.shape[0] + len(
-                self._extra_state
-            )
-            self._extra_state.append(state)
-            self._extra_cost.append(cost)
-            self._extra_node.append(lattice_node)
-            self.inserts += 1
-        else:
-            base_size = self._base_state.shape[0]
-            if slot < base_size:
-                current = self._base_cost[slot]
-            else:
-                current = self._extra_cost[slot - base_size]
-            if cost < current:
-                if slot < base_size:
-                    self._base_cost[slot] = cost
-                    self._base_node[slot] = lattice_node
-                else:
-                    self._extra_cost[slot - base_size] = cost
-                    self._extra_node[slot - base_size] = lattice_node
-                token = self._materialized.get(state)
-                if token is not None:
-                    token.cost = cost
-                    token.lattice_node = lattice_node
-            else:
-                self.recombinations += 1
-                return False
-        if cost < self.best_cost:
-            self.best_cost = cost
-        return True
-
-    def materialize(self, state: int, slot: int) -> _Token:
-        token = self._materialized.get(state)
-        if token is None:
-            base_size = self._base_state.shape[0]
-            if slot < base_size:
-                token = _Token(
-                    state, float(self._base_cost[slot]), int(self._base_node[slot])
-                )
-            else:
-                index = slot - base_size
-                token = _Token(
-                    state, self._extra_cost[index], self._extra_node[index]
-                )
-            self._materialized[state] = token
-        return token
-
-    def epsilon_seeds(
-        self, has_epsilon: np.ndarray, num_lm: int
-    ) -> list[_Token]:
-        """Tokens whose AM side has epsilon out-arcs, in table order."""
-        seeds = []
-        base_state = self._base_state
-        materialized = self._materialized
-        if base_state.shape[0]:
-            picked = np.flatnonzero(has_epsilon[base_state // num_lm])
-            if picked.shape[0]:
-                for state, cost, node in zip(
-                    base_state[picked].tolist(),
-                    self._base_cost[picked].tolist(),
-                    self._base_node[picked].tolist(),
-                ):
-                    token = materialized.get(state)
-                    if token is None:
-                        token = _Token(state, cost, node)
-                        materialized[state] = token
-                    seeds.append(token)
-        base_size = base_state.shape[0]
-        for index, state in enumerate(self._extra_state):
-            if has_epsilon[state // num_lm]:
-                seeds.append(self.materialize(state, base_size + index))
-        return seeds
-
-    def epsilon_seed_columns(
-        self, has_epsilon: np.ndarray, num_lm: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Seed tokens as (state, cost, node) arrays, in table order.
-
-        The array analogue of :meth:`epsilon_seeds` for the batched
-        epsilon phase: no _Token objects are materialized, and the
-        returned columns are snapshots (the batched phase only runs
-        when seed costs provably cannot change mid-phase).
-        """
-        state_col, cost_col, node_col = self.columns()
-        if not state_col.shape[0]:
-            return state_col, cost_col, node_col
-        picked = np.flatnonzero(has_epsilon[state_col // num_lm])
-        return state_col[picked], cost_col[picked], node_col[picked]
-
-    def base_slot_hints(self, keys: np.ndarray) -> np.ndarray:
-        """Bulk-winner slot of each composed key, -1 where absent.
-
-        One vectorized binary search replacing a per-insert
-        ``searchsorted``; valid as long as no ``bulk_fill`` intervenes
-        (the sorted base index is static after it).
-        """
-        out = np.full(keys.shape[0], -1, dtype=np.int64)
-        sorted_keys = self._sorted_keys
-        size = sorted_keys.shape[0]
-        if size:
-            pos = np.minimum(np.searchsorted(sorted_keys, keys), size - 1)
-            match = sorted_keys[pos] == keys
-            out[match] = self._slot_for_sorted[pos[match]]
-        return out
-
-    def insert_hinted(
-        self, state: int, cost: float, lattice_node: int, base_slot: int
-    ) -> bool:
-        """:meth:`insert` with the base-index search precomputed.
-
-        ``base_slot`` is the key's entry from :meth:`base_slot_hints`
-        (-1 when the key is not among the bulk winners); epsilon-phase
-        arrivals are still looked up in the side dict.
-        """
-        slot = base_slot if base_slot >= 0 else self._extra_slot.get(state)
-        if slot is None:
-            self._extra_slot[state] = self._base_state.shape[0] + len(
-                self._extra_state
-            )
-            self._extra_state.append(state)
-            self._extra_cost.append(cost)
-            self._extra_node.append(lattice_node)
-            self.inserts += 1
-        else:
-            base_size = self._base_state.shape[0]
-            if slot < base_size:
-                current = self._base_cost[slot]
-            else:
-                current = self._extra_cost[slot - base_size]
-            if cost < current:
-                if slot < base_size:
-                    self._base_cost[slot] = cost
-                    self._base_node[slot] = lattice_node
-                else:
-                    self._extra_cost[slot - base_size] = cost
-                    self._extra_node[slot - base_size] = lattice_node
-                token = self._materialized.get(state)
-                if token is not None:
-                    token.cost = cost
-                    token.lattice_node = lattice_node
-            else:
-                self.recombinations += 1
-                return False
-        if cost < self.best_cost:
-            self.best_cost = cost
-        return True
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self._extra_state:
-            return self._base_state, self._base_cost, self._base_node
-        return (
-            np.concatenate(
-                [self._base_state, np.array(self._extra_state, dtype=np.int64)]
-            ),
-            np.concatenate(
-                [self._base_cost, np.array(self._extra_cost, dtype=np.float64)]
-            ),
-            np.concatenate(
-                [self._base_node, np.array(self._extra_node, dtype=np.int64)]
-            ),
-        )
-
-
-class FullyComposedDecoder:
+class FullyComposedDecoder(OnTheFlyDecoder):
     """Beam search over the offline-composed graph."""
+
+    _trace_side = GraphSide.COMPOSED
 
     def __init__(
         self,
@@ -329,404 +55,114 @@ class FullyComposedDecoder:
         sink: TraceSink | None = None,
         compact_lattice: bool = False,
     ) -> None:
+        # The knobs of the on-the-fly lookup do not exist here, whatever
+        # the caller's config says; the MICRO-49 baseline also predates
+        # the compact lattice format.
+        super().__init__(
+            graph.am,
+            graph.lm,
+            replace(
+                config or DecoderConfig(),
+                lookup_strategy=LookupStrategy.BINARY,
+                preemptive_pruning=False,
+                compact_lattice=compact_lattice,
+            ),
+            sink,
+        )
         self.graph = graph
-        self.config = config or DecoderConfig()
-        self.sink = sink or NullSink()
-        self._tracing = not isinstance(self.sink, NullSink)
-        # The MICRO-49 baseline predates the compact lattice format.
-        self._lattice_record = (
-            COMPACT_RECORD_BYTES if compact_lattice else RAW_RECORD_BYTES
-        )
-        # Composed emitting arcs mirror AM emitting arcs with the LM
-        # side carried along unchanged (their output labels are all
-        # epsilon), so one CSR build over the AM graph serves every
-        # composed state — no lazy composition on the emitting path.
-        self._arcs = EmittingArcs.from_fst(graph.am.fst)
-        # Composed epsilon arcs likewise mirror AM epsilon arcs: the
-        # batched epsilon phase composes the LM side itself through
-        # the graph's lookup, bypassing the lazy per-state arc cache.
-        self._eps_arcs = EpsilonArcs.from_fst(graph.am.fst)
-        self._batched_epsilon_ok: bool | None = None  # resolved lazily
-        self._num_lm = graph.lm.fst.num_states
-        # Epsilon out-degree depends only on the AM side; a flat flag
-        # array keeps the worklist check off the lazy composed cache.
+        # ``self.lookup`` is the decode-time lookup every segment is
+        # accounted against, and a composed graph never consults it: its
+        # counters stay zero.  The LM side of the composition is a
+        # private fork's work (forks never trace), the stand-in for what
+        # was paid offline.
+        self._composer = self.lookup.fork()
         am_fst = graph.am.fst
-        self._has_epsilon = [
-            any(a.ilabel == EPSILON for a in am_fst.out_arcs(s))
-            for s in am_fst.states()
-        ]
-        self._has_epsilon_arr = np.array(self._has_epsilon, dtype=bool)
-        # Per-side final weights (inf when non-final) for the
-        # vectorized finalize; composed final weight is their sum.
-        lm_fst = graph.lm.fst
         self._am_final_w = np.array(
-            [
-                am_fst.final_weight(s) if am_fst.is_final(s) else math.inf
-                for s in am_fst.states()
-            ],
-            dtype=np.float64,
+            [am_fst.final_weight(s) for s in am_fst.states()], dtype=np.float64
         )
-        self._lm_final_w = np.array(
-            [
-                lm_fst.final_weight(s) if lm_fst.is_final(s) else math.inf
-                for s in lm_fst.states()
-            ],
-            dtype=np.float64,
-        )
-        #: Wall-clock phase breakdown of the last decode (when
-        #: ``config.profile``), as in ``OnTheFlyDecoder``.
-        self.last_phase_seconds: dict[str, float] | None = None
 
-    def decode(self, scores: np.ndarray) -> DecodeResult:
-        if scores.ndim != 2 or scores.shape[1] < self.graph.am.num_senones:
-            raise ValueError(
-                f"score matrix shape {scores.shape} incompatible with "
-                f"{self.graph.am.num_senones} senones"
-            )
-        config = self.config
-        beam = BeamConfig(beam=config.beam, max_active=config.max_active)
-        stats = DecoderStats()
-        lattice = WordLattice()
-        sink = self.sink
-        graph = self.graph
+    def _trace_state(self, am_state: int, lm_state: int) -> int:
+        return am_state * self._num_lm + lm_state
 
-        num_frames = scores.shape[0]
-        tracing = self._tracing
-        scores = np.ascontiguousarray(scores, dtype=np.float64)
-        vectorized = (
-            config.vectorized and not tracing and self._arcs.pure_emitting
-        )
-        batched_epsilon = vectorized and self._epsilon_batchable()
-        profile = config.profile
-        expand_seconds = epsilon_seconds = 0.0
-        started = perf_counter() if profile else 0.0
-        scale = config.acoustic_scale
-
-        current: _Table = _SoaTable() if vectorized else _Table()
-        current.insert(graph.start, 0.0, -1)
-        rows = None if vectorized else scores.tolist()
-
-        for frame in range(num_frames):
-            mark = perf_counter() if profile else 0.0
-            if vectorized:
-                next_table, num_survivors, frame_expansions, pruned = (
-                    self._expand_frame_vectorized(current, scores[frame], beam)
-                )
-            else:
-                survivors, pruned = self._prune(current, beam)
-                num_survivors = len(survivors)
-                frame_scores = rows[frame]
-                next_table = _Table()
-                insert = next_table.insert
-                frame_expansions = 0
-                for token in survivors:
-                    state = token.state
-                    token_cost = token.cost
-                    lattice_node = token.lattice_node
-                    if tracing:
-                        sink.on_state_fetch(GraphSide.COMPOSED, state)
-                        am_state, lm_state = graph.decode_state(state)
-                        sink.on_token_hash_access(am_state, lm_state)
-                    for arc in graph.out_arcs(state):
-                        if arc.ilabel == EPSILON:
-                            continue
-                        if tracing:
-                            sink.on_arc_fetch(
-                                GraphSide.COMPOSED, state, arc.ordinal
-                            )
-                        frame_expansions += 1
-                        cost = (
-                            token_cost
-                            + arc.weight
-                            - scale * frame_scores[arc.ilabel - 1]
-                        )
-                        insert(arc.nextstate, cost, lattice_node)
-            if profile:
-                expand_seconds += perf_counter() - mark
-            stats.beam_pruned += pruned
-            stats.am_state_fetches += num_survivors
-            stats.am_arc_fetches += frame_expansions
-            stats.expansions += frame_expansions
-            mark = perf_counter() if profile else 0.0
-            if batched_epsilon:
-                self._epsilon_phase_batched(next_table, frame, lattice, stats, beam)
-            else:
-                self._epsilon_phase(next_table, frame, lattice, stats, beam)
-            if profile:
-                epsilon_seconds += perf_counter() - mark
-            stats.tokens_created += next_table.inserts
-            stats.tokens_recombined += next_table.recombinations
-            stats.active_history.append(len(next_table.tokens))
-            if tracing:
-                sink.on_frame_end(frame, len(next_table.tokens))
-            current = next_table
-        stats.frames = num_frames
-        result = self._finalize(current, lattice, stats)
-        if profile:
-            total = perf_counter() - started
-            self.last_phase_seconds = {
-                "expand": expand_seconds,
-                "epsilon": epsilon_seconds,
-                "other": total - expand_seconds - epsilon_seconds,
-                "total": total,
-            }
-        return result
-
-    def _expand_frame_vectorized(
-        self, table: _SoaTable, score_row: np.ndarray, beam: BeamConfig
-    ) -> tuple[_SoaTable, int, int, int]:
-        """Prune + emitting expansion over composed states, in bulk.
-
-        Emitting composed arcs never move the LM side, so the AM-graph
-        CSR columns are gathered per composed state: destination key
-        ``am_next * num_lm + lm`` and weight equal to the AM arc's.
-        Candidate evaluation order, cost arithmetic and recombination
-        outcomes replicate the scalar loop exactly.
-        """
-        state_col, cost_col, node_col = table.columns()
-        total = state_col.shape[0]
-        next_table = _SoaTable()
-        if total == 0:
-            return next_table, 0, 0, 0
-        threshold = table.best_cost + beam.beam
-        keep = np.flatnonzero(cost_col <= threshold)
-        pruned = total - keep.shape[0]
-        if beam.max_active and keep.shape[0] > beam.max_active:
-            keep = keep[
-                np.argsort(cost_col[keep], kind="stable")[: beam.max_active]
-            ]
-            pruned = total - beam.max_active
-        num_survivors = int(keep.shape[0])
-        num_lm = np.int64(self._num_lm)
-        survivor_states = state_col[keep]
-        am_states, lm_states = np.divmod(survivor_states, num_lm)
-        arcs = self._arcs
-        token_index, flat = arcs.gather(am_states)
-        frame_expansions = int(flat.shape[0])
-        if frame_expansions == 0:
-            return next_table, num_survivors, 0, pruned
-        survivor_cost = cost_col[keep]
-        candidate_cost = (
-            survivor_cost[token_index]
-            + arcs.weight[flat]
-            - self.config.acoustic_scale * score_row[arcs.score_index[flat]]
-        )
-        keys = arcs.nextstate[flat] * num_lm + lm_states[token_index]
-        plan = plan_recombination(keys, candidate_cost)
-        winners = plan.winners
-        next_table.bulk_fill(
-            keys[winners],
-            candidate_cost[winners],
-            node_col[keep][token_index[winners]],
-            plan.sorted_keys,
-            plan.slots,
-            plan.recombinations,
-        )
-        return next_table, num_survivors, frame_expansions, pruned
-
-    def _prune(self, table: _Table, beam: BeamConfig) -> tuple[list[_Token], int]:
-        total = len(table.tokens)
-        if total == 0:
-            return [], 0
-        threshold = table.best_cost + beam.beam
-        survivors = [t for t in table.tokens.values() if t.cost <= threshold]
-        if beam.max_active and len(survivors) > beam.max_active:
-            import heapq
-
-            survivors = heapq.nsmallest(
-                beam.max_active, survivors, key=lambda t: t.cost
-            )
-        return survivors, total - len(survivors)
-
-    def _epsilon_batchable(self) -> bool:
-        """Whether the batched epsilon phase preserves scalar semantics.
-
-        Same gates as ``OnTheFlyDecoder._epsilon_batchable``: the
-        epsilon graph must be single-level and every composed epsilon
-        weight (AM arc weight, plus the LM's resolved total on
-        cross-word arcs) non-negative, so the frame's pruning
-        threshold stays constant for the whole phase.
-        """
-        ok = self._batched_epsilon_ok
-        if ok is None:
-            ok = (
-                self._eps_arcs.single_level
-                and self._eps_arcs.nonneg_weights
-                and self.graph._lookup.batch_supported
-            )
-            self._batched_epsilon_ok = ok
-        return ok
-
-    def _epsilon_phase_batched(
+    def _cross_word_batch(
         self,
-        table: _SoaTable,
-        frame: int,
-        lattice: WordLattice,
-        stats: DecoderStats,
-        beam: BeamConfig,
-    ) -> None:
-        """One frame's epsilon phase as batched composition.
-
-        Replays the scalar loop exactly under the
-        :meth:`_epsilon_batchable` gates, composing cross-word arcs
-        through :meth:`LmLookup.resolve_batch` instead of the lazy
-        per-state composed-arc cache: seeds are processed in the
-        worklist's pop order (reverse table order) and the arrivals
-        are committed in the scalar loop's interleaved order.
-        """
-        num_lm = self._num_lm
-        state_col, cost_col, node_col = table.epsilon_seed_columns(
-            self._has_epsilon_arr, num_lm
+        lookup: LmLookup,
+        lm_states: np.ndarray,
+        words: np.ndarray,
+        token_cost: np.ndarray,
+        arc_weight: np.ndarray,
+        threshold: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cross-word arcs at their offline-composed weight, unpruned."""
+        result = self._composer.resolve_batch(
+            lm_states, words, np.zeros(words.shape[0], dtype=np.float64)
         )
-        num_seeds = state_col.shape[0]
-        if num_seeds == 0:
-            return
-        threshold = table.best_cost + beam.beam
-        # The worklist pops seeds off the end: reverse table order.
-        state_col = state_col[::-1]
-        cost_col = cost_col[::-1]
-        node_col = node_col[::-1]
-        alive = cost_col <= threshold
-        keep = np.flatnonzero(alive)
-        stats.beam_pruned += int(num_seeds - keep.shape[0])
-        if keep.shape[0] == 0:
-            return
-        eps = self._eps_arcs
-        am_col, lm_col = np.divmod(state_col[keep], np.int64(num_lm))
-        token_index, flat = eps.gather(am_col)
-        num_pairs = int(flat.shape[0])
-        stats.am_arc_fetches += num_pairs
-        stats.expansions += num_pairs
-        if num_pairs == 0:
-            return
-        olabels = eps.olabel[flat]
-        pair_lm = lm_col[token_index]
-        pair_node = node_col[keep][token_index]
-        dest_am = eps.nextstate[flat]
-        # Composed weight first, token cost second — the scalar loop
-        # adds ``token.cost + arc.weight`` where the composed arc's
-        # weight was formed as ``am_weight + resolve.weight``.
-        composed_w = eps.weight[flat].copy()
-        final_lm = pair_lm.copy()
-
-        is_word = olabels != EPSILON
-        word_idx = np.flatnonzero(is_word)
-        if word_idx.shape[0]:
-            result = self.graph._lookup.resolve_batch(
-                pair_lm[word_idx],
-                olabels[word_idx],
-                np.zeros(word_idx.shape[0], dtype=np.float64),
-            )
-            composed_w[word_idx] = eps.weight[flat][word_idx] + result.weight
-            final_lm[word_idx] = result.next_state
-        cost = cost_col[keep][token_index] + composed_w
-
-        keys = dest_am * np.int64(num_lm) + final_lm
-        hints = table.base_slot_hints(keys).tolist()
-        commit_word = is_word.tolist()
-        commit_key = keys.tolist()
-        commit_cost = cost.tolist()
-        commit_node = pair_node.tolist()
-        commit_olabel = olabels.tolist()
-        add = lattice.add
-        insert = table.insert_hinted
-        words_done = 0
-        # Single-level gate: no arrival re-enters the worklist, so the
-        # scalar loop's remaining work is exactly this commit sequence.
-        for i in range(len(commit_key)):
-            arrival_cost = commit_cost[i]
-            node = commit_node[i]
-            if commit_word[i]:
-                node = add(commit_olabel[i], frame, arrival_cost, node)
-                words_done += 1
-            insert(commit_key[i], arrival_cost, node, hints[i])
-        stats.token_writes += words_done
-        stats.words_emitted += words_done
+        return (
+            token_cost + (arc_weight + result.weight),
+            result.next_state,
+            result.pruned,
+        )
 
     def _epsilon_phase(
         self,
-        table: _Table,
+        table: TokenTable | SoaTokenTable,
         frame: int,
         lattice: WordLattice,
         stats: DecoderStats,
-        beam: BeamConfig,
+        beam_config: BeamConfig,
+        lookup: LmLookup | None = None,
     ) -> None:
-        graph = self.graph
+        """The scalar epsilon phase over composed arcs.
+
+        The on-the-fly loop with the cross-word step replaced: the LM
+        transition is part of the arc (no threshold, no pruning), and
+        its weight joins the AM arc's before the token's cost.
+        """
+        compose = self._composer.resolve
         sink = self.sink
         tracing = self._tracing
-        # Composed epsilon out-degree depends only on the AM state, so
-        # the membership check never forces a lazy composed expansion.
-        has_epsilon = self._has_epsilon
-        num_lm = self._num_lm
-        if isinstance(table, _SoaTable):
-            worklist = table.epsilon_seeds(self._has_epsilon_arr, num_lm)
+        epsilon = self._epsilon
+        if isinstance(table, SoaTokenTable):
+            worklist = table.epsilon_seeds(self._epsilon_flags)
         else:
-            worklist = [
-                t
-                for t in list(table.tokens.values())
-                if has_epsilon[t.state // num_lm]
-            ]
+            worklist = [t for t in list(table) if epsilon[t.am_state]]
         while worklist:
             token = worklist.pop()
-            threshold = table.best_cost + beam.beam
-            if token.cost > threshold:
+            if token.cost > table.best_cost + beam_config.beam:
                 stats.beam_pruned += 1
                 continue
-            for arc in graph.out_arcs(token.state):
-                if arc.ilabel != EPSILON:
-                    continue
+            if tracing:
+                fetched = self._trace_state(token.am_state, token.lm_state)
+            for ordinal, arc in epsilon[token.am_state]:
                 if tracing:
-                    sink.on_arc_fetch(
-                        GraphSide.COMPOSED, token.state, arc.ordinal
-                    )
+                    sink.on_arc_fetch(GraphSide.COMPOSED, fetched, ordinal)
                 stats.am_arc_fetches += 1
                 stats.expansions += 1
-                cost = token.cost + arc.weight
+                lm_state = token.lm_state
                 node = token.lattice_node
-                if arc.olabel != EPSILON:
-                    node = lattice.add(arc.olabel, frame, cost, token.lattice_node)
+                if arc.olabel == EPSILON:
+                    cost = token.cost + arc.weight
+                else:
+                    composed = compose(lm_state, arc.olabel)
+                    cost = token.cost + (arc.weight + composed.weight)
+                    lm_state = composed.next_state
+                    node = lattice.add(arc.olabel, frame, cost, node)
                     if tracing:
                         sink.on_token_write(self._lattice_record)
                     stats.token_writes += 1
                     stats.words_emitted += 1
-                inserted = table.insert(arc.nextstate, cost, node)
-                if inserted and has_epsilon[arc.nextstate // num_lm]:
-                    worklist.append(table.tokens[arc.nextstate])
+                inserted = table.insert(arc.nextstate, lm_state, cost, node)
+                if inserted and epsilon[arc.nextstate]:
+                    worklist.append(table.tokens[(arc.nextstate, lm_state)])
 
-    def _finalize(
-        self, table: _Table, lattice: WordLattice, stats: DecoderStats
-    ) -> DecodeResult:
-        best_cost = math.inf
-        best_node = -1
-        if isinstance(table, _SoaTable):
-            state_col, cost_col, node_col = table.columns()
-            if state_col.shape[0]:
-                am_states, lm_states = np.divmod(state_col, self._num_lm)
-                totals = cost_col + (
-                    self._am_final_w[am_states] + self._lm_final_w[lm_states]
-                )
-                finite = np.flatnonzero(np.isfinite(totals))
-                if finite.shape[0]:
-                    # First minimum, as the sequential strict-< scan keeps.
-                    best = finite[int(np.argmin(totals[finite]))]
-                    best_cost = float(totals[best])
-                    best_node = int(node_col[best])
-        else:
-            for token in table.tokens.values():
-                if not self.graph.is_final(token.state):
-                    continue
-                total = token.cost + self.graph.final_weight(token.state)
-                if total < best_cost:
-                    best_cost = total
-                    best_node = token.lattice_node
-        word_ids = lattice.backtrace(best_node) if best_node >= 0 else []
-        if math.isinf(best_cost):
-            word_ids = []
-        words = [self.graph.lm.words.symbol_of(w) for w in word_ids]
-        return DecodeResult(
-            word_ids=word_ids,
-            words=words,
-            cost=best_cost,
-            stats=stats,
-            lattice=lattice,
+    def _final_hypotheses(
+        self, table: TokenTable | SoaTokenTable
+    ) -> list[tuple[float, int]]:
+        """Tokens whose AM *and* LM sides are final, at the composed
+        final weight (the two sides' sum)."""
+        am_col, lm_col, cost_col, node_col = table.columns()
+        totals = cost_col + (
+            self._am_final_w[am_col] + self._lm_final_w[lm_col]
         )
+        finite = np.isfinite(totals)
+        return list(zip(totals[finite].tolist(), node_col[finite].tolist()))

@@ -22,6 +22,19 @@ class TestTimingModels:
         assert unfold.throughput_seconds > 0
         assert reza.throughput_seconds > 0
 
+    def test_both_platforms_feed_the_throughput_model(self, reports):
+        """One work row per frame from either decoder, or the
+        max-of-stages model silently falls back to the additive one for
+        that platform; a composed graph does no decode-time LM probes."""
+        unfold, reza = reports
+        for report in reports:
+            stats = report.decoder_stats
+            assert len(stats.frame_work) == stats.frames
+        assert any(probes for _, _, probes, _ in unfold.decoder_stats.frame_work)
+        assert all(
+            probes == 0 for _, _, probes, _ in reza.decoder_stats.frame_work
+        )
+
     def test_throughput_bounded_by_additive(self, reports):
         """Overlap can only help (up to per-frame fill overhead)."""
         for report in reports:

@@ -1,6 +1,6 @@
 """Batched LM resolution equivalence: resolve_batch vs scalar resolve.
 
-The batched epsilon engine stands on ``LmLookup.resolve_batch`` being
+The batched epsilon phase stands on ``LmLookup.resolve_batch`` being
 an *exact* replay of per-item ``resolve`` calls — bit-identical
 weights, the same back-off level counts, the same preemptive-pruning
 decisions, and identical ``LookupStats`` counters including the Offset
@@ -84,14 +84,10 @@ def _random_lm(
 
 
 def _assert_batch_matches_scalar(
-    graph, strategy, batches, preemptive, threshold, cutoff=None
+    graph, strategy, batches, preemptive, threshold, olt_entries
 ):
-    scalar = LmLookup(graph, strategy=strategy)
-    batched = LmLookup(graph, strategy=strategy)
-    if cutoff is not None:
-        # Pin the engine: 0 forces the vectorized level-major path, a
-        # large value forces the sequential row replay.
-        batched.batch_sequential_cutoff = cutoff
+    scalar = LmLookup(graph, strategy=strategy, offset_table_entries=olt_entries)
+    batched = LmLookup(graph, strategy=strategy, offset_table_entries=olt_entries)
     for states, word_ids, entries in batches:
         expected = [
             scalar.resolve(
@@ -121,7 +117,8 @@ def _assert_batch_matches_scalar(
         assert np.array_equal(
             batched.offset_table._valid, scalar.offset_table._valid
         )
-        mask = batched.offset_table._valid
+        mask = batched.offset_table._valid == batched.offset_table._generation
+        assert mask.any()
         assert np.array_equal(
             batched.offset_table._tags[mask], scalar.offset_table._tags[mask]
         )
@@ -137,18 +134,23 @@ def _assert_batch_matches_scalar(
     st.sampled_from(list(LookupStrategy)),
     st.booleans(),
     st.booleans(),
-    st.sampled_from([0, 1_000_000]),
+    st.sampled_from([4, 32 * 1024]),
 )
 def test_resolve_batch_matches_scalar(
-    seed, strategy, preemptive, negative_backoff, cutoff
+    seed, strategy, preemptive, negative_backoff, olt_entries
 ):
     graph = _random_lm(seed, negative_backoff=negative_backoff)
     rng = np.random.default_rng(seed + 1)
     num_states = graph.fst.num_states
     vocab = len(graph.words) - 2  # minus <eps> and #phi
     batches = []
-    for _ in range(4):
-        n = int(rng.integers(1, 20))
+    # From a handful of items to several hundred: 6 states x 8 words
+    # leave the large batches full of repeated (state, word) pairs, so
+    # within one batch OLT entries are hit again, and — slots are
+    # ``state ^ word``, four of them in the small table — overwritten
+    # by pairs that share a slot under another tag.
+    for high in (20, 20, 400, 400):
+        n = int(rng.integers(1, high))
         batches.append(
             (
                 rng.integers(0, num_states, size=n).astype(np.int64),
@@ -158,17 +160,15 @@ def test_resolve_batch_matches_scalar(
         )
     threshold = float(rng.uniform(2.0, 12.0)) if preemptive else math.inf
     _assert_batch_matches_scalar(
-        graph, strategy, batches, preemptive, threshold, cutoff=cutoff
+        graph, strategy, batches, preemptive, threshold, olt_entries
     )
 
 
-@pytest.mark.parametrize("cutoff", [0, 1_000_000])
-def test_resolve_batch_olt_warm_hit_ratio(cutoff):
-    """Repeating a batch must warm the OLT identically on both paths."""
+def test_resolve_batch_olt_warm_hit_ratio():
+    """Repeating a batch must warm the OLT as the scalar calls do."""
     graph = _random_lm(7)
     scalar = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
     batched = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
-    batched.batch_sequential_cutoff = cutoff
     states = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
     word_ids = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
     entries = np.zeros(6)
@@ -181,9 +181,8 @@ def test_resolve_batch_olt_warm_hit_ratio(cutoff):
     assert batched.stats.olt_hit_ratio == scalar.stats.olt_hit_ratio
 
 
-@pytest.mark.parametrize("cutoff", [0, 1_000_000])
-def test_lookup_error_parity(cutoff):
-    """A word the unigram state lacks raises identically on both paths."""
+def test_lookup_error_parity():
+    """A word the unigram state lacks raises as the scalar call does."""
     graph = _random_lm(3, vocab=5)
     # Label 6 is within the symbol space (#phi) but not a word; use a
     # graph whose unigram state lacks a word instead: rebuild with a
@@ -211,7 +210,6 @@ def test_lookup_error_parity(cutoff):
     )
     scalar = LmLookup(graph, strategy=LookupStrategy.BINARY)
     batched = LmLookup(graph, strategy=LookupStrategy.BINARY)
-    batched.batch_sequential_cutoff = cutoff
     with pytest.raises(LookupError) as scalar_err:
         scalar.resolve(1, missing)
     with pytest.raises(LookupError) as batched_err:

@@ -1,10 +1,11 @@
 """Tests for the LM lookup engine and the Offset Lookup Table."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.core import LmLookup, LookupStrategy, OffsetLookupTable
+from repro.core import LmLookup, LookupStats, LookupStrategy, OffsetLookupTable
 from repro.lm import SENTENCE_END
 
 
@@ -49,6 +50,21 @@ class TestOffsetLookupTable:
         # Section 3.5: 32K entries require 192 KB.
         table = OffsetLookupTable(32 * 1024)
         assert table.size_bytes == 192 * 1024
+
+
+def test_lookup_stats_delta_covers_every_counter():
+    """Per-utterance deltas (``decode``, ``StreamingSession.finish``,
+    ``BatchDecoder``) are a clone and a ``since``: a counter either one
+    skipped would silently read zero in every result."""
+    names = [f.name for f in dataclasses.fields(LookupStats)]
+    before = LookupStats(**{name: 3 + i for i, name in enumerate(names)})
+    now = LookupStats(**{name: 1000 + i * i for i, name in enumerate(names)})
+    baseline = before.clone()
+    before.lookups += 1  # the clone is independent of the live object
+    delta = now.since(baseline)
+    for i, name in enumerate(names):
+        assert getattr(baseline, name) == 3 + i, name
+        assert getattr(delta, name) == 1000 + i * i - (3 + i), name
 
 
 class TestStrategiesAgree:

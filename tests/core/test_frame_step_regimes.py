@@ -21,10 +21,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asr.streaming import StreamingSession, push_sessions
-from repro.core import DecoderConfig, OnTheFlyDecoder, SoaTokenTable, TokenTable
+from repro.core import (
+    DecoderConfig,
+    FullyComposedDecoder,
+    LookupStats,
+    OnTheFlyDecoder,
+    SoaTokenTable,
+    TokenTable,
+    VirtualComposedGraph,
+)
 from repro.core import batch
 from repro.core.batch import BatchDecoder
 from tests.core.test_batch_decoder import LOOKUP_COUNTERS, _lattice_nodes, _task
+from tests.core.test_vectorized_equivalence import CountingSink
 
 EXPANSION_COUNTERS = tuple(
     name for name in LOOKUP_COUNTERS if name.startswith("expansion_")
@@ -123,6 +132,42 @@ def test_entry_points_agree_at_any_threshold(
             for r in decoded
             for name in EXPANSION_COUNTERS
         )
+
+
+@pytest.mark.parametrize("threshold", [0, 8, 10**9])
+def test_composed_baseline_takes_the_same_regimes(
+    tiny_task, tiny_scores, monkeypatch, threshold
+):
+    """The fully-composed baseline steps through the same frame step:
+    wherever the threshold sits it matches its scalar reference, traced
+    or not, and reports no decode-time lookup activity."""
+    monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", threshold)
+
+    def make(vectorized, sink=None):
+        return FullyComposedDecoder(
+            VirtualComposedGraph(tiny_task.am, tiny_task.lm),
+            DecoderConfig(beam=14.0, max_active=800, vectorized=vectorized),
+            sink=sink,
+        )
+
+    swept, reference = make(True), make(False)
+    swept_sink, reference_sink = CountingSink(), CountingSink()
+    traced, traced_reference = (
+        make(True, swept_sink), make(False, reference_sink)
+    )
+    for i, scores in enumerate(tiny_scores):
+        want = reference.decode(scores)
+        _assert_same(want, swept.decode(scores), ("composed", threshold, i))
+        _assert_same(want, traced.decode(scores), ("traced", threshold, i))
+        traced_reference.decode(scores)
+        assert want.stats.lookup == LookupStats()
+        assert len(want.stats.frame_work) == scores.shape[0]
+    assert swept_sink.counts == reference_sink.counts
+    # The sweep really moved the regime: only the numpy kernels compose
+    # through the expansion cache.
+    composed_rows = swept._composer.stats.expansion_misses
+    assert (composed_rows > 0) == (threshold < 10**9)
+    assert reference._composer.stats.expansion_misses == 0
 
 
 @pytest.fixture()
