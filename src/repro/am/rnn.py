@@ -66,8 +66,13 @@ class RnnAcousticModel:
             w_out=np.zeros((hidden, num_senones)),
             log_priors=np.zeros(num_senones),
         )
-        states = [model._run_reservoir(f) for f in utterance_features]
-        h = np.concatenate(states, axis=0)
+        # Every utterance's reservoir states land in their rows of one
+        # matrix: no per-utterance copies beside their concatenation.
+        h = np.empty((sum(len(f) for f in utterance_features), hidden))
+        row = 0
+        for features in utterance_features:
+            model._run_reservoir(features, out=h[row : row + len(features)])
+            row += len(features)
         alignment = np.concatenate(
             [np.asarray(a) for a in utterance_alignments]
         )
@@ -82,9 +87,12 @@ class RnnAcousticModel:
         model.seen_mask = np.bincount(alignment, minlength=num_senones) > 0
         return model
 
-    def _run_reservoir(self, features: np.ndarray) -> np.ndarray:
+    def _run_reservoir(
+        self, features: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Reservoir state per frame, written into ``out`` when given."""
         hidden = self.w_in.shape[1]
-        states = np.zeros((len(features), hidden))
+        states = np.zeros((len(features), hidden)) if out is None else out
         h = np.zeros(hidden)
         for t, x in enumerate(features):
             h = np.tanh(x @ self.w_in + h @ self.w_rec)

@@ -64,8 +64,6 @@ def build_scorer(
             features, alignment, num_senones, hidden=hidden
         )
     if kind is ScorerKind.RNN:
-        features = np.concatenate([u.features for u in utterances])
-        alignment = np.concatenate([np.asarray(u.alignment) for u in utterances])
         return RnnAcousticModel.fit(
             [u.features for u in utterances],
             [np.asarray(u.alignment) for u in utterances],

@@ -275,6 +275,21 @@ class EpsilonArcs:
             for s in range(num_states)
         ]
 
+    def fanout(self) -> list[tuple[tuple[int, float, int], ...]]:
+        """Per state, its arcs as native ``(olabel, weight, nextstate)``
+        tuples in CSR order (``()`` for a state without epsilon arcs)."""
+        offsets = self.offsets.tolist()
+        arcs = list(
+            zip(
+                self.olabel.tolist(),
+                self.weight.tolist(),
+                self.nextstate.tolist(),
+            )
+        )
+        return [
+            tuple(arcs[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])
+        ]
+
     def gather(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expand source states into their epsilon-arc slices (CSR order)."""
         return _csr_gather(self.offsets, states)

@@ -69,10 +69,11 @@ __all__ = [
 #: dozen fixed numpy dispatches of a vectorized frame cost more than
 #: walking the tokens.  Read off a measured crossover curve
 #: (``tools/frame_step_crossover.py``; table and reasoning in DESIGN.md,
-#: "Frame-step regimes"): scalar beats the solo kernels up to ~130
-#: tokens (a 2-wide fusion up to ~190) and loses to the 8-wide fused
-#: kernel from ~30; 96 minimizes the worst per-frame loss across those
-#: widths.
+#: "Frame-step regimes"): on the curve that set it scalar beat the solo
+#: kernels up to ~130 tokens (a 2-wide fusion up to ~190) and lost to
+#: the 8-wide fused kernel from ~30; 96 minimized the worst per-frame
+#: loss across those widths.  The rerun after the epsilon phase left
+#: numpy puts the solo crossover at ~80 and reads 64 and 96 as a tie.
 SCALAR_FRONTIER_MAX = 96
 
 
@@ -476,18 +477,19 @@ def _epsilon_fused(
         if w_loc.shape[0] == 0:
             continue
         g = a + w_loc
-        final_cost[g], final_lm[g], pruned = decoder._cross_word_batch(
+        # The one array-shaped caller: native lists at the hook.
+        final_cost[g], final_lm[g], pruned = decoder._cross_word_arrivals(
             seg.lookup,
-            pair_lm[g],
-            olabels[g],
-            token_cost[g],
-            arc_weight[g],
+            pair_lm[g].tolist(),
+            olabels[g].tolist(),
+            token_cost[g].tolist(),
+            arc_weight[g].tolist(),
             float(thr[i]),
         )
-        seg.stats.preemptive_pruned += int(np.count_nonzero(pruned))
-        committed[g] = ~pruned
+        seg.stats.preemptive_pruned += pruned.count(True)
+        committed[g] = np.logical_not(pruned)
 
-    keys = dest_am * np.int64(num_lm) + final_lm
+    keys = (dest_am * np.int64(num_lm) + final_lm).tolist()
     fc = final_cost.tolist()
     fl = final_lm.tolist()
     da = dest_am.tolist()
@@ -500,7 +502,7 @@ def _epsilon_fused(
         if a == b:
             continue
         table = tables[i]
-        hints = table.base_slot_hints(keys[a:b]).tolist()
+        hints = table.base_slot_hints(keys[a:b])
         add = seg.lattice.add
         insert = table.insert_hinted
         frame = seg.frame

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -112,15 +113,12 @@ class OffsetLookupTable:
             raise ValueError("num_entries must be a positive power of two")
         self.num_entries = num_entries
         self._mask = num_entries - 1
-        # Validity is a generation stamp: an entry is live when its
-        # stamp matches the current generation, so invalidation is a
-        # counter bump instead of reallocating the arrays.  Stored as
-        # numpy columns so a session checkpoint exports and reloads the
-        # table in bulk.
-        self._generation = 1
-        self._valid = np.zeros(num_entries, dtype=np.int64)
-        self._tags = np.zeros(num_entries, dtype=np.int64)
-        self._offsets = np.zeros(num_entries, dtype=np.int64)
+        # Live entries only, ``slot -> (tag, ordinal)``: one entry per
+        # slot and insert overwrites, so the table is direct-mapped by
+        # construction, while an empty table — every fork starts with
+        # one — holds no per-entry storage and every read is a native
+        # int.  The modelled hardware size is ``size_bytes``.
+        self._entries: dict[int, tuple[int, int]] = {}
 
     def _slot(self, state: int, word: int) -> tuple[int, int]:
         index = (state ^ word) & self._mask
@@ -132,45 +130,76 @@ class OffsetLookupTable:
     def lookup(self, state: int, word: int) -> int | None:
         """Cached arc ordinal, or None on miss."""
         index, tag = self._slot(state, word)
-        if self._valid[index] == self._generation and self._tags[index] == tag:
-            return int(self._offsets[index])
+        entry = self._entries.get(index)
+        if entry is not None and entry[0] == tag:
+            return entry[1]
         return None
 
     def insert(self, state: int, word: int, ordinal: int) -> None:
         index, tag = self._slot(state, word)
-        self._valid[index] = self._generation
-        self._tags[index] = tag
-        self._offsets[index] = ordinal
+        self._entries[index] = (tag, ordinal)
 
     def invalidate(self) -> None:
-        """Drop every entry in O(1): stale stamps can no longer match."""
-        self._generation += 1
+        """Drop every entry."""
+        self._entries.clear()
 
     def export_state(self) -> dict:
         """Copy out the live entries (session checkpointing).
 
-        Validity is exported as a plain boolean mask so the snapshot is
-        independent of this table's generation counter.
+        The snapshot is three ``(num_entries,)`` columns — a boolean
+        ``valid`` mask and the ``int64`` ``tags`` / ``offsets`` of the
+        live slots (zero elsewhere) — whatever container holds the
+        entries here: it is what session snapshots pickle and worker
+        pipes carry.
         """
+        valid = np.zeros(self.num_entries, dtype=bool)
+        tags = np.zeros(self.num_entries, dtype=np.int64)
+        offsets = np.zeros(self.num_entries, dtype=np.int64)
+        entries = self._entries
+        if entries:
+            slots = np.fromiter(entries, dtype=np.int64, count=len(entries))
+            live = np.array(list(entries.values()), dtype=np.int64)
+            valid[slots] = True
+            tags[slots] = live[:, 0]
+            offsets[slots] = live[:, 1]
         return {
             "num_entries": self.num_entries,
-            "valid": self._valid == self._generation,
-            "tags": self._tags.copy(),
-            "offsets": self._offsets.copy(),
+            "valid": valid,
+            "tags": tags,
+            "offsets": offsets,
         }
 
     def load_state(self, state: dict) -> None:
-        """Replace the table's contents with an exported snapshot."""
+        """Replace the table's contents with an exported snapshot.
+
+        Snapshots cross process boundaries, so the columns are checked
+        before anything is replaced: a malformed state raises
+        ``ValueError`` and leaves the table as it was.
+        """
         if state["num_entries"] != self.num_entries:
             raise ValueError(
                 f"offset table geometry mismatch: snapshot has "
                 f"{state['num_entries']} entries, table has "
                 f"{self.num_entries}"
             )
-        self._generation += 1  # drop whatever was resident
-        self._valid = np.where(state["valid"], self._generation, 0)
-        self._tags = state["tags"].copy()
-        self._offsets = state["offsets"].copy()
+        for name in ("valid", "tags", "offsets"):
+            column = state.get(name)
+            if (
+                not isinstance(column, np.ndarray)
+                or column.shape != (self.num_entries,)
+            ):
+                raise ValueError(
+                    f"offset table snapshot column {name!r} is not a "
+                    f"({self.num_entries},) array"
+                )
+        tags, offsets = state["tags"], state["offsets"]
+        slots = np.flatnonzero(state["valid"])
+        self._entries = dict(
+            zip(
+                slots.tolist(),
+                zip(tags[slots].tolist(), offsets[slots].tolist()),
+            )
+        )
 
     @property
     def size_bytes(self) -> int:
@@ -188,14 +217,19 @@ class ResolveResult:
     backoff_levels: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchResolveResult:
-    """Vectorized :meth:`LmLookup.resolve_batch` outcome, one row per item."""
+    """:meth:`LmLookup.resolve_batch` outcome, one entry per item.
 
-    weight: np.ndarray  # float64
-    next_state: np.ndarray  # int64
-    pruned: np.ndarray  # bool
-    backoff_levels: np.ndarray  # int64
+    Native lists: a frame's batch is a few dozen items (see DESIGN.md,
+    "Where a vectorized frame goes"), which its consumer walks item by
+    item anyway.
+    """
+
+    weight: list[float]
+    next_state: list[int]
+    pruned: list[bool]
+    backoff_levels: list[int]
 
 
 def _binary_probe_counts(labels: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -307,7 +341,6 @@ class LmExpansionCache:
         # counter — stays per-cache, only the construction cost is
         # shared.  Bounded by the number of LM states with word arcs.
         self._row_source = row_source if row_source is not None else {}
-        self._words_iota = np.arange(word_arcs.label_space, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -352,7 +385,7 @@ class LmExpansionCache:
             self._arcs.label_space, self._arcs.max_chain
         )
 
-    def rows_for(self, states: np.ndarray) -> list[ExpansionRow]:
+    def rows_for(self, states: Sequence[int]) -> list[ExpansionRow]:
         """The expansion row of each state, building/evicting as needed.
 
         Hit/miss accounting matches a sequential walk of ``states``:
@@ -364,7 +397,7 @@ class LmExpansionCache:
         out = []
         hits = 0
         misses = 0
-        for state in states.tolist():
+        for state in states:
             row = rows.get(state)
             if row is None:
                 misses += 1
@@ -391,7 +424,7 @@ class LmExpansionCache:
         chain = arcs.chain_states[chain_lo:chain_hi]
         chain_weights = arcs.chain_weights[chain_lo:chain_hi]
         space = arcs.label_space
-        words = self._words_iota
+        words = np.arange(space, dtype=np.int64)
         depth = chain.shape[0]
         found_level = np.full(space, -1, dtype=np.int64)
         steps = np.zeros((depth, space), dtype=np.int64)
@@ -761,15 +794,15 @@ class LmLookup:
 
     def resolve_batch(
         self,
-        states: np.ndarray,
-        words: np.ndarray,
-        entry_costs: np.ndarray,
+        states: Sequence[int],
+        words: Sequence[int],
+        entry_costs: Sequence[float],
         threshold: float = math.inf,
         preemptive: bool = False,
     ) -> BatchResolveResult:
         """:meth:`resolve` over a batch of (state, word) items.
 
-        Literally the scalar ``resolve`` walk, item by item in array
+        Literally the scalar ``resolve`` walk, item by item in list
         order, except every arc search collapses to O(1) reads of the
         item's cached :class:`ExpansionRow` — so equality with the
         scalar engine holds by construction: bit-identical weights (the
@@ -777,21 +810,23 @@ class LmLookup:
         ``LookupStats`` counters, including the Offset Lookup Table's
         hit/miss/probe accounting and its final contents.  The items
         must not be interleaved with scalar resolves that the batch
-        order would not reproduce.  Stats land on completion: every
-        item is accounted before an exhausted item raises.
+        order would not reproduce.  Native lists in, native lists out:
+        nothing here is array-shaped.  A word id outside the label
+        space raises ``ValueError`` before any item has touched the
+        lookup's state; stats land on completion: every item is
+        accounted before an exhausted item raises.
         """
         if self._tracing:
             raise RuntimeError(
                 "resolve_batch has no per-event order; use resolve when tracing"
             )
         label_space = self._ensure_batch_structures().label_space
+        n = len(words)
+        if n and not 0 <= min(words) <= max(words) < label_space:
+            raise ValueError("word id outside the LM label space")
         cache = self.expansion_cache
         assert cache is not None
         rows = cache.rows_for(states)
-        stats = self.stats
-        n = words.shape[0]
-        word_list = words.tolist()
-        entry_list = entry_costs.tolist()
         out_weight = [0.0] * n
         out_next = [-1] * n
         out_pruned = [False] * n
@@ -803,104 +838,87 @@ class LmLookup:
             assert table is not None
             slot_mask = table._mask
             tag_mask = (1 << OffsetLookupTable.TAG_BITS) - 1
-            generation = table._generation
-            valid = table._valid
-            tags = table._tags
-            ordinals = table._offsets
-        lookups = probes = backoffs = prunes = hits = misses = 0
+            entries = table._entries
+        if not preemptive:
+            threshold = math.inf
+        # Counted per item from the level its walk ended at, not per
+        # step: a walk ending in a search at ``level`` made ``level +
+        # 1`` lookups over ``level`` back-off arcs (one probe each); one
+        # pruned on arriving at ``level`` never searched there.  Every
+        # OLT lookup that is not a hit is a miss.
+        lookups = probes = backoffs = prunes = hits = 0
         for i in range(n):
-            word = word_list[i]
-            if word < 0 or word >= label_space:
-                raise ValueError("word id outside the LM label space")
+            word = words[i]
             row = rows[i]
             chain = row.chain
-            chain_w = row.chain_weights
             steps = row.steps
-            fl = row.found_level[word]
-            entry = entry_list[i]
+            found_level = row.found_level[word]
+            entry = entry_costs[i]
             accumulated = entry
-            depth = len(chain)
+            last = len(chain) - 1
             level = 0
+            if use_olt:
+                word_hash = word * 0x85EBCA77
             while True:
-                if level > 0:
-                    if level >= depth:
-                        if exhausted_word < 0:
-                            exhausted_word = word
-                        break
-                    probes += 1
-                    backoffs += 1
-                    accumulated += chain_w[level]
-                    if preemptive and accumulated > threshold:
-                        prunes += 1
-                        out_weight[i] = accumulated - entry
-                        out_next[i] = chain[level]
-                        out_pruned[i] = True
-                        out_levels[i] = level
-                        break
-                lookups += 1
-                found_here = fl == level
                 if use_olt:
                     state_l = chain[level]
                     index = (state_l ^ word) & slot_mask
-                    if valid[index] == generation:
-                        tag = (
-                            (state_l * 0x9E3779B1) ^ (word * 0x85EBCA77)
-                        ) & tag_mask
-                        if tags[index] == tag:
-                            # Cached entry: one validation probe on the
-                            # fetched arc, a hit iff it is the word's.
-                            probes += 1
-                            if (
-                                found_here
-                                and ordinals[index]
-                                == row.arc_ordinal[word]
-                            ):
-                                hits += 1
-                                out_weight[i] = (
-                                    accumulated - entry
-                                ) + row.arc_weight[word]
-                                out_next[i] = row.arc_next[word]
-                                out_levels[i] = level
-                                break
-                        misses += 1
-                        probes += steps[level][word]
-                        if found_here:
-                            valid[index] = generation
-                            tags[index] = tag
-                            ordinals[index] = row.arc_ordinal[word]
-                    else:
-                        misses += 1
-                        probes += steps[level][word]
-                        if found_here:
-                            valid[index] = generation
-                            tags[index] = (
-                                (state_l * 0x9E3779B1) ^ (word * 0x85EBCA77)
-                            ) & tag_mask
-                            ordinals[index] = row.arc_ordinal[word]
+                    tag = ((state_l * 0x9E3779B1) ^ word_hash) & tag_mask
+                    cached = entries.get(index)
+                    if cached is not None and cached[0] == tag:
+                        # Cached entry: one validation probe on the
+                        # fetched arc, a hit iff it is the word's.
+                        probes += 1
+                        if (
+                            found_level == level
+                            and cached[1] == row.arc_ordinal[word]
+                        ):
+                            hits += 1
+                            out_weight[i] = (
+                                accumulated - entry
+                            ) + row.arc_weight[word]
+                            out_next[i] = row.arc_next[word]
+                            lookups += level + 1
+                            break
+                    probes += steps[level][word]
+                    if found_level == level:
+                        entries[index] = (tag, row.arc_ordinal[word])
                 else:
                     probes += steps[level][word]
-                if found_here:
+                if found_level == level:
                     out_weight[i] = (accumulated - entry) + row.arc_weight[
                         word
                     ]
                     out_next[i] = row.arc_next[word]
-                    out_levels[i] = level
+                    lookups += level + 1
+                    break
+                if level == last:
+                    if exhausted_word < 0:
+                        exhausted_word = word
+                    lookups += level + 1
                     break
                 level += 1
+                accumulated += row.chain_weights[level]
+                if accumulated > threshold:
+                    prunes += 1
+                    out_weight[i] = accumulated - entry
+                    out_next[i] = chain[level]
+                    out_pruned[i] = True
+                    lookups += level
+                    break
+            out_levels[i] = level
+            backoffs += level
+        stats = self.stats
         stats.lookups += lookups
-        stats.arc_probes += probes
+        stats.arc_probes += probes + backoffs
         stats.backoff_arcs_taken += backoffs
         stats.preemptive_prunes += prunes
         stats.olt_hits += hits
-        stats.olt_misses += misses
+        if use_olt:
+            stats.olt_misses += lookups - hits
         if exhausted_word >= 0:
             raise LookupError(
                 f"word {exhausted_word} not found at the unigram state; "
                 "the LM must keep all unigrams (Section 3.3 guarantee)"
             )
-        return BatchResolveResult(
-            weight=np.array(out_weight, dtype=np.float64),
-            next_state=np.array(out_next, dtype=np.int64),
-            pruned=np.array(out_pruned, dtype=bool),
-            backoff_levels=np.array(out_levels, dtype=np.int64),
-        )
+        return BatchResolveResult(out_weight, out_next, out_pruned, out_levels)

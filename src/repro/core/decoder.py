@@ -11,7 +11,9 @@ fully-composed WFST is never materialized.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -297,6 +299,13 @@ class OnTheFlyDecoder:
             self._scalar_epsilon = lists
         return lists
 
+    @cached_property
+    def _epsilon_fanout(self) -> list[tuple[tuple[int, float, int], ...]]:
+        """Per AM state, its epsilon arcs as ``(olabel, weight, nextstate)``
+        tuples — what the batched epsilon phase fans its seeds out from
+        (built on its first frame)."""
+        return self._eps_arcs.fanout()
+
     def _trace_state(self, am_state: int, lm_state: int) -> int:
         return am_state
 
@@ -469,30 +478,34 @@ class OnTheFlyDecoder:
             self._batched_epsilon_ok = ok
         return ok
 
-    def _cross_word_batch(
+    def _cross_word_arrivals(
         self,
         lookup: LmLookup,
-        lm_states: np.ndarray,
-        words: np.ndarray,
-        token_cost: np.ndarray,
-        arc_weight: np.ndarray,
+        lm_states: Sequence[int],
+        words: Sequence[int],
+        token_costs: Sequence[float],
+        arc_weights: Sequence[float],
         threshold: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A batch of cross-word arcs, composed with the LM.
+    ) -> tuple[list[float], list[int], list[bool]]:
+        """A frame's cross-word arcs, composed with the LM.
 
         Per arc: the arriving token's cost, its LM state, and whether
         preemptive pruning dropped it mid-walk — added up in the scalar
         loop's order, ``(token + arc) + lm``.
         """
-        base_cost = token_cost + arc_weight
+        base_costs = [t + a for t, a in zip(token_costs, arc_weights)]
         result = lookup.resolve_batch(
             lm_states,
             words,
-            base_cost,
+            base_costs,
             threshold=threshold,
             preemptive=self.config.preemptive_pruning,
         )
-        return base_cost + result.weight, result.next_state, result.pruned
+        return (
+            [b + w for b, w in zip(base_costs, result.weight)],
+            result.next_state,
+            result.pruned,
+        )
 
     def _epsilon_phase_batched(
         self,
@@ -512,96 +525,93 @@ class OnTheFlyDecoder:
         lookup counters, including the OLT's evolution), and the
         surviving arrivals are committed to the lattice and token
         table in the same interleaved order the scalar loop used.
+
+        numpy touches only what is frontier-sized — finding the seeds
+        and reading their columns; a frame's seeds fan out into a few
+        dozen arcs at most (DESIGN.md, "Where a vectorized frame
+        goes"), so everything pair-sized runs on native lists.
         """
         if lookup is None:
             lookup = self.lookup
         am_col, lm_col, cost_col, node_col = table.columns()
         # The worklist pops seeds off the end: reverse table order.
         seed_pos = np.flatnonzero(self._epsilon_flags[am_col])[::-1]
-        num_seeds = seed_pos.shape[0]
-        if num_seeds == 0:
+        if seed_pos.shape[0] == 0:
             return
         threshold = table.best_cost + beam_config.beam
-        seed_cost = cost_col[seed_pos]
-        keep_pos = seed_pos[seed_cost <= threshold]
-        num_keep = keep_pos.shape[0]
-        stats.beam_pruned += int(num_seeds - num_keep)
-        if num_keep == 0:
-            return
-        eps = self._eps_arcs
-        token_index, flat = eps.gather(am_col[keep_pos])
-        num_pairs = int(flat.shape[0])
+        fanout = self._epsilon_fanout
+        pairs = []
+        beam_pruned = 0
+        for am_state, lm_state, cost, node in zip(
+            am_col[seed_pos].tolist(),
+            lm_col[seed_pos].tolist(),
+            cost_col[seed_pos].tolist(),
+            node_col[seed_pos].tolist(),
+        ):
+            if cost > threshold:
+                beam_pruned += 1
+                continue
+            for olabel, weight, nextstate in fanout[am_state]:
+                pairs.append((lm_state, olabel, cost, weight, nextstate, node))
+        num_pairs = len(pairs)
+        stats.beam_pruned += beam_pruned
         stats.am_arc_fetches += num_pairs
         stats.expansions += num_pairs
         if num_pairs == 0:
             return
-        olabels = eps.olabel[flat]
-        pair_pos = keep_pos[token_index]
-        token_cost = cost_col[pair_pos]
-        arc_weight = eps.weight[flat]
-        pair_lm = lm_col[pair_pos]
-        dest_am = eps.nextstate[flat]
+        pair_lm, pair_olabel, token_cost, arc_weight, pair_dest, pair_node = zip(
+            *pairs
+        )
 
         phases = self._phase_seconds
         mark = perf_counter() if phases is not None else 0.0
-        is_word = olabels != EPSILON
-        word_idx = np.flatnonzero(is_word)
-        num_words = int(word_idx.shape[0])
-        committed = None
-        if num_words == num_pairs:
+        if EPSILON not in pair_olabel:
             # Common AM shape: every epsilon arc is a cross-word arc.
-            final_cost, final_lm, pruned = self._cross_word_batch(
-                lookup, pair_lm, olabels, token_cost, arc_weight, threshold
+            final_cost, final_lm, pruned = self._cross_word_arrivals(
+                lookup, pair_lm, pair_olabel, token_cost, arc_weight, threshold
             )
-            num_pruned = int(np.count_nonzero(pruned))
-            stats.preemptive_pruned += num_pruned
-            if num_pruned:
-                committed = np.logical_not(pruned).tolist()
         else:
-            final_cost = token_cost + arc_weight
-            final_lm = pair_lm
-            if num_words:
-                word_cost, word_lm, pruned = self._cross_word_batch(
+            final_cost = [t + a for t, a in zip(token_cost, arc_weight)]
+            final_lm = list(pair_lm)
+            pruned = [False] * num_pairs
+            word_idx = [
+                i for i, olabel in enumerate(pair_olabel) if olabel != EPSILON
+            ]
+            if word_idx:
+                arrivals = self._cross_word_arrivals(
                     lookup,
-                    pair_lm[word_idx],
-                    olabels[word_idx],
-                    token_cost[word_idx],
-                    arc_weight[word_idx],
+                    [pair_lm[i] for i in word_idx],
+                    [pair_olabel[i] for i in word_idx],
+                    [token_cost[i] for i in word_idx],
+                    [arc_weight[i] for i in word_idx],
                     threshold,
                 )
-                stats.preemptive_pruned += int(np.count_nonzero(pruned))
-                final_cost[word_idx] = word_cost
-                final_lm = pair_lm.copy()
-                final_lm[word_idx] = word_lm
-                committed_arr = np.ones(num_pairs, dtype=bool)
-                committed_arr[word_idx] = ~pruned
-                committed = committed_arr.tolist()
+                for i, cost, lm_state, dropped in zip(word_idx, *arrivals):
+                    final_cost[i] = cost
+                    final_lm[i] = lm_state
+                    pruned[i] = dropped
+        stats.preemptive_pruned += pruned.count(True)
         if phases is not None:
             mark = _lap(phases, "resolve", mark)
 
-        keys = dest_am * np.int64(self._num_lm) + final_lm
-        hints = table.base_slot_hints(keys).tolist()
-        pair_word = is_word.tolist()
-        pair_am = dest_am.tolist()
-        pair_lm_l = final_lm.tolist()
-        pair_cost = final_cost.tolist()
-        pair_node = node_col[pair_pos].tolist()
-        pair_olabel = olabels.tolist()
+        num_lm = self._num_lm
+        hints = table.base_slot_hints(
+            [dest * num_lm + lm for dest, lm in zip(pair_dest, final_lm)]
+        )
         add = lattice.add
         insert = table.insert_hinted
         words_done = 0
         # Single-level gate: no arrival re-enters the worklist, so the
         # scalar loop's remaining work is exactly this commit sequence.
-        for i in range(num_pairs):
-            if committed is not None and not committed[i]:
+        for olabel, cost, lm_state, dest, node, hint, dropped in zip(
+            pair_olabel, final_cost, final_lm, pair_dest, pair_node, hints, pruned
+        ):
+            if dropped:
                 continue
-            cost = pair_cost[i]
-            if pair_word[i]:
-                node = add(pair_olabel[i], frame, cost, pair_node[i])
+            if olabel != EPSILON:
+                node = add(olabel, frame, cost, node)
                 words_done += 1
-                insert(pair_am[i], pair_lm_l[i], cost, node, hints[i])
-            else:
-                insert(pair_am[i], pair_lm_l[i], cost, pair_node[i], hints[i])
+            insert(dest, lm_state, cost, node, hint)
         stats.token_writes += words_done
         stats.words_emitted += words_done
         if phases is not None:

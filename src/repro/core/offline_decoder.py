@@ -29,6 +29,7 @@ The explored graph is path-identical to the materialized composition
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -84,21 +85,24 @@ class FullyComposedDecoder(OnTheFlyDecoder):
     def _trace_state(self, am_state: int, lm_state: int) -> int:
         return am_state * self._num_lm + lm_state
 
-    def _cross_word_batch(
+    def _cross_word_arrivals(
         self,
         lookup: LmLookup,
-        lm_states: np.ndarray,
-        words: np.ndarray,
-        token_cost: np.ndarray,
-        arc_weight: np.ndarray,
+        lm_states: Sequence[int],
+        words: Sequence[int],
+        token_costs: Sequence[float],
+        arc_weights: Sequence[float],
         threshold: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[list[float], list[int], list[bool]]:
         """Cross-word arcs at their offline-composed weight, unpruned."""
         result = self._composer.resolve_batch(
-            lm_states, words, np.zeros(words.shape[0], dtype=np.float64)
+            lm_states, words, [0.0] * len(words)
         )
         return (
-            token_cost + (arc_weight + result.weight),
+            [
+                t + (a + w)
+                for t, a, w in zip(token_costs, arc_weights, result.weight)
+            ],
             result.next_state,
             result.pruned,
         )

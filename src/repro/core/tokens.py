@@ -361,21 +361,31 @@ class SoaTokenTable:
                 seeds.append(self.materialize(key, base_size + index))
         return seeds
 
-    def base_slot_hints(self, keys: np.ndarray) -> np.ndarray:
+    def base_slot_hints(self, keys: list[int]) -> list[int]:
         """Bulk-winner slot of each packed key, -1 where absent.
 
         One vectorized binary search replacing a per-insert
         ``searchsorted``; valid as long as no ``bulk_fill`` intervenes
-        (the sorted base index is static after it).
+        (the sorted base index is static after it).  Native lists in
+        and out: the caller hands the hints to :meth:`insert_hinted`
+        one by one.  Keys that all lie below or above the bulk winners'
+        need no search — the usual frame: epsilon arcs lead to the
+        word-boundary state, where no emitting arc does.
         """
-        out = np.full(keys.shape[0], -1, dtype=np.int64)
         sorted_keys = self._sorted_keys
         size = sorted_keys.shape[0]
-        if size:
-            pos = np.minimum(np.searchsorted(sorted_keys, keys), size - 1)
-            match = sorted_keys[pos] == keys
-            out[match] = self._slot_for_sorted[pos[match]]
-        return out
+        if (
+            size == 0
+            or max(keys) < sorted_keys[0]
+            or min(keys) > sorted_keys[size - 1]
+        ):
+            return [-1] * len(keys)
+        wanted = np.array(keys, dtype=np.int64)
+        pos = np.searchsorted(sorted_keys, wanted)
+        np.minimum(pos, size - 1, out=pos)
+        return np.where(
+            sorted_keys[pos] == wanted, self._slot_for_sorted[pos], -1
+        ).tolist()
 
     def insert_hinted(
         self,

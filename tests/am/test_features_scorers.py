@@ -1,5 +1,7 @@
 """Tests for feature synthesis and the three acoustic scorers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,33 @@ class TestGmm:
         with pytest.raises(ValueError):
             gmm.score(np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("blocks", [0, 0.03, 0.6, 1, 1.03, 2, 3.5])
+    def test_blocked_scoring_is_bit_identical_to_one_shot(self, setup, blocks):
+        """Scoring in fixed blocks (ragged last block, fewer frames
+        than a block, none) equals the whole-utterance broadcast."""
+        from repro.am.gmm import _LOG_2PI, _SCORE_BLOCK
+
+        frames = math.ceil(blocks * _SCORE_BLOCK)
+        *_, emissions, _ = setup
+        gmm = GmmAcousticModel.from_emissions(emissions, num_mixtures=2)
+        features = np.random.default_rng(frames).normal(
+            0.0, 2.0, size=(frames, gmm.dim)
+        )
+        diff = features[:, None, None, :] - gmm.means[None, :, :, :]
+        exponent = -0.5 * np.sum(diff * diff / gmm.variances[None], axis=3)
+        log_norm = -0.5 * (
+            gmm.dim * _LOG_2PI + np.sum(np.log(gmm.variances), axis=2)
+        )
+        component = exponent + log_norm[None] + gmm.log_weights[None]
+        peak = component.max(axis=2)
+        one_shot = peak + np.log(
+            np.sum(np.exp(component - peak[:, :, None]), axis=2)
+        )
+        scores = gmm.score(features)
+        assert scores.shape == (frames, gmm.num_senones)
+        assert scores.dtype == one_shot.dtype
+        assert np.array_equal(scores, one_shot)
+
     def test_metadata(self, setup):
         *_, emissions, _ = setup
         gmm = GmmAcousticModel.from_emissions(emissions, num_mixtures=2)
@@ -176,6 +205,46 @@ class TestRnn:
     def test_requires_training_data(self):
         with pytest.raises(ValueError):
             RnnAcousticModel.fit([], [], 10)
+
+    def test_in_place_training_keeps_the_weight_digest(self, setup):
+        """``fit`` runs the reservoir into slices of one matrix; the
+        weights must hash like those of the per-utterance lists it
+        replaced (states concatenated, then the same closed form)."""
+        import hashlib
+
+        from repro.am.dnn import _smoothed_priors
+
+        *_, emissions, synth = setup
+        utts = synth.synthesize_batch([["ab", "cad"], ["def"], ["gif", "ab"]] * 4)
+        features = [u.features for u in utts]
+        alignments = [np.asarray(u.alignment) for u in utts]
+        hidden, ridge = 48, 1.0
+        rnn = RnnAcousticModel.fit(
+            features, alignments, emissions.num_senones, hidden=hidden, ridge=ridge
+        )
+        h = np.concatenate([rnn._run_reservoir(f) for f in features], axis=0)
+        alignment = np.concatenate(alignments)
+        targets = np.zeros((len(h), emissions.num_senones))
+        targets[np.arange(len(h)), alignment] = 1.0
+        w_out = np.linalg.solve(
+            h.T @ h + ridge * np.eye(hidden), h.T @ targets
+        )
+        log_priors = np.log(_smoothed_priors(alignment, emissions.num_senones))
+
+        def digest(*arrays):
+            sha = hashlib.sha256()
+            for array in arrays:
+                sha.update(np.ascontiguousarray(array).tobytes())
+            return sha.hexdigest()
+
+        assert digest(rnn.w_out, rnn.log_priors) == digest(w_out, log_priors)
+        # Same seed, same draw: the reservoir itself is reproducible.
+        again = RnnAcousticModel.fit(
+            features, alignments, emissions.num_senones, hidden=hidden, ridge=ridge
+        )
+        assert digest(again.w_in, again.w_rec, again.w_out) == digest(
+            rnn.w_in, rnn.w_rec, rnn.w_out
+        )
 
     def test_metadata(self, setup):
         *_, emissions, synth = setup

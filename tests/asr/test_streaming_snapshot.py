@@ -113,6 +113,57 @@ class TestSnapshotRestore:
         # An empty push re-reports the current partial hypothesis.
         assert resumed.push(scores[:0]) == session.push(scores[:0])
 
+    def test_lookup_state_keeps_the_column_format(
+        self, tiny_task, tiny_scores
+    ):
+        """The Offset Lookup Table travels as three full columns — the
+        format of every snapshot already pickled or in a worker pipe.
+        A snapshot in that format whose dead slots still hold stale
+        tags and offsets (what a generation-stamped table exported)
+        must pickle, restore and continue like the live session."""
+        import pickle
+
+        decoder = _decoder(tiny_task)
+        scores = tiny_scores[0]
+        cut = scores.shape[0] - BATCH  # words have ended: the OLT has entries
+        session = _session(decoder)
+        session.push(scores[:cut])
+        snapshot = session.snapshot()
+        table = snapshot.lookup_state["offset_table"]
+        entries = decoder.config.offset_table_entries
+        assert sorted(snapshot.lookup_state) == [
+            "expansion_states",
+            "offset_table",
+            "stats",
+            "strategy",
+        ]
+        assert sorted(table) == ["num_entries", "offsets", "tags", "valid"]
+        assert table["num_entries"] == entries
+        for name, dtype in (
+            ("valid", np.bool_),
+            ("tags", np.int64),
+            ("offsets", np.int64),
+        ):
+            assert table[name].shape == (entries,), name
+            assert table[name].dtype == dtype, name
+        assert table["valid"].any()
+        dead = ~table["valid"]
+        table["tags"][dead] = 0xABCDEF
+        table["offsets"][dead] = 12345
+        shipped = pickle.loads(pickle.dumps(snapshot))
+        resumed = StreamingSession.restore(decoder, shipped)
+        again = resumed.snapshot().lookup_state["offset_table"]
+        assert np.array_equal(again["valid"], table["valid"])
+        live = table["valid"]
+        assert np.array_equal(again["tags"][live], table["tags"][live])
+        assert np.array_equal(again["offsets"][live], table["offsets"][live])
+        session.push(scores[cut:])
+        resumed.push(scores[cut:])
+        want, got = session.finish(), resumed.finish()
+        assert got.words == want.words
+        assert got.cost == want.cost
+        assert _stats_dict(got) == _stats_dict(want)
+
     def test_state_bytes_is_small(self, tiny_task, tiny_scores):
         # The premise the checkpoint design leans on: per-channel state
         # is tiny (Section 3), so rolling checkpoints are cheap.

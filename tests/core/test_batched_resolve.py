@@ -10,7 +10,9 @@ ARPA models have), plus the LM expansion cache's hit/evict accounting
 and the ``nonneg_weights`` gate the decoders consult.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +102,11 @@ def _assert_batch_matches_scalar(
             for s, w, e in zip(states, word_ids, entries)
         ]
         got = batched.resolve_batch(
-            states, word_ids, entries, threshold=threshold, preemptive=preemptive
+            states.tolist(),
+            word_ids.tolist(),
+            entries.tolist(),
+            threshold=threshold,
+            preemptive=preemptive,
         )
         for i, ref in enumerate(expected):
             assert got.weight[i] == ref.weight, (i, got.weight[i], ref.weight)
@@ -114,18 +120,11 @@ def _assert_batch_matches_scalar(
     if strategy is LookupStrategy.OFFSET_TABLE:
         # The OLT contents must evolve identically too, or the *next*
         # decode would diverge.
-        assert np.array_equal(
-            batched.offset_table._valid, scalar.offset_table._valid
-        )
-        mask = batched.offset_table._valid == batched.offset_table._generation
-        assert mask.any()
-        assert np.array_equal(
-            batched.offset_table._tags[mask], scalar.offset_table._tags[mask]
-        )
-        assert np.array_equal(
-            batched.offset_table._offsets[mask],
-            scalar.offset_table._offsets[mask],
-        )
+        got = batched.offset_table.export_state()
+        ref = scalar.offset_table.export_state()
+        assert got["valid"].any()
+        for column in ("valid", "tags", "offsets"):
+            assert np.array_equal(got[column], ref[column]), column
 
 
 @settings(max_examples=25, deadline=None)
@@ -169,11 +168,11 @@ def test_resolve_batch_olt_warm_hit_ratio():
     graph = _random_lm(7)
     scalar = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
     batched = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
-    states = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
-    word_ids = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
-    entries = np.zeros(6)
+    states = [1, 2, 3, 1, 2, 3]
+    word_ids = [1, 2, 3, 1, 2, 3]
+    entries = [0.0] * 6
     for _ in range(3):
-        for s, w in zip(states.tolist(), word_ids.tolist()):
+        for s, w in zip(states, word_ids):
             scalar.resolve(s, w)
         batched.resolve_batch(states, word_ids, entries)
     assert batched.stats == scalar.stats
@@ -213,12 +212,65 @@ def test_lookup_error_parity():
     with pytest.raises(LookupError) as scalar_err:
         scalar.resolve(1, missing)
     with pytest.raises(LookupError) as batched_err:
-        batched.resolve_batch(
-            np.array([1], dtype=np.int64),
-            np.array([missing], dtype=np.int64),
-            np.zeros(1),
-        )
+        batched.resolve_batch([1], [missing], [0.0])
     assert str(batched_err.value) == str(scalar_err.value)
+    # The walk to exhaustion is accounted before the raise, as the
+    # scalar walk accounts it step by step.
+    assert batched.stats == scalar.stats
+    assert batched.stats.lookups == 2 and batched.stats.backoff_arcs_taken == 1
+
+
+def _transient_state(lookup):
+    state = lookup.export_transient_state()
+    return (
+        dataclasses.asdict(state["stats"]),
+        {
+            name: column.tolist()
+            for name, column in state["offset_table"].items()
+            if name != "num_entries"
+        },
+        state["expansion_states"],
+    )
+
+
+@pytest.mark.parametrize("bad_word", [-1, 10**6])
+@pytest.mark.parametrize("position", [0, 2])
+def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
+    """Ids are validated for the whole batch up front: the items before
+    the bad one must not have overwritten OLT entries, moved expansion
+    rows or gone uncounted."""
+    graph = _random_lm(13)
+    lookup = LmLookup(
+        graph,
+        strategy=LookupStrategy.OFFSET_TABLE,
+        offset_table_entries=4,
+        expansion_cache_states=2,
+    )
+    lookup.resolve_batch([1, 2, 3], [1, 2, 3], [0.0, 0.0, 0.0])
+    before = _transient_state(lookup)
+    assert any(before[1]["valid"]) and before[2]
+    words = [4, 5, 6]
+    words[position] = bad_word
+    with pytest.raises(ValueError, match="label space"):
+        lookup.resolve_batch([5, 4, 1], words, [0.0, 0.0, 0.0])
+    assert _transient_state(lookup) == before
+
+
+def test_forks_allocate_no_per_entry_storage():
+    """A fork's OLT is empty and so holds nothing: 64 serve sessions
+    or lockstep utterances used to zero-fill 768 KiB each."""
+    lookup = LmLookup(_random_lm(2), strategy=LookupStrategy.OFFSET_TABLE)
+    lookup.fork()  # builds the shared batch structures
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forks = [lookup.fork() for _ in range(64)]
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 64
+    assert all(fork.offset_table.num_entries == 32 * 1024 for fork in forks)
+    assert grown < 64 * 1024, grown
 
 
 def test_resolve_batch_rejects_tracing():
@@ -245,11 +297,7 @@ def test_resolve_batch_rejects_tracing():
     lookup = LmLookup(graph, sink=Sink())
     assert not lookup.batch_supported
     with pytest.raises(RuntimeError):
-        lookup.resolve_batch(
-            np.array([0], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            np.zeros(1),
-        )
+        lookup.resolve_batch([0], [1], [0.0])
 
 
 def test_expansion_cache_hits_misses_evictions():
@@ -257,23 +305,21 @@ def test_expansion_cache_hits_misses_evictions():
     lookup = LmLookup(
         graph, strategy=LookupStrategy.BINARY, expansion_cache_states=2
     )
-    word_ids = np.array([1, 1], dtype=np.int64)
-    entries = np.zeros(2)
+    word_ids = [1, 1]
+    entries = [0.0, 0.0]
     # Four distinct states through a 2-row cache: all miss, and the
     # last two evict the first two (LRU).
     for state in (1, 2, 3, 4):
-        lookup.resolve_batch(
-            np.full(2, state, dtype=np.int64), word_ids, entries
-        )
+        lookup.resolve_batch([state, state], word_ids, entries)
     stats = lookup.stats
     assert stats.expansion_misses == 4
     # The second item of each batch hits the row the first just built.
     assert stats.expansion_hits == 4
     assert stats.expansion_evictions == 2
     # Revisiting an evicted state misses again; a cached one hits.
-    lookup.resolve_batch(np.array([4], dtype=np.int64), word_ids[:1], entries[:1])
+    lookup.resolve_batch([4], word_ids[:1], entries[:1])
     assert lookup.stats.expansion_hits == 5
-    lookup.resolve_batch(np.array([1], dtype=np.int64), word_ids[:1], entries[:1])
+    lookup.resolve_batch([1], word_ids[:1], entries[:1])
     assert lookup.stats.expansion_misses == 5
     assert 0.0 < lookup.stats.expansion_hit_ratio < 1.0
     assert lookup.expansion_cache.size_bytes() > 0
@@ -282,11 +328,7 @@ def test_expansion_cache_hits_misses_evictions():
 def test_reset_transient_state_clears_both_caches():
     graph = _random_lm(5)
     lookup = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
-    lookup.resolve_batch(
-        np.array([1, 2], dtype=np.int64),
-        np.array([1, 2], dtype=np.int64),
-        np.zeros(2),
-    )
+    lookup.resolve_batch([1, 2], [1, 2], [0.0, 0.0])
     assert len(lookup.expansion_cache._rows) > 0
     # The OLT caches the pair at whichever chain state the arc was
     # found, so scan the full (state, word) space for live entries.

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import LmLookup, LookupStats, LookupStrategy, OffsetLookupTable
@@ -50,6 +51,86 @@ class TestOffsetLookupTable:
         # Section 3.5: 32K entries require 192 KB.
         table = OffsetLookupTable(32 * 1024)
         assert table.size_bytes == 192 * 1024
+
+    def test_export_format_is_three_full_columns(self):
+        """The snapshot format session pickles and worker pipes carry:
+        pinned keys, shapes and dtypes, whatever holds the entries."""
+        table = OffsetLookupTable(16)
+        table.insert(3, 7, 42)
+        table.insert(9, 1, 5)
+        state = table.export_state()
+        assert sorted(state) == ["num_entries", "offsets", "tags", "valid"]
+        assert state["num_entries"] == 16
+        for name, dtype in (
+            ("valid", np.bool_),
+            ("tags", np.int64),
+            ("offsets", np.int64),
+        ):
+            assert isinstance(state[name], np.ndarray), name
+            assert state[name].shape == (16,), name
+            assert state[name].dtype == dtype, name
+        assert np.flatnonzero(state["valid"]).tolist() == sorted(
+            [3 ^ 7, (9 ^ 1) & 15]
+        )
+        assert state["offsets"][3 ^ 7] == 42
+        restored = OffsetLookupTable(16)
+        restored.load_state(state)
+        assert restored.lookup(3, 7) == 42
+        assert restored.lookup(9, 1) == 5
+        again = restored.export_state()
+        for name in ("valid", "tags", "offsets"):
+            assert np.array_equal(again[name], state[name]), name
+
+    def test_loads_a_snapshot_with_stale_dead_slots(self):
+        """A snapshot written by the column-backed table — stale tags
+        and offsets left behind in invalid slots — restores the live
+        entries only."""
+        table = OffsetLookupTable(8)
+        table.insert(2, 1, 11)
+        index, tag = table._slot(2, 1)
+        state = {
+            "num_entries": 8,
+            "valid": np.zeros(8, dtype=bool),
+            "tags": np.full(8, 123, dtype=np.int64),
+            "offsets": np.full(8, 77, dtype=np.int64),
+        }
+        state["valid"][index] = True
+        state["tags"][index] = tag
+        state["offsets"][index] = 11
+        restored = OffsetLookupTable(8)
+        restored.insert(5, 5, 1)  # replaced, not merged
+        restored.load_state(state)
+        assert restored.lookup(2, 1) == 11
+        assert restored.lookup(5, 5) is None
+        assert restored.export_state()["valid"].sum() == 1
+
+    @pytest.mark.parametrize("column", ["valid", "tags", "offsets"])
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda a: a[:-1],  # short
+            lambda a: np.concatenate([a, a[:1]]),  # long
+            lambda a: a.reshape(2, -1),  # wrong rank
+            lambda a: a.tolist(),  # not an array
+            lambda a: None,
+        ],
+    )
+    def test_load_state_rejects_malformed_columns(self, column, malformed):
+        table = OffsetLookupTable(8)
+        table.insert(1, 2, 3)
+        before = table.export_state()
+        state = table.export_state()
+        state[column] = malformed(state[column])
+        with pytest.raises(ValueError):
+            table.load_state(state)
+        del state[column]
+        with pytest.raises(ValueError):
+            table.load_state(state)
+        # A rejected snapshot leaves the table as it was.
+        after = table.export_state()
+        for name in ("valid", "tags", "offsets"):
+            assert np.array_equal(after[name], before[name]), name
+        assert table.lookup(1, 2) == 3
 
 
 def test_lookup_stats_delta_covers_every_counter():
