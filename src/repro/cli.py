@@ -217,7 +217,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         fusion_concurrency=args.fusion_concurrency,
         abort_fraction=args.abort_fraction,
         shards=args.shards,
-        pipeline_concurrency=args.pipeline_concurrency,
         payload=args.payload,
         encoding=args.encoding,
     )
@@ -385,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("scores", "features"),
         default="scores",
         help="what the load generator streams: pre-scored matrices "
-        "(exact) or raw features for server-side pipelined scoring "
+        "(exact) or raw features for server-side scoring "
         "(parity-asserted against the score-payload reference)",
     )
     p_serve_bench.add_argument(
@@ -394,13 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="list",
         help="wire form for frame matrices: exact float64 lists or "
         "the compact base64 float32 block (~7x smaller, quantizing)",
-    )
-    p_serve_bench.add_argument(
-        "--pipeline-concurrency",
-        type=int,
-        default=8,
-        help="feature-streaming sessions in the pipelined-vs-sync "
-        "scoring comparison (0 skips the pipeline section)",
     )
     p_serve_bench.set_defaults(func=cmd_serve_bench)
 

@@ -636,11 +636,12 @@ class OnTheFlyDecoder:
         config = self.config
         sink = self.sink
         tracing = self._tracing
+        epsilon = self._epsilon
         is_soa = isinstance(table, SoaTokenTable)
         if is_soa:
             worklist = table.epsilon_seeds(self._epsilon_flags)
         else:
-            worklist = [t for t in list(table) if self._epsilon[t.am_state]]
+            worklist = [t for t in list(table) if epsilon[t.am_state]]
         while worklist:
             token = worklist.pop()
             if not is_soa:
@@ -653,7 +654,7 @@ class OnTheFlyDecoder:
             if token.cost > threshold:
                 stats.beam_pruned += 1
                 continue
-            for ordinal, arc in self._epsilon[token.am_state]:
+            for ordinal, arc in epsilon[token.am_state]:
                 if tracing:
                     sink.on_arc_fetch(GraphSide.AM, token.am_state, ordinal)
                 stats.am_arc_fetches += 1
@@ -664,8 +665,7 @@ class OnTheFlyDecoder:
                     inserted = table.insert(
                         arc.nextstate, token.lm_state, base_cost, token.lattice_node
                     )
-                    dest_eps = self._epsilon[arc.nextstate]
-                    if inserted and dest_eps:
+                    if inserted and epsilon[arc.nextstate]:
                         worklist.append(table.tokens[(arc.nextstate, token.lm_state)])
                     continue
                 # Cross-word transition: transition in the LM too.
@@ -686,7 +686,7 @@ class OnTheFlyDecoder:
                 stats.token_writes += 1
                 stats.words_emitted += 1
                 inserted = table.insert(arc.nextstate, result.next_state, cost, node)
-                if inserted and self._epsilon[arc.nextstate]:
+                if inserted and epsilon[arc.nextstate]:
                     worklist.append(table.tokens[(arc.nextstate, result.next_state)])
 
     def _final_hypotheses(

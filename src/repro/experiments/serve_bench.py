@@ -54,7 +54,6 @@ def measure(
     request_timeout: float | None = None,
     payload: str = "scores",
     encoding: str = "list",
-    pipeline_scoring: bool = True,
 ) -> dict:
     """Run one load-generation pass against a live server.
 
@@ -68,13 +67,12 @@ def measure(
     transcripts must *still* match the reference bit-for-bit.
 
     ``payload="features"`` streams raw feature frames instead of
-    precomputed scores, so the *server* runs the acoustic model:
-    pipelined ahead of the search (``pipeline_scoring=True``) or
-    synchronously at dispatch (``False`` — the turn-taking baseline).
-    The small presets' GMM scorer is chunk-exact, so feature-streamed
-    transcripts with the exact ``list`` encoding still compare
-    bit-for-bit against the sequential reference; the compact
-    ``b64f32`` encoding quantizes, so only words are asserted there.
+    precomputed scores, so the *server* runs the acoustic model (at
+    dispatch).  The small presets' GMM scorer is chunk-exact, so
+    feature-streamed transcripts with the exact ``list`` encoding
+    still compare bit-for-bit against the sequential reference; the
+    compact ``b64f32`` encoding quantizes, so only words are asserted
+    there.
     """
     if preset not in PRESETS:
         raise ValueError(
@@ -127,7 +125,6 @@ def measure(
             request_timeout=request_timeout,
             payload=payload,
             encoding=encoding,
-            pipeline_scoring=pipeline_scoring,
         )
     )
 
@@ -166,7 +163,6 @@ def measure(
         "max_sessions": max_sessions or max(concurrency, 2),
         "max_queued_batches": max_queued_batches,
         "fuse_sessions": fuse_sessions,
-        "pipeline_scoring": pipeline_scoring,
         "matches_sequential": True,
         "drained": True,
         "kernel_calls": counters.get("kernel_calls", 0),
@@ -229,82 +225,6 @@ def measure_fusion(
         ),
         "fused_kernel_calls_per_batch": fused["kernel_calls_per_batch"],
         "unfused_kernel_calls_per_batch": unfused["kernel_calls_per_batch"],
-    }
-
-
-def measure_pipeline(
-    preset: str = "small",
-    concurrency: int = 8,
-    batch_frames: int = DEFAULT_BATCH_FRAMES,
-    seed: int | None = 1234,
-) -> dict:
-    """Pipelined vs score-at-dispatch serving of feature streams.
-
-    Runs the same seeded load twice at ``concurrency`` fused sessions,
-    every session streaming raw *feature* frames so the server owns
-    acoustic scoring:
-
-    * ``pipelined`` — the :class:`~repro.serve.scoring.ScoringService`
-      scores pushed batches on its own thread the moment they arrive,
-      FIFO across sessions, so the fused lockstep kernel finds scored
-      frames waiting at dispatch (AM scoring overlapped with search);
-    * ``sync`` — scoring happens at dispatch time on the engine
-      executor thread, strictly turn-taking with the search.
-
-    Both passes must reproduce the sequential reference transcripts
-    bit-for-bit (:func:`measure` enforces that).  The comparison
-    reports the frames/s speedup and the p95 time-to-first-partial
-    ratio the pipeline gates consume.  Like process fan-out, the
-    overlap needs a second CPU to show up on the clock — the gates
-    auto-skip on single-CPU hosts, the parity checks never do.
-    """
-    pipelined = measure(
-        preset=preset,
-        concurrency=concurrency,
-        batch_frames=batch_frames,
-        seed=seed,
-        payload="features",
-        pipeline_scoring=True,
-    )
-    sync = measure(
-        preset=preset,
-        concurrency=concurrency,
-        batch_frames=batch_frames,
-        seed=seed,
-        payload="features",
-        pipeline_scoring=False,
-    )
-
-    def ttfp_p95(report: dict):
-        return report["latency"]["first_partial_seconds"].get("p95")
-
-    sync_ttfp = ttfp_p95(sync)
-    pipelined_ttfp = ttfp_p95(pipelined)
-    return {
-        "preset": preset,
-        "cpus": _visible_cpus(),
-        "concurrency": concurrency,
-        "batch_frames": batch_frames,
-        "seed": seed,
-        "pipelined": pipelined,
-        "sync": sync,
-        "pipelined_frames_per_second": pipelined["frames_per_second"],
-        "sync_frames_per_second": sync["frames_per_second"],
-        "pipeline_speedup": round(
-            pipelined["frames_per_second"]
-            / max(sync["frames_per_second"], 1e-9),
-            3,
-        ),
-        "sync_ttfp_p95": sync_ttfp,
-        "pipelined_ttfp_p95": pipelined_ttfp,
-        "ttfp_p95_ratio": (
-            round(pipelined_ttfp / max(sync_ttfp, 1e-9), 3)
-            if pipelined_ttfp is not None and sync_ttfp is not None
-            else None
-        ),
-        "feature_batches_scored": (
-            pipelined["metrics"]["counters"].get("feature_batches_scored", 0)
-        ),
     }
 
 
@@ -574,7 +494,6 @@ async def _drive(
     request_timeout: float | None = None,
     payload: str = "scores",
     encoding: str = "list",
-    pipeline_scoring: bool = True,
 ):
     """Server up, load through, graceful drain down."""
     from repro.serve import ServeConfig, TcpClient, TranscriptionServer
@@ -589,7 +508,6 @@ async def _drive(
         engine_request_timeout_seconds=(
             request_timeout if request_timeout is not None else 30.0
         ),
-        pipeline_scoring=pipeline_scoring,
     )
     server = TranscriptionServer(
         bundle.task.am,
@@ -744,87 +662,6 @@ def check_fusion_report(
             notes.append(
                 f"fused kernel calls per batch {ratio} "
                 f"(unfused {comparison['unfused_kernel_calls_per_batch']})"
-            )
-    return failures, notes
-
-
-def check_pipeline_report(
-    comparison: dict,
-    fail_pipeline_speedup_below: float | None = None,
-    fail_ttfp_ratio_above: float | None = None,
-) -> tuple[list[str], list[str]]:
-    """Gates for a :func:`measure_pipeline` comparison.
-
-    * ``fail_pipeline_speedup_below`` — floor on pipelined/synchronous
-      frames per second at the comparison's fused feature-streaming
-      concurrency;
-    * ``fail_ttfp_ratio_above`` — ceiling on the pipelined/synchronous
-      p95 time-to-first-partial ratio (below 1.0 means the pipeline
-      delivered the first hypothesis sooner).
-
-    Both speed gates are skipped (with a note) when the harness saw a
-    single CPU: the scoring thread and the search then share one core
-    and genuinely cannot overlap, exactly like the shard-scaling gate.
-    Always checked: both passes' correctness invariants and that the
-    pipelined pass actually scored feature batches server-side.
-    """
-    failures: list[str] = []
-    notes: list[str] = []
-    for label in ("pipelined", "sync"):
-        sub_failures, _ = check_serve_report(comparison[label])
-        failures.extend(f"{label}: {line}" for line in sub_failures)
-    scored = comparison.get("feature_batches_scored", 0)
-    if scored < 1:
-        failures.append(
-            "pipelined pass scored no feature batches server-side — "
-            "the sessions streamed scores, not features"
-        )
-    else:
-        notes.append(f"{scored} feature batches scored server-side")
-    single_cpu = comparison["cpus"] < 2
-    if fail_pipeline_speedup_below is not None:
-        speedup = comparison["pipeline_speedup"]
-        if single_cpu:
-            notes.append(
-                f"pipeline speedup gate skipped: {comparison['cpus']} "
-                f"visible cpu(s); measured {speedup}x for the record"
-            )
-        elif speedup < fail_pipeline_speedup_below:
-            failures.append(
-                f"pipelined scoring speedup {speedup}x "
-                f"({comparison['sync_frames_per_second']} -> "
-                f"{comparison['pipelined_frames_per_second']} frames/s at "
-                f"{comparison['concurrency']} feature-streaming sessions) "
-                f"is below the {fail_pipeline_speedup_below}x floor"
-            )
-        else:
-            notes.append(
-                f"pipelined scoring speedup {speedup}x at "
-                f"{comparison['concurrency']} feature-streaming sessions"
-            )
-    if fail_ttfp_ratio_above is not None:
-        ratio = comparison["ttfp_p95_ratio"]
-        if ratio is None:
-            failures.append(
-                "no time-to-first-partial samples to gate the pipeline on"
-            )
-        elif single_cpu:
-            notes.append(
-                f"ttfp gate skipped: {comparison['cpus']} visible "
-                f"cpu(s); measured p95 ratio {ratio} for the record"
-            )
-        elif ratio > fail_ttfp_ratio_above:
-            failures.append(
-                f"pipelined p95 time-to-first-partial is {ratio}x the "
-                f"synchronous baseline "
-                f"({comparison['sync_ttfp_p95']:.4f}s -> "
-                f"{comparison['pipelined_ttfp_p95']:.4f}s), above the "
-                f"{fail_ttfp_ratio_above}x ceiling"
-            )
-        else:
-            notes.append(
-                f"pipelined p95 time-to-first-partial {ratio}x the "
-                f"synchronous baseline"
             )
     return failures, notes
 
@@ -1012,18 +849,6 @@ def _to_result(report: dict) -> ExperimentResult:
             f"({fusion['fusion_speedup']}x, "
             f"{fusion['fused_kernel_calls_per_batch']} kernel calls/batch)"
         )
-    pipeline = report.get("pipeline")
-    if pipeline:
-        ttfp = pipeline.get("ttfp_p95_ratio")
-        notes += (
-            f"; pipelined scoring at {pipeline['concurrency']} "
-            f"feature-streaming sessions: "
-            f"{pipeline['sync_frames_per_second']} -> "
-            f"{pipeline['pipelined_frames_per_second']} frames/s "
-            f"({pipeline['pipeline_speedup']}x"
-            + (f", ttfp p95 ratio {ttfp}" if ttfp is not None else "")
-            + ")"
-        )
     recovery = report.get("recovery")
     if recovery:
         migration = recovery.get("migration_seconds") or {}
@@ -1073,7 +898,6 @@ def write_bench_report(
     fusion_concurrency: int = 8,
     abort_fraction: float = 0.0,
     shards: int = 2,
-    pipeline_concurrency: int = 8,
     payload: str = "scores",
     encoding: str = "list",
 ) -> ExperimentResult:
@@ -1081,15 +905,12 @@ def write_bench_report(
 
     Besides the primary pass, the persisted report carries a
     ``fusion`` section (:func:`measure_fusion` at
-    ``fusion_concurrency`` in-process sessions), a ``pipeline``
-    section (:func:`measure_pipeline` — pipelined vs score-at-dispatch
-    serving of ``pipeline_concurrency`` fused feature streams), a
-    ``recovery`` section (:func:`measure_recovery` — a seeded worker
-    kill with checkpoint migration), and a ``sharding`` section
-    (:func:`measure_shards` — one vs ``shards`` shard processes over
-    one shared segment, with per-shard memory) so every serving gate
-    has its comparison on record.  ``shards=0`` skips that section;
-    ``pipeline_concurrency=0`` skips the pipeline one.
+    ``fusion_concurrency`` in-process sessions), a ``recovery`` section
+    (:func:`measure_recovery` — a seeded worker kill with checkpoint
+    migration), and a ``sharding`` section (:func:`measure_shards` —
+    one vs ``shards`` shard processes over one shared segment, with
+    per-shard memory) so every serving gate has its comparison on
+    record.  ``shards=0`` skips that section.
 
     ``payload``/``encoding`` pick what the primary pass streams
     (``scores`` exactly, or ``features`` for server-side scoring —
@@ -1113,13 +934,6 @@ def write_bench_report(
         batch_frames=batch_frames,
         seed=seed,
     )
-    if pipeline_concurrency >= 1:
-        report["pipeline"] = measure_pipeline(
-            preset=preset,
-            concurrency=pipeline_concurrency,
-            batch_frames=batch_frames,
-            seed=seed,
-        )
     report["recovery"] = measure_recovery(
         preset=preset,
         concurrency=concurrency,

@@ -150,7 +150,7 @@ class TcpClient:
         client has nowhere else to send the session.
 
         ``payload`` selects what FRAMES batches carry (``scores``, or
-        ``features`` for server-side pipelined scoring); ``encoding``
+        ``features`` for server-side scoring); ``encoding``
         selects the wire form (exact ``list`` or compact ``b64f32``).
         The server echoes the negotiated pair on STARTED and the
         session sends accordingly.

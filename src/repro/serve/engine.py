@@ -24,10 +24,12 @@ their frame batches.  Two implementations:
   copy-on-write inheritance, whose refcount churn quietly privatizes
   the inherited pages.
 
-Engines are synchronous; the scheduler calls them from executor
-threads sized to ``engine.workers``.  Every method is safe to call
-concurrently for *different* sessions; per-worker locks serialize the
-underlying pipes.
+Engines are synchronous.  The scheduler calls an engine that declares
+``in_process`` on the event loop's own thread (its calls hold the GIL
+throughout, so a thread would overlap nothing) and any other from
+dispatch threads sized to ``engine.workers``.  Every method is safe to
+call concurrently for *different* sessions; per-worker locks serialize
+the underlying pipes.
 
 Fault tolerance (:class:`ProcessEngine` only — a crashed in-process
 engine is a crashed server):
@@ -107,6 +109,10 @@ class InlineEngine:
     (:func:`repro.asr.streaming.push_sessions`).  Per-session results,
     partials and stats are bit-identical to unfused serving.
     """
+
+    #: Calls are pure in-process Python: nothing for a dispatch thread
+    #: to overlap, so the scheduler runs them on the event loop.
+    in_process = True
 
     def __init__(
         self,

@@ -157,7 +157,7 @@ async def run_load(
 
     ``payload="features"`` streams ``feature_matrices`` (required,
     aligned 1:1 with ``score_matrices``'s indices) and lets the server
-    run the acoustic model — the pipelined-scoring serving mode.  The
+    run the acoustic model.  The
     same seed replays the same arrival pattern either way, so a
     features run parity-asserts against a scores run.  ``encoding``
     picks the wire form (exact ``list`` or compact ``b64f32``).

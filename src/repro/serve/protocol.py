@@ -55,9 +55,9 @@ Two START-time negotiations widen that:
 
 * ``payload``: ``scores`` (default — the classic pre-scored protocol)
   or ``features``, where the client streams raw feature frames and the
-  *server* runs the acoustic model, pipelined ahead of the search
-  (:mod:`repro.am.pipeline`).  Feature batches ride in a ``features``
-  key of the same FRAMES message.
+  *server* runs the acoustic model when it dispatches the batch
+  (:mod:`repro.serve.scoring`).  Feature batches ride in a
+  ``features`` key of the same FRAMES message.
 * ``encoding``: ``list`` (default — exact float64 nested lists) or
   ``b64f32``, a compact base64 little-endian float32 block roughly 7x
   smaller on the wire.  float32 is lossy for float64 inputs (the

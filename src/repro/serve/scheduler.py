@@ -67,7 +67,8 @@ class SchedulerConfig:
     #: Hard wall-clock bound on one engine call as observed from the
     #: event loop (``None`` = unbounded).  The process engine has its
     #: own per-pipe-request timeout underneath; this one also covers
-    #: in-process engines.
+    #: in-process engines, whose calls then run on a dispatch thread so
+    #: the loop stays free to time them out.
     request_deadline_seconds: float | None = None
     #: Retries (beyond the first attempt) for *transient* engine
     #: errors — dead/hung workers mid-recovery, injected chaos.
@@ -225,10 +226,10 @@ class Scheduler:
         #: migrated session's id stays unique cluster-wide.
         self._id_prefix = session_id_prefix
         self._ids = iter(range(1, 1 << 62))
-        self._executor = ThreadPoolExecutor(
-            max_workers=engine.workers,
-            thread_name_prefix="serve-engine",
-        )
+        #: Dispatch threads, created by the first engine call that
+        #: needs one (:meth:`_run_engine`); an in-process engine
+        #: without a deadline never does.
+        self._executor: ThreadPoolExecutor | None = None
         # Pre-register the resilience counters so a healthy server's
         # ``status`` shows them at 0 instead of omitting them —
         # dashboards should not have to wait for the first fault to
@@ -295,9 +296,9 @@ class Scheduler:
         beyond the session's bound.
 
         ``scores`` is a score matrix or, for a ``features`` session, a
-        :class:`~repro.serve.scoring.ScoreHandle` already being scored
-        by the serving layer's pipeline; either counts against the
-        same ``max_queued_batches`` bound.
+        :class:`~repro.serve.scoring.ScoreHandle` the dispatch will
+        score; either counts against the same ``max_queued_batches``
+        bound.
         """
         if session.closed:
             raise Busy("session already closed")
@@ -372,9 +373,7 @@ class Scheduler:
         if session.inflight:
             raise Busy(f"session {session_id!r} is mid-decode")
         # Queued ScoreHandles are resolved to plain matrices here: the
-        # handle's scoring thread stays behind, the scores travel.
-        # Migration is rare, so blocking briefly on an in-flight score
-        # is acceptable where a per-dispatch block would not be.
+        # scores travel, the receiving shard needs no scorer.
         queued = [resolve_batch(batch) for batch in session.queue]
         self._queue_changed(-len(session.queue))
         session.queue.clear()
@@ -457,7 +456,8 @@ class Scheduler:
         if self._task is not None:
             await self._task
             self._task = None
-        self._executor.shutdown(wait=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
 
     # -- scheduler loop -----------------------------------------------------
 
@@ -467,13 +467,7 @@ class Scheduler:
             if not selected:
                 if self._stopping and not self._sessions:
                     break
-                try:
-                    await asyncio.wait_for(
-                        self._wake.wait(), timeout=IDLE_POLL_SECONDS
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    pass
-                self._wake.clear()
+                await self._park()
                 await self._evict_idle()
                 continue
             self.metrics.counter("decode_cycles").inc()
@@ -490,6 +484,23 @@ class Scheduler:
                 await asyncio.gather(
                     *(self._serve_one(session) for session in selected)
                 )
+
+    async def _park(self) -> None:
+        """Sleep until woken, at most ``IDLE_POLL_SECONDS``.
+
+        One timer handle that sets the wake event, cancelled on wake-up
+        — no task per idle wait (``asyncio.wait_for`` wraps its
+        argument in one every time the queues run dry).
+        """
+        if not self._wake.is_set():
+            timer = asyncio.get_running_loop().call_later(
+                IDLE_POLL_SECONDS, self._wake.set
+            )
+            try:
+                await self._wake.wait()
+            finally:
+                timer.cancel()
+        self._wake.clear()
 
     def _fuse_width(self) -> int:
         """How many sessions one engine dispatch may advance together."""
@@ -610,24 +621,23 @@ class Scheduler:
                 return value
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _push_resolved(self, session_id: str, batch):
-        """Engine push with the batch resolved to scores first.
+    def _resolve(self, batch) -> np.ndarray:
+        """A queued batch as scores, timing the acoustic model."""
+        if not isinstance(batch, ScoreHandle):
+            return batch
+        started = perf_counter()
+        scores = batch.result()
+        self.metrics.counter("feature_batches_scored").inc()
+        self.metrics.histogram("scoring_wait_seconds").observe(
+            perf_counter() - started
+        )
+        return scores
 
-        Runs on an engine executor thread, so a pipelined score still
-        in flight blocks the dispatch thread, never the event loop; a
-        synchronous-mode handle does its scoring right here (strict
-        turn-taking — the baseline the pipeline is measured against).
-        """
-        if isinstance(batch, ScoreHandle):
-            waited = perf_counter()
-            scores = batch.result()
-            self.metrics.counter("feature_batches_scored").inc()
-            self.metrics.histogram("scoring_wait_seconds").observe(
-                perf_counter() - waited
-            )
-        else:
-            scores = batch
-        return self.engine.push(session_id, scores)
+    def _push_resolved(self, session_id: str, batch):
+        """Engine push with the batch resolved to scores first: a
+        ``features`` batch is scored here, where the engine call runs
+        (:meth:`_run_engine`)."""
+        return self.engine.push(session_id, self._resolve(batch))
 
     def _push_many_resolved(self, items):
         """Fused engine push with every batch resolved first.
@@ -637,19 +647,12 @@ class Scheduler:
         batches one at a time and the cached handle error fails only
         the offending session.
         """
-        resolved = []
-        for session_id, batch in items:
-            if isinstance(batch, ScoreHandle):
-                waited = perf_counter()
-                scores = batch.result()
-                self.metrics.counter("feature_batches_scored").inc()
-                self.metrics.histogram("scoring_wait_seconds").observe(
-                    perf_counter() - waited
-                )
-            else:
-                scores = batch
-            resolved.append((session_id, scores))
-        return self.engine.push_many(resolved)
+        return self.engine.push_many(
+            [
+                (session_id, self._resolve(batch))
+                for session_id, batch in items
+            ]
+        )
 
     async def _decode_batch(self, session: Session) -> None:
         scores = session.queue.popleft()
@@ -705,6 +708,7 @@ class Scheduler:
             elapsed = perf_counter() - started
             self.metrics.counter("kernel_calls").inc()
             self.metrics.gauge("fused_sessions").set(len(sessions))
+            self.metrics.histogram("fused_width").observe(len(sessions))
             for session, scores, partial in zip(
                 sessions, batches, partials
             ):
@@ -792,6 +796,26 @@ class Scheduler:
     # -- plumbing -----------------------------------------------------------
 
     async def _run_engine(self, fn, *args):
+        """Run one engine call: here, or on a dispatch thread.
+
+        An in-process engine's calls are Python that holds the GIL from
+        start to finish, so a thread overlaps nothing and costs a
+        wake-up, a self-pipe round trip and a GIL hand-off per
+        dispatch: they run on the loop thread.  A thread is the point
+        for an engine whose calls block (worker pipes — they must
+        overlap across workers) and under a request deadline (the loop
+        must stay free to time the call out).
+        """
+        if (
+            getattr(self.engine, "in_process", False)
+            and self.config.request_deadline_seconds is None
+        ):
+            return fn(*args)
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.engine.workers,
+                thread_name_prefix="serve-engine",
+            )
         return await asyncio.get_running_loop().run_in_executor(
             self._executor, fn, *args
         )

@@ -2,53 +2,42 @@
 
 Sessions that negotiate the ``features`` payload stream raw feature
 frames and the *server* runs the acoustic model.  The engines stay
-score-typed — they only ever receive resolved score matrices — so this
-module's job is deciding *when* frames get scored:
+score-typed — they only ever receive resolved score matrices — and a
+feature batch is scored **at dispatch, where the engine call runs**:
+on the event loop for an in-process engine, on the dispatch thread
+otherwise.  Server-side scoring is under 2 % of a served frame, so
+scoring ahead of the search on a thread of its own only bought GIL
+hand-offs (DESIGN.md, "Serving threads").
 
-* **pipelined** (the default): one :class:`~repro.am.pipeline.
-  ScoringPipeline` worker thread scores batches FIFO across every
-  session the moment they are pushed.  By the time the scheduler
-  dispatches a batch its scores are usually already done, so acoustic
-  scoring overlaps the Viterbi search — the serving-side analogue of
-  the GPU scoring batch *N+1* while the accelerator decodes batch *N*
-  (Section 5.2), and of :class:`~repro.asr.parallel.DecodePool`'s
-  per-process pipeline.
-* **synchronous**: scoring happens at dispatch time, on the engine
-  executor thread, strictly turn-taking with the search.  This is the
-  measured baseline the pipeline's speedup gates compare against.
-
-Either way a push yields a :class:`ScoreHandle`; the scheduler queues
-handles exactly like score matrices and resolves them (off the event
-loop) just before the engine call.  Resolution is idempotent and
-caches both values and errors, so the fused dispatcher's
-replay-on-failure path re-resolves for free.
+A push yields a :class:`ScoreHandle`; the scheduler queues handles
+exactly like score matrices and resolves them just before the engine
+call.  Resolution is idempotent and caches both values and errors, so
+the fused dispatcher's replay-on-failure path re-resolves for free.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from repro.am.pipeline import ScoringError, ScoringPipeline
+from repro.am.pipeline import ScoringError
 
 
 class ScoreHandle:
     """One feature batch on its way to being a score batch.
 
     ``frames`` is known up front (one score row per feature frame), so
-    the scheduler can do its frame bookkeeping before resolution.
+    the scheduler can do its frame bookkeeping before resolution.  A
+    queued batch belongs to one session and a session is dispatched by
+    one engine call at a time, so a handle is never resolved from two
+    threads at once and carries no lock.
     """
 
-    __slots__ = ("frames", "_stream", "_scorer", "_features", "_lock",
-                 "_value", "_error")
+    __slots__ = ("frames", "_scorer", "_features", "_value", "_error")
 
-    def __init__(self, frames, stream=None, scorer=None, features=None):
+    def __init__(self, frames, scorer=None, features=None):
         self.frames = int(frames)
-        self._stream = stream
         self._scorer = scorer
         self._features = features
-        self._lock = threading.Lock()
         self._value: np.ndarray | None = None
         self._error: ScoringError | None = None
 
@@ -59,37 +48,27 @@ class ScoreHandle:
         return handle
 
     def result(self) -> np.ndarray:
-        """The score matrix; blocks until scoring completes.
+        """The score matrix; the first call runs the acoustic model.
 
-        In pipelined mode this waits on the scoring thread (usually a
-        no-op by dispatch time); in synchronous mode it scores right
-        here.  Failures surface as :class:`~repro.am.pipeline.
-        ScoringError` and are cached, so every resolver of the same
-        handle sees the same outcome.
+        Failures surface as :class:`~repro.am.pipeline.ScoringError`
+        and are cached, so every resolver of the same handle sees the
+        same outcome.
         """
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            if self._value is None:
-                try:
-                    if self._stream is not None:
-                        self._value = self._stream.result()
-                    else:
-                        self._value = np.asarray(
-                            self._scorer.score(self._features),
-                            dtype=np.float64,
-                        )
-                except ScoringError as exc:
-                    self._error = exc
-                    raise
-                except Exception as exc:
-                    self._error = ScoringError(
-                        f"acoustic scoring failed: {exc}"
-                    )
-                    self._error.__cause__ = exc
-                    raise self._error from exc
-                self._stream = self._scorer = self._features = None
-            return self._value
+        if self._error is not None:
+            raise self._error
+        if self._value is None:
+            try:
+                self._value = np.asarray(
+                    self._scorer.score(self._features), dtype=np.float64
+                )
+            except ScoringError as exc:
+                self._error = exc
+                raise
+            except Exception as exc:
+                self._error = ScoringError(f"acoustic scoring failed: {exc}")
+                raise self._error from exc
+            self._scorer = self._features = None
+        return self._value
 
 
 def resolve_batch(batch) -> np.ndarray:
@@ -107,57 +86,24 @@ def batch_frames(batch) -> int:
 
 
 class ScoringService:
-    """Score feature batches for the serving layer, one policy knob.
+    """Turn pushed feature batches into handles the scheduler queues."""
 
-    ``pipelined=True`` spins up a single shared scoring thread; pushes
-    from every session submit to it FIFO, so the scheduler interleaves
-    acoustic scoring across sessions while the engine searches.
-    ``pipelined=False`` defers scoring to dispatch time (the handle
-    scores when resolved) — the synchronous comparison arm.
-    """
-
-    def __init__(
-        self,
-        scorer,
-        pipelined: bool = True,
-        chunk_frames: int | None = None,
-    ) -> None:
+    def __init__(self, scorer) -> None:
         if scorer is None:
             raise ValueError("a ScoringService needs an acoustic scorer")
         self.scorer = scorer
-        self.pipelined = bool(pipelined)
-        self._pipeline = (
-            ScoringPipeline(scorer, chunk_frames=chunk_frames)
-            if self.pipelined
-            else None
-        )
-        #: Feature batches accepted so far (both modes).
-        self.submitted = 0
-
-    @property
-    def mode(self) -> str:
-        return "pipelined" if self.pipelined else "sync"
 
     def submit(self, features: np.ndarray) -> ScoreHandle:
-        """Accept one feature batch; scoring starts now (pipelined) or
-        at resolution (sync).  Zero-frame keep-alives skip the scorer
-        entirely and resolve to the ``(0, 0)`` wire form."""
+        """Accept one feature batch; it is scored when resolved.
+        Zero-frame keep-alives skip the scorer entirely and resolve to
+        the ``(0, 0)`` wire form."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(
                 f"feature batch must be 2-D, got shape {features.shape}"
             )
-        self.submitted += 1
         if features.shape[0] == 0:
             return ScoreHandle.resolved(np.zeros((0, 0)))
-        if self._pipeline is not None:
-            return ScoreHandle(
-                features.shape[0], stream=self._pipeline.submit(features)
-            )
         return ScoreHandle(
             features.shape[0], scorer=self.scorer, features=features
         )
-
-    def close(self) -> None:
-        if self._pipeline is not None:
-            self._pipeline.close()

@@ -75,14 +75,6 @@ class ServeConfig:
     #: Session-id prefix; a sharded deployment gives each shard its
     #: own so migrated session ids stay unique cluster-wide.
     session_id_prefix: str = "s"
-    #: ``features``-payload sessions only: score pushed feature batches
-    #: on a dedicated pipeline thread ahead of dispatch (True, the
-    #: default) or synchronously at dispatch time (False — the strict
-    #: turn-taking baseline the pipeline bench compares against).
-    pipeline_scoring: bool = True
-    #: Chunk granularity handed to the scoring pipeline; only
-    #: chunk-exact scorers are chunked (see :mod:`repro.am.pipeline`).
-    pipeline_chunk_frames: int | None = None
 
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(
@@ -158,17 +150,11 @@ class TranscriptionServer:
             )
         #: Serve-side acoustic scoring for ``features``-payload
         #: sessions.  Owned here, not by engines: engines keep their
-        #: score-matrix interface, the scheduler resolves handles just
-        #: before dispatch.  ``None`` (no scorer available) rejects the
-        #: ``features`` negotiation at START.
+        #: score-matrix interface, the scheduler resolves (scores)
+        #: handles at dispatch.  ``None`` (no scorer available) rejects
+        #: the ``features`` negotiation at START.
         self.scoring: ScoringService | None = (
-            ScoringService(
-                scorer,
-                pipelined=self.config.pipeline_scoring,
-                chunk_frames=self.config.pipeline_chunk_frames,
-            )
-            if scorer is not None
-            else None
+            ScoringService(scorer) if scorer is not None else None
         )
         self.scheduler = Scheduler(
             self.engine,
@@ -213,8 +199,6 @@ class TranscriptionServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self.engine.close()
-        if self.scoring is not None:
-            self.scoring.close()
 
     async def __aenter__(self) -> "TranscriptionServer":
         await self.start()
@@ -233,7 +217,7 @@ class TranscriptionServer:
             "draining": self.scheduler.draining,
             "active_sessions": self.scheduler.active_sessions,
             "breaker": self.scheduler.breaker.state,
-            "scoring": None if self.scoring is None else self.scoring.mode,
+            "scoring": None if self.scoring is None else "at-dispatch",
             "metrics": self.metrics.snapshot(),
         }
 
@@ -427,9 +411,6 @@ class TranscriptionServer:
                         features = protocol.payload_to_matrix(
                             message["features"]
                         )
-                        # Pipelined mode: scoring starts on the service
-                        # thread *now*, overlapping whatever the engine
-                        # is searching.
                         batch = self.scoring.submit(features)
                     else:
                         if "scores" not in message:
@@ -547,9 +528,8 @@ class InProcessSession:
 
         Applies the negotiated encoding's quantization (so a ``b64f32``
         in-process session decodes exactly what its TCP twin would)
-        and, on a ``features`` session, hands the batch to the server's
-        scoring service — in pipelined mode the scoring thread starts
-        on it immediately.
+        and, on a ``features`` session, wraps the batch in the handle
+        the dispatch will score.
         """
         matrix = np.asarray(matrix)
         if self._encoding != protocol.ENCODING_LIST:
@@ -583,7 +563,7 @@ class InProcessSession:
         await self._server.scheduler.cancel(self._session)
 
     def push_nowait(self, scores: np.ndarray) -> None:
-        """Queue one batch without waiting (pipelined pushes); partials
+        """Queue one batch without waiting (several in flight); partials
         arrive via :meth:`finish`'s collection or :attr:`partials`."""
         self._server.scheduler.push(self._session, self._submit(scores))
 

@@ -136,6 +136,11 @@ class TestFusedServing:
         assert unfused_ratio == 1.0
         assert fused_ratio < unfused_ratio
         assert fused_snap["gauges"]["fused_sessions"] >= 2
+        # The gauge holds the last dispatch only; the histogram carries
+        # the run's mean width, one observation per fused dispatch.
+        width = fused_snap["histograms"]["fused_width"]
+        assert width["mean"] > 1 and width["p95"] >= 2
+        assert "fused_width" not in unfused_snap["histograms"]
 
     def test_seeded_replay_is_deterministic(self, tiny_task, tiny_scores):
         first, _ = _serve(tiny_task, tiny_scores, fuse=True, seed=99)

@@ -1,12 +1,10 @@
-"""Feature-streaming serving: pipelined scoring end to end.
+"""Feature-streaming serving: server-side scoring end to end.
 
 Sessions that negotiate ``payload: features`` stream raw feature
-frames and the *server* runs the acoustic model — on the scoring
-pipeline's worker thread ahead of the scheduler (pipelined mode) or
-lazily at dispatch (sync mode).  Either way every final must be
-bit-identical to the classic pre-scored protocol, which itself matches
-sequential streaming; the compact ``b64f32`` encoding quantizes the
-wire matrices, so it asserts word parity only.
+frames and the *server* runs the acoustic model, at dispatch.  Every
+final must be bit-identical to the classic pre-scored protocol, which
+itself matches sequential streaming; the compact ``b64f32`` encoding
+quantizes the wire matrices, so it asserts word parity only.
 """
 
 import asyncio
@@ -55,11 +53,9 @@ async def stream_one(client, matrix, payload="features", encoding="list"):
 
 
 def stream_utterances(tiny_task, tiny_scorer, utterances, **kwargs):
-    overrides = kwargs.pop("server", {})
-
     async def scenario():
         async with make_server(
-            tiny_task, tiny_scorer, max_sessions=8, **overrides
+            tiny_task, tiny_scorer, max_sessions=8
         ) as server:
             client = server.connect_local()
             finals = await asyncio.gather(
@@ -74,37 +70,21 @@ def stream_utterances(tiny_task, tiny_scorer, utterances, **kwargs):
 
 
 class TestFeatureStreaming:
-    def test_pipelined_finals_match_sequential(
+    def test_sync_scoring_mode_matches_too(
         self, tiny_task, tiny_scorer, tiny_utterances, sequential_results
     ):
-        """Feature payloads through the pipelined scorer: every final
-        bit-equal to the sequential pre-scored pass."""
+        """Feature payloads scored at dispatch: every final bit-equal
+        to the sequential pre-scored pass."""
         finals, status = stream_utterances(
             tiny_task, tiny_scorer, tiny_utterances
         )
+        assert status["scoring"] == "at-dispatch"
         for final, want in zip(finals, sequential_results):
             assert final["words"] == want.words
             assert final["cost"] == want.cost
             assert final["frames"] == want.stats.frames
-        assert status["scoring"] == "pipelined"
         counters = status["metrics"]["counters"]
         assert counters["feature_batches_scored"] >= len(tiny_utterances)
-
-    def test_sync_scoring_mode_matches_too(
-        self, tiny_task, tiny_scorer, tiny_utterances, sequential_results
-    ):
-        """pipeline_scoring=False scores at dispatch on the executor
-        thread — the measured baseline, same transcripts."""
-        finals, status = stream_utterances(
-            tiny_task,
-            tiny_scorer,
-            tiny_utterances,
-            server={"pipeline_scoring": False},
-        )
-        assert status["scoring"] == "sync"
-        for final, want in zip(finals, sequential_results):
-            assert final["words"] == want.words
-            assert final["cost"] == want.cost
 
     def test_b64f32_features_preserve_words(
         self, tiny_task, tiny_scorer, tiny_utterances, sequential_results
@@ -239,47 +219,41 @@ class TestLoadgenPayloadKnob:
 
 
 class TestScoringService:
-    def test_sync_and_pipelined_agree_bitwise(
+    def test_scores_at_resolution_not_at_submit(
         self, tiny_scorer, tiny_utterances
     ):
+        calls = []
+
+        class Counting:
+            def score(self, features):
+                calls.append(features.shape)
+                return tiny_scorer.score(features)
+
         features = tiny_utterances[0].features
-        pipelined = ScoringService(tiny_scorer, pipelined=True)
-        sync = ScoringService(tiny_scorer, pipelined=False)
-        try:
-            a = pipelined.submit(features).result()
-            b = sync.submit(features).result()
-        finally:
-            pipelined.close()
-            sync.close()
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, tiny_scorer.score(features))
+        handle = ScoringService(Counting()).submit(features)
+        assert handle.frames == features.shape[0] and not calls
+        scores = handle.result()
+        assert handle.result() is scores and len(calls) == 1
+        assert np.array_equal(scores, tiny_scorer.score(features))
 
     def test_zero_frame_submission_short_circuits(self, tiny_scorer):
-        service = ScoringService(tiny_scorer, pipelined=True)
-        try:
-            handle = service.submit(np.zeros((0, 0)))
-            assert handle.result().shape == (0, 0)
-        finally:
-            service.close()
+        handle = ScoringService(tiny_scorer).submit(np.zeros((0, 0)))
+        assert handle.result().shape == (0, 0)
 
-    def test_resolution_error_is_cached(self, tiny_scorer, tiny_utterances):
+    def test_resolution_error_is_cached(self, tiny_utterances):
         class Failing:
-            chunk_exact = True
-            num_senones = tiny_scorer.num_senones
-
             def score(self, features):
                 raise RuntimeError("boom")
 
-        service = ScoringService(Failing(), pipelined=True)
-        try:
-            handle = service.submit(tiny_utterances[0].features)
-            with pytest.raises(ScoringError):
-                handle.result()
-            # Replay-on-failure re-resolves for free: same typed error.
-            with pytest.raises(ScoringError):
-                handle.result()
-        finally:
-            service.close()
+        handle = ScoringService(Failing()).submit(
+            tiny_utterances[0].features
+        )
+        with pytest.raises(ScoringError) as first:
+            handle.result()
+        # Replay-on-failure re-resolves for free: same typed error.
+        with pytest.raises(ScoringError) as second:
+            handle.result()
+        assert second.value is first.value
 
     def test_requires_a_scorer(self):
         with pytest.raises(ValueError):

@@ -59,26 +59,6 @@ section ``--serve``/``--serve-only`` put in ``BENCH_serve.json``.
 ``--serve-abort-fraction F`` makes a seeded fraction of load-generator
 sessions abandon their stream mid-utterance.
 
-Pipelined scoring has its own serving arm — the pipeline smoke::
-
-    PYTHONPATH=src python tools/perf_report.py --preset small --serve-pipeline \
-        --serve-pipeline-concurrency 8 --serve-seed 1234 \
-        --fail-pipeline-speedup-below 1.15 --fail-ttfp-ratio-above 1.0
-
-``--serve-pipeline`` runs
-:func:`repro.experiments.serve_bench.measure_pipeline` alone: the same
-seeded load streamed twice as *feature* payloads — once with the
-server's scoring pipeline on (scoring overlaps the fused search) and
-once scoring synchronously at dispatch — transcripts checked bit-exact
-against the sequential reference both times.
-``--fail-pipeline-speedup-below X`` floors pipelined/sync frames per
-second and ``--fail-ttfp-ratio-above R`` caps the pipelined/sync
-time-to-first-partial p95 ratio (``1.0`` requires TTFP to improve);
-both are skipped with a warning on single-CPU machines, where the
-scoring thread cannot overlap the search.  Both gates also apply to
-the ``pipeline`` section ``--serve``/``--serve-only`` put in
-``BENCH_serve.json``.
-
 Sharded serving has its own arm — the shard smoke::
 
     PYTHONPATH=src python tools/perf_report.py --preset small --serve-shard \
@@ -252,38 +232,6 @@ def main(argv: list[str] | None = None) -> int:
         "their stream mid-utterance",
     )
     parser.add_argument(
-        "--serve-pipeline",
-        action="store_true",
-        help="run the pipelined-scoring serving smoke alone: the same "
-        "seeded feature-streaming load with the scoring pipeline on "
-        "and off, transcripts must stay bit-exact",
-    )
-    parser.add_argument(
-        "--serve-pipeline-concurrency",
-        type=int,
-        default=8,
-        help="feature-streaming sessions in the pipelined-vs-sync "
-        "serving comparison (0 with --serve skips the pipeline section)",
-    )
-    parser.add_argument(
-        "--fail-pipeline-speedup-below",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit 1 if pipelined serving is below X times the "
-        "sync-scoring frames/s (skipped with a warning on single-CPU "
-        "machines)",
-    )
-    parser.add_argument(
-        "--fail-ttfp-ratio-above",
-        type=float,
-        default=None,
-        metavar="R",
-        help="exit 1 if the pipelined/sync time-to-first-partial p95 "
-        "ratio exceeds R (1.0 requires TTFP to improve; skipped with a "
-        "warning on single-CPU machines)",
-    )
-    parser.add_argument(
         "--serve-shard",
         action="store_true",
         help="run the sharded-serving smoke alone: seeded load through "
@@ -340,7 +288,6 @@ def main(argv: list[str] | None = None) -> int:
         args.serve_only
         or args.serve_chaos
         or args.serve_shard
-        or args.serve_pipeline
     ):
         from repro.experiments.perf_decode import (
             check_report,
@@ -372,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.serve or args.serve_only:
         from repro.experiments.serve_bench import (
             check_fusion_report,
-            check_pipeline_report,
             check_recovery_report,
             check_serve_report,
             check_shard_report,
@@ -390,7 +336,6 @@ def main(argv: list[str] | None = None) -> int:
             fusion_concurrency=args.serve_fusion_concurrency,
             abort_fraction=args.serve_abort_fraction,
             shards=args.serve_shards,
-            pipeline_concurrency=args.serve_pipeline_concurrency,
         )
         print(serve_result.render())
         print(f"\nwrote {args.serve_output}")
@@ -418,16 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         failures.extend(recovery_failures)
         notes.extend(recovery_notes)
-        if "pipeline" in serve_report:
-            pipeline_failures, pipeline_notes = check_pipeline_report(
-                serve_report["pipeline"],
-                fail_pipeline_speedup_below=(
-                    args.fail_pipeline_speedup_below
-                ),
-                fail_ttfp_ratio_above=args.fail_ttfp_ratio_above,
-            )
-            failures.extend(pipeline_failures)
-            notes.extend(pipeline_notes)
         if "sharding" in serve_report:
             shard_failures, shard_notes = check_shard_report(
                 serve_report["sharding"],
@@ -465,36 +400,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         failures.extend(recovery_failures)
         notes.extend(recovery_notes)
-    elif args.serve_pipeline:
-        from repro.experiments.serve_bench import (
-            check_pipeline_report,
-            measure_pipeline,
-        )
-
-        comparison = measure_pipeline(
-            preset=args.preset,
-            concurrency=args.serve_pipeline_concurrency,
-            batch_frames=args.serve_batch_frames,
-            seed=args.serve_seed,
-        )
-        print(
-            f"serve-pipeline: {comparison['concurrency']} "
-            f"feature-streaming sessions, "
-            f"{comparison['feature_batches_scored']} batches scored "
-            f"server-side; speedup {comparison['pipeline_speedup']}x "
-            f"({comparison['sync_frames_per_second']} -> "
-            f"{comparison['pipelined_frames_per_second']} frames/s), "
-            f"ttfp p95 {comparison['sync_ttfp_p95']:.4f}s -> "
-            f"{comparison['pipelined_ttfp_p95']:.4f}s "
-            f"(ratio {comparison['ttfp_p95_ratio']})"
-        )
-        pipeline_failures, pipeline_notes = check_pipeline_report(
-            comparison,
-            fail_pipeline_speedup_below=args.fail_pipeline_speedup_below,
-            fail_ttfp_ratio_above=args.fail_ttfp_ratio_above,
-        )
-        failures.extend(pipeline_failures)
-        notes.extend(pipeline_notes)
     elif args.serve_shard:
         from repro.experiments.serve_bench import (
             check_shard_report,
