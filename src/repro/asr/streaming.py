@@ -301,11 +301,11 @@ class StreamingSession:
                 best = int(np.argmin(cost_col))
                 best_cost = float(cost_col[best])
                 best_node = int(node_col[best])
-        else:
-            for token in table:
-                if token.cost < best_cost:
-                    best_cost = token.cost
-                    best_node = token.lattice_node
+        elif table.cost:
+            # ``min`` returns the first minimum too.
+            best = min(table.cost, key=table.cost.__getitem__)
+            best_cost = table.cost[best]
+            best_node = table.node[best]
         words = (
             [
                 self.decoder.lm.words.symbol_of(w)

@@ -1,9 +1,8 @@
-"""Structure-of-arrays arc storage for the vectorized decode hot loop.
+"""Structure-of-arrays arc storage for the decode hot loops.
 
-The scalar decoders walk per-state Python lists of ``Arc`` objects.
-That layout is convenient for the cycle-level simulation (every fetch
-is a discrete, traceable event) but hostile to bulk math: expanding a
-frame touches tens of thousands of Python objects.
+The graphs hold per-state Python lists of ``Arc`` objects.  That layout
+is hostile to bulk math: expanding a frame touches tens of thousands of
+Python objects.
 
 :class:`EmittingArcs` flattens a graph's *emitting* arcs (non-epsilon
 input label) into CSR-style numpy columns, built once per graph:
@@ -52,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.tokens import KEY_SHIFT
 from repro.wfst.fst import EPSILON, Arc
 
 
@@ -152,29 +152,37 @@ class EmittingArcs:
     def num_arcs(self) -> int:
         return int(self.ilabel.shape[0])
 
-    def to_arc_lists(self) -> list[list[tuple[int, "Arc"]]]:
-        """Per-state ``(ordinal, Arc)`` lists, as the scalar loop walks them.
+    def scalar_rows(
+        self, dest_has_epsilon: list[bool]
+    ) -> list[list[tuple[int, float, int, int, bool]]]:
+        """Per state, its arcs as the scalar frame body walks them:
+        ``(ordinal, weight, score_index, key_delta, dest_has_epsilon)``.
 
-        The inverse of :meth:`from_fst` for everything the scalar
-        emitting expansion reads (ilabel / weight / nextstate / ordinal);
-        output labels are not stored in the CSR columns, so the rebuilt
-        arcs carry epsilon outputs — exact under ``pure_emitting``, and
-        immaterial otherwise because the expansion never reads them.
-        Lets a decoder built from prebuilt tables (a shared-memory
-        attach) serve the scalar reference path without the graph.
+        An emitting arc leaves the LM side alone, so it moves a
+        :func:`~repro.core.tokens.pack_key` key by a constant —
+        ``key_delta``; the last field says whether the destination AM
+        state has epsilon arcs (the token arriving there seeds the
+        frame's epsilon phase).  Native values throughout, built from
+        the CSR columns alone, so a shared-memory attach serves the
+        scalar regime without the graph.
         """
-        num_states = self.offsets.shape[0] - 1
         offsets = self.offsets.tolist()
-        ilabels = self.ilabel.tolist()
-        weights = self.weight.tolist()
         nextstates = self.nextstate.tolist()
-        ordinals = self.ordinal.tolist()
+        rows = list(
+            zip(
+                self.ordinal.tolist(),
+                self.weight.tolist(),
+                self.score_index.tolist(),
+                nextstates,
+                [dest_has_epsilon[dest] for dest in nextstates],
+            )
+        )
         return [
             [
-                (ordinals[i], Arc(ilabels[i], EPSILON, weights[i], nextstates[i]))
-                for i in range(offsets[s], offsets[s + 1])
+                (ordinal, weight, column, (dest - state) << KEY_SHIFT, seeds)
+                for ordinal, weight, column, dest, seeds in rows[lo:hi]
             ]
-            for s in range(num_states)
+            for state, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))
         ]
 
     def counts(self, states: np.ndarray) -> np.ndarray:
@@ -254,36 +262,20 @@ class EpsilonArcs:
     def num_arcs(self) -> int:
         return int(self.olabel.shape[0])
 
-    def to_arc_lists(self) -> list[list[tuple[int, "Arc"]]]:
-        """Per-state ``(ordinal, Arc)`` lists for the scalar epsilon phase.
-
-        Epsilon arcs have epsilon inputs by definition, and the columns
-        keep every field the phase reads (olabel / weight / nextstate /
-        ordinal), so the reconstruction is exact.
-        """
-        num_states = self.offsets.shape[0] - 1
-        offsets = self.offsets.tolist()
-        olabels = self.olabel.tolist()
-        weights = self.weight.tolist()
-        nextstates = self.nextstate.tolist()
-        ordinals = self.ordinal.tolist()
-        return [
-            [
-                (ordinals[i], Arc(EPSILON, olabels[i], weights[i], nextstates[i]))
-                for i in range(offsets[s], offsets[s + 1])
-            ]
-            for s in range(num_states)
-        ]
-
-    def fanout(self) -> list[tuple[tuple[int, float, int], ...]]:
-        """Per state, its arcs as native ``(olabel, weight, nextstate)``
-        tuples in CSR order (``()`` for a state without epsilon arcs)."""
+    def fanout(self) -> list[tuple[tuple[int, float, int, int, bool], ...]]:
+        """Per state, its arcs as native ``(olabel, weight, nextstate,
+        ordinal, dest_has_epsilon)`` tuples in CSR order (``()`` for a
+        state without epsilon arcs).  The last field says whether the
+        token arriving at ``nextstate`` joins the scalar phase's
+        worklist; the batched phase reads the first three."""
         offsets = self.offsets.tolist()
         arcs = list(
             zip(
                 self.olabel.tolist(),
                 self.weight.tolist(),
                 self.nextstate.tolist(),
+                self.ordinal.tolist(),
+                self.has_arcs[self.nextstate].tolist(),
             )
         )
         return [

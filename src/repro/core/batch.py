@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.arcs import plan_recombination, stable_cost_order
-from repro.core.beam import prune
+from repro.core.beam import prune_items
 from repro.core.tokens import SoaTokenTable, TokenTable
 from repro.wfst.fst import EPSILON
 
@@ -85,7 +85,7 @@ class BatchSegment:
     streaming session — can be stepped.  ``table`` is a
     :class:`TokenTable` after a scalar frame and a
     :class:`SoaTokenTable` after a vectorized one; both regimes read
-    either (``columns``/``survivors``/``best_cost``).
+    either (``columns``/``survivor_items``/``best_cost``).
     """
 
     __slots__ = ("table", "lattice", "stats", "lookup", "frame")
@@ -238,31 +238,36 @@ def _step_one(
     beam_config = decoder._beam_config
     mark = perf_counter() if phases is not None else 0.0
     if scalar:
-        survivors, pruned = prune(seg.table, beam_config)
+        survivors, pruned = prune_items(seg.table, beam_config)
         num_survivors = len(survivors)
-        next_table: TokenTable | SoaTokenTable = TokenTable()
         # Plain-list scores: per-element numpy indexing would dominate
         # the token loop.
-        expansions = decoder._expand_emitting_scalar(
-            survivors, row.tolist(), next_table
+        next_table, expansions, seeds = decoder._expand_emitting_scalar(
+            survivors, row.tolist()
         )
-        epsilon_phase = decoder._epsilon_phase
     else:
         next_table, num_survivors, expansions, pruned = (
             decoder._expand_frame_vectorized(seg.table, row, beam_config)
-        )
-        epsilon_phase = (
-            decoder._epsilon_phase_batched
-            if decoder._epsilon_batchable()
-            else decoder._epsilon_phase
         )
     if phases is not None:
         phases["expand"] += perf_counter() - mark
     marks = _begin_epsilon(seg, num_survivors, expansions, pruned)
     mark = perf_counter() if phases is not None else 0.0
-    epsilon_phase(
-        next_table, seg.frame, seg.lattice, seg.stats, beam_config, seg.lookup
-    )
+    if not scalar:
+        epsilon_phase = (
+            decoder._epsilon_phase_batched
+            if decoder._epsilon_batchable()
+            else decoder._epsilon_phase
+        )
+        epsilon_phase(
+            next_table, seg.frame, seg.lattice, seg.stats, beam_config,
+            seg.lookup,
+        )
+    elif seeds:  # else nobody reached a state with epsilon arcs
+        decoder._epsilon_scalar(
+            next_table, seeds, seg.frame, seg.lattice, seg.stats,
+            beam_config, seg.lookup,
+        )
     if phases is not None:
         phases["epsilon"] += perf_counter() - mark
     _end_frame(decoder, seg, next_table, marks)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from repro.core.tokens import Token, TokenTable
+from repro.core.tokens import SoaTokenTable, Token, TokenTable
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,12 @@ class BeamConfig:
             raise ValueError("max_active must be >= 0")
 
 
-def prune(table: TokenTable, config: BeamConfig) -> tuple[list[Token], int]:
-    """Select the tokens to expand this frame.
+def prune_items(
+    table: TokenTable | SoaTokenTable, config: BeamConfig
+) -> tuple[list[tuple[int, float, int]], int]:
+    """Select the tokens to expand this frame, as the scalar frame body
+    reads them: ``(key, cost, lattice_node)`` with
+    :func:`~repro.core.tokens.pack_key` keys.
 
     Returns:
         (survivors, pruned_count).
@@ -44,13 +49,19 @@ def prune(table: TokenTable, config: BeamConfig) -> tuple[list[Token], int]:
     total = len(table)
     if total == 0:
         return [], 0
-    threshold = table.best_cost + config.beam
-    survivors = table.survivors(threshold)
+    survivors = table.survivor_items(table.best_cost + config.beam)
     if config.max_active and len(survivors) > config.max_active:
         survivors = heapq.nsmallest(
-            config.max_active, survivors, key=lambda t: t.cost
+            config.max_active, survivors, key=itemgetter(1)
         )
     return survivors, total - len(survivors)
+
+
+def prune(table: TokenTable, config: BeamConfig) -> tuple[list[Token], int]:
+    """:func:`prune_items`, as :class:`Token` views of ``table``."""
+    survivors, pruned = prune_items(table, config)
+    view = table.tokens.view
+    return [view(key) for key, _, _ in survivors], pruned
 
 
 def frame_threshold(table: TokenTable, config: BeamConfig) -> float:

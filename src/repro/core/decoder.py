@@ -30,7 +30,13 @@ from repro.core.batch import BatchSegment, advance_segments
 from repro.core.beam import BeamConfig
 from repro.core.composition import LmLookup, LookupStats, LookupStrategy
 from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES, WordLattice
-from repro.core.tokens import SoaTokenTable, TokenTable
+from repro.core.tokens import (
+    KEY_LM_MASK,
+    KEY_SHIFT,
+    SoaTokenTable,
+    TokenTable,
+    unpack_key,
+)
 from repro.core.trace import GraphSide, NullSink, TraceSink
 from repro.lm.graph import LmGraph
 from repro.wfst.fst import EPSILON
@@ -221,40 +227,18 @@ class OnTheFlyDecoder:
             expansion_cache_states=self.config.expansion_cache_states,
             word_arcs=tables.lm_word_arcs if tables is not None else None,
         )
+        # CSR columns: what the numpy kernels gather from, and what the
+        # scalar body's per-state rows are built from on its first frame
+        # (private to the process even when the columns are shared
+        # memory; see DESIGN.md, "Frame-step regimes", for their size).
         if tables is None:
-            # Dense per-state arc views for the scalar hot loop, plus
-            # CSR columns for the vectorized emitting expansion and the
-            # batched epsilon phase.
-            fst = am.fst
-            self._scalar_emitting = [
-                [
-                    (i, a)
-                    for i, a in enumerate(fst.out_arcs(s))
-                    if a.ilabel != EPSILON
-                ]
-                for s in fst.states()
-            ]
-            self._scalar_epsilon = [
-                [
-                    (i, a)
-                    for i, a in enumerate(fst.out_arcs(s))
-                    if a.ilabel == EPSILON
-                ]
-                for s in fst.states()
-            ]
-            self._arcs = EmittingArcs.from_fst(fst)
-            self._eps_arcs = EpsilonArcs.from_fst(fst)
+            self._arcs = EmittingArcs.from_fst(am.fst)
+            self._eps_arcs = EpsilonArcs.from_fst(am.fst)
             self._lm_final_w = np.array(
                 [lm.fst.final_weight(s) for s in lm.fst.states()],
                 dtype=np.float64,
             )
         else:
-            # Prebuilt (typically shared-memory) columns: the scalar
-            # per-state views rebuild from them on the first scalar
-            # frame (private to the process; see DESIGN.md, "Frame-step
-            # regimes", for their size).
-            self._scalar_emitting = None
-            self._scalar_epsilon = None
             self._arcs = tables.emitting
             self._eps_arcs = tables.epsilon
             self._lm_final_w = tables.lm_final_weights
@@ -283,27 +267,19 @@ class OnTheFlyDecoder:
         #: commit; its seed selection and gather are the remainder).
         self.last_phase_seconds: dict[str, float] | None = None
 
-    @property
-    def _emitting(self) -> list:
-        lists = self._scalar_emitting
-        if lists is None:
-            lists = self._arcs.to_arc_lists()
-            self._scalar_emitting = lists
-        return lists
-
-    @property
-    def _epsilon(self) -> list:
-        lists = self._scalar_epsilon
-        if lists is None:
-            lists = self._eps_arcs.to_arc_lists()
-            self._scalar_epsilon = lists
-        return lists
+    @cached_property
+    def _emitting_rows(self) -> list[list[tuple[int, float, int, int, bool]]]:
+        """Per AM state, its emitting arcs as the scalar body walks them
+        (:meth:`EmittingArcs.scalar_rows`; built on its first frame)."""
+        return self._arcs.scalar_rows(self._eps_arcs.has_arcs.tolist())
 
     @cached_property
-    def _epsilon_fanout(self) -> list[tuple[tuple[int, float, int], ...]]:
-        """Per AM state, its epsilon arcs as ``(olabel, weight, nextstate)``
-        tuples — what the batched epsilon phase fans its seeds out from
-        (built on its first frame)."""
+    def _epsilon_fanout(
+        self,
+    ) -> list[tuple[tuple[int, float, int, int, bool], ...]]:
+        """Per AM state, its epsilon arcs as ``(olabel, weight, nextstate,
+        ordinal, dest_has_epsilon)`` tuples — what both epsilon phases
+        fan their seeds out from (built on the first one's first frame)."""
         return self._eps_arcs.fanout()
 
     def _trace_state(self, am_state: int, lm_state: int) -> int:
@@ -350,44 +326,68 @@ class OnTheFlyDecoder:
 
     def _expand_emitting_scalar(
         self,
-        survivors: list,
+        survivors: list[tuple[int, float, int]],
         frame_scores: list[float],
-        next_table: TokenTable,
-    ) -> int:
+    ) -> tuple[TokenTable, int, list[int]]:
         """One frame's emitting expansion, token by token.
 
         The reference path: every frame under a TraceSink (exact
         per-event ordering) or a scalar config, and any frame whose
         frontier is too small to pay for the numpy kernels' dispatch.
+        ``survivors`` are :func:`~repro.core.beam.prune_items` triples;
+        Viterbi recombination (:meth:`TokenTable.insert`'s) runs inline
+        on the new table's two dicts.
+
+        Returns (next_table, frame_expansions, epsilon_seeds): the
+        seeds are the keys of the new table whose AM state has epsilon
+        arcs, collected at first insertion — which, the table having
+        started empty, is table order.
         """
-        sink = self.sink
-        tracing = self._tracing
-        side = self._trace_side
-        emitting = self._emitting
-        scale = self.config.acoustic_scale
-        insert = next_table.insert
-        frame_expansions = 0
-        for token in survivors:
-            am_state = token.am_state
-            lm_state = token.lm_state
-            token_cost = token.cost
-            lattice_node = token.lattice_node
-            if tracing:
+        rows = self._emitting_rows
+        if self._tracing:
+            # The events depend on the survivors alone and nothing else
+            # reports during the expansion: told up front, they arrive
+            # in the order the loop below would have raised them.
+            sink = self.sink
+            side = self._trace_side
+            for key, _, _ in survivors:
+                am_state, lm_state = unpack_key(key)
                 fetched = self._trace_state(am_state, lm_state)
                 sink.on_state_fetch(side, fetched)
                 sink.on_token_hash_access(am_state, lm_state)
-            arcs = emitting[am_state]
+                for arc in rows[am_state]:
+                    sink.on_arc_fetch(side, fetched, arc[0])
+        scale = self.config.acoustic_scale
+        next_table = TokenTable()
+        cost_of = next_table.cost
+        node_of = next_table.node
+        get = cost_of.get
+        best = math.inf
+        improvements = frame_expansions = 0
+        seeds: list[int] = []
+        for key, token_cost, lattice_node in survivors:
+            arcs = rows[key >> KEY_SHIFT]
             frame_expansions += len(arcs)
-            for ordinal, arc in arcs:
-                if tracing:
-                    sink.on_arc_fetch(side, fetched, ordinal)
-                cost = (
-                    token_cost
-                    + arc.weight
-                    - scale * frame_scores[arc.ilabel - 1]
-                )
-                insert(arc.nextstate, lm_state, cost, lattice_node)
-        return frame_expansions
+            for _, weight, column, key_delta, dest_seeds in arcs:
+                cost = token_cost + weight - scale * frame_scores[column]
+                dest = key + key_delta
+                existing = get(dest)
+                if existing is None:
+                    if dest_seeds:
+                        seeds.append(dest)
+                elif cost < existing:
+                    improvements += 1
+                else:
+                    continue
+                cost_of[dest] = cost
+                node_of[dest] = lattice_node
+                if cost < best:
+                    best = cost
+        next_table.best_cost = best
+        next_table.inserts = inserts = len(cost_of)
+        next_table.improvements = improvements
+        next_table.recombinations = frame_expansions - inserts - improvements
+        return next_table, frame_expansions, seeds
 
     def _expand_frame_vectorized(
         self,
@@ -551,7 +551,7 @@ class OnTheFlyDecoder:
             if cost > threshold:
                 beam_pruned += 1
                 continue
-            for olabel, weight, nextstate in fanout[am_state]:
+            for olabel, weight, nextstate, _, _ in fanout[am_state]:
                 pairs.append((lm_state, olabel, cost, weight, nextstate, node))
         num_pairs = len(pairs)
         stats.beam_pruned += beam_pruned
@@ -619,103 +619,136 @@ class OnTheFlyDecoder:
 
     def _epsilon_phase(
         self,
-        table: TokenTable,
+        table: TokenTable | SoaTokenTable,
         frame: int,
         lattice: WordLattice,
         stats: DecoderStats,
         beam_config: BeamConfig,
         lookup: LmLookup | None = None,
     ) -> None:
+        """The scalar epsilon phase over any table, seeds found by scan.
+
+        For a frontier no scalar expansion produced: the bulk expansion
+        of a decoder the batched phase cannot serve
+        (:meth:`_epsilon_batchable`).  Its table steps through a
+        :class:`TokenTable` copy.
+        """
+        scalar = table.to_scalar() if isinstance(table, SoaTokenTable) else table
+        fanout = self._epsilon_fanout
+        seeds = [key for key in scalar.cost if fanout[key >> KEY_SHIFT]]
+        if seeds:
+            self._epsilon_scalar(
+                scalar, seeds, frame, lattice, stats, beam_config,
+                lookup if lookup is not None else self.lookup,
+            )
+            if scalar is not table:
+                table.adopt(scalar)
+
+    def _epsilon_scalar(
+        self,
+        table: TokenTable,
+        worklist: list[int],
+        frame: int,
+        lattice: WordLattice,
+        stats: DecoderStats,
+        beam_config: BeamConfig,
+        lookup: LmLookup,
+    ) -> None:
         """Propagate tokens across non-emitting arcs within the frame.
 
         Cross-word arcs trigger the on-the-fly LM transition; this is
-        where the composition actually happens.
+        where the composition actually happens.  ``worklist`` holds the
+        keys of the tokens at AM states with epsilon arcs, in table
+        order (consumed; arrivals at such states join it), and a
+        token's cost and lattice node are read when it is popped — an
+        improvement since it was listed is seen.
         """
-        if lookup is None:
-            lookup = self.lookup
-        config = self.config
         sink = self.sink
         tracing = self._tracing
-        epsilon = self._epsilon
-        is_soa = isinstance(table, SoaTokenTable)
-        if is_soa:
-            worklist = table.epsilon_seeds(self._epsilon_flags)
-        else:
-            worklist = [t for t in list(table) if epsilon[t.am_state]]
+        fanout = self._epsilon_fanout
+        preemptive = self.config.preemptive_pruning
+        resolve = lookup.resolve
+        beam = beam_config.beam
+        cost_of = table.cost
+        node_of = table.node
+        get = cost_of.get
+        best = table.best_cost
+        beam_pruned = expansions = preemptive_pruned = words = 0
+        improvements = recombinations = 0
         while worklist:
-            token = worklist.pop()
-            if not is_soa:
-                # Improvements mutate the live token in place, so this
-                # is a no-op identity check kept on the reference path.
-                live = table.tokens.get((token.am_state, token.lm_state))
-                if live is not token:  # superseded by a better token
-                    continue
-            threshold = table.best_cost + beam_config.beam
-            if token.cost > threshold:
-                stats.beam_pruned += 1
+            key = worklist.pop()
+            token_cost = cost_of[key]
+            threshold = best + beam
+            if token_cost > threshold:
+                beam_pruned += 1
                 continue
-            for ordinal, arc in epsilon[token.am_state]:
+            am_state = key >> KEY_SHIFT
+            lm_state = key & KEY_LM_MASK
+            token_node = node_of[key]
+            arcs = fanout[am_state]
+            expansions += len(arcs)
+            for olabel, weight, nextstate, ordinal, dest_seeds in arcs:
                 if tracing:
-                    sink.on_arc_fetch(GraphSide.AM, token.am_state, ordinal)
-                stats.am_arc_fetches += 1
-                stats.expansions += 1
-                base_cost = token.cost + arc.weight
-                if arc.olabel == EPSILON:
+                    sink.on_arc_fetch(GraphSide.AM, am_state, ordinal)
+                cost = token_cost + weight
+                if olabel == EPSILON:
                     # Silence (or other non-word) epsilon arc.
-                    inserted = table.insert(
-                        arc.nextstate, token.lm_state, base_cost, token.lattice_node
+                    node = token_node
+                    dest = nextstate << KEY_SHIFT | lm_state
+                else:
+                    # Cross-word transition: transition in the LM too.
+                    result = resolve(
+                        lm_state,
+                        olabel,
+                        entry_cost=cost,
+                        threshold=threshold,
+                        preemptive=preemptive,
                     )
-                    if inserted and epsilon[arc.nextstate]:
-                        worklist.append(table.tokens[(arc.nextstate, token.lm_state)])
-                    continue
-                # Cross-word transition: transition in the LM too.
-                result = lookup.resolve(
-                    token.lm_state,
-                    arc.olabel,
-                    entry_cost=base_cost,
-                    threshold=threshold,
-                    preemptive=config.preemptive_pruning,
-                )
-                if result.pruned:
-                    stats.preemptive_pruned += 1
-                    continue
-                cost = base_cost + result.weight
-                node = lattice.add(arc.olabel, frame, cost, token.lattice_node)
-                if tracing:
-                    sink.on_token_write(self._lattice_record)
-                stats.token_writes += 1
-                stats.words_emitted += 1
-                inserted = table.insert(arc.nextstate, result.next_state, cost, node)
-                if inserted and epsilon[arc.nextstate]:
-                    worklist.append(table.tokens[(arc.nextstate, result.next_state)])
+                    if result.pruned:
+                        preemptive_pruned += 1
+                        continue
+                    cost += result.weight
+                    node = lattice.add(olabel, frame, cost, token_node)
+                    if tracing:
+                        sink.on_token_write(self._lattice_record)
+                    words += 1
+                    dest = nextstate << KEY_SHIFT | result.next_state
+                existing = get(dest)
+                if existing is not None:
+                    if cost < existing:
+                        improvements += 1
+                    else:
+                        recombinations += 1
+                        continue
+                cost_of[dest] = cost
+                node_of[dest] = node
+                if cost < best:
+                    best = cost
+                if dest_seeds:
+                    worklist.append(dest)
+        table.best_cost = best
+        table.inserts = len(cost_of)
+        table.improvements += improvements
+        table.recombinations += recombinations
+        stats.beam_pruned += beam_pruned
+        stats.am_arc_fetches += expansions
+        stats.expansions += expansions
+        stats.preemptive_pruned += preemptive_pruned
+        stats.token_writes += words
+        stats.words_emitted += words
 
     def _final_hypotheses(
         self, table: TokenTable | SoaTokenTable
     ) -> list[tuple[float, int]]:
         """(total cost, lattice node) of every token that can end the
         utterance: at the word-boundary state, in a final LM state."""
-        if isinstance(table, SoaTokenTable):
-            # Same totals as the scalar loop, without materializing the
-            # final frontier token by token.
-            am_col, lm_col, cost_col, node_col = table.columns()
-            at_loop = np.flatnonzero(am_col == self.am.loop_state)
-            totals = cost_col[at_loop] + self._lm_final_w[lm_col[at_loop]]
-            finite = np.isfinite(totals)
-            return list(
-                zip(
-                    totals[finite].tolist(),
-                    node_col[at_loop][finite].tolist(),
-                )
-            )
-        finals = []
-        for token in table:
-            if token.am_state != self.am.loop_state:
-                continue  # mid-word hypotheses cannot end the utterance
-            final = self.lm.fst.final_weight(token.lm_state)
-            total = token.cost + final
-            if math.isfinite(total):
-                finals.append((total, token.lattice_node))
-        return finals
+        am_col, lm_col, cost_col, node_col = table.columns()
+        at_loop = np.flatnonzero(am_col == self.am.loop_state)
+        totals = cost_col[at_loop] + self._lm_final_w[lm_col[at_loop]]
+        finite = np.isfinite(totals)
+        return list(
+            zip(totals[finite].tolist(), node_col[at_loop][finite].tolist())
+        )
 
     def _finalize(
         self, table: TokenTable, lattice: WordLattice, stats: DecoderStats

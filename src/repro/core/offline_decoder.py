@@ -38,7 +38,12 @@ from repro.core.beam import BeamConfig
 from repro.core.composition import LmLookup, LookupStrategy
 from repro.core.decoder import DecoderConfig, DecoderStats, OnTheFlyDecoder
 from repro.core.lattice import WordLattice
-from repro.core.tokens import SoaTokenTable, TokenTable
+from repro.core.tokens import (
+    KEY_LM_MASK,
+    KEY_SHIFT,
+    SoaTokenTable,
+    TokenTable,
+)
 from repro.core.trace import GraphSide, TraceSink
 from repro.core.virtual import VirtualComposedGraph
 from repro.wfst.fst import EPSILON
@@ -107,14 +112,15 @@ class FullyComposedDecoder(OnTheFlyDecoder):
             result.pruned,
         )
 
-    def _epsilon_phase(
+    def _epsilon_scalar(
         self,
-        table: TokenTable | SoaTokenTable,
+        table: TokenTable,
+        worklist: list[int],
         frame: int,
         lattice: WordLattice,
         stats: DecoderStats,
         beam_config: BeamConfig,
-        lookup: LmLookup | None = None,
+        lookup: LmLookup,
     ) -> None:
         """The scalar epsilon phase over composed arcs.
 
@@ -125,39 +131,64 @@ class FullyComposedDecoder(OnTheFlyDecoder):
         compose = self._composer.resolve
         sink = self.sink
         tracing = self._tracing
-        epsilon = self._epsilon
-        if isinstance(table, SoaTokenTable):
-            worklist = table.epsilon_seeds(self._epsilon_flags)
-        else:
-            worklist = [t for t in list(table) if epsilon[t.am_state]]
+        fanout = self._epsilon_fanout
+        beam = beam_config.beam
+        cost_of = table.cost
+        node_of = table.node
+        get = cost_of.get
+        best = table.best_cost
+        beam_pruned = expansions = words = 0
+        improvements = recombinations = 0
         while worklist:
-            token = worklist.pop()
-            if token.cost > table.best_cost + beam_config.beam:
-                stats.beam_pruned += 1
+            key = worklist.pop()
+            token_cost = cost_of[key]
+            if token_cost > best + beam:
+                beam_pruned += 1
                 continue
+            am_state = key >> KEY_SHIFT
+            token_lm = key & KEY_LM_MASK
+            token_node = node_of[key]
             if tracing:
-                fetched = self._trace_state(token.am_state, token.lm_state)
-            for ordinal, arc in epsilon[token.am_state]:
+                fetched = self._trace_state(am_state, token_lm)
+            arcs = fanout[am_state]
+            expansions += len(arcs)
+            for olabel, weight, nextstate, ordinal, dest_seeds in arcs:
                 if tracing:
                     sink.on_arc_fetch(GraphSide.COMPOSED, fetched, ordinal)
-                stats.am_arc_fetches += 1
-                stats.expansions += 1
-                lm_state = token.lm_state
-                node = token.lattice_node
-                if arc.olabel == EPSILON:
-                    cost = token.cost + arc.weight
+                if olabel == EPSILON:
+                    cost = token_cost + weight
+                    node = token_node
+                    dest = nextstate << KEY_SHIFT | token_lm
                 else:
-                    composed = compose(lm_state, arc.olabel)
-                    cost = token.cost + (arc.weight + composed.weight)
-                    lm_state = composed.next_state
-                    node = lattice.add(arc.olabel, frame, cost, node)
+                    composed = compose(token_lm, olabel)
+                    cost = token_cost + (weight + composed.weight)
+                    node = lattice.add(olabel, frame, cost, token_node)
                     if tracing:
                         sink.on_token_write(self._lattice_record)
-                    stats.token_writes += 1
-                    stats.words_emitted += 1
-                inserted = table.insert(arc.nextstate, lm_state, cost, node)
-                if inserted and epsilon[arc.nextstate]:
-                    worklist.append(table.tokens[(arc.nextstate, lm_state)])
+                    words += 1
+                    dest = nextstate << KEY_SHIFT | composed.next_state
+                existing = get(dest)
+                if existing is not None:
+                    if cost < existing:
+                        improvements += 1
+                    else:
+                        recombinations += 1
+                        continue
+                cost_of[dest] = cost
+                node_of[dest] = node
+                if cost < best:
+                    best = cost
+                if dest_seeds:
+                    worklist.append(dest)
+        table.best_cost = best
+        table.inserts = len(cost_of)
+        table.improvements += improvements
+        table.recombinations += recombinations
+        stats.beam_pruned += beam_pruned
+        stats.am_arc_fetches += expansions
+        stats.expansions += expansions
+        stats.token_writes += words
+        stats.words_emitted += words
 
     def _final_hypotheses(
         self, table: TokenTable | SoaTokenTable

@@ -8,91 +8,204 @@ The decoder keeps two token tables, one for the frame being consumed
 and one being filled for the next frame, mirroring the accelerator's
 two hash tables (Figure 4).  Recombination is Viterbi: inserting a
 token that collides with a better one is a no-op.
+
+The scalar regime carries a hypothesis as one native int, the state
+pair packed by :func:`pack_key` (the scalar analogue of the kernels'
+packed ``int64`` words): a :class:`TokenTable` is two dicts over those
+keys, and the scalar frame body reads and writes them directly.
+:class:`Token` objects exist only as views for outside readers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
+#: A scalar-regime key is ``am_state << KEY_SHIFT | lm_state``: needs no
+#: graph size (``TokenTable()`` takes no argument), and an arc that
+#: leaves the LM side alone moves a key by a per-arc constant.
+KEY_SHIFT = 32
+KEY_LM_MASK = (1 << KEY_SHIFT) - 1
 
-@dataclass(slots=True)
+
+def pack_key(am_state: int, lm_state: int) -> int:
+    """The scalar regime's key of a state pair."""
+    return am_state << KEY_SHIFT | lm_state
+
+
+def unpack_key(key: int) -> tuple[int, int]:
+    """``(am_state, lm_state)`` of a :func:`pack_key` key."""
+    return key >> KEY_SHIFT, key & KEY_LM_MASK
+
+
 class Token:
-    """One active hypothesis."""
+    """One active hypothesis: a live view of its :class:`TokenTable` entry.
 
-    am_state: int
-    lm_state: int
-    cost: float
-    lattice_node: int = -1
+    Reads go through to the table, so a view handed out before an
+    improvement shows the improved cost and lattice node afterwards.
+    """
+
+    __slots__ = ("_table", "_key")
+
+    def __init__(self, table: "TokenTable", key: int) -> None:
+        self._table = table
+        self._key = key
+
+    @property
+    def am_state(self) -> int:
+        return self._key >> KEY_SHIFT
+
+    @property
+    def lm_state(self) -> int:
+        return self._key & KEY_LM_MASK
+
+    @property
+    def cost(self) -> float:
+        return self._table.cost[self._key]
+
+    @property
+    def lattice_node(self) -> int:
+        return self._table.node[self._key]
 
     @property
     def key(self) -> tuple[int, int]:
-        return (self.am_state, self.lm_state)
+        return unpack_key(self._key)
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(am_state={self.am_state}, lm_state={self.lm_state}, "
+            f"cost={self.cost}, lattice_node={self.lattice_node})"
+        )
 
 
-@dataclass
+class _TokenViews(Mapping):
+    """``(am_state, lm_state) -> Token`` over a :class:`TokenTable`, in
+    insertion order; one identity-stable view per key, built on demand."""
+
+    __slots__ = ("_table", "_views")
+
+    def __init__(self, table: "TokenTable") -> None:
+        self._table = table
+        self._views: dict[int, Token] = {}
+
+    def view(self, key: int) -> Token:
+        token = self._views.get(key)
+        if token is None:
+            token = self._views[key] = Token(self._table, key)
+        return token
+
+    def __getitem__(self, pair: tuple[int, int]) -> Token:
+        key = pack_key(*pair)
+        if key not in self._table.cost:
+            raise KeyError(pair)
+        return self.view(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return map(unpack_key, self._table.cost)
+
+    def __len__(self) -> int:
+        return len(self._table.cost)
+
+
 class TokenTable:
     """Best-cost token per (am_state, lm_state) pair.
 
-    Tracks the running best cost so beam thresholds are available
-    without a separate pass.
+    ``cost`` and ``node`` map a :func:`pack_key` key to the
+    hypothesis's cost and lattice node, both in first-insertion order.
+    The scalar frame body works on the two dicts in place (and settles
+    ``best_cost`` and the counters when it is done); ``tokens``,
+    iteration and :meth:`survivors` hand :class:`Token` views to
+    everyone else.  Tracks the running best cost so beam thresholds
+    are available without a separate pass.
     """
 
-    tokens: dict[tuple[int, int], Token] = field(default_factory=dict)
-    best_cost: float = math.inf
-    inserts: int = 0
-    improvements: int = 0
-    recombinations: int = 0
+    __slots__ = (
+        "cost", "node", "best_cost", "inserts", "improvements",
+        "recombinations", "_views",
+    )
+
+    def __init__(self) -> None:
+        self.cost: dict[int, float] = {}
+        self.node: dict[int, int] = {}
+        self.best_cost = math.inf
+        self.inserts = 0
+        self.improvements = 0
+        self.recombinations = 0
+        # A table is built per scalar frame; its views hardly ever.
+        self._views: _TokenViews | None = None
+
+    @property
+    def tokens(self) -> _TokenViews:
+        """``(am_state, lm_state) -> Token``, in insertion order."""
+        views = self._views
+        if views is None:
+            views = self._views = _TokenViews(self)
+        return views
 
     def insert(
         self, am_state: int, lm_state: int, cost: float, lattice_node: int
     ) -> bool:
         """Insert or Viterbi-recombine; returns True if the token survives."""
-        key = (am_state, lm_state)
-        existing = self.tokens.get(key)
+        key = pack_key(am_state, lm_state)
+        existing = self.cost.get(key)
         if existing is None:
-            self.tokens[key] = Token(am_state, lm_state, cost, lattice_node)
             self.inserts += 1
-        elif cost < existing.cost:
-            existing.cost = cost
-            existing.lattice_node = lattice_node
+        elif cost < existing:
             self.improvements += 1
         else:
             self.recombinations += 1
             return False
+        self.cost[key] = cost
+        self.node[key] = lattice_node
         if cost < self.best_cost:
             self.best_cost = cost
         return True
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.cost)
 
-    def __iter__(self):
-        return iter(self.tokens.values())
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.tokens.view, self.cost)
 
     def clear(self) -> None:
-        self.tokens.clear()
+        self.cost.clear()
+        self.node.clear()
+        self._views = None
         self.best_cost = math.inf
         self.inserts = 0
         self.improvements = 0
         self.recombinations = 0
 
+    def survivor_items(self, threshold: float) -> list[tuple[int, float, int]]:
+        """``(key, cost, lattice_node)`` of the tokens whose cost beats
+        ``threshold`` (beam pruning), in table order."""
+        node = self.node
+        return [
+            (key, cost, node[key])
+            for key, cost in self.cost.items()
+            if cost <= threshold
+        ]
+
     def survivors(self, threshold: float) -> list[Token]:
-        """Tokens whose cost beats ``threshold`` (beam pruning)."""
-        return [t for t in self.tokens.values() if t.cost <= threshold]
+        """:meth:`survivor_items`, as :class:`Token` views."""
+        view = self.tokens.view
+        return [
+            view(key) for key, cost in self.cost.items() if cost <= threshold
+        ]
 
     def columns(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The frontier as (am, lm, cost, lattice_node) arrays."""
-        tokens = list(self.tokens.values())
+        size = len(self.cost)
+        keys = np.fromiter(self.cost, np.int64, size)
         return (
-            np.array([t.am_state for t in tokens], dtype=np.int64),
-            np.array([t.lm_state for t in tokens], dtype=np.int64),
-            np.array([t.cost for t in tokens], dtype=np.float64),
-            np.array([t.lattice_node for t in tokens], dtype=np.int64),
+            keys >> KEY_SHIFT,
+            keys & KEY_LM_MASK,
+            np.fromiter(self.cost.values(), np.float64, size),
+            np.fromiter(self.node.values(), np.int64, size),
         )
 
 
@@ -100,66 +213,20 @@ _EMPTY_INT = np.empty(0, dtype=np.int64)
 _EMPTY_FLOAT = np.empty(0, dtype=np.float64)
 
 
-class _LazyTokenMap:
-    """Dict-of-Token facade over a :class:`SoaTokenTable`.
-
-    Exposes the subset of the ``TokenTable.tokens`` mapping interface
-    the epsilon phase uses, creating :class:`Token` objects only for
-    the keys actually touched (identity-stable per key).
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: "SoaTokenTable") -> None:
-        self._table = table
-
-    def get(self, key: tuple[int, int], default=None):
-        table = self._table
-        packed = key[0] * table.num_lm + key[1]
-        slot = table.find_slot(packed)
-        if slot is None:
-            return default
-        return table.materialize(packed, slot)
-
-    def __getitem__(self, key: tuple[int, int]) -> Token:
-        table = self._table
-        packed = key[0] * table.num_lm + key[1]
-        slot = table.find_slot(packed)
-        if slot is None:
-            raise KeyError(key)
-        return table.materialize(packed, slot)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def values(self):
-        table = self._table
-        num_lm = table.num_lm
-        base_am = table._base_am
-        for slot, (am, lm) in enumerate(
-            zip(base_am.tolist(), table._base_lm.tolist())
-        ):
-            yield table.materialize(am * num_lm + lm, slot)
-        base_size = base_am.shape[0]
-        for index, am in enumerate(table._extra_am):
-            yield table.materialize(
-                am * num_lm + table._extra_lm[index], base_size + index
-            )
-
-
 class SoaTokenTable:
     """Token table storing the frontier as structure-of-arrays columns.
 
     The vectorized decoder fills a frame's table in one shot
     (:meth:`bulk_fill`) from the emitting expansion's winner arrays;
-    the epsilon phase then mutates it through the same
-    ``insert``/``tokens`` interface as :class:`TokenTable`, with
-    identical semantics and counters.  Token objects are materialized
-    lazily — most frontier entries are only ever read back as arrays by
-    the next frame's expansion, and building thousands of objects per
-    frame would cost more than the bulk math saves.
+    the batched epsilon phase then adds its arrivals one by one
+    (:meth:`insert_hinted`), with :meth:`TokenTable.insert`'s semantics
+    and counters.  Most frontier entries are only ever read back as
+    arrays by the next frame's expansion.
 
-    Keys are packed as ``am_state * num_lm + lm_state``.
+    Its index keys are ``am_state * num_lm + lm_state`` (dense, so the
+    kernels' packed sorts have bits to spare); what crosses into the
+    scalar regime (:meth:`survivor_items`, :meth:`to_scalar`) carries
+    :func:`pack_key` keys.
     """
 
     def __init__(self, num_lm: int) -> None:
@@ -185,8 +252,6 @@ class SoaTokenTable:
         self._sorted_keys = _EMPTY_INT
         self._slot_for_sorted = _EMPTY_INT
         self._extra_slot: dict[int, int] = {}
-        self._materialized: dict[int, Token] = {}
-        self.tokens = _LazyTokenMap(self)
 
     def bulk_fill(
         self,
@@ -235,131 +300,50 @@ class SoaTokenTable:
         (that frame has already been accounted).
         """
         table = cls(num_lm)
-        if am_states.shape[0]:
-            keys = am_states * np.int64(num_lm) + lm_states
-            order = np.argsort(keys)
-            table.bulk_fill(
-                am_states, lm_states, costs, nodes, keys[order], order, 0, 0
-            )
+        table._fill_unindexed((am_states, lm_states, costs, nodes), 0, 0)
         return table
 
-    def survivors(self, threshold: float) -> list[Token]:
-        """Same contract as :meth:`TokenTable.survivors` (fresh Tokens:
-        the scalar expansion only reads them)."""
+    def _fill_unindexed(
+        self, columns: tuple, improvements: int, recombinations: int
+    ) -> None:
+        """:meth:`bulk_fill` for columns that come without a key index."""
+        keys = columns[0] * np.int64(self.num_lm) + columns[1]
+        order = np.argsort(keys)
+        self.bulk_fill(
+            *columns, keys[order], order, improvements, recombinations
+        )
+
+    def survivor_items(self, threshold: float) -> list[tuple[int, float, int]]:
+        """Same contract as :meth:`TokenTable.survivor_items`."""
         am, lm, cost, node = self.columns()
-        return [
-            Token(a, l, c, n)
-            for a, l, c, n in zip(
-                am.tolist(), lm.tolist(), cost.tolist(), node.tolist()
-            )
-            if c <= threshold
-        ]
+        keep = np.flatnonzero(cost <= threshold)
+        keys = am[keep] << KEY_SHIFT
+        keys |= lm[keep]
+        return list(zip(keys.tolist(), cost[keep].tolist(), node[keep].tolist()))
 
-    def find_slot(self, key: int) -> int | None:
-        """Slot of a packed key, or None when absent."""
-        sorted_keys = self._sorted_keys
-        size = sorted_keys.shape[0]
-        if size:
-            pos = int(np.searchsorted(sorted_keys, key))
-            if pos < size and sorted_keys[pos] == key:
-                return int(self._slot_for_sorted[pos])
-        return self._extra_slot.get(key)
+    def to_scalar(self) -> TokenTable:
+        """This frontier — order, values, best cost, counters — as a
+        :class:`TokenTable`, for a scalar epsilon phase after a bulk
+        expansion (:meth:`adopt` takes the outcome back)."""
+        am, lm, cost, node = self.columns()
+        keys = (am << KEY_SHIFT | lm).tolist()
+        table = TokenTable()
+        table.cost = dict(zip(keys, cost.tolist()))
+        table.node = dict(zip(keys, node.tolist()))
+        table.best_cost = self.best_cost
+        table.inserts = self.inserts
+        table.improvements = self.improvements
+        table.recombinations = self.recombinations
+        return table
 
-    def insert(
-        self, am_state: int, lm_state: int, cost: float, lattice_node: int
-    ) -> bool:
-        """Same contract as :meth:`TokenTable.insert`."""
-        key = am_state * self.num_lm + lm_state
-        slot = self.find_slot(key)
-        if slot is None:
-            self._extra_slot[key] = self._base_am.shape[0] + len(
-                self._extra_am
-            )
-            self._extra_am.append(am_state)
-            self._extra_lm.append(lm_state)
-            self._extra_cost.append(cost)
-            self._extra_node.append(lattice_node)
-            self.inserts += 1
-        else:
-            base_size = self._base_am.shape[0]
-            if slot < base_size:
-                current = self._base_cost[slot]
-            else:
-                current = self._extra_cost[slot - base_size]
-            if cost < current:
-                if slot < base_size:
-                    self._base_cost[slot] = cost
-                    self._base_node[slot] = lattice_node
-                else:
-                    self._extra_cost[slot - base_size] = cost
-                    self._extra_node[slot - base_size] = lattice_node
-                token = self._materialized.get(key)
-                if token is not None:
-                    token.cost = cost
-                    token.lattice_node = lattice_node
-                self.improvements += 1
-            else:
-                self.recombinations += 1
-                return False
-        if cost < self.best_cost:
-            self.best_cost = cost
-        return True
-
-    def materialize(self, key: int, slot: int) -> Token:
-        """The (identity-stable) Token object for an occupied slot."""
-        token = self._materialized.get(key)
-        if token is None:
-            base_size = self._base_am.shape[0]
-            if slot < base_size:
-                token = Token(
-                    int(self._base_am[slot]),
-                    int(self._base_lm[slot]),
-                    float(self._base_cost[slot]),
-                    int(self._base_node[slot]),
-                )
-            else:
-                index = slot - base_size
-                token = Token(
-                    self._extra_am[index],
-                    self._extra_lm[index],
-                    self._extra_cost[index],
-                    self._extra_node[index],
-                )
-            self._materialized[key] = token
-        return token
-
-    def epsilon_seeds(self, has_epsilon: np.ndarray) -> list[Token]:
-        """Tokens whose AM state has epsilon out-arcs, in table order.
-
-        ``has_epsilon`` is a per-AM-state boolean array.  Matches the
-        scalar path's ``[t for t in table if epsilon[t.am_state]]``
-        without materializing the whole frontier.
-        """
-        num_lm = self.num_lm
-        seeds = []
-        base_am = self._base_am
-        materialized = self._materialized
-        if base_am.shape[0]:
-            picked = np.flatnonzero(has_epsilon[base_am])
-            if picked.shape[0]:
-                for am, lm, cost, node in zip(
-                    base_am[picked].tolist(),
-                    self._base_lm[picked].tolist(),
-                    self._base_cost[picked].tolist(),
-                    self._base_node[picked].tolist(),
-                ):
-                    key = am * num_lm + lm
-                    token = materialized.get(key)
-                    if token is None:
-                        token = Token(am, lm, cost, node)
-                        materialized[key] = token
-                    seeds.append(token)
-        base_size = base_am.shape[0]
-        for index, am_state in enumerate(self._extra_am):
-            if has_epsilon[am_state]:
-                key = am_state * num_lm + self._extra_lm[index]
-                seeds.append(self.materialize(key, base_size + index))
-        return seeds
+    def adopt(self, table: TokenTable) -> None:
+        """Become ``table``: its contents, order and counters."""
+        self._extra_am, self._extra_lm = [], []
+        self._extra_cost, self._extra_node = [], []
+        self._extra_slot = {}
+        self._fill_unindexed(
+            table.columns(), table.improvements, table.recombinations
+        )
 
     def base_slot_hints(self, keys: list[int]) -> list[int]:
         """Bulk-winner slot of each packed key, -1 where absent.
@@ -395,7 +379,7 @@ class SoaTokenTable:
         lattice_node: int,
         base_slot: int,
     ) -> bool:
-        """:meth:`insert` with the base-index search precomputed.
+        """:meth:`TokenTable.insert`, the base-index search precomputed.
 
         ``base_slot`` is the key's entry from :meth:`base_slot_hints`
         (-1 when the key is not among the bulk winners); epsilon-phase
@@ -425,10 +409,6 @@ class SoaTokenTable:
                 else:
                     self._extra_cost[slot - base_size] = cost
                     self._extra_node[slot - base_size] = lattice_node
-                token = self._materialized.get(key)
-                if token is not None:
-                    token.cost = cost
-                    token.lattice_node = lattice_node
                 self.improvements += 1
             else:
                 self.recombinations += 1
@@ -460,6 +440,3 @@ class SoaTokenTable:
 
     def __len__(self) -> int:
         return self._base_am.shape[0] + len(self._extra_am)
-
-    def __iter__(self):
-        return self.tokens.values()

@@ -62,6 +62,10 @@ class ReferenceGrammar:
     vocabulary: list[str]
     transitions: np.ndarray
     rng: np.random.Generator = field(repr=False, default_factory=np.random.default_rng)
+    #: (``transitions`` as last seen, its rows' normalized running sums).
+    _cdf: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def random(
@@ -95,13 +99,28 @@ class ReferenceGrammar:
         transitions[v] /= transitions[v].sum()
         return cls(vocabulary=vocabulary, transitions=transitions, rng=rng)
 
+    def _successor_cdf(self) -> np.ndarray:
+        """Per state, the normalized running sums of its transition row,
+        recomputed when ``transitions`` is replaced."""
+        cached = self._cdf
+        if cached is None or cached[0] is not self.transitions:
+            cdf = np.cumsum(self.transitions, axis=1)
+            cdf /= cdf[:, -1:]
+            cached = self._cdf = (self.transitions, cdf)
+        return cached[1]
+
     def sample_sentence(self, max_len: int = 30) -> list[str]:
         """Draw one sentence (a list of words, no boundary tokens)."""
         v = len(self.vocabulary)
         state = v  # boundary
         words: list[str] = []
+        # ``rng.choice(v + 1, p=transitions[state])`` draw for draw (one
+        # uniform against the row's running sums), minus its per-call
+        # validation and cumsum of the row.
+        cdf = self._successor_cdf()
+        random = self.rng.random
         while len(words) < max_len:
-            state = int(self.rng.choice(v + 1, p=self.transitions[state]))
+            state = int(cdf[state].searchsorted(random(), side="right"))
             if state == v:
                 break
             words.append(self.vocabulary[state])

@@ -28,6 +28,7 @@ import asyncio
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -236,6 +237,32 @@ class Scheduler:
         # learn the metric names.
         for name in ("retries", "recoveries", "deadline_exceeded"):
             self.metrics.counter(name)
+
+    # The per-push instruments, bound on first use: a registry lookup is
+    # a lock and a dict probe per call, and a fresh server's ``status``
+    # must not list them before the first push.
+
+    @cached_property
+    def _kernel_calls(self):
+        return self.metrics.counter("kernel_calls")
+
+    @cached_property
+    def _fused_instruments(self):
+        metrics = self.metrics
+        return metrics.gauge("fused_sessions"), metrics.histogram("fused_width")
+
+    @cached_property
+    def _decode_instruments(self):
+        metrics = self.metrics
+        return (
+            metrics.counter("batches_decoded"),
+            metrics.counter("frames_decoded"),
+            metrics.histogram("batch_decode_seconds"),
+        )
+
+    @cached_property
+    def _queued_gauge(self):
+        return self.metrics.gauge("queued_batches")
 
     # -- client-facing operations (called from the event loop) --------------
 
@@ -666,7 +693,7 @@ class Scheduler:
             await self._fail(session, f"decode failed: {exc}")
             return
         elapsed = perf_counter() - started
-        self.metrics.counter("kernel_calls").inc()
+        self._kernel_calls.inc()
         self._record_decode(session, scores, partial, elapsed)
 
     async def _serve_fused(self, sessions: list[Session]) -> None:
@@ -706,9 +733,10 @@ class Scheduler:
                     await self._decode_batch(session)
                 return
             elapsed = perf_counter() - started
-            self.metrics.counter("kernel_calls").inc()
-            self.metrics.gauge("fused_sessions").set(len(sessions))
-            self.metrics.histogram("fused_width").observe(len(sessions))
+            self._kernel_calls.inc()
+            fused_sessions, fused_width = self._fused_instruments
+            fused_sessions.set(len(sessions))
+            fused_width.observe(len(sessions))
             for session, scores, partial in zip(
                 sessions, batches, partials
             ):
@@ -729,9 +757,12 @@ class Scheduler:
     ) -> None:
         frames = batch_frames(scores)
         session.frames_decoded += frames
-        self.metrics.counter("batches_decoded").inc()
-        self.metrics.counter("frames_decoded").inc(frames)
-        self.metrics.histogram("batch_decode_seconds").observe(elapsed)
+        batches_decoded, frames_decoded, decode_seconds = (
+            self._decode_instruments
+        )
+        batches_decoded.inc()
+        frames_decoded.inc(frames)
+        decode_seconds.observe(elapsed)
         if not session.saw_first_partial:
             session.saw_first_partial = True
             self.metrics.histogram("time_to_first_partial_seconds").observe(
@@ -841,4 +872,4 @@ class Scheduler:
         sessions' queues: the ``queued_batches`` gauge is their total,
         kept as a running count instead of re-summed per event."""
         self._queued_batches += delta
-        self.metrics.gauge("queued_batches").set(self._queued_batches)
+        self._queued_gauge.set(self._queued_batches)

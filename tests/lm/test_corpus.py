@@ -47,6 +47,34 @@ class TestReferenceGrammar:
             assert 1 <= len(sentence) <= 12
             assert all(w in set(grammar.vocabulary) for w in sentence)
 
+    def test_sampling_is_generator_choice_draw_for_draw(self):
+        """The cached running sums pick what ``rng.choice(p=row)`` picks,
+        also after the generator is swapped (the bench reseeds it) and
+        after ``transitions`` is replaced."""
+
+        def by_choice(grammar, rng, max_len=30):
+            v = len(grammar.vocabulary)
+            state, words = v, []
+            while len(words) < max_len:
+                state = int(rng.choice(v + 1, p=grammar.transitions[state]))
+                if state == v:
+                    break
+                words.append(grammar.vocabulary[state])
+            return words or [grammar.vocabulary[int(rng.integers(0, v))]]
+
+        build = np.random.default_rng(3)
+        grammar = ReferenceGrammar.random(make_vocabulary(80, build), build)
+        other = ReferenceGrammar.random(grammar.vocabulary, build, branching=3)
+        for seed, transitions in ((11, None), (12, None), (13, other.transitions)):
+            if transitions is not None:
+                grammar.transitions = transitions
+            grammar.rng = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            for _ in range(200):
+                assert grammar.sample_sentence() == by_choice(grammar, reference)
+            # Both generators consumed the same number of draws.
+            assert grammar.rng.random() == reference.random()
+
     def test_corpus_covers_vocabulary(self, rng):
         vocab = make_vocabulary(100, rng)
         grammar = ReferenceGrammar.random(vocab, rng, branching=3)
