@@ -90,13 +90,29 @@ class RnnAcousticModel:
     def _run_reservoir(
         self, features: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Reservoir state per frame, written into ``out`` when given."""
+        """Reservoir state per frame, written into ``out`` when given.
+
+        The input projections of all frames are one *stacked* gemv —
+        ``(T, 1, dim) @ (dim, hidden)`` makes the same BLAS call per
+        frame as ``x @ w_in`` does, so it is bit-identical to projecting
+        frame by frame, which one ``(T, dim)`` GEMM is not.  The
+        recurrence then writes ``h @ w_rec``, the add and the ``tanh``
+        into each frame's row in place.
+        """
+        features = np.asarray(features)
         hidden = self.w_in.shape[1]
-        states = np.zeros((len(features), hidden)) if out is None else out
+        states = np.empty((len(features), hidden)) if out is None else out
+        if len(features) == 0:
+            return states
+        projected = np.matmul(features[:, None, :], self.w_in)[:, 0, :]
+        w_rec = self.w_rec
         h = np.zeros(hidden)
-        for t, x in enumerate(features):
-            h = np.tanh(x @ self.w_in + h @ self.w_rec)
-            states[t] = h
+        for t in range(len(features)):
+            row = states[t]
+            np.matmul(h, w_rec, out=row)
+            np.add(projected[t], row, out=row)
+            np.tanh(row, out=row)
+            h = row
         return states
 
     @property

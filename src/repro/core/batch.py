@@ -3,13 +3,15 @@
 Every way of driving the on-the-fly decoder — an offline decode, a
 streaming push, several sessions pushed together, the lockstep
 :class:`BatchDecoder` — advances :class:`BatchSegment` state through
-:func:`step_segments`, which picks a regime per segment and per frame
-from the size of the segment's frontier: the scalar reference body for
-small frontiers (UNFOLD's design point is a *small* per-channel search
-state; a frame with a dozen live tokens costs less walked token by
-token than the few dozen numpy dispatches of a vectorized frame), the
-solo numpy kernels for one large segment, and one *fused* kernel call
-for several.  The fused regime is the software analogue of Braun et
+:func:`advance_segments`, which picks a regime per segment and per
+frame from the size of the segment's frontier: the scalar reference
+body for small frontiers (UNFOLD's design point is a *small*
+per-channel search state; a frame with a dozen live tokens costs less
+walked token by token than the few dozen numpy dispatches of a
+vectorized frame), run over a segment's consecutive small frames in
+one call; the solo numpy kernels for one large segment; and one
+*fused* kernel call for several (:func:`step_segments`).  The fused
+regime is the software analogue of Braun et
 al.'s GPU batched decoder (arXiv:1910.10032) and of the multi-channel
 sharing UNFOLD's on-the-fly design enables (Section 3): the segments'
 active-token SoA columns are concatenated with a segment-id column and
@@ -40,13 +42,13 @@ that makes the fused kernel do so:
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.arcs import plan_recombination, stable_cost_order
-from repro.core.beam import prune_items
 from repro.core.tokens import SoaTokenTable, TokenTable
 from repro.wfst.fst import EPSILON
 
@@ -127,21 +129,43 @@ def advance_segments(
     """Consume ``matrices[i]`` (float64 score rows) on ``segments[i]``.
 
     The one frame loop behind offline decode, streaming push, fused
-    multi-session push and the lockstep batch decoder: per frame index,
-    every segment still holding frames advances through one
-    :func:`step_segments` call; ragged lengths retire early.  Returns
-    the number of steps taken (the longest matrix's frame count).
+    multi-session push and the lockstep batch decoder.  Each round,
+    every segment whose frontier is at most :data:`SCALAR_FRONTIER_MAX`
+    tokens consumes its consecutive frames in one scalar run, which
+    stops when the frontier outgrows the constant or the frames run
+    out; the segments left holding frames are then all large, and they
+    advance one frame together through :func:`step_segments` (fused
+    when there are two or more).  Ragged lengths retire early.
+
+    Each segment sees the same frames in the same order and takes the
+    same regime on each of them as it would stepped frame by frame;
+    only the interleaving *across* segments differs, and nothing can
+    observe it — every segment owns its lookup fork, lattice and stats
+    (callers hand several segments in only when their lookups are
+    distinct).  Returns the longest matrix's frame count.
     """
     lengths = [m.shape[0] for m in matrices]
-    steps = max(lengths, default=0)
-    live: list[int] = []
-    active: list[BatchSegment] = []
-    for local in range(steps):
-        if local == 0 or local in lengths:
-            live = [i for i, n in enumerate(lengths) if local < n]
-            active = [segments[i] for i in live]
-        step_segments(decoder, active, [matrices[i][local] for i in live])
-    return steps
+    limit = SCALAR_FRONTIER_MAX if decoder._vectorized else math.inf
+    run = decoder._scalar_run
+    done = [0] * len(segments)
+    while True:
+        large = []
+        for i, seg in enumerate(segments):
+            at, end = done[i], lengths[i]
+            if at < end and len(seg.table) <= limit:
+                at += run(seg, matrices[i][at:], limit)
+                done[i] = at
+            if at < end:
+                large.append(i)
+        if not large:
+            return max(lengths, default=0)
+        step_segments(
+            decoder,
+            [segments[i] for i in large],
+            [matrices[i][done[i]] for i in large],
+        )
+        for i in large:
+            done[i] += 1
 
 
 def step_segments(
@@ -156,16 +180,18 @@ def step_segments(
     picked per segment and per frame from the one thing the step can
     observe, the size of the segment's own frontier: at or below
     :data:`SCALAR_FRONTIER_MAX` tokens (always, under a trace sink or a
-    scalar config) the scalar reference body; above it the numpy
-    kernels — fused across the large segments when the decoder allows
-    (:func:`lockstep_supported`), solo otherwise.  Every entry point
-    steps through here, so a segment takes the same regimes — and
-    reports the same counters, expansion cache included — however it is
-    driven.  All regimes leave bit-identical table contents, lattice,
-    stats and lookup state; ``seg.table`` is replaced by the next
-    frontier and ``seg.frame`` advances.
+    scalar config) the scalar reference body, as a one-frame run; above
+    it the numpy kernels — fused across the large segments when the
+    decoder allows (:func:`lockstep_supported`), solo otherwise.  Every
+    entry point steps through here or through the runs of
+    :func:`advance_segments`, which apply the same rule, so a segment
+    takes the same regimes — and reports the same counters, expansion
+    cache included — however it is driven.  All regimes leave
+    bit-identical table contents, lattice, stats and lookup state;
+    ``seg.table`` is replaced by the next frontier and ``seg.frame``
+    advances.
     """
-    limit = SCALAR_FRONTIER_MAX if decoder._vectorized else float("inf")
+    limit = SCALAR_FRONTIER_MAX if decoder._vectorized else math.inf
     large = []
     for i, seg in enumerate(segments):
         if len(seg.table) > limit:
@@ -202,12 +228,12 @@ def _begin_epsilon(
 
 
 def _end_frame(
-    decoder: OnTheFlyDecoder,
     seg: BatchSegment,
     next_table: TokenTable | SoaTokenTable,
     marks: tuple[int, int, int, int, int],
 ) -> None:
-    """Account the finished frame and install its frontier."""
+    """Account a finished kernel frame and install its frontier (the
+    kernels never run under a trace sink: no frame-end event)."""
     num_survivors, expansions, exp_before, probes_before, writes_before = marks
     stats = seg.stats
     stats.frame_work.append(
@@ -221,8 +247,6 @@ def _end_frame(
     stats.tokens_created += next_table.inserts
     stats.tokens_recombined += next_table.recombinations
     stats.active_history.append(len(next_table))
-    if decoder._tracing:
-        decoder.sink.on_frame_end(seg.frame, len(next_table))
     seg.table = next_table
     seg.frame += 1
 
@@ -233,44 +257,33 @@ def _step_one(
     row: np.ndarray,
     scalar: bool,
 ) -> None:
-    """One segment's frame: the scalar reference body or the solo kernels."""
+    """One segment's frame: the scalar reference body (a one-frame run)
+    or the solo kernels."""
+    if scalar:
+        decoder._scalar_run(seg, (row,))
+        return
     phases = decoder._phase_seconds
     beam_config = decoder._beam_config
     mark = perf_counter() if phases is not None else 0.0
-    if scalar:
-        survivors, pruned = prune_items(seg.table, beam_config)
-        num_survivors = len(survivors)
-        # Plain-list scores: per-element numpy indexing would dominate
-        # the token loop.
-        next_table, expansions, seeds = decoder._expand_emitting_scalar(
-            survivors, row.tolist()
-        )
-    else:
-        next_table, num_survivors, expansions, pruned = (
-            decoder._expand_frame_vectorized(seg.table, row, beam_config)
-        )
+    next_table, num_survivors, expansions, pruned = (
+        decoder._expand_frame_vectorized(seg.table, row, beam_config)
+    )
     if phases is not None:
         phases["expand"] += perf_counter() - mark
     marks = _begin_epsilon(seg, num_survivors, expansions, pruned)
     mark = perf_counter() if phases is not None else 0.0
-    if not scalar:
-        epsilon_phase = (
-            decoder._epsilon_phase_batched
-            if decoder._epsilon_batchable()
-            else decoder._epsilon_phase
-        )
-        epsilon_phase(
-            next_table, seg.frame, seg.lattice, seg.stats, beam_config,
-            seg.lookup,
-        )
-    elif seeds:  # else nobody reached a state with epsilon arcs
-        decoder._epsilon_scalar(
-            next_table, seeds, seg.frame, seg.lattice, seg.stats,
-            beam_config, seg.lookup,
-        )
+    epsilon_phase = (
+        decoder._epsilon_phase_batched
+        if decoder._epsilon_batchable()
+        else decoder._epsilon_phase
+    )
+    epsilon_phase(
+        next_table, seg.frame, seg.lattice, seg.stats, beam_config,
+        seg.lookup,
+    )
     if phases is not None:
         phases["epsilon"] += perf_counter() - mark
-    _end_frame(decoder, seg, next_table, marks)
+    _end_frame(seg, next_table, marks)
 
 
 def _step_fused(
@@ -390,7 +403,7 @@ def _step_fused(
     ]
     _epsilon_fused(decoder, segments, next_tables)
     for seg, table, seg_marks in zip(segments, next_tables, marks):
-        _end_frame(decoder, seg, table, seg_marks)
+        _end_frame(seg, table, seg_marks)
 
 
 def _epsilon_fused(
@@ -530,8 +543,8 @@ class BatchDecoder:
     """Decode batches of utterances in lockstep through fused kernels.
 
     Wraps an :class:`~repro.core.decoder.OnTheFlyDecoder`; utterances
-    are processed in waves of ``batch_size``, each wave advancing one
-    frame per :func:`step_segments` call.  Every segment decodes
+    are processed in waves of ``batch_size``, each wave advancing
+    through one :func:`advance_segments` call.  Every segment decodes
     against a fork of the decoder's lookup (cold OLT + expansion
     cache), so results, stats, lattices and lookup counters are
     bit-identical to decoding each utterance alone after

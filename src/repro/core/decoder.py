@@ -27,7 +27,7 @@ from repro.core.arcs import (
     stable_cost_order,
 )
 from repro.core.batch import BatchSegment, advance_segments
-from repro.core.beam import BeamConfig
+from repro.core.beam import BeamConfig, prune_items
 from repro.core.composition import LmLookup, LookupStats, LookupStrategy
 from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES, WordLattice
 from repro.core.tokens import (
@@ -324,70 +324,171 @@ class OnTheFlyDecoder:
             self.last_phase_seconds = phases
         return result
 
-    def _expand_emitting_scalar(
+    def _scalar_run(
         self,
-        survivors: list[tuple[int, float, int]],
-        frame_scores: list[float],
-    ) -> tuple[TokenTable, int, list[int]]:
-        """One frame's emitting expansion, token by token.
+        seg: BatchSegment,
+        rows: Sequence[np.ndarray],
+        limit: float = math.inf,
+    ) -> int:
+        """Consume ``rows`` on ``seg`` in the scalar frame body, frame by
+        frame, while the frontier entering a frame is at most ``limit``
+        tokens; returns the number of frames consumed.
 
         The reference path: every frame under a TraceSink (exact
         per-event ordering) or a scalar config, and any frame whose
         frontier is too small to pay for the numpy kernels' dispatch.
-        ``survivors`` are :func:`~repro.core.beam.prune_items` triples;
-        Viterbi recombination (:meth:`TokenTable.insert`'s) runs inline
-        on the new table's two dicts.
+        A small-frontier segment runs its consecutive frames through one
+        call, so the per-frame price is the body itself: the beam prune
+        is folded into the expansion loop (a token above the threshold
+        is skipped where it is read), Viterbi recombination
+        (:meth:`TokenTable.insert`'s) runs inline on the new table's two
+        dicts, and the ``DecoderStats`` counters the run owns are added
+        up in locals and written once at its end.  ``frame_work``,
+        ``active_history`` and the sink's ``on_frame_end`` still get one
+        entry per frame.
 
-        Returns (next_table, frame_expansions, epsilon_seeds): the
-        seeds are the keys of the new table whose AM state has epsilon
-        arcs, collected at first insertion — which, the table having
-        started empty, is table order.
+        :func:`~repro.core.beam.prune_items` selects the survivors
+        instead when ``max_active`` may truncate them, and for a
+        :class:`SoaTokenTable` frontier (a run entered after a
+        vectorized frame or a restore).
+
+        The epsilon seeds are the keys of the new table whose AM state
+        has epsilon arcs, collected at first insertion — which, the
+        table having started empty, is table order; a frame without
+        one skips the epsilon phase.
         """
-        rows = self._emitting_rows
-        if self._tracing:
-            # The events depend on the survivors alone and nothing else
-            # reports during the expansion: told up front, they arrive
-            # in the order the loop below would have raised them.
-            sink = self.sink
-            side = self._trace_side
-            for key, _, _ in survivors:
-                am_state, lm_state = unpack_key(key)
-                fetched = self._trace_state(am_state, lm_state)
-                sink.on_state_fetch(side, fetched)
-                sink.on_token_hash_access(am_state, lm_state)
-                for arc in rows[am_state]:
-                    sink.on_arc_fetch(side, fetched, arc[0])
+        emitting = self._emitting_rows
+        tracing = self._tracing
+        sink = self.sink
+        side = self._trace_side
+        trace_state = self._trace_state
+        epsilon = self._epsilon_scalar
+        phases = self._phase_seconds
         scale = self.config.acoustic_scale
-        next_table = TokenTable()
-        cost_of = next_table.cost
-        node_of = next_table.node
-        get = cost_of.get
-        best = math.inf
-        improvements = frame_expansions = 0
-        seeds: list[int] = []
-        for key, token_cost, lattice_node in survivors:
-            arcs = rows[key >> KEY_SHIFT]
-            frame_expansions += len(arcs)
-            for _, weight, column, key_delta, dest_seeds in arcs:
-                cost = token_cost + weight - scale * frame_scores[column]
-                dest = key + key_delta
-                existing = get(dest)
-                if existing is None:
-                    if dest_seeds:
-                        seeds.append(dest)
-                elif cost < existing:
-                    improvements += 1
-                else:
+        beam_config = self._beam_config
+        beam = beam_config.beam
+        max_active = beam_config.max_active
+        stats = seg.stats
+        lattice = seg.lattice
+        lookup = seg.lookup
+        lookup_stats = lookup.stats
+        frame_work = stats.frame_work.append
+        active_history = stats.active_history.append
+        table = seg.table
+        frame = seg.frame
+        consumed = 0
+        beam_pruned = fetches = expansions = created = recombined = 0
+        mark = 0.0
+        for row in rows:
+            size = len(table)
+            if size > limit:
+                break
+            if phases is not None:
+                mark = perf_counter()
+            if type(table) is TokenTable and (
+                not max_active or size <= max_active
+            ):
+                token_costs = table.cost
+                token_nodes = table.node
+                threshold = table.best_cost + beam
+            else:
+                survivors, _ = prune_items(table, beam_config)
+                token_costs = {key: cost for key, cost, _ in survivors}
+                token_nodes = {key: node for key, _, node in survivors}
+                threshold = math.inf
+            if tracing:
+                # The events depend on the survivors alone and nothing
+                # else reports during the expansion: told up front, they
+                # arrive in the order the loop below would raise them.
+                for key, token_cost in token_costs.items():
+                    if not token_cost <= threshold:
+                        continue
+                    am_state, lm_state = unpack_key(key)
+                    fetched = trace_state(am_state, lm_state)
+                    sink.on_state_fetch(side, fetched)
+                    sink.on_token_hash_access(am_state, lm_state)
+                    for arc in emitting[am_state]:
+                        sink.on_arc_fetch(side, fetched, arc[0])
+            # Plain-list scores: per-element numpy indexing would
+            # dominate the token loop.
+            frame_scores = row.tolist()
+            next_table = TokenTable()
+            cost_of = next_table.cost
+            node_of = next_table.node
+            get = cost_of.get
+            best = math.inf
+            pruned = improvements = frame_expansions = 0
+            seeds: list[int] = []
+            for key, token_cost in token_costs.items():
+                if not token_cost <= threshold:
+                    pruned += 1
                     continue
-                cost_of[dest] = cost
-                node_of[dest] = lattice_node
-                if cost < best:
-                    best = cost
-        next_table.best_cost = best
-        next_table.inserts = inserts = len(cost_of)
-        next_table.improvements = improvements
-        next_table.recombinations = frame_expansions - inserts - improvements
-        return next_table, frame_expansions, seeds
+                lattice_node = token_nodes[key]
+                arcs = emitting[key >> KEY_SHIFT]
+                frame_expansions += len(arcs)
+                for _, weight, column, key_delta, dest_seeds in arcs:
+                    cost = token_cost + weight - scale * frame_scores[column]
+                    dest = key + key_delta
+                    existing = get(dest)
+                    if existing is None:
+                        if dest_seeds:
+                            seeds.append(dest)
+                    elif cost < existing:
+                        improvements += 1
+                    else:
+                        continue
+                    cost_of[dest] = cost
+                    node_of[dest] = lattice_node
+                    if cost < best:
+                        best = cost
+            next_table.best_cost = best
+            next_table.inserts = inserts = len(cost_of)
+            next_table.improvements = improvements
+            next_table.recombinations = frame_expansions - inserts - improvements
+            survivors_count = len(token_costs) - pruned
+            if phases is not None:
+                mark = _lap(phases, "expand", mark)
+            if seeds:
+                expansions_before = stats.expansions
+                probes_before = lookup_stats.arc_probes
+                writes_before = stats.token_writes
+                epsilon(
+                    next_table, seeds, frame, lattice, stats, beam_config,
+                    lookup,
+                )
+                frame_work(
+                    (
+                        survivors_count,
+                        frame_expansions + stats.expansions - expansions_before,
+                        lookup_stats.arc_probes - probes_before,
+                        stats.token_writes - writes_before,
+                    )
+                )
+            else:
+                frame_work((survivors_count, frame_expansions, 0, 0))
+            if phases is not None:
+                _lap(phases, "epsilon", mark)
+            beam_pruned += size - survivors_count
+            fetches += survivors_count
+            expansions += frame_expansions
+            created += next_table.inserts
+            recombined += next_table.recombinations
+            active = len(cost_of)
+            active_history(active)
+            if tracing:
+                sink.on_frame_end(frame, active)
+            table = next_table
+            frame += 1
+            consumed += 1
+        seg.table = table
+        seg.frame = frame
+        stats.beam_pruned += beam_pruned
+        stats.am_state_fetches += fetches
+        stats.am_arc_fetches += expansions
+        stats.expansions += expansions
+        stats.tokens_created += created
+        stats.tokens_recombined += recombined
+        return consumed
 
     def _expand_frame_vectorized(
         self,

@@ -17,15 +17,20 @@ push instead of buffering unboundedly, idle sessions are evicted on a
 timeout, and shutdown drains in-flight sessions to real final results
 before the engine goes away.
 
-Every outcome a client observes is delivered as a protocol message
-dict on the session's ``events`` queue (partials, finals, errors), so
-the TCP transport and the in-process client share one code path.
+Every outcome a client observes is one protocol message dict
+(partials, finals, errors), handed to the session's *sink* where it is
+produced: a TCP connection attaches one that writes the message to its
+socket, so a reply costs no task wake-up.  A session without a sink —
+an in-process client's, or one adopted from another shard before its
+client resumes — queues its messages on ``events`` instead, and
+attaching a sink first flushes that queue in order.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -197,6 +202,21 @@ class Session:
     last_activity: float = 0.0
     frames_decoded: int = 0
     saw_first_partial: bool = False
+    #: Where this session's messages go as they are emitted; ``None``
+    #: queues them on ``events``.
+    sink: Callable[[dict], None] | None = None
+
+    def attach(self, sink: Callable[[dict], None]) -> None:
+        """Deliver every later message to ``sink``, after the ones
+        queued while the session had none."""
+        while not self.events.empty():
+            sink(self.events.get_nowait())
+        self.sink = sink
+
+    def detach(self, sink: Callable[[dict], None]) -> None:
+        """Queue messages again, unless someone else attached since."""
+        if self.sink is sink:
+            self.sink = None
 
 
 class Scheduler:
@@ -852,7 +872,11 @@ class Scheduler:
         )
 
     def _emit(self, session: Session, message: dict) -> None:
-        session.events.put_nowait(message)
+        sink = session.sink
+        if sink is None:
+            session.events.put_nowait(message)
+        else:
+            sink(message)
 
     def _retire(self, session: Session, counter: str) -> None:
         session.closed = True

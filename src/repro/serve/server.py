@@ -23,6 +23,7 @@ engine.
 from __future__ import annotations
 
 import asyncio
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,13 +267,16 @@ class TranscriptionServer:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
         owned: dict[str, Session] = {}
-        pumps: list[asyncio.Task] = []
-        write_lock = asyncio.Lock()
 
-        async def send(message: dict) -> None:
-            async with write_lock:
-                writer.write(protocol.encode_message(message))
-                await writer.drain()
+        transport = writer.transport
+
+        def send(message: dict) -> None:
+            # Replies and session events alike are written where they
+            # are produced; the read loop's drain below is the only wait.
+            # A connection already going away (until this handler's
+            # ``finally`` detaches it) takes nothing more.
+            if not transport.is_closing():
+                transport.write(protocol.encode_message(message))
 
         try:
             while True:
@@ -281,21 +285,23 @@ class TranscriptionServer:
                     break
                 try:
                     message = protocol.decode_message(line)
-                    await self._dispatch(message, owned, pumps, send)
+                    await self._dispatch(message, owned, send)
                 except protocol.ProtocolError as exc:
-                    await send(protocol.error_message(str(exc)))
-        except (ConnectionResetError, asyncio.CancelledError):
+                    send(protocol.error_message(str(exc)))
+                # Backpressure: a client that stops reading its replies
+                # stops being read.
+                await writer.drain()
+        except (OSError, asyncio.CancelledError):
             pass
         finally:
-            # The client went away: sessions it still owns are dropped
-            # (no final result to deliver to anyone).
+            # The client went away: nothing more is written to it, and
+            # the sessions it still owns are dropped (no final result
+            # to deliver to anyone).
+            for session in owned.values():
+                session.detach(send)
             for session in owned.values():
                 if not session.closed:
                     await self.scheduler.cancel(session)
-            for pump_task in pumps:
-                pump_task.cancel()
-            if pumps:
-                await asyncio.gather(*pumps, return_exceptions=True)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -309,8 +315,7 @@ class TranscriptionServer:
         self,
         message: dict,
         owned: dict[str, Session],
-        pumps: list[asyncio.Task],
-        send,
+        send: Callable[[dict], None],
     ) -> None:
         kind = message["type"]
         if kind == protocol.START:
@@ -319,7 +324,7 @@ class TranscriptionServer:
                 payload == protocol.PAYLOAD_FEATURES
                 and self.scoring is None
             ):
-                await send(
+                send(
                     protocol.error_message(
                         "this server has no acoustic scorer; "
                         "stream scores instead"
@@ -329,13 +334,10 @@ class TranscriptionServer:
             try:
                 session = await self.scheduler.admit(payload=payload)
             except Busy as exc:
-                await send(protocol.busy_message(exc.reason))
+                send(protocol.busy_message(exc.reason))
                 return
             owned[session.session_id] = session
-            pumps.append(asyncio.get_running_loop().create_task(
-                self._pump(session, send)
-            ))
-            await send(
+            send(
                 {
                     "type": protocol.STARTED,
                     "session": session.session_id,
@@ -343,8 +345,9 @@ class TranscriptionServer:
                     "encoding": encoding,
                 }
             )
+            session.attach(send)
         elif kind == protocol.STATUS:
-            await send(self.status_message())
+            send(self.status_message())
         elif kind == protocol.RESUME:
             session_id = message.get("session")
             session = (
@@ -354,25 +357,19 @@ class TranscriptionServer:
             )
             if session is not None and not session.closed:
                 # The session id is the bearer token: whoever resumes
-                # it owns its event stream from here on.  A repeated
-                # resume from the same connection is acknowledged
-                # without stacking a second pump on the event queue.
-                if owned.get(session_id) is not session:
-                    owned[session_id] = session
-                    pumps.append(asyncio.get_running_loop().create_task(
-                        self._pump(session, send)
-                    ))
-                await send(
-                    {"type": protocol.STARTED, "session": session_id}
-                )
+                # it owns its event stream from here on, starting with
+                # whatever was emitted while nobody was attached.
+                owned[session_id] = session
+                send({"type": protocol.STARTED, "session": session_id})
+                session.attach(send)
             elif session_id in self._moved_sessions:
-                await send(
+                send(
                     protocol.moved_message(
                         session_id, *self._moved_sessions[session_id]
                     )
                 )
             else:
-                await send(
+                send(
                     protocol.error_message(
                         f"unknown session {session_id!r}", session_id
                     )
@@ -384,7 +381,7 @@ class TranscriptionServer:
                 if session_id in self._moved_sessions:
                     # The request was NOT applied here: redirect with
                     # resend so the client replays it after resuming.
-                    await send(
+                    send(
                         protocol.moved_message(
                             session_id,
                             *self._moved_sessions[session_id],
@@ -393,7 +390,7 @@ class TranscriptionServer:
                     )
                     return
             if session is None:
-                await send(
+                send(
                     protocol.error_message(
                         f"unknown session {session_id!r}",
                         session_id,
@@ -427,26 +424,11 @@ class TranscriptionServer:
                 else:
                     await self.scheduler.cancel(session)
             except Busy as exc:
-                await send(
+                send(
                     protocol.busy_message(exc.reason, session.session_id)
                 )
         else:
-            await send(protocol.error_message(f"unknown type {kind!r}"))
-
-    async def _pump(self, session: Session, send) -> None:
-        while True:
-            event = await session.events.get()
-            try:
-                await send(event)
-            except (ConnectionResetError, OSError):
-                return
-            if event["type"] in (
-                protocol.FINAL,
-                protocol.ERROR,
-                protocol.CANCELLED,
-                protocol.MOVED,
-            ):
-                return
+            send(protocol.error_message(f"unknown type {kind!r}"))
 
 
 class InProcessClient:

@@ -206,6 +206,35 @@ class TestRnn:
         with pytest.raises(ValueError):
             RnnAcousticModel.fit([], [], 10)
 
+    @pytest.mark.parametrize("frames", [0, 1, 2, 57])
+    def test_reservoir_equals_the_per_frame_loop(self, setup, frames):
+        """The stacked input projection and the in-place recurrence
+        leave exactly the states of one ``tanh(x @ w_in + h @ w_rec)``
+        per frame, into a fresh matrix or into ``out``."""
+        *_, emissions, synth = setup
+        utts = synth.synthesize_batch([["ab", "cad", "def", "gif"]] * 3)
+        rnn = RnnAcousticModel.fit(
+            [u.features for u in utts],
+            [np.asarray(u.alignment) for u in utts],
+            emissions.num_senones,
+            hidden=96,
+        )
+        features = np.random.default_rng(frames).normal(
+            0.0, 2.0, size=(frames, rnn.dim)
+        )
+        want = np.zeros((frames, rnn.hidden))
+        h = np.zeros(rnn.hidden)
+        for t, x in enumerate(features):
+            h = np.tanh(x @ rnn.w_in + h @ rnn.w_rec)
+            want[t] = h
+        got = rnn._run_reservoir(features)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        into = np.full((frames + 2, rnn.hidden), 7.0)
+        assert rnn._run_reservoir(features, out=into[1 : frames + 1]) is not None
+        assert into[1 : frames + 1].tobytes() == want.tobytes()
+        assert np.all(into[0] == 7.0) and np.all(into[frames + 1] == 7.0)
+
     def test_in_place_training_keeps_the_weight_digest(self, setup):
         """``fit`` runs the reservoir into slices of one matrix; the
         weights must hash like those of the per-utterance lists it

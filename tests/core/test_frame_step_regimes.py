@@ -1,8 +1,9 @@
 """The frame step's regime switch is invisible in every result.
 
-``step_segments`` picks, per segment and per frame, the scalar
-reference body (frontier at or below ``SCALAR_FRONTIER_MAX`` tokens)
-or the numpy kernels (solo, or fused across the large segments).  The
+``advance_segments`` picks, per segment and per frame, the scalar
+reference body (frontier at or below ``SCALAR_FRONTIER_MAX`` tokens,
+run over consecutive frames) or the numpy kernels (``step_segments``:
+solo, or fused across the large segments).  The
 contract: wherever the constant sits — 0 (never scalar), small values
 that flip regimes mid-utterance, 10**9 (always scalar) — every entry
 point (``decode``, ``StreamingSession.push`` at any chunking,
@@ -180,38 +181,64 @@ def decoder(tiny_task):
 def test_fused_group_mixes_regimes_within_a_frame(
     decoder, tiny_scores, monkeypatch
 ):
-    """Segments on both sides of the threshold in the same step: the
-    small ones step scalar, the rest fuse, and nobody can tell."""
+    """Segments on both sides of the threshold in the same round of
+    ``advance_segments``: the small ones run scalar, the rest fuse (or
+    step solo when only one is left), and nobody can tell.  Which
+    threshold mixes both ways depends on the utterances, so the sweep
+    starts at the median frontier size and walks outwards."""
     reference = _decode_cold(decoder, tiny_scores)
-    sizes = sorted(n for r in reference for n in r.stats.active_history)
-    monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", sizes[len(sizes) // 2])
-    steps = []
+    sizes = sorted({n for r in reference for n in r.stats.active_history})
+    median = sizes[len(sizes) // 2]
+    thresholds = sorted(sizes, key=lambda size: abs(size - median))
+    # One round: the scalar runs, then the step of whatever is large.
+    rounds = []
     step_one, step_fused = batch._step_one, batch._step_fused
+    run = decoder._scalar_run
+
+    def spy_run(seg, rows, limit=float("inf")):
+        consumed = run(seg, rows, limit)
+        rounds[-1]["scalar"] += consumed
+        return consumed
 
     def spy_one(decoder, seg, row, scalar):
-        steps[-1]["scalar" if scalar else "solo"] += 1
+        assert not scalar  # a round's step only ever holds large segments
+        rounds[-1]["solo"] += 1
         return step_one(decoder, seg, row, scalar)
 
     def spy_fused(decoder, segments, rows):
-        steps[-1]["fused"] += len(segments)
+        rounds[-1]["fused"] += len(segments)
         return step_fused(decoder, segments, rows)
 
     step_segments = batch.step_segments
 
     def spy_step(decoder, segments, rows):
-        steps.append({"scalar": 0, "solo": 0, "fused": 0})
-        return step_segments(decoder, segments, rows)
+        step_segments(decoder, segments, rows)
+        rounds.append({"scalar": 0, "solo": 0, "fused": 0})
 
     monkeypatch.setattr(batch, "_step_one", spy_one)
     monkeypatch.setattr(batch, "_step_fused", spy_fused)
     monkeypatch.setattr(batch, "step_segments", spy_step)
-    expected = _decode_cold(decoder, tiny_scores)
-    steps.clear()
-    got = BatchDecoder(decoder, batch_size=len(tiny_scores)).decode(tiny_scores)
-    assert any(s["scalar"] and s["fused"] >= 2 for s in steps)
-    assert any(s["scalar"] and s["solo"] for s in steps)
-    for i, (want, have) in enumerate(zip(expected, got)):
-        _assert_same(want, have, ("mixed", i))
+    monkeypatch.setattr(decoder, "_scalar_run", spy_run)
+    for threshold in thresholds:
+        monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", threshold)
+        rounds[:] = [{"scalar": 0, "solo": 0, "fused": 0}]
+        expected = _decode_cold(decoder, tiny_scores)
+        rounds[:] = [{"scalar": 0, "solo": 0, "fused": 0}]
+        got = BatchDecoder(decoder, batch_size=len(tiny_scores)).decode(
+            tiny_scores
+        )
+        # Every frame of every utterance was consumed exactly once.
+        assert sum(r["scalar"] + r["solo"] + r["fused"] for r in rounds) == sum(
+            m.shape[0] for m in tiny_scores
+        )
+        for i, (want, have) in enumerate(zip(expected, got)):
+            _assert_same(want, have, ("mixed", threshold, i))
+        if any(r["scalar"] and r["fused"] >= 2 for r in rounds) and any(
+            r["scalar"] and r["solo"] for r in rounds
+        ):
+            break
+    else:
+        pytest.fail("no threshold mixed scalar runs with fused and solo steps")
     # Same transcripts as at the shipped threshold, too.
     for want, have in zip(reference, got):
         _assert_same(want, have, "vs default", expansion=False)

@@ -3,8 +3,8 @@
 In the scalar regime a hypothesis is one native int
 (:func:`repro.core.tokens.pack_key`): ``TokenTable`` is two dicts over
 those keys, ``prune_items`` hands out ``(key, cost, node)`` survivors,
-``_expand_emitting_scalar`` recombines inline and collects the epsilon
-seeds as it inserts, and ``_epsilon_scalar`` pops keys.  ``Token`` is a
+``_scalar_run`` recombines inline and collects the epsilon seeds as it
+inserts, and ``_epsilon_scalar`` pops keys.  ``Token`` is a
 view for outside readers.  Pinned here:
 
 * the table against a plain best-per-key model, views included;
@@ -398,51 +398,65 @@ def test_frame_body_matches_the_loop_as_first_written(kind, levels, max_active):
 def test_seeds_collected_while_inserting_are_the_table_order_filter(
     kind, levels, draw_seed, beam
 ):
-    """On drawn frontiers: the seeds ``_expand_emitting_scalar`` collects
-    are the scan's, and the phase run from them leaves what the phase
-    that scans for itself leaves."""
+    """On drawn frontiers: the seeds a scalar frame collects while it
+    inserts are the scan's, and the phase run from them leaves what the
+    phase that scans for itself leaves."""
     task, _ = _task(1)
     am = task.am if levels == 1 else _two_level(task.am)
     config = DecoderConfig(beam=beam)
     decoder, scanning = _pair(kind, am, task.lm, config)
     rng = np.random.default_rng(draw_seed)
     num_am, num_lm = am.fst.num_states, decoder._num_lm
-    frontier = TokenTable()
-    for _ in range(int(rng.integers(1, 40))):
-        frontier.insert(
+    draws = [
+        (
             int(rng.integers(0, num_am)),
             int(rng.integers(0, num_lm)),
             float(np.round(rng.uniform(10.0, 10.0 + 2 * beam), 1)),
             int(rng.integers(-1, 3)),
         )
-    row = rng.normal(size=am.num_senones).tolist()
-    survivors, _ = prune_items(frontier, config.beam_config())
-    tables, lattices, stats = [], [], []
+        for _ in range(int(rng.integers(1, 40)))
+    ]
+    row = rng.normal(size=am.num_senones)
+    flags = decoder._eps_arcs.has_arcs
+    collected, scanned = [], []
+    collect, scan = decoder._epsilon_scalar, type(scanning)._epsilon_scalar
+
+    def collecting(table, worklist, *rest):
+        collected.append(list(worklist))
+        scanned.append([key for key in table.cost if flags[key >> KEY_SHIFT]])
+        collect(table, worklist, *rest)
+        assert worklist == []  # the worklist is consumed
+
+    def scanning_phase(table, worklist, *rest):
+        # The phase that finds its seeds itself, whatever it was handed.
+        scan(
+            scanning, table, [key for key in table.cost if flags[key >> KEY_SHIFT]],
+            *rest,
+        )
+
+    decoder._epsilon_scalar = collecting
+    scanning._epsilon_scalar = scanning_phase
+    segments = []
     for side in (decoder, scanning):
-        table, expansions, seeds = side._expand_emitting_scalar(survivors, row)
-        flags = side._eps_arcs.has_arcs
-        assert seeds == [key for key in table.cost if flags[key >> KEY_SHIFT]]
+        frontier = TokenTable()
+        for draw in draws:
+            frontier.insert(*draw)
         lattice = WordLattice()
         for word in (1, 2, 3):  # the back-pointers drawn above refer to
             lattice.add(word, 0, 0.0, -1)
-        tables.append(table)
-        lattices.append(lattice)
-        stats.append(DecoderStats())
-    if tables[0].cost:
-        decoder._epsilon_scalar(
-            tables[0], seeds, 1, lattices[0], stats[0], config.beam_config(),
-            decoder.lookup,
-        )
-        assert seeds == []  # the worklist is consumed
-    scanning._epsilon_phase(
-        tables[1], 1, lattices[1], stats[1], config.beam_config()
-    )
-    assert list(tables[0].cost.items()) == list(tables[1].cost.items())
-    assert list(tables[0].node.items()) == list(tables[1].node.items())
+        seg = batch.BatchSegment(frontier, side.lookup, lattice, DecoderStats(), 1)
+        assert side._scalar_run(seg, row[None, :]) == 1
+        segments.append(seg)
+    got, want = segments
+    assert collected == scanned
+    if not collected:  # no seed, no phase: the scan agrees
+        assert not [key for key in got.table.cost if flags[key >> KEY_SHIFT]]
+    assert list(got.table.cost.items()) == list(want.table.cost.items())
+    assert list(got.table.node.items()) == list(want.table.node.items())
     for name in ("best_cost", "inserts", "improvements", "recombinations"):
-        assert getattr(tables[0], name) == getattr(tables[1], name), name
-    assert _lattice_nodes(lattices[0]) == _lattice_nodes(lattices[1])
-    assert stats[0] == stats[1]
+        assert getattr(got.table, name) == getattr(want.table, name), name
+    assert _lattice_nodes(got.lattice) == _lattice_nodes(want.lattice)
+    assert got.stats == want.stats
     for name in LOOKUP_COUNTERS:
         assert getattr(decoder.lookup.stats, name) == getattr(
             scanning.lookup.stats, name

@@ -2,9 +2,10 @@
 """Crossover curve behind ``repro.core.batch.SCALAR_FRONTIER_MAX``.
 
 Steps the same utterances through each frame-step regime — the scalar
-reference body, the solo numpy kernels, the fused kernel at 2 and at 8
-segments — timing every frame and bucketing it by the number of tokens entering
-it, the quantity the regime switch tests::
+reference body (a one-frame scalar run), the solo numpy kernels, the
+fused kernel at 2 and at 8 segments — timing every frame and bucketing
+it by the number of tokens entering it, the quantity the regime switch
+tests::
 
     PYTHONPATH=src python tools/frame_step_crossover.py
 
