@@ -12,14 +12,6 @@ from repro.am.graph import AmGraph, build_am_graph
 from repro.am.hmm import HmmTopology
 from repro.am.lexicon import Lexicon, generate_lexicon
 from repro.am.phones import SILENCE_PHONE, STANDARD_PHONES, PhoneInventory
-from repro.am.pipeline import (
-    PipelineClosed,
-    ScoreStream,
-    ScoringError,
-    ScoringPipeline,
-    is_chunk_exact,
-    iter_feature_chunks,
-)
 from repro.am.rnn import RnnAcousticModel
 from repro.am.scorer import (
     AcousticScorer,
@@ -52,10 +44,4 @@ __all__ = [
     "ScorerKind",
     "frame_accuracy",
     "check_score_matrix",
-    "PipelineClosed",
-    "ScoreStream",
-    "ScoringError",
-    "ScoringPipeline",
-    "is_chunk_exact",
-    "iter_feature_chunks",
 ]

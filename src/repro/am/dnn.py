@@ -52,11 +52,6 @@ class MlpAcousticModel:
     prior_scale: float = 1.0
     kind: ScorerKind = ScorerKind.DNN
 
-    #: BLAS matmul results differ in the last bits with the batch shape,
-    #: so chunked scoring is *not* bitwise-identical to one-shot scoring;
-    #: the scoring pipeline must score each submission whole.
-    chunk_exact = False
-
     @classmethod
     def fit(
         cls,

@@ -25,9 +25,10 @@ _VAR_FLOOR = 1e-3
 #: three temporaries fit a 2 MiB L2 are also faster: inside
 #: ``AsrSystem.transcribe`` (36 utterances, fresh process, two runs) the
 #: scorer costs 52-77 us per frame one-shot, 43-45 at 64 frames, 33-36
-#: at 32 and 32-33 at 16.  Per-frame broadcasting makes every block
-#: size bit-identical (``chunk_exact``; blocks of 8...128 measured
-#: equal).
+#: at 32 and 32-33 at 16.  The block size is free to tune because
+#: scoring is pure per-frame broadcasting (no cross-frame state, no
+#: shape-dependent BLAS reduction): every block size yields bit-identical
+#: scores (blocks of 8...128 measured equal).
 _SCORE_BLOCK = 32
 
 
@@ -45,12 +46,6 @@ class GmmAcousticModel:
     variances: np.ndarray
     log_weights: np.ndarray
     kind: ScorerKind = ScorerKind.GMM
-
-    #: Scoring is pure per-frame broadcasting (no cross-frame state, no
-    #: shape-dependent BLAS reductions), so scoring any chunking of the
-    #: frames is bitwise-identical to scoring them in one call — the
-    #: property the scoring pipeline needs to split utterances.
-    chunk_exact = True
 
     @classmethod
     def from_emissions(

@@ -34,11 +34,6 @@ class RnnAcousticModel:
     prior_scale: float = 1.0
     kind: ScorerKind = ScorerKind.RNN
 
-    #: The reservoir carries hidden state across frames: a chunk's
-    #: scores depend on every frame before it, so the scoring pipeline
-    #: must hand the model whole utterances, never chunks.
-    chunk_exact = False
-
     @classmethod
     def fit(
         cls,

@@ -74,11 +74,6 @@ class ScaledScorer:
     def flops_per_frame(self) -> float:
         return self.base.flops_per_frame
 
-    @property
-    def chunk_exact(self) -> bool:
-        """Scaling is elementwise, so chunk-exactness is the base's."""
-        return bool(getattr(self.base, "chunk_exact", False))
-
     def score(self, features: np.ndarray) -> np.ndarray:
         return self.scale * self.base.score(features)
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -71,12 +70,6 @@ def visible_cpus() -> int:
 _WORKER_DECODER: OnTheFlyDecoder | None = None
 _WORKER_SCORER: AcousticScorer | None = None
 _WORKER_ATTACHED = None
-_WORKER_PIPELINE = None
-
-#: Feature submissions the in-process pipelined path keeps in flight
-#: ahead of the search (the cross-utterance lag; within one utterance
-#: the per-stream ``depth`` bounds scored-but-unsearched chunks).
-PIPELINE_AHEAD = 2
 
 
 def _shm_worker_init(segment: str, config: DecoderConfig) -> None:
@@ -108,42 +101,6 @@ def _decode_features_job(features: np.ndarray) -> DecodeResult:
     return _cold_decode(_WORKER_DECODER, _WORKER_SCORER.score(features))
 
 
-def _decode_stream_pipelined(decoder: OnTheFlyDecoder, stream) -> DecodeResult:
-    """Search one utterance's score chunks as the pipeline finishes them.
-
-    Chunked pushes through a :class:`~repro.asr.streaming.StreamingSession`
-    are bit-identical to a one-shot ``decoder.decode`` over the same
-    matrix (the streaming parity contract), and the pipeline's chunk
-    values are bit-identical to synchronous scoring — so this whole
-    path reproduces ``_cold_decode(decoder, scorer.score(features))``
-    exactly, stats and cache counters included.
-    """
-    from repro.asr.streaming import StreamingSession
-
-    decoder.lookup.reset_transient_state()
-    session = StreamingSession(decoder)
-    for chunk in stream.chunks():
-        session.push(chunk)
-    return session.finish()
-
-
-def _pipelined_features_job(job: tuple[np.ndarray, int]) -> DecodeResult:
-    """Worker-side pipelined decode: one persistent pipeline per worker
-    scores each utterance's next chunk while its previous one is
-    searched."""
-    features, chunk_frames = job
-    global _WORKER_PIPELINE
-    assert _WORKER_DECODER is not None and _WORKER_SCORER is not None
-    if _WORKER_PIPELINE is None:
-        from repro.am.pipeline import ScoringPipeline
-
-        _WORKER_PIPELINE = ScoringPipeline(
-            _WORKER_SCORER, chunk_frames=chunk_frames
-        )
-    stream = _WORKER_PIPELINE.submit(features)
-    return _decode_stream_pipelined(_WORKER_DECODER, stream)
-
-
 def _streaming_job(job: tuple[np.ndarray, int]) -> DecodeResult:
     from repro.asr.streaming import decode_streaming
 
@@ -167,13 +124,6 @@ class DecodePool:
             ``None`` keeps them per-utterance; ``B > 1`` decodes score
             batches through a :class:`~repro.core.batch.BatchDecoder`
             (bit-identical, fewer kernel dispatches).
-        pipeline_chunk_frames: enable the asynchronous scoring pipeline
-            for :meth:`decode_utterances` (requires a ``scorer``): a
-            worker thread scores ahead of the search in chunks of this
-            many frames (chunk-exact scorers; whole utterances
-            otherwise — see :mod:`repro.am.pipeline`).  Results stay
-            bit-identical to the synchronous path; only the overlap
-            changes.
         single_cpu_fallback: when ``parallelism > 1`` but the host
             exposes a single visible CPU, quietly decode in-process
             with batch fusion instead of forking workers that would
@@ -188,7 +138,6 @@ class DecodePool:
         config: DecoderConfig | None = None,
         parallelism: int = 1,
         batch_size: int | None = None,
-        pipeline_chunk_frames: int | None = None,
         single_cpu_fallback: bool = True,
     ) -> None:
         if parallelism < 1:
@@ -200,13 +149,6 @@ class DecodePool:
             )
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if pipeline_chunk_frames is not None and pipeline_chunk_frames < 1:
-            raise ValueError("pipeline_chunk_frames must be positive")
-        if pipeline_chunk_frames is not None and scorer is None:
-            raise ValueError(
-                "the scoring pipeline needs a scorer to overlap with "
-                "the search"
-            )
         self.requested_parallelism = parallelism
         if (
             parallelism > 1
@@ -223,9 +165,7 @@ class DecodePool:
         self.config = config or DecoderConfig()
         self.parallelism = parallelism
         self.batch_size = batch_size
-        self.pipeline_chunk_frames = pipeline_chunk_frames
         self._scorer = scorer
-        self._scoring_pipeline = None
         self._executor: ProcessPoolExecutor | None = None
         self._decoder: OnTheFlyDecoder | None = None
         self._shm = None
@@ -264,28 +204,12 @@ class DecodePool:
 
     @property
     def strategy(self) -> str:
-        """How this pool decodes: ``serial``, ``pool[N]`` or ``batch[B]``,
-        with a ``+pipe[C]`` suffix when the scoring pipeline is on."""
+        """How this pool decodes: ``serial``, ``pool[N]`` or ``batch[B]``."""
         if self._executor is not None:
-            base = f"pool[{self.parallelism}]"
-        elif self._batch is not None and self._batch.lockstep_supported:
-            base = f"batch[{self._batch.batch_size}]"
-        else:
-            base = "serial"
-        if self.pipeline_chunk_frames is not None:
-            base += f"+pipe[{self.pipeline_chunk_frames}]"
-        return base
-
-    def _ensure_pipeline(self):
-        """The pool's persistent in-process scoring pipeline."""
-        if self._scoring_pipeline is None:
-            from repro.am.pipeline import ScoringPipeline
-
-            assert self._scorer is not None
-            self._scoring_pipeline = ScoringPipeline(
-                self._scorer, chunk_frames=self.pipeline_chunk_frames
-            )
-        return self._scoring_pipeline
+            return f"pool[{self.parallelism}]"
+        if self._batch is not None and self._batch.lockstep_supported:
+            return f"batch[{self._batch.batch_size}]"
+        return "serial"
 
     def _chunksize(self, num_jobs: int) -> int:
         """Batch jobs per pickle: a couple of chunks per worker."""
@@ -311,8 +235,6 @@ class DecodePool:
         """Score and decode utterances; results in input order."""
         if self._scorer is None:
             raise ValueError("DecodePool built without a scorer")
-        if self.pipeline_chunk_frames is not None:
-            return self._decode_utterances_pipelined(utterances)
         if self._executor is None:
             assert self._decoder is not None
             if self._batch is not None:
@@ -332,83 +254,9 @@ class DecodePool:
         )
         return self._stamp(results)
 
-    def _decode_utterances_pipelined(self, utterances) -> list[DecodeResult]:
-        """Score-ahead decoding: the pipeline worker scores chunk/batch
-        ``k+1`` while this thread (or a worker process) searches ``k``.
-
-        Bit-identical to the synchronous paths (same chunk values, same
-        cold-cache contract, same lockstep grouping) — only the overlap
-        and ``DecodeResult.strategy`` differ.
-        """
-        if self._executor is not None:
-            # Process fan-out: each worker overlaps scoring and search
-            # through its own persistent pipeline.
-            return self._stamp(
-                list(
-                    self._executor.map(
-                        _pipelined_features_job,
-                        [
-                            (u.features, self.pipeline_chunk_frames)
-                            for u in utterances
-                        ],
-                        chunksize=self._chunksize(len(utterances)),
-                    )
-                ),
-                strategy=self.strategy,
-            )
-        assert self._decoder is not None
-        pipeline = self._ensure_pipeline()
-        results: list[DecodeResult] = []
-        if self._batch is not None:
-            # Lockstep path: submit batch k+1's features before decoding
-            # batch k, so the pipeline scores the next batch while the
-            # fused kernels chew on this one.  Grouping matches the
-            # BatchDecoder's own batching, so results are identical to
-            # handing it the whole list at once.
-            width = self._batch.batch_size
-            groups = [
-                utterances[i : i + width]
-                for i in range(0, len(utterances), width)
-            ]
-            pending: deque = deque()
-            index = 0
-            while pending or index < len(groups):
-                while index < len(groups) and len(pending) <= 1:
-                    pending.append(
-                        [pipeline.submit(u.features) for u in groups[index]]
-                    )
-                    index += 1
-                streams = pending.popleft()
-                results.extend(
-                    self._batch.decode([s.result() for s in streams])
-                )
-        else:
-            pending = deque()
-            index = 0
-            while pending or index < len(utterances):
-                while (
-                    index < len(utterances)
-                    and len(pending) <= PIPELINE_AHEAD
-                ):
-                    pending.append(
-                        pipeline.submit(utterances[index].features)
-                    )
-                    index += 1
-                results.append(
-                    _decode_stream_pipelined(
-                        self._decoder, pending.popleft()
-                    )
-                )
+    def _stamp(self, results: list[DecodeResult]) -> list[DecodeResult]:
         for result in results:
-            result.strategy = self.strategy
-        return results
-
-    def _stamp(
-        self, results: list[DecodeResult], strategy: str | None = None
-    ) -> list[DecodeResult]:
-        label = strategy or f"pool[{self.parallelism}]"
-        for result in results:
-            result.strategy = label
+            result.strategy = f"pool[{self.parallelism}]"
         return results
 
     def decode_streams(
@@ -440,9 +288,6 @@ class DecodePool:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        if self._scoring_pipeline is not None:
-            self._scoring_pipeline.close()
-            self._scoring_pipeline = None
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None

@@ -107,24 +107,8 @@ class StreamingSession:
     streaming analogue of the offline decoder's parity contract.
     """
 
-    def __init__(
-        self,
-        decoder: OnTheFlyDecoder,
-        lookup=None,
-        scorer=None,
-        pipeline=None,
-        pipeline_chunk_frames: int | None = None,
-    ) -> None:
+    def __init__(self, decoder: OnTheFlyDecoder, lookup=None) -> None:
         self.decoder = decoder
-        # Raw-feature streaming (:meth:`push_features`) needs an
-        # acoustic scorer; sessions fed pre-scored matrices leave both
-        # unset.  A shared ``pipeline`` (serving layers) takes priority
-        # over a lazily-built private one.
-        self._scorer = scorer
-        self._pipeline = pipeline
-        self._owns_pipeline = False
-        self._pipeline_chunk_frames = pipeline_chunk_frames
-        self._pending = None  # in-flight ScoreStream (lag-1 pipelining)
         # Sessions default to the decoder's own lookup; a serving layer
         # running several sessions on one decoder passes each a
         # ``decoder.lookup.fork()`` instead, giving every session its
@@ -162,11 +146,6 @@ class StreamingSession:
         """
         if self._finished:
             raise RuntimeError("session already finished")
-        if self._pending is not None:
-            raise RuntimeError(
-                "a feature batch is still being scored; drain it "
-                "(push_features/finish) before taking a snapshot"
-            )
         seg = self._seg
         # Copies: a SoaTokenTable hands out its live columns.
         am, lm, cost, node = (col.copy() for col in seg.table.columns())
@@ -242,53 +221,6 @@ class StreamingSession:
         """Consume one batch of frames; returns the running best guess."""
         return push_sessions([self], [scores])[0]
 
-    def push_features(self, features: np.ndarray) -> PartialHypothesis:
-        """Consume raw features, scoring asynchronously ahead of search.
-
-        Lag-1 pipelining: this batch is submitted to the scoring
-        pipeline immediately, then the *previous* submission's scores —
-        complete or completing on the worker thread — are searched, so
-        the acoustic model scores batch ``n`` while the Viterbi engine
-        searches batch ``n-1``.  The returned partial therefore trails
-        :meth:`push` by one batch; :meth:`finish` drains the tail.
-        Scores reaching the search are bitwise-identical to scoring the
-        same batches synchronously (see :mod:`repro.am.pipeline`), so
-        final results and stats match the pre-scored path exactly.
-        A scorer failure surfaces here (or at :meth:`finish`) as a
-        typed :class:`~repro.am.pipeline.ScoringError`.
-        """
-        if self._finished:
-            raise RuntimeError("session already finished")
-        if self._pipeline is None:
-            if self._scorer is None:
-                raise RuntimeError(
-                    "session has no acoustic scorer; construct it with "
-                    "scorer= (or pipeline=) to push raw features"
-                )
-            from repro.am.pipeline import ScoringPipeline
-
-            self._pipeline = ScoringPipeline(
-                self._scorer, chunk_frames=self._pipeline_chunk_frames
-            )
-            self._owns_pipeline = True
-        stream = self._pipeline.submit(np.asarray(features))
-        pending, self._pending = self._pending, stream
-        partial = self._partial()
-        if pending is not None:
-            for chunk in pending.chunks():
-                partial = self.push(chunk)
-        return partial
-
-    def _drain_pending(self) -> None:
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
-            for chunk in pending.chunks():
-                self.push(chunk)
-        if self._owns_pipeline and self._pipeline is not None:
-            self._pipeline.close()
-            self._pipeline = None
-            self._owns_pipeline = False
-
     def _partial(self) -> PartialHypothesis:
         best_cost = math.inf
         best_node = -1
@@ -325,7 +257,6 @@ class StreamingSession:
         """Terminate the utterance and return the final result."""
         if self._finished:
             raise RuntimeError("session already finished")
-        self._drain_pending()
         self._finished = True
         seg = self._seg
         seg.stats.frames = seg.frame

@@ -98,10 +98,8 @@ class AsrSystem:
         config: DecoderConfig | None,
         parallelism: int,
         batch_size: int | None = None,
-        pipeline_chunk_frames: int | None = None,
     ):
-        """The cached DecodePool for one (config, parallelism, batch,
-        pipeline) key.
+        """The cached DecodePool for one (config, parallelism, batch) key.
 
         Pools persist across calls — workers warm up once, not per
         batch; :meth:`close` releases them.
@@ -113,7 +111,6 @@ class AsrSystem:
         key = (
             parallelism,
             batch_size,
-            pipeline_chunk_frames,
             None if config is None else astuple(config),
         )
         pool = self._pools.get(key)
@@ -125,7 +122,6 @@ class AsrSystem:
                 config=config,
                 parallelism=parallelism,
                 batch_size=batch_size,
-                pipeline_chunk_frames=pipeline_chunk_frames,
             )
             self._pools[key] = pool
         return pool
@@ -136,7 +132,6 @@ class AsrSystem:
         config: DecoderConfig | None = None,
         parallelism: int = 1,
         batch_size: int | None = None,
-        pipeline_chunk_frames: int | None = None,
     ) -> list[DecodeResult]:
         """Score and decode a batch with the software decoder.
 
@@ -146,16 +141,11 @@ class AsrSystem:
         per frame (:class:`repro.core.batch.BatchDecoder`).  On hosts
         with a single visible CPU a ``parallelism > 1`` request quietly
         becomes lockstep batching — process fan-out can't help there.
-        ``pipeline_chunk_frames`` turns on the asynchronous scoring
-        pipeline: acoustic scores are produced on a worker thread ahead
-        of the search (:mod:`repro.am.pipeline`), overlapping the two
-        stages on any of the strategies.  Every strategy returns
-        bit-identical results in input order; ``DecodeResult.strategy``
-        records which one ran.
+        Every strategy returns bit-identical results in input order;
+        ``DecodeResult.strategy`` records which one ran.
         """
-        return self._pool_for(
-            config, parallelism, batch_size, pipeline_chunk_frames
-        ).decode_utterances(utterances)
+        pool = self._pool_for(config, parallelism, batch_size)
+        return pool.decode_utterances(utterances)
 
     def transcribe_streams(
         self,

@@ -82,7 +82,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         config=config,
         parallelism=args.parallelism,
         batch_size=args.batch_size,
-        pipeline_chunk_frames=args.pipeline_chunk_frames,
     ) as pool:
         results = pool.decode_utterances(utterances)
     hypotheses = []
@@ -269,13 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="decode utterances in lockstep batches of this width "
         "(in-process; bit-identical to per-utterance decoding)",
-    )
-    p_decode.add_argument(
-        "--pipeline-chunk-frames",
-        type=int,
-        default=None,
-        help="score asynchronously ahead of the search in chunks of "
-        "this many frames (bit-identical; overlaps AM and Viterbi)",
     )
     p_decode.set_defaults(func=cmd_decode)
 

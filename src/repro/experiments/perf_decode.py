@@ -68,16 +68,11 @@ def _time_serial(make_decoder, scores, repeats: int):
     return best, results, phases
 
 
-#: Scoring-pipeline chunk size timed by the pipelined arm.
-PIPELINE_CHUNK_FRAMES = 16
-
-
 def measure(
     preset: str = "small",
     parallelism: int = 2,
     repeats: int = 3,
     batch_size: int = 8,
-    pipeline_chunk_frames: int = PIPELINE_CHUNK_FRAMES,
 ) -> dict:
     """Time every decode path on one preset; returns the report dict."""
     if preset not in PRESETS:
@@ -151,9 +146,6 @@ def measure(
 
     parallel = _measure_parallel(bundle, parallelism, config(True))
     batched = _measure_batched(bundle, batch_size, config(True), repeats)
-    pipelined = _measure_pipelined(
-        bundle, config(True), repeats, chunk_frames=pipeline_chunk_frames
-    )
 
     return {
         "preset": preset,
@@ -167,7 +159,6 @@ def measure(
         "rows": rows,
         "parallel": parallel,
         "batched": batched,
-        "pipelined": pipelined,
         "vectorized_speedup": {
             name: round(value, 2) for name, value in reference.items()
         },
@@ -284,69 +275,12 @@ def _measure_batched(
     }
 
 
-def _measure_pipelined(
-    bundle, config: DecoderConfig, repeats: int, chunk_frames: int
-) -> dict:
-    """Score-ahead pipelined decode vs the score-then-search baseline.
-
-    Both pools decode from *features* through the same bundle-quantized
-    recognizer; the only difference is ``pipeline_chunk_frames``, which
-    moves scoring onto the pipeline worker thread so it overlaps the
-    search.  Besides the timing this asserts the pipeline's bit-parity
-    on transcripts, costs and the full stats tuple.  Passes are
-    interleaved so both timings see the same machine noise.
-    """
-    task = bundle.task
-    utterances = bundle.utterances
-    frames = sum(u.features.shape[0] for u in utterances)
-    sync_best = math.inf
-    pipe_best = math.inf
-    sync_results = None
-    pipe_results = None
-    with DecodePool(
-        task.am, task.lm, scorer=bundle.scorer, config=config
-    ) as sync_pool, DecodePool(
-        task.am,
-        task.lm,
-        scorer=bundle.scorer,
-        config=config,
-        pipeline_chunk_frames=chunk_frames,
-    ) as pipe_pool:
-        for _ in range(repeats):
-            start = perf_counter()
-            sync_results = sync_pool.decode_utterances(utterances)
-            sync_best = min(sync_best, perf_counter() - start)
-            start = perf_counter()
-            pipe_results = pipe_pool.decode_utterances(utterances)
-            pipe_best = min(pipe_best, perf_counter() - start)
-        strategy = pipe_results[0].strategy
-    mismatched = [
-        i
-        for i, (a, b) in enumerate(zip(sync_results, pipe_results))
-        if a.words != b.words or a.cost != b.cost or a.stats != b.stats
-    ]
-    if mismatched:
-        raise AssertionError(
-            f"pipelined decode diverges from synchronous on {mismatched}"
-        )
-    return {
-        "chunk_frames": chunk_frames,
-        "strategy": strategy,
-        "sync_seconds": round(sync_best, 4),
-        "sync_frames_per_sec": round(frames / sync_best, 1),
-        "pipelined_seconds": round(pipe_best, 4),
-        "pipelined_frames_per_sec": round(frames / pipe_best, 1),
-        "pipeline_speedup": round(sync_best / pipe_best, 2),
-    }
-
-
 def check_report(
     report: dict,
     fail_below: float | None = None,
     fail_epsilon_above: float | None = None,
     fail_parallel_below: float | None = None,
     fail_batch_below: float | None = None,
-    fail_pipeline_below: float | None = None,
 ) -> tuple[list[str], list[str]]:
     """Evaluate regression gates against a measured report.
 
@@ -363,10 +297,6 @@ def check_report(
       process pool cannot beat the serial pass.
     * ``fail_batch_below`` — floor on the lockstep batch speedup over
       the cold per-utterance pass (same semantics, fused kernels).
-    * ``fail_pipeline_below`` — floor on the scoring-pipeline speedup
-      over the score-then-search baseline, skipped (with a note) when
-      the harness saw a single CPU, where the scoring thread cannot
-      overlap the search.
     """
     failures: list[str] = []
     notes: list[str] = []
@@ -428,25 +358,6 @@ def check_report(
                     f"lockstep batch speedup {speedup}x "
                     f"({batched['kernel_calls']} kernel calls)"
                 )
-    if fail_pipeline_below is not None:
-        pipelined = report.get("pipelined")
-        if not pipelined:
-            failures.append("no pipelined pass in the report to gate on")
-        else:
-            speedup = pipelined["pipeline_speedup"]
-            if report["cpus"] < 2:
-                notes.append(
-                    f"pipeline gate skipped: {report['cpus']} visible "
-                    f"cpu(s); measured {speedup}x for the record"
-                )
-            elif speedup < fail_pipeline_below:
-                failures.append(
-                    f"scoring-pipeline speedup {speedup}x at chunk_frames "
-                    f"{pipelined['chunk_frames']} is below the "
-                    f"{fail_pipeline_below}x floor"
-                )
-            else:
-                notes.append(f"scoring-pipeline speedup {speedup}x")
     return failures, notes
 
 
@@ -472,14 +383,6 @@ def _to_result(report: dict) -> ExperimentResult:
             f"({batched['batch_speedup']}x, "
             f"{batched['kernel_calls']} kernel calls)"
         )
-    pipelined = report.get("pipelined")
-    if pipelined:
-        notes += (
-            f"; scoring pipeline {pipelined['strategy']}: "
-            f"{pipelined['sync_frames_per_sec']} -> "
-            f"{pipelined['pipelined_frames_per_sec']} frames/s "
-            f"({pipelined['pipeline_speedup']}x)"
-        )
     return ExperimentResult(
         experiment_id="perf-decode",
         title="software decode throughput (regression harness)",
@@ -498,7 +401,6 @@ def write_bench_report(
     parallelism: int = 2,
     repeats: int = 3,
     batch_size: int = 8,
-    pipeline_chunk_frames: int = PIPELINE_CHUNK_FRAMES,
 ) -> ExperimentResult:
     """Measure one preset and persist ``BENCH_decode.json``."""
     report = measure(
@@ -506,7 +408,6 @@ def write_bench_report(
         parallelism=parallelism,
         repeats=repeats,
         batch_size=batch_size,
-        pipeline_chunk_frames=pipeline_chunk_frames,
     )
     Path(output).write_text(json.dumps(report, indent=2) + "\n")
     return _to_result(report)

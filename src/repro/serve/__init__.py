@@ -33,7 +33,12 @@ from repro.serve.scheduler import (
     Scheduler,
     SchedulerConfig,
 )
-from repro.serve.scoring import ScoreHandle, ScoringService, resolve_batch
+from repro.serve.scoring import (
+    ScoreHandle,
+    ScoringError,
+    ScoringService,
+    resolve_batch,
+)
 from repro.serve.server import (
     InProcessClient,
     InProcessSession,
@@ -61,6 +66,7 @@ __all__ = [
     "Scheduler",
     "SchedulerConfig",
     "ScoreHandle",
+    "ScoringError",
     "ScoringService",
     "ServeConfig",
     "ServeError",

@@ -19,7 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.am.pipeline import ScoringError
+
+class ScoringError(RuntimeError):
+    """The acoustic model failed on a feature batch.
+
+    Carries the original exception as ``__cause__``; every resolver of
+    the failed :class:`ScoreHandle` sees this typed error.
+    """
 
 
 class ScoreHandle:
@@ -50,9 +56,8 @@ class ScoreHandle:
     def result(self) -> np.ndarray:
         """The score matrix; the first call runs the acoustic model.
 
-        Failures surface as :class:`~repro.am.pipeline.ScoringError`
-        and are cached, so every resolver of the same handle sees the
-        same outcome.
+        Failures surface as :class:`ScoringError` and are cached, so
+        every resolver of the same handle sees the same outcome.
         """
         if self._error is not None:
             raise self._error
@@ -61,9 +66,6 @@ class ScoreHandle:
                 self._value = np.asarray(
                     self._scorer.score(self._features), dtype=np.float64
                 )
-            except ScoringError as exc:
-                self._error = exc
-                raise
             except Exception as exc:
                 self._error = ScoringError(f"acoustic scoring failed: {exc}")
                 raise self._error from exc

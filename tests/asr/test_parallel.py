@@ -87,6 +87,36 @@ class TestDecodePool:
             assert got.cost == want.cost
             assert got.stats == want.stats
 
+    @pytest.mark.parametrize(
+        "strategy, options",
+        [
+            ("serial", {}),
+            ("batch[4]", {"batch_size": 4}),
+            ("pool[2]", {"parallelism": 2, "single_cpu_fallback": False}),
+        ],
+    )
+    def test_feature_input_equals_score_input(
+        self, tiny_task, tiny_scorer, tiny_utterances, serial_results,
+        strategy, options,
+    ):
+        """Scoring inside the pool is invisible: every strategy decodes
+        features to exactly what ``decode_scores`` makes of
+        ``scorer.score(features)``, stats tuple included."""
+        with DecodePool(
+            tiny_task.am,
+            tiny_task.lm,
+            scorer=tiny_scorer,
+            config=CONFIG,
+            **options,
+        ) as pool:
+            assert pool.strategy == strategy
+            results = pool.decode_utterances(tiny_utterances)
+        assert len(results) == len(serial_results)
+        for got, want in zip(results, serial_results):
+            assert got.words == want.words
+            assert got.cost == want.cost
+            assert got.stats == want.stats
+
     def test_validation(self, tiny_task, tiny_scorer, tiny_utterances):
         with pytest.raises(ValueError):
             DecodePool(tiny_task.am, tiny_task.lm, parallelism=0)

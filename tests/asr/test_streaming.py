@@ -49,6 +49,17 @@ class TestStreaming:
         with pytest.raises(ValueError):
             session.push(np.zeros((4,)))
 
+    def test_wrong_width_zero_frame_batch_rejected(self, decoder):
+        """The width check runs before the empty-batch early return: a
+        (0, k) batch with a wrong senone width is malformed even though
+        it carries no frames.  Only (0, 0) — the shape an empty wire
+        payload decodes to — stays a legal keep-alive."""
+        session = StreamingSession(decoder)
+        with pytest.raises(ValueError):
+            session.push(np.zeros((0, 2)))
+        partial = session.push(np.zeros((0, 0)))
+        assert partial.frames_consumed == 0
+
     def test_bad_batch_size_rejected(self, decoder, tiny_scores):
         with pytest.raises(ValueError):
             decode_streaming(decoder, tiny_scores[0], batch_frames=0)

@@ -12,10 +12,10 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.am.pipeline import ScoringError
 from repro.asr.streaming import transcribe_streams
 from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.serve import (
+    ScoringError,
     ScoringService,
     ServeConfig,
     ServeError,

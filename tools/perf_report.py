@@ -16,11 +16,7 @@ phase at ``S`` seconds (per-phase gate, not just total throughput);
 ``--fail-parallel-below X`` floors the pool's parallel speedup, and is
 skipped with a warning on single-CPU machines where a process pool
 cannot win; ``--fail-batch-below X`` floors the lockstep batch
-(``BatchDecoder``) speedup over the cold per-utterance pass;
-``--fail-pipeline-below X`` floors the asynchronous scoring-pipeline
-speedup over the score-then-search baseline (skipped with a warning on
-single-CPU machines, where the scoring thread cannot overlap the
-search).
+(``BatchDecoder``) speedup over the cold per-utterance pass.
 
 The serving layer has its own bench and gates::
 
@@ -142,21 +138,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="X",
         help="exit 1 if the lockstep batch speedup is below X",
-    )
-    parser.add_argument(
-        "--pipeline-chunk-frames",
-        type=int,
-        default=16,
-        help="scoring-pipeline chunk size for the pipelined-decode "
-        "comparison",
-    )
-    parser.add_argument(
-        "--fail-pipeline-below",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit 1 if the scoring-pipeline decode speedup is below X "
-        "(skipped with a warning on single-CPU machines)",
     )
     parser.add_argument(
         "--serve",
@@ -300,7 +281,6 @@ def main(argv: list[str] | None = None) -> int:
             parallelism=args.parallelism,
             repeats=args.repeats,
             batch_size=args.batch_size,
-            pipeline_chunk_frames=args.pipeline_chunk_frames,
         )
         print(result.render())
         print(f"\nwrote {args.output}")
@@ -311,7 +291,6 @@ def main(argv: list[str] | None = None) -> int:
             fail_epsilon_above=args.fail_epsilon_above,
             fail_parallel_below=args.fail_parallel_below,
             fail_batch_below=args.fail_batch_below,
-            fail_pipeline_below=args.fail_pipeline_below,
         )
         failures.extend(decode_failures)
         notes.extend(decode_notes)
