@@ -33,13 +33,10 @@ submission order.  Two mechanisms make that hold:
   without a scorer skips the round-trip and decodes the given graphs
   directly (no worker machinery either way).
 
-The lockstep :class:`~repro.core.batch.BatchDecoder` honors the same
-contract (cold forked caches per utterance), so the pool can swap
-process fan-out for in-process batch fusion — it does exactly that,
-automatically, when asked for ``parallelism > 1`` on a host exposing a
-single CPU, where forked workers would only add serialization overhead
-on top of zero actual concurrency.  Each result records which strategy
-produced it in ``DecodeResult.strategy``.
+Asking for ``parallelism > 1`` on a host exposing a single CPU decodes
+serially in-process instead: forked workers would only add
+serialization overhead on top of zero actual concurrency.  Each result
+records which strategy produced it in ``DecodeResult.strategy``.
 """
 
 from __future__ import annotations
@@ -120,13 +117,9 @@ class DecodePool:
         scorer: acoustic scorer; required for :meth:`decode_utterances`.
         config: decoder configuration shared by every worker.
         parallelism: worker process count; ``1`` decodes in-process.
-        batch_size: lockstep batch width for the in-process paths.
-            ``None`` keeps them per-utterance; ``B > 1`` decodes score
-            batches through a :class:`~repro.core.batch.BatchDecoder`
-            (bit-identical, fewer kernel dispatches).
         single_cpu_fallback: when ``parallelism > 1`` but the host
-            exposes a single visible CPU, quietly decode in-process
-            with batch fusion instead of forking workers that would
+            exposes a single visible CPU, quietly decode serially
+            in-process instead of forking workers that would
             time-slice one core.  Results are identical either way.
     """
 
@@ -137,7 +130,6 @@ class DecodePool:
         scorer: AcousticScorer | None = None,
         config: DecoderConfig | None = None,
         parallelism: int = 1,
-        batch_size: int | None = None,
         single_cpu_fallback: bool = True,
     ) -> None:
         if parallelism < 1:
@@ -147,8 +139,6 @@ class DecodePool:
                 "a scorer is required to ship the recognizer bundle "
                 "to worker processes"
             )
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be positive")
         self.requested_parallelism = parallelism
         if (
             parallelism > 1
@@ -156,15 +146,12 @@ class DecodePool:
             and visible_cpus() < 2
         ):
             # One visible core: worker processes can't overlap, they
-            # just add pickling and scheduling.  Fuse in-process
+            # just add pickling and scheduling.  Decode serially
             # instead — the determinism contract makes this invisible
             # apart from DecodeResult.strategy.
             parallelism = 1
-            if batch_size is None:
-                batch_size = 8
         self.config = config or DecoderConfig()
         self.parallelism = parallelism
-        self.batch_size = batch_size
         self._scorer = scorer
         self._executor: ProcessPoolExecutor | None = None
         self._decoder: OnTheFlyDecoder | None = None
@@ -196,19 +183,12 @@ class DecodePool:
                 )
         else:
             self._decoder = OnTheFlyDecoder(am, lm, self.config)
-        self._batch = None
-        if self._decoder is not None and batch_size is not None and batch_size > 1:
-            from repro.core.batch import BatchDecoder
-
-            self._batch = BatchDecoder(self._decoder, batch_size)
 
     @property
     def strategy(self) -> str:
-        """How this pool decodes: ``serial``, ``pool[N]`` or ``batch[B]``."""
+        """How this pool decodes: ``serial`` or ``pool[N]``."""
         if self._executor is not None:
             return f"pool[{self.parallelism}]"
-        if self._batch is not None and self._batch.lockstep_supported:
-            return f"batch[{self._batch.batch_size}]"
         return "serial"
 
     def _chunksize(self, num_jobs: int) -> int:
@@ -221,8 +201,6 @@ class DecodePool:
         """Decode pre-computed score matrices; results in input order."""
         if self._executor is None:
             assert self._decoder is not None
-            if self._batch is not None:
-                return self._batch.decode(scores)
             return [_cold_decode(self._decoder, s) for s in scores]
         results = list(
             self._executor.map(
@@ -237,10 +215,6 @@ class DecodePool:
             raise ValueError("DecodePool built without a scorer")
         if self._executor is None:
             assert self._decoder is not None
-            if self._batch is not None:
-                return self._batch.decode(
-                    [self._scorer.score(u.features) for u in utterances]
-                )
             return [
                 _cold_decode(self._decoder, self._scorer.score(u.features))
                 for u in utterances

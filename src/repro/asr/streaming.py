@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.batch import advance_segments
+from repro.core.batch import advance_segment
 from repro.core.composition import LookupStats
 from repro.core.decoder import DecodeResult, DecoderStats, OnTheFlyDecoder
 from repro.core.lattice import LatticeNode
@@ -99,12 +99,15 @@ class StreamingSession:
 
     The session's state is one :class:`~repro.core.batch.BatchSegment`
     and its frames go through the same
-    :func:`~repro.core.batch.step_segments` as
+    :func:`~repro.core.batch.advance_segment` as
     :meth:`~repro.core.decoder.OnTheFlyDecoder.decode`'s, so it takes
     the same regime on every frame (scalar for small frontiers and
     always under a trace sink, numpy kernels otherwise) and produces
     bit-identical partials, results and :class:`DecoderStats` — the
     streaming analogue of the offline decoder's parity contract.
+    Several sessions advance in one call through :func:`push_sessions`
+    (the serving layer's one engine call per scheduler cycle), each
+    still stepped on its own.
     """
 
     def __init__(self, decoder: OnTheFlyDecoder, lookup=None) -> None:
@@ -112,8 +115,7 @@ class StreamingSession:
         # Sessions default to the decoder's own lookup; a serving layer
         # running several sessions on one decoder passes each a
         # ``decoder.lookup.fork()`` instead, giving every session its
-        # own OLT/expansion-cache evolution (solo-identical counters)
-        # and making the sessions fusable by :func:`push_sessions`.
+        # own OLT/expansion-cache evolution (solo-identical counters).
         self._seg = decoder.new_segment(lookup)
         self._vectorized = decoder._vectorized
         self._finished = False
@@ -268,17 +270,15 @@ def push_sessions(
     sessions: list[StreamingSession],
     batches: list[np.ndarray],
 ) -> list[PartialHypothesis]:
-    """Advance several sessions through their batches in lockstep.
+    """Advance several sessions through their batches in one call.
 
-    Per frame index, every session still holding frames advances
-    through one :func:`~repro.core.batch.step_segments` call (ragged
-    batches retire early, zero-frame batches are keep-alives), which
-    fuses the sessions whose frontiers are large enough for it.  Each
-    session's partials, final result and stats are bit-identical to
-    pushing its batch alone — provided the sessions share one decoder
-    but *not* one lookup (each needs its own ``decoder.lookup.fork()``,
-    or the interleaving would reorder a shared cache's evolution);
-    sessions that don't are simply pushed one by one.
+    The serving layer's one engine call per scheduler cycle: every
+    batch is validated first, then each session's segment consumes its
+    batch in turn through :func:`~repro.core.batch.advance_segment`
+    (batches may be ragged; zero-frame batches are keep-alives).  So
+    each session's partials, final result and stats are exactly those
+    of pushing its batch alone, in the same order — whether or not the
+    sessions share a decoder or a lookup.
     """
     if len(sessions) != len(batches):
         raise ValueError("one score batch per session required")
@@ -300,15 +300,8 @@ def push_sessions(
         ):
             raise ValueError(f"bad score batch shape {scores.shape}")
         matrices.append(np.ascontiguousarray(scores, dtype=np.float64))
-    segments = [session._seg for session in sessions]
-    decoders = {id(session.decoder) for session in sessions}
-    if len(decoders) == 1 and len({id(seg.lookup) for seg in segments}) == len(
-        segments
-    ):
-        advance_segments(sessions[0].decoder, segments, matrices)
-    else:
-        for session, matrix in zip(sessions, matrices):
-            advance_segments(session.decoder, [session._seg], [matrix])
+    for session, matrix in zip(sessions, matrices):
+        advance_segment(session.decoder, session._seg, matrix)
     return [session._partial() for session in sessions]
 
 

@@ -93,13 +93,8 @@ class AsrSystem:
     def score_all(self, utterances: list[Utterance]) -> list[np.ndarray]:
         return [self.scorer.score(u.features) for u in utterances]
 
-    def _pool_for(
-        self,
-        config: DecoderConfig | None,
-        parallelism: int,
-        batch_size: int | None = None,
-    ):
-        """The cached DecodePool for one (config, parallelism, batch) key.
+    def _pool_for(self, config: DecoderConfig | None, parallelism: int):
+        """The cached DecodePool for one (config, parallelism) key.
 
         Pools persist across calls — workers warm up once, not per
         batch; :meth:`close` releases them.
@@ -108,11 +103,7 @@ class AsrSystem:
 
         from repro.asr.parallel import DecodePool
 
-        key = (
-            parallelism,
-            batch_size,
-            None if config is None else astuple(config),
-        )
+        key = (parallelism, None if config is None else astuple(config))
         pool = self._pools.get(key)
         if pool is None:
             pool = DecodePool(
@@ -121,7 +112,6 @@ class AsrSystem:
                 scorer=self.scorer,
                 config=config,
                 parallelism=parallelism,
-                batch_size=batch_size,
             )
             self._pools[key] = pool
         return pool
@@ -131,20 +121,17 @@ class AsrSystem:
         utterances: list[Utterance],
         config: DecoderConfig | None = None,
         parallelism: int = 1,
-        batch_size: int | None = None,
     ) -> list[DecodeResult]:
         """Score and decode a batch with the software decoder.
 
         ``parallelism > 1`` fans utterances out over worker processes
-        (see :class:`repro.asr.parallel.DecodePool`); ``batch_size > 1``
-        instead decodes utterances in lockstep through one fused kernel
-        per frame (:class:`repro.core.batch.BatchDecoder`).  On hosts
-        with a single visible CPU a ``parallelism > 1`` request quietly
-        becomes lockstep batching — process fan-out can't help there.
-        Every strategy returns bit-identical results in input order;
-        ``DecodeResult.strategy`` records which one ran.
+        (see :class:`repro.asr.parallel.DecodePool`).  On hosts with a
+        single visible CPU such a request quietly decodes serially —
+        process fan-out can't help there.  Every strategy returns
+        bit-identical results in input order; ``DecodeResult.strategy``
+        records which one ran.
         """
-        pool = self._pool_for(config, parallelism, batch_size)
+        pool = self._pool_for(config, parallelism)
         return pool.decode_utterances(utterances)
 
     def transcribe_streams(

@@ -81,7 +81,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         scorer=scorer,
         config=config,
         parallelism=args.parallelism,
-        batch_size=args.batch_size,
     ) as pool:
         results = pool.decode_utterances(utterances)
     hypotheses = []
@@ -105,7 +104,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         preset=args.preset,
         output=args.output,
         parallelism=args.parallelism,
-        batch_size=args.batch_size,
     )
     print(report.render())
     return 0
@@ -262,13 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="force the scalar reference hot loop",
     )
-    p_decode.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="decode utterances in lockstep batches of this width "
-        "(in-process; bit-identical to per-utterance decoding)",
-    )
     p_decode.set_defaults(func=cmd_decode)
 
     p_perf = sub.add_parser(
@@ -279,12 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_perf.add_argument("--output", default="BENCH_decode.json")
     p_perf.add_argument("--parallelism", type=int, default=2)
-    p_perf.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        help="lockstep batch width for the batched-decode comparison",
-    )
     p_perf.set_defaults(func=cmd_perf)
 
     p_serve = sub.add_parser(

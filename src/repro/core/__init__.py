@@ -7,13 +7,7 @@ from repro.core.arcs import (
     RecombinationPlan,
     plan_recombination,
 )
-from repro.core.batch import (
-    BatchDecoder,
-    BatchSegment,
-    advance_segments,
-    lockstep_supported,
-    step_segments,
-)
+from repro.core.batch import BatchSegment, advance_segment
 from repro.core.beam import BeamConfig, frame_threshold, prune
 from repro.core.composition import (
     BatchResolveResult,
@@ -71,11 +65,8 @@ __all__ = [
     "DecoderStats",
     "DecodeResult",
     "OnTheFlyDecoder",
-    "BatchDecoder",
     "BatchSegment",
-    "advance_segments",
-    "lockstep_supported",
-    "step_segments",
+    "advance_segment",
     "FullyComposedDecoder",
     "TwoPassDecoder",
     "TwoPassStats",

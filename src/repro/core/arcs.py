@@ -499,18 +499,6 @@ class RecombinationPlan:
     inserts: int
     improvements: int
     recombinations: int
-    #: The (key, arrival)-sorted permutation of the batch, and the
-    #: positions in it of the insert-or-improve events.
-    _order: np.ndarray
-    _improved_pos: np.ndarray
-
-    @property
-    def improved_sources(self) -> np.ndarray:
-        """Candidate index of every insert-or-improve event, in sorted
-        key order.  Built on demand: only the lockstep batch decoder
-        reads it, to split the aggregate counters back out per segment
-        (a fused segment's events are exactly its solo decode's)."""
-        return self._order[self._improved_pos]
 
 
 def stable_cost_order(costs: np.ndarray) -> np.ndarray:
@@ -633,6 +621,4 @@ def plan_recombination(
         inserts=num_groups,
         improvements=improved_total - num_groups,
         recombinations=total - improved_total,
-        _order=order,
-        _improved_pos=improved_pos,
     )

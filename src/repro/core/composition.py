@@ -516,8 +516,8 @@ class LmLookup:
             # the LM expansion cache over them.
             self._soa = None
         # Shared expansion-row build memo (see LmExpansionCache); forks
-        # reference the same dict so B lockstep channels build each hot
-        # row once between them instead of once per channel.
+        # reference the same dict so concurrent sessions build each hot
+        # row once between them instead of once per session.
         self._row_memo: dict[int, ExpansionRow] = {}
 
     def _scalar_views(self) -> tuple[list[list[Arc]], list[Arc | None]]:
@@ -759,11 +759,11 @@ class LmLookup:
         Offset Lookup Table of the same geometry, and an empty LM
         expansion cache.  A fork therefore behaves exactly like the
         parent lookup immediately after ``reset_transient_state()``,
-        which is what gives each utterance of a lockstep batch (and
-        each serve session) the same cache evolution — hence identical
-        counters — as a solo cold decode.  Forks never trace: batched
-        work has no per-event order to report, and the batched kernels
-        are gated off under a real sink anyway.
+        which is what gives each serve session the same cache
+        evolution — hence identical counters — as a solo cold decode.
+        Forks never trace: batched work has no per-event order to
+        report, and the batched kernels are gated off under a real sink
+        anyway.
         """
         clone = object.__new__(LmLookup)
         clone.graph = self.graph

@@ -26,7 +26,7 @@ from repro.core.arcs import (
     plan_recombination,
     stable_cost_order,
 )
-from repro.core.batch import BatchSegment, advance_segments
+from repro.core.batch import BatchSegment, advance_segment
 from repro.core.beam import BeamConfig, prune_items
 from repro.core.composition import LmLookup, LookupStats, LookupStrategy
 from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES, WordLattice
@@ -131,9 +131,9 @@ class DecodeResult:
     lattice: WordLattice
     #: Final hypotheses as (total cost, lattice node), best first.
     finals: list[tuple[float, int]] = field(default_factory=list)
-    #: How this result was produced: ``"serial"``, ``"pool[N]"``, or
-    #: ``"batch[B]"``.  Informational only — every strategy yields
-    #: bit-identical results; benches and the 1-CPU fallback report it.
+    #: How this result was produced: ``"serial"`` or ``"pool[N]"``.
+    #: Informational only — both strategies yield bit-identical
+    #: results; benches and the 1-CPU fallback report it.
     strategy: str = "serial"
 
     @property
@@ -309,8 +309,8 @@ class OnTheFlyDecoder:
         start_lookup = self.lookup.stats.clone()
         seg = self.new_segment()
         # Every regime sees bit-identical float64 score values.
-        advance_segments(
-            self, [seg], [np.ascontiguousarray(scores, dtype=np.float64)]
+        advance_segment(
+            self, seg, np.ascontiguousarray(scores, dtype=np.float64)
         )
         seg.stats.frames = scores.shape[0]
         seg.stats.lookup = self.lookup.stats.since(start_lookup)

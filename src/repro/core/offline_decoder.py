@@ -11,8 +11,8 @@ A composed state *is* an (AM state, LM state) pair
 and a composed arc is an AM arc with the LM side carried along — moved
 only on cross-word arcs, by exactly the LM transition the on-the-fly
 lookup would resolve.  So the baseline runs the on-the-fly decoder's
-token tables, frame step and kernels (every regime of
-:func:`repro.core.batch.step_segments`), and this module supplies only
+token tables, frame step and kernels (both regimes of
+:func:`repro.core.batch.advance_segment`), and this module supplies only
 what a composed graph changes:
 
 * the weight of a cross-word arc was fixed offline as

@@ -72,7 +72,6 @@ def measure(
     preset: str = "small",
     parallelism: int = 2,
     repeats: int = 3,
-    batch_size: int = 8,
 ) -> dict:
     """Time every decode path on one preset; returns the report dict."""
     if preset not in PRESETS:
@@ -145,7 +144,6 @@ def measure(
         reference[decoder_name] = speedup
 
     parallel = _measure_parallel(bundle, parallelism, config(True))
-    batched = _measure_batched(bundle, batch_size, config(True), repeats)
 
     return {
         "preset": preset,
@@ -158,7 +156,6 @@ def measure(
         "repeats": repeats,
         "rows": rows,
         "parallel": parallel,
-        "batched": batched,
         "vectorized_speedup": {
             name: round(value, 2) for name, value in reference.items()
         },
@@ -218,69 +215,11 @@ def _measure_parallel(bundle, parallelism: int, config: DecoderConfig) -> dict:
     return out
 
 
-def _measure_batched(
-    bundle, batch_size: int, config: DecoderConfig, repeats: int
-) -> dict:
-    """Lockstep batch decoding vs the cold per-utterance baseline.
-
-    Both paths decode the same graphs with identical cold-cache
-    semantics (reset per utterance / forked caches per segment), so
-    besides the timing this asserts the fused kernel's bit-parity on
-    transcripts, costs and stats.  Passes are interleaved — the two
-    timings see the same machine noise.
-    """
-    from repro.core.batch import BatchDecoder
-
-    task = bundle.task
-    scores = bundle.scores
-    decoder = OnTheFlyDecoder(task.am, task.lm, config)
-    batch = BatchDecoder(decoder, batch_size=batch_size)
-    serial_best = math.inf
-    batch_best = math.inf
-    serial_results = None
-    batch_results = None
-    kernel_calls = 0
-    for _ in range(repeats):
-        start = perf_counter()
-        pass_serial = []
-        for matrix in scores:
-            decoder.lookup.reset_transient_state()
-            pass_serial.append(decoder.decode(matrix))
-        serial_best = min(serial_best, perf_counter() - start)
-        serial_results = pass_serial
-        calls_before = batch.kernel_calls
-        start = perf_counter()
-        pass_batch = batch.decode(scores)
-        batch_best = min(batch_best, perf_counter() - start)
-        batch_results = pass_batch
-        kernel_calls = batch.kernel_calls - calls_before
-    mismatched = [
-        i
-        for i, (a, b) in enumerate(zip(serial_results, batch_results))
-        if a.words != b.words or a.cost != b.cost or a.stats != b.stats
-    ]
-    if mismatched:
-        raise AssertionError(
-            f"batched decode diverges from per-utterance on {mismatched}"
-        )
-    return {
-        "batch_size": batch_size,
-        "strategy": batch_results[0].strategy,
-        "kernel_calls": kernel_calls,
-        "serial_seconds": round(serial_best, 4),
-        "serial_utt_per_sec": round(len(scores) / serial_best, 2),
-        "batch_seconds": round(batch_best, 4),
-        "batch_utt_per_sec": round(len(scores) / batch_best, 2),
-        "batch_speedup": round(serial_best / batch_best, 2),
-    }
-
-
 def check_report(
     report: dict,
     fail_below: float | None = None,
     fail_epsilon_above: float | None = None,
     fail_parallel_below: float | None = None,
-    fail_batch_below: float | None = None,
 ) -> tuple[list[str], list[str]]:
     """Evaluate regression gates against a measured report.
 
@@ -295,8 +234,6 @@ def check_report(
     * ``fail_parallel_below`` — floor on the pool's parallel speedup,
       skipped (with a note) when the harness saw a single CPU, where a
       process pool cannot beat the serial pass.
-    * ``fail_batch_below`` — floor on the lockstep batch speedup over
-      the cold per-utterance pass (same semantics, fused kernels).
     """
     failures: list[str] = []
     notes: list[str] = []
@@ -341,30 +278,12 @@ def check_report(
             )
         else:
             notes.append(f"pool parallel speedup {speedup}x")
-    if fail_batch_below is not None:
-        batched = report.get("batched")
-        if not batched:
-            failures.append("no batched pass in the report to gate on")
-        else:
-            speedup = batched["batch_speedup"]
-            if speedup < fail_batch_below:
-                failures.append(
-                    f"lockstep batch speedup {speedup}x at "
-                    f"batch_size {batched['batch_size']} is below the "
-                    f"{fail_batch_below}x floor"
-                )
-            else:
-                notes.append(
-                    f"lockstep batch speedup {speedup}x "
-                    f"({batched['kernel_calls']} kernel calls)"
-                )
     return failures, notes
 
 
 def _to_result(report: dict) -> ExperimentResult:
     rows = [dict(row) for row in report["rows"]]
     parallel = report["parallel"]
-    batched = report.get("batched")
     notes = (
         f"preset={report['preset']} frames={report['frames']} "
         f"vectorized speedup: "
@@ -375,14 +294,6 @@ def _to_result(report: dict) -> ExperimentResult:
         f"{parallel['serial_utt_per_sec']} -> "
         f"{parallel.get('parallel_utt_per_sec', '-')} utt/s"
     )
-    if batched:
-        notes += (
-            f"; lockstep {batched['strategy']}: "
-            f"{batched['serial_utt_per_sec']} -> "
-            f"{batched['batch_utt_per_sec']} utt/s "
-            f"({batched['batch_speedup']}x, "
-            f"{batched['kernel_calls']} kernel calls)"
-        )
     return ExperimentResult(
         experiment_id="perf-decode",
         title="software decode throughput (regression harness)",
@@ -400,14 +311,8 @@ def write_bench_report(
     output: str | Path = "BENCH_decode.json",
     parallelism: int = 2,
     repeats: int = 3,
-    batch_size: int = 8,
 ) -> ExperimentResult:
     """Measure one preset and persist ``BENCH_decode.json``."""
-    report = measure(
-        preset=preset,
-        parallelism=parallelism,
-        repeats=repeats,
-        batch_size=batch_size,
-    )
+    report = measure(preset=preset, parallelism=parallelism, repeats=repeats)
     Path(output).write_text(json.dumps(report, indent=2) + "\n")
     return _to_result(report)

@@ -190,8 +190,8 @@ def measure_fusion(
     """Fused vs unfused serving on one preset at equal concurrency.
 
     Runs the same seeded load twice against the in-process engine —
-    sessions fused into lockstep kernels, then one engine dispatch per
-    session — and reports both passes plus the headline comparisons the
+    sessions fused into one engine call per scheduler cycle, then one
+    engine dispatch per session — and reports both passes plus the headline comparisons the
     fusion gates consume (relative frames/s and kernel calls per
     decoded batch).
     """

@@ -101,13 +101,15 @@ class WorkerTimeout(TransientEngineError):
 class InlineEngine:
     """All sessions on one in-process decoder (``workers == 1``).
 
-    With ``fuse`` on (the default) every session gets its own forked
-    lookup (``decoder.lookup.fork()``) so the scheduler may advance up
-    to ``max_fused_sessions`` of them per dispatch through
-    :meth:`push_many` — one fused lockstep kernel per frame instead of
+    With ``fuse`` on (the default) the scheduler may advance up to
+    ``max_fused_sessions`` sessions per dispatch through
+    :meth:`push_many` — one engine call per scheduler cycle instead of
     one engine round-trip per session
-    (:func:`repro.asr.streaming.push_sessions`).  Per-session results,
-    partials and stats are bit-identical to unfused serving.
+    (:func:`repro.asr.streaming.push_sessions`), each session still
+    stepped on its own.  Every session then gets its own forked lookup
+    (``decoder.lookup.fork()``), so its lookup counters are a solo
+    cold decode's.  Per-session results, partials and stats are
+    bit-identical to unfused serving.
     """
 
     #: Calls are pure in-process Python: nothing for a dispatch thread
@@ -159,12 +161,11 @@ class InlineEngine:
     def push_many(
         self, items: list[tuple[str, np.ndarray]]
     ) -> list[PartialHypothesis]:
-        """Advance several sessions through one fused lockstep dispatch.
+        """Advance several sessions in one engine call.
 
         Raises before any session advances (unknown ids, bad shapes),
         so the caller may replay items one by one to attribute a
-        failure.  Falls back to sequential pushes internally whenever
-        the sessions aren't fusable (scalar configs, ``fuse`` off).
+        failure.
         """
         from repro.asr.streaming import push_sessions
 

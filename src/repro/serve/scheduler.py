@@ -717,8 +717,8 @@ class Scheduler:
         self._record_decode(session, scores, partial, elapsed)
 
     async def _serve_fused(self, sessions: list[Session]) -> None:
-        """One engine dispatch advancing every session a batch in
-        lockstep — the serving-side half of the fused kernel."""
+        """One engine dispatch advancing every session a batch
+        (:meth:`~repro.serve.engine.InlineEngine.push_many`)."""
         for session in sessions:
             session.inflight = True
         try:

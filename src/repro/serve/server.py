@@ -57,7 +57,7 @@ class ServeConfig:
     #: Decode worker processes; 1 = in-process engine.
     workers: int = 1
     #: In-process engine only: advance concurrent sessions through one
-    #: fused lockstep kernel per frame (bit-identical transcripts;
+    #: engine call per scheduler cycle (bit-identical transcripts;
     #: fewer engine dispatches per decode cycle).
     fuse_sessions: bool = True
     #: Scheduler-side wall-clock bound per engine call (None = off).

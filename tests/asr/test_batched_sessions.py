@@ -1,11 +1,15 @@
-"""``push_sessions``: lockstep multi-session streaming, bit-exact.
+"""``push_sessions``: multi-session streaming, bit-exact.
 
-The serving layer fuses concurrent streaming sessions into one kernel
-call per frame via :func:`repro.asr.streaming.push_sessions`.  Its
-contract mirrors the offline batch decoder's: every session's
-partials, final result, lattice, stats and lookup counters must be
-bit-identical to pushing that session's batches alone (with its own
-forked lookup), ragged batches must retire early sessions cleanly, and
+The serving layer advances concurrent streaming sessions through one
+engine call per scheduler cycle via
+:func:`repro.asr.streaming.push_sessions`.  Its contract: every
+session's partials, final result, lattice, stats and lookup counters
+must be bit-identical to pushing that session's batches alone (with its
+own forked lookup) and to a cold offline decode — every ``DecoderStats``
+field and every lookup counter (OLT hits/misses, expansion-cache
+hits/misses/evictions, preemptive prunes) — across tight beams, tiny
+token caps, disabled preemptive pruning and random small tasks; ragged
+batches and zero-frame batches must retire sessions cleanly; and
 validation must complete before any session mutates so callers can
 retry per-session after an exception.
 """
@@ -14,10 +18,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.am import GmmAcousticModel
+from repro.asr import TINY, build_task
 from repro.asr.streaming import StreamingSession, push_sessions
 from repro.core import DecoderConfig, OnTheFlyDecoder
 
+#: Lookup counters asserted by name: the expansion-cache fields carry
+#: ``compare=False`` (they don't participate in LookupStats equality),
+#: so stats equality alone would not cover them.
 LOOKUP_COUNTERS = (
     "lookups",
     "arc_probes",
@@ -42,6 +53,75 @@ def decoder(tiny_task):
 
 def _lattice_nodes(lattice):
     return [(n.word, n.frame, n.cost, n.backpointer) for n in lattice.nodes]
+
+
+def _assert_identical(reference, got, label=""):
+    """Two lists of results equal down to lattices, every
+    ``DecoderStats`` field and every lookup counter."""
+    assert len(reference) == len(got)
+    for i, (ref, res) in enumerate(zip(reference, got)):
+        context = (label, i)
+        assert ref.words == res.words, context
+        assert ref.cost == res.cost, context
+        assert ref.finals == res.finals, context
+        assert _lattice_nodes(ref.lattice) == _lattice_nodes(res.lattice), (
+            context
+        )
+        for f in dataclasses.fields(ref.stats):
+            if f.name == "lookup":
+                continue
+            assert getattr(ref.stats, f.name) == getattr(res.stats, f.name), (
+                *context,
+                f.name,
+            )
+        for name in LOOKUP_COUNTERS:
+            assert getattr(ref.stats.lookup, name) == getattr(
+                res.stats.lookup, name
+            ), (*context, f"lookup.{name}")
+
+
+_TASK_CACHE: dict[int, tuple] = {}
+
+
+def _task(seed: int):
+    """A random small task and five of its utterances' score matrices."""
+    if seed not in _TASK_CACHE:
+        config = TINY.with_overrides(
+            name=f"tiny-batch-{seed}",
+            seed=seed,
+            vocab_size=10,
+            corpus_sentences=80,
+        )
+        task = build_task(config)
+        scorer = GmmAcousticModel.from_emissions(
+            task.emissions,
+            num_mixtures=1,
+            noise_scale=task.config.noise_scale,
+        )
+        utterances = task.test_set(5, max_words=4)
+        scores = [scorer.score(u.features) for u in utterances]
+        _TASK_CACHE[seed] = (task, scores)
+    return _TASK_CACHE[seed]
+
+
+def _cold_reference(decoder, scores):
+    """Each utterance decoded offline from cold caches."""
+    results = []
+    for matrix in scores:
+        decoder.lookup.reset_transient_state()
+        results.append(decoder.decode(matrix))
+    return results
+
+
+def _pushed_together(decoder, scores):
+    """Every utterance in one ``push_sessions`` call, one forked-lookup
+    session each."""
+    sessions = [
+        StreamingSession(decoder, lookup=decoder.lookup.fork())
+        for _ in scores
+    ]
+    push_sessions(sessions, scores)
+    return [session.finish() for session in sessions]
 
 
 def _solo_reference(decoder, scores, chunk):
@@ -81,22 +161,7 @@ def _assert_parity(ref, got):
         assert len(gp) >= len(rp), i
         for j, g in enumerate(gp):
             assert rp[min(j, len(rp) - 1)] == g, (i, j)
-    for i, (r, g) in enumerate(zip(ref_results, got_results)):
-        assert r.words == g.words, i
-        assert r.cost == g.cost, i
-        assert r.finals == g.finals, i
-        assert _lattice_nodes(r.lattice) == _lattice_nodes(g.lattice), i
-        for f in dataclasses.fields(r.stats):
-            if f.name == "lookup":
-                continue
-            assert getattr(r.stats, f.name) == getattr(g.stats, f.name), (
-                i,
-                f.name,
-            )
-        for name in LOOKUP_COUNTERS:
-            assert getattr(r.stats.lookup, name) == getattr(
-                g.stats.lookup, name
-            ), (i, f"lookup.{name}")
+    _assert_identical(ref_results, got_results)
 
 
 class TestFusedSessionParity:
@@ -115,6 +180,7 @@ class TestFusedSessionParity:
             s[: max(0, s.shape[0] - 7 * i)]
             for i, s in enumerate(tiny_scores)
         ]
+        scores[2] = scores[2][:0]  # a zero-frame stream mid-call
         _assert_parity(
             _solo_reference(decoder, scores, 16),
             _fused_run(decoder, scores, 16),
@@ -123,13 +189,16 @@ class TestFusedSessionParity:
     def test_shared_lookup_falls_back_to_sequential(
         self, decoder, tiny_scores
     ):
-        # Two sessions on the decoder's own lookup: not fusable (one
-        # cache can't replay two interleaved solo evolutions), but the
-        # call still advances both via plain pushes.
-        sessions = [StreamingSession(decoder) for _ in range(2)]
-        partials = push_sessions(
-            sessions, [tiny_scores[0][:8], tiny_scores[1][:8]]
-        )
+        # Two sessions on the decoder's own lookup: the call advances
+        # them one after the other, exactly as two plain pushes would
+        # (the shared cache evolves in that order either way).
+        batches = [tiny_scores[0][:8], tiny_scores[1][:8]]
+        decoder.lookup.reset_transient_state()
+        together = [StreamingSession(decoder) for _ in batches]
+        partials = push_sessions(together, batches)
+        decoder.lookup.reset_transient_state()
+        alone = [StreamingSession(decoder) for _ in batches]
+        assert [s.push(b) for s, b in zip(alone, batches)] == partials
         assert [p.frames_consumed for p in partials] == [8, 8]
 
     def test_single_session_equals_push(self, decoder, tiny_scores):
@@ -141,6 +210,58 @@ class TestFusedSessionParity:
 
     def test_empty_input(self):
         assert push_sessions([], []) == []
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            {"beam": 14.0, "max_active": 800},
+            # Frontiers empty out.
+            {"beam": 0.5, "max_active": 800},
+            # The cap binds on every frame.
+            {"beam": 14.0, "max_active": 5},
+            {"beam": 14.0, "max_active": 800, "preemptive_pruning": False},
+        ],
+        ids=["default", "tight-beam", "cap5", "no-preempt"],
+    )
+    def test_whole_utterances_match_cold_decodes(
+        self, tiny_task, tiny_scores, search
+    ):
+        """Whole ragged utterances, a zero-frame one among them, in one
+        call: each session's result is a cold offline decode's."""
+        decoder = OnTheFlyDecoder(
+            tiny_task.am, tiny_task.lm, DecoderConfig(**search)
+        )
+        scores = [
+            s[: max(1, s.shape[0] // (i + 1))]
+            for i, s in enumerate(tiny_scores)
+        ]
+        scores[2] = scores[2][:0]
+        _assert_identical(
+            _cold_reference(decoder, scores),
+            _pushed_together(decoder, scores),
+            search,
+        )
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=6.0, max_value=18.0),
+    st.sampled_from([0, 5, 800]),
+)
+def test_pushed_together_equals_cold_decodes_property(
+    task_seed, beam, max_active
+):
+    """Hypothesis sweep: random tasks, beams and caps."""
+    task, scores = _task(task_seed)
+    decoder = OnTheFlyDecoder(
+        task.am, task.lm, DecoderConfig(beam=beam, max_active=max_active)
+    )
+    _assert_identical(
+        _cold_reference(decoder, scores),
+        _pushed_together(decoder, scores),
+        "property",
+    )
 
 
 class TestValidation:

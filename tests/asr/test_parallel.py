@@ -91,7 +91,6 @@ class TestDecodePool:
         "strategy, options",
         [
             ("serial", {}),
-            ("batch[4]", {"batch_size": 4}),
             ("pool[2]", {"parallelism": 2, "single_cpu_fallback": False}),
         ],
     )
@@ -128,29 +127,11 @@ class TestDecodePool:
 
 
 class TestBatchStrategy:
-    def test_explicit_batch_size_is_bit_identical(
-        self, tiny_task, tiny_scorer, tiny_scores, serial_results
-    ):
-        with DecodePool(
-            tiny_task.am,
-            tiny_task.lm,
-            scorer=tiny_scorer,
-            config=CONFIG,
-            batch_size=4,
-        ) as pool:
-            assert pool.strategy == "batch[4]"
-            results = pool.decode_scores(tiny_scores)
-        for got, want in zip(results, serial_results):
-            assert got.words == want.words
-            assert got.cost == want.cost
-            assert got.stats == want.stats
-            assert got.strategy == "batch[4]"
-
     def test_single_cpu_fallback_swaps_pool_for_batch(
         self, tiny_task, tiny_scorer, tiny_scores, serial_results, monkeypatch
     ):
-        """parallelism=2 on a 1-CPU host must decode in-process with
-        lockstep fusion — same results, no forked workers."""
+        """parallelism=2 on a 1-CPU host must decode serially
+        in-process — same results, no forked workers."""
         import repro.asr.parallel as parallel_mod
 
         monkeypatch.setattr(parallel_mod, "visible_cpus", lambda: 1)
@@ -164,13 +145,13 @@ class TestBatchStrategy:
             assert pool.requested_parallelism == 2
             assert pool.parallelism == 1
             assert pool._executor is None
-            assert pool.strategy == "batch[8]"
+            assert pool.strategy == "serial"
             results = pool.decode_scores(tiny_scores)
         for got, want in zip(results, serial_results):
             assert got.words == want.words
             assert got.cost == want.cost
             assert got.stats == want.stats
-            assert got.strategy == "batch[8]"
+            assert got.strategy == "serial"
 
     def test_fallback_escape_hatch_keeps_workers(
         self, tiny_task, tiny_scorer, tiny_scores, monkeypatch
@@ -299,22 +280,3 @@ class TestAsrSystemStreams:
         for got, want in zip(first, batch):
             assert got.words == want.words
             assert got.cost == pytest.approx(want.cost, rel=1e-9)
-
-    def test_transcribe_batch_size_knob(
-        self, tiny_task, tiny_scorer, tiny_utterances
-    ):
-        from repro.asr import AsrSystem
-
-        with AsrSystem(task=tiny_task, scorer=tiny_scorer) as system:
-            plain = system.transcribe(tiny_utterances, config=CONFIG)
-            batched = system.transcribe(
-                tiny_utterances, config=CONFIG, batch_size=4
-            )
-            # Distinct pool cache entries: the knob is part of the key.
-            assert len(system._pools) == 2
-        assert all(r.strategy == "serial" for r in plain)
-        assert all(r.strategy == "batch[4]" for r in batched)
-        for got, want in zip(batched, plain):
-            assert got.words == want.words
-            assert got.cost == want.cost
-            assert got.stats == want.stats

@@ -134,9 +134,9 @@ class TestOffsetLookupTable:
 
 
 def test_lookup_stats_delta_covers_every_counter():
-    """Per-utterance deltas (``decode``, ``StreamingSession.finish``,
-    ``BatchDecoder``) are a clone and a ``since``: a counter either one
-    skipped would silently read zero in every result."""
+    """Per-utterance deltas (``decode``, ``StreamingSession.finish``)
+    are a clone and a ``since``: a counter either one skipped would
+    silently read zero in every result."""
     names = [f.name for f in dataclasses.fields(LookupStats)]
     before = LookupStats(**{name: 3 + i for i, name in enumerate(names)})
     now = LookupStats(**{name: 1000 + i * i for i, name in enumerate(names)})

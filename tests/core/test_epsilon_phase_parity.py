@@ -32,7 +32,7 @@ from repro.core import (
     WordLattice,
 )
 from repro.wfst.fst import EPSILON
-from tests.core.test_batch_decoder import LOOKUP_COUNTERS, _lattice_nodes, _task
+from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes, _task
 
 #: The counters both phases drive (the expansion cache is the batched
 #: engine's own: the scalar phase never consults it).

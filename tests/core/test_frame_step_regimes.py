@@ -1,13 +1,12 @@
 """The frame step's regime switch is invisible in every result.
 
-``advance_segments`` picks, per segment and per frame, the scalar
-reference body (frontier at or below ``SCALAR_FRONTIER_MAX`` tokens,
-run over consecutive frames) or the numpy kernels (``step_segments``:
-solo, or fused across the large segments).  The
+``advance_segment`` picks, per frame, the scalar reference body
+(frontier at or below ``SCALAR_FRONTIER_MAX`` tokens, run over
+consecutive frames) or the numpy kernels (``_step_one``).  The
 contract: wherever the constant sits — 0 (never scalar), small values
 that flip regimes mid-utterance, 10**9 (always scalar) — every entry
 point (``decode``, ``StreamingSession.push`` at any chunking,
-``push_sessions``, ``BatchDecoder``) reports the same words, costs,
+``push_sessions``) reports the same words, costs,
 finals, lattice, ``DecoderStats`` and all nine lookup counters as every
 other, and the same as the ``vectorized=False`` reference on everything
 but the expansion-cache counters (only the batched epsilon engine
@@ -32,8 +31,12 @@ from repro.core import (
     VirtualComposedGraph,
 )
 from repro.core import batch
-from repro.core.batch import BatchDecoder
-from tests.core.test_batch_decoder import LOOKUP_COUNTERS, _lattice_nodes, _task
+from tests.asr.test_batched_sessions import (
+    LOOKUP_COUNTERS,
+    _lattice_nodes,
+    _pushed_together,
+    _task,
+)
 from tests.core.test_vectorized_equivalence import CountingSink
 
 EXPANSION_COUNTERS = tuple(
@@ -115,14 +118,14 @@ def test_entry_points_agree_at_any_threshold(
         decoded = _decode_cold(decoder, scores)
         streamed = [_stream(decoder, m, c) for m, c in zip(scores, cuts)]
         together = _push_together(decoder, scores, chunk)
-        batched = BatchDecoder(decoder, batch_size=3).decode(scores)
+        whole = _pushed_together(decoder, scores)
         reference = _decode_cold(scalar, scores)
     finally:
         batch.SCALAR_FRONTIER_MAX = default
     for i, want in enumerate(decoded):
         _assert_same(want, streamed[i], ("push", threshold, i))
         _assert_same(want, together[i], ("push_sessions", threshold, i))
-        _assert_same(want, batched[i], ("batch", threshold, i))
+        _assert_same(want, whole[i], ("one call", threshold, i))
         _assert_same(
             reference[i], want, ("scalar", threshold, i), expansion=False
         )
@@ -178,67 +181,54 @@ def decoder(tiny_task):
     )
 
 
-def test_fused_group_mixes_regimes_within_a_frame(
+def test_one_call_mixes_scalar_and_solo_segments(
     decoder, tiny_scores, monkeypatch
 ):
-    """Segments on both sides of the threshold in the same round of
-    ``advance_segments``: the small ones run scalar, the rest fuse (or
-    step solo when only one is left), and nobody can tell.  Which
-    threshold mixes both ways depends on the utterances, so the sweep
-    starts at the median frontier size and walks outwards."""
+    """Segments on both sides of the threshold in the same
+    ``push_sessions`` call: one stays in scalar runs throughout, another
+    takes the numpy kernels, each stepped on its own, and nobody can
+    tell.  Which threshold splits them depends on the utterances, so
+    the sweep starts at the median frontier size and walks outwards."""
     reference = _decode_cold(decoder, tiny_scores)
     sizes = sorted({n for r in reference for n in r.stats.active_history})
     median = sizes[len(sizes) // 2]
     thresholds = sorted(sizes, key=lambda size: abs(size - median))
-    # One round: the scalar runs, then the step of whatever is large.
-    rounds = []
-    step_one, step_fused = batch._step_one, batch._step_fused
-    run = decoder._scalar_run
+    # Per segment: the frames it consumed in each regime.
+    frames = {}
+    step_one, run = batch._step_one, decoder._scalar_run
+
+    def tally(seg):
+        return frames.setdefault(id(seg), {"scalar": 0, "solo": 0})
 
     def spy_run(seg, rows, limit=float("inf")):
         consumed = run(seg, rows, limit)
-        rounds[-1]["scalar"] += consumed
+        tally(seg)["scalar"] += consumed
         return consumed
 
     def spy_one(decoder, seg, row, scalar):
-        assert not scalar  # a round's step only ever holds large segments
-        rounds[-1]["solo"] += 1
+        assert not scalar  # the loop's small frames go through runs
+        tally(seg)["solo"] += 1
         return step_one(decoder, seg, row, scalar)
 
-    def spy_fused(decoder, segments, rows):
-        rounds[-1]["fused"] += len(segments)
-        return step_fused(decoder, segments, rows)
-
-    step_segments = batch.step_segments
-
-    def spy_step(decoder, segments, rows):
-        step_segments(decoder, segments, rows)
-        rounds.append({"scalar": 0, "solo": 0, "fused": 0})
-
     monkeypatch.setattr(batch, "_step_one", spy_one)
-    monkeypatch.setattr(batch, "_step_fused", spy_fused)
-    monkeypatch.setattr(batch, "step_segments", spy_step)
     monkeypatch.setattr(decoder, "_scalar_run", spy_run)
     for threshold in thresholds:
         monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", threshold)
-        rounds[:] = [{"scalar": 0, "solo": 0, "fused": 0}]
         expected = _decode_cold(decoder, tiny_scores)
-        rounds[:] = [{"scalar": 0, "solo": 0, "fused": 0}]
-        got = BatchDecoder(decoder, batch_size=len(tiny_scores)).decode(
-            tiny_scores
-        )
+        frames.clear()
+        got = _pushed_together(decoder, tiny_scores)
         # Every frame of every utterance was consumed exactly once.
-        assert sum(r["scalar"] + r["solo"] + r["fused"] for r in rounds) == sum(
+        assert sum(f["scalar"] + f["solo"] for f in frames.values()) == sum(
             m.shape[0] for m in tiny_scores
         )
         for i, (want, have) in enumerate(zip(expected, got)):
             _assert_same(want, have, ("mixed", threshold, i))
-        if any(r["scalar"] and r["fused"] >= 2 for r in rounds) and any(
-            r["scalar"] and r["solo"] for r in rounds
+        if any(not f["solo"] for f in frames.values()) and any(
+            f["solo"] for f in frames.values()
         ):
             break
     else:
-        pytest.fail("no threshold mixed scalar runs with fused and solo steps")
+        pytest.fail("no threshold split scalar-only and kernel segments")
     # Same transcripts as at the shipped threshold, too.
     for want, have in zip(reference, got):
         _assert_same(want, have, "vs default", expansion=False)

@@ -13,8 +13,8 @@ view for outside readers.  Pinned here:
   found by scanning the new table — frame by frame, on graphs with
   silence arcs and with a two-level epsilon graph, for both decoders,
   down to the order of the trace events;
-* regime round trips (scalar -> solo -> scalar -> fused) and a
-  snapshot taken mid-scalar-regime;
+* regime round trips (scalar -> solo -> scalar) and a snapshot taken
+  mid-scalar-regime;
 * ``max_active`` truncation under cost ties.
 """
 
@@ -47,7 +47,7 @@ from repro.core import (
 from repro.core.beam import prune_items
 from repro.core.tokens import KEY_SHIFT, pack_key, unpack_key
 from repro.wfst.fst import EPSILON
-from tests.core.test_batch_decoder import LOOKUP_COUNTERS, _lattice_nodes, _task
+from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes, _task
 
 # -- (a) the table -----------------------------------------------------------
 
@@ -535,40 +535,6 @@ def test_scalar_solo_scalar_round_trip(kind, levels):
     matrix = scores[0]
     solo = {f for f in range(matrix.shape[0]) if f % 5 in (2, 3)}
     _assert_body_matches(decoder, lender, matrix, force_solo=solo)
-
-
-def test_scalar_to_fused_round_trip(tiny_task, tiny_scores):
-    """Two segments stepped scalar, then fused, then scalar again, against
-    two that never leave the scalar body."""
-    decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0))
-    matrices = [
-        np.ascontiguousarray(m, dtype=np.float64) for m in tiny_scores[:2]
-    ]
-    frames = min(m.shape[0] for m in matrices)
-    mixed = [decoder.new_segment(decoder.lookup.fork()) for _ in matrices]
-    scalar = [decoder.new_segment(decoder.lookup.fork()) for _ in matrices]
-    fused_frames = 0
-    for frame in range(frames):
-        rows = [m[frame] for m in matrices]
-        for seg, row in zip(scalar, rows):
-            batch._step_one(decoder, seg, row, scalar=True)
-        if frame % 4 in (1, 2) and all(len(seg.table) for seg in mixed):
-            batch._step_fused(decoder, mixed, rows)
-            fused_frames += 1
-            assert all(isinstance(seg.table, SoaTokenTable) for seg in mixed)
-        else:
-            for seg, row in zip(mixed, rows):
-                batch._step_one(decoder, seg, row, scalar=True)
-        for got, want in zip(mixed, scalar):
-            for a, b in zip(got.table.columns(), want.table.columns()):
-                assert np.array_equal(a, b), frame
-            assert got.table.survivor_items(math.inf) == want.table.survivor_items(
-                math.inf
-            )
-            assert got.table.best_cost == want.table.best_cost
-            assert _lattice_nodes(got.lattice) == _lattice_nodes(want.lattice)
-            assert got.stats == want.stats
-    assert fused_frames > frames // 4
 
 
 def test_table_conversions_keep_order_and_values():

@@ -1,20 +1,19 @@
 """Scalar runs: a small-frontier segment consumes its consecutive frames
 in one call.
 
-``advance_segments`` lets every segment whose frontier is at most
+``advance_segment`` lets a segment whose frontier is at most
 ``SCALAR_FRONTIER_MAX`` tokens run through ``_scalar_run`` until the
-frontier outgrows the constant or its frames run out, then steps the
-large segments that are left together (``step_segments``: fused, or
-solo when one is left).  Each segment sees the same frames in the same
-order and takes the same regime on each; only the interleaving across
-segments changes, and nothing may observe it.  Pinned here:
+frontier outgrows the constant or its frames run out, then steps one
+frame through the numpy kernels.  A segment sees the same frames in the
+same order and takes the same regime on each however its frames are
+chunked, and nothing may observe the chunking.  Pinned here:
 
 * a property over ``push_sessions``: 1-8 sessions, drawn chunkings with
   zero-frame keep-alives and ragged lengths, the constant drawn so that
   segments cross it both ways inside one push — every session equal,
   partial for partial, down to its lattice, every ``DecoderStats``
   field and all lookup counters, to the same session pushed alone and
-  to the frame-by-frame loop (``step_segments`` per frame);
+  to the frame-by-frame loop (``advance_segment`` per frame);
 * a run entered on a ``SoaTokenTable`` (the survivors come from
   ``prune_items`` instead of the folded prune);
 * ``max_active`` binding inside a run, and the fully-composed decoder,
@@ -40,7 +39,7 @@ from repro.core import (
     batch,
 )
 from repro.core.tokens import pack_key
-from tests.core.test_batch_decoder import (
+from tests.asr.test_batched_sessions import (
     LOOKUP_COUNTERS,
     _assert_identical,
     _lattice_nodes,
@@ -71,12 +70,15 @@ def _assert_same_segment(want, got, context):
 
 
 def _frame_by_frame(decoder, chunks):
-    """One session, every frame through its own ``step_segments`` call."""
+    """One session, every frame through its own ``advance_segment`` call."""
     session = StreamingSession(decoder, lookup=decoder.lookup.fork())
     partials = []
     for chunk in chunks:
-        for row in np.ascontiguousarray(chunk, dtype=np.float64):
-            batch.step_segments(decoder, [session._seg], [row])
+        matrix = np.ascontiguousarray(chunk, dtype=np.float64)
+        for frame in range(matrix.shape[0]):
+            batch.advance_segment(
+                decoder, session._seg, matrix[frame : frame + 1]
+            )
         partials.append(session._partial())
     return partials, session.finish()
 
@@ -155,7 +157,7 @@ def test_run_entered_on_a_soa_table(tiny_task, tiny_scores, monkeypatch):
     monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", 0)
     segments = [decoder.new_segment(decoder.lookup.fork()) for _ in range(2)]
     for seg in segments:
-        batch.advance_segments(decoder, [seg], [scores[:cut]])
+        batch.advance_segment(decoder, seg, scores[:cut])
     from_soa, from_dicts = segments
     assert isinstance(from_soa.table, SoaTokenTable) and len(from_soa.table)
     # Some of the frontier sits outside the beam: the prune has work.

@@ -8,8 +8,10 @@ accelerator models.  These tests pin that contract:
 * a hypothesis sweep over random small tasks asserting scalar ==
   vectorized for both decoders;
 * ``plan_recombination`` checked against a brute-force sequential
-  replay of ``TokenTable.insert`` semantics, and ``_csr_gather``
-  against the per-state walk it replaces;
+  replay of ``TokenTable.insert`` semantics (and its int64-overflow
+  fallback against the packed sort), ``stable_cost_order`` against
+  numpy's stable argsort, and ``_csr_gather`` against the per-state
+  walk it replaces;
 * the traced-fallback rule: attaching a real ``TraceSink`` routes
   decoding through the scalar path, so traced runs see the same event
   stream the simulators were validated against.
@@ -32,7 +34,7 @@ from repro.core import (
     VirtualComposedGraph,
     plan_recombination,
 )
-from repro.core.arcs import _csr_gather, _iota
+from repro.core.arcs import _csr_gather, _iota, stable_cost_order
 
 _TASK_CACHE: dict[int, tuple] = {}
 
@@ -90,25 +92,21 @@ def _replay(keys, costs):
     """Brute-force sequential TokenTable.insert semantics."""
     best: dict[int, float] = {}
     owner: dict[int, int] = {}
-    events: dict[int, list[int]] = {}  # insert-or-improve, per key
     inserts = improvements = recombinations = 0
     for i, (key, cost) in enumerate(zip(keys, costs)):
         if key not in best:
             best[key] = cost
             owner[key] = i
-            events[key] = [i]
             inserts += 1
         elif cost < best[key]:
             best[key] = cost
             owner[key] = i
-            events[key].append(i)
             improvements += 1
         else:
             recombinations += 1
     first_arrival = list(best)  # dict insertion order
     winners = [owner[key] for key in first_arrival]
-    improved = [i for key in sorted(events) for i in events[key]]
-    return winners, first_arrival, improved, inserts, improvements, recombinations
+    return winners, first_arrival, inserts, improvements, recombinations
 
 
 #: Ties, both zeros (``-0.0 < 0.0`` is false: a recombination),
@@ -139,11 +137,10 @@ def test_plan_recombination_matches_sequential_replay(batch):
     keys = np.array([k for k, _ in batch], dtype=np.int64)
     costs = np.array([c for _, c in batch], dtype=np.float64)
     plan = plan_recombination(keys, costs)
-    winners, first_arrival, improved, inserts, improvements, recombinations = (
-        _replay(keys.tolist(), costs.tolist())
+    winners, first_arrival, inserts, improvements, recombinations = _replay(
+        keys.tolist(), costs.tolist()
     )
     assert plan.winners.tolist() == winners
-    assert plan.improved_sources.tolist() == improved
     assert plan.inserts == inserts
     assert plan.improvements == improvements
     assert plan.recombinations == recombinations
@@ -197,6 +194,76 @@ def test_plan_recombination_rejects_empty_batch():
         plan_recombination(
             np.array([], dtype=np.int64), np.array([], dtype=np.float64)
         )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 300))
+def test_plan_recombination_encoded_order_parity(seed, size):
+    """The encoded introsort and its int64-overflow fallback (numpy's
+    stable sort, taken when ``key << bits`` would not fit) build
+    identical plans: shifting every key by a constant that forces the
+    fallback changes nothing but ``sorted_keys``, by that constant."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 40, size=size).astype(np.int64)
+    costs = np.round(rng.uniform(0.0, 6.0, size=size), 1)
+    shift = np.int64(1) << np.int64(62)
+    bits = int(size - 1).bit_length()
+    assert int(keys.max()) < (1 << (62 - bits)) <= int(shift)
+    fast = plan_recombination(keys, costs)
+    plain = plan_recombination(keys + shift, costs)
+    np.testing.assert_array_equal(plain.winners, fast.winners)
+    np.testing.assert_array_equal(plain.sorted_keys - shift, fast.sorted_keys)
+    np.testing.assert_array_equal(plain.slots, fast.slots)
+    assert plain.inserts == fast.inserts
+    assert plain.improvements == fast.improvements
+    assert plain.recombinations == fast.recombinations
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(1, 200))
+def test_stable_cost_order_matches_stable_argsort(seed, size):
+    """The packed value-sort float ordering == numpy's stable argsort."""
+    rng = np.random.default_rng(seed)
+    # Heavy ties: quantized values exercise the rank-encoding path.
+    costs = np.round(rng.uniform(0.0, 4.0, size=size), 1)
+    expected = np.argsort(costs, kind="stable")
+    np.testing.assert_array_equal(stable_cost_order(costs), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(2, 300),
+    st.sampled_from(["packed", "negative", "minus-zero", "wide"]),
+)
+def test_stable_cost_order_takes_both_branches(seed, size, family):
+    """Non-negative costs within a narrow range of bit patterns sort as
+    packed integers with no ``argsort`` at all; a negative cost, a
+    ``-0.0`` (equal to ``0.0``, different pattern) or a range too wide
+    to pack falls back to ranks from exactly one.  Both equal numpy's
+    stable order."""
+    from unittest import mock
+
+    from repro.core import arcs
+
+    rng = np.random.default_rng(seed)
+    # Heavy ties in every family; frame-like costs (a beam above 100).
+    costs = 100.0 + np.round(rng.uniform(0.0, 14.0, size=size), 1)
+    if family == "negative":
+        costs -= 107.0
+        costs[rng.integers(0, size)] = -3.5
+    elif family == "minus-zero":
+        costs -= 100.0
+        costs[rng.integers(0, size, size=size // 2 + 1)] = -0.0
+    elif family == "wide":
+        # More than 2**(62 - bits) representable doubles apart.
+        costs[rng.integers(0, size)] = 1e-300
+        costs[rng.integers(0, size)] = np.inf
+    expected = np.argsort(costs, kind="stable")
+    with mock.patch.object(arcs.np, "argsort", wraps=np.argsort) as argsort:
+        got = stable_cost_order(costs)
+    np.testing.assert_array_equal(got, expected)
+    assert argsort.call_count == (0 if family == "packed" else 1)
 
 
 class CountingSink:

@@ -1,18 +1,16 @@
 #!/usr/bin/env python
 """Crossover curve behind ``repro.core.batch.SCALAR_FRONTIER_MAX``.
 
-Steps the same utterances through each frame-step regime — the scalar
-reference body (a one-frame scalar run), the solo numpy kernels, the
-fused kernel at 2 and at 8 segments — timing every frame and bucketing
-it by the number of tokens entering it, the quantity the regime switch
-tests::
+Steps the same utterances through both frame-step regimes — the
+scalar reference body (a one-frame scalar run) and the numpy kernels —
+timing every frame and bucketing it by the number of tokens entering
+it, the quantity the regime switch tests::
 
     PYTHONPATH=src python tools/frame_step_crossover.py
 
-All regimes leave identical state, so every regime sees the same
-frontier sizes on the same frames.  The fused columns step forks of
-one utterance (equal frontiers by construction) and report time per
-segment.  Beams are swept only to populate every bucket.  The table in
+Both regimes leave identical state, so both see the same frontier
+sizes on the same frames.  Beams are swept only to populate every
+bucket.  The table in
 DESIGN.md ("Frame-step regimes") is this script's output on the host
 that runs the benchmark; rerun it before changing the constant.
 """
@@ -31,27 +29,20 @@ from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.core import batch
 
 BUCKETS = (8, 16, 32, 48, 64, 96, 128, 192, 256, 512, 1024, 10**9)
-#: (column, segments stepped together, SCALAR_FRONTIER_MAX forced).
-REGIMES = (
-    ("scalar", 1, 10**9),
-    ("solo", 1, 0),
-    ("fused-2", 2, 0),
-    ("fused-8", 8, 0),
-)
+#: (column, SCALAR_FRONTIER_MAX forced).
+REGIMES = (("scalar", 10**9), ("solo", 0))
 
 
-def _timed_frames(decoder, scores, width, threshold):
-    """(tokens entering, seconds per segment) for every frame."""
+def _timed_frames(decoder, scores, threshold):
+    """(tokens entering, seconds) for every frame."""
     batch.SCALAR_FRONTIER_MAX = threshold
-    segments = [
-        decoder.new_segment(decoder.lookup.fork()) for _ in range(width)
-    ]
+    seg = decoder.new_segment(decoder.lookup.fork())
     out = []
-    for row in scores:
-        entering = len(segments[0].table)
+    for frame in range(scores.shape[0]):
+        entering = len(seg.table)
         mark = perf_counter()
-        batch.step_segments(decoder, segments, [row] * width)
-        out.append((entering, (perf_counter() - mark) / width))
+        batch.advance_segment(decoder, seg, scores[frame : frame + 1])
+        out.append((entering, perf_counter() - mark))
     return out
 
 
@@ -64,15 +55,15 @@ def measure(task_config, beams, utterances, repeats):
         np.ascontiguousarray(scorer.score(u.features), dtype=np.float64)
         for u in task.test_set(utterances, max_words=6)
     ]
-    samples = {name: {b: [] for b in BUCKETS} for name, _, _ in REGIMES}
+    samples = {name: {b: [] for b in BUCKETS} for name, _ in REGIMES}
     for beam in beams:
         decoder = OnTheFlyDecoder(task.am, task.lm, DecoderConfig(beam=beam))
         for scores in matrices:
-            for name, width, threshold in REGIMES:
+            for name, threshold in REGIMES:
                 # Best of ``repeats`` per frame: the host's slow spells
                 # only ever add time.
                 runs = [
-                    _timed_frames(decoder, scores, width, threshold)
+                    _timed_frames(decoder, scores, threshold)
                     for _ in range(repeats)
                 ]
                 for frame in zip(*runs):
@@ -95,8 +86,8 @@ def main() -> None:
     try:
         for config, beams in sweeps:
             samples = measure(config, beams, args.utterances, args.repeats)
-            print(f"\n{config.name}: median us/frame per segment")
-            names = [name for name, _, _ in REGIMES]
+            print(f"\n{config.name}: median us/frame")
+            names = [name for name, _ in REGIMES]
             print(f"| tokens entering | frames | {' | '.join(names)} |")
             print("|---|---|" + "---|" * len(names))
             low = 1

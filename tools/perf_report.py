@@ -15,8 +15,7 @@ The CI regression gates, all optional and exit-1 on breach:
 phase at ``S`` seconds (per-phase gate, not just total throughput);
 ``--fail-parallel-below X`` floors the pool's parallel speedup, and is
 skipped with a warning on single-CPU machines where a process pool
-cannot win; ``--fail-batch-below X`` floors the lockstep batch
-(``BatchDecoder``) speedup over the cold per-utterance pass.
+cannot win.
 
 The serving layer has its own bench and gates::
 
@@ -125,19 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="X",
         help="exit 1 if the pool's parallel speedup is below X "
         "(skipped with a warning on single-CPU machines)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        help="lockstep batch width for the batched-decode comparison",
-    )
-    parser.add_argument(
-        "--fail-batch-below",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit 1 if the lockstep batch speedup is below X",
     )
     parser.add_argument(
         "--serve",
@@ -280,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
             output=args.output,
             parallelism=args.parallelism,
             repeats=args.repeats,
-            batch_size=args.batch_size,
         )
         print(result.render())
         print(f"\nwrote {args.output}")
@@ -290,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
             fail_below=args.fail_below,
             fail_epsilon_above=args.fail_epsilon_above,
             fail_parallel_below=args.fail_parallel_below,
-            fail_batch_below=args.fail_batch_below,
         )
         failures.extend(decode_failures)
         notes.extend(decode_notes)
