@@ -6,9 +6,7 @@ Subcommands::
     python -m repro decode  [task]       # decode a sample batch, show WER
     python -m repro experiment <id>      # regenerate one table/figure
     python -m repro report  [output]     # regenerate EXPERIMENTS.md
-    python -m repro perf                 # decode throughput regression report
     python -m repro serve   [task]       # live streaming transcription server
-    python -m repro serve-bench          # serving regression report
 
 Task names: tiny, kaldi-voxforge, kaldi-librispeech, kaldi-tedlium,
 eesen-tedlium.
@@ -94,18 +92,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         f"\nWER: {wer:.1%} over {len(utterances)} utterances "
         f"(strategy: {results[0].strategy if results else '-'})"
     )
-    return 0
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.experiments.perf_decode import write_bench_report
-
-    report = write_bench_report(
-        preset=args.preset,
-        output=args.output,
-        parallelism=args.parallelism,
-    )
-    print(report.render())
     return 0
 
 
@@ -200,27 +186,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.serve_bench import write_bench_report
-
-    report = write_bench_report(
-        preset=args.preset,
-        output=args.output,
-        concurrency=args.concurrency,
-        batch_frames=args.batch_frames,
-        transport=args.transport,
-        workers=args.workers,
-        seed=args.seed,
-        fusion_concurrency=args.fusion_concurrency,
-        abort_fraction=args.abort_fraction,
-        shards=args.shards,
-        payload=args.payload,
-        encoding=args.encoding,
-    )
-    print(report.render())
-    return 0
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.registry import run_experiment
 
@@ -262,16 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_decode.set_defaults(func=cmd_decode)
 
-    p_perf = sub.add_parser(
-        "perf", help="decode throughput regression report (BENCH_decode.json)"
-    )
-    p_perf.add_argument(
-        "--preset", choices=("small", "medium"), default="small"
-    )
-    p_perf.add_argument("--output", default="BENCH_decode.json")
-    p_perf.add_argument("--parallelism", type=int, default=2)
-    p_perf.set_defaults(func=cmd_perf)
-
     p_serve = sub.add_parser(
         "serve", help="live streaming transcription server (NDJSON TCP)"
     )
@@ -312,66 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         "session checkpoints (0 disables checkpoints)",
     )
     p_serve.set_defaults(func=cmd_serve)
-
-    p_serve_bench = sub.add_parser(
-        "serve-bench",
-        help="serving throughput/latency report (BENCH_serve.json)",
-    )
-    p_serve_bench.add_argument(
-        "--preset", choices=("small", "medium"), default="small"
-    )
-    p_serve_bench.add_argument("--output", default="BENCH_serve.json")
-    p_serve_bench.add_argument("--concurrency", type=int, default=4)
-    p_serve_bench.add_argument("--batch-frames", type=int, default=8)
-    p_serve_bench.add_argument(
-        "--transport",
-        choices=("local", "tcp"),
-        default="local",
-        help="in-process client or real TCP sockets",
-    )
-    p_serve_bench.add_argument("--workers", type=int, default=1)
-    p_serve_bench.add_argument(
-        "--seed",
-        type=int,
-        default=1234,
-        help="load-generator submission-order seed",
-    )
-    p_serve_bench.add_argument(
-        "--fusion-concurrency",
-        type=int,
-        default=8,
-        help="sessions in the fused-vs-unfused comparison",
-    )
-    p_serve_bench.add_argument(
-        "--abort-fraction",
-        type=float,
-        default=0.0,
-        help="seeded fraction of load-generator sessions that abandon "
-        "their stream mid-utterance (cancel-under-load coverage)",
-    )
-    p_serve_bench.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="shard count for the 1-vs-N sharded-serving comparison "
-        "(0 skips the sharding section)",
-    )
-    p_serve_bench.add_argument(
-        "--payload",
-        choices=("scores", "features"),
-        default="scores",
-        help="what the load generator streams: pre-scored matrices "
-        "(exact) or raw features for server-side scoring "
-        "(parity-asserted against the score-payload reference)",
-    )
-    p_serve_bench.add_argument(
-        "--encoding",
-        choices=("list", "b64f32"),
-        default="list",
-        help="wire form for frame matrices: exact float64 lists or "
-        "the compact base64 float32 block (~7x smaller, quantizing)",
-    )
-    p_serve_bench.set_defaults(func=cmd_serve_bench)
 
     p_exp = sub.add_parser("experiment", help="regenerate one table/figure")
     p_exp.add_argument("id", help="e.g. fig08, table1, ablation-lookup")

@@ -80,7 +80,7 @@ class DecoderConfig:
     #: change results — only how much search work is re-spent.
     expansion_cache_states: int = 1024
     #: Record a per-phase wall-clock breakdown of each decode on the
-    #: decoder's ``last_phase_seconds`` (perf harness support).  Only
+    #: decoder's ``last_phase_seconds`` (``bench/`` reads it).  Only
     #: reads clocks: the decode takes the same regimes either way.
     profile: bool = False
 

@@ -23,8 +23,6 @@ from repro.experiments import (
     fig11_bandwidth,
     fig12_overall_time,
     fig13_overall_energy,
-    perf_decode,
-    serve_bench,
     table1_wfst_sizes,
     table2_compressed_sizes,
     table5_latency,
@@ -60,14 +58,6 @@ EXPERIMENTS: dict[str, tuple[Callable[[], ExperimentResult], str]] = {
     "ablation-lattice": (
         ablation_lattice_format.run,
         "compact vs raw lattice records",
-    ),
-    "perf-decode": (
-        perf_decode.run,
-        "software decode throughput regression harness",
-    ),
-    "serve-bench": (
-        serve_bench.run,
-        "streaming service throughput/latency regression harness",
     ),
 }
 

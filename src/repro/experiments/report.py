@@ -57,12 +57,6 @@ PAPER_CLAIMS: dict[str, str] = {
     "hardware design.",
     "ablation-lattice": "Section 3.1/Figure 10: the compact lattice "
     "format of Price [22] cuts token traffic and Token Cache power.",
-    "perf-decode": "No paper counterpart — an engineering guard: the "
-    "vectorized hot loop must stay >=3x over the scalar reference on "
-    "the medium preset, with identical transcripts, costs and counters.",
-    "serve-bench": "No paper counterpart — an engineering guard: the "
-    "streaming service must match sequential decoding bit for bit, "
-    "drain cleanly, and hold its throughput/latency floors.",
 }
 
 

@@ -1,16 +1,16 @@
 """Load generator: replay utterances against the service.
 
-Drives N concurrent streaming sessions through either client (TCP or
-in-process), replaying a list of score matrices in fixed frame
-batches — the service-side mirror of
-:func:`~repro.asr.streaming.decode_streaming`'s batching.  Reports
-what a capacity test needs: throughput (utterances and frames per
-second), per-push decode latency percentiles, time-to-first-partial
-percentiles, and how often admission control pushed back.
+Drives N concurrent streaming sessions through any client (TCP,
+in-process or sharded), replaying a list of score matrices in fixed
+frame batches — the service-side mirror of
+:func:`~repro.asr.streaming.decode_streaming`'s batching.  The report
+carries every final in input order, for comparison against a
+sequential reference, and counts how often admission control pushed
+back.  It measures no latency; ``bench/loadgen.py`` does that.
 
 Admission ``BUSY`` rejections are part of the contract, not failures:
 a worker that gets rejected backs off and retries, and the report
-counts every rejection so a bench can assert backpressure actually
+counts every rejection so a test can assert backpressure actually
 engaged (or didn't).
 """
 
@@ -19,12 +19,10 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
 from repro.serve import protocol
-from repro.serve.metrics import percentile
 from repro.serve.scheduler import Busy
 
 #: Back-off between admission retries; short, the point is only to
@@ -40,13 +38,11 @@ class UtteranceOutcome:
     words: list[str]
     cost: float
     frames: int
-    first_partial_seconds: float
-    push_seconds: list[float] = field(default_factory=list)
 
 
 @dataclass
 class LoadReport:
-    """Aggregate results of one load-generation run."""
+    """What one load-generation run completed."""
 
     concurrency: int
     batch_frames: int
@@ -54,73 +50,12 @@ class LoadReport:
     seed: int | None
     utterances: int
     frames: int
+    #: Frame batches pushed by the sessions that finished.
     batches: int
-    wall_seconds: float
     busy_rejections: int
     #: Sessions deliberately abandoned mid-stream (``abort_fraction``).
     aborted: int = 0
-    abort_fraction: float = 0.0
-    #: What the sessions streamed (``scores`` or ``features``) and how
-    #: matrices crossed the wire.
-    payload: str = protocol.PAYLOAD_SCORES
-    encoding: str = protocol.ENCODING_LIST
     outcomes: list[UtteranceOutcome] = field(default_factory=list)
-
-    @property
-    def utterances_per_second(self) -> float:
-        return self.utterances / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
-    def frames_per_second(self) -> float:
-        return self.frames / self.wall_seconds if self.wall_seconds else 0.0
-
-    def _push_samples(self) -> list[float]:
-        samples: list[float] = []
-        for outcome in self.outcomes:
-            samples.extend(outcome.push_seconds)
-        return sorted(samples)
-
-    def latency_summary(self) -> dict:
-        """p50/p95/p99 of per-push decode latency and first-partial."""
-        pushes = self._push_samples()
-        firsts = sorted(
-            o.first_partial_seconds for o in self.outcomes
-        )
-
-        def summarize(ordered: list[float]) -> dict:
-            if not ordered:
-                return {"count": 0, "p50": None, "p95": None, "p99": None}
-            return {
-                "count": len(ordered),
-                "mean": sum(ordered) / len(ordered),
-                "p50": percentile(ordered, 50.0),
-                "p95": percentile(ordered, 95.0),
-                "p99": percentile(ordered, 99.0),
-            }
-
-        return {
-            "push_seconds": summarize(pushes),
-            "first_partial_seconds": summarize(firsts),
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "concurrency": self.concurrency,
-            "batch_frames": self.batch_frames,
-            "seed": self.seed,
-            "utterances": self.utterances,
-            "frames": self.frames,
-            "batches": self.batches,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "utterances_per_second": round(self.utterances_per_second, 2),
-            "frames_per_second": round(self.frames_per_second, 1),
-            "busy_rejections": self.busy_rejections,
-            "aborted": self.aborted,
-            "abort_fraction": self.abort_fraction,
-            "payload": self.payload,
-            "encoding": self.encoding,
-            "latency": self.latency_summary(),
-        }
 
 
 async def run_load(
@@ -145,7 +80,7 @@ async def run_load(
 
     ``seed`` pins the submission order: utterances are shuffled with
     ``random.Random(seed)`` before workers pull them, so two runs with
-    the same seed replay the same arrival pattern (CI pins one).
+    the same seed replay the same arrival pattern (tests pin one).
     ``None`` keeps plain input order.
 
     ``abort_fraction`` makes a seeded fraction of sessions behave like
@@ -157,10 +92,10 @@ async def run_load(
 
     ``payload="features"`` streams ``feature_matrices`` (required,
     aligned 1:1 with ``score_matrices``'s indices) and lets the server
-    run the acoustic model.  The
-    same seed replays the same arrival pattern either way, so a
-    features run parity-asserts against a scores run.  ``encoding``
-    picks the wire form (exact ``list`` or compact ``b64f32``).
+    run the acoustic model.  The same seed replays the same arrival
+    pattern either way, so a features run parity-asserts against a
+    scores run.  ``encoding`` picks the wire form (exact ``list`` or
+    compact ``b64f32``).
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
@@ -195,17 +130,18 @@ async def run_load(
         for index, matrix in enumerate(matrices):
             if abort_rng.random() >= abort_fraction:
                 continue
-            batches = max(1, -(-matrix.shape[0] // batch_frames))
-            abort_after[index] = abort_rng.randint(1, batches)
+            planned = max(1, -(-matrix.shape[0] // batch_frames))
+            abort_after[index] = abort_rng.randint(1, planned)
     work: asyncio.Queue = asyncio.Queue()
     for job in jobs:
         work.put_nowait(job)
     outcomes: dict[int, UtteranceOutcome] = {}
     rejections = 0
     aborted = 0
+    batches = 0
 
     async def worker() -> None:
-        nonlocal rejections, aborted
+        nonlocal rejections, aborted, batches
         while True:
             try:
                 index, matrix = work.get_nowait()
@@ -224,16 +160,10 @@ async def run_load(
                 except Busy:
                     rejections += 1
                     await asyncio.sleep(RETRY_SECONDS)
-            opened = perf_counter()
-            push_seconds: list[float] = []
-            first_partial = 0.0
             abort_point = abort_after.get(index)
-            abort_now = False
-            for pushes, start in enumerate(
-                range(0, matrix.shape[0], batch_frames), start=1
-            ):
+            pushes = 0
+            for start in range(0, matrix.shape[0], batch_frames):
                 batch = matrix[start : start + batch_frames]
-                push_started = perf_counter()
                 while True:
                     try:
                         await session.push(batch)
@@ -241,30 +171,23 @@ async def run_load(
                     except Busy:  # frame queue full: real backpressure
                         rejections += 1
                         await asyncio.sleep(RETRY_SECONDS)
-                now = perf_counter()
-                push_seconds.append(now - push_started)
-                if not first_partial:
-                    first_partial = now - opened
-                if abort_point is not None and pushes >= abort_point:
-                    abort_now = True
+                pushes += 1
+                if pushes == abort_point:
                     break
-            if abort_now:
+            if pushes == abort_point:
                 await session.abort()
                 aborted += 1
                 continue
             final = await session.finish()
+            batches += pushes
             outcomes[index] = UtteranceOutcome(
                 index=index,
                 words=list(final["words"]),
                 cost=final["cost"],
                 frames=final["frames"],
-                first_partial_seconds=first_partial,
-                push_seconds=push_seconds,
             )
 
-    started = perf_counter()
     await asyncio.gather(*(worker() for _ in range(concurrency)))
-    wall = perf_counter() - started
 
     ordered = [outcomes[i] for i in sorted(outcomes)]
     return LoadReport(
@@ -273,12 +196,8 @@ async def run_load(
         seed=seed,
         utterances=len(ordered),
         frames=sum(o.frames for o in ordered),
-        batches=sum(len(o.push_seconds) for o in ordered),
-        wall_seconds=wall,
+        batches=batches,
         busy_rejections=rejections,
         aborted=aborted,
-        abort_fraction=abort_fraction,
-        payload=payload,
-        encoding=encoding,
         outcomes=ordered,
     )

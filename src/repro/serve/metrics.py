@@ -6,8 +6,7 @@ without pulling a metrics client into a reproduction repo.  This
 module is that registry: three instrument kinds, a process-wide lock
 (instruments are touched from the asyncio loop *and* from engine
 executor threads), and a JSON-ready :meth:`MetricsRegistry.snapshot`
-that the wire protocol's ``status`` request and ``BENCH_serve.json``
-both serialize verbatim.
+that the wire protocol's ``status`` request serializes verbatim.
 
 Histograms keep raw samples up to a bounded window (newest samples
 win) and summarize on demand: count/mean/min/max plus interpolated

@@ -12,8 +12,8 @@ Two client surfaces, one protocol:
 * the TCP transport, for real deployments and the load generator;
 * :meth:`TranscriptionServer.connect_local` — an in-process client
   whose sessions speak the same message dicts straight to the
-  scheduler.  Tests and the serve bench use it to drive genuinely
-  concurrent sessions without sockets.
+  scheduler.  Tests use it to drive genuinely concurrent sessions
+  without sockets.
 
 Shutdown is graceful by default: ``stop()`` stops admitting, drains
 every in-flight session to a real final result, then closes the

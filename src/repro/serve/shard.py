@@ -383,7 +383,7 @@ class ShardedServer:
         }
 
     async def memory_report(self) -> dict:
-        """Segment size plus each shard's RSS/USS (see serve bench)."""
+        """Segment size plus each shard's RSS/USS and segment mapping."""
         infos = await asyncio.gather(
             *(self._request(h, "meminfo") for h in self._handles)
         )

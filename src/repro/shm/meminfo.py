@@ -8,9 +8,8 @@ Two numbers matter for the shared-memory story:
 * **USS** (``Private_Clean + Private_Dirty`` in
   ``/proc/<pid>/smaps_rollup``) — pages private to the process.  A
   worker whose recognizer lives in an attached shared segment has a
-  USS that excludes the segment entirely: this is the number the
-  serve bench gates on (per-worker incremental memory must stay a
-  small fraction of the recognizer's size).
+  USS that excludes the segment entirely: per-worker incremental
+  memory must stay a small fraction of the recognizer's size.
 
 Both readers degrade to ``None`` off Linux or on restricted /proc.
 """
@@ -58,9 +57,9 @@ def segment_memory(name: str, pid: int | str = "self") -> dict | None:
     ``Private_*`` pages.  ``private_bytes`` is the honest "incremental
     RSS" of the recognizer in this worker: pages of the segment this
     process privatized.  Read-only numpy views never write, so it
-    should stay ~0 no matter how large the segment — the serve bench
-    gates on exactly that fraction.  ``None`` when the mapping is
-    absent or /proc is unreadable.
+    should stay ~0 no matter how large the segment — the shard and
+    worker-engine tests assert it stays under 10 %.  ``None`` when the
+    mapping is absent or /proc is unreadable.
     """
     suffix = "/" + name.lstrip("/")
     try:

@@ -151,8 +151,7 @@ class TestRegistry:
             "fig01", "fig02", "table1", "table2", "fig06", "fig07",
             "fig08", "fig09", "fig10", "fig11", "table5", "table6",
             "fig12", "fig13", "ablation-preemptive", "ablation-lookup",
-            "ablation-two-pass", "ablation-lattice", "perf-decode",
-            "serve-bench",
+            "ablation-two-pass", "ablation-lattice",
         }
         assert set(EXPERIMENTS) == expected
 

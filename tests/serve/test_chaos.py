@@ -25,6 +25,7 @@ from repro.serve import (
     FlakyEngine,
     ServeConfig,
     ServeError,
+    TcpClient,
     TranscriptionServer,
     TransientEngineError,
     WorkerChaos,
@@ -225,6 +226,77 @@ class TestWorkerCrashRecovery:
             assert counters.get("worker_restarts", 0) == 0
         finally:
             engine.close()
+
+
+@pytest.fixture(scope="module")
+def served_worker_kill(tiny_task, tiny_scorer, tiny_scores):
+    """Seeded TCP load against a two-worker server whose worker 0 dies
+    (``os._exit``) on its 8th push, mid-utterance for the sessions
+    pinned to it.  Returns the load report, the server's metrics after
+    the drain, and the workers' memory weighed after the load."""
+
+    async def scenario():
+        server = TranscriptionServer(
+            tiny_task.am,
+            tiny_task.lm,
+            decoder_config=CONFIG,
+            serve_config=ServeConfig(workers=2, port=0),
+            scorer=tiny_scorer,
+            chaos=WorkerChaos(worker_index=0, die_at_push=8),
+        )
+        async with server:
+            client = await TcpClient.connect(server.config.host, server.port)
+            try:
+                report = await run_load(
+                    client,
+                    tiny_scores,
+                    concurrency=4,
+                    batch_frames=BATCH,
+                    seed=1234,
+                )
+            finally:
+                await client.close()
+            memory = server.engine.memory_report()
+        return report, server.metrics.snapshot(), memory
+
+    return asyncio.run(scenario())
+
+
+class TestServedWorkerKill:
+    """The server-level chaos check: a worker death under concurrent
+    TCP load through the scheduler, not just the engine driven
+    directly."""
+
+    def test_every_final_matches_the_serial_pool(
+        self, served_worker_kill, tiny_scores, pool_reference
+    ):
+        report, snapshot, _ = served_worker_kill
+        assert [o.index for o in report.outcomes] == list(
+            range(len(tiny_scores))
+        )
+        for outcome, want in zip(report.outcomes, pool_reference):
+            assert outcome.words == want.words
+            assert outcome.cost == want.cost
+        counters = snapshot["counters"]
+        assert counters.get("sessions_lost", 0) == 0
+        assert counters["worker_restarts"] >= 1
+        assert counters["sessions_migrated"] >= 1
+        assert snapshot["histograms"]["migration_seconds"]["count"] >= 1
+
+    def test_workers_map_the_segment_without_copying(
+        self, served_worker_kill
+    ):
+        """``ProcessEngine.memory_report``: every live worker, the
+        respawned one included, privatizes under 10 % of the shared
+        recognizer segment (read-only views never dirty its pages)."""
+        _, _, memory = served_worker_kill
+        assert memory["shared_nbytes"] > 0
+        assert len(memory["workers"]) == 2
+        segments = [info.get("segment") for info in memory["workers"]]
+        if any(segment is None for segment in segments):
+            pytest.skip("/proc/<pid>/smaps unavailable")
+        for segment in segments:
+            assert segment["private_bytes"] * 10 <= memory["shared_nbytes"]
 
 
 class TestEngineFaultPaths:
@@ -493,7 +565,6 @@ class TestLoadgenAborts:
         """The wire-protocol cancel: a TCP client aborts mid-stream and
         gets the terminal CANCELLED acknowledgement; the connection
         stays usable for new sessions."""
-        from repro.serve import TcpClient
 
         async def scenario():
             server = TranscriptionServer(

@@ -55,14 +55,6 @@ class TestRunLoad:
         assert report.batches == sum(
             -(-s.shape[0] // 8) for s in tiny_scores
         )
-        assert report.wall_seconds > 0
-        assert report.frames_per_second > 0
-        summary = report.latency_summary()
-        assert summary["push_seconds"]["count"] == report.batches
-        assert summary["push_seconds"]["p95"] > 0
-        assert (
-            summary["first_partial_seconds"]["count"] == report.utterances
-        )
 
     def test_busy_rejections_counted_under_tight_admission(
         self, tiny_task, tiny_scores
@@ -75,15 +67,6 @@ class TestRunLoad:
         assert report.utterances == len(tiny_scores)
         assert report.busy_rejections > 0
 
-    def test_to_dict_is_json_ready(self, tiny_task, tiny_scores):
-        import json
-
-        report = replay(tiny_task, tiny_scores[:2], concurrency=2)
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["concurrency"] == 2
-        assert payload["utterances"] == 2
-        assert "latency" in payload
-
     def test_validation(self, tiny_task, tiny_scores):
         with pytest.raises(ValueError):
             replay(tiny_task, tiny_scores, concurrency=0)
@@ -94,7 +77,6 @@ class TestRunLoad:
         first = replay(tiny_task, tiny_scores, concurrency=3, seed=42)
         second = replay(tiny_task, tiny_scores, concurrency=3, seed=42)
         assert first.seed == second.seed == 42
-        assert first.to_dict()["seed"] == 42
         # Outcomes come back in input order regardless of the shuffled
         # submission order, and identically across seeded replays.
         assert [o.index for o in first.outcomes] == list(

@@ -194,7 +194,6 @@ class TestLoadgenPayloadKnob:
 
         scores_report = asyncio.run(run("scores"))
         features_report = asyncio.run(run("features"))
-        assert features_report.payload == "features"
         assert features_report.utterances == scores_report.utterances
         for got, want in zip(
             features_report.outcomes, scores_report.outcomes
