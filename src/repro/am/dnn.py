@@ -68,7 +68,12 @@ class MlpAcousticModel:
         dim = features.shape[1]
         w_in = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
         b_in = rng.normal(0.0, 0.1, size=hidden)
-        hidden_acts = np.tanh(features @ w_in + b_in)
+        # tanh(features @ w_in + b_in), computed in the matmul's own
+        # buffer: the same ufuncs on the same values, without two more
+        # (frames, hidden) temporaries.
+        hidden_acts = features @ w_in
+        hidden_acts += b_in
+        np.tanh(hidden_acts, out=hidden_acts)
         targets = np.zeros((len(features), num_senones))
         targets[np.arange(len(features)), alignment] = 1.0
         gram = hidden_acts.T @ hidden_acts + ridge * np.eye(hidden)

@@ -47,7 +47,9 @@ float costs only inside a key's group, and slice one shared read-only
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -400,6 +402,23 @@ class LmWordArcs:
         """Word arcs (back-off excluded) out of ``state``."""
         return int(self.offsets[state + 1] - self.offsets[state])
 
+    @cached_property
+    def row_typecodes(self) -> tuple[str, str, str]:
+        """Narrowest signed ``array`` typecodes for per-word columns.
+
+        ``(level, count, state)``: back-off chain levels; arc ordinals
+        and search probe counts, both bounded by a state's arc count;
+        LM states.  Each leaves room for a -1 "absent" sentinel.  Picked
+        once per arcs object, from the LM's own sizes.
+        """
+        num_states = self.offsets.shape[0] - 1
+        max_arcs = int(np.diff(self.offsets).max()) if num_states else 0
+        return (
+            _signed_typecode(self.max_chain - 1),
+            _signed_typecode(max_arcs),
+            _signed_typecode(num_states - 1),
+        )
+
     def to_arc_lists(
         self,
     ) -> tuple[list[list["Arc"]], list["Arc | None"]]:
@@ -435,6 +454,14 @@ class LmWordArcs:
             for s in range(num_states)
         ]
         return word_arcs, backoff
+
+
+def _signed_typecode(bound: int) -> str:
+    """The narrowest signed ``array`` typecode holding ``-1 .. bound``."""
+    for code in "bhiq":
+        if bound < 1 << (8 * array(code).itemsize - 1):
+            return code
+    raise OverflowError(f"{bound} does not fit a signed 64-bit column")
 
 
 def _all_resolves_nonneg(

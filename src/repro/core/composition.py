@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -276,19 +277,24 @@ class ExpansionRow:
     per-level search probe counts the scalar engine would spend — so a
     batch of resolves replays scalar costs and counters exactly.
 
-    Held as native Python lists, the form the replay reads item by
-    item (per-item numpy scalar indexing would dominate its cost);
-    ``tolist`` round-trips float64 exactly, so replayed arithmetic is
-    bit-identical to the scalar engine's.
+    The label-space columns are ``array.array`` buffers: float64
+    weights, and the narrowest signed width the LM's sizes allow for
+    the rest (:attr:`LmWordArcs.row_typecodes`).  Indexing one yields
+    the native ``int`` / ``float`` a list would hold — the replay reads
+    item by item, where per-item numpy scalars would dominate its cost
+    — at a fraction of a list's bytes (DESIGN.md, "Decode-time
+    memory"); float64 round-trips exactly, so replayed arithmetic is
+    bit-identical to the scalar engine's.  The chain columns are a few
+    entries long and stay lists.
     """
 
     chain: list[int]  # the state's back-off chain
     chain_weights: list[float]  # per-hop penalties
-    found_level: list[int]  # [label_space]
-    steps: list[list[int]]  # [chain length][label_space]
-    arc_weight: list[float]  # [label_space]
-    arc_next: list[int]  # [label_space]
-    arc_ordinal: list[int]  # [label_space]
+    found_level: array  # [label_space]
+    steps: list[array]  # [chain length][label_space]
+    arc_weight: array  # [label_space], float64
+    arc_next: array  # [label_space]
+    arc_ordinal: array  # [label_space]
 
     def size_bytes(self) -> int:
         """Modelled storage: 8 bytes per entry of every column."""
@@ -426,11 +432,14 @@ class LmExpansionCache:
         space = arcs.label_space
         words = np.arange(space, dtype=np.int64)
         depth = chain.shape[0]
-        found_level = np.full(space, -1, dtype=np.int64)
-        steps = np.zeros((depth, space), dtype=np.int64)
+        # numpy and ``array`` typecodes name the same C types, so each
+        # column converts with one buffer copy.
+        level_code, count_code, state_code = arcs.row_typecodes
+        found_level = np.full(space, -1, dtype=level_code)
+        steps = np.zeros((depth, space), dtype=count_code)
         arc_weight = np.zeros(space, dtype=np.float64)
-        arc_next = np.full(space, -1, dtype=np.int64)
-        arc_ordinal = np.full(space, -1, dtype=np.int64)
+        arc_next = np.full(space, -1, dtype=state_code)
+        arc_ordinal = np.full(space, -1, dtype=count_code)
         # Deepest level first, so shallower levels override: found_level
         # ends up the *first* level whose state carries the word's arc.
         for level in range(depth - 1, -1, -1):
@@ -457,11 +466,11 @@ class LmExpansionCache:
         return ExpansionRow(
             chain=chain.tolist(),
             chain_weights=chain_weights.tolist(),
-            found_level=found_level.tolist(),
-            steps=steps.tolist(),
-            arc_weight=arc_weight.tolist(),
-            arc_next=arc_next.tolist(),
-            arc_ordinal=arc_ordinal.tolist(),
+            found_level=array(level_code, found_level.tobytes()),
+            steps=[array(count_code, level.tobytes()) for level in steps],
+            arc_weight=array("d", arc_weight.tobytes()),
+            arc_next=array(state_code, arc_next.tobytes()),
+            arc_ordinal=array(count_code, arc_ordinal.tobytes()),
         )
 
 
@@ -726,27 +735,41 @@ class LmLookup:
         }
 
     def load_transient_state(self, state: dict) -> None:
-        """Restore a checkpoint taken by :meth:`export_transient_state`."""
+        """Restore a checkpoint taken by :meth:`export_transient_state`.
+
+        Snapshots cross process boundaries, so everything is checked
+        before anything is replaced: a malformed state raises
+        ``ValueError`` and leaves the lookup — counters, OLT, expansion
+        cache and the shared row memo — as it was.
+        """
         if state["strategy"] != self.strategy.value:
             raise ValueError(
                 f"lookup strategy mismatch: snapshot is "
                 f"{state['strategy']!r}, lookup is {self.strategy.value!r}"
             )
-        self.stats.assign(state["stats"])
+        if state["offset_table"] is not None and self.offset_table is None:
+            raise ValueError(
+                "snapshot carries an offset table but this lookup has none"
+            )
+        expansion_states = state["expansion_states"]
+        num_states = self.graph.fst.num_states
+        if not all(
+            type(s) is int and 0 <= s < num_states for s in expansion_states
+        ) or len(set(expansion_states)) != len(expansion_states):
+            raise ValueError(
+                "snapshot expansion states must be distinct LM state ids "
+                f"in [0, {num_states})"
+            )
         if state["offset_table"] is not None:
-            if self.offset_table is None:
-                raise ValueError(
-                    "snapshot carries an offset table but this lookup "
-                    "has none"
-                )
             self.offset_table.load_state(state["offset_table"])
         elif self.offset_table is not None:
             self.offset_table.invalidate()
-        if state["expansion_states"]:
+        self.stats.assign(state["stats"])
+        if expansion_states:
             if self.expansion_cache is None:
                 self._ensure_batch_structures()
             self.expansion_cache.clear()
-            self.expansion_cache.preload(state["expansion_states"])
+            self.expansion_cache.preload(expansion_states)
         elif self.expansion_cache is not None:
             self.expansion_cache.clear()
 

@@ -18,6 +18,7 @@ from repro.am import (
     generate_lexicon,
     make_emission_model,
 )
+from repro.am.dnn import _smoothed_priors
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +166,35 @@ class TestMlp:
         mlp = MlpAcousticModel.fit(feats, align, emissions.num_senones, hidden=64)
         post = mlp.posteriors(feats[:20])
         assert np.allclose(post.sum(axis=1), 1.0)
+
+    def test_fit_matches_the_one_expression_form(self, setup):
+        """The hidden layer computed in place fits bit-identical arrays
+        to ``tanh(features @ w_in + b_in)`` written as one expression."""
+        *_, emissions, synth = setup
+        _, feats, align = _training_data(synth, [["ab", "cad"]] * 8)
+        num, hidden, ridge = emissions.num_senones, 48, 0.5
+        mlp = MlpAcousticModel.fit(
+            feats, align, num, hidden=hidden, ridge=ridge,
+            rng=np.random.default_rng(4),
+        )
+        rng = np.random.default_rng(4)
+        dim = feats.shape[1]
+        w_in = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
+        b_in = rng.normal(0.0, 0.1, size=hidden)
+        hidden_acts = np.tanh(feats @ w_in + b_in)
+        targets = np.zeros((len(feats), num))
+        targets[np.arange(len(feats)), align] = 1.0
+        gram = hidden_acts.T @ hidden_acts + ridge * np.eye(hidden)
+        w_out = np.linalg.solve(gram, hidden_acts.T @ targets)
+        want = {
+            "w_in": w_in,
+            "b_in": b_in,
+            "w_out": w_out,
+            "log_priors": np.log(_smoothed_priors(align, num)),
+            "seen_mask": np.bincount(align, minlength=num) > 0,
+        }
+        for name, expected in want.items():
+            assert np.array_equal(getattr(mlp, name), expected), name
 
     def test_metadata(self, setup):
         *_, emissions, synth = setup

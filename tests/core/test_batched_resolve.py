@@ -256,6 +256,33 @@ def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
     assert _transient_state(lookup) == before
 
 
+@pytest.mark.parametrize(
+    "bad_states",
+    [[-1], ["num_states"], [1.5], ["x"], [1, 1], [True]],
+    ids=["negative", "num_states", "float", "str", "duplicate", "bool"],
+)
+def test_malformed_expansion_states_are_rejected_untouched(
+    tiny_task, bad_states
+):
+    """A snapshot's expansion states are validated before anything is
+    replaced: counters, OLT, residency and the shared row memo stay as
+    they were."""
+    lookup = LmLookup(tiny_task.lm, strategy=LookupStrategy.OFFSET_TABLE)
+    lookup.resolve_batch([0, 1, 2], [1, 2, 3], [0.0, 0.0, 0.0])
+    snapshot = lookup.export_transient_state()
+    lookup.resolve_batch([3, 4], [4, 5], [0.0, 0.0])
+    before = _transient_state(lookup)
+    memo_keys = list(lookup._row_memo)
+    num_states = tiny_task.lm.fst.num_states
+    snapshot["expansion_states"] = [
+        num_states if s == "num_states" else s for s in bad_states
+    ]
+    with pytest.raises(ValueError, match="expansion states"):
+        lookup.load_transient_state(snapshot)
+    assert _transient_state(lookup) == before
+    assert list(lookup._row_memo) == memo_keys
+
+
 def test_forks_allocate_no_per_entry_storage():
     """A fork's OLT is empty and so holds nothing: 64 serve sessions
     or lockstep utterances used to zero-fill 768 KiB each."""
