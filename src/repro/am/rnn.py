@@ -10,11 +10,13 @@ trainable in closed form.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.am.scorer import ScorerKind
+from repro.cpus import visible_cpus
 
 _POSTERIOR_FLOOR = 1e-10
 
@@ -63,11 +65,20 @@ class RnnAcousticModel:
         )
         # Every utterance's reservoir states land in their rows of one
         # matrix: no per-utterance copies beside their concatenation.
+        # The runs are independent and spend their time in BLAS calls
+        # that release the GIL, so they fan out over the CPUs this
+        # process may use; each makes the same calls on the same inputs
+        # either way, so the states are bit-identical to a sequential
+        # loop's.
         h = np.empty((sum(len(f) for f in utterance_features), hidden))
+        rows = []
         row = 0
         for features in utterance_features:
-            model._run_reservoir(features, out=h[row : row + len(features)])
+            rows.append(h[row : row + len(features)])
             row += len(features)
+        with ThreadPoolExecutor(max(1, min(visible_cpus(), len(rows)))) as pool:
+            # ``list`` re-raises a failed run's exception here.
+            list(pool.map(model._run_reservoir, utterance_features, rows))
         alignment = np.concatenate(
             [np.asarray(a) for a in utterance_alignments]
         )
@@ -90,22 +101,25 @@ class RnnAcousticModel:
         The input projections of all frames are one *stacked* gemv —
         ``(T, 1, dim) @ (dim, hidden)`` makes the same BLAS call per
         frame as ``x @ w_in`` does, so it is bit-identical to projecting
-        frame by frame, which one ``(T, dim)`` GEMM is not.  The
-        recurrence then writes ``h @ w_rec``, the add and the ``tanh``
-        into each frame's row in place.
+        frame by frame, which one ``(T, dim)`` GEMM is not — and it is
+        written straight into the state rows, so a run allocates no
+        ``(T, hidden)`` temporary (``fit`` runs several at once).  The
+        recurrence then adds ``h @ w_rec``, from one scratch vector, to
+        each frame's row and takes the ``tanh`` in place.
         """
         features = np.asarray(features)
         hidden = self.w_in.shape[1]
         states = np.empty((len(features), hidden)) if out is None else out
         if len(features) == 0:
             return states
-        projected = np.matmul(features[:, None, :], self.w_in)[:, 0, :]
+        np.matmul(features[:, None, :], self.w_in, out=states[:, None, :])
         w_rec = self.w_rec
         h = np.zeros(hidden)
+        recurrent = np.empty(hidden)
         for t in range(len(features)):
             row = states[t]
-            np.matmul(h, w_rec, out=row)
-            np.add(projected[t], row, out=row)
+            np.matmul(h, w_rec, out=recurrent)
+            np.add(row, recurrent, out=row)
             np.tanh(row, out=row)
             h = row
         return states

@@ -42,7 +42,6 @@ records which strategy produced it in ``DecodeResult.strategy``.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -50,15 +49,9 @@ import numpy as np
 from repro.am.graph import AmGraph
 from repro.am.scorer import AcousticScorer
 from repro.core.decoder import DecodeResult, DecoderConfig, OnTheFlyDecoder
+from repro.cpus import visible_cpus
 from repro.lm.graph import LmGraph
 from repro.shm import attach_recognizer, bundle_quantize, pack_recognizer
-
-def visible_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
 
 
 # Per-worker-process state, installed by the pool initializer.  The

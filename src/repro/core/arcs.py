@@ -53,24 +53,8 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.tokens import KEY_SHIFT
+from repro.core.tokens import KEY_SHIFT, _iota
 from repro.wfst.fst import EPSILON, Arc
-
-
-#: Shared ``0, 1, 2, ...`` column, regrown on demand.  Read-only: a
-#: stray in-place write must raise, not corrupt every later frame.
-_IOTA = np.arange(0, dtype=np.int64)
-
-
-def _iota(n: int) -> np.ndarray:
-    """``np.arange(n)`` as a read-only view (no per-call allocation)."""
-    global _IOTA
-    iota = _IOTA
-    if iota.shape[0] < n:  # racing growers each keep a valid column
-        iota = np.arange(max(n, 2 * iota.shape[0], 4096), dtype=np.int64)
-        iota.flags.writeable = False
-        _IOTA = iota
-    return iota[:n]
 
 
 def _csr_gather(
@@ -84,19 +68,20 @@ def _csr_gather(
     ``states`` order — exactly the scalar loops' visit order.
     """
     num_states = states.shape[0]
-    # In-place arithmetic only on the fresh fancy-index results.
+    # In-place arithmetic only on the fresh fancy-index results; method
+    # forms, since a module-level wrapper costs a dispatch of its own.
     starts = offsets[states]
     counts = offsets[1:][states]
     counts -= starts
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     total = int(ends[-1]) if num_states else 0
     # flat = arc-slice start + position within the slice, the latter
     # being the global position minus the slice's exclusive prefix.
     starts -= ends
     starts += counts
-    flat = np.repeat(starts, counts)
+    flat = starts.repeat(counts)
     flat += _iota(total)
-    return np.repeat(_iota(num_states), counts), flat
+    return _iota(num_states).repeat(counts), flat
 
 
 @dataclass(frozen=True)
@@ -511,18 +496,29 @@ def _all_resolves_nonneg(
 
 @dataclass(frozen=True)
 class RecombinationPlan:
-    """Outcome of replaying sequential Viterbi insertion over a batch."""
+    """Outcome of replaying sequential Viterbi insertion over a batch.
+
+    Besides the winners and the counters, the plan carries the pieces
+    of a key index over the winners — not the index itself.  Most
+    frames never search it (epsilon arrivals land at the word-boundary
+    state, below every winner's key), so
+    :meth:`repro.core.tokens.SoaTokenTable.key_index` derives the
+    distinct keys and their winner slots from these three arrays only
+    when a search needs them.
+    """
 
     #: Candidate index (into the batch, arrival order) that each
     #: destination key keeps, listed in first-arrival order of the keys
     #: — i.e. the scalar table's dict insertion order.
     winners: np.ndarray
-    #: The distinct destination keys, ascending — a binary-searchable
-    #: index over the winner table.
+    #: Every candidate's key, ascending (duplicates included): its
+    #: first and last entries bound the winners' keys.
     sorted_keys: np.ndarray
-    #: ``slots[i]``: position of ``sorted_keys[i]``'s winner in the
-    #: (first-arrival-ordered) ``winners`` array.
-    slots: np.ndarray
+    #: ``sorted_keys[group_starts[g]]`` is the ``g``-th distinct key.
+    group_starts: np.ndarray
+    #: ``first_arrival[j]``: the group (ascending key order) of the
+    #: ``j``-th winner — the inverse of the key -> winner-slot map.
+    first_arrival: np.ndarray
     inserts: int
     improvements: int
     recombinations: int
@@ -541,6 +537,11 @@ def stable_cost_order(costs: np.ndarray) -> np.ndarray:
     qualifies in practice.  Any other batch (a negative cost or a
     ``-0.0``, which equals ``0.0`` under another pattern; costs spread
     over many binades) takes numpy's stable sort.
+
+    The span comes from one scan of the batch's patterns.  Taking it
+    from bounds the caller holds (the frame's best cost and its beam
+    threshold) instead saves ~2 µs a truncated frame, too little to
+    move ``offline_wide`` throughput, so the scan stays.
     """
     total = int(costs.shape[0])
     if total < 2:
@@ -559,11 +560,13 @@ def stable_cost_order(costs: np.ndarray) -> np.ndarray:
 
 
 def plan_recombination(
-    keys: np.ndarray, costs: np.ndarray
+    keys: np.ndarray, costs: np.ndarray, key_bound: int
 ) -> RecombinationPlan:
     """Replay ``TokenTable.insert`` over a whole candidate batch.
 
-    ``keys``/``costs`` are the batch in arrival order.  Sequential
+    ``keys``/``costs`` are the batch in arrival order, and every key
+    is below ``key_bound`` (a decoder's ``num_am_states * num_lm``,
+    computed once, so no batch is scanned for its maximum).  Sequential
     semantics being replicated: the first candidate for a key inserts;
     a later candidate *strictly* cheaper than the key's running best
     improves (taking over the key's lattice node); anything else
@@ -583,14 +586,15 @@ def plan_recombination(
     comparisons ``TokenTable.insert`` performs, so ties, infinities and
     signed zeros behave identically.  First-arrival (dict insertion)
     order of the groups comes from a second, smaller value sort.
-    numpy's stable ``argsort`` is the fallback for keys so large that
-    the packed value would overflow ``int64``.
+    numpy's stable ``argsort`` is the fallback for a ``key_bound`` so
+    large that the packed value could overflow ``int64``.  The key
+    index over the winners is left in pieces (:class:`RecombinationPlan`).
     """
     total = int(keys.shape[0])
     if total == 0:
         raise ValueError("empty candidate batch")
     bits = int(total - 1).bit_length()
-    if int(keys.max()) < (1 << (62 - bits)):
+    if key_bound <= (1 << (62 - bits)):
         sorted_keys = keys << bits
         sorted_keys |= _iota(total)
         sorted_keys.sort()
@@ -604,7 +608,7 @@ def plan_recombination(
     new_group = np.empty(total + 1, dtype=bool)
     new_group[0] = new_group[total] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:total])
-    bounds = np.flatnonzero(new_group)
+    bounds = new_group.nonzero()[0]
     first_pos = bounds[:-1]
     num_groups = int(first_pos.shape[0])
     widest = int((bounds[1:] - first_pos).max())
@@ -625,7 +629,7 @@ def plan_recombination(
         stride *= 2
     improved = new_group.copy()
     improved[1:total] |= sorted_costs[1:] < running[:-1]
-    events = np.flatnonzero(improved)
+    events = improved.nonzero()[0]
     improved_pos = events[:-1]
     improved_total = int(improved_pos.shape[0])
     # Winner of each group: its last event — the one followed by an
@@ -639,12 +643,11 @@ def plan_recombination(
     perm |= _iota(num_groups)
     perm.sort()
     perm &= (1 << group_bits) - 1
-    slots = np.empty(num_groups, dtype=np.int64)
-    slots[perm] = _iota(num_groups)
     return RecombinationPlan(
         winners=winners[perm],
-        sorted_keys=sorted_keys[first_pos],
-        slots=slots,
+        sorted_keys=sorted_keys,
+        group_starts=first_pos,
+        first_arrival=perm,
         inserts=num_groups,
         improvements=improved_total - num_groups,
         recombinations=total - improved_total,

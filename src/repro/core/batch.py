@@ -52,9 +52,9 @@ __all__ = [
 #: walking the tokens.  Read off a measured crossover curve
 #: (``tools/frame_step_crossover.py``; table and reasoning in DESIGN.md,
 #: "Frame-step regimes").  96 was the minimax of a curve that also had
-#: fused regimes on it; on the scalar-vs-solo curve alone scalar wins
-#: up to ~190 tokens, so 96 sits below the crossover, and moving it
-#: shifts which frames consult the expansion cache.
+#: fused regimes on it; on the scalar-vs-solo curve alone scalar now
+#: wins up to ~100-128 tokens, so 96 sits just below the crossover, and
+#: moving it shifts which frames consult the expansion cache.
 SCALAR_FRONTIER_MAX = 96
 
 

@@ -835,18 +835,22 @@ class LmLookup:
         must not be interleaved with scalar resolves that the batch
         order would not reproduce.  Native lists in, native lists out:
         nothing here is array-shaped.  A word id outside the label
-        space raises ``ValueError`` before any item has touched the
-        lookup's state; stats land on completion: every item is
-        accounted before an exhausted item raises.
+        space or an LM state outside ``[0, num_states)`` raises
+        ``ValueError`` before any item has touched the lookup's state —
+        counters, OLT, expansion cache and the shared row memo; stats
+        land on completion: every item is accounted before an exhausted
+        item raises.
         """
         if self._tracing:
             raise RuntimeError(
                 "resolve_batch has no per-event order; use resolve when tracing"
             )
-        label_space = self._ensure_batch_structures().label_space
+        soa = self._ensure_batch_structures()
         n = len(words)
-        if n and not 0 <= min(words) <= max(words) < label_space:
+        if n and not 0 <= min(words) <= max(words) < soa.label_space:
             raise ValueError("word id outside the LM label space")
+        if n and not 0 <= min(states) <= max(states) < soa.offsets.shape[0] - 1:
+            raise ValueError("LM state id outside [0, num_states)")
         cache = self.expansion_cache
         assert cache is not None
         rows = cache.rows_for(states)

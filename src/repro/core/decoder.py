@@ -258,6 +258,9 @@ class OnTheFlyDecoder:
         #: Phase -> seconds of the profiled decode in flight.
         self._phase_seconds: dict[str, float] | None = None
         self._num_lm = lm.fst.num_states
+        #: One past the largest ``am * num_lm + lm`` key a kernel frame
+        #: can produce: the planner's packing bound, so it never scans.
+        self._key_bound = (self._arcs.offsets.shape[0] - 1) * self._num_lm
         self._epsilon_flags = self._eps_arcs.has_arcs
         #: Wall-clock phase breakdown of the last decode (when
         #: ``config.profile``), in seconds: expand (prune + emitting),
@@ -504,6 +507,12 @@ class OnTheFlyDecoder:
         operation order on the same float64 values, and sequential
         recombination outcomes replayed by :func:`plan_recombination`.
 
+        ``num_am_states * num_lm``, held by the decoder, bounds the
+        planner's keys, so no batch is scanned for its largest key.
+        Each candidate reads its source token's columns through one
+        ``keep[token_index]`` gather, and its cost is one add and one
+        in-place subtract of the frame's (scaled once) score row.
+
         Returns (next_table, num_survivors, frame_expansions, pruned).
         """
         phases = self._phase_seconds
@@ -514,7 +523,7 @@ class OnTheFlyDecoder:
         if total == 0:
             return next_table, 0, 0, 0
         threshold = table.best_cost + beam_config.beam
-        keep = np.flatnonzero(cost_col <= threshold)
+        keep = (cost_col <= threshold).nonzero()[0]
         pruned = total - keep.shape[0]
         max_active = beam_config.max_active
         if max_active and keep.shape[0] > max_active:
@@ -528,19 +537,21 @@ class OnTheFlyDecoder:
         frame_expansions = int(flat.shape[0])
         if frame_expansions == 0:
             return next_table, num_survivors, 0, pruned
-        survivor_cost = cost_col[keep]
-        survivor_lm = lm_col[keep]
-        candidate_cost = (
-            survivor_cost[token_index]
-            + arcs.weight[flat]
-            - self.config.acoustic_scale * score_row[arcs.score_index[flat]]
-        )
+        source = keep[token_index]
+        # (token + arc) - scale * score, in the scalar body's order.
+        candidate_cost = cost_col[source]
+        candidate_cost += arcs.weight[flat]
+        scale = self.config.acoustic_scale
+        if scale != 1.0:
+            score_row = scale * score_row
+        candidate_cost -= score_row[arcs.score_index[flat]]
         candidate_next = arcs.nextstate[flat]
-        candidate_lm = survivor_lm[token_index]
-        keys = candidate_next * np.int64(self._num_lm) + candidate_lm
+        candidate_lm = lm_col[source]
+        keys = candidate_next * self._num_lm
+        keys += candidate_lm
         if phases is not None:
             mark = _lap(phases, "gather", mark)
-        plan = plan_recombination(keys, candidate_cost)
+        plan = plan_recombination(keys, candidate_cost, self._key_bound)
         if phases is not None:
             mark = _lap(phases, "plan", mark)
         winners = plan.winners
@@ -548,9 +559,10 @@ class OnTheFlyDecoder:
             candidate_next[winners],
             candidate_lm[winners],
             candidate_cost[winners],
-            node_col[keep][token_index[winners]],
+            node_col[source[winners]],
             plan.sorted_keys,
-            plan.slots,
+            plan.group_starts,
+            plan.first_arrival,
             plan.improvements,
             plan.recombinations,
         )
@@ -630,18 +642,28 @@ class OnTheFlyDecoder:
         numpy touches only what is frontier-sized — finding the seeds
         and reading their columns; a frame's seeds fan out into a few
         dozen arcs at most (DESIGN.md, "Where a vectorized frame
-        goes"), so everything pair-sized runs on native lists.
+        goes"), so everything pair-sized runs on native lists: one
+        pass over the seeds appends each pair's fields to their own
+        columns.
         """
         if lookup is None:
             lookup = self.lookup
         am_col, lm_col, cost_col, node_col = table.columns()
         # The worklist pops seeds off the end: reverse table order.
-        seed_pos = np.flatnonzero(self._epsilon_flags[am_col])[::-1]
+        seed_pos = self._epsilon_flags[am_col].nonzero()[0][::-1]
         if seed_pos.shape[0] == 0:
             return
         threshold = table.best_cost + beam_config.beam
         fanout = self._epsilon_fanout
-        pairs = []
+        pair_lm: list[int] = []
+        pair_olabel: list[int] = []
+        token_cost: list[float] = []
+        arc_weight: list[float] = []
+        pair_dest: list[int] = []
+        pair_node: list[int] = []
+        add_lm, add_olabel = pair_lm.append, pair_olabel.append
+        add_cost, add_weight = token_cost.append, arc_weight.append
+        add_dest, add_node = pair_dest.append, pair_node.append
         beam_pruned = 0
         for am_state, lm_state, cost, node in zip(
             am_col[seed_pos].tolist(),
@@ -653,16 +675,18 @@ class OnTheFlyDecoder:
                 beam_pruned += 1
                 continue
             for olabel, weight, nextstate, _, _ in fanout[am_state]:
-                pairs.append((lm_state, olabel, cost, weight, nextstate, node))
-        num_pairs = len(pairs)
+                add_lm(lm_state)
+                add_olabel(olabel)
+                add_cost(cost)
+                add_weight(weight)
+                add_dest(nextstate)
+                add_node(node)
+        num_pairs = len(pair_olabel)
         stats.beam_pruned += beam_pruned
         stats.am_arc_fetches += num_pairs
         stats.expansions += num_pairs
         if num_pairs == 0:
             return
-        pair_lm, pair_olabel, token_cost, arc_weight, pair_dest, pair_node = zip(
-            *pairs
-        )
 
         phases = self._phase_seconds
         mark = perf_counter() if phases is not None else 0.0

@@ -212,6 +212,21 @@ class TokenTable:
 _EMPTY_INT = np.empty(0, dtype=np.int64)
 _EMPTY_FLOAT = np.empty(0, dtype=np.float64)
 
+#: Shared ``0, 1, 2, ...`` column, regrown on demand.  Read-only: a
+#: stray in-place write must raise, not corrupt every later frame.
+_IOTA = np.arange(0, dtype=np.int64)
+
+
+def _iota(n: int) -> np.ndarray:
+    """``np.arange(n)`` as a read-only view (no per-call allocation)."""
+    global _IOTA
+    iota = _IOTA
+    if iota.shape[0] < n:  # racing growers each keep a valid column
+        iota = np.arange(max(n, 2 * iota.shape[0], 4096), dtype=np.int64)
+        iota.flags.writeable = False
+        _IOTA = iota
+    return iota[:n]
+
 
 class SoaTokenTable:
     """Token table storing the frontier as structure-of-arrays columns.
@@ -246,11 +261,15 @@ class SoaTokenTable:
         self._extra_cost: list[float] = []
         self._extra_node: list[int] = []
         # Key -> slot: bulk winners are found by binary search over
-        # their sorted keys (building a per-frame dict costs more than
-        # the handful of epsilon-phase lookups it would serve); epsilon
-        # arrivals land in a small dict.
+        # their distinct sorted keys (building a per-frame dict costs
+        # more than the handful of epsilon-phase lookups it would
+        # serve), an index derived from the pieces ``bulk_fill`` keeps
+        # only when a search needs it; epsilon arrivals land in a small
+        # dict.
         self._sorted_keys = _EMPTY_INT
-        self._slot_for_sorted = _EMPTY_INT
+        self._group_starts = _EMPTY_INT
+        self._first_arrival = _EMPTY_INT
+        self._key_index: tuple[np.ndarray, np.ndarray] | None = None
         self._extra_slot: dict[int, int] = {}
 
     def bulk_fill(
@@ -260,7 +279,8 @@ class SoaTokenTable:
         costs: np.ndarray,
         nodes: np.ndarray,
         sorted_keys: np.ndarray,
-        slots: np.ndarray,
+        group_starts: np.ndarray,
+        first_arrival: np.ndarray,
         improvements: int,
         recombinations: int,
     ) -> None:
@@ -268,15 +288,22 @@ class SoaTokenTable:
 
         Must be called on an empty table.  Winners arrive in
         first-arrival order of their packed keys, so iteration matches
-        the sequential decoder's dict insertion order exactly;
-        ``sorted_keys``/``slots`` index them for point lookups.
+        the sequential decoder's dict insertion order exactly.  The
+        last three arrays are a
+        :class:`~repro.core.arcs.RecombinationPlan`'s index pieces:
+        every candidate key ascending (the winners' keys with
+        duplicates), where each distinct key starts in it, and the group
+        of each winner.  They are kept as given; :meth:`key_index`
+        turns them into a searchable index on first use.
         """
         self._base_am = am_states
         self._base_lm = lm_states
         self._base_cost = costs
         self._base_node = nodes
         self._sorted_keys = sorted_keys
-        self._slot_for_sorted = slots
+        self._group_starts = group_starts
+        self._first_arrival = first_arrival
+        self._key_index = None
         self.inserts = am_states.shape[0]
         self.improvements = improvements
         self.recombinations = recombinations
@@ -306,12 +333,23 @@ class SoaTokenTable:
     def _fill_unindexed(
         self, columns: tuple, improvements: int, recombinations: int
     ) -> None:
-        """:meth:`bulk_fill` for columns that come without a key index."""
+        """:meth:`bulk_fill` for columns that come without a key index.
+
+        Their keys are distinct, one group per token, so the index is
+        known outright: the sorted keys, and the argsort as their slots.
+        """
         keys = columns[0] * np.int64(self.num_lm) + columns[1]
         order = np.argsort(keys)
+        sorted_keys = keys[order]
         self.bulk_fill(
-            *columns, keys[order], order, improvements, recombinations
+            *columns,
+            sorted_keys,
+            _iota(order.shape[0]),
+            _EMPTY_INT,  # never read: the index is installed below
+            improvements,
+            recombinations,
         )
+        self._key_index = (sorted_keys, order)
 
     def survivor_items(self, threshold: float) -> list[tuple[int, float, int]]:
         """Same contract as :meth:`TokenTable.survivor_items`."""
@@ -345,16 +383,37 @@ class SoaTokenTable:
             table.columns(), table.improvements, table.recombinations
         )
 
+    def key_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(distinct_keys, slots)`` over the bulk winners.
+
+        ``distinct_keys`` ascend and ``slots[i]`` is the winner slot
+        (first-arrival position) of ``distinct_keys[i]``.  Derived from
+        :meth:`bulk_fill`'s pieces on the first call after a fill and
+        kept until the next one: a frame whose epsilon arrivals all
+        fall outside the winners' key range never builds it.
+        """
+        index = self._key_index
+        if index is None:
+            first_arrival = self._first_arrival
+            slots = np.empty_like(first_arrival)
+            slots[first_arrival] = _iota(first_arrival.shape[0])
+            index = self._key_index = (
+                self._sorted_keys[self._group_starts],
+                slots,
+            )
+        return index
+
     def base_slot_hints(self, keys: list[int]) -> list[int]:
         """Bulk-winner slot of each packed key, -1 where absent.
 
         One vectorized binary search replacing a per-insert
         ``searchsorted``; valid as long as no ``bulk_fill`` intervenes
-        (the sorted base index is static after it).  Native lists in
-        and out: the caller hands the hints to :meth:`insert_hinted`
-        one by one.  Keys that all lie below or above the bulk winners'
-        need no search — the usual frame: epsilon arcs lead to the
-        word-boundary state, where no emitting arc does.
+        (the winners are static after it).  Native lists in and out:
+        the caller hands the hints to :meth:`insert_hinted` one by one.
+        Keys that all lie below or above the bulk winners' — first and
+        last of the sorted candidate keys — need no search and no
+        :meth:`key_index`: the usual frame, since epsilon arcs lead to
+        the word-boundary state, where no emitting arc does.
         """
         sorted_keys = self._sorted_keys
         size = sorted_keys.shape[0]
@@ -364,12 +423,11 @@ class SoaTokenTable:
             or min(keys) > sorted_keys[size - 1]
         ):
             return [-1] * len(keys)
+        distinct, slots = self.key_index()
         wanted = np.array(keys, dtype=np.int64)
-        pos = np.searchsorted(sorted_keys, wanted)
-        np.minimum(pos, size - 1, out=pos)
-        return np.where(
-            sorted_keys[pos] == wanted, self._slot_for_sorted[pos], -1
-        ).tolist()
+        pos = np.searchsorted(distinct, wanted)
+        np.minimum(pos, distinct.shape[0] - 1, out=pos)
+        return np.where(distinct[pos] == wanted, slots[pos], -1).tolist()
 
     def insert_hinted(
         self,
@@ -423,19 +481,14 @@ class SoaTokenTable:
         """The frontier as (am, lm, cost, lattice_node) arrays."""
         if not self._extra_am:
             return self._base_am, self._base_lm, self._base_cost, self._base_node
+        # ``concatenate`` converts the native lists itself (Python ints
+        # to int64, floats to float64): one call per column.
+        concatenate = np.concatenate
         return (
-            np.concatenate(
-                [self._base_am, np.array(self._extra_am, dtype=np.int64)]
-            ),
-            np.concatenate(
-                [self._base_lm, np.array(self._extra_lm, dtype=np.int64)]
-            ),
-            np.concatenate(
-                [self._base_cost, np.array(self._extra_cost, dtype=np.float64)]
-            ),
-            np.concatenate(
-                [self._base_node, np.array(self._extra_node, dtype=np.int64)]
-            ),
+            concatenate((self._base_am, self._extra_am)),
+            concatenate((self._base_lm, self._extra_lm)),
+            concatenate((self._base_cost, self._extra_cost)),
+            concatenate((self._base_node, self._extra_node)),
         )
 
     def __len__(self) -> int:

@@ -305,6 +305,61 @@ class TestRnn:
             rnn.w_in, rnn.w_rec, rnn.w_out
         )
 
+    def test_threaded_fit_equals_the_sequential_loop(self, setup, monkeypatch):
+        """``fit`` runs the utterances' reservoirs on a thread per
+        visible CPU; the weights must equal those of one loop over the
+        utterances, computed here, bit for bit."""
+        import threading
+
+        from repro.am import rnn as rnn_mod
+        from repro.am.dnn import _smoothed_priors
+
+        *_, emissions, synth = setup
+        utts = synth.synthesize_batch([["ab", "cad"], ["def"], ["gif", "ab"]] * 4)
+        features = [u.features for u in utts]
+        alignments = [np.asarray(u.alignment) for u in utts]
+        hidden, ridge = 64, 1.0
+
+        threads = set()
+        run = RnnAcousticModel._run_reservoir
+
+        def recorded(model, *args):
+            threads.add(threading.get_ident())
+            return run(model, *args)
+
+        monkeypatch.setattr(rnn_mod, "visible_cpus", lambda: 4)
+        monkeypatch.setattr(RnnAcousticModel, "_run_reservoir", recorded)
+        threaded = RnnAcousticModel.fit(
+            features, alignments, emissions.num_senones, hidden=hidden,
+            ridge=ridge,
+        )
+        monkeypatch.setattr(RnnAcousticModel, "_run_reservoir", run)
+        assert threads and threading.get_ident() not in threads
+
+        # The sequential loop, on fit's reservoir draw.
+        rng = np.random.default_rng(0)
+        dim = features[0].shape[1]
+        w_in = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
+        w_rec = rng.normal(0.0, 1.0, size=(hidden, hidden))
+        w_rec *= 0.9 / np.abs(np.linalg.eigvals(w_rec)).max()
+        reservoir = RnnAcousticModel(w_in, w_rec, None, None)
+        h = np.concatenate([reservoir._run_reservoir(f) for f in features])
+        alignment = np.concatenate(alignments)
+        targets = np.zeros((len(h), emissions.num_senones))
+        targets[np.arange(len(h)), alignment] = 1.0
+        want = {
+            "w_in": w_in,
+            "w_rec": w_rec,
+            "w_out": np.linalg.solve(
+                h.T @ h + ridge * np.eye(hidden), h.T @ targets
+            ),
+            "log_priors": np.log(
+                _smoothed_priors(alignment, emissions.num_senones)
+            ),
+        }
+        for name, value in want.items():
+            assert np.array_equal(getattr(threaded, name), value), name
+
     def test_metadata(self, setup):
         *_, emissions, synth = setup
         utt = synth.synthesize(["ab"])

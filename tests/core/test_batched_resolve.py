@@ -257,6 +257,29 @@ def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
 
 
 @pytest.mark.parametrize(
+    "states",
+    [[-1], ["num_states"], [2, "num_states", 0], [1, -1, 3]],
+    ids=["negative", "num_states", "mixed-high", "mixed-negative"],
+)
+def test_bad_lm_state_raises_before_anything_is_touched(tiny_task, states):
+    """State ids are range-checked for the whole batch up front, as word
+    ids are: a -1 must not build a row at the wrapped index and leave it
+    in the row memo every fork shares, nor count an expansion miss."""
+    lookup = LmLookup(
+        tiny_task.lm, strategy=LookupStrategy.OFFSET_TABLE
+    ).fork()
+    lookup.resolve_batch([0, 1, 2], [1, 2, 3], [0.0, 0.0, 0.0])
+    before = _transient_state(lookup)
+    memo_keys = list(lookup._row_memo)
+    num_states = tiny_task.lm.fst.num_states
+    states = [num_states if s == "num_states" else s for s in states]
+    with pytest.raises(ValueError, match="LM state"):
+        lookup.resolve_batch(states, [1] * len(states), [0.0] * len(states))
+    assert _transient_state(lookup) == before
+    assert list(lookup._row_memo) == memo_keys
+
+
+@pytest.mark.parametrize(
     "bad_states",
     [[-1], ["num_states"], [1.5], ["x"], [1, 1], [True]],
     ids=["negative", "num_states", "float", "str", "duplicate", "bool"],

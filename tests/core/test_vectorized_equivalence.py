@@ -8,10 +8,11 @@ accelerator models.  These tests pin that contract:
 * a hypothesis sweep over random small tasks asserting scalar ==
   vectorized for both decoders;
 * ``plan_recombination`` checked against a brute-force sequential
-  replay of ``TokenTable.insert`` semantics (and its int64-overflow
-  fallback against the packed sort), ``stable_cost_order`` against
-  numpy's stable argsort, and ``_csr_gather`` against the per-state
-  walk it replaces;
+  replay of ``TokenTable.insert`` semantics (and its ``key_bound``
+  fallback against the packed sort), the key index ``SoaTokenTable``
+  derives from a plan on demand, ``stable_cost_order`` against numpy's
+  stable argsort, and ``_csr_gather`` against
+  the per-state walk it replaces;
 * the traced-fallback rule: attaching a real ``TraceSink`` routes
   decoding through the scalar path, so traced runs see the same event
   stream the simulators were validated against.
@@ -34,7 +35,8 @@ from repro.core import (
     VirtualComposedGraph,
     plan_recombination,
 )
-from repro.core.arcs import _csr_gather, _iota, stable_cost_order
+from repro.core.arcs import _csr_gather, stable_cost_order
+from repro.core.tokens import SoaTokenTable, TokenTable, _iota
 
 _TASK_CACHE: dict[int, tuple] = {}
 
@@ -136,7 +138,7 @@ _COSTS = [0.0, -0.0, 5e-324, 2.5e-320, 1.0, 1.5, 2.0, 3.0, -1.0, math.inf]
 def test_plan_recombination_matches_sequential_replay(batch):
     keys = np.array([k for k, _ in batch], dtype=np.int64)
     costs = np.array([c for _, c in batch], dtype=np.float64)
-    plan = plan_recombination(keys, costs)
+    plan = plan_recombination(keys, costs, 8)
     winners, first_arrival, inserts, improvements, recombinations = _replay(
         keys.tolist(), costs.tolist()
     )
@@ -144,12 +146,35 @@ def test_plan_recombination_matches_sequential_replay(batch):
     assert plan.inserts == inserts
     assert plan.improvements == improvements
     assert plan.recombinations == recombinations
-    # sorted_keys is the distinct keys ascending; slots maps each back
-    # to its first-arrival position (the token's slot in the SoA table).
-    assert plan.sorted_keys.tolist() == sorted(set(keys.tolist()))
-    assert [
-        first_arrival[int(slot)] for slot in plan.slots
-    ] == plan.sorted_keys.tolist()
+    assert plan.sorted_keys.tolist() == sorted(keys.tolist())
+    # The on-demand index: the distinct keys ascending, and slots
+    # mapping each back to its first-arrival position (the token's slot
+    # in the SoA table).
+    table = _filled_table(plan, keys, costs, num_lm=3)
+    assert table._key_index is None  # nothing derived at fill time
+    distinct, slots = table.key_index()
+    assert distinct.tolist() == sorted(set(keys.tolist()))
+    assert [first_arrival[int(slot)] for slot in slots] == distinct.tolist()
+    assert table.key_index() is table.key_index()  # derived once
+
+
+def _filled_table(plan, keys, costs, num_lm):
+    """The :class:`SoaTokenTable` a kernel frame fills from ``plan``
+    (the winners' node is their arrival index)."""
+    table = SoaTokenTable(num_lm)
+    winners = plan.winners
+    table.bulk_fill(
+        keys[winners] // num_lm,
+        keys[winners] % num_lm,
+        costs[winners],
+        winners.copy(),
+        plan.sorted_keys,
+        plan.group_starts,
+        plan.first_arrival,
+        plan.improvements,
+        plan.recombinations,
+    )
+    return table
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,34 +214,105 @@ def test_shared_iota_is_read_only():
     assert _iota(10).tolist() == list(range(10))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 30), st.sampled_from([1.0, 2.0, 3.0])),
+        min_size=1,
+        max_size=40,
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 40), st.sampled_from([0.5, 5.0])),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@example([(9, 1.0), (3, 2.0), (9, 3.0), (12, 1.0)], [(9, 0.5), (4, 5.0)])
+def test_slot_hints_inside_the_winners_key_range(batch, arrivals):
+    """An epsilon arrival whose key lies inside the bulk winners' key
+    range: the hints equal a ``searchsorted`` over the winners' keys,
+    the key index is derived exactly when such a search is needed, and
+    ``insert_hinted`` recombines into the right slot — the table ends as
+    a ``TokenTable`` fed the same inserts does."""
+    num_lm = 4
+    keys = np.array([k for k, _ in batch], dtype=np.int64)
+    costs = np.array([c for _, c in batch], dtype=np.float64)
+    plan = plan_recombination(keys, costs, 31)
+    table = _filled_table(plan, keys, costs, num_lm)
+    wanted = [k for k, _ in arrivals]
+    hints = table.base_slot_hints(wanted)
+
+    winner_keys = keys[plan.winners]  # slot order
+    order = np.argsort(winner_keys)
+    ordered = winner_keys[order]
+    pos = np.minimum(np.searchsorted(ordered, wanted), ordered.shape[0] - 1)
+    assert hints == np.where(ordered[pos] == wanted, order[pos], -1).tolist()
+    in_range = min(wanted) <= ordered[-1] and max(wanted) >= ordered[0]
+    assert (table._key_index is not None) == in_range
+
+    reference = TokenTable()
+    for node, (key, cost) in enumerate(batch):
+        reference.insert(key // num_lm, key % num_lm, cost, node)
+    for node, ((key, cost), hint) in enumerate(zip(arrivals, hints), 100):
+        survived = table.insert_hinted(
+            key // num_lm, key % num_lm, cost, node, hint
+        )
+        assert survived == reference.insert(
+            key // num_lm, key % num_lm, cost, node
+        )
+    for got, want in zip(table.columns(), reference.columns()):
+        np.testing.assert_array_equal(got, want)
+    assert (table.inserts, table.improvements, table.recombinations) == (
+        reference.inserts, reference.improvements, reference.recombinations
+    )
+    assert table.best_cost == reference.best_cost
+
+
 def test_plan_recombination_rejects_empty_batch():
     with pytest.raises(ValueError):
         plan_recombination(
-            np.array([], dtype=np.int64), np.array([], dtype=np.float64)
+            np.array([], dtype=np.int64), np.array([], dtype=np.float64), 1
         )
+
+
+def _assert_same_plan(a, b, key_shift=0):
+    np.testing.assert_array_equal(a.winners, b.winners)
+    np.testing.assert_array_equal(a.sorted_keys - key_shift, b.sorted_keys)
+    np.testing.assert_array_equal(a.group_starts, b.group_starts)
+    np.testing.assert_array_equal(a.first_arrival, b.first_arrival)
+    assert a.inserts == b.inserts
+    assert a.improvements == b.improvements
+    assert a.recombinations == b.recombinations
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 300))
 def test_plan_recombination_encoded_order_parity(seed, size):
     """The encoded introsort and its int64-overflow fallback (numpy's
-    stable sort, taken when ``key << bits`` would not fit) build
-    identical plans: shifting every key by a constant that forces the
-    fallback changes nothing but ``sorted_keys``, by that constant."""
+    stable sort, taken when a key below ``key_bound`` might not fit
+    ``key << bits``) build identical plans.  The fallback is chosen
+    from the bound alone: the same keys under a bound too large to pack
+    take it, and so do keys shifted by 2**62, which change nothing but
+    ``sorted_keys``, by that constant."""
+    from unittest import mock
+
+    from repro.core import arcs
+
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 40, size=size).astype(np.int64)
     costs = np.round(rng.uniform(0.0, 6.0, size=size), 1)
     shift = np.int64(1) << np.int64(62)
     bits = int(size - 1).bit_length()
-    assert int(keys.max()) < (1 << (62 - bits)) <= int(shift)
-    fast = plan_recombination(keys, costs)
-    plain = plan_recombination(keys + shift, costs)
-    np.testing.assert_array_equal(plain.winners, fast.winners)
-    np.testing.assert_array_equal(plain.sorted_keys - shift, fast.sorted_keys)
-    np.testing.assert_array_equal(plain.slots, fast.slots)
-    assert plain.inserts == fast.inserts
-    assert plain.improvements == fast.improvements
-    assert plain.recombinations == fast.recombinations
+    assert 40 <= (1 << (62 - bits)) <= int(shift)
+    with mock.patch.object(arcs.np, "argsort", wraps=np.argsort) as argsort:
+        fast = plan_recombination(keys, costs, 40)
+        assert argsort.call_count == 0
+        loose = plan_recombination(keys, costs, int(shift) + 1)
+        assert argsort.call_count == 1
+        plain = plan_recombination(keys + shift, costs, int(shift) + 40)
+        assert argsort.call_count == 2
+    _assert_same_plan(loose, fast)
+    _assert_same_plan(plain, fast, key_shift=shift)
 
 
 @settings(max_examples=25, deadline=None)
