@@ -102,9 +102,9 @@ def serve_setup(args: argparse.Namespace):
     from repro.serve import ServeConfig
 
     task = build_task(_task_config(args.task))
-    # Always built: worker and shard processes decode the shared-memory
-    # recognizer, which carries it, and the in-process engine needs it
-    # to serve sessions that negotiate ``payload: features``.
+    # Always built: shard processes decode the shared-memory recognizer,
+    # which carries it, and the server needs it to serve sessions that
+    # negotiate ``payload: features``.
     scorer = build_scorer(task)
     config = DecoderConfig(beam=args.beam, vectorized=True)
     serve_config = ServeConfig(
@@ -113,9 +113,6 @@ def serve_setup(args: argparse.Namespace):
         max_sessions=args.max_sessions,
         max_queued_batches=args.max_queued_batches,
         idle_timeout_seconds=args.idle_timeout,
-        workers=args.workers,
-        request_deadline_seconds=args.request_deadline,
-        checkpoint_interval_frames=args.checkpoint_interval or None,
     )
     return task, scorer, config, serve_config
 
@@ -170,8 +167,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving {args.task} on {server.config.host}:{server.port} "
-            f"(workers={args.workers}, max_sessions={args.max_sessions}; "
-            f"Ctrl-C drains and stops)",
+            f"(max_sessions={args.max_sessions}; Ctrl-C drains and stops)",
             flush=True,
         )
         try:
@@ -228,7 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode.set_defaults(func=cmd_decode)
 
     p_serve = sub.add_parser(
-        "serve", help="live streaming transcription server (NDJSON TCP)"
+        "serve",
+        help="live streaming transcription server (NDJSON TCP)",
+        description="Serve streaming transcription over NDJSON TCP: one "
+        "single-threaded server process, or with --shards N, N such "
+        "servers over one shared-memory recognizer.  A shard that dies "
+        "or stops answering is respawned on the same port, and clients "
+        "re-open their sessions there and re-push what they sent.",
     )
     p_serve.add_argument("task", nargs="?", default="tiny")
     p_serve.add_argument("--host", default="127.0.0.1")
@@ -240,31 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-queued-batches", type=int, default=4)
     p_serve.add_argument("--idle-timeout", type=float, default=30.0)
     p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="decode worker processes (1 = in-process engine)",
-    )
-    p_serve.add_argument(
         "--shards",
         type=int,
         default=1,
         help="shard processes sharing one in-memory recognizer segment "
-        "(>1 starts a ShardedServer; clients route by session key)",
-    )
-    p_serve.add_argument(
-        "--request-deadline",
-        type=float,
-        default=None,
-        help="wall-clock bound in seconds per engine call "
-        "(default: no deadline)",
-    )
-    p_serve.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=16,
-        help="worker engine only: frames decoded between rolling "
-        "session checkpoints (0 disables checkpoints)",
+        "(>1 starts a ShardedServer that respawns dead shards; clients "
+        "route by session key)",
     )
     p_serve.set_defaults(func=cmd_serve)
 

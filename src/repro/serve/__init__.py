@@ -2,37 +2,28 @@
 
 The serving layer above :mod:`repro.asr`: a long-lived
 :class:`TranscriptionServer` multiplexing concurrent streaming
-sessions over one decode engine, with admission control, fair
-round-robin micro-batching, live metrics, an NDJSON TCP protocol, and
-a load generator.  Fault tolerance is built in: supervised worker
-processes, rolling session checkpoints with crash migration, request
-deadlines with retry/backoff, a circuit breaker, and a deterministic
-fault-injection harness (:mod:`repro.serve.chaos`).  Sharded serving
-(:mod:`repro.serve.shard`) scales the whole stack across processes
+sessions over one in-process decode engine, with admission control,
+fair round-robin micro-batching, live metrics, an NDJSON TCP protocol,
+and a load generator.  The server is one thread; every engine call
+runs on its event loop.
+
+There is one multi-process architecture, :class:`ShardedServer`
+(:mod:`repro.serve.shard`): N shard processes, each a default server,
 over one shared-memory recognizer segment, with consistent-hash
-routing and work-stealing session migration.  See README "Serving",
-"Fault tolerance" and "Sharded serving" for the quickstart.
+routing and work-stealing session migration.  The parent respawns a
+shard that dies or stops answering its liveness ping, on the same
+port; a :class:`TcpSession` whose connection drops re-opens its
+session there and re-pushes what it sent, so finals stay
+bit-identical.  See README "Serving", "Fault tolerance" and "Sharded
+serving" for the quickstart.
 """
 
-from repro.serve.chaos import FlakyEngine, WorkerChaos, kill_worker
 from repro.serve.client import ShardedClient, TcpClient, TcpSession
-from repro.serve.engine import (
-    EngineError,
-    InlineEngine,
-    ProcessEngine,
-    TransientEngineError,
-    WorkerDied,
-    WorkerTimeout,
-)
+from repro.serve.engine import EngineError, InlineEngine
 from repro.serve.loadgen import LoadReport, UtteranceOutcome, run_load
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.protocol import ProtocolError
-from repro.serve.scheduler import (
-    Busy,
-    CircuitBreaker,
-    Scheduler,
-    SchedulerConfig,
-)
+from repro.serve.scheduler import Busy, Scheduler, SchedulerConfig
 from repro.serve.scoring import (
     ScoreHandle,
     ScoringError,
@@ -50,16 +41,12 @@ from repro.serve.shard import ShardedServer, ShardRouter
 
 __all__ = [
     "Busy",
-    "CircuitBreaker",
     "EngineError",
-    "FlakyEngine",
     "InlineEngine",
     "InProcessClient",
     "InProcessSession",
-    "kill_worker",
     "LoadReport",
     "MetricsRegistry",
-    "ProcessEngine",
     "ProtocolError",
     "resolve_batch",
     "run_load",
@@ -76,9 +63,5 @@ __all__ = [
     "TcpClient",
     "TcpSession",
     "TranscriptionServer",
-    "TransientEngineError",
     "UtteranceOutcome",
-    "WorkerChaos",
-    "WorkerDied",
-    "WorkerTimeout",
 ]

@@ -12,24 +12,28 @@ the oldest pending control request.  Control requests (``open`` and
 ``status``) are serialized per connection; per-session streaming is
 fully concurrent.
 
-Sharded deployments add two layers, both route-aware:
+Sharded deployments add three layers, all route-aware:
 
 * a :class:`TcpSession` that receives ``moved`` transparently follows
   the redirect — it connects to the named shard (connections are
   cached per endpoint in a peer map shared across the redirect chain),
   sends ``resume``, and replays the rejected request iff the redirect
   said ``resend`` — so callers never see the migration;
+* a :class:`TcpSession` whose connection drops (its shard died) opens
+  a fresh session on the same endpoint, where the shard is respawned,
+  and re-pushes every batch it sent.  The client is the one process
+  that outlives a shard and already holds the input, so this needs no
+  server-side checkpoint and no new message; decoding is
+  deterministic, so the partials and the final are the uninterrupted
+  session's;
 * :class:`ShardedClient` fronts a whole :class:`~repro.serve.shard.
   ShardedServer`: ``open(key=...)`` routes the session to its home
   shard through the same consistent-hash ring the server publishes.
 
-One caveat is inherent to the redirect design: after a session moves,
-its old connection keeps routing late replies to the session's queue.
-If that old connection *drops* while the session lives elsewhere, its
-end-of-stream error poisons the queue.  Keep the originating client
-open until its sessions finish (both the load generator and the bench
-do), or front everything with :class:`ShardedClient`, which owns every
-connection for exactly that lifetime.
+After a session moves, its old connection keeps routing late replies
+to the session's queue; if that old connection drops, its
+end-of-stream marker is recognised as not the session's own and
+skipped.
 """
 
 from __future__ import annotations
@@ -42,12 +46,43 @@ from repro.serve import protocol
 from repro.serve.scheduler import Busy
 from repro.serve.server import ServeError
 
-#: Reply types carrying no session id, routed to the control queue.
-_CONTROL_TYPES = (protocol.STARTED, protocol.STATUS)
-
-#: How long a redirected session keeps retrying ``resume`` before
-#: giving up (covers the export-completes-before-adopt-lands race).
+#: How long a session keeps trying to get back to its server before
+#: giving up: a redirected one retrying ``resume`` (covers the
+#: export-completes-before-adopt-lands race), and one whose connection
+#: dropped re-opening on its endpoint (covers a shard's respawn).
 RELOCATE_TIMEOUT_SECONDS = 5.0
+
+#: Pause between those attempts.
+RETRY_SECONDS = 0.02
+
+
+def _start_message(payload: str, encoding: str) -> dict:
+    start = {"type": protocol.START}
+    if payload != protocol.PAYLOAD_SCORES:
+        start["payload"] = payload
+    if encoding != protocol.ENCODING_LIST:
+        start["encoding"] = encoding
+    return start
+
+
+async def _dial(peers: dict, host: str, port: int) -> "TcpClient":
+    """The live client for ``host:port`` in ``peers``, connecting and
+    caching one on first use or once the cached one has dropped.
+
+    Callers that raced to reconnect end up sharing one connection: the
+    first to finish is kept, the others close theirs.
+    """
+    key = (host, port)
+    client = peers.get(key)
+    if client is not None and not client._closed:
+        return client
+    fresh = await TcpClient.connect(host, port, peers=peers)
+    client = peers.get(key)
+    if client is not fresh and client is not None and not client._closed:
+        await fresh._close_one()
+        return client
+    peers[key] = fresh
+    return fresh
 
 
 class TcpClient:
@@ -77,6 +112,10 @@ class TcpClient:
         self._control_lock = asyncio.Lock()
         self._write_lock = asyncio.Lock()
         self._closed = False
+        #: What every waiter on this connection receives when it drops
+        #: (compared by identity: a session tells its own connection's
+        #: end from an old one's).
+        self.lost = protocol.error_message("connection closed")
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop(), name="serve-client-reader"
         )
@@ -91,12 +130,7 @@ class TcpClient:
     async def peer(self, host: str, port: int) -> "TcpClient":
         """The client for ``host:port``, connecting and caching it on
         first use.  Returns ``self`` for this client's own endpoint."""
-        key = (host, port)
-        client = self._peers.get(key)
-        if client is None or client._closed:
-            client = await TcpClient.connect(host, port, peers=self._peers)
-            self._peers[key] = client
-        return client
+        return await _dial(self._peers, host, port)
 
     async def _read_loop(self) -> None:
         try:
@@ -115,15 +149,15 @@ class TcpClient:
                     queue.put_nowait(message)
                 else:
                     self._control.put_nowait(message)
-        except (ConnectionResetError, asyncio.CancelledError):
+        except (OSError, asyncio.CancelledError):
             pass
         finally:
             self._closed = True
+            self._writer.close()
             # Unblock anyone still waiting.
-            eof = protocol.error_message("connection closed")
-            self._control.put_nowait(eof)
+            self._control.put_nowait(self.lost)
             for queue in self._sessions.values():
-                queue.put_nowait(eof)
+                queue.put_nowait(self.lost)
 
     async def _send(self, message: dict) -> None:
         if self._closed:
@@ -156,12 +190,7 @@ class TcpClient:
         session sends accordingly.
         """
         del key
-        start = {"type": protocol.START}
-        if payload != protocol.PAYLOAD_SCORES:
-            start["payload"] = payload
-        if encoding != protocol.ENCODING_LIST:
-            start["encoding"] = encoding
-        reply = await self._control_request(start)
+        reply = await self._control_request(_start_message(payload, encoding))
         if reply["type"] == protocol.BUSY:
             raise Busy(reply.get("reason", "busy"))
         if reply["type"] != protocol.STARTED:
@@ -214,7 +243,10 @@ class TcpSession:
     The session follows ``moved`` redirects by itself: it re-homes its
     event queue onto the target shard's connection, performs the
     ``resume`` handshake, and — when the redirect flagged ``resend`` —
-    replays the one request the old shard rejected.  Callers just see
+    replays the one request the old shard rejected.  It also survives
+    its server's death: it keeps every FRAMES message it sent since
+    open, and when its connection drops it re-opens on the same
+    endpoint and re-pushes them (:meth:`_replay`).  Callers just see
     their partial or final arrive.
     """
 
@@ -235,24 +267,43 @@ class TcpSession:
         self.encoding = encoding
         #: Partial-hypothesis messages observed so far, in order.
         self.partials: list[dict] = []
-        #: ``retrying``/``recovered`` notices observed so far, in order.
-        self.notices: list[dict] = []
         #: ``moved`` redirects this session followed, in order.
         self.moves: list[dict] = []
+        #: Every FRAMES message sent since open, in order: what a
+        #: replay re-pushes.
+        self._sent: list[dict] = []
+        self._finishing = False
 
-    async def _next_event(self) -> dict:
+    async def _event(self) -> dict:
+        """The next event, minus the end-of-stream markers of
+        connections this session moved away from."""
         while True:
             event = await self._events.get()
-            if event["type"] in protocol.NOTICE_TYPES:
-                self.notices.append(event)
-                continue
+            if "session" in event or event is self._client.lost:
+                return event
+
+    async def _next_event(self, replay: bool = True) -> dict:
+        while True:
+            event = await self._event()
             if event["type"] == protocol.STARTED:
                 # A stale resume acknowledgement (the redirect that
                 # triggered it was already handled) — not an event.
                 continue
+            if event is self._client.lost and replay:
+                await self._replay()
+                continue
             if event["type"] == protocol.PARTIAL:
                 self.partials.append(event)
             return event
+
+    async def _send(self, message: dict) -> None:
+        """Send on the session's connection.  A dropped connection is
+        not an error here: its end-of-stream marker reaches
+        :meth:`_next_event`, which replays."""
+        try:
+            await self._client._send(message)
+        except (ServeError, OSError):
+            pass
 
     async def _relocate(self, event: dict) -> bool:
         """Follow one ``moved`` redirect; returns True iff a request
@@ -265,7 +316,9 @@ class TcpSession:
         briefly — the destination may not have adopted the session
         yet when the redirect reaches us.  The old connection keeps
         routing to the same queue, so a late redirect reply to the
-        request that triggered the move still lands here.
+        request that triggered the move still lands here.  If the
+        target's connection drops, the session replays there (which
+        re-sends everything, so nothing is left to re-send).
         """
         self.moves.append(event)
         resend = bool(event.get("resend"))
@@ -275,12 +328,15 @@ class TcpSession:
             target = await self._client.peer(event["host"], event["port"])
             target._sessions[self.session_id] = self._events
             self._client = target
-            await target._send(
+            await self._send(
                 {"type": protocol.RESUME, "session": self.session_id}
             )
             retry = False
             while not retry:
-                reply = await self._events.get()
+                reply = await self._event()
+                if reply is self._client.lost:
+                    await self._replay()
+                    return False
                 kind = reply["type"]
                 if kind == protocol.STARTED:
                     return resend
@@ -300,9 +356,7 @@ class TcpSession:
                         event = reply
                         break
                     continue
-                if kind in protocol.NOTICE_TYPES:
-                    self.notices.append(reply)
-                elif kind == protocol.PARTIAL:
+                if kind == protocol.PARTIAL:
                     self.partials.append(reply)
                 elif kind == protocol.ERROR:
                     if loop.time() >= deadline:
@@ -312,12 +366,86 @@ class TcpSession:
                             f"{event['host']}:{event['port']}: "
                             f"{reply.get('error', 'unknown error')}"
                         )
-                    await asyncio.sleep(0.02)
+                    await asyncio.sleep(RETRY_SECONDS)
                     retry = True
                 else:
                     raise ServeError(
                         f"unexpected reply during resume: {reply}"
                     )
+
+    async def _replay(self) -> None:
+        """Re-open this session on its endpoint and re-push its batches.
+
+        Its connection dropped, so its server — and the session's
+        decode state — is gone; a sharded server respawns the shard on
+        the same port.  The session opens afresh there, retrying until
+        ``RELOCATE_TIMEOUT_SECONDS`` has passed (then it raises
+        :class:`ServeError`).  The batches whose partials the caller
+        already has are re-pushed one at a time (the server's
+        per-session queue is bounded) and their partials dropped; the
+        rest, and a pending ``finish``, are re-sent as they were, so
+        their replies reach the caller as if nothing had happened.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + RELOCATE_TIMEOUT_SECONDS
+        host, port = self._client.host, self._client.port
+        while True:
+            await self._reopen(host, port, deadline)
+            if await self._catch_up():
+                break
+        for message in self._sent[len(self.partials) :]:
+            message["session"] = self.session_id
+            await self._send(message)
+        if self._finishing:
+            await self._send(
+                {"type": protocol.FINISH, "session": self.session_id}
+            )
+
+    async def _reopen(self, host: str, port: int, deadline: float) -> None:
+        """Start a fresh session on ``host:port`` and move onto it."""
+        loop = asyncio.get_running_loop()
+        start = _start_message(self.payload, self.encoding)
+        while True:
+            reply = None
+            try:
+                client = await _dial(self._client._peers, host, port)
+                reply = await client._control_request(start)
+            except (OSError, ServeError):
+                pass
+            if reply is not None and reply["type"] == protocol.STARTED:
+                break
+            if loop.time() >= deadline:
+                raise ServeError(
+                    f"session {self.session_id!r} lost its server at "
+                    f"{host}:{port}, which did not come back within "
+                    f"{RELOCATE_TIMEOUT_SECONDS:g}s"
+                )
+            await asyncio.sleep(RETRY_SECONDS)
+        self._client = client
+        self.session_id = reply["session"]
+        client._sessions[self.session_id] = self._events
+
+    async def _catch_up(self) -> bool:
+        """Re-push the batches whose partials were delivered, one at a
+        time, dropping their partials.  False if the connection
+        dropped again."""
+        for message in self._sent[: len(self.partials)]:
+            message["session"] = self.session_id
+            while True:
+                await self._send(message)
+                reply = await self._event()
+                while reply["type"] == protocol.STARTED:
+                    reply = await self._event()
+                if reply is self._client.lost:
+                    return False
+                if reply["type"] == protocol.PARTIAL:
+                    break
+                if reply["type"] != protocol.BUSY:
+                    raise ServeError(
+                        reply.get("error", f"unexpected replay reply {reply}")
+                    )
+                await asyncio.sleep(RETRY_SECONDS)
+        return True
 
     async def push(self, scores: np.ndarray) -> dict:
         """Send one batch and wait for its partial hypothesis.
@@ -332,16 +460,20 @@ class TcpSession:
                 np.asarray(scores), self.encoding
             ),
         }
-        await self._client._send(message)
+        self._sent.append(message)
+        await self._send(message)
         while True:
             event = await self._next_event()
             if event["type"] == protocol.PARTIAL:
                 return event
             if event["type"] == protocol.BUSY:
+                # Not queued: forget it, the caller retries the batch.
+                self._sent.pop()
                 raise Busy(event.get("reason", "busy"))
             if event["type"] == protocol.MOVED:
                 if await self._relocate(event):
-                    await self._client._send(message)
+                    message["session"] = self.session_id
+                    await self._send(message)
                 continue
             raise ServeError(
                 event.get("error", "session ended unexpectedly")
@@ -352,15 +484,18 @@ class TcpSession:
 
         Sends ``cancel`` and drains this session's events until the
         server's terminal ``cancelled`` acknowledgement (late partials
-        in flight are drained into :attr:`partials` on the way).
+        in flight are drained into :attr:`partials` on the way).  A
+        session whose connection dropped is gone already: abort
+        returns without a word.
         """
         message = {"type": protocol.CANCEL, "session": self.session_id}
-        await self._client._send(message)
+        await self._send(message)
         while True:
-            event = await self._next_event()
+            event = await self._next_event(replay=False)
             if event["type"] == protocol.MOVED:
                 if await self._relocate(event):
-                    await self._client._send(message)
+                    message["session"] = self.session_id
+                    await self._send(message)
                 continue
             if event["type"] in (protocol.CANCELLED, protocol.ERROR):
                 self._client._sessions.pop(self.session_id, None)
@@ -369,7 +504,8 @@ class TcpSession:
     async def finish(self) -> dict:
         """End the utterance and wait for the final result."""
         message = {"type": protocol.FINISH, "session": self.session_id}
-        await self._client._send(message)
+        self._finishing = True
+        await self._send(message)
         while True:
             event = await self._next_event()
             if event["type"] == protocol.FINAL:
@@ -377,7 +513,8 @@ class TcpSession:
                 return event
             if event["type"] == protocol.MOVED:
                 if await self._relocate(event):
-                    await self._client._send(message)
+                    message["session"] = self.session_id
+                    await self._send(message)
                 continue
             if event["type"] == protocol.ERROR:
                 self._client._sessions.pop(self.session_id, None)
@@ -392,7 +529,8 @@ class ShardedClient:
     so ``open(key=...)`` lands each session on its home shard without
     asking anyone.  Connections are dialed lazily per shard and all
     share one peer map — a session that migrates mid-stream re-homes
-    onto the existing connection for its new shard.
+    onto the existing connection for its new shard, and one whose
+    shard died re-dials the same endpoint.
     """
 
     def __init__(
@@ -415,10 +553,7 @@ class ShardedClient:
         self._round_robin = 0
 
     async def _client_for(self, endpoint: tuple[str, int]) -> TcpClient:
-        client = self._peers.get(endpoint)
-        if client is None or client._closed:
-            client = await TcpClient.connect(*endpoint, peers=self._peers)
-        return client
+        return await _dial(self._peers, *endpoint)
 
     async def open(
         self,
@@ -429,15 +564,31 @@ class ShardedClient:
         """Open a session on ``key``'s home shard.
 
         Without a key, shards are used round-robin — callers that
-        don't care about placement still spread load.
+        don't care about placement still spread load.  While the home
+        shard is down (refused or dropped connection: it is being
+        respawned), the open is retried for up to
+        ``RELOCATE_TIMEOUT_SECONDS``.
         """
         if key is not None:
             shard = self.router.shard_for(key)
         else:
             shard = self._round_robin % len(self.endpoints)
             self._round_robin += 1
-        client = await self._client_for(self.endpoints[shard])
-        return await client.open(payload=payload, encoding=encoding)
+        endpoint = self.endpoints[shard]
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + RELOCATE_TIMEOUT_SECONDS
+        while True:
+            client = self._peers.get(endpoint)
+            try:
+                client = await self._client_for(endpoint)
+                return await client.open(payload=payload, encoding=encoding)
+            except (OSError, ServeError):
+                # Only a refused or dropped connection is worth another
+                # try; a live server's error reply is final.
+                live = client is not None and not client._closed
+                if live or loop.time() >= deadline:
+                    raise
+            await asyncio.sleep(RETRY_SECONDS)
 
     async def status(self) -> dict:
         """Cluster status: per-shard views + summed counters/gauges."""

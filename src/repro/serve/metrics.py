@@ -3,10 +3,9 @@
 The serving layer needs live observability — sessions admitted and
 rejected, frames decoded, queue depths, per-batch decode latency —
 without pulling a metrics client into a reproduction repo.  This
-module is that registry: three instrument kinds, a process-wide lock
-(instruments are touched from the asyncio loop *and* from engine
-executor threads), and a JSON-ready :meth:`MetricsRegistry.snapshot`
-that the wire protocol's ``status`` request serializes verbatim.
+module is that registry: three instrument kinds, a registry-wide lock,
+and a JSON-ready :meth:`MetricsRegistry.snapshot` that the wire
+protocol's ``status`` request serializes verbatim.
 
 Histograms keep raw samples up to a bounded window (newest samples
 win) and summarize on demand: count/mean/min/max plus interpolated

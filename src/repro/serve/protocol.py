@@ -25,19 +25,10 @@ Server -> client::
      "frames": n, "success": b}
     {"type": "status", "ok": b, "draining": b, "active_sessions": n,
      "metrics": {...}}
-    {"type": "retrying", "session": s, "attempt": n, "max_attempts": m,
-     "delay_seconds": d, "error": e}             transient fault, retrying
-    {"type": "recovered", "session": s, "attempts": n}
     {"type": "cancelled", "session": s}            cancel acknowledged
     {"type": "moved", "session": s, "host": h, "port": p, "shard": i
      [, "resend": b]}                              session now lives there
     {"type": "error", "error": e [, "session": s]}
-
-``retrying``/``recovered`` are informational: a client that ignores
-them sees exactly the old protocol (its partial or final simply
-arrives late), but one that listens can show degradation instead of a
-silent stall — the scheduler emits them around transient engine
-faults (dead workers mid-recovery, injected chaos).
 
 ``moved`` is the sharded deployment's redirect: the session (with its
 engine state and any queued batches) was handed to the shard at
@@ -87,14 +78,8 @@ PARTIAL = "partial"
 FINAL = "final"
 BUSY = "busy"
 ERROR = "error"
-RETRYING = "retrying"
-RECOVERED = "recovered"
 MOVED = "moved"
 RESUME = "resume"
-
-#: Server->client messages that carry no result: safe to ignore, never
-#: terminal for a session.
-NOTICE_TYPES = frozenset({RETRYING, RECOVERED})
 
 CLIENT_TYPES = frozenset({START, FRAMES, FINISH, CANCEL, STATUS, RESUME})
 
@@ -279,29 +264,6 @@ def busy_message(reason: str, session_id: str | None = None) -> dict:
     if session_id is not None:
         message["session"] = session_id
     return message
-
-
-def retrying_message(
-    session_id: str,
-    attempt: int,
-    max_attempts: int,
-    delay_seconds: float,
-    error: str,
-) -> dict:
-    """Transient engine fault: the server is retrying this session."""
-    return {
-        "type": RETRYING,
-        "session": session_id,
-        "attempt": attempt,
-        "max_attempts": max_attempts,
-        "delay_seconds": delay_seconds,
-        "error": error,
-    }
-
-
-def recovered_message(session_id: str, attempts: int) -> dict:
-    """A retried operation landed; normal service resumed."""
-    return {"type": RECOVERED, "session": session_id, "attempts": attempts}
 
 
 def moved_message(

@@ -2,10 +2,10 @@
 
 The scheduler is the serving layer's core loop.  It owns the bounded
 session table, each session's bounded queue of undecoded frame
-batches, and a round-robin dispatch policy: every cycle it picks up to
-``engine.workers`` distinct sessions — resuming *after* the session
-served last, so a chatty stream cannot starve a quiet one — and
-decodes exactly one queued batch per picked session.  That is the
+batches, and a round-robin dispatch policy: every cycle it picks up
+to the engine's fuse width of distinct sessions — resuming *after* the
+session served last, so a chatty stream cannot starve a quiet one —
+and decodes exactly one queued batch per picked session.  That is the
 paper's Section 5.2 batched operation turned into a multi-tenant
 policy: decode works in frame batches, and between batches the engine
 is free to serve someone else.
@@ -24,6 +24,12 @@ socket, so a reply costs no task wake-up.  A session without a sink —
 an in-process client's, or one adopted from another shard before its
 client resumes — queues its messages on ``events`` instead, and
 attaching a sink first flushes that queue in order.
+
+Every engine call runs on the event loop's thread, in the cycle that
+needs it.  An engine call that raises fails only the sessions it was
+for; a process that dies takes its sessions with it, which is what
+:class:`~repro.serve.shard.ShardedServer`'s respawn and the clients'
+replay (:class:`~repro.serve.client.TcpSession`) are for.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
@@ -39,7 +44,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.serve import protocol
-from repro.serve.engine import TransientEngineError, WorkerTimeout
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.scoring import ScoreHandle, batch_frames, resolve_batch
 
@@ -55,42 +59,13 @@ class Busy(Exception):
         self.reason = reason
 
 
-class DeadlineExceeded(Exception):
-    """An engine call outlived the scheduler's request deadline.
-
-    Not retried: the executor thread may still be running, so a retry
-    could advance the session twice.  The session is failed instead.
-    """
-
-
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Admission-control, pacing and fault-tolerance knobs."""
+    """Admission-control and pacing knobs."""
 
     max_sessions: int = 8
     max_queued_batches: int = 4
     idle_timeout_seconds: float = 30.0
-    #: Hard wall-clock bound on one engine call as observed from the
-    #: event loop (``None`` = unbounded).  The process engine has its
-    #: own per-pipe-request timeout underneath; this one also covers
-    #: in-process engines, whose calls then run on a dispatch thread so
-    #: the loop stays free to time them out.
-    request_deadline_seconds: float | None = None
-    #: Retries (beyond the first attempt) for *transient* engine
-    #: errors — dead/hung workers mid-recovery, injected chaos.
-    max_retries: int = 2
-    #: First retry delay; doubles per attempt (exponential backoff).
-    retry_backoff_seconds: float = 0.05
-    #: Circuit-breaker shape: failure rate over the last
-    #: ``breaker_window`` engine calls (once ``breaker_min_samples``
-    #: have been seen) trips DEGRADED at ``breaker_degrade_threshold``
-    #: (fused dispatch off) and OPEN at ``breaker_open_threshold``
-    #: (admission refused) for ``breaker_reset_seconds``.
-    breaker_window: int = 16
-    breaker_min_samples: int = 4
-    breaker_degrade_threshold: float = 0.5
-    breaker_open_threshold: float = 0.8
-    breaker_reset_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
@@ -99,89 +74,6 @@ class SchedulerConfig:
             raise ValueError("max_queued_batches must be >= 1")
         if self.idle_timeout_seconds <= 0:
             raise ValueError("idle_timeout_seconds must be positive")
-        if (
-            self.request_deadline_seconds is not None
-            and self.request_deadline_seconds <= 0
-        ):
-            raise ValueError("request_deadline_seconds must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_seconds <= 0:
-            raise ValueError("retry_backoff_seconds must be positive")
-        if self.breaker_window < 1 or self.breaker_min_samples < 1:
-            raise ValueError("breaker window/min_samples must be >= 1")
-        if not (
-            0.0
-            < self.breaker_degrade_threshold
-            <= self.breaker_open_threshold
-            <= 1.0
-        ):
-            raise ValueError(
-                "need 0 < degrade_threshold <= open_threshold <= 1"
-            )
-        if self.breaker_reset_seconds <= 0:
-            raise ValueError("breaker_reset_seconds must be positive")
-
-
-#: Circuit-breaker states, in degradation order.
-BREAKER_CLOSED = "closed"
-BREAKER_DEGRADED = "degraded"
-BREAKER_OPEN = "open"
-
-
-class CircuitBreaker:
-    """Sliding-window failure-rate breaker with three states.
-
-    CLOSED is normal service.  DEGRADED keeps serving but disables
-    fused dispatch — one session per engine call localizes failures
-    and halts the blast radius of a sick engine.  OPEN refuses new
-    admissions (``BUSY``) for a cooldown, after which the window is
-    forgiven (half-open: service resumes and re-trips on fresh
-    evidence).  Existing sessions are always served; the breaker only
-    sheds *new* load.
-
-    ``clock`` is injectable for deterministic tests.
-    """
-
-    def __init__(
-        self, config: SchedulerConfig, clock=perf_counter
-    ) -> None:
-        self._config = config
-        self._clock = clock
-        self._outcomes: deque[int] = deque(maxlen=config.breaker_window)
-        self._open_until: float | None = None
-
-    def record_success(self) -> None:
-        self._outcomes.append(0)
-
-    def record_failure(self) -> None:
-        self._outcomes.append(1)
-        config = self._config
-        if (
-            len(self._outcomes) >= config.breaker_min_samples
-            and self._failure_rate() >= config.breaker_open_threshold
-        ):
-            self._open_until = self._clock() + config.breaker_reset_seconds
-
-    def _failure_rate(self) -> float:
-        if not self._outcomes:
-            return 0.0
-        return sum(self._outcomes) / len(self._outcomes)
-
-    @property
-    def state(self) -> str:
-        if self._open_until is not None:
-            if self._clock() < self._open_until:
-                return BREAKER_OPEN
-            # Cooldown over: forgive the window so one old burst of
-            # failures cannot re-open the breaker without new evidence.
-            self._open_until = None
-            self._outcomes.clear()
-        if len(self._outcomes) < self._config.breaker_min_samples:
-            return BREAKER_CLOSED
-        if self._failure_rate() >= self._config.breaker_degrade_threshold:
-            return BREAKER_DEGRADED
-        return BREAKER_CLOSED
 
 
 @dataclass
@@ -232,7 +124,6 @@ class Scheduler:
         self.engine = engine
         self.config = config or SchedulerConfig()
         self.metrics = metrics or MetricsRegistry()
-        self.breaker = CircuitBreaker(self.config)
         self._sessions: dict[str, Session] = {}
         self._order: list[str] = []  # round-robin ring
         self._rr_next = 0
@@ -247,16 +138,6 @@ class Scheduler:
         #: migrated session's id stays unique cluster-wide.
         self._id_prefix = session_id_prefix
         self._ids = iter(range(1, 1 << 62))
-        #: Dispatch threads, created by the first engine call that
-        #: needs one (:meth:`_run_engine`); an in-process engine
-        #: without a deadline never does.
-        self._executor: ThreadPoolExecutor | None = None
-        # Pre-register the resilience counters so a healthy server's
-        # ``status`` shows them at 0 instead of omitting them —
-        # dashboards should not have to wait for the first fault to
-        # learn the metric names.
-        for name in ("retries", "recoveries", "deadline_exceeded"):
-            self.metrics.counter(name)
 
     # The per-push instruments, bound on first use: a registry lookup is
     # a lock and a dict probe per call, and a fresh server's ``status``
@@ -301,25 +182,13 @@ class Scheduler:
         if self._stopping:
             self.metrics.counter("sessions_rejected").inc()
             raise Busy("server is shutting down")
-        if self.breaker.state == BREAKER_OPEN:
-            self.metrics.counter("sessions_rejected").inc()
-            raise Busy("circuit open: engine is unhealthy, retry shortly")
         if len(self._sessions) >= self.config.max_sessions:
             self.metrics.counter("sessions_rejected").inc()
             raise Busy(
                 f"session table full ({self.config.max_sessions} active)"
             )
         session_id = f"{self._id_prefix}{next(self._ids)}"
-        try:
-            await self._run_engine(self.engine.start, session_id)
-        except TransientEngineError as exc:
-            # The engine is sick, not the request: shed it as BUSY so
-            # the client retries, and feed the breaker.
-            self.breaker.record_failure()
-            self.metrics.counter("sessions_rejected").inc()
-            raise Busy(f"engine unavailable: {exc}") from exc
-        else:
-            self.breaker.record_success()
+        self.engine.start(session_id)
         now = perf_counter()
         session = Session(
             session_id=session_id,
@@ -376,7 +245,7 @@ class Scheduler:
         self._queue_changed(-len(session.queue))
         session.queue.clear()
         try:
-            await self._run_engine(self.engine.cancel, session.session_id)
+            self.engine.cancel(session.session_id)
         except Exception:
             pass
         self._emit(
@@ -424,9 +293,7 @@ class Scheduler:
         queued = [resolve_batch(batch) for batch in session.queue]
         self._queue_changed(-len(session.queue))
         session.queue.clear()
-        snapshot = await self._run_engine(
-            self.engine.export_session, session_id
-        )
+        snapshot = self.engine.export_session(session_id)
         if notice is not None:
             self._emit(session, notice)
         self._retire(session, "sessions_moved")
@@ -451,9 +318,7 @@ class Scheduler:
             raise Busy(
                 f"session table full ({self.config.max_sessions} active)"
             )
-        await self._run_engine(
-            self.engine.adopt_session, session_id, handle["snapshot"]
-        )
+        self.engine.adopt_session(session_id, handle["snapshot"])
         now = perf_counter()
         session = Session(
             session_id=session_id,
@@ -491,7 +356,7 @@ class Scheduler:
         self._draining = drain
         if not drain:
             for session in list(self._sessions.values()):
-                await self._run_engine(self.engine.cancel, session.session_id)
+                self.engine.cancel(session.session_id)
                 self._emit(
                     session,
                     protocol.error_message(
@@ -503,8 +368,6 @@ class Scheduler:
         if self._task is not None:
             await self._task
             self._task = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
 
     # -- scheduler loop -----------------------------------------------------
 
@@ -551,14 +414,7 @@ class Scheduler:
 
     def _fuse_width(self) -> int:
         """How many sessions one engine dispatch may advance together."""
-        if not hasattr(self.engine, "push_many"):
-            return 1
-        if self.breaker.state != BREAKER_CLOSED:
-            # Degraded service: one session per engine call, so a sick
-            # engine fails sessions one at a time instead of in fused
-            # groups.
-            return 1
-        return getattr(self.engine, "max_fused_sessions", 1)
+        return self.engine.max_fused_sessions
 
     def _has_turn(self, session: Session) -> bool:
         if session.closed or session.inflight:
@@ -572,14 +428,14 @@ class Scheduler:
         return False
 
     def _select(self) -> list[Session]:
-        """Up to ``max(engine.workers, fuse width)`` sessions,
-        round-robin from the one after the session served last."""
+        """Up to the fuse width of sessions, round-robin from the one
+        after the session served last."""
         ring = self._order
         if not ring:
             return []
         selected: list[Session] = []
         size = len(ring)
-        limit = max(self.engine.workers, self._fuse_width())
+        limit = self._fuse_width()
         start = self._rr_next % size
         for step in range(size):
             session = self._sessions.get(ring[(start + step) % size])
@@ -604,70 +460,6 @@ class Scheduler:
             session.last_activity = perf_counter()
             self._wake.set()
 
-    async def _call_engine(self, sessions: list[Session], fn, *args):
-        """One engine call under the deadline/retry/backoff policy.
-
-        Transient engine errors are retried ``max_retries`` times with
-        exponential backoff, narrating each attempt to the affected
-        sessions as a ``retrying`` event (and a ``recovered`` event
-        when a retry lands).  A scheduler-deadline overrun raises
-        :class:`DeadlineExceeded` and is never retried.  Every outcome
-        feeds the circuit breaker.
-        """
-        config = self.config
-        attempts = config.max_retries + 1
-        for attempt in range(1, attempts + 1):
-            coro = self._run_engine(fn, *args)
-            try:
-                if config.request_deadline_seconds is not None:
-                    value = await asyncio.wait_for(
-                        coro, timeout=config.request_deadline_seconds
-                    )
-                else:
-                    value = await coro
-            except (asyncio.TimeoutError, TimeoutError) as exc:
-                self.metrics.counter("deadline_exceeded").inc()
-                self.breaker.record_failure()
-                raise DeadlineExceeded(
-                    f"engine call exceeded the "
-                    f"{config.request_deadline_seconds:g}s deadline"
-                ) from exc
-            except TransientEngineError as exc:
-                self.breaker.record_failure()
-                if isinstance(exc, WorkerTimeout):
-                    self.metrics.counter("deadline_exceeded").inc()
-                if attempt >= attempts:
-                    raise
-                delay = config.retry_backoff_seconds * (
-                    2 ** (attempt - 1)
-                )
-                self.metrics.counter("retries").inc()
-                for session in sessions:
-                    self._emit(
-                        session,
-                        protocol.retrying_message(
-                            session.session_id,
-                            attempt=attempt,
-                            max_attempts=attempts,
-                            delay_seconds=delay,
-                            error=str(exc),
-                        ),
-                    )
-                await asyncio.sleep(delay)
-            else:
-                self.breaker.record_success()
-                if attempt > 1:
-                    self.metrics.counter("recoveries").inc()
-                    for session in sessions:
-                        self._emit(
-                            session,
-                            protocol.recovered_message(
-                                session.session_id, attempts=attempt
-                            ),
-                        )
-                return value
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def _resolve(self, batch) -> np.ndarray:
         """A queued batch as scores, timing the acoustic model."""
         if not isinstance(batch, ScoreHandle):
@@ -682,8 +474,7 @@ class Scheduler:
 
     def _push_resolved(self, session_id: str, batch):
         """Engine push with the batch resolved to scores first: a
-        ``features`` batch is scored here, where the engine call runs
-        (:meth:`_run_engine`)."""
+        ``features`` batch is scored here, where the engine call runs."""
         return self.engine.push(session_id, self._resolve(batch))
 
     def _push_many_resolved(self, items):
@@ -706,9 +497,7 @@ class Scheduler:
         self._queue_changed(-1)
         started = perf_counter()
         try:
-            partial = await self._call_engine(
-                [session], self._push_resolved, session.session_id, scores
-            )
+            partial = self._push_resolved(session.session_id, scores)
         except Exception as exc:
             await self._fail(session, f"decode failed: {exc}")
             return
@@ -730,17 +519,7 @@ class Scheduler:
             ]
             started = perf_counter()
             try:
-                partials = await self._call_engine(
-                    sessions, self._push_many_resolved, items
-                )
-            except DeadlineExceeded as exc:
-                # The fused call may still be running in its executor
-                # thread, so the raise-before-advance contract gives no
-                # cover here: replaying could decode a batch twice.
-                # Fail the whole fused group instead.
-                for session in sessions:
-                    await self._fail(session, f"decode failed: {exc}")
-                return
+                partials = self._push_many_resolved(items)
             except Exception:
                 # push_many raises before any session advances, so the
                 # batches can be replayed one at a time — attributing
@@ -794,9 +573,7 @@ class Scheduler:
 
     async def _finish(self, session: Session) -> None:
         try:
-            result = await self._call_engine(
-                [session], self.engine.finish, session.session_id
-            )
+            result = self.engine.finish(session.session_id)
         except Exception as exc:
             await self._fail(session, f"finish failed: {exc}", cancel=False)
             return
@@ -813,9 +590,7 @@ class Scheduler:
     ) -> None:
         if cancel:
             try:
-                await self._run_engine(
-                    self.engine.cancel, session.session_id
-                )
+                self.engine.cancel(session.session_id)
             except Exception:  # the session is gone either way
                 pass
         self._emit(
@@ -831,9 +606,7 @@ class Scheduler:
                 continue
             if now - session.last_activity >= timeout:
                 try:
-                    await self._run_engine(
-                        self.engine.cancel, session.session_id
-                    )
+                    self.engine.cancel(session.session_id)
                 except Exception:
                     pass
                 self._emit(
@@ -845,31 +618,6 @@ class Scheduler:
                 self._retire(session, "sessions_timed_out")
 
     # -- plumbing -----------------------------------------------------------
-
-    async def _run_engine(self, fn, *args):
-        """Run one engine call: here, or on a dispatch thread.
-
-        An in-process engine's calls are Python that holds the GIL from
-        start to finish, so a thread overlaps nothing and costs a
-        wake-up, a self-pipe round trip and a GIL hand-off per
-        dispatch: they run on the loop thread.  A thread is the point
-        for an engine whose calls block (worker pipes — they must
-        overlap across workers) and under a request deadline (the loop
-        must stay free to time the call out).
-        """
-        if (
-            getattr(self.engine, "in_process", False)
-            and self.config.request_deadline_seconds is None
-        ):
-            return fn(*args)
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.engine.workers,
-                thread_name_prefix="serve-engine",
-            )
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
 
     def _emit(self, session: Session, message: dict) -> None:
         sink = session.sink

@@ -4,8 +4,7 @@ Sessions that negotiate the ``features`` payload stream raw feature
 frames and the *server* runs the acoustic model.  The engines stay
 score-typed — they only ever receive resolved score matrices — and a
 feature batch is scored **at dispatch, where the engine call runs**:
-on the event loop for an in-process engine, on the dispatch thread
-otherwise.  Server-side scoring is under 2 % of a served frame, so
+on the event loop.  Server-side scoring is under 2 % of a served frame, so
 scoring ahead of the search on a thread of its own only bought GIL
 hand-offs (DESIGN.md, "Serving threads").
 

@@ -1,9 +1,9 @@
 """The asynchronous transcription server.
 
-:class:`TranscriptionServer` assembles the serving stack: an engine
-(in-process decoder, or pinned worker processes when ``workers > 1``),
-the :class:`~repro.serve.scheduler.Scheduler` with its admission
-bounds, a :class:`~repro.serve.metrics.MetricsRegistry`, and — when a
+:class:`TranscriptionServer` assembles the serving stack: the
+in-process :class:`~repro.serve.engine.InlineEngine`, the
+:class:`~repro.serve.scheduler.Scheduler` with its admission bounds,
+a :class:`~repro.serve.metrics.MetricsRegistry`, and — when a
 port is configured — a newline-delimited-JSON TCP listener speaking
 :mod:`repro.serve.protocol`.
 
@@ -18,6 +18,10 @@ Two client surfaces, one protocol:
 Shutdown is graceful by default: ``stop()`` stops admitting, drains
 every in-flight session to a real final result, then closes the
 engine.
+
+The server is one thread and one process.  To serve from several
+processes, :class:`~repro.serve.shard.ShardedServer` runs one of these
+per shard over a shared recognizer segment.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.am.scorer import AcousticScorer
 from repro.core.decoder import DecoderConfig
 from repro.lm.graph import LmGraph
 from repro.serve import protocol
-from repro.serve.engine import InlineEngine, ProcessEngine
+from repro.serve.engine import InlineEngine
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.scheduler import Busy, Scheduler, SchedulerConfig, Session
 from repro.serve.scoring import ScoringService
@@ -45,7 +49,7 @@ class ServeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Server assembly knobs (transport + admission + engine)."""
+    """Server assembly knobs (transport + admission + fusion)."""
 
     host: str = "127.0.0.1"
     #: TCP port; ``None`` serves in-process clients only, ``0`` binds
@@ -54,27 +58,13 @@ class ServeConfig:
     max_sessions: int = 8
     max_queued_batches: int = 4
     idle_timeout_seconds: float = 30.0
-    #: Decode worker processes; 1 = in-process engine.
-    workers: int = 1
-    #: In-process engine only: advance concurrent sessions through one
-    #: engine call per scheduler cycle (bit-identical transcripts;
-    #: fewer engine dispatches per decode cycle).
+    #: Advance concurrent sessions through one engine call per
+    #: scheduler cycle (bit-identical transcripts; fewer engine
+    #: dispatches per decode cycle).
     fuse_sessions: bool = True
-    #: Scheduler-side wall-clock bound per engine call (None = off).
-    request_deadline_seconds: float | None = None
-    #: Retries + backoff for transient engine faults (see
-    #: :class:`~repro.serve.scheduler.SchedulerConfig`).
-    max_retries: int = 2
-    retry_backoff_seconds: float = 0.05
-    #: Process engine only: per-pipe-request deadline — the bound on
-    #: how long any dispatch thread can block on one worker.
-    engine_request_timeout_seconds: float = 30.0
-    #: Process engine only: rolling session-checkpoint cadence in
-    #: decoded frames (None disables checkpoints; migration then
-    #: replays a session's whole history).
-    checkpoint_interval_frames: int | None = 16
-    #: Session-id prefix; a sharded deployment gives each shard its
-    #: own so migrated session ids stay unique cluster-wide.
+    #: Session-id prefix; a sharded deployment gives each shard (and
+    #: each respawn of it) its own, so session ids stay unique
+    #: cluster-wide and across a shard's lifetimes.
     session_id_prefix: str = "s"
 
     def scheduler_config(self) -> SchedulerConfig:
@@ -82,9 +72,6 @@ class ServeConfig:
             max_sessions=self.max_sessions,
             max_queued_batches=self.max_queued_batches,
             idle_timeout_seconds=self.idle_timeout_seconds,
-            request_deadline_seconds=self.request_deadline_seconds,
-            max_retries=self.max_retries,
-            retry_backoff_seconds=self.retry_backoff_seconds,
         )
 
 
@@ -98,7 +85,6 @@ class TranscriptionServer:
         decoder_config: DecoderConfig | None = None,
         serve_config: ServeConfig | None = None,
         scorer: AcousticScorer | None = None,
-        chaos=None,
         engine=None,
     ) -> None:
         self.config = serve_config or ServeConfig()
@@ -111,37 +97,10 @@ class TranscriptionServer:
                     "pass either a prebuilt engine or am/lm graphs, "
                     "not both"
                 )
-            if chaos is not None:
-                raise ValueError(
-                    "chaos injection requires the server to build its "
-                    "own process engine"
-                )
             self.engine = engine
         elif am is None or lm is None:
             raise ValueError("need either a prebuilt engine or am+lm graphs")
-        elif self.config.workers > 1:
-            if scorer is None:
-                raise ValueError(
-                    "a scorer is required to ship the recognizer bundle "
-                    "to worker processes"
-                )
-            self.engine = ProcessEngine(
-                am,
-                lm,
-                scorer=scorer,
-                config=decoder_config,
-                workers=self.config.workers,
-                request_timeout=self.config.engine_request_timeout_seconds,
-                checkpoint_interval=self.config.checkpoint_interval_frames,
-                metrics=self.metrics,
-                chaos=chaos,
-            )
         else:
-            if chaos is not None:
-                raise ValueError(
-                    "worker fault injection needs workers > 1 "
-                    "(the in-process engine has no processes to kill)"
-                )
             self.engine = InlineEngine(
                 am,
                 lm,
@@ -217,7 +176,6 @@ class TranscriptionServer:
             "ok": not self._stopped,
             "draining": self.scheduler.draining,
             "active_sessions": self.scheduler.active_sessions,
-            "breaker": self.scheduler.breaker.state,
             "scoring": None if self.scoring is None else "at-dispatch",
             "metrics": self.metrics.snapshot(),
         }
@@ -487,23 +445,16 @@ class InProcessSession:
         self._encoding = encoding
         #: Partial-hypothesis messages observed so far, in order.
         self.partials: list[dict] = []
-        #: ``retrying``/``recovered`` notices observed so far, in order
-        #: — degradation the server narrated instead of stalling.
-        self.notices: list[dict] = []
 
     @property
     def session_id(self) -> str:
         return self._session.session_id
 
     async def _next_event(self) -> dict:
-        while True:
-            event = await self._session.events.get()
-            if event["type"] in protocol.NOTICE_TYPES:
-                self.notices.append(event)
-                continue
-            if event["type"] == protocol.PARTIAL:
-                self.partials.append(event)
-            return event
+        event = await self._session.events.get()
+        if event["type"] == protocol.PARTIAL:
+            self.partials.append(event)
+        return event
 
     def _submit(self, matrix: np.ndarray):
         """One pushed matrix as what the scheduler actually queues.

@@ -21,9 +21,20 @@ redirect with ``resume`` — transcripts stay bit-identical because the
 snapshot contract already guarantees continuation-equality.
 
 The parent talks to shard processes over control pipes (status,
-export/adopt, meminfo, stop); the data plane is ordinary TCP straight
-to each shard — the parent is not a proxy, so adding shards adds
-serving capacity without a single-process bottleneck in front.
+export/adopt, meminfo, ping, stop); the data plane is ordinary TCP
+straight to each shard — the parent is not a proxy, so adding shards
+adds serving capacity without a single-process bottleneck in front.
+
+The parent also supervises: every ``LIVENESS_PERIOD_SECONDS`` it pings
+each shard over its control pipe, and a shard that has exited, or
+whose reply does not arrive within ``LIVENESS_TIMEOUT_SECONDS`` (its
+event loop is stuck, say inside a push), is killed and respawned on
+the same port against the same segment.  The shard's sessions die
+with it; their clients re-open them on the respawned shard and
+re-push what they sent (:class:`~repro.serve.client.TcpSession`), so
+finals stay bit-identical with no checkpoint on the server.  Each
+respawn is a new *generation* in the shard's session-id prefix
+(``sh0.1-``), so an id from a dead shard never names a live session.
 """
 
 from __future__ import annotations
@@ -49,6 +60,14 @@ DEFAULT_VIRTUAL_NODES = 64
 
 #: Parent-side deadline for one control-pipe request.
 CONTROL_TIMEOUT_SECONDS = 60.0
+
+#: How often the parent checks that every shard is alive.
+LIVENESS_PERIOD_SECONDS = 0.5
+
+#: How long a shard may take to answer a liveness ping before it is
+#: killed and respawned.  A ping is answered on the shard's event loop,
+#: so this also bounds how long one engine call may hold that loop.
+LIVENESS_TIMEOUT_SECONDS = 10.0
 
 
 def _hash64(data: str) -> int:
@@ -101,7 +120,11 @@ class ShardRouter:
 
 
 def _shard_main(conn, segment, decoder_config, serve_config, index):
-    """One shard process: attach the segment, serve TCP, obey the pipe."""
+    """One shard process: attach the segment, serve TCP, obey the pipe.
+
+    ``serve_config`` carries the shard's own port (0 on first spawn)
+    and session-id prefix.
+    """
     attached = attach_recognizer(segment)
     try:
         decoder = OnTheFlyDecoder(
@@ -121,14 +144,12 @@ async def _shard_serve(conn, decoder, serve_config, index, segment):
         fuse=serve_config.fuse_sessions,
         max_fused_sessions=serve_config.max_sessions,
     )
-    config = replace(
-        serve_config,
-        port=0,
-        workers=1,
-        session_id_prefix=f"sh{index}-",
-    )
-    server = TranscriptionServer(serve_config=config, engine=engine)
-    await server.start()
+    server = TranscriptionServer(serve_config=serve_config, engine=engine)
+    try:
+        await server.start()
+    except OSError as exc:
+        conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        return
     conn.send(("ready", server.port))
     try:
         await _control_loop(server, conn, index, segment)
@@ -153,7 +174,9 @@ async def _control_loop(server, conn, index, segment):
             if command == "stop":
                 conn.send(("ok", None))
                 return
-            if command == "status":
+            if command == "ping":
+                conn.send(("ok", None))
+            elif command == "status":
                 status = server.status_message()
                 status["shard"] = index
                 conn.send(("ok", status))
@@ -180,32 +203,67 @@ async def _control_loop(server, conn, index, segment):
 
 
 class _ShardHandle:
-    """Parent-side handle: process + control pipe + endpoint."""
+    """Parent-side handle: process + control pipe + endpoint.
 
-    def __init__(self, ctx, segment, decoder_config, serve_config, index):
+    ``port`` is ``None`` on a shard's first spawn (it binds an
+    ephemeral port) and the previous occupant's port on a respawn;
+    ``generation`` counts the respawns of shard ``index``.
+    """
+
+    def __init__(
+        self,
+        ctx,
+        segment,
+        decoder_config,
+        serve_config,
+        index,
+        generation=0,
+        port=None,
+    ):
         parent_conn, child_conn = ctx.Pipe()
         self.conn = parent_conn
         self.lock = threading.Lock()
         self.index = index
+        self.generation = generation
         self.host = serve_config.host
-        self.port: int | None = None
+        self.port: int | None = port
+        #: Set the moment a request fails structurally (EOF, broken
+        #: pipe, no reply in time): a late reply would be read as the
+        #: next request's, so every later request fails fast until the
+        #: supervisor replaces this shard.
+        self.dead = False
+        config = replace(
+            serve_config,
+            port=port or 0,
+            session_id_prefix=f"sh{index}.{generation}-",
+        )
         self.process = ctx.Process(
             target=_shard_main,
-            args=(child_conn, segment, decoder_config, serve_config, index),
+            args=(child_conn, segment, decoder_config, config, index),
             daemon=True,
         )
         self.process.start()
         child_conn.close()
 
-    def wait_ready(self, timeout: float = CONTROL_TIMEOUT_SECONDS) -> None:
+    @property
+    def alive(self) -> bool:
+        return not self.dead and self.process.is_alive()
+
+    def wait_ready(self, timeout: float | None = None) -> None:
+        timeout = CONTROL_TIMEOUT_SECONDS if timeout is None else timeout
         with self.lock:
-            if not self.conn.poll(timeout):
-                raise ServeError(
-                    f"shard {self.index} did not report ready within "
-                    f"{timeout:g}s"
-                )
-            tag, value = self.conn.recv()
+            try:
+                if not self.conn.poll(timeout):
+                    self.dead = True
+                    raise ServeError(
+                        f"shard {self.index} did not report ready within "
+                        f"{timeout:g}s"
+                    )
+                tag, value = self.conn.recv()
+            except (EOFError, OSError) as exc:  # it died starting up
+                tag, value = "error", type(exc).__name__
         if tag != "ready":
+            self.dead = True
             raise ServeError(f"shard {self.index} failed to start: {value}")
         self.port = value
 
@@ -213,18 +271,23 @@ class _ShardHandle:
         self,
         command: str,
         payload=None,
-        timeout: float = CONTROL_TIMEOUT_SECONDS,
+        timeout: float | None = None,
     ):
+        timeout = CONTROL_TIMEOUT_SECONDS if timeout is None else timeout
         with self.lock:
+            if self.dead:
+                raise ServeError(f"shard {self.index} is dead")
             try:
                 self.conn.send((command, payload))
                 if not self.conn.poll(timeout):
+                    self.dead = True
                     raise ServeError(
                         f"shard {self.index} gave no reply to "
                         f"{command!r} within {timeout:g}s"
                     )
                 status, value = self.conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
+            except (EOFError, OSError) as exc:
+                self.dead = True
                 raise ServeError(
                     f"shard {self.index} control pipe failed during "
                     f"{command!r}: {type(exc).__name__}"
@@ -234,12 +297,14 @@ class _ShardHandle:
         return value
 
     def shutdown(self, join_timeout: float = 10.0) -> None:
+        """Stop the shard: asked over the pipe if it still answers,
+        killed if it does not stop in ``join_timeout``."""
         try:
             self.request("stop")
         except ServeError:
             pass
-        self.process.join(timeout=join_timeout)
-        if self.process.is_alive():  # pragma: no cover - stuck shard
+        self.process.join(timeout=0 if self.dead else join_timeout)
+        if self.process.is_alive():
             self.process.kill()
             self.process.join(timeout=join_timeout)
         with self.lock:
@@ -252,10 +317,12 @@ class _ShardHandle:
 class ShardedServer:
     """N shard processes serving one shared-memory recognizer.
 
-    Construction packs; :meth:`start` spawns the shards and waits for
-    their ports.  Clients connect straight to ``endpoints`` (route by
+    Construction packs; :meth:`start` spawns the shards, waits for
+    their ports and starts the supervisor task on the running event
+    loop.  Clients connect straight to ``endpoints`` (route by
     :attr:`router`), or through
-    :class:`~repro.serve.client.ShardedClient` which does both.
+    :class:`~repro.serve.client.ShardedClient` which does both.  A
+    respawned shard keeps its endpoint, so the list never changes.
     """
 
     def __init__(
@@ -280,6 +347,10 @@ class ShardedServer:
         else:  # pragma: no cover - spawn-only platforms
             self._ctx = multiprocessing.get_context("spawn")
         self._handles: list[_ShardHandle] = []
+        self._supervisor: asyncio.Task | None = None
+        #: Shards respawned since start (reported as the
+        #: ``shard_restarts`` counter of :meth:`status`).
+        self.restarts = 0
         self._started = False
         self._stopped = False
 
@@ -306,21 +377,15 @@ class ShardedServer:
             return
         self._started = True
         loop = asyncio.get_running_loop()
-        self._handles = [
-            _ShardHandle(
-                self._ctx,
-                self._shm.segment_name,
-                self.decoder_config,
-                self.config,
-                index,
-            )
-            for index in range(self.shards)
-        ]
+        self._handles = [self._spawn(index) for index in range(self.shards)]
         await asyncio.gather(
             *(
                 loop.run_in_executor(None, handle.wait_ready)
                 for handle in self._handles
             )
+        )
+        self._supervisor = loop.create_task(
+            self._supervise(), name="shard-supervisor"
         )
 
     async def stop(self) -> None:
@@ -328,13 +393,22 @@ class ShardedServer:
             return
         self._stopped = True
         loop = asyncio.get_running_loop()
-        await asyncio.gather(
-            *(
-                loop.run_in_executor(None, handle.shutdown)
-                for handle in self._handles
+        try:
+            if self._supervisor is not None:
+                self._supervisor.cancel()
+                try:
+                    await self._supervisor
+                except asyncio.CancelledError:
+                    pass
+        finally:
+            # Even if supervision crashed: no shard outlives the server.
+            await asyncio.gather(
+                *(
+                    loop.run_in_executor(None, handle.shutdown)
+                    for handle in self._handles
+                )
             )
-        )
-        self._shm.unlink()
+            self._shm.unlink()
 
     async def __aenter__(self) -> "ShardedServer":
         await self.start()
@@ -343,6 +417,72 @@ class ShardedServer:
     async def __aexit__(self, *exc_info) -> None:
         await self.stop()
 
+    # -- supervision --------------------------------------------------------
+
+    def _spawn(self, index: int, generation: int = 0, port=None):
+        return _ShardHandle(
+            self._ctx,
+            self._shm.segment_name,
+            self.decoder_config,
+            self.config,
+            index,
+            generation,
+            port,
+        )
+
+    async def _supervise(self) -> None:
+        """Every period, check all shards at once."""
+        while True:
+            await asyncio.sleep(LIVENESS_PERIOD_SECONDS)
+            await asyncio.gather(
+                *(self._check(index) for index in range(self.shards))
+            )
+
+    async def _check(self, index: int) -> None:
+        """Ping shard ``index``; respawn it if it died or did not
+        answer in time."""
+        handle = self._handles[index]
+        if handle.alive:
+            try:
+                await asyncio.get_running_loop().run_in_executor(
+                    None,
+                    handle.request,
+                    "ping",
+                    None,
+                    LIVENESS_TIMEOUT_SECONDS,
+                )
+            except ServeError:
+                pass  # the handle marked itself dead
+        if not handle.alive:
+            await self._respawn(index)
+
+    async def _respawn(self, index: int) -> None:
+        """Replace shard ``index`` with a new generation on its port.
+
+        The new handle is published only once it is ready, so control
+        requests meanwhile fail fast on the dead one instead of reading
+        the new shard's ``ready`` line as their reply.  A respawn that
+        fails to come up is retried on the next supervisor period.
+        """
+        loop = asyncio.get_running_loop()
+        dead = self._handles[index]
+        dead.dead = True
+        await loop.run_in_executor(None, dead.shutdown)
+        handle = self._spawn(index, dead.generation + 1, dead.port)
+        try:
+            await loop.run_in_executor(None, handle.wait_ready)
+        except (ServeError, asyncio.CancelledError) as exc:
+            # Not up, or the server is stopping: either way this
+            # process must not outlive the attempt.
+            handle.dead = True
+            handle.process.kill()
+            handle.process.join()
+            if isinstance(exc, asyncio.CancelledError):
+                raise
+            return
+        self._handles[index] = handle
+        self.restarts += 1
+
     # -- control plane ------------------------------------------------------
 
     async def _request(self, handle: _ShardHandle, command, payload=None):
@@ -350,17 +490,33 @@ class ShardedServer:
             None, handle.request, command, payload
         )
 
+    async def _shard_status(self, index: int, handle: _ShardHandle) -> dict:
+        try:
+            return await self._request(handle, "status")
+        except ServeError as exc:  # dead: the supervisor replaces it
+            return {
+                "type": "status",
+                "ok": False,
+                "shard": index,
+                "error": str(exc),
+            }
+
     async def status(self) -> dict:
         """One status view: per-shard statuses + rolled-up metrics.
 
         Counters and gauges sum across shards (``active_sessions`` is
-        the cluster total); histograms don't merge exactly from
-        summaries, so latency shapes stay per-shard under ``shards``.
+        the cluster total), plus the parent's ``shard_restarts``;
+        histograms don't merge exactly from summaries, so latency
+        shapes stay per-shard under ``shards``.  A shard that cannot
+        answer (dead, or being respawned) reports ``ok: False``.
         """
         statuses = await asyncio.gather(
-            *(self._request(h, "status") for h in self._handles)
+            *(
+                self._shard_status(index, handle)
+                for index, handle in enumerate(self._handles)
+            )
         )
-        counters: dict[str, float] = {}
+        counters: dict[str, float] = {"shard_restarts": self.restarts}
         gauges: dict[str, float] = {}
         for status in statuses:
             metrics = status.get("metrics", {})

@@ -1,62 +1,85 @@
-"""Fault-tolerance tests: the chaos harness against the serve stack.
+"""Fault-tolerance tests: shard death, hangs and decoder faults.
 
-The acceptance criterion of the fault-tolerance layer: with
-``ProcessEngine(workers=2)``, killing one worker mid-utterance makes
-its sessions migrate from their rolling checkpoints and finish with
-transcripts bit-identical to an uninterrupted run; no dispatch thread
-blocks past the configured request deadline; the recovery shows up in
-metrics.  Every chaos plan here is deterministic (no sleeps to "wait
-for the crash" — the fault fires on a counted dispatch), so the same
-sessions migrate at the same points on every run.
+The acceptance criterion of the one process architecture: a
+:class:`ShardedServer` whose shard 0 dies mid-utterance respawns it on
+the same port, the shard's clients re-open their sessions there and
+re-push what they sent, and every final — and every delivered partial
+sequence — is bit-identical to an uninterrupted decode of the
+bundle-quantized recognizer.  The faults are armed by the tests
+themselves: :class:`InlineEngine` is patched in this process before the
+shards fork, so the shard inherits the patch, and the fault fires on a
+counted push of the first generation of shard 0 only (its session ids
+start ``sh0.0-``; the respawn's start ``sh0.1-``).  No sleeps wait for
+a crash: the fault fires where it is counted, so the same sessions
+replay from the same points on every run.
 """
 
 import asyncio
+import os
+import signal
+import time
 from time import perf_counter
 
 import pytest
 
-from repro.asr.parallel import DecodePool
-from repro.asr.streaming import OnTheFlyDecoder, transcribe_streams
-from repro.core import DecoderConfig
+from repro.asr.streaming import StreamingSession, transcribe_streams
+from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.serve import (
-    Busy,
-    CircuitBreaker,
-    EngineError,
-    FlakyEngine,
+    InlineEngine,
     ServeConfig,
     ServeError,
+    ShardedClient,
+    ShardedServer,
     TcpClient,
     TranscriptionServer,
-    TransientEngineError,
-    WorkerChaos,
-    kill_worker,
+    client as client_module,
+    shard as shard_module,
 )
-from repro.serve import protocol
-from repro.serve.engine import ProcessEngine
 from repro.serve.loadgen import run_load
-from repro.serve.scheduler import (
-    BREAKER_CLOSED,
-    BREAKER_DEGRADED,
-    BREAKER_OPEN,
-    SchedulerConfig,
-)
+from repro.shm import bundle_quantize
+
+from tests.serve.conftest import repro_segments
 
 CONFIG = DecoderConfig(beam=14.0)
 BATCH = 8
+POISON = 1e30
+
+pytestmark = pytest.mark.usefixtures("no_leaked_segments")
+
+
+def batches(matrix):
+    return [
+        matrix[start : start + BATCH]
+        for start in range(0, matrix.shape[0], BATCH)
+    ]
+
+
+def wire_partial(message):
+    return (
+        message["words"],
+        message["cost"],
+        message["frames_consumed"],
+        message["active_tokens"],
+    )
 
 
 @pytest.fixture(scope="module")
-def pool_reference(tiny_task, tiny_scorer, tiny_scores):
-    """Uninterrupted decode of the bundle-quantized recognizer — what
-    every post-crash transcript must still equal bit-for-bit."""
-    with DecodePool(
-        tiny_task.am,
-        tiny_task.lm,
-        scorer=tiny_scorer,
-        config=CONFIG,
-        parallelism=1,
-    ) as pool:
-        return pool.decode_streams(tiny_scores, batch_frames=BATCH)
+def reference(tiny_task, tiny_scores):
+    """Per utterance: the partial sequence and the final of a solo
+    streaming session over the bundle-quantized recognizer — what the
+    shards serve, so what every session must equal through a crash."""
+    decoder = OnTheFlyDecoder(
+        *bundle_quantize(tiny_task.am, tiny_task.lm), CONFIG
+    )
+    out = []
+    for scores in tiny_scores:
+        session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+        partials = [
+            (list(p.words), p.cost, p.frames_consumed, p.active_tokens)
+            for p in map(session.push, batches(scores))
+        ]
+        out.append((partials, session.finish()))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -66,186 +89,294 @@ def inline_reference(tiny_task, tiny_scores):
     return transcribe_streams(decoder, tiny_scores, BATCH)
 
 
-def make_engine(tiny_task, tiny_scorer, **overrides):
-    overrides.setdefault("workers", 2)
-    overrides.setdefault("checkpoint_interval", 4)
-    overrides.setdefault("request_timeout", 10.0)
-    overrides.setdefault("supervisor_poll_seconds", 0.05)
-    return ProcessEngine(
+def make_sharded(tiny_task, shards=2) -> ShardedServer:
+    return ShardedServer(
         tiny_task.am,
         tiny_task.lm,
-        scorer=tiny_scorer,
-        config=CONFIG,
-        **overrides,
+        decoder_config=CONFIG,
+        serve_config=ServeConfig(max_sessions=8),
+        shards=shards,
     )
 
 
-def stream_all(engine, matrices, first_batch_pushed=False):
-    """Drive every matrix through its own engine session to a final."""
-    ids = [f"s{i}" for i in range(len(matrices))]
-    finals = {}
-    for i, session_id in enumerate(ids):
-        scores = matrices[i]
-        start_at = BATCH if first_batch_pushed else 0
-        for start in range(start_at, scores.shape[0], BATCH):
-            engine.push(session_id, scores[start : start + BATCH])
-        finals[i] = engine.finish(session_id)
-    return finals
+def arm_shard0(monkeypatch, fault, at_push, after=False):
+    """Run ``fault`` in shard 0's first generation at its ``at_push``-th
+    decoded batch (counted over ``push`` and ``push_many``): before the
+    batch is decoded, or ``after`` it is decoded but before its partial
+    is sent.  Patch before the server starts: the shards fork from this
+    process."""
+    count = 0
+    push, push_many = InlineEngine.push, InlineEngine.push_many
+
+    def counted(items, decode):
+        nonlocal count
+        armed = sum(sid.startswith("sh0.0-") for sid, _ in items)
+        hit = count < at_push <= count + armed
+        count += armed
+        if hit and not after:
+            fault()
+        result = decode()
+        if hit and after:
+            fault()
+        return result
+
+    monkeypatch.setattr(
+        InlineEngine,
+        "push",
+        lambda self, sid, scores: counted(
+            [(sid, scores)], lambda: push(self, sid, scores)
+        ),
+    )
+    monkeypatch.setattr(
+        InlineEngine,
+        "push_many",
+        lambda self, items: counted(items, lambda: push_many(self, items)),
+    )
+
+
+def die():
+    os._exit(1)
+
+
+def keys_on(server, shard, count):
+    """``count`` session keys the router places on ``shard``."""
+    keys = [
+        key
+        for key in (f"k{i}" for i in range(200))
+        if server.router.shard_for(key) == shard
+    ]
+    return keys[:count]
+
+
+async def stream_each(client, keys, tiny_scores, after_first=None):
+    """Open one session per key, push every session's first batch,
+    call ``after_first``, then stream the rest session by session.
+    Returns the sessions and their finals."""
+    sessions = [await client.open(key=key) for key in keys]
+    for session, scores in zip(sessions, tiny_scores):
+        await session.push(batches(scores)[0])
+    if after_first is not None:
+        after_first()
+    finals = []
+    for session, scores in zip(sessions, tiny_scores):
+        for batch in batches(scores)[1:]:
+            await session.push(batch)
+        finals.append(await session.finish())
+    return sessions, finals
+
+
+def assert_uninterrupted(sessions, finals, reference):
+    """Finals bit-identical; each session's delivered partials are the
+    uninterrupted sequence — no duplicate from the replay, no gap."""
+    for index, (session, final) in enumerate(zip(sessions, finals)):
+        partials, result = reference[index]
+        assert final["words"] == result.words
+        assert final["cost"] == result.cost
+        assert final["frames"] == result.stats.frames
+        assert [wire_partial(p) for p in session.partials] == partials
+
+
+def fast_supervision(monkeypatch, liveness_timeout=10.0):
+    monkeypatch.setattr(shard_module, "LIVENESS_PERIOD_SECONDS", 0.1)
+    monkeypatch.setattr(
+        shard_module, "LIVENESS_TIMEOUT_SECONDS", liveness_timeout
+    )
 
 
 class TestWorkerCrashRecovery:
+    """A shard process dying or hanging mid-utterance, its sessions
+    driven one by one through a :class:`ShardedClient`."""
+
+    def scenario(self, tiny_task, tiny_scores, after_first=None):
+        async def run():
+            async with make_sharded(tiny_task) as server:
+                client = ShardedClient(server.endpoints)
+                try:
+                    keys = keys_on(server, 0, 4)
+                    sessions, finals = await stream_each(
+                        client,
+                        keys,
+                        tiny_scores,
+                        None if after_first is None
+                        else lambda: after_first(server),
+                    )
+                    status = await server.status()
+                finally:
+                    await client.close()
+                return sessions, finals, status
+
+        return asyncio.run(run())
+
     def test_sigkill_mid_utterance_is_bit_identical(
-        self, tiny_task, tiny_scorer, tiny_scores, pool_reference
+        self, monkeypatch, tiny_task, tiny_scores, reference
     ):
-        """The acceptance test: SIGKILL one of two workers while every
-        session is mid-utterance; all sessions finish, bit-exact."""
-        engine = make_engine(tiny_task, tiny_scorer)
-        try:
-            matrices = tiny_scores[:4]
-            ids = [f"s{i}" for i in range(len(matrices))]
-            for session_id in ids:
-                engine.start(session_id)
-            for i, session_id in enumerate(ids):
-                engine.push(session_id, matrices[i][:BATCH])
-            kill_worker(engine, 0)
-            finals = stream_all(engine, matrices, first_batch_pushed=True)
-            for i, want in enumerate(pool_reference[: len(matrices)]):
-                assert finals[i].words == want.words
-                assert finals[i].cost == want.cost
-            counters = engine.metrics.snapshot()["counters"]
-            assert counters["worker_restarts"] >= 1
-            # Least-loaded placement pins 2 of the 4 sessions to the
-            # killed worker; both must have migrated, none lost.
-            assert counters["sessions_migrated"] == 2
-            assert counters.get("sessions_lost", 0) == 0
-            assert counters["checkpoints_taken"] >= 1
-        finally:
-            engine.close()
+        """SIGKILL shard 0 while its four sessions are mid-utterance:
+        all four finish, bit-exact, on the respawned shard."""
+        fast_supervision(monkeypatch)
+
+        def kill(server):
+            os.kill(server._handles[0].process.pid, signal.SIGKILL)
+
+        sessions, finals, status = self.scenario(
+            tiny_task, tiny_scores, after_first=kill
+        )
+        assert_uninterrupted(sessions, finals, reference)
+        assert status["ok"]
+        assert status["metrics"]["counters"]["shard_restarts"] >= 1
+        assert all(s.session_id.startswith("sh0.1-") for s in sessions)
 
     def test_die_chaos_plan_recovers(
-        self, tiny_task, tiny_scorer, tiny_scores, pool_reference
+        self, monkeypatch, tiny_task, tiny_scores, reference
     ):
-        """os._exit on a counted dispatch (crash *inside* a push, before
-        the reply) — the retried push lands on the migrated session."""
-        chaos = WorkerChaos(worker_index=0, die_at_push=3)
-        engine = make_engine(tiny_task, tiny_scorer, chaos=chaos)
-        try:
-            matrices = tiny_scores[:4]
-            for i in range(len(matrices)):
-                engine.start(f"s{i}")
-            finals = stream_all(engine, matrices)
-            for i, want in enumerate(pool_reference[: len(matrices)]):
-                assert finals[i].words == want.words
-                assert finals[i].cost == want.cost
-            counters = engine.metrics.snapshot()["counters"]
-            assert counters["worker_restarts"] >= 1
-            assert counters["sessions_migrated"] >= 1
-            assert counters.get("sessions_lost", 0) == 0
-        finally:
-            engine.close()
+        """``os._exit`` inside a push, before it decodes or replies."""
+        fast_supervision(monkeypatch)
+        arm_shard0(monkeypatch, die, at_push=6)
+        sessions, finals, status = self.scenario(tiny_task, tiny_scores)
+        assert_uninterrupted(sessions, finals, reference)
+        assert status["metrics"]["counters"]["shard_restarts"] >= 1
 
     def test_hang_is_bounded_by_request_timeout(
-        self, tiny_task, tiny_scorer, tiny_scores, pool_reference
+        self, monkeypatch, tiny_task, tiny_scores, reference
     ):
-        """A worker that stops replying must not block its dispatch
-        thread past the deadline; the session migrates and finishes."""
-        chaos = WorkerChaos(
-            worker_index=0, hang_at_push=2, hang_seconds=120.0
-        )
-        engine = make_engine(
-            tiny_task, tiny_scorer, chaos=chaos, request_timeout=0.5
-        )
-        try:
-            scores = tiny_scores[0]
-            engine.start("s0")
-            engine.push("s0", scores[:BATCH])
-            hung = perf_counter()
-            engine.push("s0", scores[BATCH : 2 * BATCH])
-            elapsed = perf_counter() - hung
-            # Deadline + respawn + checkpoint restore, nowhere near the
-            # 120 s the worker would have slept.
-            assert elapsed < 30.0
-            for start in range(2 * BATCH, scores.shape[0], BATCH):
-                engine.push("s0", scores[start : start + BATCH])
-            final = engine.finish("s0")
-            assert final.words == pool_reference[0].words
-            assert final.cost == pool_reference[0].cost
-            assert (
-                engine.metrics.snapshot()["counters"]["worker_restarts"] >= 1
-            )
-        finally:
-            engine.close()
+        """A shard stuck inside a push misses its liveness ping (a
+        control request with a timeout), is killed and respawned; the
+        stuck push returns long before the hang would have ended."""
+        fast_supervision(monkeypatch, liveness_timeout=1.0)
+        arm_shard0(monkeypatch, lambda: time.sleep(120.0), at_push=2)
+
+        async def run():
+            async with make_sharded(tiny_task) as server:
+                client = ShardedClient(server.endpoints)
+                try:
+                    (key,) = keys_on(server, 0, 1)
+                    session = await client.open(key=key)
+                    plan = batches(tiny_scores[0])
+                    await session.push(plan[0])
+                    hung = perf_counter()
+                    await session.push(plan[1])
+                    elapsed = perf_counter() - hung
+                    for batch in plan[2:]:
+                        await session.push(batch)
+                    final = await session.finish()
+                    status = await server.status()
+                finally:
+                    await client.close()
+                return session, final, elapsed, status
+
+        session, final, elapsed, status = asyncio.run(run())
+        # Liveness bound + respawn + replay, nowhere near the 120 s the
+        # shard would have slept.
+        assert elapsed < 30.0
+        assert_uninterrupted([session], [final], reference)
+        assert status["metrics"]["counters"]["shard_restarts"] >= 1
 
     def test_dropped_reply_replays_exactly_once(
-        self, tiny_task, tiny_scorer, tiny_scores, pool_reference
+        self, monkeypatch, tiny_task, tiny_scores, reference
     ):
-        """The nastiest case: the worker *decoded* the push but the ack
-        vanished.  The replay buffer holds only acknowledged pushes, so
-        the retried batch is applied exactly once — double-apply would
-        show up as a transcript/cost divergence."""
-        chaos = WorkerChaos(worker_index=0, drop_reply_at_push=2)
-        engine = make_engine(
-            tiny_task, tiny_scorer, chaos=chaos, request_timeout=0.5
-        )
-        try:
-            matrices = tiny_scores[:2]
-            for i in range(len(matrices)):
-                engine.start(f"s{i}")
-            finals = stream_all(engine, matrices)
-            for i, want in enumerate(pool_reference[: len(matrices)]):
-                assert finals[i].words == want.words
-                assert finals[i].cost == want.cost
-        finally:
-            engine.close()
+        """The shard decodes a push and dies before its partial goes
+        out.  The client replays from its own copy of the batches, so
+        the partial arrives exactly once: a duplicate or a gap would
+        show in the delivered sequence."""
+        fast_supervision(monkeypatch)
+        arm_shard0(monkeypatch, die, at_push=7, after=True)
+        sessions, finals, status = self.scenario(tiny_task, tiny_scores)
+        assert_uninterrupted(sessions, finals, reference)
+        assert status["metrics"]["counters"]["shard_restarts"] >= 1
 
     def test_injected_decoder_error_is_not_transient(
-        self, tiny_task, tiny_scorer, tiny_scores, pool_reference
+        self, monkeypatch, tiny_task, tiny_scores, reference
     ):
         """A decoder exception is the application's bug, not the
-        infrastructure's: it surfaces as a plain EngineError (no retry,
-        no migration) and the worker keeps serving."""
-        chaos = WorkerChaos(
-            worker_index=0, error_at_push=2, error_message="injected fault"
+        infrastructure's: it fails its own session (its fused group
+        neighbours are replayed one by one and finish), and no shard
+        restarts."""
+        fast_supervision(monkeypatch)
+        push, push_many = InlineEngine.push, InlineEngine.push_many
+
+        def check(scores):
+            if scores[0, 0] == POISON:
+                raise RuntimeError("injected decoder fault")
+
+        def poisoned_push(self, sid, scores):
+            check(scores)
+            return push(self, sid, scores)
+
+        def poisoned_push_many(self, items):
+            for _, scores in items:
+                check(scores)
+            return push_many(self, items)
+
+        monkeypatch.setattr(InlineEngine, "push", poisoned_push)
+        monkeypatch.setattr(InlineEngine, "push_many", poisoned_push_many)
+        victim = 1
+
+        async def stream(client, key, index):
+            session = await client.open(key=key)
+            for number, batch in enumerate(batches(tiny_scores[index])):
+                if index == victim and number == 1:
+                    batch = batch.copy()
+                    batch[0, 0] = POISON
+                await session.push(batch)
+            return session, await session.finish()
+
+        async def run():
+            async with make_sharded(tiny_task) as server:
+                client = ShardedClient(server.endpoints)
+                try:
+                    keys = keys_on(server, 0, 3)
+                    outcomes = await asyncio.gather(
+                        *(
+                            stream(client, key, index)
+                            for index, key in enumerate(keys)
+                        ),
+                        return_exceptions=True,
+                    )
+                    status = await server.status()
+                finally:
+                    await client.close()
+                return outcomes, status
+
+        outcomes, status = asyncio.run(run())
+        assert isinstance(outcomes[victim], ServeError)
+        assert "injected decoder fault" in str(outcomes[victim])
+        survivors = [o for i, o in enumerate(outcomes) if i != victim]
+        sessions = [session for session, _ in survivors]
+        finals = [final for _, final in survivors]
+        assert_uninterrupted(
+            sessions,
+            finals,
+            [r for i, r in enumerate(reference) if i != victim],
         )
-        engine = make_engine(tiny_task, tiny_scorer, chaos=chaos)
-        try:
-            scores = tiny_scores[0]
-            engine.start("s0")
-            engine.push("s0", scores[:BATCH])
-            with pytest.raises(EngineError, match="injected fault") as info:
-                engine.push("s0", scores[BATCH : 2 * BATCH])
-            assert not isinstance(info.value, TransientEngineError)
-            # The worker survived and the session kept its state: the
-            # failed batch can simply be pushed again.
-            for start in range(BATCH, scores.shape[0], BATCH):
-                engine.push("s0", scores[start : start + BATCH])
-            final = engine.finish("s0")
-            assert final.words == pool_reference[0].words
-            assert final.cost == pool_reference[0].cost
-            counters = engine.metrics.snapshot()["counters"]
-            assert counters.get("worker_restarts", 0) == 0
-        finally:
-            engine.close()
+        counters = status["metrics"]["counters"]
+        assert counters["shard_restarts"] == 0
+        assert counters["sessions_failed"] == 1
+
+
+class RecordingClient:
+    """A client wrapper that keeps every session it opened, by key."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.sessions = {}
+
+    async def open(self, key=None, **kwargs):
+        session = await self.inner.open(key=key, **kwargs)
+        self.sessions[key] = session
+        return session
 
 
 @pytest.fixture(scope="module")
-def served_worker_kill(tiny_task, tiny_scorer, tiny_scores):
-    """Seeded TCP load against a two-worker server whose worker 0 dies
-    (``os._exit``) on its 8th push, mid-utterance for the sessions
-    pinned to it.  Returns the load report, the server's metrics after
-    the drain, and the workers' memory weighed after the load."""
+def served_worker_kill(tiny_task, tiny_scores):
+    """Seeded TCP load (4 concurrent sessions) through a
+    :class:`ShardedClient` into two shards whose shard 0 dies
+    (``os._exit``) on its 8th push, mid-utterance for the sessions on
+    it.  Returns the load report, the sessions by key, the cluster
+    status and memory report after the load, and the segment name."""
 
     async def scenario():
-        server = TranscriptionServer(
-            tiny_task.am,
-            tiny_task.lm,
-            decoder_config=CONFIG,
-            serve_config=ServeConfig(workers=2, port=0),
-            scorer=tiny_scorer,
-            chaos=WorkerChaos(worker_index=0, die_at_push=8),
-        )
+        server = make_sharded(tiny_task)
         async with server:
-            client = await TcpClient.connect(server.config.host, server.port)
+            client = RecordingClient(ShardedClient(server.endpoints))
             try:
                 report = await run_load(
                     client,
@@ -255,254 +386,116 @@ def served_worker_kill(tiny_task, tiny_scorer, tiny_scores):
                     seed=1234,
                 )
             finally:
-                await client.close()
-            memory = server.engine.memory_report()
-        return report, server.metrics.snapshot(), memory
+                await client.inner.close()
+            status = await server.status()
+            memory = await server.memory_report()
+        return report, client.sessions, status, memory, server.segment_name
 
-    return asyncio.run(scenario())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fast_supervision(monkeypatch)
+        arm_shard0(monkeypatch, die, at_push=8)
+        return asyncio.run(scenario())
 
 
 class TestServedWorkerKill:
-    """The server-level chaos check: a worker death under concurrent
-    TCP load through the scheduler, not just the engine driven
-    directly."""
+    """A shard death under concurrent TCP load: the scheduler, the
+    transport, the supervisor and the clients' replay together."""
 
     def test_every_final_matches_the_serial_pool(
-        self, served_worker_kill, tiny_scores, pool_reference
+        self, served_worker_kill, tiny_scores, reference
     ):
-        report, snapshot, _ = served_worker_kill
+        report, sessions, status, _, _ = served_worker_kill
         assert [o.index for o in report.outcomes] == list(
             range(len(tiny_scores))
         )
-        for outcome, want in zip(report.outcomes, pool_reference):
+        for outcome, (_, want) in zip(report.outcomes, reference):
             assert outcome.words == want.words
             assert outcome.cost == want.cost
-        counters = snapshot["counters"]
-        assert counters.get("sessions_lost", 0) == 0
-        assert counters["worker_restarts"] >= 1
-        assert counters["sessions_migrated"] >= 1
-        assert snapshot["histograms"]["migration_seconds"]["count"] >= 1
+            assert outcome.frames == want.stats.frames
+        assert status["ok"]
+        assert status["metrics"]["counters"]["shard_restarts"] >= 1
+        # The fault really struck mid-utterance: some session replayed
+        # onto the respawned shard.
+        assert any(
+            s.session_id.startswith("sh0.1-") for s in sessions.values()
+        )
+
+    def test_delivered_partials_have_no_duplicates_or_gaps(
+        self, served_worker_kill, reference
+    ):
+        _, sessions, _, _, _ = served_worker_kill
+        for index, (partials, _) in enumerate(reference):
+            session = sessions[f"u{index}"]
+            assert [wire_partial(p) for p in session.partials] == partials
 
     def test_workers_map_the_segment_without_copying(
         self, served_worker_kill
     ):
-        """``ProcessEngine.memory_report``: every live worker, the
-        respawned one included, privatizes under 10 % of the shared
-        recognizer segment (read-only views never dirty its pages)."""
-        _, _, memory = served_worker_kill
+        """Every live shard, the respawned one included, privatizes
+        under 10 % of the shared recognizer segment (read-only views
+        never dirty its pages)."""
+        _, _, _, memory, _ = served_worker_kill
         assert memory["shared_nbytes"] > 0
-        assert len(memory["workers"]) == 2
-        segments = [info.get("segment") for info in memory["workers"]]
+        assert sorted(info["shard"] for info in memory["shards"]) == [0, 1]
+        segments = [info.get("segment") for info in memory["shards"]]
         if any(segment is None for segment in segments):
             pytest.skip("/proc/<pid>/smaps unavailable")
         for segment in segments:
             assert segment["private_bytes"] * 10 <= memory["shared_nbytes"]
 
+    def test_segment_is_unlinked_after_stop(self, served_worker_kill):
+        *_, segment = served_worker_kill
+        assert segment not in repro_segments()
+
 
 class TestEngineFaultPaths:
-    def test_start_failure_unwinds_placement(
-        self, tiny_task, tiny_scorer, tiny_scores, pool_reference
-    ):
-        """Satellite fix: a start that dies on a *raw* pipe error (not a
-        typed EngineError) must not leak the placement entry or the
-        worker's session count."""
-        engine = make_engine(tiny_task, tiny_scorer)
-        try:
-            originals = [
-                (worker, worker.request) for worker in engine._workers
-            ]
-
-            def explode(*args, **kwargs):
-                raise OSError("pipe exploded")
-
-            for worker, _ in originals:
-                worker.request = explode
-            with pytest.raises(OSError):
-                engine.start("leaky")
-            for worker, original in originals:
-                worker.request = original
-            assert engine.active_sessions() == 0
-            assert all(w.sessions == 0 for w in engine._workers)
-            # The slot is genuinely free: the same id starts cleanly
-            # and decodes to the right transcript.
-            engine.start("leaky")
-            scores = tiny_scores[0]
-            for start in range(0, scores.shape[0], BATCH):
-                engine.push("leaky", scores[start : start + BATCH])
-            final = engine.finish("leaky")
-            assert final.words == pool_reference[0].words
-        finally:
-            engine.close()
-
     def test_cancel_of_dead_workers_session_is_silent(
-        self, tiny_task, tiny_scorer, tiny_scores
+        self, monkeypatch, tiny_task, tiny_scores
     ):
-        """Satellite fix: cancelling a session whose worker died must
-        never propagate the pipe error — the caller is abandoning the
-        session either way.  close() after the kill is clean too."""
-        # A long supervisor poll so *this thread's* cancel is the first
-        # to trip over the corpse, exercising the dead-worker branch.
-        engine = make_engine(
-            tiny_task, tiny_scorer, supervisor_poll_seconds=30.0
-        )
-        try:
-            engine.start("s0")
-            engine.push("s0", tiny_scores[0][:BATCH])
-            kill_worker(engine, 0)
-            engine.cancel("s0")  # must not raise
-            assert engine.active_sessions() == 0
-        finally:
-            engine.close()  # must not raise either
+        """Aborting a session whose shard just died never raises — the
+        caller is abandoning it either way — and stop() afterwards is
+        clean."""
+        fast_supervision(monkeypatch)
 
+        async def run():
+            async with make_sharded(tiny_task) as server:
+                client = ShardedClient(server.endpoints)
+                try:
+                    (key,) = keys_on(server, 0, 1)
+                    session = await client.open(key=key)
+                    await session.push(batches(tiny_scores[0])[0])
+                    os.kill(server._handles[0].process.pid, signal.SIGKILL)
+                    await session.abort()  # must not raise
+                finally:
+                    await client.close()
 
-class TestSchedulerResilience:
-    def test_flaky_engine_retries_and_notifies(
-        self, tiny_task, tiny_scores, inline_reference
+        asyncio.run(run())
+
+    def test_unrecovered_server_fails_the_session_in_bounded_time(
+        self, monkeypatch, tiny_task, tiny_scores
     ):
-        """One injected transient push failure: the scheduler retries
-        with backoff, the client sees RETRYING then RECOVERED notices,
-        and the transcript is unaffected."""
+        """A session whose server never comes back raises ServeError
+        once RELOCATE_TIMEOUT_SECONDS has passed, instead of hanging."""
+        monkeypatch.setattr(shard_module, "LIVENESS_PERIOD_SECONDS", 3600.0)
+        monkeypatch.setattr(client_module, "RELOCATE_TIMEOUT_SECONDS", 1.0)
 
-        async def scenario():
-            server = TranscriptionServer(
-                tiny_task.am,
-                tiny_task.lm,
-                decoder_config=CONFIG,
-                serve_config=ServeConfig(
-                    max_sessions=4,
-                    max_retries=2,
-                    retry_backoff_seconds=0.01,
-                ),
-            )
-            flaky = FlakyEngine(server.engine, failure_plan={"push": 1})
-            server.engine = flaky
-            server.scheduler.engine = flaky
-            async with server:
-                client = server.connect_local()
-                session = await client.open()
-                scores = tiny_scores[0]
-                for start in range(0, scores.shape[0], BATCH):
-                    await session.push(scores[start : start + BATCH])
-                final = await session.finish()
-                status = await client.status()
-            return session.notices, final, status
+        async def run():
+            async with make_sharded(tiny_task, shards=1) as server:
+                client = ShardedClient(server.endpoints)
+                try:
+                    session = await client.open()
+                    plan = batches(tiny_scores[0])
+                    await session.push(plan[0])
+                    os.kill(server._handles[0].process.pid, signal.SIGKILL)
+                    lost = perf_counter()
+                    with pytest.raises(ServeError, match="did not come back"):
+                        await session.push(plan[1])
+                    return perf_counter() - lost
+                finally:
+                    await client.close()
 
-        notices, final, status = asyncio.run(scenario())
-        kinds = [notice["type"] for notice in notices]
-        assert protocol.RETRYING in kinds
-        assert protocol.RECOVERED in kinds
-        assert final["words"] == inline_reference[0].words
-        assert final["cost"] == inline_reference[0].cost
-        counters = status["metrics"]["counters"]
-        assert counters["retries"] >= 1
-        assert counters["recoveries"] >= 1
-
-    def test_deadline_bounds_a_stuck_engine_call(self, tiny_task, tiny_scores):
-        """An engine call that outlives the request deadline fails the
-        session instead of stalling the dispatch loop."""
-        import time
-
-        class StuckEngine:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def push(self, session_id, scores):
-                time.sleep(0.5)
-                return self._inner.push(session_id, scores)
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-        async def scenario():
-            server = TranscriptionServer(
-                tiny_task.am,
-                tiny_task.lm,
-                decoder_config=CONFIG,
-                serve_config=ServeConfig(
-                    max_sessions=4, request_deadline_seconds=0.05
-                ),
-            )
-            stuck = StuckEngine(server.engine)
-            server.engine = stuck
-            server.scheduler.engine = stuck
-            async with server:
-                client = server.connect_local()
-                session = await client.open()
-                with pytest.raises(ServeError):
-                    await session.push(tiny_scores[0][:BATCH])
-                status = await client.status()
-            return status
-
-        status = asyncio.run(scenario())
-        assert status["metrics"]["counters"]["deadline_exceeded"] >= 1
-
-    def test_breaker_state_machine(self):
-        clock = [0.0]
-        config = SchedulerConfig(
-            breaker_window=8,
-            breaker_min_samples=4,
-            breaker_degrade_threshold=0.5,
-            breaker_open_threshold=0.75,
-            breaker_reset_seconds=10.0,
-        )
-        breaker = CircuitBreaker(config, clock=lambda: clock[0])
-        assert breaker.state == BREAKER_CLOSED
-        for _ in range(2):
-            breaker.record_failure()
-        # Below min samples: still closed.
-        assert breaker.state == BREAKER_CLOSED
-        breaker.record_success()
-        breaker.record_failure()
-        # 3 failures / 4 outcomes = 0.75: open, with cooldown.
-        assert breaker.state == BREAKER_OPEN
-        clock[0] += 5.0
-        assert breaker.state == BREAKER_OPEN
-        # Cooldown expiry forgives the window (half-open).
-        clock[0] += 6.0
-        assert breaker.state == BREAKER_CLOSED
-        # Degraded needs a failure rate in [degrade, open).
-        for _ in range(2):
-            breaker.record_failure()
-        for _ in range(2):
-            breaker.record_success()
-        assert breaker.state == BREAKER_DEGRADED
-
-    def test_open_breaker_refuses_admission_and_degraded_unfuses(
-        self, tiny_task
-    ):
-        async def scenario():
-            server = TranscriptionServer(
-                tiny_task.am,
-                tiny_task.lm,
-                decoder_config=CONFIG,
-                serve_config=ServeConfig(max_sessions=4),
-            )
-            async with server:
-                scheduler = server.scheduler
-                assert scheduler._fuse_width() > 1
-                # Half bad: degraded — serving continues, fusion off.
-                # Interleaved so the rate never reaches the open
-                # threshold at any single failure.
-                for _ in range(4):
-                    scheduler.breaker.record_failure()
-                    scheduler.breaker.record_success()
-                assert scheduler.breaker.state == BREAKER_DEGRADED
-                assert scheduler._fuse_width() == 1
-                client = server.connect_local()
-                session = await client.open()  # degraded still admits
-                await session.abort()
-                # All bad: open — new sessions are refused outright.
-                # (Enough failures to saturate the sliding window.)
-                for _ in range(16):
-                    scheduler.breaker.record_failure()
-                assert scheduler.breaker.state == BREAKER_OPEN
-                with pytest.raises(Busy, match="circuit"):
-                    await client.open()
-                status = await client.status()
-            return status
-
-        status = asyncio.run(scenario())
-        assert status["breaker"] == BREAKER_OPEN
+        elapsed = asyncio.run(run())
+        assert 1.0 <= elapsed < 5.0
 
 
 class TestLoadgenAborts:

@@ -124,11 +124,12 @@ class TestFeatureStreaming:
         asyncio.run(scenario())
 
     def test_cli_configured_server_serves_features(self, tiny_utterances):
-        """``python -m repro serve --workers 1`` used to build no scorer
-        and reject every ``payload=features`` session."""
+        """``python -m repro serve`` used to build no scorer for its
+        single-process server and reject every ``payload=features``
+        session."""
         import repro.cli as cli
 
-        args = cli.build_parser().parse_args(["serve", "tiny", "--workers", "1"])
+        args = cli.build_parser().parse_args(["serve", "tiny"])
 
         async def scenario():
             async with cli.serve_server(args) as server:

@@ -483,49 +483,3 @@ class TestTcpTransport:
             assert final["frames"] == want.stats.frames
             if encoding == "list":
                 assert final["cost"] == want.cost
-
-
-class TestProcessEngine:
-    def test_worker_processes_match_pool_reference(
-        self, tiny_task, tiny_scorer, tiny_scores
-    ):
-        """workers > 1 pins sessions to processes; transcripts equal the
-        bundle-quantized DecodePool reference."""
-        from repro.asr.parallel import DecodePool
-
-        with DecodePool(
-            tiny_task.am, tiny_task.lm, scorer=tiny_scorer, config=CONFIG
-        ) as pool:
-            expected = pool.decode_streams(
-                tiny_scores[:4], batch_frames=BATCH_FRAMES
-            )
-
-        async def scenario():
-            server = TranscriptionServer(
-                tiny_task.am,
-                tiny_task.lm,
-                decoder_config=CONFIG,
-                serve_config=ServeConfig(max_sessions=4, workers=2),
-                scorer=tiny_scorer,
-            )
-            async with server:
-                client = server.connect_local()
-                return await asyncio.gather(
-                    *(
-                        stream_one(client, scores)
-                        for scores in tiny_scores[:4]
-                    )
-                )
-
-        finals = asyncio.run(scenario())
-        for final, want in zip(finals, expected):
-            assert final["words"] == want.words
-            assert final["cost"] == want.cost
-
-    def test_workers_require_scorer(self, tiny_task):
-        with pytest.raises(ValueError, match="scorer"):
-            TranscriptionServer(
-                tiny_task.am,
-                tiny_task.lm,
-                serve_config=ServeConfig(workers=2),
-            )

@@ -6,11 +6,16 @@ shard serves must be bit-identical to a sequential streaming pass over
 the bundle-quantized recognizer (shards decode the quantized segment,
 so that — not the float64 parent — is the reference).  Rebalancing
 migrates live sessions between shards mid-stream; clients follow the
-``moved`` redirect transparently and the finals still match.
+``moved`` redirect transparently and the finals still match.  A shard
+that dies or stops answering is respawned as a new generation on the
+same port (the crash-recovery parity tests are ``test_chaos.py``).
 """
 
 import asyncio
 import os
+import signal
+import time
+from time import perf_counter
 
 import pytest
 
@@ -18,10 +23,15 @@ from repro.asr.streaming import transcribe_streams
 from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.serve import (
     ServeConfig,
+    ServeError,
     ShardedClient,
     ShardedServer,
     ShardRouter,
+    TcpClient,
+    TranscriptionServer,
+    protocol,
     run_load,
+    shard as shard_module,
 )
 from repro.shm import bundle_quantize
 
@@ -29,23 +39,7 @@ CONFIG = DecoderConfig(beam=14.0)
 BATCH_FRAMES = 8
 
 
-def _repro_segments() -> set[str]:
-    try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith("repro-")
-        }
-    except FileNotFoundError:
-        return set()
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = _repro_segments()
-    yield
-    leaked = _repro_segments() - before
-    assert not leaked, f"test leaked /dev/shm segments: {sorted(leaked)}"
+pytestmark = pytest.mark.usefixtures("no_leaked_segments")
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +222,142 @@ class TestRebalance:
             assert final["cost"] == want.cost
             assert final["frames"] == want.stats.frames
         assert status["active_sessions"] == 0
+
+
+async def restarted(server, timeout=30.0):
+    """Wait until the supervisor has respawned a shard."""
+    deadline = perf_counter() + timeout
+    while server.restarts < 1:
+        assert perf_counter() < deadline, "shard was not respawned"
+        await asyncio.sleep(0.05)
+
+
+async def exchange(host, port, message):
+    """One raw request on a fresh connection, and its first reply."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(protocol.encode_message(message))
+        await writer.drain()
+        return protocol.decode_message(await reader.readline())
+    finally:
+        writer.close()
+
+
+class TestShardRespawn:
+    def test_late_control_reply_marks_the_shard_dead(
+        self, monkeypatch, tiny_task
+    ):
+        """A control request that times out leaves its reply in flight.
+        The handle must not hand that late reply to the next request:
+        it is marked dead, fails fast, and the supervisor replaces the
+        shard."""
+        monkeypatch.setattr(shard_module, "LIVENESS_PERIOD_SECONDS", 0.1)
+        status_message = TranscriptionServer.status_message
+
+        def slow_first_status(self):
+            # Only shard 0's first generation, which forks from here.
+            if self.config.session_id_prefix == "sh0.0-":
+                time.sleep(1.5)
+            return status_message(self)
+
+        monkeypatch.setattr(
+            TranscriptionServer, "status_message", slow_first_status
+        )
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with make_sharded(tiny_task, shards=2) as server:
+                handle = server._handles[0]
+                with pytest.raises(ServeError, match="no reply"):
+                    await loop.run_in_executor(
+                        None, handle.request, "status", None, 0.5
+                    )
+                assert handle.dead
+                with pytest.raises(ServeError, match="is dead"):
+                    handle.request("status")
+                await restarted(server)
+                assert not handle.process.is_alive()
+                return await server.status()
+
+        status = asyncio.run(scenario())
+        assert status["ok"]
+        assert [s["shard"] for s in status["shards"]] == [0, 1]
+        assert all(s["type"] == "status" for s in status["shards"])
+        assert status["metrics"]["counters"]["shard_restarts"] == 1
+
+    def test_session_ids_are_unique_across_respawns(
+        self, monkeypatch, tiny_task, tiny_scores
+    ):
+        """A respawned shard is a new generation of id prefix: a late
+        ``resume`` or ``frames`` naming the dead shard's session gets
+        ``unknown session``, never a recycled id's stream."""
+        monkeypatch.setattr(shard_module, "LIVENESS_PERIOD_SECONDS", 0.1)
+
+        async def scenario():
+            async with make_sharded(tiny_task, shards=1) as server:
+                ((host, port),) = server.endpoints
+                first = await TcpClient.connect(host, port)
+                try:
+                    old = await first.open()
+                    await old.push(tiny_scores[0][:BATCH_FRAMES])
+                    os.kill(server._handles[0].process.pid, signal.SIGKILL)
+                    await restarted(server)
+                    assert server.endpoints == [(host, port)]
+                    resumed = await exchange(
+                        host,
+                        port,
+                        {"type": "resume", "session": old.session_id},
+                    )
+                    framed = await exchange(
+                        host,
+                        port,
+                        {
+                            "type": "frames",
+                            "session": old.session_id,
+                            "scores": [[0.0]],
+                        },
+                    )
+                    second = await TcpClient.connect(host, port)
+                    try:
+                        fresh = await second.open()
+                    finally:
+                        await second.close()
+                finally:
+                    await first.close()
+                return old.session_id, resumed, framed, fresh.session_id
+
+        old_id, resumed, framed, fresh_id = asyncio.run(scenario())
+        assert old_id == "sh0.0-1"
+        assert fresh_id == "sh0.1-1"
+        for reply in (resumed, framed):
+            assert reply["type"] == "error"
+            assert "unknown session" in reply["error"]
+
+    def test_redial_replaces_a_dropped_connection(self, tiny_task):
+        """``ShardedClient`` re-dials an endpoint whose connection
+        dropped and keeps the new connection, so every later open
+        shares it and ``close()`` closes it."""
+
+        async def scenario():
+            server = TranscriptionServer(
+                tiny_task.am,
+                tiny_task.lm,
+                decoder_config=CONFIG,
+                serve_config=ServeConfig(port=0),
+            )
+            async with server:
+                endpoint = (server.config.host, server.port)
+                client = ShardedClient([endpoint])
+                dropped = await client._client_for(endpoint)
+                dropped._writer.transport.abort()
+                await dropped._reader_task
+                second = await client._client_for(endpoint)
+                third = await client._client_for(endpoint)
+                session = await client.open()
+                await session.abort()
+                await client.close()
+            return dropped, second, third
+
+        dropped, second, third = asyncio.run(scenario())
+        assert second is third and second is not dropped
+        assert second._closed and second._writer.is_closing()

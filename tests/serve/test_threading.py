@@ -1,11 +1,10 @@
 """The serving stack's threading contract.
 
-A default :class:`TranscriptionServer` is single-threaded: engine calls
-and ``features`` scoring run on the event loop's own thread.  A thread
-appears only where it is the point — under a scheduler request
-deadline, and for :class:`ProcessEngine`, whose calls block on worker
-pipes and must overlap across workers.  Wherever the engine call runs,
-transcripts, partials and stats are the ones the offline path produces.
+A :class:`TranscriptionServer` is single-threaded: engine calls and
+``features`` scoring run on the event loop's own thread, always.
+Serving from several processes is :class:`ShardedServer`'s, each shard
+one such server.  Transcripts, partials and stats are the ones the
+offline path produces.
 """
 
 import asyncio
@@ -187,67 +186,6 @@ def test_default_server_process_has_exactly_one_thread():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-
-
-class TestThreadsWhereTheyAreThePoint:
-    def test_request_deadline_moves_engine_calls_off_loop(
-        self, tiny_task, tiny_scorer, tiny_scores
-    ):
-        async def scenario():
-            server = make_server(
-                tiny_task, tiny_scorer, request_deadline_seconds=30.0
-            )
-            calls = spy_on(server.engine, "push", "push_many", "finish")
-            async with server:
-                final, _ = await stream_one(
-                    server.connect_local(), tiny_scores[0], "scores"
-                )
-            return calls, final
-
-        calls, final = asyncio.run(scenario())
-        assert final["success"] and calls
-        for name, ident, alive in calls:
-            assert ident != threading.get_ident(), name
-            (runner,) = [t for t in alive if t.ident == ident]
-            assert runner.name.startswith("serve-engine")
-
-    def test_process_engine_pushes_overlap_across_workers(
-        self, tiny_task, tiny_scorer, tiny_scores
-    ):
-        """Both workers' first pushes meet at a barrier: only
-        concurrent dispatch threads can both be inside ``push``."""
-        barrier = threading.Barrier(2, timeout=20.0)
-        idents = []
-
-        async def scenario():
-            server = make_server(tiny_task, tiny_scorer, workers=2)
-            original = server.engine.push
-
-            def push(session_id, scores):
-                idents.append(threading.get_ident())
-                if len(idents) <= 2:
-                    barrier.wait()
-                return original(session_id, scores)
-
-            server.engine.push = push
-            async with server:
-                client = server.connect_local()
-                # Both sessions queue a batch before the scheduler's
-                # next cycle, so one cycle dispatches the pair.
-                sessions = [await client.open() for _ in range(2)]
-                await asyncio.gather(
-                    *(
-                        session.push(scores[:BATCH_FRAMES])
-                        for session, scores in zip(sessions, tiny_scores)
-                    )
-                )
-                return [await session.finish() for session in sessions]
-
-        finals = asyncio.run(scenario())
-        assert not barrier.broken
-        assert [final["frames"] for final in finals] == [BATCH_FRAMES] * 2
-        assert len(set(idents[:2])) == 2
-        assert threading.get_ident() not in idents
 
 
 POISON = 1e30
