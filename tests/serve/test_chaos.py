@@ -498,6 +498,54 @@ class TestEngineFaultPaths:
         assert 1.0 <= elapsed < 5.0
 
 
+class TestSchedulerResilience:
+    def test_deadline_bounds_a_stuck_engine_call(
+        self, monkeypatch, tiny_task, tiny_scores, reference
+    ):
+        """An engine call that outlives the liveness deadline stalls
+        only its own shard, and only until the parent kills it: the two
+        sessions on the stuck shard finish on the respawn, the session
+        on the other shard is never moved, and every final is
+        bit-identical."""
+        fast_supervision(monkeypatch, liveness_timeout=2.0)
+        arm_shard0(monkeypatch, lambda: time.sleep(120.0), at_push=3)
+
+        async def stream(client, key, index):
+            session = await client.open(key=key)
+            for batch in batches(tiny_scores[index]):
+                await session.push(batch)
+            return session, await session.finish()
+
+        async def run():
+            async with make_sharded(tiny_task) as server:
+                client = ShardedClient(server.endpoints)
+                try:
+                    keys = keys_on(server, 0, 2) + keys_on(server, 1, 1)
+                    started = perf_counter()
+                    outcomes = await asyncio.gather(
+                        *(
+                            stream(client, key, index)
+                            for index, key in enumerate(keys)
+                        )
+                    )
+                    elapsed = perf_counter() - started
+                    status = await server.status()
+                finally:
+                    await client.close()
+                return outcomes, elapsed, status
+
+        outcomes, elapsed, status = asyncio.run(run())
+        # Liveness bound + respawn + replay, nowhere near the 120 s the
+        # stuck call would have taken.
+        assert elapsed < 30.0
+        sessions = [session for session, _ in outcomes]
+        finals = [final for _, final in outcomes]
+        assert_uninterrupted(sessions, finals, reference)
+        assert all(s.session_id.startswith("sh0.1-") for s in sessions[:2])
+        assert sessions[2].session_id.startswith("sh1.0-")
+        assert status["metrics"]["counters"]["shard_restarts"] >= 1
+
+
 class TestLoadgenAborts:
     def test_abort_fraction_exercises_cancellation(
         self, tiny_task, tiny_scores, inline_reference

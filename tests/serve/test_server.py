@@ -17,6 +17,8 @@ from repro.serve import (
     Busy,
     ServeConfig,
     ServeError,
+    ShardedClient,
+    ShardedServer,
     TcpClient,
     TranscriptionServer,
 )
@@ -483,3 +485,53 @@ class TestTcpTransport:
             assert final["frames"] == want.stats.frames
             if encoding == "list":
                 assert final["cost"] == want.cost
+
+
+@pytest.mark.usefixtures("no_leaked_segments")
+class TestProcessEngine:
+    """Decoding in worker processes: the shard processes of a
+    :class:`ShardedServer`, each attached to one shared segment."""
+
+    def test_worker_processes_match_pool_reference(
+        self, tiny_task, tiny_scorer, tiny_scores
+    ):
+        """Two shard processes serve concurrent sessions; transcripts
+        equal the bundle-quantized DecodePool reference."""
+        from repro.asr.parallel import DecodePool
+
+        with DecodePool(
+            tiny_task.am, tiny_task.lm, scorer=tiny_scorer, config=CONFIG
+        ) as pool:
+            expected = pool.decode_streams(
+                tiny_scores[:4], batch_frames=BATCH_FRAMES
+            )
+
+        async def scenario():
+            server = ShardedServer(
+                tiny_task.am,
+                tiny_task.lm,
+                scorer=tiny_scorer,
+                decoder_config=CONFIG,
+                serve_config=ServeConfig(max_sessions=4),
+                shards=2,
+            )
+            async with server:
+                client = ShardedClient(server.endpoints)
+                try:
+                    finals = await asyncio.gather(
+                        *(
+                            stream_one(client, scores)
+                            for scores in tiny_scores[:4]
+                        )
+                    )
+                    status = await server.status()
+                finally:
+                    await client.close()
+            return finals, status
+
+        finals, status = asyncio.run(scenario())
+        for final, want in zip(finals, expected):
+            assert final["words"] == want.words
+            assert final["cost"] == want.cost
+        assert status["num_shards"] == 2
+        assert status["metrics"]["counters"]["sessions_admitted"] == 4
