@@ -6,7 +6,6 @@ mutable :class:`~repro.wfst.fst.Wfst` container, offline composition
 shortest-path utilities, and the binary layout used for size accounting.
 """
 
-from repro.wfst.build import closure, concat, remove_epsilon, union
 from repro.wfst.compose import ComposeStats, compose, compose_with_stats
 from repro.wfst.fst import EPSILON, Arc, SymbolTable, Wfst, WfstStats, linear_chain
 from repro.wfst.io import (
@@ -25,10 +24,9 @@ from repro.wfst.ops import (
     coreachable_states,
     enumerate_paths,
     reachable_states,
-    shortest_distance,
     shortest_path,
 )
-from repro.wfst.semiring import LOG, TROPICAL, LogSemiring, Semiring, TropicalSemiring
+from repro.wfst.semiring import TROPICAL, Semiring, TropicalSemiring
 
 __all__ = [
     "EPSILON",
@@ -38,16 +36,11 @@ __all__ = [
     "WfstStats",
     "linear_chain",
     "compose",
-    "union",
-    "concat",
-    "closure",
-    "remove_epsilon",
     "compose_with_stats",
     "ComposeStats",
     "connect",
     "reachable_states",
     "coreachable_states",
-    "shortest_distance",
     "shortest_path",
     "enumerate_paths",
     "best_path_per_io",
@@ -61,7 +54,5 @@ __all__ = [
     "STATE_RECORD_BYTES",
     "Semiring",
     "TropicalSemiring",
-    "LogSemiring",
     "TROPICAL",
-    "LOG",
 ]

@@ -90,31 +90,6 @@ class Path:
         return [table.symbol_of(l) for l in labels]
 
 
-def shortest_distance(fst: Wfst) -> list[float]:
-    """Tropical shortest distance from the start to every state.
-
-    Uses Dijkstra; arc weights must be non-negative (true for the
-    negative-log-probability weights used throughout this system).
-    """
-    dist = [math.inf] * fst.num_states
-    if fst.start < 0:
-        return dist
-    dist[fst.start] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, fst.start)]
-    while heap:
-        d, state = heapq.heappop(heap)
-        if d > dist[state]:
-            continue
-        for arc in fst.out_arcs(state):
-            if arc.weight < 0:
-                raise ValueError("Dijkstra requires non-negative weights")
-            nd = d + arc.weight
-            if nd < dist[arc.nextstate]:
-                dist[arc.nextstate] = nd
-                heapq.heappush(heap, (nd, arc.nextstate))
-    return dist
-
-
 def shortest_path(fst: Wfst) -> Path | None:
     """The minimum-cost start-to-final path, or None if none exists."""
     if fst.start < 0:

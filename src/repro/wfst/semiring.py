@@ -2,10 +2,7 @@
 
 Speech decoders operate in the *tropical* semiring over negative
 log-probabilities: ``plus`` is ``min`` (take the best path) and ``times``
-is ``+`` (accumulate costs along a path).  The *log* semiring replaces
-``min`` with a log-sum-exp, which sums probabilities over alternative
-paths; it is used when computing full posteriors rather than Viterbi
-best paths.
+is ``+`` (accumulate costs along a path).
 
 Weights are plain Python floats.  ``float('inf')`` is the semiring zero
 (an impossible path) and ``0.0`` is the semiring one (a free transition).
@@ -22,7 +19,7 @@ class Semiring:
     """A commutative semiring over float weights.
 
     Attributes:
-        name: Human-readable identifier (``"tropical"`` or ``"log"``).
+        name: Human-readable identifier (``"tropical"``).
         zero: Additive identity; annihilates under ``times``.
         one: Multiplicative identity.
     """
@@ -62,21 +59,4 @@ class TropicalSemiring(Semiring):
         return a if a <= b else b
 
 
-class LogSemiring(Semiring):
-    """-logsumexp/+ semiring: sums probabilities over paths."""
-
-    def __init__(self) -> None:
-        super().__init__(name="log")
-
-    def plus(self, a: float, b: float) -> float:
-        if a == math.inf:
-            return b
-        if b == math.inf:
-            return a
-        # -log(exp(-a) + exp(-b)), computed stably.
-        m = min(a, b)
-        return m - math.log1p(math.exp(-(abs(a - b))))
-
-
 TROPICAL = TropicalSemiring()
-LOG = LogSemiring()

@@ -1,103 +1,14 @@
-"""OpenFst-compatible text format.
+"""OpenFst-compatible symbol tables: ``symbol id`` per line.
 
-Interop with the wider WFST ecosystem: ``fstcompile``/``fstprint``
-exchange machines as text — one arc per line
-(``src dst ilabel olabel [weight]``), final states as
-(``state [weight]``) — with separate symbol-table files
-(``symbol id`` per line).  Reading and writing this format lets models
-built here be inspected with OpenFst tooling and vice versa.
+The persisted recognizer bundle and the shared-memory segment carry
+their word and phone tables in this format.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, TextIO
 
-from repro.wfst.fst import SymbolTable, Wfst
-
-
-def write_fst_text(fst: Wfst, stream: TextIO, symbols: bool = False) -> None:
-    """Serialize in OpenFst text format.
-
-    Args:
-        fst: Machine to write; its start state is emitted first, as
-            OpenFst requires.
-        stream: Destination.
-        symbols: Write symbol strings instead of label ids (requires
-            the machine's symbol tables).
-    """
-    if fst.start < 0:
-        raise ValueError("machine needs a start state")
-
-    def ilabel(label: int) -> str:
-        if symbols and fst.input_symbols is not None:
-            return fst.input_symbols.symbol_of(label)
-        return str(label)
-
-    def olabel(label: int) -> str:
-        if symbols and fst.output_symbols is not None:
-            return fst.output_symbols.symbol_of(label)
-        return str(label)
-
-    order = [fst.start] + [s for s in fst.states() if s != fst.start]
-    for state in order:
-        for arc in fst.out_arcs(state):
-            stream.write(
-                f"{state}\t{arc.nextstate}\t{ilabel(arc.ilabel)}\t"
-                f"{olabel(arc.olabel)}\t{arc.weight:.6f}\n"
-            )
-        if fst.is_final(state):
-            stream.write(f"{state}\t{fst.final_weight(state):.6f}\n")
-
-
-def read_fst_text(
-    lines: Iterable[str],
-    input_symbols: SymbolTable | None = None,
-    output_symbols: SymbolTable | None = None,
-) -> Wfst:
-    """Parse OpenFst text format.
-
-    The first line's source state becomes the start state (OpenFst
-    convention).  Labels are parsed as ids unless symbol tables are
-    given, in which case they are resolved (and interned if missing).
-    """
-    fst = Wfst(input_symbols=input_symbols, output_symbols=output_symbols)
-
-    def ensure_state(state: int) -> int:
-        while fst.num_states <= state:
-            fst.add_state()
-        return state
-
-    def parse_label(token: str, table: SymbolTable | None) -> int:
-        if table is not None and not token.lstrip("-").isdigit():
-            return table.add(token)
-        return int(token)
-
-    start_set = False
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) in (1, 2):  # final state line
-            state = ensure_state(int(parts[0]))
-            weight = float(parts[1]) if len(parts) == 2 else 0.0
-            fst.set_final(state, weight)
-            if not start_set:
-                fst.set_start(state)
-                start_set = True
-            continue
-        if len(parts) not in (4, 5):
-            raise ValueError(f"bad FST text line: {raw!r}")
-        src = ensure_state(int(parts[0]))
-        dst = ensure_state(int(parts[1]))
-        ilabel = parse_label(parts[2], input_symbols)
-        olabel = parse_label(parts[3], output_symbols)
-        weight = float(parts[4]) if len(parts) == 5 else 0.0
-        fst.add_arc(src, ilabel, olabel, weight, dst)
-        if not start_set:
-            fst.set_start(src)
-            start_set = True
-    return fst
+from repro.wfst.fst import SymbolTable
 
 
 def write_symbol_table(table: SymbolTable, stream: TextIO) -> None:

@@ -2,18 +2,17 @@
 
 import math
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.wfst.semiring import LOG, TROPICAL
+from repro.wfst.semiring import TROPICAL
 
 weights = st.one_of(
     st.just(math.inf),
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
 )
 
-semirings = st.sampled_from([TROPICAL, LOG])
+semirings = st.sampled_from([TROPICAL])
 
 
 class TestIdentities:
@@ -29,17 +28,8 @@ class TestIdentities:
     def test_tropical_times_is_sum(self):
         assert TROPICAL.times(2.0, 5.0) == 7.0
 
-    def test_log_plus_sums_probabilities(self):
-        # -log(0.5) (+) -log(0.5) == -log(1.0)
-        half = -math.log(0.5)
-        assert LOG.plus(half, half) == pytest.approx(0.0)
-
-    def test_log_plus_with_zero(self):
-        assert LOG.plus(LOG.zero, 1.25) == 1.25
-
     def test_zero_annihilates_times(self):
-        for sr in (TROPICAL, LOG):
-            assert sr.times(sr.zero, 1.0) == sr.zero
+        assert TROPICAL.times(TROPICAL.zero, 1.0) == TROPICAL.zero
 
     def test_better_is_strict(self):
         assert TROPICAL.better(1.0, 2.0)
@@ -80,8 +70,3 @@ class TestLaws:
         left = sr.times(a, sr.plus(b, c))
         right = sr.plus(sr.times(a, b), sr.times(a, c))
         assert sr.approx_equal(left, right, tol=1e-6)
-
-    @given(weights, weights)
-    def test_log_plus_never_worse_than_best(self, a, b):
-        # Summing probabilities can only make the event more likely.
-        assert LOG.plus(a, b) <= min(a, b) + 1e-9

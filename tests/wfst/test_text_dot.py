@@ -1,81 +1,14 @@
-"""Tests for OpenFst text I/O and DOT export."""
+"""Tests for OpenFst symbol-table I/O."""
 
 import io
 
 import pytest
 
-from repro.wfst import SymbolTable, Wfst, linear_chain
-from repro.wfst.dot import fst_to_dot, lattice_to_dot
-from repro.wfst.text_format import (
-    read_fst_text,
-    read_symbol_table,
-    write_fst_text,
-    write_symbol_table,
-)
-
-
-def _round_trip(fst, **kwargs):
-    buffer = io.StringIO()
-    write_fst_text(fst, buffer, **kwargs)
-    buffer.seek(0)
-    return read_fst_text(buffer)
+from repro.wfst import SymbolTable
+from repro.wfst.text_format import read_symbol_table, write_symbol_table
 
 
 class TestTextFormat:
-    def test_round_trip_structure(self):
-        fst = linear_chain([(1, 2, 0.5), (3, 4, 0.25)])
-        fst.set_final(2, 1.5)
-        restored = _round_trip(fst)
-        assert restored.num_states == fst.num_states
-        assert restored.num_arcs == fst.num_arcs
-        assert restored.start == fst.start
-        assert restored.final_weight(2) == pytest.approx(1.5)
-        for (_, a), (_, b) in zip(restored.all_arcs(), fst.all_arcs()):
-            assert (a.ilabel, a.olabel, a.nextstate) == (b.ilabel, b.olabel, b.nextstate)
-            assert a.weight == pytest.approx(b.weight, abs=1e-6)
-
-    def test_start_state_is_first_line(self):
-        fst = Wfst()
-        s0, s1 = fst.add_states(2)
-        fst.set_start(s1)  # start is not state 0
-        fst.add_arc(s1, 1, 1, 0.0, s0)
-        fst.set_final(s0)
-        restored = _round_trip(fst)
-        assert restored.start == 1
-
-    def test_symbolic_output(self):
-        table = SymbolTable()
-        hello = table.add("hello")
-        fst = linear_chain([(hello, hello, 0.0)])
-        fst.input_symbols = table
-        fst.output_symbols = table
-        buffer = io.StringIO()
-        write_fst_text(fst, buffer, symbols=True)
-        assert "hello" in buffer.getvalue()
-        buffer.seek(0)
-        restored = read_fst_text(buffer, input_symbols=table, output_symbols=table)
-        assert restored.out_arcs(0)[0].ilabel == hello
-
-    def test_openfst_sample_parses(self):
-        text = """\
-0 1 1 1 0.5
-1 2 2 2
-2 0.25
-"""
-        fst = read_fst_text(io.StringIO(text))
-        assert fst.num_states == 3
-        assert fst.start == 0
-        assert fst.out_arcs(1)[0].weight == 0.0
-        assert fst.final_weight(2) == pytest.approx(0.25)
-
-    def test_bad_line_rejected(self):
-        with pytest.raises(ValueError):
-            read_fst_text(io.StringIO("0 1 2\n"))
-
-    def test_no_start_rejected_on_write(self):
-        with pytest.raises(ValueError):
-            write_fst_text(Wfst(), io.StringIO())
-
     def test_symbol_table_round_trip(self):
         table = SymbolTable("words")
         table.add("a")
@@ -106,36 +39,3 @@ class TestTextFormat:
         assert restored.id_of("#phi") == table.id_of("#phi")
         assert restored.id_of("b") == table.id_of("b")
         assert len(restored) == len(table)
-
-
-class TestDot:
-    def test_fst_dot_structure(self, tiny_task):
-        dot = fst_to_dot(tiny_task.lm.fst, title="lm", max_states=1000,
-                         highlight_label=tiny_task.lm.backoff_label)
-        assert dot.startswith('digraph "lm"')
-        assert "doublecircle" in dot  # final states exist
-        assert "style = dashed" in dot  # back-off arcs highlighted
-        assert "ε" in dot
-
-    def test_size_guard(self, tiny_task):
-        with pytest.raises(ValueError):
-            fst_to_dot(tiny_task.am.fst, max_states=5)
-
-    def test_lattice_dot(self, tiny_task, tiny_scorer):
-        from repro.core import DecoderConfig, OnTheFlyDecoder
-
-        decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, DecoderConfig())
-        utt = tiny_task.test_set(1, max_words=3)[0]
-        result = decoder.decode(tiny_scorer.score(utt.features))
-        dot = lattice_to_dot(result.lattice, words=tiny_task.words, max_nodes=10_000)
-        assert "root" in dot
-        assert dot.count("shape = box") == len(result.lattice)
-
-    def test_lattice_size_guard(self):
-        from repro.core import WordLattice
-
-        lattice = WordLattice()
-        for i in range(6):
-            lattice.add(1, i, 0.0, i - 1)
-        with pytest.raises(ValueError):
-            lattice_to_dot(lattice, max_nodes=5)
