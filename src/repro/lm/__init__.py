@@ -1,6 +1,6 @@
 """Language-model substrate: corpora, back-off n-grams, LM WFSTs."""
 
-from repro.lm.arpa import ArpaModel, read_arpa, write_arpa
+from repro.lm.arpa import write_arpa
 from repro.lm.corpus import (
     SENTENCE_END,
     SENTENCE_START,
@@ -12,7 +12,6 @@ from repro.lm.corpus import (
 )
 from repro.lm.graph import BACKOFF_SYMBOL, LmGraph, build_lm_graph
 from repro.lm.kneser_ney import KneserNeyModel, train_kneser_ney
-from repro.lm.pruning import PruningReport, prune_model
 from repro.lm.ngram import (
     BackoffNGramModel,
     NGramCounts,
@@ -34,12 +33,8 @@ __all__ = [
     "train_ngram_model",
     "KneserNeyModel",
     "train_kneser_ney",
-    "prune_model",
-    "PruningReport",
     "LmGraph",
     "build_lm_graph",
     "BACKOFF_SYMBOL",
-    "ArpaModel",
-    "read_arpa",
     "write_arpa",
 ]

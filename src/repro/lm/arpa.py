@@ -1,9 +1,7 @@
 """ARPA text format for back-off n-gram models.
 
-The interchange format Kaldi/EESEN language models are distributed in.
-Implemented for completeness and as a second, independent encoding used
-to cross-check the estimator: writing a trained model and re-reading it
-must preserve every probability and back-off weight.
+The interchange format Kaldi/EESEN language models are distributed in;
+``examples/language_model_workbench.py`` exports its models with it.
 
 ARPA stores base-10 logs; the in-memory model uses natural logs.
 """
@@ -11,49 +9,11 @@ ARPA stores base-10 logs; the in-memory model uses natural logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import TextIO
 
-from repro.lm.ngram import BackoffNGramModel, Context
+from repro.lm.ngram import BackoffNGramModel
 
 _LN10 = math.log(10.0)
-
-
-@dataclass
-class ArpaModel:
-    """A back-off model as read from an ARPA file.
-
-    ``ngrams[k]`` maps an n-gram tuple (context + word) of length k+1 to
-    ``(log10_prob, log10_backoff)``; back-off is 0.0 when absent.
-    """
-
-    order: int
-    ngrams: list[dict[tuple[str, ...], tuple[float, float]]] = field(
-        default_factory=list
-    )
-
-    def log_prob(self, word: str, context: Context = ()) -> float:
-        """Natural-log ``P(word | context)`` with back-off resolution."""
-        context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
-        return self._log10_prob(word, context) * _LN10
-
-    def _log10_prob(self, word: str, context: Context) -> float:
-        gram = context + (word,)
-        k = len(gram) - 1
-        if k < self.order:
-            entry = self.ngrams[k].get(gram)
-            if entry is not None:
-                return entry[0]
-        if not context:
-            return -math.inf
-        backoff = 0.0
-        parent = self.ngrams[len(context) - 1].get(context)
-        if parent is not None:
-            backoff = parent[1]
-        return backoff + self._log10_prob(word, context[1:])
-
-    def num_ngrams(self, k: int) -> int:
-        return len(self.ngrams[k])
 
 
 def write_arpa(model: BackoffNGramModel, stream: TextIO) -> None:
@@ -76,67 +36,3 @@ def write_arpa(model: BackoffNGramModel, stream: TextIO) -> None:
                 line += f"\t{backoff:.7f}"
             stream.write(line + "\n")
     stream.write("\n\\end\\\n")
-
-
-def read_arpa(stream: TextIO | Iterable[str]) -> ArpaModel:
-    """Parse an ARPA file into an :class:`ArpaModel`."""
-    lines = iter(stream)
-    sizes: list[int] = []
-    for line in lines:
-        if line.strip() == "\\data\\":
-            break
-    else:
-        raise ValueError("ARPA header not found")
-    for line in lines:
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("ngram"):
-            sizes.append(int(text.split("=")[1]))
-        else:
-            break
-    order = len(sizes)
-    if order == 0:
-        raise ValueError("ARPA file declares no n-gram orders")
-    model = ArpaModel(order=order, ngrams=[{} for _ in range(order)])
-
-    current = _section_order(text)
-    for line in lines:
-        text = line.strip()
-        if not text:
-            continue
-        if text == "\\end\\":
-            break
-        if text.startswith("\\"):
-            current = _section_order(text)
-            continue
-        parts = text.split("\t") if "\t" in text else text.split()
-        log10 = float(parts[0])
-        if "\t" in text:
-            gram = tuple(parts[1].split())
-            backoff = float(parts[2]) if len(parts) > 2 else 0.0
-        else:
-            # Whitespace-separated: last field may be a back-off weight.
-            words = parts[1:]
-            backoff = 0.0
-            if len(words) == current + 1:
-                backoff = float(words[-1])
-                words = words[:-1]
-            gram = tuple(words)
-        if len(gram) != current:
-            raise ValueError(f"bad {current}-gram line: {text!r}")
-        model.ngrams[current - 1][gram] = (log10, backoff)
-
-    for k, size in enumerate(sizes):
-        if len(model.ngrams[k]) != size:
-            raise ValueError(
-                f"declared {size} {k + 1}-grams, found {len(model.ngrams[k])}"
-            )
-    return model
-
-
-def _section_order(text: str) -> int:
-    # "\3-grams:" -> 3
-    if not (text.startswith("\\") and text.endswith("-grams:")):
-        raise ValueError(f"unexpected ARPA section header: {text!r}")
-    return int(text[1:].split("-")[0])

@@ -1,15 +1,14 @@
-"""ARPA round-trip tests cross-checking the estimator."""
+"""ARPA export: the written text carries every probability and back-off."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
 from repro.lm import (
-    SENTENCE_END,
     ReferenceGrammar,
     make_vocabulary,
-    read_arpa,
     train_ngram_model,
     write_arpa,
 )
@@ -21,95 +20,52 @@ def trained():
     vocab = make_vocabulary(25, rng)
     grammar = ReferenceGrammar.random(vocab, rng, branching=4)
     corpus = grammar.sample_corpus(200)
-    model = train_ngram_model(corpus, vocab, order=3, cutoffs=(1, 1, 2))
-    return vocab, model
+    return train_ngram_model(corpus, vocab, order=3, cutoffs=(1, 1, 2))
 
 
-def _round_trip(model):
+def _sections(model):
+    """(declared counts, one {gram: fields} per order) of the ARPA text."""
     buffer = io.StringIO()
     write_arpa(model, buffer)
-    buffer.seek(0)
-    return read_arpa(buffer)
+    lines = buffer.getvalue().splitlines()
+    assert lines[0] == "\\data\\" and lines[-1] == "\\end\\"
+    declared = [int(l.split("=")[1]) for l in lines if l.startswith("ngram ")]
+    sections: list[dict] = []
+    for line in lines:
+        if line.endswith("-grams:"):
+            sections.append({})
+        elif sections and line and line != "\\end\\":
+            log10, gram, *backoff = line.split("\t")
+            sections[-1][tuple(gram.split())] = [float(log10)] + [
+                float(b) for b in backoff
+            ]
+    return declared, sections
 
 
-class TestRoundTrip:
-    def test_orders_preserved(self, trained):
-        _, model = trained
-        arpa = _round_trip(model)
-        assert arpa.order == model.order
+class TestWriteArpa:
+    def test_header_declares_every_order(self, trained):
+        declared, sections = _sections(trained)
+        assert declared == [trained.num_ngrams(k) for k in range(trained.order)]
+        assert [len(s) for s in sections] == declared
 
-    def test_ngram_counts_preserved(self, trained):
-        _, model = trained
-        arpa = _round_trip(model)
-        for k in range(model.order):
-            assert arpa.num_ngrams(k) == model.num_ngrams(k)
-
-    def test_probabilities_preserved(self, trained):
-        vocab, model = trained
-        arpa = _round_trip(model)
-        contexts = [(), (vocab[0],), (vocab[0], vocab[1])]
-        for context in contexts:
-            for word in vocab[:10] + [SENTENCE_END]:
-                assert arpa.log_prob(word, context) == pytest.approx(
-                    model.log_prob(word, context), abs=1e-5
-                )
-
-    def test_backoff_resolution_matches(self, trained):
-        vocab, model = trained
-        arpa = _round_trip(model)
-        # Pick a context that certainly requires back-off.
-        context = (vocab[-1], vocab[-2])
-        for word in vocab[:5]:
-            assert arpa.log_prob(word, context) == pytest.approx(
-                model.log_prob(word, context), abs=1e-5
+    def test_probabilities_and_backoffs_written(self, trained):
+        _, sections = _sections(trained)
+        for k, section in enumerate(sections):
+            parents = (
+                set(trained.explicit_contexts(k + 1))
+                if k + 1 < trained.order
+                else set()
             )
-
-
-class TestParsing:
-    ARPA_TEXT = """\
-
-\\data\\
-ngram 1=3
-ngram 2=1
-
-\\1-grams:
--0.5\ta\t-0.30103
--0.7\tb
--0.2\t</s>
-
-\\2-grams:
--0.1\ta b
-
-\\end\\
-"""
-
-    def test_parse_minimal_file(self):
-        arpa = read_arpa(io.StringIO(self.ARPA_TEXT))
-        assert arpa.order == 2
-        assert arpa.num_ngrams(0) == 3
-        assert arpa.ngrams[0][("a",)] == (-0.5, -0.30103)
-        assert arpa.ngrams[1][("a", "b")] == (-0.1, 0.0)
-
-    def test_backoff_applied_for_unseen_bigram(self):
-        arpa = read_arpa(io.StringIO(self.ARPA_TEXT))
-        import math
-
-        expected = (-0.30103 + -0.7) * math.log(10)
-        assert arpa.log_prob("b", ("a",)) == pytest.approx(-0.1 * math.log(10))
-        assert arpa.log_prob("a", ("a",)) == pytest.approx(
-            (-0.30103 + -0.5) * math.log(10)
-        )
-        del expected
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError):
-            read_arpa(io.StringIO("no header here\n"))
-
-    def test_count_mismatch_rejected(self):
-        bad = self.ARPA_TEXT.replace("ngram 1=3", "ngram 1=4")
-        with pytest.raises(ValueError):
-            read_arpa(io.StringIO(bad))
-
-    def test_unknown_word_is_impossible(self):
-        arpa = read_arpa(io.StringIO(self.ARPA_TEXT))
-        assert arpa.log_prob("zzz") == float("-inf")
+            for entry in trained.entries(k):
+                gram = entry.context + (entry.word,)
+                fields = section[gram]
+                assert fields[0] == pytest.approx(
+                    entry.log_prob / math.log(10), abs=1e-6
+                )
+                if gram in parents:
+                    assert fields[1] == pytest.approx(
+                        trained.backoff_log_weight(gram) / math.log(10),
+                        abs=1e-6,
+                    )
+                else:
+                    assert len(fields) == 1
