@@ -110,21 +110,14 @@ def advance_segment(
         if len(seg.table) <= limit:
             at += decoder._scalar_run(seg, scores[at:], limit)
         else:
-            _step_one(decoder, seg, scores[at], scalar=False)
+            _step_one(decoder, seg, scores[at])
             at += 1
 
 
 def _step_one(
-    decoder: OnTheFlyDecoder,
-    seg: BatchSegment,
-    row: np.ndarray,
-    scalar: bool,
+    decoder: OnTheFlyDecoder, seg: BatchSegment, row: np.ndarray
 ) -> None:
-    """One frame of ``seg``: the scalar reference body (a one-frame run)
-    or the numpy kernels."""
-    if scalar:
-        decoder._scalar_run(seg, (row,))
-        return
+    """One frame of ``seg`` through the numpy kernels."""
     phases = decoder._phase_seconds
     beam_config = decoder._beam_config
     stats = seg.stats

@@ -61,7 +61,6 @@ class DecoderConfig:
 
     beam: float = 12.0
     max_active: int = 0
-    acoustic_scale: float = 1.0
     lookup_strategy: LookupStrategy = LookupStrategy.OFFSET_TABLE
     offset_table_entries: int = 32 * 1024
     preemptive_pruning: bool = True
@@ -74,11 +73,6 @@ class DecoderConfig:
     #: attached: cycle-level simulation needs exact per-event ordering.
     #: Both paths produce identical results and DecoderStats.
     vectorized: bool = True
-    #: LM expansion cache capacity, in LM states (the software analogue
-    #: of the paper's LM arc cache).  Only the batched epsilon engine
-    #: consults it; rows are graph-derived, so capacity can never
-    #: change results — only how much search work is re-spent.
-    expansion_cache_states: int = 1024
     #: Record a per-phase wall-clock breakdown of each decode on the
     #: decoder's ``last_phase_seconds`` (``bench/`` reads it).  Only
     #: reads clocks: the decode takes the same regimes either way.
@@ -224,7 +218,6 @@ class OnTheFlyDecoder:
             strategy=self.config.lookup_strategy,
             offset_table_entries=self.config.offset_table_entries,
             sink=self.sink,
-            expansion_cache_states=self.config.expansion_cache_states,
             word_arcs=tables.lm_word_arcs if tables is not None else None,
         )
         # CSR columns: what the numpy kernels gather from, and what the
@@ -367,7 +360,6 @@ class OnTheFlyDecoder:
         trace_state = self._trace_state
         epsilon = self._epsilon_scalar
         phases = self._phase_seconds
-        scale = self.config.acoustic_scale
         beam_config = self._beam_config
         beam = beam_config.beam
         max_active = beam_config.max_active
@@ -430,7 +422,7 @@ class OnTheFlyDecoder:
                 arcs = emitting[key >> KEY_SHIFT]
                 frame_expansions += len(arcs)
                 for _, weight, column, key_delta, dest_seeds in arcs:
-                    cost = token_cost + weight - scale * frame_scores[column]
+                    cost = token_cost + weight - frame_scores[column]
                     dest = key + key_delta
                     existing = get(dest)
                     if existing is None:
@@ -511,7 +503,7 @@ class OnTheFlyDecoder:
         planner's keys, so no batch is scanned for its largest key.
         Each candidate reads its source token's columns through one
         ``keep[token_index]`` gather, and its cost is one add and one
-        in-place subtract of the frame's (scaled once) score row.
+        in-place subtract of the frame's score row.
 
         Returns (next_table, num_survivors, frame_expansions, pruned).
         """
@@ -538,12 +530,9 @@ class OnTheFlyDecoder:
         if frame_expansions == 0:
             return next_table, num_survivors, 0, pruned
         source = keep[token_index]
-        # (token + arc) - scale * score, in the scalar body's order.
+        # (token + arc) - score, in the scalar body's order.
         candidate_cost = cost_col[source]
         candidate_cost += arcs.weight[flat]
-        scale = self.config.acoustic_scale
-        if scale != 1.0:
-            score_row = scale * score_row
         candidate_cost -= score_row[arcs.score_index[flat]]
         candidate_next = arcs.nextstate[flat]
         candidate_lm = lm_col[source]

@@ -117,9 +117,7 @@ class TwoPassDecoder:
                 for arc in self._emitting[token.am_state]:
                     stats.first_pass.expansions += 1
                     cost = (
-                        token.cost
-                        + arc.weight
-                        - self.config.acoustic_scale * frame_scores[arc.ilabel - 1]
+                        token.cost + arc.weight - frame_scores[arc.ilabel - 1]
                     )
                     existing = next_tokens.get(arc.nextstate)
                     if existing is None or cost < existing.cost:

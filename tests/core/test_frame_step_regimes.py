@@ -205,10 +205,9 @@ def test_one_call_mixes_scalar_and_solo_segments(
         tally(seg)["scalar"] += consumed
         return consumed
 
-    def spy_one(decoder, seg, row, scalar):
-        assert not scalar  # the loop's small frames go through runs
+    def spy_one(decoder, seg, row):
         tally(seg)["solo"] += 1
-        return step_one(decoder, seg, row, scalar)
+        return step_one(decoder, seg, row)
 
     monkeypatch.setattr(batch, "_step_one", spy_one)
     monkeypatch.setattr(decoder, "_scalar_run", spy_run)

@@ -180,7 +180,7 @@ def _run_against_reference(decoder, lender, stepper, scores):
     stepped = stepper.new_segment()
     for row in scores:
         reference.step(row.tolist())
-        batch._step_one(stepper, stepped, row, scalar=True)
+        stepper._scalar_run(stepped, (row,))
     assert list(seg.table.cost) == [pack_key(*p) for p in reference.frontier]
     assert [
         [seg.table.cost[key], seg.table.node[key]] for key in seg.table.cost
@@ -266,7 +266,7 @@ def test_traced_decode_raises_the_events_of_the_loop_as_first_written(
     stepped = stepper.new_segment()
     for row in scores:
         reference.step(row.tolist())
-        batch._step_one(stepper, stepped, row, scalar=True)
+        stepper._scalar_run(stepped, (row,))
     events = decoder.sink.events
     assert events == lender.sink.events
     assert events == stepper.sink.events

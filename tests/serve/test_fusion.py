@@ -1,11 +1,10 @@
 """Session fusion in the serving stack: parity, metrics, determinism.
 
-With ``fuse_sessions`` on (the default) the scheduler hands up to
-``max_fused_sessions`` queued sessions to ``InlineEngine.push_many``
-per dispatch cycle, which advances them through one lockstep kernel
-per frame.  Served transcripts must be bit-identical with fusion on or
-off; the win shows up in the metrics (fewer engine dispatches —
-``kernel_calls`` — per decoded batch) rather than in the words.
+The scheduler hands up to ``max_fused_sessions`` queued sessions to
+``InlineEngine.push_many`` per dispatch cycle.  Served transcripts
+must be bit-identical to a dispatch width of one; the win shows up in
+the metrics (fewer engine dispatches — ``kernel_calls`` — per decoded
+batch) rather than in the words.
 """
 
 import asyncio
@@ -24,7 +23,7 @@ BATCH_FRAMES = 8
 
 class TestInlineEnginePushMany:
     def test_matches_solo_sessions(self, tiny_task, tiny_scores):
-        engine = InlineEngine(tiny_task.am, tiny_task.lm, CONFIG, fuse=True)
+        engine = InlineEngine(tiny_task.am, tiny_task.lm, CONFIG)
         ids = [f"s{i}" for i in range(4)]
         for session_id in ids:
             engine.start(session_id)
@@ -52,7 +51,7 @@ class TestInlineEnginePushMany:
     def test_unknown_session_raises_before_any_advance(
         self, tiny_task, tiny_scores
     ):
-        engine = InlineEngine(tiny_task.am, tiny_task.lm, CONFIG, fuse=True)
+        engine = InlineEngine(tiny_task.am, tiny_task.lm, CONFIG)
         engine.start("a")
         engine.start("b")
         with pytest.raises(EngineError):
@@ -85,7 +84,9 @@ class TestInlineEnginePushMany:
             assert got.cost == want.cost
 
     def test_fuse_off_serializes(self, tiny_task, tiny_scores):
-        engine = InlineEngine(tiny_task.am, tiny_task.lm, CONFIG, fuse=False)
+        engine = InlineEngine(
+            tiny_task.am, tiny_task.lm, CONFIG, max_fused_sessions=1
+        )
         assert engine.max_fused_sessions == 1
         engine.start("a")
         engine.start("b")
@@ -95,13 +96,15 @@ class TestInlineEnginePushMany:
         assert [p.frames_consumed for p in partials] == [8, 8]
 
 
-def _serve(tiny_task, tiny_scores, fuse, seed=7):
+def _serve(tiny_task, tiny_scores, width=8, seed=7):
+    """Serve every utterance at once, fusing up to ``width`` sessions."""
+
     async def scenario():
+        engine = InlineEngine(
+            tiny_task.am, tiny_task.lm, CONFIG, max_fused_sessions=width
+        )
         server = TranscriptionServer(
-            tiny_task.am,
-            tiny_task.lm,
-            decoder_config=CONFIG,
-            serve_config=ServeConfig(max_sessions=8, fuse_sessions=fuse),
+            serve_config=ServeConfig(max_sessions=8), engine=engine
         )
         async with server:
             report = await run_load(
@@ -118,8 +121,8 @@ def _serve(tiny_task, tiny_scores, fuse, seed=7):
 
 class TestFusedServing:
     def test_transcripts_match_unfused(self, tiny_task, tiny_scores):
-        fused, fused_snap = _serve(tiny_task, tiny_scores, fuse=True)
-        unfused, unfused_snap = _serve(tiny_task, tiny_scores, fuse=False)
+        fused, fused_snap = _serve(tiny_task, tiny_scores)
+        unfused, unfused_snap = _serve(tiny_task, tiny_scores, width=1)
         for a, b in zip(fused.outcomes, unfused.outcomes):
             assert a.words == b.words, a.index
             assert a.cost == b.cost, a.index
@@ -143,8 +146,8 @@ class TestFusedServing:
         assert "fused_width" not in unfused_snap["histograms"]
 
     def test_seeded_replay_is_deterministic(self, tiny_task, tiny_scores):
-        first, _ = _serve(tiny_task, tiny_scores, fuse=True, seed=99)
-        second, _ = _serve(tiny_task, tiny_scores, fuse=True, seed=99)
+        first, _ = _serve(tiny_task, tiny_scores, seed=99)
+        second, _ = _serve(tiny_task, tiny_scores, seed=99)
         assert first.seed == second.seed == 99
         assert [o.words for o in first.outcomes] == [
             o.words for o in second.outcomes
