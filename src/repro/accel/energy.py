@@ -41,29 +41,6 @@ def sram_area_mm2(capacity_bytes: int) -> float:
     return _REF_AREA_MM2_PER_KB * capacity_bytes / 1024
 
 
-@dataclass
-class ComponentEnergy:
-    """Accumulated energy for one named component."""
-
-    name: str
-    capacity_bytes: int
-    accesses: int = 0
-
-    @property
-    def dynamic_pj(self) -> float:
-        return self.accesses * sram_read_energy_pj(self.capacity_bytes)
-
-    def leakage_pj(self, seconds: float) -> float:
-        return sram_leakage_mw(self.capacity_bytes) * 1e-3 * seconds * 1e12
-
-    def total_pj(self, seconds: float) -> float:
-        return self.dynamic_pj + self.leakage_pj(seconds)
-
-    @property
-    def area_mm2(self) -> float:
-        return sram_area_mm2(self.capacity_bytes)
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Joules per component for one run (Figure 10's categories)."""

@@ -49,12 +49,6 @@ class GpuModel:
         work = stats.expansions + stats.lookup.arc_probes
         return work / self.config.expansions_per_second
 
-    def search_report(self, stats: DecoderStats) -> GpuKernelReport:
-        seconds = self.search_time_seconds(stats)
-        return GpuKernelReport(
-            seconds=seconds, joules=seconds * self.config.search_power_w
-        )
-
     def search_run_report(
         self, per_utterance: list[DecoderStats], task_name: str
     ) -> RunReport:

@@ -33,7 +33,6 @@ from repro.compress.quantize import (
 )
 from repro.compress.sizing import (
     DatasetSizing,
-    composed_model_for,
     measure_dataset_sizing,
 )
 from repro.compress.state_pack import (
@@ -76,5 +75,4 @@ __all__ = [
     "pack_composed_size",
     "DatasetSizing",
     "measure_dataset_sizing",
-    "composed_model_for",
 ]

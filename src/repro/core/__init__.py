@@ -8,7 +8,7 @@ from repro.core.arcs import (
     plan_recombination,
 )
 from repro.core.batch import BatchSegment, advance_segment
-from repro.core.beam import BeamConfig, frame_threshold, prune
+from repro.core.beam import BeamConfig
 from repro.core.composition import (
     BatchResolveResult,
     ExpansionRow,
@@ -32,7 +32,7 @@ from repro.core.lattice import (
     WordLattice,
 )
 from repro.core.offline_decoder import FullyComposedDecoder
-from repro.core.tokens import SoaTokenTable, Token, TokenTable
+from repro.core.tokens import SoaTokenTable, TokenTable
 from repro.core.trace import GraphSide, NullSink, TraceSink
 from repro.core.two_pass import TwoPassDecoder, TwoPassStats
 from repro.core.virtual import ComposedArc, VirtualComposedGraph
@@ -43,7 +43,6 @@ __all__ = [
     "LmWordArcs",
     "RecombinationPlan",
     "plan_recombination",
-    "Token",
     "TokenTable",
     "SoaTokenTable",
     "WordLattice",
@@ -51,8 +50,6 @@ __all__ = [
     "COMPACT_RECORD_BYTES",
     "RAW_RECORD_BYTES",
     "BeamConfig",
-    "prune",
-    "frame_threshold",
     "LookupStrategy",
     "LookupStats",
     "LmLookup",

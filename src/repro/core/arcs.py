@@ -135,10 +135,6 @@ class EmittingArcs:
             pure_emitting=pure,
         )
 
-    @property
-    def num_arcs(self) -> int:
-        return int(self.ilabel.shape[0])
-
     def scalar_rows(
         self, dest_has_epsilon: list[bool]
     ) -> list[list[tuple[int, float, int, int, bool]]]:
@@ -171,10 +167,6 @@ class EmittingArcs:
             ]
             for state, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))
         ]
-
-    def counts(self, states: np.ndarray) -> np.ndarray:
-        """Emitting out-degree of each state in ``states``."""
-        return self.offsets[states + 1] - self.offsets[states]
 
     def gather(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expand a batch of source states into their arc slices.
@@ -245,10 +237,6 @@ class EpsilonArcs:
             nonneg_weights=nonneg,
         )
 
-    @property
-    def num_arcs(self) -> int:
-        return int(self.olabel.shape[0])
-
     def fanout(self) -> list[tuple[tuple[int, float, int, int, bool], ...]]:
         """Per state, its arcs as native ``(olabel, weight, nextstate,
         ordinal, dest_has_epsilon)`` tuples in CSR order (``()`` for a
@@ -268,11 +256,6 @@ class EpsilonArcs:
         return [
             tuple(arcs[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])
         ]
-
-    def gather(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Expand source states into their epsilon-arc slices (CSR order)."""
-        return _csr_gather(self.offsets, states)
-
 
 @dataclass(frozen=True)
 class LmWordArcs:
@@ -382,10 +365,6 @@ class LmWordArcs:
             max_chain=max_chain,
             nonneg_weights=nonneg,
         )
-
-    def arc_count(self, state: int) -> int:
-        """Word arcs (back-off excluded) out of ``state``."""
-        return int(self.offsets[state + 1] - self.offsets[state])
 
     @cached_property
     def row_typecodes(self) -> tuple[str, str, str]:

@@ -10,11 +10,10 @@ accelerator's worst-case frame latency.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from repro.core.tokens import SoaTokenTable, Token, TokenTable
+from repro.core.tokens import SoaTokenTable, TokenTable
 
 
 @dataclass(frozen=True)
@@ -55,17 +54,3 @@ def prune_items(
             config.max_active, survivors, key=itemgetter(1)
         )
     return survivors, total - len(survivors)
-
-
-def prune(table: TokenTable, config: BeamConfig) -> tuple[list[Token], int]:
-    """:func:`prune_items`, as :class:`Token` views of ``table``."""
-    survivors, pruned = prune_items(table, config)
-    view = table.tokens.view
-    return [view(key) for key, _, _ in survivors], pruned
-
-
-def frame_threshold(table: TokenTable, config: BeamConfig) -> float:
-    """The pruning threshold the current frame operates under."""
-    if len(table) == 0:
-        return math.inf
-    return table.best_cost + config.beam

@@ -348,9 +348,6 @@ class LmExpansionCache:
         # shared.  Bounded by the number of LM states with word arcs.
         self._row_source = row_source if row_source is not None else {}
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     def clear(self) -> None:
         self._rows.clear()
 
@@ -384,12 +381,6 @@ class LmExpansionCache:
     def size_bytes(self) -> int:
         """Current storage held by resident rows."""
         return sum(row.size_bytes() for row in self._rows.values())
-
-    def row_bytes_bound(self) -> int:
-        """Worst-case bytes per row (deepest chain), for sizing reports."""
-        return expansion_row_bytes_bound(
-            self._arcs.label_space, self._arcs.max_chain
-        )
 
     def rows_for(self, states: Sequence[int]) -> list[ExpansionRow]:
         """The expansion row of each state, building/evicting as needed.

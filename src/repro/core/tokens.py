@@ -13,13 +13,11 @@ The scalar regime carries a hypothesis as one native int, the state
 pair packed by :func:`pack_key` (the scalar analogue of the kernels'
 packed ``int64`` words): a :class:`TokenTable` is two dicts over those
 keys, and the scalar frame body reads and writes them directly.
-:class:`Token` objects exist only as views for outside readers.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -40,90 +38,20 @@ def unpack_key(key: int) -> tuple[int, int]:
     return key >> KEY_SHIFT, key & KEY_LM_MASK
 
 
-class Token:
-    """One active hypothesis: a live view of its :class:`TokenTable` entry.
-
-    Reads go through to the table, so a view handed out before an
-    improvement shows the improved cost and lattice node afterwards.
-    """
-
-    __slots__ = ("_table", "_key")
-
-    def __init__(self, table: "TokenTable", key: int) -> None:
-        self._table = table
-        self._key = key
-
-    @property
-    def am_state(self) -> int:
-        return self._key >> KEY_SHIFT
-
-    @property
-    def lm_state(self) -> int:
-        return self._key & KEY_LM_MASK
-
-    @property
-    def cost(self) -> float:
-        return self._table.cost[self._key]
-
-    @property
-    def lattice_node(self) -> int:
-        return self._table.node[self._key]
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return unpack_key(self._key)
-
-    def __repr__(self) -> str:
-        return (
-            f"Token(am_state={self.am_state}, lm_state={self.lm_state}, "
-            f"cost={self.cost}, lattice_node={self.lattice_node})"
-        )
-
-
-class _TokenViews(Mapping):
-    """``(am_state, lm_state) -> Token`` over a :class:`TokenTable`, in
-    insertion order; one identity-stable view per key, built on demand."""
-
-    __slots__ = ("_table", "_views")
-
-    def __init__(self, table: "TokenTable") -> None:
-        self._table = table
-        self._views: dict[int, Token] = {}
-
-    def view(self, key: int) -> Token:
-        token = self._views.get(key)
-        if token is None:
-            token = self._views[key] = Token(self._table, key)
-        return token
-
-    def __getitem__(self, pair: tuple[int, int]) -> Token:
-        key = pack_key(*pair)
-        if key not in self._table.cost:
-            raise KeyError(pair)
-        return self.view(key)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return map(unpack_key, self._table.cost)
-
-    def __len__(self) -> int:
-        return len(self._table.cost)
-
-
 class TokenTable:
     """Best-cost token per (am_state, lm_state) pair.
 
     ``cost`` and ``node`` map a :func:`pack_key` key to the
     hypothesis's cost and lattice node, both in first-insertion order.
     The scalar frame body works on the two dicts in place (and settles
-    ``best_cost`` and the counters when it is done); ``tokens``,
-    iteration and :meth:`survivors` hand :class:`Token` views to
-    everyone else.  Tracks the running best cost so beam thresholds
-    are available without a separate pass.
+    ``best_cost`` and the counters when it is done).  Tracks the
+    running best cost so beam thresholds are available without a
+    separate pass.
     """
 
     __slots__ = (
         "cost", "node", "best_cost", "inserts", "improvements",
-        "recombinations", "_views",
+        "recombinations",
     )
 
     def __init__(self) -> None:
@@ -133,16 +61,6 @@ class TokenTable:
         self.inserts = 0
         self.improvements = 0
         self.recombinations = 0
-        # A table is built per scalar frame; its views hardly ever.
-        self._views: _TokenViews | None = None
-
-    @property
-    def tokens(self) -> _TokenViews:
-        """``(am_state, lm_state) -> Token``, in insertion order."""
-        views = self._views
-        if views is None:
-            views = self._views = _TokenViews(self)
-        return views
 
     def insert(
         self, am_state: int, lm_state: int, cost: float, lattice_node: int
@@ -166,18 +84,6 @@ class TokenTable:
     def __len__(self) -> int:
         return len(self.cost)
 
-    def __iter__(self) -> Iterator[Token]:
-        return map(self.tokens.view, self.cost)
-
-    def clear(self) -> None:
-        self.cost.clear()
-        self.node.clear()
-        self._views = None
-        self.best_cost = math.inf
-        self.inserts = 0
-        self.improvements = 0
-        self.recombinations = 0
-
     def survivor_items(self, threshold: float) -> list[tuple[int, float, int]]:
         """``(key, cost, lattice_node)`` of the tokens whose cost beats
         ``threshold`` (beam pruning), in table order."""
@@ -186,13 +92,6 @@ class TokenTable:
             (key, cost, node[key])
             for key, cost in self.cost.items()
             if cost <= threshold
-        ]
-
-    def survivors(self, threshold: float) -> list[Token]:
-        """:meth:`survivor_items`, as :class:`Token` views."""
-        view = self.tokens.view
-        return [
-            view(key) for key, cost in self.cost.items() if cost <= threshold
         ]
 
     def columns(

@@ -590,34 +590,6 @@ class ShardedClient:
                     raise
             await asyncio.sleep(RETRY_SECONDS)
 
-    async def status(self) -> dict:
-        """Cluster status: per-shard views + summed counters/gauges."""
-        statuses = []
-        for endpoint in self.endpoints:
-            client = await self._client_for(endpoint)
-            statuses.append(await client.status())
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        for status in statuses:
-            metrics = status.get("metrics", {})
-            for name, value in metrics.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
-            for name, value in metrics.get("gauges", {}).items():
-                gauges[name] = gauges.get(name, 0) + value
-        return {
-            "type": protocol.STATUS,
-            "ok": all(s.get("ok") for s in statuses),
-            "shards": statuses,
-            "num_shards": len(statuses),
-            "active_sessions": sum(
-                s.get("active_sessions", 0) for s in statuses
-            ),
-            "metrics": {
-                "counters": dict(sorted(counters.items())),
-                "gauges": dict(sorted(gauges.items())),
-            },
-        }
-
     async def close(self) -> None:
         clients = {id(c): c for c in self._peers.values()}
         for client in clients.values():

@@ -12,9 +12,9 @@ from repro.core import (
     BeamConfig,
     TokenTable,
     WordLattice,
-    frame_threshold,
-    prune,
 )
+from repro.core.beam import prune_items
+from repro.core.tokens import pack_key, unpack_key
 
 
 class TestTokenTable:
@@ -28,19 +28,19 @@ class TestTokenTable:
         table = TokenTable()
         table.insert(1, 2, 5.0, -1)
         assert not table.insert(1, 2, 6.0, 7)  # worse: dropped
-        token = table.tokens[(1, 2)]
-        assert token.cost == 5.0
-        assert token.lattice_node == -1
+        assert table.cost[pack_key(1, 2)] == 5.0
+        assert table.node[pack_key(1, 2)] == -1
         assert table.recombinations == 1
 
     def test_improvement_updates_in_place(self):
         table = TokenTable()
         table.insert(1, 2, 5.0, -1)
-        original = table.tokens[(1, 2)]
+        table.insert(4, 4, 6.0, -1)
         assert table.insert(1, 2, 3.0, 9)
-        assert table.tokens[(1, 2)] is original
-        assert original.cost == 3.0
-        assert original.lattice_node == 9
+        # Same entry, same place in the table; new cost and node.
+        assert list(table.cost) == [pack_key(1, 2), pack_key(4, 4)]
+        assert table.cost[pack_key(1, 2)] == 3.0
+        assert table.node[pack_key(1, 2)] == 9
         assert table.improvements == 1
 
     def test_distinct_lm_states_do_not_collide(self):
@@ -56,19 +56,11 @@ class TestTokenTable:
         table.insert(3, 3, 8.0, -1)
         assert table.best_cost == 3.0
 
-    def test_clear(self):
-        table = TokenTable()
-        table.insert(1, 1, 5.0, -1)
-        table.clear()
-        assert len(table) == 0
-        assert table.best_cost == math.inf
-        assert table.inserts == 0
-
     def test_survivors(self):
         table = TokenTable()
         table.insert(1, 1, 1.0, -1)
         table.insert(2, 2, 5.0, -1)
-        assert [t.cost for t in table.survivors(2.0)] == [1.0]
+        assert table.survivor_items(2.0) == [(pack_key(1, 1), 1.0, -1)]
 
     @given(
         st.lists(
@@ -89,7 +81,7 @@ class TestTokenTable:
             table.insert(am, lm, cost, -1)
             key = (am, lm)
             best[key] = min(best.get(key, math.inf), cost)
-        assert {k: t.cost for k, t in table.tokens.items()} == best
+        assert {unpack_key(k): c for k, c in table.cost.items()} == best
         assert table.best_cost == min(best.values())
 
 
@@ -138,25 +130,22 @@ class TestBeam:
 
     def test_beam_keeps_within_margin(self):
         table = self._table([1.0, 5.0, 20.0])
-        survivors, pruned = prune(table, BeamConfig(beam=10.0))
-        assert {t.cost for t in survivors} == {1.0, 5.0}
+        survivors, pruned = prune_items(table, BeamConfig(beam=10.0))
+        assert {cost for _, cost, _ in survivors} == {1.0, 5.0}
         assert pruned == 1
 
     def test_empty_table(self):
-        survivors, pruned = prune(TokenTable(), BeamConfig(beam=10.0))
+        survivors, pruned = prune_items(TokenTable(), BeamConfig(beam=10.0))
         assert survivors == []
         assert pruned == 0
 
     def test_max_active_caps_survivors(self):
         table = self._table([1.0, 2.0, 3.0, 4.0])
-        survivors, pruned = prune(table, BeamConfig(beam=100.0, max_active=2))
-        assert sorted(t.cost for t in survivors) == [1.0, 2.0]
+        survivors, pruned = prune_items(
+            table, BeamConfig(beam=100.0, max_active=2)
+        )
+        assert sorted(cost for _, cost, _ in survivors) == [1.0, 2.0]
         assert pruned == 2
-
-    def test_threshold(self):
-        table = self._table([2.0])
-        assert frame_threshold(table, BeamConfig(beam=3.0)) == 5.0
-        assert frame_threshold(TokenTable(), BeamConfig(beam=3.0)) == math.inf
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
