@@ -19,10 +19,13 @@ from repro.serve import (
     ScoringService,
     ServeConfig,
     ServeError,
+    ShardedClient,
+    ShardedServer,
     TcpClient,
     TranscriptionServer,
 )
 from repro.serve.loadgen import run_load
+from repro.shm import bundle_quantize
 
 CONFIG = DecoderConfig(beam=14.0)
 BATCH_FRAMES = 8
@@ -216,6 +219,72 @@ class TestLoadgenPayloadKnob:
                     )
 
         asyncio.run(scenario())
+
+
+@pytest.mark.usefixtures("no_leaked_segments")
+class TestShardedFeatures:
+    def test_two_shards_match_single_server(
+        self, tiny_task, tiny_scorer, tiny_utterances, tiny_scores
+    ):
+        """Shards score ``features`` sessions with the scorer packed in
+        their segment: a two-shard load's finals equal one server's over
+        the same (bundle-quantized) graphs."""
+        am, lm = bundle_quantize(tiny_task.am, tiny_task.lm)
+        features = [u.features for u in tiny_utterances]
+
+        async def load(client):
+            return await run_load(
+                client,
+                tiny_scores,
+                concurrency=4,
+                batch_frames=BATCH_FRAMES,
+                seed=5,
+                feature_matrices=features,
+                payload="features",
+            )
+
+        async def single():
+            server = TranscriptionServer(
+                am,
+                lm,
+                scorer=tiny_scorer,
+                decoder_config=CONFIG,
+                serve_config=ServeConfig(max_sessions=4),
+            )
+            async with server:
+                return await load(server.connect_local())
+
+        async def sharded():
+            server = ShardedServer(
+                tiny_task.am,
+                tiny_task.lm,
+                scorer=tiny_scorer,
+                decoder_config=CONFIG,
+                serve_config=ServeConfig(max_sessions=4),
+                shards=2,
+            )
+            async with server:
+                client = ShardedClient(server.endpoints)
+                try:
+                    report = await load(client)
+                    status = await server.status()
+                finally:
+                    await client.close()
+            return report, status
+
+        want = asyncio.run(single())
+        got, status = asyncio.run(sharded())
+        assert got.utterances == want.utterances == len(tiny_scores)
+        for a, b in zip(got.outcomes, want.outcomes):
+            assert (a.index, a.words, a.cost, a.frames) == (
+                b.index, b.words, b.cost, b.frames
+            )
+        # Both shards served: the scorer reached each of them.
+        admitted = [
+            shard["metrics"]["counters"].get("sessions_admitted", 0)
+            for shard in status["shards"]
+        ]
+        assert all(admitted), admitted
 
 
 class TestScoringService:
