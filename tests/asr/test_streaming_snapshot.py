@@ -13,8 +13,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro.asr import KALDI_VOXFORGE, build_scorer, build_task
 from repro.asr.streaming import SessionSnapshot, StreamingSession
-from repro.core import DecoderConfig, OnTheFlyDecoder
+from repro.core import DecoderConfig, OnTheFlyDecoder, batch
 
 BATCH = 8
 
@@ -33,6 +34,21 @@ def _stats_dict(result):
     stats = asdict(result.stats)
     stats["lookup"] = asdict(result.stats.lookup)
     return stats
+
+
+@pytest.fixture(scope="module")
+def wide_task():
+    """A task whose frontier runs to thousands of tokens, far past
+    ``SCALAR_FRONTIER_MAX``: its frames take the numpy kernels, whose
+    batched epsilon phase fills the LM expansion cache."""
+    task = build_task(
+        KALDI_VOXFORGE.with_overrides(
+            name="voxforge-wide", vocab_size=80, corpus_sentences=800
+        )
+    )
+    scorer = build_scorer(task, oracle_gmm=True)
+    utterances = task.test_set(2, max_words=4)
+    return task, [scorer.score(u.features) for u in utterances]
 
 
 class TestSnapshotRestore:
@@ -163,6 +179,36 @@ class TestSnapshotRestore:
         assert got.words == want.words
         assert got.cost == want.cost
         assert _stats_dict(got) == _stats_dict(want)
+
+    @pytest.mark.parametrize("cut", [2 * BATCH, 5 * BATCH])
+    def test_restore_with_resident_lm_rows(self, wide_task, cut):
+        """A snapshot that carries LM expansion rows restores them into
+        the cache: the continuation re-spends no row a never-interrupted
+        session would have found resident."""
+        task, utterances = wide_task
+        decoder = _decoder(task)
+        for scores in utterances:
+            baseline = _session(decoder)
+            interrupted = _session(decoder)
+            baseline.push(scores[:cut])
+            interrupted.push(scores[:cut])
+            snapshot = interrupted.snapshot()
+            assert max(snapshot.stats.active_history) > (
+                batch.SCALAR_FRONTIER_MAX
+            )
+            assert snapshot.lookup_state["expansion_states"]
+            resumed = StreamingSession.restore(decoder, snapshot)
+            for start in range(cut, scores.shape[0], BATCH):
+                chunk = scores[start : start + BATCH]
+                assert baseline.push(chunk) == resumed.push(chunk)
+            want = baseline.finish()
+            got = resumed.finish()
+            assert got.words == want.words
+            assert got.cost == want.cost
+            assert [asdict(n) for n in got.lattice.nodes] == [
+                asdict(n) for n in want.lattice.nodes
+            ]
+            assert _stats_dict(got) == _stats_dict(want)
 
     def test_state_bytes_is_small(self, tiny_task, tiny_scores):
         # The premise the checkpoint design leans on: per-channel state
