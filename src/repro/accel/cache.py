@@ -24,13 +24,6 @@ class CacheStats:
     def miss_ratio(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    @property
-    def hit_ratio(self) -> float:
-        return 1.0 - self.miss_ratio if self.accesses else 0.0
-
-    def reset(self) -> None:
-        self.accesses = self.hits = self.misses = self.evictions = 0
-
 
 @dataclass
 class CacheConfig:

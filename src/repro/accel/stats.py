@@ -26,13 +26,6 @@ class UtteranceTiming:
     def speech_seconds(self) -> float:
         return self.frames * 0.01
 
-    @property
-    def realtime_factor(self) -> float:
-        """How many times faster than real time (paper: 155x / 188x)."""
-        if self.decode_seconds <= 0:
-            return float("inf")
-        return self.speech_seconds / self.decode_seconds
-
 
 @dataclass
 class RunReport:

@@ -48,10 +48,6 @@ class SenoneEmissionModel:
     def num_senones(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
 
 @dataclass
 class Utterance:

@@ -58,9 +58,6 @@ class Lexicon:
     def __contains__(self, word: str) -> bool:
         return word in self.entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def generate_lexicon(
     vocabulary: list[str],

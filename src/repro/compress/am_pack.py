@@ -62,10 +62,6 @@ class PackedAm:
         return (self.bit_length + 7) // 8
 
     @property
-    def total_arc_bits(self) -> int:
-        return self.bit_length
-
-    @property
     def size_bytes(self) -> int:
         """Arc array plus the on-chip centroid table."""
         return self.arc_bytes + CENTROID_TABLE_BYTES

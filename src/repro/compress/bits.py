@@ -75,10 +75,6 @@ class BitReader:
             raise ValueError(f"bad seek target {bit_position}")
         self._pos = bit_position
 
-    @property
-    def position(self) -> int:
-        return self._pos
-
     def exhausted(self) -> bool:
         return self._pos >= self.bit_length
 

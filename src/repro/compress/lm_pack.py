@@ -78,10 +78,6 @@ class PackedLm:
     def size_bytes(self) -> int:
         return self.arc_bytes + self.bitmap_bytes + CENTROID_TABLE_BYTES
 
-    @property
-    def num_arcs(self) -> int:
-        return self.unigram_arcs + self.backoff_arcs + self.regular_arcs
-
 
 def pack_lm(graph: LmGraph, quantizer: WeightQuantizer | None = None) -> PackedLm:
     """Pack an LM graph into the Section 3.4 format."""

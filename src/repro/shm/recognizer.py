@@ -28,7 +28,6 @@ in ``tests/shm``).
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,30 +57,13 @@ _SCORER_PREFIX = "scorer."
 class _FstView:
     """The slice of the ``Wfst`` surface a tables-built decoder touches.
 
-    Just ``start`` / ``num_states`` / ``states()`` / ``final_weight``;
-    arcs live in the :class:`~repro.core.decoder.DecoderTables` columns,
-    never here.  ``final_weight`` reads the shared per-state column
-    (``inf`` when absent), matching ``Wfst.final_weight``'s tropical
-    zero default exactly.
+    Just ``start`` and ``num_states``: arcs and final weights live in
+    the :class:`~repro.core.decoder.DecoderTables` columns, never here.
     """
 
-    def __init__(
-        self,
-        num_states: int,
-        start: int,
-        final_weights: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, num_states: int, start: int) -> None:
         self.num_states = num_states
         self.start = start
-        self._finals = final_weights
-
-    def states(self) -> range:
-        return range(self.num_states)
-
-    def final_weight(self, state: int) -> float:
-        if self._finals is None:
-            return math.inf
-        return float(self._finals[state])
 
 
 @dataclass
@@ -115,16 +97,6 @@ class AttachedRecognizer:
 
     def unlink(self) -> None:
         self.shared.unlink()
-
-    def __enter__(self) -> "AttachedRecognizer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.shared.owner:
-            self.unlink()
-        else:
-            self.close()
-
 
 def bundle_quantize(am: AmGraph, lm: LmGraph) -> tuple[AmGraph, LmGraph]:
     """Round-trip both graphs through the bundle codec, in memory.
@@ -301,11 +273,7 @@ def _reconstruct(shared: SharedArrays) -> AttachedRecognizer:
         ),
     )
     lm = LmGraph(
-        fst=_FstView(
-            meta["lm_num_states"],
-            meta["lm_start"],
-            final_weights=tables.lm_final_weights,
-        ),
+        fst=_FstView(meta["lm_num_states"], meta["lm_start"]),
         words=words,
         backoff_label=meta["backoff_label"],
         state_of_context={},
