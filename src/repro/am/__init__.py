@@ -15,11 +15,9 @@ from repro.am.phones import SILENCE_PHONE, STANDARD_PHONES, PhoneInventory
 from repro.am.rnn import RnnAcousticModel
 from repro.am.scorer import (
     AcousticScorer,
-    ScaledScorer,
     ScorerKind,
     check_score_matrix,
     frame_accuracy,
-    score_spread,
 )
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "MlpAcousticModel",
     "RnnAcousticModel",
     "AcousticScorer",
-    "ScaledScorer",
-    "score_spread",
     "ScorerKind",
     "frame_accuracy",
     "check_score_matrix",

@@ -45,50 +45,6 @@ class AcousticScorer(Protocol):
         ...
 
 
-class ScaledScorer:
-    """A scorer with a multiplicative acoustic-scale calibration.
-
-    Hybrid front-ends (posterior/prior scoring) produce log-likelihoods
-    whose *dynamic range* differs from generative likelihoods; decoders
-    tune an acoustic scale so acoustic evidence and LM/transition costs
-    are commensurate (Kaldi's ``--acoustic-scale``).  This wrapper bakes
-    the tuned scale into the scorer.
-    """
-
-    def __init__(self, base: AcousticScorer, scale: float) -> None:
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.base = base
-        self.scale = scale
-        self.kind = base.kind
-
-    @property
-    def num_senones(self) -> int:
-        return self.base.num_senones
-
-    @property
-    def size_bytes(self) -> int:
-        return self.base.size_bytes
-
-    @property
-    def flops_per_frame(self) -> float:
-        return self.base.flops_per_frame
-
-    def score(self, features: np.ndarray) -> np.ndarray:
-        return self.scale * self.base.score(features)
-
-
-def score_spread(scores: np.ndarray) -> float:
-    """Mean per-frame spread between the best and the median senone.
-
-    The quantity the acoustic-scale calibration equalizes: how strongly
-    a frame's evidence separates its best senone from the field.
-    """
-    if scores.ndim != 2 or scores.shape[0] == 0:
-        raise ValueError("need a non-empty (frames, senones) matrix")
-    return float(np.mean(scores.max(axis=1) - np.median(scores, axis=1)))
-
-
 def frame_accuracy(scores: np.ndarray, alignment: list[int]) -> float:
     """Fraction of frames whose argmax senone matches the reference.
 

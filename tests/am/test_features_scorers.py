@@ -384,36 +384,3 @@ class TestValidation:
     def test_frame_accuracy_requires_matching_lengths(self):
         with pytest.raises(ValueError):
             frame_accuracy(np.zeros((3, 2)), [0, 1])
-
-
-class TestScaledScorer:
-    def test_scales_scores(self, setup):
-        import numpy as np
-        from repro.am import ScaledScorer
-
-        *_, emissions, synth = setup
-        base = GmmAcousticModel.from_emissions(emissions, num_mixtures=1)
-        scaled = ScaledScorer(base, 0.5)
-        utt = synth.synthesize(["ab"])
-        assert np.allclose(scaled.score(utt.features), 0.5 * base.score(utt.features))
-        assert scaled.kind is base.kind
-        assert scaled.num_senones == base.num_senones
-        assert scaled.size_bytes == base.size_bytes
-        assert scaled.flops_per_frame == base.flops_per_frame
-
-    def test_invalid_scale(self, setup):
-        from repro.am import ScaledScorer
-
-        *_, emissions, _ = setup
-        base = GmmAcousticModel.from_emissions(emissions)
-        with pytest.raises(ValueError):
-            ScaledScorer(base, 0.0)
-
-    def test_score_spread(self):
-        import numpy as np
-        from repro.am import score_spread
-
-        scores = np.array([[0.0, -10.0, -20.0], [5.0, -5.0, -15.0]])
-        assert score_spread(scores) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            score_spread(np.zeros((0, 3)))
