@@ -134,23 +134,6 @@ class AsrSystem:
         pool = self._pool_for(config, parallelism)
         return pool.decode_utterances(utterances)
 
-    def transcribe_streams(
-        self,
-        utterances: list[Utterance],
-        config: DecoderConfig | None = None,
-        parallelism: int = 1,
-        batch_frames: int = 32,
-    ) -> list[DecodeResult]:
-        """Score and decode a batch through streaming sessions.
-
-        Same cached-pool reuse as :meth:`transcribe` — a server issuing
-        call after call keeps its warm workers instead of re-forking a
-        throwaway pool per batch.
-        """
-        pool = self._pool_for(config, parallelism)
-        scores = [self.scorer.score(u.features) for u in utterances]
-        return pool.decode_streams(scores, batch_frames)
-
     def close(self) -> None:
         """Shut down any worker pools transcribe has built."""
         pools, self._pools = dict(self._pools), {}
