@@ -210,11 +210,6 @@ def payload_to_matrix(payload) -> np.ndarray:
     return _finite(matrix)
 
 
-def scores_to_payload(scores: np.ndarray) -> list[list[float]]:
-    """A score batch as the wire's nested-list form (exact float64)."""
-    return matrix_to_payload(scores, ENCODING_LIST)
-
-
 def payload_to_scores(payload) -> np.ndarray:
     """The wire's score payload (either encoding) back to a matrix."""
     return payload_to_matrix(payload)

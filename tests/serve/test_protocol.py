@@ -28,7 +28,7 @@ class TestScorePayload:
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(0)
         scores = rng.standard_normal((5, 7))
-        payload = protocol.scores_to_payload(scores)
+        payload = protocol.matrix_to_payload(scores, protocol.ENCODING_LIST)
         back = protocol.payload_to_scores(payload)
         # JSON doubles are float64: bit-exact across the wire.
         assert back.dtype == np.float64
@@ -38,7 +38,12 @@ class TestScorePayload:
         rng = np.random.default_rng(1)
         scores = rng.standard_normal((3, 4))
         line = protocol.encode_message(
-            {"type": "frames", "scores": protocol.scores_to_payload(scores)}
+            {
+                "type": "frames",
+                "scores": protocol.matrix_to_payload(
+                    scores, protocol.ENCODING_LIST
+                ),
+            }
         )
         back = protocol.payload_to_scores(
             protocol.decode_message(line)["scores"]
@@ -70,7 +75,7 @@ class TestScorePayload:
 
     def test_non_matrix_scores_rejected(self):
         with pytest.raises(protocol.ProtocolError):
-            protocol.scores_to_payload(np.zeros(3))
+            protocol.matrix_to_payload(np.zeros(3), protocol.ENCODING_LIST)
 
 
 class TestMatrixPayload:
