@@ -76,11 +76,6 @@ class TaskBundle:
     def references(self) -> list[list[str]]:
         return [u.words for u in self.utterances]
 
-    def scale_factor(self) -> float:
-        return max(
-            MIN_SCALE, min(1.0, self.sizing.composed_bytes / PAPER_DATASET_BYTES)
-        )
-
     def unfold_report(self) -> RunReport:
         if "unfold" not in self._reports:
             sim = UnfoldSimulator(self.task, config=self.unfold_config)

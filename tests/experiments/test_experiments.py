@@ -45,7 +45,6 @@ class TestBundle:
     def test_bundle_contents(self, bundle):
         assert len(bundle.utterances) == len(bundle.scores)
         assert bundle.sizing.composed_bytes > 0
-        assert 0 < bundle.scale_factor() <= 1
 
     def test_reports_cached(self, bundle):
         assert bundle.unfold_report() is bundle.unfold_report()
