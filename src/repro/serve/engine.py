@@ -23,11 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.am.graph import AmGraph
-from repro.asr.streaming import (
-    PartialHypothesis,
-    SessionSnapshot,
-    StreamingSession,
-)
+from repro.asr.streaming import PartialHypothesis, StreamingSession
 from repro.core.decoder import DecodeResult, DecoderConfig, OnTheFlyDecoder
 from repro.lm.graph import LmGraph
 
@@ -110,23 +106,6 @@ class InlineEngine:
 
     def cancel(self, session_id: str) -> None:
         self._sessions.pop(session_id, None)
-
-    def export_session(self, session_id: str) -> SessionSnapshot:
-        """Snapshot a session and release it (shard handoff, move-out)."""
-        session = self._session(session_id)
-        snapshot = session.snapshot()
-        del self._sessions[session_id]
-        return snapshot
-
-    def adopt_session(
-        self, session_id: str, snapshot: SessionSnapshot
-    ) -> None:
-        """Rebuild a migrated session from its snapshot (move-in)."""
-        if session_id in self._sessions:
-            raise EngineError(f"session {session_id!r} already started")
-        self._sessions[session_id] = StreamingSession.restore(
-            self._decoder, snapshot
-        )
 
     def close(self) -> None:
         self._sessions.clear()

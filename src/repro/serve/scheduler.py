@@ -19,11 +19,13 @@ before the engine goes away.
 
 Every outcome a client observes is one protocol message dict
 (partials, finals, errors), handed to the session's *sink* where it is
-produced: a TCP connection attaches one that writes the message to its
-socket, so a reply costs no task wake-up.  A session without a sink —
-an in-process client's, or one adopted from another shard before its
-client resumes — queues its messages on ``events`` instead, and
-attaching a sink first flushes that queue in order.
+produced: a TCP connection sets one that writes the message to its
+socket before the session's first message, so a reply costs no task
+wake-up.  A session without a sink (an in-process client's) queues its
+messages on ``events`` instead.
+
+A sharded deployment rebalances with :meth:`Scheduler.move`: the
+session is dropped here and its client told where to re-open it.
 
 Every engine call runs on the event loop's thread, in the cycle that
 needs it.  An engine call that raises fails only the sessions it was
@@ -45,7 +47,7 @@ import numpy as np
 
 from repro.serve import protocol
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.scoring import ScoreHandle, batch_frames, resolve_batch
+from repro.serve.scoring import ScoreHandle, batch_frames
 
 #: How often the loop re-checks timers when no work is queued.
 IDLE_POLL_SECONDS = 0.05
@@ -98,18 +100,6 @@ class Session:
     #: queues them on ``events``.
     sink: Callable[[dict], None] | None = None
 
-    def attach(self, sink: Callable[[dict], None]) -> None:
-        """Deliver every later message to ``sink``, after the ones
-        queued while the session had none."""
-        while not self.events.empty():
-            sink(self.events.get_nowait())
-        self.sink = sink
-
-    def detach(self, sink: Callable[[dict], None]) -> None:
-        """Queue messages again, unless someone else attached since."""
-        if self.sink is sink:
-            self.sink = None
-
 
 class Scheduler:
     """Multiplex admitted sessions' frame batches over one engine."""
@@ -134,8 +124,8 @@ class Scheduler:
         self._stopping = False
         self._draining = False
         self._task: asyncio.Task | None = None
-        #: Id prefix, distinct per shard in a sharded deployment so a
-        #: migrated session's id stays unique cluster-wide.
+        #: Id prefix, distinct per shard in a sharded deployment so
+        #: session ids stay unique cluster-wide.
         self._id_prefix = session_id_prefix
         self._ids = iter(range(1, 1 << 62))
 
@@ -202,9 +192,6 @@ class Scheduler:
         self.metrics.gauge("active_sessions").set(len(self._sessions))
         return session
 
-    def get(self, session_id: str) -> Session | None:
-        return self._sessions.get(session_id)
-
     def push(
         self, session: Session, scores: np.ndarray | ScoreHandle
     ) -> None:
@@ -253,93 +240,31 @@ class Scheduler:
         )
         self._retire(session, "sessions_cancelled")
 
-    # -- migration (shard handoff) ------------------------------------------
+    def move(self, host: str, port: int, shard: int) -> str | None:
+        """Drop one session and tell its client to re-open it on the
+        shard at ``host:port``; returns its id, or ``None`` if no
+        session may move.
 
-    def exportable_sessions(self) -> list[str]:
-        """Sessions safe to hand off right now, hottest-ring order.
-
-        Excludes in-flight sessions (their engine state is mid-update)
-        and finishing ones (about to retire anyway).  Sorted for
-        deterministic victim selection.
+        The victim is the lexicographically first session neither
+        mid-decode nor finishing (one about to retire anyway), so a
+        rebalance is deterministic.  Nothing of it travels: its client
+        still holds every batch it sent and replays them there.
         """
-        return sorted(
+        movable = [
             session_id
             for session_id, session in self._sessions.items()
-            if not (
-                session.closed
-                or session.inflight
-                or session.finish_requested
-            )
+            if not (session.inflight or session.finish_requested)
+        ]
+        if not movable:
+            return None
+        session = self._sessions[min(movable)]
+        self.engine.cancel(session.session_id)
+        self._emit(
+            session,
+            protocol.moved_message(session.session_id, host, port, shard),
         )
-
-    async def export_session(
-        self, session_id: str, notice: dict | None = None
-    ) -> dict:
-        """Snapshot a session (engine state + queued batches) and
-        retire it locally.
-
-        ``notice`` (a ``moved`` protocol message) is emitted on the
-        session's event queue before retirement so a connected client
-        learns the forwarding address.  Returns the handle
-        :meth:`adopt_session` consumes on the receiving scheduler.
-        """
-        session = self._sessions.get(session_id)
-        if session is None or session.closed:
-            raise Busy(f"unknown session {session_id!r}")
-        if session.inflight:
-            raise Busy(f"session {session_id!r} is mid-decode")
-        # Queued ScoreHandles are resolved to plain matrices here: the
-        # scores travel, the receiving shard needs no scorer.
-        queued = [resolve_batch(batch) for batch in session.queue]
-        self._queue_changed(-len(session.queue))
-        session.queue.clear()
-        snapshot = self.engine.export_session(session_id)
-        if notice is not None:
-            self._emit(session, notice)
         self._retire(session, "sessions_moved")
-        return {
-            "session_id": session_id,
-            "payload": session.payload,
-            "snapshot": snapshot,
-            "queued": queued,
-            "frames_decoded": session.frames_decoded,
-            "finish_requested": session.finish_requested,
-            "saw_first_partial": session.saw_first_partial,
-        }
-
-    async def adopt_session(self, handle: dict) -> Session:
-        """Rebuild an exported session here, queued batches included."""
-        if self._stopping:
-            raise Busy("server is shutting down")
-        session_id = handle["session_id"]
-        if session_id in self._sessions:
-            raise Busy(f"session {session_id!r} already lives here")
-        if len(self._sessions) >= self.config.max_sessions:
-            raise Busy(
-                f"session table full ({self.config.max_sessions} active)"
-            )
-        self.engine.adopt_session(session_id, handle["snapshot"])
-        now = perf_counter()
-        session = Session(
-            session_id=session_id,
-            payload=handle.get("payload", protocol.PAYLOAD_SCORES),
-            admitted_at=now,
-            last_activity=now,
-        )
-        session.frames_decoded = handle.get("frames_decoded", 0)
-        # Keep time-to-first-partial honest: an adopted session's
-        # first partial was measured on its original shard.
-        session.saw_first_partial = handle.get("saw_first_partial", True)
-        session.finish_requested = handle.get("finish_requested", False)
-        for batch in handle.get("queued", ()):
-            session.queue.append(batch)
-        self._sessions[session_id] = session
-        self._order.append(session_id)
-        self.metrics.counter("sessions_adopted").inc()
-        self.metrics.gauge("active_sessions").set(len(self._sessions))
-        self._queue_changed(len(session.queue))
-        self._wake.set()
-        return session
+        return session.session_id
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -381,6 +306,10 @@ class Scheduler:
                 await self._evict_idle()
                 continue
             self.metrics.counter("decode_cycles").inc()
+            # In flight from selection on, not from when its serving
+            # task first runs: a ``move`` in between must not take it.
+            for session in selected:
+                session.inflight = True
             decodable = [s for s in selected if s.queue]
             rest = [s for s in selected if not s.queue]
             if len(decodable) >= 2 and self._fuse_width() >= 2:
@@ -629,7 +558,7 @@ class Scheduler:
     def _retire(self, session: Session, counter: str) -> None:
         session.closed = True
         # Whatever a retiring session still holds leaves the count with
-        # it (a failed or timed-out session retires mid-queue).
+        # it (a failed, timed-out or moved session retires mid-queue).
         if self._sessions.pop(session.session_id, None) is not None:
             self._queue_changed(-len(session.queue))
         try:

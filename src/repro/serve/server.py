@@ -71,6 +71,28 @@ class ServeConfig:
         )
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next wire line; ``b""`` at end of stream.
+
+    A line longer than the reader's limit is skipped whole and ``None``
+    returned in its place, instead of the ``ValueError`` (and, past it,
+    a stray tail read as a line of its own) that ``readline`` gives.
+    """
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:  # end of stream
+            return b"" if too_long else exc.partial
+        except asyncio.LimitOverrunError as exc:
+            # Everything up to the newline (or all that is buffered)
+            # belongs to the over-long line.
+            await reader.readexactly(exc.consumed)
+            too_long = True
+            continue
+        return None if too_long else line
+
+
 class TranscriptionServer:
     """Serve concurrent streaming transcription sessions."""
 
@@ -123,10 +145,6 @@ class TranscriptionServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._started = False
         self._stopped = False
-        #: Forwarding addresses for sessions exported to other shards:
-        #: session id -> (host, port, shard index).  A request naming a
-        #: moved session gets a ``moved`` redirect instead of an error.
-        self._moved_sessions: dict[str, tuple[str, int, int]] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -137,7 +155,10 @@ class TranscriptionServer:
         self.scheduler.start()
         if self.config.port is not None:
             self._tcp_server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
+                self._handle_connection,
+                self.config.host,
+                self.config.port,
+                limit=protocol.MAX_LINE_BYTES,
             )
             self.port = self._tcp_server.sockets[0].getsockname()[1]
 
@@ -180,37 +201,6 @@ class TranscriptionServer:
         """A client that speaks the protocol without a socket."""
         return InProcessClient(self)
 
-    # -- shard migration ----------------------------------------------------
-
-    def exportable_sessions(self) -> list[str]:
-        """Sessions safe to hand to another shard right now."""
-        return self.scheduler.exportable_sessions()
-
-    async def export_session(
-        self, session_id: str, host: str, port: int, shard: int
-    ) -> dict:
-        """Hand a session off toward the shard at ``host:port``.
-
-        The session's engine state is snapshotted, its queued batches
-        captured, and a ``moved`` redirect is delivered to any client
-        still attached here; a tombstone answers later requests naming
-        the id.  Returns the pickled handle the target's
-        :meth:`adopt_session` consumes.
-        """
-        notice = protocol.moved_message(session_id, host, port, shard)
-        handle = await self.scheduler.export_session(
-            session_id, notice=notice
-        )
-        self._moved_sessions[session_id] = (host, port, shard)
-        return handle
-
-    async def adopt_session(self, handle: dict) -> None:
-        """Accept a session another shard exported (move-in)."""
-        await self.scheduler.adopt_session(handle)
-        # The session lives here now; drop any stale forward so a
-        # boomerang move (A -> B -> A) resolves locally again.
-        self._moved_sessions.pop(handle["session_id"], None)
-
     # -- TCP transport ------------------------------------------------------
 
     async def _handle_connection(
@@ -234,10 +224,15 @@ class TranscriptionServer:
 
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
                 try:
+                    if line is None:
+                        raise protocol.ProtocolError(
+                            f"message longer than {protocol.MAX_LINE_BYTES} "
+                            "bytes"
+                        )
                     message = protocol.decode_message(line)
                     await self._dispatch(message, owned, send)
                 except protocol.ProtocolError as exc:
@@ -252,7 +247,7 @@ class TranscriptionServer:
             # the sessions it still owns are dropped (no final result
             # to deliver to anyone).
             for session in owned.values():
-                session.detach(send)
+                session.sink = None
             for session in owned.values():
                 if not session.closed:
                     await self.scheduler.cancel(session)
@@ -299,50 +294,12 @@ class TranscriptionServer:
                     "encoding": encoding,
                 }
             )
-            session.attach(send)
+            session.sink = send
         elif kind == protocol.STATUS:
             send(self.status_message())
-        elif kind == protocol.RESUME:
-            session_id = message.get("session")
-            session = (
-                self.scheduler.get(session_id)
-                if isinstance(session_id, str)
-                else None
-            )
-            if session is not None and not session.closed:
-                # The session id is the bearer token: whoever resumes
-                # it owns its event stream from here on, starting with
-                # whatever was emitted while nobody was attached.
-                owned[session_id] = session
-                send({"type": protocol.STARTED, "session": session_id})
-                session.attach(send)
-            elif session_id in self._moved_sessions:
-                send(
-                    protocol.moved_message(
-                        session_id, *self._moved_sessions[session_id]
-                    )
-                )
-            else:
-                send(
-                    protocol.error_message(
-                        f"unknown session {session_id!r}", session_id
-                    )
-                )
         elif kind in (protocol.FRAMES, protocol.FINISH, protocol.CANCEL):
             session_id = message.get("session")
             session = owned.get(session_id)
-            if session is None or session.closed:
-                if session_id in self._moved_sessions:
-                    # The request was NOT applied here: redirect with
-                    # resend so the client replays it after resuming.
-                    send(
-                        protocol.moved_message(
-                            session_id,
-                            *self._moved_sessions[session_id],
-                            resend=True,
-                        )
-                    )
-                    return
             if session is None:
                 send(
                     protocol.error_message(
@@ -353,25 +310,15 @@ class TranscriptionServer:
                 return
             try:
                 if kind == protocol.FRAMES:
-                    if session.payload == protocol.PAYLOAD_FEATURES:
-                        if "features" not in message:
-                            raise protocol.ProtocolError(
-                                "this session streams features; send a "
-                                "'features' key"
-                            )
-                        features = protocol.payload_to_matrix(
-                            message["features"]
+                    # The negotiated payload names the key it rides in.
+                    key = session.payload
+                    if key not in message:
+                        raise protocol.ProtocolError(
+                            f"this session streams {key}; send a {key!r} key"
                         )
-                        batch = self.scoring.submit(features)
-                    else:
-                        if "scores" not in message:
-                            raise protocol.ProtocolError(
-                                "this session streams scores; send a "
-                                "'scores' key"
-                            )
-                        batch = protocol.payload_to_scores(
-                            message["scores"]
-                        )
+                    batch = protocol.payload_to_matrix(message[key])
+                    if key == protocol.PAYLOAD_FEATURES:
+                        batch = self.scoring.submit(batch)
                     self.scheduler.push(session, batch)
                 elif kind == protocol.FINISH:
                     self.scheduler.request_finish(session)

@@ -13,17 +13,17 @@ sessions' channel state.
 Clients route sessions with :class:`ShardRouter` — a consistent-hash
 ring (md5, virtual nodes) over the shard indices, so the mapping is
 stable, uniform, and identical in every process that builds the same
-router.  A hot shard can hand sessions to a cold one through the
-snapshot/restore migration machinery (:meth:`ShardedServer.rebalance`):
-the source shard exports the session (engine snapshot + queued
-batches), the target adopts it, and the client follows the ``moved``
-redirect with ``resume`` — transcripts stay bit-identical because the
-snapshot contract already guarantees continuation-equality.
+router.  A hot shard hands sessions to a cold one
+(:meth:`ShardedServer.rebalance`) without shipping any state: it drops
+the session and sends its client ``moved``, naming the cold shard, and
+the client re-opens the session there by replaying the batches it sent
+— the same path that recovers a session from a dead shard, below.
+Decoding is deterministic, so transcripts stay bit-identical.
 
-The parent talks to shard processes over control pipes (status,
-export/adopt, meminfo, ping, stop); the data plane is ordinary TCP
-straight to each shard — the parent is not a proxy, so adding shards
-adds serving capacity without a single-process bottleneck in front.
+The parent talks to shard processes over control pipes (status, move,
+meminfo, ping, stop); the data plane is ordinary TCP straight to each
+shard — the parent is not a proxy, so adding shards adds serving
+capacity without a single-process bottleneck in front.
 
 The parent also supervises: every ``LIVENESS_PERIOD_SECONDS`` it pings
 each shard over its control pipe, and a shard that has exited, or
@@ -164,8 +164,8 @@ async def _control_loop(server, conn, index, segment):
     """Serve parent control requests on the shard's own event loop.
 
     The blocking pipe read runs in a worker thread; the handlers run on
-    the loop so they can await the server (export/adopt are real
-    scheduler operations, not just introspection).
+    the loop, the only thread that may touch the scheduler (``move``
+    changes its session table).
     """
     loop = asyncio.get_running_loop()
     while True:
@@ -183,17 +183,8 @@ async def _control_loop(server, conn, index, segment):
                 status = server.status_message()
                 status["shard"] = index
                 conn.send(("ok", status))
-            elif command == "exportable":
-                conn.send(("ok", server.exportable_sessions()))
-            elif command == "export":
-                session_id, host, port, shard = payload
-                handle = await server.export_session(
-                    session_id, host, port, shard
-                )
-                conn.send(("ok", handle))
-            elif command == "adopt":
-                await server.adopt_session(payload)
-                conn.send(("ok", None))
+            elif command == "move":
+                conn.send(("ok", server.scheduler.move(*payload)))
             elif command == "meminfo":
                 info = process_memory(segment=segment)
                 info["shard"] = index
@@ -558,11 +549,11 @@ class ShardedServer:
         """Move sessions from the hottest shard to the coldest.
 
         Deterministic work stealing: while the hottest shard holds at
-        least two sessions more than the coldest, its lexicographically
-        first exportable session is exported (snapshot + queued
-        batches), adopted by the coldest shard, and redirected —
-        connected clients see ``moved`` and follow it with ``resume``.
-        Returns the moves performed.
+        least two sessions more than the coldest, it is told to ``move``
+        one toward the coldest (:meth:`~repro.serve.scheduler.
+        Scheduler.move`): the session is dropped there and its client,
+        told ``moved``, re-opens it on the coldest shard by replaying
+        what it sent.  Returns the moves performed.
         """
         counts = [
             (await self._request(handle, "status")).get(
@@ -576,17 +567,12 @@ class ShardedServer:
             cold = min(range(len(counts)), key=lambda i: (counts[i], i))
             if counts[hot] - counts[cold] < 2:
                 break
-            victims = await self._request(self._handles[hot], "exportable")
-            if not victims:
-                break
-            session_id = victims[0]
             target = self._handles[cold]
-            handle = await self._request(
-                self._handles[hot],
-                "export",
-                (session_id, target.host, target.port, cold),
+            session_id = await self._request(
+                self._handles[hot], "move", (target.host, target.port, cold)
             )
-            await self._request(target, "adopt", handle)
+            if session_id is None:
+                break
             counts[hot] -= 1
             counts[cold] += 1
             moves.append(

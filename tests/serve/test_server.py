@@ -283,9 +283,6 @@ class TestMetricsAndStatus:
             home = Scheduler(
                 FirstFusedPushFails(tiny_task.am, tiny_task.lm, CONFIG), config
             )
-            away = Scheduler(
-                InlineEngine(tiny_task.am, tiny_task.lm, CONFIG), config
-            )
             batch = tiny_scores[0][:BATCH_FRAMES]
             try:
                 a, b, c = [await home.admit() for _ in range(3)]
@@ -301,19 +298,19 @@ class TestMetricsAndStatus:
                 home.push(a, batch)
                 await home._serve_fused([a, b])
                 check(home, "fused pop", 2)
-                handle = await home.export_session(c.session_id)
-                check(home, "export", 0)
-                adopted = await away.adopt_session(handle)
-                check(away, "adopt", 2)
-                await away.cancel(adopted)
-                check(away, "cancel", 0)
                 home.push(a, batch)
                 home.push(b, batch)
                 await home._fail(a, "boom")  # retires mid-queue
-                check(home, "retire", 1)
+                check(home, "retire", 3)
+                await home.cancel(b)
+                check(home, "cancel", 2)
+                assert home.move("127.0.0.1", 1, 1) == c.session_id
+                check(home, "move", 0)
+                assert home.move("127.0.0.1", 1, 1) is None
+                d = await home.admit()
+                home.push(d, batch)
             finally:
                 await home.stop(drain=False)
-                await away.stop(drain=False)
             check(home, "stop", 0)
 
         asyncio.run(scenario())

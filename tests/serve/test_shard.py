@@ -5,8 +5,9 @@ segment and spawns shard processes that attach it; every transcript a
 shard serves must be bit-identical to a sequential streaming pass over
 the bundle-quantized recognizer (shards decode the quantized segment,
 so that — not the float64 parent — is the reference).  Rebalancing
-migrates live sessions between shards mid-stream; clients follow the
-``moved`` redirect transparently and the finals still match.  A shard
+moves live sessions between shards mid-stream: a moved client
+re-opens its session on the shard named and replays it, and the
+finals still match.  A shard
 that dies or stops answering is respawned as a new generation on the
 same port (the crash-recovery parity tests are ``test_chaos.py``).
 """
@@ -170,7 +171,8 @@ class TestRebalance:
         self, tiny_task, tiny_scores, quantized_results
     ):
         """Load one shard, steal work onto the other, keep streaming:
-        clients follow the redirect and the finals stay bit-identical."""
+        moved clients replay onto the cold shard, and every final and
+        every partial sequence is the uninterrupted session's."""
 
         async def scenario():
             async with make_sharded(tiny_task, shards=2) as server:
@@ -183,6 +185,7 @@ class TestRebalance:
                 client = ShardedClient(server.endpoints)
                 try:
                     sessions = [await client.open(key=key) for key in hot]
+                    opened = [session.session_id for session in sessions]
                     for session, scores in zip(sessions, tiny_scores):
                         await session.push(scores[:BATCH_FRAMES])
                     moves = await server.rebalance()
@@ -196,31 +199,37 @@ class TestRebalance:
                             )
                         finals.append(await session.finish())
                     status = await server.status()
-                    redirects = [list(s.moves) for s in sessions]
                 finally:
                     await client.close()
-                return moves, finals, status, redirects
+                return moves, opened, sessions, finals, status
 
-        moves, finals, status, redirects = asyncio.run(scenario())
+        moves, opened, sessions, finals, status = asyncio.run(scenario())
 
         # 4 sessions on shard 0, none on shard 1: stealing runs until
-        # the spread is within one -> exactly two migrations.
+        # the spread is within one -> exactly two moves.
         assert len(moves) == 2
         assert all(move["from"] == 0 and move["to"] == 1 for move in moves)
+        assert all(session_id.startswith("sh0.0-") for session_id in opened)
 
         counters = status["metrics"]["counters"]
         assert counters["sessions_moved"] == len(moves)
-        assert counters["sessions_adopted"] == len(moves)
-
-        # Each migrated session's client observed (and followed) the
-        # redirect; un-migrated sessions saw none.
-        followed = [r for r in redirects if r]
-        assert len(followed) == len(moves)
+        # Each move re-opened its session once, on the cold shard.
+        assert counters["sessions_admitted"] == len(opened) + len(moves)
+        moved = {move["session"] for move in moves}
+        for session_id, session in zip(opened, sessions):
+            shard = "sh1.0-" if session_id in moved else "sh0.0-"
+            assert session.session_id.startswith(shard)
 
         for final, want in zip(finals, quantized_results):
             assert final["words"] == want.words
             assert final["cost"] == want.cost
             assert final["frames"] == want.stats.frames
+        # Every client, moved or not, saw one partial per batch: no
+        # duplicate from the replay, no gap across the move.
+        for session, scores in zip(sessions, tiny_scores):
+            assert [p["frames_consumed"] for p in session.partials] == list(
+                range(BATCH_FRAMES, scores.shape[0], BATCH_FRAMES)
+            ) + [scores.shape[0]]
         assert status["active_sessions"] == 0
 
 
@@ -289,8 +298,8 @@ class TestShardRespawn:
         self, monkeypatch, tiny_task, tiny_scores
     ):
         """A respawned shard is a new generation of id prefix: a late
-        ``resume`` or ``frames`` naming the dead shard's session gets
-        ``unknown session``, never a recycled id's stream."""
+        ``frames`` naming the dead shard's session gets ``unknown
+        session``, never a recycled id's stream."""
         monkeypatch.setattr(shard_module, "LIVENESS_PERIOD_SECONDS", 0.1)
 
         async def scenario():
@@ -303,11 +312,6 @@ class TestShardRespawn:
                     os.kill(server._handles[0].process.pid, signal.SIGKILL)
                     await restarted(server)
                     assert server.endpoints == [(host, port)]
-                    resumed = await exchange(
-                        host,
-                        port,
-                        {"type": "resume", "session": old.session_id},
-                    )
                     framed = await exchange(
                         host,
                         port,
@@ -324,14 +328,13 @@ class TestShardRespawn:
                         await second.close()
                 finally:
                     await first.close()
-                return old.session_id, resumed, framed, fresh.session_id
+                return old.session_id, framed, fresh.session_id
 
-        old_id, resumed, framed, fresh_id = asyncio.run(scenario())
+        old_id, framed, fresh_id = asyncio.run(scenario())
         assert old_id == "sh0.0-1"
         assert fresh_id == "sh0.1-1"
-        for reply in (resumed, framed):
-            assert reply["type"] == "error"
-            assert "unknown session" in reply["error"]
+        assert framed["type"] == "error"
+        assert "unknown session" in framed["error"]
 
     def test_redial_replaces_a_dropped_connection(self, tiny_task):
         """``ShardedClient`` re-dials an endpoint whose connection
