@@ -57,9 +57,10 @@ class SessionSnapshot:
     ``push`` calls and restored onto any decoder built from the same
     graphs continues bit-identically: same partials, same final
     result, same :class:`DecoderStats` including every lookup-cache
-    counter.  Snapshots are plain data (numpy arrays + dataclasses),
-    so they pickle across process boundaries — the serve layer ships
-    them from worker processes to the supervising parent.
+    counter.  Snapshots are plain data (numpy arrays + dataclasses)
+    and pickle, but nothing ships them between processes: a served
+    session that changes shard, or loses one, is rebuilt by its
+    client's replay (:class:`~repro.serve.client.TcpSession`).
     """
 
     frames: int

@@ -24,12 +24,7 @@ from repro.serve.loadgen import LoadReport, UtteranceOutcome, run_load
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.protocol import ProtocolError
 from repro.serve.scheduler import Busy, Scheduler, SchedulerConfig
-from repro.serve.scoring import (
-    ScoreHandle,
-    ScoringError,
-    ScoringService,
-    resolve_batch,
-)
+from repro.serve.scoring import ScoreHandle, ScoringError, ScoringService
 from repro.serve.server import (
     InProcessClient,
     InProcessSession,
@@ -48,7 +43,6 @@ __all__ = [
     "LoadReport",
     "MetricsRegistry",
     "ProtocolError",
-    "resolve_batch",
     "run_load",
     "Scheduler",
     "SchedulerConfig",

@@ -72,13 +72,6 @@ class ScoreHandle:
         return self._value
 
 
-def resolve_batch(batch) -> np.ndarray:
-    """A queued batch (score matrix or handle) as a score matrix."""
-    if isinstance(batch, ScoreHandle):
-        return batch.result()
-    return np.asarray(batch)
-
-
 def batch_frames(batch) -> int:
     """How many frames a queued batch advances, without resolving it."""
     if isinstance(batch, ScoreHandle):
