@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.am.readout import check_alignment, targets_product
 from repro.am.scorer import ScorerKind
 
 _POSTERIOR_FLOOR = 1e-10
@@ -63,8 +64,9 @@ class MlpAcousticModel:
         rng: np.random.Generator | None = None,
     ) -> "MlpAcousticModel":
         """Closed-form training on aligned frames."""
-        rng = rng or np.random.default_rng(0)
         alignment = np.asarray(alignment)
+        check_alignment(alignment, len(features), num_senones, "training set")
+        rng = rng or np.random.default_rng(0)
         dim = features.shape[1]
         w_in = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
         b_in = rng.normal(0.0, 0.1, size=hidden)
@@ -74,10 +76,11 @@ class MlpAcousticModel:
         hidden_acts = features @ w_in
         hidden_acts += b_in
         np.tanh(hidden_acts, out=hidden_acts)
-        targets = np.zeros((len(features), num_senones))
-        targets[np.arange(len(features)), alignment] = 1.0
+        # Before the gram, whose temporaries would otherwise stack on
+        # the targets buffer at the fit's memory peak.
+        rhs = targets_product(hidden_acts, alignment, num_senones)
         gram = hidden_acts.T @ hidden_acts + ridge * np.eye(hidden)
-        w_out = np.linalg.solve(gram, hidden_acts.T @ targets)
+        w_out = np.linalg.solve(gram, rhs)
 
         priors = _smoothed_priors(alignment, num_senones)
         seen = np.bincount(alignment, minlength=num_senones) > 0

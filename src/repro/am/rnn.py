@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.am.readout import check_alignments, targets_product
 from repro.am.scorer import ScorerKind
 from repro.cpus import visible_cpus
 
@@ -48,9 +49,11 @@ class RnnAcousticModel:
         rng: np.random.Generator | None = None,
     ) -> "RnnAcousticModel":
         """Closed-form training over whole utterances (state is sequential)."""
-        rng = rng or np.random.default_rng(0)
         if not utterance_features:
             raise ValueError("need at least one training utterance")
+        utterance_alignments = [np.asarray(a) for a in utterance_alignments]
+        check_alignments(utterance_features, utterance_alignments, num_senones)
+        rng = rng or np.random.default_rng(0)
         dim = utterance_features[0].shape[1]
         w_in = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
         w_rec = rng.normal(0.0, 1.0, size=(hidden, hidden))
@@ -79,13 +82,12 @@ class RnnAcousticModel:
         with ThreadPoolExecutor(max(1, min(visible_cpus(), len(rows)))) as pool:
             # ``list`` re-raises a failed run's exception here.
             list(pool.map(model._run_reservoir, utterance_features, rows))
-        alignment = np.concatenate(
-            [np.asarray(a) for a in utterance_alignments]
-        )
-        targets = np.zeros((len(h), num_senones))
-        targets[np.arange(len(h)), alignment] = 1.0
+        alignment = np.concatenate(utterance_alignments)
+        # Before the gram, whose temporaries would otherwise stack on
+        # the targets buffer at the fit's memory peak.
+        rhs = targets_product(h, alignment, num_senones)
         gram = h.T @ h + ridge * np.eye(hidden)
-        model.w_out = np.linalg.solve(gram, h.T @ targets)
+        model.w_out = np.linalg.solve(gram, rhs)
 
         from repro.am.dnn import _smoothed_priors
 
