@@ -15,15 +15,13 @@ top of the one-pass decoder's internals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.batch import advance_segment
-from repro.core.composition import LookupStats
-from repro.core.decoder import DecodeResult, DecoderStats, OnTheFlyDecoder
-from repro.core.lattice import LatticeNode
-from repro.core.tokens import SoaTokenTable, TokenTable
+from repro.core.decoder import DecodeResult, OnTheFlyDecoder
+from repro.core.tokens import SoaTokenTable
 
 
 @dataclass
@@ -34,65 +32,6 @@ class PartialHypothesis:
     cost: float
     frames_consumed: int
     active_tokens: int
-
-
-def _copy_stats(stats: DecoderStats) -> DecoderStats:
-    """An independent DecoderStats (scalars plus the mutable tails)."""
-    return replace(
-        stats,
-        active_history=list(stats.active_history),
-        frame_work=list(stats.frame_work),
-        lookup=stats.lookup.clone(),
-    )
-
-
-@dataclass
-class SessionSnapshot:
-    """A resumable checkpoint of one :class:`StreamingSession`.
-
-    UNFOLD's whole per-channel state is tiny — a token frontier, the
-    lattice so far, and cache counters — which is what makes
-    checkpointing a live session between batches cheap (the shared
-    graphs never enter the picture).  A snapshot taken between two
-    ``push`` calls and restored onto any decoder built from the same
-    graphs continues bit-identically: same partials, same final
-    result, same :class:`DecoderStats` including every lookup-cache
-    counter.  Snapshots are plain data (numpy arrays + dataclasses)
-    and pickle, but nothing ships them between processes: a served
-    session that changes shard, or loses one, is rebuilt by its
-    client's replay (:class:`~repro.serve.client.TcpSession`).
-    """
-
-    frames: int
-    vectorized: bool
-    num_lm: int
-    #: Token frontier as (am, lm, cost, lattice_node) columns, in
-    #: table-iteration order (which restore must preserve: partials
-    #: and finalization break cost ties by scan order).
-    table_am: np.ndarray
-    table_lm: np.ndarray
-    table_cost: np.ndarray
-    table_node: np.ndarray
-    #: Lattice as (word, frame, cost, backpointer) rows.
-    lattice_nodes: list[tuple[int, int, float, int]]
-    stats: DecoderStats
-    lookup_start: LookupStats
-    #: Offset-table entries + expansion-cache residency + counters
-    #: (see :meth:`repro.core.composition.LmLookup.export_transient_state`).
-    lookup_state: dict
-    #: The running best hypothesis at checkpoint time (observability;
-    #: restore recomputes it from the frontier).
-    partial: PartialHypothesis
-
-    def state_bytes(self) -> int:
-        """Approximate checkpoint payload size (sans lookup caches)."""
-        return (
-            self.table_am.nbytes
-            + self.table_lm.nbytes
-            + self.table_cost.nbytes
-            + self.table_node.nbytes
-            + 32 * len(self.lattice_nodes)
-        )
 
 
 class StreamingSession:
@@ -118,7 +57,6 @@ class StreamingSession:
         # ``decoder.lookup.fork()`` instead, giving every session its
         # own OLT/expansion-cache evolution (solo-identical counters).
         self._seg = decoder.new_segment(lookup)
-        self._vectorized = decoder._vectorized
         self._finished = False
         # Lookup-counter baseline so finish() can report this
         # utterance's delta, as decode() does.  With several sessions
@@ -129,96 +67,8 @@ class StreamingSession:
         self._lookup_start = self._seg.lookup.stats.clone()
 
     @property
-    def _table(self) -> TokenTable | SoaTokenTable:
-        return self._seg.table
-
-    @_table.setter
-    def _table(self, table: TokenTable | SoaTokenTable) -> None:
-        self._seg.table = table
-
-    @property
     def frames_consumed(self) -> int:
         return self._seg.frame
-
-    def snapshot(self) -> SessionSnapshot:
-        """Checkpoint the session between batches.
-
-        The snapshot owns copies of everything mutable, so the live
-        session keeps decoding without aliasing it, and one snapshot
-        can seed several restores.
-        """
-        if self._finished:
-            raise RuntimeError("session already finished")
-        seg = self._seg
-        # Copies: a SoaTokenTable hands out its live columns.
-        am, lm, cost, node = (col.copy() for col in seg.table.columns())
-        return SessionSnapshot(
-            frames=seg.frame,
-            vectorized=self._vectorized,
-            num_lm=self.decoder._num_lm,
-            table_am=am,
-            table_lm=lm,
-            table_cost=cost,
-            table_node=node,
-            lattice_nodes=[
-                (n.word, n.frame, n.cost, n.backpointer)
-                for n in seg.lattice.nodes
-            ],
-            stats=_copy_stats(seg.stats),
-            lookup_start=self._lookup_start.clone(),
-            lookup_state=seg.lookup.export_transient_state(),
-            partial=self._partial(),
-        )
-
-    @classmethod
-    def restore(
-        cls,
-        decoder: OnTheFlyDecoder,
-        snapshot: SessionSnapshot,
-        lookup=None,
-    ) -> "StreamingSession":
-        """Resume a snapshotted session on ``decoder``.
-
-        The decoder must be built from the same graphs and config as
-        the one that took the snapshot (a different expansion mode is
-        rejected; anything subtler silently changes transcripts, as it
-        would for a plain re-decode).  By default the session gets a
-        fresh ``decoder.lookup.fork()`` and the snapshot's cache state
-        is loaded into it, so the continuation's lookup counters match
-        the uninterrupted run exactly.
-        """
-        if lookup is None:
-            lookup = decoder.lookup.fork()
-        session = cls(decoder, lookup=lookup)
-        if session._vectorized != snapshot.vectorized:
-            raise ValueError(
-                "decoder expansion mode does not match the snapshot "
-                f"(vectorized={session._vectorized} vs "
-                f"snapshot {snapshot.vectorized})"
-            )
-        if snapshot.vectorized and decoder._num_lm != snapshot.num_lm:
-            raise ValueError(
-                "decoder LM state count does not match the snapshot"
-            )
-        seg = session._seg
-        # Either table type steps in either regime; columns restore
-        # without building a Token per entry.
-        seg.table = SoaTokenTable.from_columns(
-            decoder._num_lm,
-            snapshot.table_am.copy(),
-            snapshot.table_lm.copy(),
-            snapshot.table_cost.copy(),
-            snapshot.table_node.copy(),
-        )
-        seg.lattice.nodes = [
-            LatticeNode(word, frame, cost, backpointer)
-            for word, frame, cost, backpointer in snapshot.lattice_nodes
-        ]
-        seg.stats = _copy_stats(snapshot.stats)
-        seg.frame = snapshot.frames
-        seg.lookup.load_transient_state(snapshot.lookup_state)
-        session._lookup_start = snapshot.lookup_start.clone()
-        return session
 
     def push(self, scores: np.ndarray) -> PartialHypothesis:
         """Consume one batch of frames; returns the running best guess."""

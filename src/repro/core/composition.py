@@ -73,7 +73,7 @@ class LookupStats:
         return self.expansion_hits / total if total else 0.0
 
     def clone(self) -> "LookupStats":
-        """An independent copy (checkpointing; delta baselines)."""
+        """An independent copy (a delta baseline)."""
         return replace(self)
 
     def since(self, before: "LookupStats") -> "LookupStats":
@@ -84,16 +84,6 @@ class LookupStats:
                 for f in fields(self)
             }
         )
-
-    def assign(self, other: "LookupStats") -> None:
-        """Overwrite every counter in place.
-
-        In-place because a lookup's stats object is shared with its
-        expansion cache — rebinding ``lookup.stats`` would silently
-        split the two.  Used when restoring a session checkpoint.
-        """
-        for f in fields(self):
-            setattr(self, f.name, getattr(other, f.name))
 
 
 class OffsetLookupTable:
@@ -143,64 +133,6 @@ class OffsetLookupTable:
     def invalidate(self) -> None:
         """Drop every entry."""
         self._entries.clear()
-
-    def export_state(self) -> dict:
-        """Copy out the live entries (session checkpointing).
-
-        The snapshot is three ``(num_entries,)`` columns — a boolean
-        ``valid`` mask and the ``int64`` ``tags`` / ``offsets`` of the
-        live slots (zero elsewhere) — whatever container holds the
-        entries here: it is what session snapshots pickle and worker
-        pipes carry.
-        """
-        valid = np.zeros(self.num_entries, dtype=bool)
-        tags = np.zeros(self.num_entries, dtype=np.int64)
-        offsets = np.zeros(self.num_entries, dtype=np.int64)
-        entries = self._entries
-        if entries:
-            slots = np.fromiter(entries, dtype=np.int64, count=len(entries))
-            live = np.array(list(entries.values()), dtype=np.int64)
-            valid[slots] = True
-            tags[slots] = live[:, 0]
-            offsets[slots] = live[:, 1]
-        return {
-            "num_entries": self.num_entries,
-            "valid": valid,
-            "tags": tags,
-            "offsets": offsets,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Replace the table's contents with an exported snapshot.
-
-        Snapshots cross process boundaries, so the columns are checked
-        before anything is replaced: a malformed state raises
-        ``ValueError`` and leaves the table as it was.
-        """
-        if state["num_entries"] != self.num_entries:
-            raise ValueError(
-                f"offset table geometry mismatch: snapshot has "
-                f"{state['num_entries']} entries, table has "
-                f"{self.num_entries}"
-            )
-        for name in ("valid", "tags", "offsets"):
-            column = state.get(name)
-            if (
-                not isinstance(column, np.ndarray)
-                or column.shape != (self.num_entries,)
-            ):
-                raise ValueError(
-                    f"offset table snapshot column {name!r} is not a "
-                    f"({self.num_entries},) array"
-                )
-        tags, offsets = state["tags"], state["offsets"]
-        slots = np.flatnonzero(state["valid"])
-        self._entries = dict(
-            zip(
-                slots.tolist(),
-                zip(tags[slots].tolist(), offsets[slots].tolist()),
-            )
-        )
 
     @property
     def size_bytes(self) -> int:
@@ -350,33 +282,6 @@ class LmExpansionCache:
 
     def clear(self) -> None:
         self._rows.clear()
-
-    def resident_states(self) -> list[int]:
-        """Resident LM states, least recently used first."""
-        return list(self._rows)
-
-    def preload(self, states: list[int]) -> None:
-        """Re-admit rows without touching any activity counter.
-
-        Restores a checkpointed cache's residency and LRU order: rows
-        are pure functions of the immutable graph (taken from the
-        shared build memo or rebuilt), so the restored cache behaves —
-        hit for hit, eviction for eviction — exactly like the one that
-        was snapshotted.
-        """
-        rows = self._rows
-        for state in states:
-            row = rows.get(state)
-            if row is not None:
-                rows.move_to_end(state)
-                continue
-            row = self._row_source.get(state)
-            if row is None:
-                row = self._build_row(state)
-                self._row_source[state] = row
-            rows[state] = row
-            while len(rows) > self.capacity:
-                rows.popitem(last=False)
 
     def size_bytes(self) -> int:
         """Current storage held by resident rows."""
@@ -698,70 +603,6 @@ class LmLookup:
         if self.offset_table is not None:
             self.offset_table.invalidate()
         if self.expansion_cache is not None:
-            self.expansion_cache.clear()
-
-    def export_transient_state(self) -> dict:
-        """Checkpoint of the lookup's mutable state.
-
-        Captures everything a restored session needs to keep evolving
-        exactly as the original would have: the activity counters, the
-        Offset Lookup Table's live entries, and the expansion cache's
-        residency (in LRU order).  The graph-derived structures are
-        immutable and shared, so they stay out of the snapshot — that
-        is the paper's small-per-channel-state argument doing the work.
-        """
-        return {
-            "strategy": self.strategy.value,
-            "stats": self.stats.clone(),
-            "offset_table": (
-                self.offset_table.export_state()
-                if self.offset_table is not None
-                else None
-            ),
-            "expansion_states": (
-                self.expansion_cache.resident_states()
-                if self.expansion_cache is not None
-                else []
-            ),
-        }
-
-    def load_transient_state(self, state: dict) -> None:
-        """Restore a checkpoint taken by :meth:`export_transient_state`.
-
-        Snapshots cross process boundaries, so everything is checked
-        before anything is replaced: a malformed state raises
-        ``ValueError`` and leaves the lookup — counters, OLT, expansion
-        cache and the shared row memo — as it was.
-        """
-        if state["strategy"] != self.strategy.value:
-            raise ValueError(
-                f"lookup strategy mismatch: snapshot is "
-                f"{state['strategy']!r}, lookup is {self.strategy.value!r}"
-            )
-        if state["offset_table"] is not None and self.offset_table is None:
-            raise ValueError(
-                "snapshot carries an offset table but this lookup has none"
-            )
-        expansion_states = state["expansion_states"]
-        num_states = self.graph.fst.num_states
-        if not all(
-            type(s) is int and 0 <= s < num_states for s in expansion_states
-        ) or len(set(expansion_states)) != len(expansion_states):
-            raise ValueError(
-                "snapshot expansion states must be distinct LM state ids "
-                f"in [0, {num_states})"
-            )
-        if state["offset_table"] is not None:
-            self.offset_table.load_state(state["offset_table"])
-        elif self.offset_table is not None:
-            self.offset_table.invalidate()
-        self.stats.assign(state["stats"])
-        if expansion_states:
-            if self.expansion_cache is None:
-                self._ensure_batch_structures()
-            self.expansion_cache.clear()
-            self.expansion_cache.preload(expansion_states)
-        elif self.expansion_cache is not None:
             self.expansion_cache.clear()
 
     def fork(self) -> "LmLookup":

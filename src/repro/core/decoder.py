@@ -346,7 +346,7 @@ class OnTheFlyDecoder:
         :func:`~repro.core.beam.prune_items` selects the survivors
         instead when ``max_active`` may truncate them, and for a
         :class:`SoaTokenTable` frontier (a run entered after a
-        vectorized frame or a restore).
+        vectorized frame).
 
         The epsilon seeds are the keys of the new table whose AM state
         has epsilon arcs, collected at first insertion — which, the

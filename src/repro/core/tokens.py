@@ -220,10 +220,10 @@ class SoaTokenTable:
     ) -> "SoaTokenTable":
         """A table holding exactly these tokens, in this iteration order.
 
-        For a frontier that no bulk expansion produced (a restored
-        snapshot).  Contents, order and ``best_cost`` carry over; the
-        insert counters of the frame that built the frontier do not
-        (that frame has already been accounted).
+        For a frontier that no bulk expansion produced.  Contents,
+        order and ``best_cost`` carry over; the insert counters of the
+        frame that built the frontier do not (that frame has already
+        been accounted).
         """
         table = cls(num_lm)
         table._fill_unindexed((am_states, lm_states, costs, nodes), 0, 0)

@@ -61,15 +61,12 @@ class TwoPassDecoder:
         lm: LmGraph,
         ngram: BackoffNGramModel,
         config: DecoderConfig | None = None,
-        lattice_width: int = 8,
         max_paths: int = 512,
     ) -> None:
         self.am = am
         self.lm = lm
         self.ngram = ngram
         self.config = config or DecoderConfig()
-        #: Alternatives kept per (frame, word-end) during pass one.
-        self.lattice_width = lattice_width
         #: Complete paths extracted from the lattice for rescoring.
         self.max_paths = max_paths
         fst = am.fst

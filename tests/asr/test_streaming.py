@@ -81,7 +81,7 @@ class TestStreamingFastPath:
             DecoderConfig(beam=14.0, vectorized=vectorized),
         )
         session = StreamingSession(decoder)
-        assert session._vectorized == (
+        assert decoder._vectorized == (
             vectorized and decoder._arcs.pure_emitting
         )
         partials = []
@@ -156,7 +156,7 @@ class TestStreamingEdgeCases:
         (both table layouts)."""
         session = StreamingSession(decoder)
         session.push(tiny_scores[0][:5])
-        session._table = empty_table
+        session._seg.table = empty_table
         partial = session._partial()
         assert partial.words == []
         assert partial.cost == np.inf

@@ -3,8 +3,9 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import LmLookup, LookupStats, LookupStrategy, OffsetLookupTable
 from repro.lm import SENTENCE_END
@@ -30,6 +31,46 @@ class TestOffsetLookupTable:
         assert table.lookup(3, 7) is None
         table.insert(3, 7, 42)
         assert table.lookup(3, 7) == 42
+        # Indexed by state XOR word (Section 3.5).
+        assert list(table._entries) == [3 ^ 7]
+
+    @pytest.mark.parametrize("num_entries", [1, 2, 4, 16, 1024, 32 * 1024])
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 7),
+                st.integers(0, 7),
+                st.integers(0, (1 << 23) - 1),
+            ),
+            max_size=60,
+        )
+    )
+    def test_is_direct_mapped(self, num_entries, ops):
+        """One entry per ``(state XOR word) mod entries`` slot, and the
+        last insert wins it: a lookup finds its own pair's ordinal while
+        no other pair has taken the slot since, misses on an empty slot,
+        and otherwise misses or — another pair aliasing it on index and
+        tag — returns that pair's ordinal, which the caller validates."""
+        table = OffsetLookupTable(num_entries)
+        slots = {}  # slot -> (state, word, ordinal) of its last insert
+        for insert, state, word, ordinal in ops:
+            slot = (state ^ word) % num_entries
+            if insert:
+                table.insert(state, word, ordinal)
+                assert table.lookup(state, word) == ordinal
+                slots[slot] = (state, word, ordinal)
+                continue
+            got = table.lookup(state, word)
+            last = slots.get(slot)
+            if last is None:
+                assert got is None
+            elif last[:2] == (state, word):
+                assert got == last[2]
+            else:
+                assert got in (None, last[2])
+        assert len(table._entries) == len(slots) <= num_entries
 
     def test_direct_mapped_eviction(self):
         table = OffsetLookupTable(1)  # every key maps to slot 0
@@ -51,86 +92,6 @@ class TestOffsetLookupTable:
         # Section 3.5: 32K entries require 192 KB.
         table = OffsetLookupTable(32 * 1024)
         assert table.size_bytes == 192 * 1024
-
-    def test_export_format_is_three_full_columns(self):
-        """The snapshot format session pickles and worker pipes carry:
-        pinned keys, shapes and dtypes, whatever holds the entries."""
-        table = OffsetLookupTable(16)
-        table.insert(3, 7, 42)
-        table.insert(9, 1, 5)
-        state = table.export_state()
-        assert sorted(state) == ["num_entries", "offsets", "tags", "valid"]
-        assert state["num_entries"] == 16
-        for name, dtype in (
-            ("valid", np.bool_),
-            ("tags", np.int64),
-            ("offsets", np.int64),
-        ):
-            assert isinstance(state[name], np.ndarray), name
-            assert state[name].shape == (16,), name
-            assert state[name].dtype == dtype, name
-        assert np.flatnonzero(state["valid"]).tolist() == sorted(
-            [3 ^ 7, (9 ^ 1) & 15]
-        )
-        assert state["offsets"][3 ^ 7] == 42
-        restored = OffsetLookupTable(16)
-        restored.load_state(state)
-        assert restored.lookup(3, 7) == 42
-        assert restored.lookup(9, 1) == 5
-        again = restored.export_state()
-        for name in ("valid", "tags", "offsets"):
-            assert np.array_equal(again[name], state[name]), name
-
-    def test_loads_a_snapshot_with_stale_dead_slots(self):
-        """A snapshot written by the column-backed table — stale tags
-        and offsets left behind in invalid slots — restores the live
-        entries only."""
-        table = OffsetLookupTable(8)
-        table.insert(2, 1, 11)
-        index, tag = table._slot(2, 1)
-        state = {
-            "num_entries": 8,
-            "valid": np.zeros(8, dtype=bool),
-            "tags": np.full(8, 123, dtype=np.int64),
-            "offsets": np.full(8, 77, dtype=np.int64),
-        }
-        state["valid"][index] = True
-        state["tags"][index] = tag
-        state["offsets"][index] = 11
-        restored = OffsetLookupTable(8)
-        restored.insert(5, 5, 1)  # replaced, not merged
-        restored.load_state(state)
-        assert restored.lookup(2, 1) == 11
-        assert restored.lookup(5, 5) is None
-        assert restored.export_state()["valid"].sum() == 1
-
-    @pytest.mark.parametrize("column", ["valid", "tags", "offsets"])
-    @pytest.mark.parametrize(
-        "malformed",
-        [
-            lambda a: a[:-1],  # short
-            lambda a: np.concatenate([a, a[:1]]),  # long
-            lambda a: a.reshape(2, -1),  # wrong rank
-            lambda a: a.tolist(),  # not an array
-            lambda a: None,
-        ],
-    )
-    def test_load_state_rejects_malformed_columns(self, column, malformed):
-        table = OffsetLookupTable(8)
-        table.insert(1, 2, 3)
-        before = table.export_state()
-        state = table.export_state()
-        state[column] = malformed(state[column])
-        with pytest.raises(ValueError):
-            table.load_state(state)
-        del state[column]
-        with pytest.raises(ValueError):
-            table.load_state(state)
-        # A rejected snapshot leaves the table as it was.
-        after = table.export_state()
-        for name in ("valid", "tags", "offsets"):
-            assert np.array_equal(after[name], before[name]), name
-        assert table.lookup(1, 2) == 3
 
 
 def test_lookup_stats_delta_covers_every_counter():

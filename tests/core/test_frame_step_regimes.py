@@ -233,9 +233,12 @@ def test_one_call_mixes_scalar_and_solo_segments(
         _assert_same(want, have, "vs default", expansion=False)
 
 
-def test_snapshot_in_scalar_regime_restores_across_a_regime_flip(
+def test_replay_in_scalar_regime_continues_across_a_regime_flip(
     tiny_task, tiny_scores, monkeypatch
 ):
+    """A session resumed by replay on another decoder, cut while its
+    frames ran scalar, follows the straight session through the flip
+    to the numpy kernels."""
     config = DecoderConfig(beam=14.0, max_active=800)
     decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
     scores = max(tiny_scores, key=lambda m: m.shape[0])
@@ -251,20 +254,22 @@ def test_snapshot_in_scalar_regime_restores_across_a_regime_flip(
 
     straight = StreamingSession(decoder, lookup=decoder.lookup.fork())
     straight.push(scores[:cut])
-    assert isinstance(straight._table, TokenTable)  # the scalar regime's
-    snapshot = straight.snapshot()
+    assert isinstance(straight._seg.table, TokenTable)  # the scalar regime's
 
     fresh = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
-    resumed = StreamingSession.restore(fresh, snapshot)
+    resumed = StreamingSession(fresh, lookup=fresh.lookup.fork())
+    for start in range(0, cut, 3):
+        resumed.push(scores[start : min(start + 3, cut)])
+    assert isinstance(resumed._seg.table, TokenTable)
     flipped = False
     for start in range(cut, scores.shape[0], 3):
         want = straight.push(scores[start : start + 3])
         assert resumed.push(scores[start : start + 3]) == want
-        flipped |= isinstance(straight._table, SoaTokenTable) and len(
-            straight._table
+        flipped |= isinstance(straight._seg.table, SoaTokenTable) and len(
+            straight._seg.table
         ) > 0
     assert flipped
-    _assert_same(straight.finish(), resumed.finish(), "restored")
+    _assert_same(straight.finish(), resumed.finish(), "replayed")
 
 
 def test_profiled_decode_takes_the_same_regimes(
@@ -350,7 +355,7 @@ def test_traced_decoder_runs_the_scalar_body_on_every_frame(
     traced.lookup.reset_transient_state()
     session = StreamingSession(traced)
     session.push(scores)
-    assert isinstance(session._table, TokenTable)
+    assert isinstance(session._seg.table, TokenTable)
     assert sink.frames == 2 * scores.shape[0]
     _assert_same(decoded, session.finish(), "traced")
     assert all(

@@ -12,8 +12,8 @@ inserts, and ``_epsilon_scalar`` pops keys.  Pinned here:
   found by scanning the new table — frame by frame, on graphs with
   silence arcs and with a two-level epsilon graph, for both decoders,
   down to the order of the trace events;
-* regime round trips (scalar -> solo -> scalar) and a snapshot taken
-  mid-scalar-regime;
+* regime round trips (scalar -> solo -> scalar) and a session resumed
+  by replay mid-scalar-regime;
 * ``max_active`` truncation under cost ties.
 """
 
@@ -543,9 +543,11 @@ def test_table_conversions_keep_order_and_values():
     assert soa.base_slot_hints([1 * 11 + 1, 5 * 11 + 0, 3]) == [3, 2, -1]
 
 
-def test_snapshot_mid_scalar_regime_continues_bit_identically(
+def test_replay_mid_scalar_regime_continues_bit_identically(
     tiny_task, tiny_scores, monkeypatch
 ):
+    """A replay rebuilds the scalar frontier key for key, in insertion
+    order — the order ``max_active`` truncation breaks ties by."""
     monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", 10**9)  # never leaves it
     config = DecoderConfig(beam=14.0, max_active=800)
     decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
@@ -553,18 +555,22 @@ def test_snapshot_mid_scalar_regime_continues_bit_identically(
     cut = scores.shape[0] // 2
     straight = StreamingSession(decoder, lookup=decoder.lookup.fork())
     straight.push(scores[:cut])
-    assert isinstance(straight._table, TokenTable)
-    snapshot = straight.snapshot()
-    assert list(zip(snapshot.table_am.tolist(), snapshot.table_lm.tolist())) == [
-        unpack_key(key) for key in straight._table.cost
-    ]
-    resumed = StreamingSession.restore(
-        OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config), snapshot
+    fresh = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
+    resumed = StreamingSession(fresh, lookup=fresh.lookup.fork())
+    for start in range(0, cut, 3):
+        resumed.push(scores[start : min(start + 3, cut)])
+    assert isinstance(straight._seg.table, TokenTable)
+    assert isinstance(resumed._seg.table, TokenTable)
+    assert list(resumed._seg.table.cost.items()) == list(
+        straight._seg.table.cost.items()
+    )
+    assert list(resumed._seg.table.node.items()) == list(
+        straight._seg.table.node.items()
     )
     for start in range(cut, scores.shape[0], 3):
         want = straight.push(scores[start : start + 3])
         assert resumed.push(scores[start : start + 3]) == want
-        assert isinstance(resumed._table, TokenTable)
+        assert isinstance(resumed._seg.table, TokenTable)
     want, got = straight.finish(), resumed.finish()
     assert (got.words, got.cost, got.finals) == (want.words, want.cost, want.finals)
     assert _lattice_nodes(got.lattice) == _lattice_nodes(want.lattice)
