@@ -78,55 +78,6 @@ class DatasetSizing:
         }
 
 
-@dataclass(frozen=True)
-class DecodeStateSizing:
-    """Transient per-decoder state UNFOLD adds next to the stored dataset.
-
-    Not part of the on-disk WFSTs, but real memory at decode time: the
-    Offset Lookup Table (Section 3.5) and the LM expansion cache (the
-    software analogue of the paper's LM arc cache, Section 3.3).  The
-    expansion-cache number is the worst-case resident bound — capacity
-    times the deepest row — matching ``LmExpansionCache.size_bytes()``
-    when full of deepest-chain rows.
-    """
-
-    olt_bytes: int
-    expansion_cache_bytes: int
-
-
-def measure_decode_state(
-    lm,
-    offset_table_entries: int = 32 * 1024,
-    expansion_cache_states: int = 1024,
-) -> DecodeStateSizing:
-    """Size the decode-time lookup state for one LM graph."""
-    from repro.core.composition import expansion_row_bytes_bound
-
-    max_chain = 1
-    for state in lm.fst.states():
-        length = 1
-        current = state
-        while True:
-            backoff = lm.backoff_arc(current)
-            if backoff is None:
-                break
-            current = backoff.nextstate
-            length += 1
-            if length > lm.fst.num_states:
-                raise ValueError("back-off arcs form a cycle")
-        max_chain = max(max_chain, length)
-    label_space = int(lm.backoff_label) + 1
-    # The cache holds at most one row per LM state, so the residency
-    # bound is min(capacity, states) deepest-chain rows.
-    resident = min(expansion_cache_states, lm.fst.num_states)
-    return DecodeStateSizing(
-        # Valid bit + 24-bit tag + 23-bit offset per entry (Section 3.5).
-        olt_bytes=offset_table_entries * 6,
-        expansion_cache_bytes=resident
-        * expansion_row_bytes_bound(label_space, max_chain),
-    )
-
-
 def measure_dataset_sizing(task: "AsrTask") -> DatasetSizing:
     """Compute every Figure 8 configuration for one task."""
     am_bytes = uncompressed_size_bytes(task.am.fst)

@@ -11,7 +11,6 @@ from repro.core.batch import BatchSegment, advance_segment
 from repro.core.beam import BeamConfig
 from repro.core.composition import (
     BatchResolveResult,
-    ExpansionRow,
     LmExpansionCache,
     LmLookup,
     LookupStats,
@@ -54,7 +53,6 @@ __all__ = [
     "LookupStats",
     "LmLookup",
     "LmExpansionCache",
-    "ExpansionRow",
     "OffsetLookupTable",
     "ResolveResult",
     "BatchResolveResult",

@@ -21,11 +21,10 @@ during the phase).
 
 :class:`LmWordArcs` flattens an LM graph's word arcs (back-off arc
 excluded) into the same CSR layout, ilabel-sorted within each state,
-plus each state's *back-off chain* — the sequence of states a failed
-lookup walks through, with the per-hop back-off penalties — so a batch
-of `LmLookup.resolve` walks becomes numpy gathers over precomputed
-columns instead of per-token arc chasing (the software analogue of the
-paper's preemptive back-off machinery, Sections 3.3-3.4).
+plus each state's back-off arc and the sign of every resolvable total
+— the batched resolve's gate.  A lookup over these columns alone (a
+shared-memory attach) rebuilds the per-state views ``LmLookup``
+searches.
 
 :func:`plan_recombination` then replays sequential Viterbi insertion
 over a frame's full candidate batch: it computes, entirely in numpy,
@@ -47,9 +46,7 @@ float costs only inside a key's group, and slice one shared read-only
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -259,17 +256,11 @@ class EpsilonArcs:
 
 @dataclass(frozen=True)
 class LmWordArcs:
-    """CSR word arcs of an LM graph plus flattened back-off chains.
+    """CSR word arcs of an LM graph plus each state's back-off arc.
 
     Word arcs keep the LM construction invariant — ilabel-ascending
     within each state, back-off arc excluded — so a word's arc, if
     present, sits at ``searchsorted(ilabel[state slice], word)``.
-
-    The back-off chain of state ``s`` is the state sequence a failed
-    lookup visits: ``chain_states[chain_offsets[s]] == s`` followed by
-    successive back-off targets down to the unigram state;
-    ``chain_weights[j]`` is the back-off penalty paid to *reach* chain
-    entry ``j`` from its predecessor (0 at the chain head).
     """
 
     label_space: int  # one past the largest label (back-off label + 1)
@@ -279,10 +270,6 @@ class LmWordArcs:
     nextstate: np.ndarray  # int64
     backoff_next: np.ndarray  # int64 per state, -1 when absent
     backoff_weight: np.ndarray  # float64 per state, 0 when absent
-    chain_offsets: np.ndarray  # int64, num_states + 1
-    chain_states: np.ndarray  # int64, flattened chains
-    chain_weights: np.ndarray  # float64, per-hop penalties
-    max_chain: int  # longest chain length (states, >= 1)
     #: True when every resolvable total — accumulated back-off
     #: penalties plus the terminal arc weight — is >= 0.  Individual
     #: back-off penalties may be negative (ARPA models routinely have
@@ -313,10 +300,12 @@ class LmWordArcs:
                 weights.append(arc.weight)
                 nextstates.append(arc.nextstate)
             offsets[state + 1] = offsets[state] + len(arcs)
+        # Every state's back-off chain, which only the gate below reads:
+        # the states a failed lookup visits, down to the unigram state,
+        # with the penalty paid to *reach* each (0 at the chain head).
         chain_offsets = np.zeros(num_states + 1, dtype=np.int64)
         chain_states: list[int] = []
         chain_hop_weights: list[float] = []
-        max_chain = 1
         for state in range(num_states):
             current = state
             penalty = 0.0
@@ -333,11 +322,8 @@ class LmWordArcs:
                 penalty = float(backoff_weight[current])
                 current = nxt
             chain_offsets[state + 1] = chain_offsets[state] + length
-            max_chain = max(max_chain, length)
         weight = np.array(weights, dtype=np.float64)
         ilabel = np.array(ilabels, dtype=np.int64)
-        chain_states_arr = np.array(chain_states, dtype=np.int64)
-        chain_weights_arr = np.array(chain_hop_weights, dtype=np.float64)
         nonneg = bool(np.all(weight >= 0.0)) if weight.shape[0] else True
         nonneg = nonneg and bool(np.all(backoff_weight >= 0.0))
         if not nonneg:
@@ -347,8 +333,8 @@ class LmWordArcs:
                 ilabel,
                 weight,
                 chain_offsets,
-                chain_states_arr,
-                chain_weights_arr,
+                np.array(chain_states, dtype=np.int64),
+                np.array(chain_hop_weights, dtype=np.float64),
                 int(graph.backoff_label) + 1,
             )
         return cls(
@@ -359,28 +345,7 @@ class LmWordArcs:
             nextstate=np.array(nextstates, dtype=np.int64),
             backoff_next=backoff_next,
             backoff_weight=backoff_weight,
-            chain_offsets=chain_offsets,
-            chain_states=chain_states_arr,
-            chain_weights=chain_weights_arr,
-            max_chain=max_chain,
             nonneg_weights=nonneg,
-        )
-
-    @cached_property
-    def row_typecodes(self) -> tuple[str, str, str]:
-        """Narrowest signed ``array`` typecodes for per-word columns.
-
-        ``(level, count, state)``: back-off chain levels; arc ordinals
-        and search probe counts, both bounded by a state's arc count;
-        LM states.  Each leaves room for a -1 "absent" sentinel.  Picked
-        once per arcs object, from the LM's own sizes.
-        """
-        num_states = self.offsets.shape[0] - 1
-        max_arcs = int(np.diff(self.offsets).max()) if num_states else 0
-        return (
-            _signed_typecode(self.max_chain - 1),
-            _signed_typecode(max_arcs),
-            _signed_typecode(num_states - 1),
         )
 
     def to_arc_lists(
@@ -418,14 +383,6 @@ class LmWordArcs:
             for s in range(num_states)
         ]
         return word_arcs, backoff
-
-
-def _signed_typecode(bound: int) -> str:
-    """The narrowest signed ``array`` typecode holding ``-1 .. bound``."""
-    for code in "bhiq":
-        if bound < 1 << (8 * array(code).itemsize - 1):
-            return code
-    raise OverflowError(f"{bound} does not fit a signed 64-bit column")
 
 
 def _all_resolves_nonneg(

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
 
 from repro.core.arcs import LmWordArcs
 from repro.core.trace import GraphSide, NullSink, TraceSink
@@ -51,9 +49,9 @@ class LookupStats:
     backoff_arcs_taken: int = 0
     preemptive_prunes: int = 0
     # LM expansion cache activity (the batched resolve engine).  The
-    # cache memoizes graph-derived rows only, so these are excluded
-    # from equality: scalar runs, which never touch the cache, must
-    # still compare equal to batched runs stat-for-stat.
+    # cache models residency only, so these are excluded from
+    # equality: scalar runs, which never touch the cache, must still
+    # compare equal to batched runs stat-for-stat.
     expansion_hits: int = field(default=0, compare=False)
     expansion_misses: int = field(default=0, compare=False)
     expansion_evictions: int = field(default=0, compare=False)
@@ -165,209 +163,51 @@ class BatchResolveResult:
     backoff_levels: list[int]
 
 
-def _binary_probe_counts(labels: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Probe count of ``LmLookup._binary`` for every query in ``words``.
-
-    Simulates the lo/hi walk for all words at once; for absent words
-    this is the full walk to exhaustion, exactly as the scalar search
-    pays it.
-    """
-    n = int(labels.shape[0])
-    total = words.shape[0]
-    counts = np.zeros(total, dtype=np.int64)
-    if n == 0:
-        return counts
-    lo = np.zeros(total, dtype=np.int64)
-    hi = np.full(total, n - 1, dtype=np.int64)
-    active = np.ones(total, dtype=bool)
-    while True:
-        idx = np.flatnonzero(active)
-        if idx.shape[0] == 0:
-            return counts
-        mid = (lo[idx] + hi[idx]) // 2
-        counts[idx] += 1
-        got = labels[mid]
-        w = words[idx]
-        hit = got == w
-        less = got < w
-        more = ~hit & ~less
-        lo[idx[less]] = mid[less] + 1
-        hi[idx[more]] = mid[more] - 1
-        still = ~hit
-        still[less] &= lo[idx[less]] <= hi[idx[less]]
-        still[more] &= lo[idx[more]] <= hi[idx[more]]
-        active[idx] = still
-
-
-@dataclass(slots=True)
-class ExpansionRow:
-    """One LM state's fully resolved expansion (the LM arc cache line).
-
-    For every word id in the label space: the back-off chain level
-    where the word's arc lives (-1 when it is absent from the whole
-    chain), the arc's weight / destination / ordinal there, and the
-    per-level search probe counts the scalar engine would spend — so a
-    batch of resolves replays scalar costs and counters exactly.
-
-    The label-space columns are ``array.array`` buffers: float64
-    weights, and the narrowest signed width the LM's sizes allow for
-    the rest (:attr:`LmWordArcs.row_typecodes`).  Indexing one yields
-    the native ``int`` / ``float`` a list would hold — the replay reads
-    item by item, where per-item numpy scalars would dominate its cost
-    — at a fraction of a list's bytes (DESIGN.md, "Decode-time
-    memory"); float64 round-trips exactly, so replayed arithmetic is
-    bit-identical to the scalar engine's.  The chain columns are a few
-    entries long and stay lists.
-    """
-
-    chain: list[int]  # the state's back-off chain
-    chain_weights: list[float]  # per-hop penalties
-    found_level: array  # [label_space]
-    steps: list[array]  # [chain length][label_space]
-    arc_weight: array  # [label_space], float64
-    arc_next: array  # [label_space]
-    arc_ordinal: array  # [label_space]
-
-    def size_bytes(self) -> int:
-        """Modelled storage: 8 bytes per entry of every column."""
-        depth = len(self.chain)
-        return 8 * (2 * depth + len(self.found_level) * (4 + depth))
-
-
-def expansion_row_bytes_bound(label_space: int, max_chain: int) -> int:
-    """Worst-case bytes one :class:`ExpansionRow` can hold.
-
-    Chain + per-hop weights, then found-level / per-level steps / the
-    terminal arc columns over the label space — the number the sizing
-    reports multiply by cache capacity to stay honest about the
-    decode-time state the expansion cache adds.
-    """
-    return max_chain * 16 + label_space * 8 * (3 + max_chain) + label_space * 8
-
-
 class LmExpansionCache:
-    """Memoized per-LM-state expansion rows (the paper's LM arc cache).
+    """LRU residency of LM states (the paper's LM arc cache, Section 3.3).
 
     UNFOLD caches recently expanded LM arcs so repeated cross-word
-    transitions out of the same LM state skip the arc search (Section
-    3.3); this is the software analogue: an LRU-bounded map from LM
-    state to its :class:`ExpansionRow`.  Rows derive from the immutable
-    LM graph only, so eviction and reuse can never change results —
-    just how much search work is re-spent, which the
+    transitions out of the same LM state skip the DRAM fetch; this
+    models which states would be resident in such a cache.  It holds
+    state ids only — the arcs themselves are the lookup's shared
+    per-state views — so it can never change results, only the
     ``expansion_hits`` / ``expansion_misses`` / ``expansion_evictions``
-    counters on :class:`LookupStats` report.
+    counters on :class:`LookupStats`.
     """
 
-    def __init__(
-        self,
-        word_arcs: LmWordArcs,
-        strategy: "LookupStrategy",
-        stats: LookupStats,
-        capacity: int = 1024,
-        row_source: dict[int, ExpansionRow] | None = None,
-    ) -> None:
+    def __init__(self, stats: LookupStats, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._arcs = word_arcs
-        self._strategy = strategy
         self.stats = stats
         self.capacity = capacity
-        self._rows: OrderedDict[int, ExpansionRow] = OrderedDict()
-        # Built rows are pure functions of the immutable LM graph, so
-        # caches over the same graph (a lookup and its forks) can share
-        # one build memo: residency — and with it every hit/miss/evict
-        # counter — stays per-cache, only the construction cost is
-        # shared.  Bounded by the number of LM states with word arcs.
-        self._row_source = row_source if row_source is not None else {}
+        self._resident: OrderedDict[int, None] = OrderedDict()
 
     def clear(self) -> None:
-        self._rows.clear()
+        self._resident.clear()
 
-    def size_bytes(self) -> int:
-        """Current storage held by resident rows."""
-        return sum(row.size_bytes() for row in self._rows.values())
-
-    def rows_for(self, states: Sequence[int]) -> list[ExpansionRow]:
-        """The expansion row of each state, building/evicting as needed.
+    def touch(self, states: Sequence[int]) -> None:
+        """Access each state in order, admitting and evicting as needed.
 
         Hit/miss accounting matches a sequential walk of ``states``:
-        the first occurrence of an absent state misses (and builds),
-        every other access hits.
+        the first occurrence of an absent state misses, every other
+        access hits.
         """
-        rows = self._rows
+        resident = self._resident
         stats = self.stats
-        out = []
         hits = 0
         misses = 0
         for state in states:
-            row = rows.get(state)
-            if row is None:
-                misses += 1
-                row = self._row_source.get(state)
-                if row is None:
-                    row = self._build_row(state)
-                    self._row_source[state] = row
-                rows[state] = row
-                while len(rows) > self.capacity:
-                    rows.popitem(last=False)
-                    stats.expansion_evictions += 1
-            else:
+            if state in resident:
                 hits += 1
-                rows.move_to_end(state)
-            out.append(row)
+                resident.move_to_end(state)
+            else:
+                misses += 1
+                resident[state] = None
+                if len(resident) > self.capacity:
+                    resident.popitem(last=False)
+                    stats.expansion_evictions += 1
         stats.expansion_hits += hits
         stats.expansion_misses += misses
-        return out
-
-    def _build_row(self, state: int) -> ExpansionRow:
-        arcs = self._arcs
-        chain_lo = int(arcs.chain_offsets[state])
-        chain_hi = int(arcs.chain_offsets[state + 1])
-        chain = arcs.chain_states[chain_lo:chain_hi]
-        chain_weights = arcs.chain_weights[chain_lo:chain_hi]
-        space = arcs.label_space
-        words = np.arange(space, dtype=np.int64)
-        depth = chain.shape[0]
-        # numpy and ``array`` typecodes name the same C types, so each
-        # column converts with one buffer copy.
-        level_code, count_code, state_code = arcs.row_typecodes
-        found_level = np.full(space, -1, dtype=level_code)
-        steps = np.zeros((depth, space), dtype=count_code)
-        arc_weight = np.zeros(space, dtype=np.float64)
-        arc_next = np.full(space, -1, dtype=state_code)
-        arc_ordinal = np.full(space, -1, dtype=count_code)
-        # Deepest level first, so shallower levels override: found_level
-        # ends up the *first* level whose state carries the word's arc.
-        for level in range(depth - 1, -1, -1):
-            st = int(chain[level])
-            lo = int(arcs.offsets[st])
-            hi = int(arcs.offsets[st + 1])
-            labels = arcs.ilabel[lo:hi]
-            n = hi - lo
-            pos = np.searchsorted(labels, words)
-            present = np.zeros(space, dtype=bool)
-            inb = pos < n
-            present[inb] = labels[pos[inb]] == words[inb]
-            found_level[present] = level
-            ppos = pos[present]
-            arc_weight[present] = arcs.weight[lo + ppos]
-            arc_next[present] = arcs.nextstate[lo + ppos]
-            arc_ordinal[present] = ppos
-            if self._strategy is LookupStrategy.LINEAR:
-                # The scan stops at the match, at the first larger
-                # label, or at exhaustion — probing each arc it passes.
-                steps[level] = np.where(inb, pos + 1, n)
-            else:
-                steps[level] = _binary_probe_counts(labels, words)
-        return ExpansionRow(
-            chain=chain.tolist(),
-            chain_weights=chain_weights.tolist(),
-            found_level=array(level_code, found_level.tobytes()),
-            steps=[array(count_code, level.tobytes()) for level in steps],
-            arc_weight=array("d", arc_weight.tobytes()),
-            arc_next=array(state_code, arc_next.tobytes()),
-            arc_ordinal=array(count_code, arc_ordinal.tobytes()),
-        )
 
 
 class LmLookup:
@@ -400,8 +240,6 @@ class LmLookup:
         # the CSR columns; otherwise they are built from the graph here,
         # as always.
         self._scalar_cell: list[tuple[list[list[Arc]], list[Arc | None]] | None]
-        self._expansion_cache_states = expansion_cache_states
-        self.expansion_cache: LmExpansionCache | None = None
         if word_arcs is not None:
             self._scalar_cell = [None]
             self._soa: LmWordArcs | None = word_arcs
@@ -416,14 +254,15 @@ class LmLookup:
                     arcs[:-1] if backoff is not None else list(arcs)
                 )
             self._scalar_cell = [(arc_views, backoffs)]
-            # Batched-resolve structures, built lazily on first use: the
-            # CSR word-arc columns with flattened back-off chains, and
-            # the LM expansion cache over them.
+            # The CSR word-arc columns, built on first use: the batched
+            # resolve's gate and id ranges, and the views of an attach.
             self._soa = None
-        # Shared expansion-row build memo (see LmExpansionCache); forks
-        # reference the same dict so concurrent sessions build each hot
-        # row once between them instead of once per session.
-        self._row_memo: dict[int, ExpansionRow] = {}
+        # Each state's word-arc labels as native ints, which the batched
+        # resolve searches: built on its first call, shared with forks.
+        self._labels_cell: list[list[list[int]] | None] = [None]
+        self.expansion_cache = LmExpansionCache(
+            self.stats, capacity=expansion_cache_states
+        )
 
     def _scalar_views(self) -> tuple[list[list[Arc]], list[Arc | None]]:
         views = self._scalar_cell[0]
@@ -431,6 +270,13 @@ class LmLookup:
             views = self._ensure_batch_structures().to_arc_lists()
             self._scalar_cell[0] = views
         return views
+
+    def _labels(self) -> list[list[int]]:
+        labels = self._labels_cell[0]
+        if labels is None:
+            labels = [[arc.ilabel for arc in arcs] for arcs in self._word_arcs]
+            self._labels_cell[0] = labels
+        return labels
 
     @property
     def _word_arcs(self) -> list[list[Arc]]:
@@ -491,12 +337,18 @@ class LmLookup:
         assert table is not None
         cached = table.lookup(state, word_id)
         if cached is not None:
-            arc = self._probe(state, cached)
-            if arc.ilabel == word_id:  # tag aliasing check
+            # Tag aliasing check on the fetched arc.  An aliased entry
+            # holds another pair's ordinal, which may even lie past this
+            # state's arcs: the fetch is paid either way, and it misses.
+            self.stats.arc_probes += 1
+            if self._tracing:
+                self.sink.on_arc_fetch(GraphSide.LM, state, cached)
+            arcs = self._word_arcs[state]
+            if cached < len(arcs) and arcs[cached].ilabel == word_id:
                 self.stats.olt_hits += 1
                 if self._tracing:
                     self.sink.on_olt_access(state, word_id, True)
-                return arc
+                return arcs[cached]
         self.stats.olt_misses += 1
         if self._tracing:
             self.sink.on_olt_access(state, word_id, False)
@@ -573,14 +425,6 @@ class LmLookup:
     def _ensure_batch_structures(self) -> LmWordArcs:
         if self._soa is None:
             self._soa = LmWordArcs.from_graph(self.graph)
-        if self.expansion_cache is None:
-            self.expansion_cache = LmExpansionCache(
-                self._soa,
-                self.strategy,
-                self.stats,
-                capacity=self._expansion_cache_states,
-                row_source=self._row_memo,
-            )
         return self._soa
 
     @property
@@ -594,7 +438,7 @@ class LmLookup:
         return self._ensure_batch_structures().nonneg_weights and not self._tracing
 
     def reset_transient_state(self) -> None:
-        """Cold-start the per-decode caches (OLT + expansion rows).
+        """Cold-start the per-decode caches (OLT + expansion residency).
 
         Neither affects results — only which work is re-spent — but
         clearing both keeps every activity counter independent of how
@@ -602,17 +446,16 @@ class LmLookup:
         """
         if self.offset_table is not None:
             self.offset_table.invalidate()
-        if self.expansion_cache is not None:
-            self.expansion_cache.clear()
+        self.expansion_cache.clear()
 
     def fork(self) -> "LmLookup":
         """A cold clone sharing the immutable graph structures.
 
         The clone shares everything derived from the graph — per-state
-        arc views, back-off arcs, the CSR word-arc columns — but owns
-        fresh *transient* state: zeroed :class:`LookupStats`, an empty
-        Offset Lookup Table of the same geometry, and an empty LM
-        expansion cache.  A fork therefore behaves exactly like the
+        arc views and labels, back-off arcs, the CSR word-arc columns —
+        but owns fresh *transient* state: zeroed :class:`LookupStats`,
+        an empty Offset Lookup Table of the same geometry, and an empty
+        LM expansion cache.  A fork therefore behaves exactly like the
         parent lookup immediately after ``reset_transient_state()``,
         which is what gives each serve session the same cache
         evolution — hence identical counters — as a solo cold decode.
@@ -635,15 +478,10 @@ class LmLookup:
             )
             clone.offset_table = OffsetLookupTable(entries)
         clone._scalar_cell = self._scalar_cell
-        clone._expansion_cache_states = self._expansion_cache_states
+        clone._labels_cell = self._labels_cell
         clone._soa = self._ensure_batch_structures()
-        clone._row_memo = self._row_memo
         clone.expansion_cache = LmExpansionCache(
-            clone._soa,
-            clone.strategy,
-            clone.stats,
-            capacity=clone._expansion_cache_states,
-            row_source=clone._row_memo,
+            clone.stats, capacity=self.expansion_cache.capacity
         )
         return clone
 
@@ -658,41 +496,44 @@ class LmLookup:
         """:meth:`resolve` over a batch of (state, word) items.
 
         Literally the scalar ``resolve`` walk, item by item in list
-        order, except every arc search collapses to O(1) reads of the
-        item's cached :class:`ExpansionRow` — so equality with the
-        scalar engine holds by construction: bit-identical weights (the
-        back-off accumulator adds in the scalar order) and identical
-        ``LookupStats`` counters, including the Offset Lookup Table's
-        hit/miss/probe accounting and its final contents.  The items
-        must not be interleaved with scalar resolves that the batch
-        order would not reproduce.  Native lists in, native lists out:
-        nothing here is array-shaped.  A word id outside the label
+        order, with the per-probe bookkeeping kept in locals: at each
+        back-off level the Offset Lookup Table (when the strategy has
+        one), then the strategy's search over the state's native label
+        list.  Equality with the scalar engine holds by construction:
+        bit-identical weights (the back-off accumulator adds in the
+        scalar order) and identical ``LookupStats`` counters, including
+        the OLT's hit/miss/probe accounting and its final contents.
+        The items must not be interleaved with scalar resolves that the
+        batch order would not reproduce.  Native lists in, native lists
+        out: nothing here is array-shaped.  A word id outside the label
         space or an LM state outside ``[0, num_states)`` raises
         ``ValueError`` before any item has touched the lookup's state —
-        counters, OLT, expansion cache and the shared row memo; stats
-        land on completion: every item is accounted before an exhausted
-        item raises.
+        counters, OLT and expansion residency; stats land on
+        completion: every item is accounted before an exhausted item
+        raises.
         """
         if self._tracing:
             raise RuntimeError(
                 "resolve_batch has no per-event order; use resolve when tracing"
             )
         soa = self._ensure_batch_structures()
+        labels_of = self._labels()
+        word_arcs, backoff_of = self._scalar_views()
         n = len(words)
         if n and not 0 <= min(words) <= max(words) < soa.label_space:
             raise ValueError("word id outside the LM label space")
-        if n and not 0 <= min(states) <= max(states) < soa.offsets.shape[0] - 1:
+        if n and not 0 <= min(states) <= max(states) < len(labels_of):
             raise ValueError("LM state id outside [0, num_states)")
-        cache = self.expansion_cache
-        assert cache is not None
-        rows = cache.rows_for(states)
+        self.expansion_cache.touch(states)
         out_weight = [0.0] * n
         out_next = [-1] * n
         out_pruned = [False] * n
         out_levels = [0] * n
+        out_steps = [0] * n
         exhausted_word = -1
         table = self.offset_table
         use_olt = self.strategy is LookupStrategy.OFFSET_TABLE
+        linear = self.strategy is LookupStrategy.LINEAR
         if use_olt:
             assert table is not None
             slot_mask = table._mask
@@ -700,76 +541,94 @@ class LmLookup:
             entries = table._entries
         if not preemptive:
             threshold = math.inf
-        # Counted per item from the level its walk ended at, not per
-        # step: a walk ending in a search at ``level`` made ``level +
-        # 1`` lookups over ``level`` back-off arcs (one probe each); one
-        # pruned on arriving at ``level`` never searched there.  Every
-        # OLT lookup that is not a hit is a miss.
-        lookups = probes = backoffs = prunes = hits = 0
+        # Counters land once per batch, not per probe: an item's probes
+        # add up in a small local, and its lookups and back-off arcs
+        # follow from the level its walk ended at (below).
+        prunes = hits = 0
         for i in range(n):
             word = words[i]
-            row = rows[i]
-            chain = row.chain
-            steps = row.steps
-            found_level = row.found_level[word]
             entry = entry_costs[i]
             accumulated = entry
-            last = len(chain) - 1
+            state = states[i]
             level = 0
+            steps = 0
             if use_olt:
                 word_hash = word * 0x85EBCA77
             while True:
+                labels = labels_of[state]
+                found = -1
                 if use_olt:
-                    state_l = chain[level]
-                    index = (state_l ^ word) & slot_mask
-                    tag = ((state_l * 0x9E3779B1) ^ word_hash) & tag_mask
+                    index = (state ^ word) & slot_mask
+                    tag = ((state * 0x9E3779B1) ^ word_hash) & tag_mask
                     cached = entries.get(index)
                     if cached is not None and cached[0] == tag:
-                        # Cached entry: one validation probe on the
-                        # fetched arc, a hit iff it is the word's.
-                        probes += 1
-                        if (
-                            found_level == level
-                            and cached[1] == row.arc_ordinal[word]
-                        ):
+                        # One validation probe on the fetched arc; an
+                        # aliased ordinal may lie past the state's arcs.
+                        steps += 1
+                        ordinal = cached[1]
+                        if ordinal < len(labels) and labels[ordinal] == word:
                             hits += 1
-                            out_weight[i] = (
-                                accumulated - entry
-                            ) + row.arc_weight[word]
-                            out_next[i] = row.arc_next[word]
-                            lookups += level + 1
-                            break
-                    probes += steps[level][word]
-                    if found_level == level:
-                        entries[index] = (tag, row.arc_ordinal[word])
-                else:
-                    probes += steps[level][word]
-                if found_level == level:
-                    out_weight[i] = (accumulated - entry) + row.arc_weight[
-                        word
-                    ]
-                    out_next[i] = row.arc_next[word]
-                    lookups += level + 1
+                            found = ordinal
+                if found < 0:
+                    if linear:
+                        # The scan stops at the match, at the first
+                        # larger label, or at exhaustion — probing each
+                        # arc it passes.
+                        pos = bisect_left(labels, word)
+                        if pos < len(labels):
+                            steps += pos + 1
+                            if labels[pos] == word:
+                                found = pos
+                        else:
+                            steps += pos
+                    else:
+                        lo = 0
+                        hi = len(labels) - 1
+                        while lo <= hi:
+                            mid = (lo + hi) // 2
+                            steps += 1
+                            label = labels[mid]
+                            if label == word:
+                                found = mid
+                                break
+                            if label < word:
+                                lo = mid + 1
+                            else:
+                                hi = mid - 1
+                        if use_olt and found >= 0:
+                            entries[index] = (tag, found)
+                if found >= 0:
+                    arc = word_arcs[state][found]
+                    out_weight[i] = (accumulated - entry) + arc.weight
+                    out_next[i] = arc.nextstate
                     break
-                if level == last:
+                backoff = backoff_of[state]
+                if backoff is None:
                     if exhausted_word < 0:
                         exhausted_word = word
-                    lookups += level + 1
                     break
+                # The back-off arc's fetch is one more probe.
+                steps += 1
                 level += 1
-                accumulated += row.chain_weights[level]
+                accumulated += backoff.weight
+                state = backoff.nextstate
                 if accumulated > threshold:
                     prunes += 1
                     out_weight[i] = accumulated - entry
-                    out_next[i] = chain[level]
+                    out_next[i] = state
                     out_pruned[i] = True
-                    lookups += level
                     break
             out_levels[i] = level
-            backoffs += level
+            out_steps[i] = steps
+        # A walk that ended at ``level`` took ``level`` back-off arcs and
+        # made ``level + 1`` lookups, except that one pruned on arriving
+        # at ``level`` never searched there.  Every OLT lookup that is
+        # not a hit is a miss.
+        backoffs = sum(out_levels)
+        lookups = backoffs + n - prunes
         stats = self.stats
         stats.lookups += lookups
-        stats.arc_probes += probes + backoffs
+        stats.arc_probes += sum(out_steps)
         stats.backoff_arcs_taken += backoffs
         stats.preemptive_prunes += prunes
         stats.olt_hits += hits

@@ -8,7 +8,7 @@ being WFST; the same shape must emerge from our tasks.
 from __future__ import annotations
 
 from repro.asr.dataset import measure_component_sizes
-from repro.compress.sizing import measure_decode_state
+from repro.core.composition import OffsetLookupTable
 from repro.experiments.common import ExperimentResult, TaskBundle, paper_bundles
 
 EXPERIMENT_ID = "fig02"
@@ -20,10 +20,7 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
     rows = []
     for bundle in bundles:
         sizes = measure_component_sizes(bundle.task, bundle.scorer)
-        state = measure_decode_state(
-            bundle.task.lm,
-            offset_table_entries=bundle.unfold_config.offset_table_entries,
-        )
+        olt = OffsetLookupTable(bundle.unfold_config.offset_table_entries)
         rows.append(
             {
                 "task": bundle.name,
@@ -31,16 +28,14 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
                 "scorer_kb": sizes.scorer_bytes / 1024,
                 "wfst_mb": sizes.composed_wfst_bytes / 2**20,
                 "wfst_share_pct": 100 * sizes.wfst_share,
-                # Decode-time lookup state (not stored dataset): OLT
-                # plus the LM expansion cache's worst-case residency.
-                "olt_kb": state.olt_bytes / 1024,
-                "lm_expansion_cache_kb": state.expansion_cache_bytes / 1024,
+                # Decode-time lookup state (not stored dataset).
+                "olt_kb": olt.size_bytes / 1024,
             }
         )
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
         rows=rows,
-        notes="paper: WFST is 87-97% of the total ASR dataset; olt/"
-        "expansion-cache columns are decode-time state bounds",
+        notes="paper: WFST is 87-97% of the total ASR dataset; the olt "
+        "column is decode-time state",
     )

@@ -8,7 +8,7 @@ average.
 
 from __future__ import annotations
 
-from repro.compress.sizing import measure_decode_state
+from repro.core.composition import OffsetLookupTable
 from repro.experiments.common import ExperimentResult, TaskBundle, paper_bundles
 
 EXPERIMENT_ID = "table2"
@@ -23,20 +23,16 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
         sizing = bundle.sizing
         ratios.append(sizing.compression_vs_price)
         # Decode-time lookup state the on-the-fly configuration adds
-        # (OLT + LM expansion cache) — not in the stored dataset, but
-        # reported so the size comparison stays honest.
-        state = measure_decode_state(
-            bundle.task.lm,
-            offset_table_entries=bundle.unfold_config.offset_table_entries,
-        )
+        # (the OLT) — not in the stored dataset, but reported so the
+        # size comparison stays honest.
+        olt = OffsetLookupTable(bundle.unfold_config.offset_table_entries)
         rows.append(
             {
                 "task": bundle.name,
                 "onthefly_comp_mb": sizing.onthefly_comp_bytes / 2**20,
                 "fully_composed_comp_mb": sizing.composed_comp_bytes / 2**20,
                 "ratio_x": sizing.compression_vs_price,
-                "olt_kb": state.olt_bytes / 1024,
-                "lm_expansion_cache_kb": state.expansion_cache_bytes / 1024,
+                "olt_kb": olt.size_bytes / 1024,
             }
         )
     rows.append(
@@ -46,7 +42,6 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
             "fully_composed_comp_mb": None,
             "ratio_x": sum(ratios) / len(ratios),
             "olt_kb": None,
-            "lm_expansion_cache_kb": None,
         }
     )
     return ExperimentResult(
@@ -54,6 +49,5 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
         title=TITLE,
         rows=rows,
         notes="paper: compressed on-the-fly is 8.8x smaller on average; "
-        "olt/expansion-cache columns are decode-time state bounds, not "
-        "stored dataset",
+        "the olt column is decode-time state, not stored dataset",
     )

@@ -2,7 +2,7 @@
 
 :func:`pack_recognizer` flattens everything N decode processes need to
 share — the AM's emitting/epsilon CSR columns, the LM's word-arc
-columns with back-off chains, per-LM-state final weights, the symbol
+columns with back-off arcs, per-LM-state final weights, the symbol
 table, and the acoustic scorer's parameter arrays — into one named
 :mod:`repro.shm.segments` segment.  :func:`attach_recognizer` maps that
 segment and rebuilds a decode-ready recognizer whose arrays are
@@ -49,7 +49,7 @@ from repro.wfst.text_format import read_symbol_table, write_symbol_table
 
 #: Version of the recognizer-level packing (array names + meta schema),
 #: layered on top of the segment layout version.
-RECOGNIZER_SHM_VERSION = 1
+RECOGNIZER_SHM_VERSION = 2
 
 _SCORER_PREFIX = "scorer."
 
@@ -161,9 +161,6 @@ def pack_recognizer(
         "lm_nextstate": lmw.nextstate,
         "lm_backoff_next": lmw.backoff_next,
         "lm_backoff_weight": lmw.backoff_weight,
-        "lm_chain_offsets": lmw.chain_offsets,
-        "lm_chain_states": lmw.chain_states,
-        "lm_chain_weights": lmw.chain_weights,
         "lm_final_weights": tables.lm_final_weights,
         "words_text": words_blob,
         "senone_states": np.array(
@@ -196,7 +193,6 @@ def pack_recognizer(
         "eps_single_level": eps.single_level,
         "eps_nonneg": eps.nonneg_weights,
         "lm_label_space": lmw.label_space,
-        "lm_max_chain": lmw.max_chain,
         "lm_nonneg": lmw.nonneg_weights,
         "scorer_kind": scorer.kind.value if scorer is not None else None,
     }
@@ -251,10 +247,6 @@ def _reconstruct(shared: SharedArrays) -> AttachedRecognizer:
             nextstate=a["lm_nextstate"],
             backoff_next=a["lm_backoff_next"],
             backoff_weight=a["lm_backoff_weight"],
-            chain_offsets=a["lm_chain_offsets"],
-            chain_states=a["lm_chain_states"],
-            chain_weights=a["lm_chain_weights"],
-            max_chain=meta["lm_max_chain"],
             nonneg_weights=meta["lm_nonneg"],
         ),
         lm_final_weights=a["lm_final_weights"],

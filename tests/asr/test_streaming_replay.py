@@ -50,14 +50,12 @@ def _replay(decoder, batches):
 
 
 def _lookup_state(session):
-    """Counters, OLT entries and expansion-row residency (LRU order)."""
+    """Counters, OLT entries and expansion residency (LRU order)."""
     lookup = session._seg.lookup
     return (
         dataclasses.asdict(lookup.stats),
         None if lookup.offset_table is None else dict(lookup.offset_table._entries),
-        None
-        if lookup.expansion_cache is None
-        else list(lookup.expansion_cache._rows),
+        list(lookup.expansion_cache._resident),
     )
 
 
@@ -177,17 +175,17 @@ class TestReplay:
         _assert_same(want, got)
 
     @pytest.mark.parametrize("cut", [2 * BATCH, 5 * BATCH])
-    def test_replay_rebuilds_the_lm_expansion_rows(self, wide_task, cut):
-        """The replay refills the expansion cache row for row, in LRU
-        order: the continuation re-spends no row the live session finds
-        resident, hit for hit."""
+    def test_replay_rebuilds_the_lm_expansion_residency(self, wide_task, cut):
+        """The replay refills the expansion cache state for state, in
+        LRU order: the continuation finds resident exactly the states
+        the live session does, hit for hit."""
         task, utterances = wide_task
         decoder = _decoder(task)
         for scores in utterances:
             delivered = _batches(scores, stop=cut)
             live = _replay(decoder, delivered)
             assert max(live._seg.stats.active_history) > batch.SCALAR_FRONTIER_MAX
-            assert live._seg.lookup.expansion_cache._rows
+            assert live._seg.lookup.expansion_cache._resident
             replayed = _replay(decoder, delivered)
             _assert_same_state(live, replayed)
             want, got = _continue_both(live, replayed, scores)

@@ -1,6 +1,5 @@
 """Shared fixtures: a tiny ASR task reused across the test suite."""
 
-import numpy as np
 import pytest
 
 from repro.am import GmmAcousticModel
@@ -23,11 +22,10 @@ def tiny_scorer(tiny_task):
 
 
 @pytest.fixture(scope="session")
-def tiny_utterances(tiny_task):
-    """A fixed, seeded batch of test utterances."""
-    rng_state = np.random.default_rng(5)
-    del rng_state
-    return tiny_task.test_set(6, max_words=5)
+def tiny_utterances():
+    """A fixed batch of test utterances: the first draws of a freshly
+    built task, whatever ``tiny_task.test_set`` calls ran before."""
+    return build_task(TINY).test_set(6, max_words=5)
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,11 @@ weights, the same back-off level counts, the same preemptive-pruning
 decisions, and identical ``LookupStats`` counters including the Offset
 Lookup Table's hit/miss evolution.  These tests pin that contract over
 randomized LM graphs (with negative back-off penalties, which real
-ARPA models have), plus the LM expansion cache's hit/evict accounting
-and the ``nonneg_weights`` gate the decoders consult.
+ARPA models have), every (state, word) pair of two presets, and an
+aliased OLT entry pointing past its state's arcs; plus the LM expansion
+cache's hit/evict accounting, the label lists forks share, the bound
+on what resolving keeps (residency only), and the ``nonneg_weights``
+gate the decoders consult.
 """
 
 import dataclasses
@@ -19,12 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.asr import KALDI_LIBRISPEECH, KALDI_TEDLIUM, TINY, build_task
+from repro.asr.streaming import StreamingSession
 from repro.core import (
+    DecoderConfig,
     LmLookup,
     LmWordArcs,
     LookupStrategy,
+    OnTheFlyDecoder,
+    batch,
 )
-from repro.core.trace import GraphSide
 from repro.lm.graph import LmGraph
 from repro.wfst.fst import SymbolTable, Wfst
 
@@ -161,6 +168,129 @@ def test_resolve_batch_matches_scalar(
     )
 
 
+def _every_pair(graph):
+    """Every (state, word) item of ``graph``, state-major."""
+    num_states = graph.fst.num_states
+    words = list(range(1, graph.backoff_label))
+    return (
+        [s for s in range(num_states) for _ in words],
+        words * num_states,
+    )
+
+
+@pytest.mark.parametrize(
+    "config, strategies",
+    [
+        (TINY, list(LookupStrategy)),
+        (KALDI_LIBRISPEECH, [LookupStrategy.OFFSET_TABLE]),
+    ],
+    ids=["tiny", "kaldi-librispeech"],
+)
+def test_every_pair_matches_scalar(config, strategies):
+    """Every word at every LM state of a preset: all strategies on the
+    small one, the default (the OLT's) on the large one."""
+    graph = build_task(config).lm
+    states, word_ids = _every_pair(graph)
+    items = (
+        np.array(states, dtype=np.int64),
+        np.array(word_ids, dtype=np.int64),
+        np.zeros(len(states)),
+    )
+    for strategy in strategies:
+        _assert_batch_matches_scalar(
+            graph, strategy, [items], False, math.inf, 32 * 1024
+        )
+
+
+def _wide_unigram_lm(vocab: int = 320) -> LmGraph:
+    """Unigram state 0 carries every word; two bigram states carry a
+    few and back off to it."""
+    words = SymbolTable("words")
+    for w in range(1, vocab + 1):
+        words.add(f"w{w}")
+    backoff_label = words.add("#phi")
+    fst = Wfst()
+    fst.add_states(3)
+    fst.start = 0
+    rng = np.random.default_rng(3)
+    for label in range(1, vocab + 1):
+        fst.add_arc(
+            0,
+            ilabel=label,
+            olabel=label,
+            weight=round(float(rng.uniform(0.5, 9.0)), 3),
+            nextstate=int(rng.integers(0, 3)),
+        )
+    for state, labels in ((1, (2, 150, 301)), (2, (7, 300))):
+        for label in labels:
+            fst.add_arc(state, label, label, 0.25 * label / vocab, 0)
+        fst.add_arc(state, backoff_label, backoff_label, 0.5 * state, 0)
+    for state in range(3):
+        fst.set_final(state, 0.0)
+    return LmGraph(
+        fst=fst,
+        words=words,
+        backoff_label=backoff_label,
+        state_of_context={(): 0},
+        context_of_state=[()] * 3,
+    )
+
+
+@pytest.mark.parametrize("strategy", list(LookupStrategy))
+def test_wide_lm_matches_scalar(strategy):
+    """Over 300 arcs at one state: a linear scan probes up to all of
+    them, and every strategy's batch still matches scalar resolves."""
+    graph = _wide_unigram_lm()
+    states, word_ids = _every_pair(graph)
+    scalar = LmLookup(graph, strategy=strategy)
+    lookup = LmLookup(graph, strategy=strategy)
+    got = lookup.resolve_batch(states, word_ids, [0.0] * len(word_ids))
+    for i, (s, w) in enumerate(zip(states, word_ids)):
+        ref = scalar.resolve(s, w)
+        assert got.weight[i].hex() == ref.weight.hex(), (s, w)
+        assert got.next_state[i] == ref.next_state, (s, w)
+        assert got.backoff_levels[i] == ref.backoff_levels, (s, w)
+    assert lookup.stats == scalar.stats
+    if strategy is LookupStrategy.LINEAR:
+        # State 2's scan for word 320 passes both its arcs, backs off
+        # and passes all 320 unigram arcs.
+        probe = LmLookup(graph, strategy=strategy)
+        probe.resolve_batch([2], [320], [0.0])
+        assert probe.stats.arc_probes == 2 + 1 + 320
+
+
+def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
+    """An aliased OLT entry holds another pair's ordinal, which can lie
+    past the probed state's arcs (``(0, 6586)`` and ``(1, 49)`` share a
+    slot and a tag in a one-entry table).  Both paths pay the
+    validation probe, miss, and search; results, counters and the
+    table's contents agree, at every (state, word) pair."""
+    graph = _random_lm(17)
+    num_states = graph.fst.num_states
+    arc_counts = [
+        len(graph.fst.out_arcs(s)) - (graph.backoff_arc(s) is not None)
+        for s in range(num_states)
+    ]
+    states, word_ids = _every_pair(graph)
+    for state, word in zip(states, word_ids):
+        clean = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
+        scalar = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
+        batched = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
+        for planted in (scalar, batched):
+            planted.offset_table.insert(state, word, arc_counts[state] + 3)
+        want = clean.resolve(state, word)
+        ref = scalar.resolve(state, word)
+        got = batched.resolve_batch([state], [word], [0.0])
+        assert (ref.weight, ref.next_state) == (want.weight, want.next_state)
+        assert got.weight[0] == ref.weight, (state, word)
+        assert got.next_state[0] == ref.next_state, (state, word)
+        assert got.backoff_levels[0] == ref.backoff_levels, (state, word)
+        assert batched.stats == scalar.stats, (state, word)
+        assert scalar.stats.arc_probes == clean.stats.arc_probes + 1
+        assert scalar.stats.olt_hits == 0
+        assert batched.offset_table._entries == scalar.offset_table._entries
+
+
 def test_resolve_batch_olt_warm_hit_ratio():
     """Repeating a batch must warm the OLT as the scalar calls do."""
     graph = _random_lm(7)
@@ -219,11 +349,11 @@ def test_lookup_error_parity():
 
 
 def _transient_state(lookup):
-    """Counters, OLT entries and expansion-row residency (LRU order)."""
+    """Counters, OLT entries and expansion residency (LRU order)."""
     return (
         dataclasses.asdict(lookup.stats),
         dict(lookup.offset_table._entries),
-        list(lookup.expansion_cache._rows),
+        list(lookup.expansion_cache._resident),
     )
 
 
@@ -232,7 +362,7 @@ def _transient_state(lookup):
 def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
     """Ids are validated for the whole batch up front: the items before
     the bad one must not have overwritten OLT entries, moved expansion
-    rows or gone uncounted."""
+    residency or gone uncounted."""
     graph = _random_lm(13)
     lookup = LmLookup(
         graph,
@@ -257,20 +387,18 @@ def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
 )
 def test_bad_lm_state_raises_before_anything_is_touched(tiny_task, states):
     """State ids are range-checked for the whole batch up front, as word
-    ids are: a -1 must not build a row at the wrapped index and leave it
-    in the row memo every fork shares, nor count an expansion miss."""
+    ids are: a -1 must not search the wrapped index's labels, nor count
+    an expansion miss."""
     lookup = LmLookup(
         tiny_task.lm, strategy=LookupStrategy.OFFSET_TABLE
     ).fork()
     lookup.resolve_batch([0, 1, 2], [1, 2, 3], [0.0, 0.0, 0.0])
     before = _transient_state(lookup)
-    memo_keys = list(lookup._row_memo)
     num_states = tiny_task.lm.fst.num_states
     states = [num_states if s == "num_states" else s for s in states]
     with pytest.raises(ValueError, match="LM state"):
         lookup.resolve_batch(states, [1] * len(states), [0.0] * len(states))
     assert _transient_state(lookup) == before
-    assert list(lookup._row_memo) == memo_keys
 
 
 def test_forks_allocate_no_per_entry_storage():
@@ -288,6 +416,53 @@ def test_forks_allocate_no_per_entry_storage():
     assert len(forks) == 64
     assert all(fork.offset_table.num_entries == 32 * 1024 for fork in forks)
     assert grown < 64 * 1024, grown
+
+
+def test_forks_share_the_label_lists(tiny_task, tiny_scores, monkeypatch):
+    """The first batched resolve builds each state's labels as native
+    ints, once: decodes and a forked streaming session search the same
+    lists, equal to the CSR columns' slices."""
+    monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", 0)
+    decoder = OnTheFlyDecoder(
+        tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0, max_active=800)
+    )
+    for scores in tiny_scores[:3]:
+        decoder.decode(scores)
+    session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+    session.push(tiny_scores[3])
+    session.finish()
+    labels = decoder.lookup._labels_cell[0]
+    assert labels is not None
+    assert session._seg.lookup._labels_cell[0] is labels
+    soa = LmWordArcs.from_graph(tiny_task.lm)
+    offsets = soa.offsets.tolist()
+    assert labels == [
+        soa.ilabel[lo:hi].tolist() for lo, hi in zip(offsets, offsets[1:])
+    ]
+    assert all(type(label) is int for row in labels for label in row)
+
+
+def test_resolving_every_pair_holds_only_residency():
+    """Once the label lists exist, resolving every (state, word) pair
+    of ``KALDI_TEDLIUM``'s LM keeps nothing but the expansion cache's
+    residency entries: no per-state row over the vocabulary."""
+    graph = build_task(KALDI_TEDLIUM).lm
+    num_states = graph.fst.num_states
+    lookup = LmLookup(graph, strategy=LookupStrategy.BINARY)
+    lookup.resolve_batch([0], [1], [0.0])  # builds the label lists
+    assert lookup.expansion_cache.capacity >= num_states
+    words = list(range(1, graph.backoff_label))
+    entries = [0.0] * len(words)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for state in range(num_states):
+            lookup.resolve_batch([state] * len(words), words, entries)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert lookup.stats.expansion_misses == num_states
+    assert grown <= 200 * num_states, grown
 
 
 def test_resolve_batch_rejects_tracing():
@@ -324,13 +499,13 @@ def test_expansion_cache_hits_misses_evictions():
     )
     word_ids = [1, 1]
     entries = [0.0, 0.0]
-    # Four distinct states through a 2-row cache: all miss, and the
+    # Four distinct states through a 2-state cache: all miss, and the
     # last two evict the first two (LRU).
     for state in (1, 2, 3, 4):
         lookup.resolve_batch([state, state], word_ids, entries)
     stats = lookup.stats
     assert stats.expansion_misses == 4
-    # The second item of each batch hits the row the first just built.
+    # The second item of each batch hits the state the first admitted.
     assert stats.expansion_hits == 4
     assert stats.expansion_evictions == 2
     # Revisiting an evicted state misses again; a cached one hits.
@@ -339,14 +514,13 @@ def test_expansion_cache_hits_misses_evictions():
     lookup.resolve_batch([1], word_ids[:1], entries[:1])
     assert lookup.stats.expansion_misses == 5
     assert 0.0 < lookup.stats.expansion_hit_ratio < 1.0
-    assert lookup.expansion_cache.size_bytes() > 0
 
 
 def test_reset_transient_state_clears_both_caches():
     graph = _random_lm(5)
     lookup = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
     lookup.resolve_batch([1, 2], [1, 2], [0.0, 0.0])
-    assert len(lookup.expansion_cache._rows) > 0
+    assert len(lookup.expansion_cache._resident) > 0
     # The OLT caches the pair at whichever chain state the arc was
     # found, so scan the full (state, word) space for live entries.
     cached = [
@@ -357,7 +531,7 @@ def test_reset_transient_state_clears_both_caches():
     ]
     assert cached  # the batch populated the OLT
     lookup.reset_transient_state()
-    assert len(lookup.expansion_cache._rows) == 0
+    assert len(lookup.expansion_cache._resident) == 0
     assert all(
         lookup.offset_table.lookup(s, w) is None for s, w in cached
     )
