@@ -99,19 +99,25 @@ def advance_segment(
     scalar config), the segment consumes its consecutive frames in one
     scalar run, which stops when the frontier outgrows the constant or
     the frames run out; a larger frontier takes one frame through the
-    numpy kernels.  The regime depends on nothing but the segment's own
-    frontier, so a segment reports the same counters, expansion cache
-    included, however its frames are chunked.  ``seg.table`` is
-    replaced by each next frontier and ``seg.frame`` advances.
+    numpy kernels.  A decoder whose epsilon phase the kernels cannot
+    batch (:meth:`~repro.core.decoder.OnTheFlyDecoder._epsilon_batchable`,
+    asked when a frontier first outgrows the constant) runs every frame
+    in the scalar body.  The regime depends on nothing but the
+    segment's own frontier, so a segment reports the same counters,
+    expansion cache included, however its frames are chunked.
+    ``seg.table`` is replaced by each next frontier and ``seg.frame``
+    advances.
     """
     limit = SCALAR_FRONTIER_MAX if decoder._vectorized else math.inf
     at, end = 0, scores.shape[0]
     while at < end:
         if len(seg.table) <= limit:
             at += decoder._scalar_run(seg, scores[at:], limit)
-        else:
+        elif decoder._epsilon_batchable():
             _step_one(decoder, seg, scores[at])
             at += 1
+        else:
+            limit = math.inf
 
 
 def _step_one(
@@ -136,12 +142,9 @@ def _step_one(
     probes_before = lookup_stats.arc_probes
     writes_before = stats.token_writes
     mark = perf_counter() if phases is not None else 0.0
-    epsilon_phase = (
-        decoder._epsilon_phase_batched
-        if decoder._epsilon_batchable()
-        else decoder._epsilon_phase
+    decoder._epsilon_phase_batched(
+        table, seg.frame, seg.lattice, stats, beam_config, seg.lookup
     )
-    epsilon_phase(table, seg.frame, seg.lattice, stats, beam_config, seg.lookup)
     if phases is not None:
         phases["epsilon"] += perf_counter() - mark
     # The kernels never run under a trace sink: no frame-end event.

@@ -247,7 +247,6 @@ class OnTheFlyDecoder:
             and not self._tracing
             and self._arcs.pure_emitting
         )
-        self._batched_epsilon_ok: bool | None = None  # resolved lazily
         #: Phase -> seconds of the profiled decode in flight.
         self._phase_seconds: dict[str, float] | None = None
         self._num_lm = lm.fst.num_states
@@ -331,8 +330,9 @@ class OnTheFlyDecoder:
         tokens; returns the number of frames consumed.
 
         The reference path: every frame under a TraceSink (exact
-        per-event ordering) or a scalar config, and any frame whose
-        frontier is too small to pay for the numpy kernels' dispatch.
+        per-event ordering), a scalar config or an epsilon graph the
+        batched phase cannot serve, and any frame whose frontier is too
+        small to pay for the numpy kernels' dispatch.
         A small-frontier segment runs its consecutive frames through one
         call, so the per-frame price is the body itself: the beam prune
         is folded into the expansion loop (a token above the threshold
@@ -562,23 +562,21 @@ class OnTheFlyDecoder:
     def _epsilon_batchable(self) -> bool:
         """Whether the batched epsilon phase preserves scalar semantics.
 
-        Three conditions, checked once per decoder: the epsilon graph
-        must be single-level (the phase's worklist never grows, so the
-        whole phase is a function of its seeds), and both the epsilon
-        arc weights and the LM's costs must be non-negative (no
-        within-phase insert can beat ``best_cost``, so the frame's
-        pruning threshold — which the scalar loop re-reads per token —
-        is constant).  Anything else falls back to the scalar loop.
+        Three conditions: the epsilon graph must be single-level (the
+        phase's worklist never grows, so the whole phase is a function
+        of its seeds), and both the epsilon arc weights and the LM's
+        costs must be non-negative (no within-phase insert can beat
+        ``best_cost``, so the frame's pruning threshold — which the
+        scalar loop re-reads per token — is constant).  A decoder that
+        fails one runs every frame in the scalar body
+        (:func:`~repro.core.batch.advance_segment` asks when a frontier
+        first outgrows the scalar regime, so no set-up work moves).
         """
-        ok = self._batched_epsilon_ok
-        if ok is None:
-            ok = (
-                self._eps_arcs.single_level
-                and self._eps_arcs.nonneg_weights
-                and self.lookup.batch_supported
-            )
-            self._batched_epsilon_ok = ok
-        return ok
+        return (
+            self._eps_arcs.single_level
+            and self._eps_arcs.nonneg_weights
+            and self.lookup.batch_supported
+        )
 
     def _cross_word_arrivals(
         self,
@@ -730,33 +728,6 @@ class OnTheFlyDecoder:
         stats.words_emitted += words_done
         if phases is not None:
             _lap(phases, "commit", mark)
-
-    def _epsilon_phase(
-        self,
-        table: TokenTable | SoaTokenTable,
-        frame: int,
-        lattice: WordLattice,
-        stats: DecoderStats,
-        beam_config: BeamConfig,
-        lookup: LmLookup | None = None,
-    ) -> None:
-        """The scalar epsilon phase over any table, seeds found by scan.
-
-        For a frontier no scalar expansion produced: the bulk expansion
-        of a decoder the batched phase cannot serve
-        (:meth:`_epsilon_batchable`).  Its table steps through a
-        :class:`TokenTable` copy.
-        """
-        scalar = table.to_scalar() if isinstance(table, SoaTokenTable) else table
-        fanout = self._epsilon_fanout
-        seeds = [key for key in scalar.cost if fanout[key >> KEY_SHIFT]]
-        if seeds:
-            self._epsilon_scalar(
-                scalar, seeds, frame, lattice, stats, beam_config,
-                lookup if lookup is not None else self.lookup,
-            )
-            if scalar is not table:
-                table.adopt(scalar)
 
     def _epsilon_scalar(
         self,

@@ -139,8 +139,8 @@ class SoaTokenTable:
 
     Its index keys are ``am_state * num_lm + lm_state`` (dense, so the
     kernels' packed sorts have bits to spare); what crosses into the
-    scalar regime (:meth:`survivor_items`, :meth:`to_scalar`) carries
-    :func:`pack_key` keys.
+    scalar regime (:meth:`survivor_items`) carries :func:`pack_key`
+    keys.
     """
 
     def __init__(self, num_lm: int) -> None:
@@ -225,30 +225,25 @@ class SoaTokenTable:
         frame that built the frontier do not (that frame has already
         been accounted).
         """
+        # The keys are distinct, one group per token, so the index is
+        # known outright: the sorted keys, and the argsort as their slots.
         table = cls(num_lm)
-        table._fill_unindexed((am_states, lm_states, costs, nodes), 0, 0)
-        return table
-
-    def _fill_unindexed(
-        self, columns: tuple, improvements: int, recombinations: int
-    ) -> None:
-        """:meth:`bulk_fill` for columns that come without a key index.
-
-        Their keys are distinct, one group per token, so the index is
-        known outright: the sorted keys, and the argsort as their slots.
-        """
-        keys = columns[0] * np.int64(self.num_lm) + columns[1]
+        keys = am_states * np.int64(num_lm) + lm_states
         order = np.argsort(keys)
         sorted_keys = keys[order]
-        self.bulk_fill(
-            *columns,
+        table.bulk_fill(
+            am_states,
+            lm_states,
+            costs,
+            nodes,
             sorted_keys,
             _iota(order.shape[0]),
             _EMPTY_INT,  # never read: the index is installed below
-            improvements,
-            recombinations,
+            0,
+            0,
         )
-        self._key_index = (sorted_keys, order)
+        table._key_index = (sorted_keys, order)
+        return table
 
     def survivor_items(self, threshold: float) -> list[tuple[int, float, int]]:
         """Same contract as :meth:`TokenTable.survivor_items`."""
@@ -257,30 +252,6 @@ class SoaTokenTable:
         keys = am[keep] << KEY_SHIFT
         keys |= lm[keep]
         return list(zip(keys.tolist(), cost[keep].tolist(), node[keep].tolist()))
-
-    def to_scalar(self) -> TokenTable:
-        """This frontier — order, values, best cost, counters — as a
-        :class:`TokenTable`, for a scalar epsilon phase after a bulk
-        expansion (:meth:`adopt` takes the outcome back)."""
-        am, lm, cost, node = self.columns()
-        keys = (am << KEY_SHIFT | lm).tolist()
-        table = TokenTable()
-        table.cost = dict(zip(keys, cost.tolist()))
-        table.node = dict(zip(keys, node.tolist()))
-        table.best_cost = self.best_cost
-        table.inserts = self.inserts
-        table.improvements = self.improvements
-        table.recombinations = self.recombinations
-        return table
-
-    def adopt(self, table: TokenTable) -> None:
-        """Become ``table``: its contents, order and counters."""
-        self._extra_am, self._extra_lm = [], []
-        self._extra_cost, self._extra_node = [], []
-        self._extra_slot = {}
-        self._fill_unindexed(
-            table.columns(), table.improvements, table.recombinations
-        )
 
     def key_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``(distinct_keys, slots)`` over the bulk winners.

@@ -13,27 +13,35 @@ The paper argues the two-pass scheme "typically leads to larger
 latencies that are harmful for real-time ASR decoders" because no
 second-pass work can start until the first pass finishes an utterance.
 This module implements the two-pass scheme so that claim is measurable
-(see ``benchmarks/bench_ablation_two_pass.py``): accuracy approaches
-the one-pass result as the lattice widens, while per-utterance latency
+(see ``benchmarks/bench_ablation_two_pass.py``): per-utterance latency
 gains a serial rescoring stage.
+
+The first pass is the on-the-fly decoder itself over a one-state LM
+whose self-loops carry the unigram costs, so it runs on the shared frame
+step.  It keeps one token per AM state, so at most one hypothesis ends
+the utterance: the second pass rescores the first pass's Viterbi path.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.am.graph import AmGraph
-from repro.core.beam import BeamConfig
-from repro.core.decoder import DecodeResult, DecoderConfig, DecoderStats
+from repro.core.composition import LookupStrategy
+from repro.core.decoder import (
+    DecodeResult,
+    DecoderConfig,
+    DecoderStats,
+    OnTheFlyDecoder,
+)
 from repro.core.lattice import WordLattice
 from repro.lm.corpus import SENTENCE_END, SENTENCE_START
 from repro.lm.graph import LmGraph
 from repro.lm.ngram import BackoffNGramModel
-from repro.wfst.fst import EPSILON
+from repro.wfst.fst import Wfst
 
 
 @dataclass
@@ -45,11 +53,24 @@ class TwoPassStats:
     lattice_nodes: int = 0
 
 
-@dataclass(slots=True)
-class _Token:
-    am_state: int
-    cost: float
-    lattice_node: int
+def _unigram_graph(lm: LmGraph, unigram_cost: dict[int, float]) -> LmGraph:
+    """The first pass's LM: one state, start and final, with a self-loop
+    per word at its unigram cost.  It shares ``lm.words``, so word ids
+    are the full LM's."""
+    fst = Wfst(input_symbols=lm.words, output_symbols=lm.words)
+    state = fst.add_state()
+    fst.set_start(state)
+    fst.set_final(state, 0.0)
+    for word_id, cost in unigram_cost.items():
+        fst.add_arc(state, word_id, word_id, cost, state)
+    fst.arcsort("ilabel")
+    return LmGraph(
+        fst=fst,
+        words=lm.words,
+        backoff_label=lm.backoff_label,
+        state_of_context={(): state},
+        context_of_state=[()],
+    )
 
 
 class TwoPassDecoder:
@@ -61,92 +82,39 @@ class TwoPassDecoder:
         lm: LmGraph,
         ngram: BackoffNGramModel,
         config: DecoderConfig | None = None,
-        max_paths: int = 512,
     ) -> None:
         self.am = am
         self.lm = lm
         self.ngram = ngram
         self.config = config or DecoderConfig()
-        #: Complete paths extracted from the lattice for rescoring.
-        self.max_paths = max_paths
-        fst = am.fst
-        self._emitting = [
-            [a for a in fst.out_arcs(s) if a.ilabel != EPSILON]
-            for s in fst.states()
-        ]
-        self._epsilon = [
-            [a for a in fst.out_arcs(s) if a.ilabel == EPSILON]
-            for s in fst.states()
-        ]
         # Cheap unigram rescoring during pass one keeps hypotheses
         # comparable without any LM state tracking.
         self._unigram_cost = {
             lm.word_id(w): -ngram.log_prob(w)
             for w in ngram.vocabulary
         }
+        # A one-state LM has no back-off to walk or prune, and nothing an
+        # Offset Lookup Table would cache.
+        self._first = OnTheFlyDecoder(
+            am,
+            _unigram_graph(lm, self._unigram_cost),
+            replace(
+                self.config,
+                preemptive_pruning=False,
+                lookup_strategy=LookupStrategy.BINARY,
+            ),
+        )
 
     # -- pass one: AM-only search, lattice out ------------------------------
 
     def first_pass(
         self, scores: np.ndarray
     ) -> tuple[WordLattice, list[tuple[float, int]], TwoPassStats]:
-        config = self.config
-        beam = BeamConfig(beam=config.beam, max_active=config.max_active)
-        stats = TwoPassStats()
-        lattice = WordLattice()
-        tokens: dict[int, _Token] = {
-            self.am.loop_state: _Token(self.am.loop_state, 0.0, -1)
-        }
-        num_frames = scores.shape[0]
-        for frame in range(num_frames):
-            best = min(t.cost for t in tokens.values())
-            threshold = best + beam.beam
-            survivors = [t for t in tokens.values() if t.cost <= threshold]
-            stats.first_pass.beam_pruned += len(tokens) - len(survivors)
-            if beam.max_active and len(survivors) > beam.max_active:
-                survivors = heapq.nsmallest(
-                    beam.max_active, survivors, key=lambda t: t.cost
-                )
-            frame_scores = scores[frame]
-            next_tokens: dict[int, _Token] = {}
-            for token in survivors:
-                stats.first_pass.am_state_fetches += 1
-                for arc in self._emitting[token.am_state]:
-                    stats.first_pass.expansions += 1
-                    cost = (
-                        token.cost + arc.weight - frame_scores[arc.ilabel - 1]
-                    )
-                    existing = next_tokens.get(arc.nextstate)
-                    if existing is None or cost < existing.cost:
-                        next_tokens[arc.nextstate] = _Token(
-                            arc.nextstate, cost, token.lattice_node
-                        )
-            # Epsilon phase: cross-word arcs emit lattice nodes with the
-            # unigram proxy weight.
-            for token in list(next_tokens.values()):
-                for arc in self._epsilon[token.am_state]:
-                    stats.first_pass.expansions += 1
-                    cost = token.cost + arc.weight
-                    node = token.lattice_node
-                    if arc.olabel != EPSILON:
-                        cost += self._unigram_cost[arc.olabel]
-                        node = lattice.add(arc.olabel, frame, cost, token.lattice_node)
-                        stats.first_pass.words_emitted += 1
-                    existing = next_tokens.get(arc.nextstate)
-                    if existing is None or cost < existing.cost:
-                        next_tokens[arc.nextstate] = _Token(arc.nextstate, cost, node)
-            stats.first_pass.tokens_created += len(next_tokens)
-            tokens = next_tokens or tokens
-        stats.first_pass.frames = num_frames
-        stats.lattice_nodes = len(lattice)
-
-        finals = [
-            (t.cost, t.lattice_node)
-            for t in tokens.values()
-            if t.am_state == self.am.loop_state
-        ]
-        finals.sort()
-        return lattice, finals[: self.max_paths], stats
+        result = self._first.decode(scores)
+        stats = TwoPassStats(
+            first_pass=result.stats, lattice_nodes=len(result.lattice)
+        )
+        return result.lattice, result.finals, stats
 
     # -- pass two: full-LM rescoring of lattice paths ------------------------
 
@@ -179,18 +147,14 @@ class TwoPassDecoder:
         return best_words, best_cost
 
     def decode(self, scores: np.ndarray) -> DecodeResult:
-        if scores.ndim != 2 or scores.shape[1] < self.am.num_senones:
-            raise ValueError(
-                f"score matrix shape {scores.shape} incompatible with "
-                f"{self.am.num_senones} senones"
-            )
         lattice, finals, stats = self.first_pass(scores)
         words, cost = self.rescore(lattice, finals, stats)
-        result_stats = stats.first_pass
         return DecodeResult(
             word_ids=words,
             words=[self.lm.words.symbol_of(w) for w in words],
             cost=cost,
-            stats=result_stats,
+            stats=stats.first_pass,
             lattice=lattice,
+            # The first pass's one final, at its rescored cost.
+            finals=[(cost, node) for _, node in finals],
         )

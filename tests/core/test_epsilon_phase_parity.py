@@ -4,9 +4,10 @@
 table with numpy and does everything pair-sized — threshold prune,
 epsilon-arc fan-out, cost arithmetic, the word/non-word split, the
 commit — on native lists.  It must leave exactly what the scalar
-``_epsilon_phase`` leaves: the same table columns in the same order
-with the same insert counters, the same lattice, every ``DecoderStats``
-field, every ``LookupStats`` counter and the same Offset Lookup Table —
+``_epsilon_scalar`` leaves on a ``TokenTable`` of the same frontier:
+the same table columns in the same order with the same insert
+counters, the same lattice, every ``DecoderStats`` field, every
+``LookupStats`` counter and the same Offset Lookup Table —
 on any frontier, not only the ones a decode happens to produce: seeds
 over the threshold, frames whose every pair is preemptively pruned,
 frames with no kept seed, non-word (silence) epsilon arcs mixed in with
@@ -28,9 +29,11 @@ from repro.core import (
     LookupStrategy,
     OnTheFlyDecoder,
     SoaTokenTable,
+    TokenTable,
     VirtualComposedGraph,
     WordLattice,
 )
+from repro.core.tokens import KEY_SHIFT
 from repro.wfst.fst import EPSILON
 from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes, _task
 
@@ -64,10 +67,29 @@ def _frontier(rng, decoder, size, seed_share, cost_spread):
 
 
 def _fresh_state(columns, num_lm):
-    # Copies: the phases write into the table's columns.
+    # Copies: the phase writes into the table's columns.
     return SoaTokenTable.from_columns(
         num_lm, *(np.ascontiguousarray(column).copy() for column in columns)
     )
+
+
+def _token_table(columns):
+    """The frontier as the scalar regime holds it, in column order."""
+    table = TokenTable()
+    for am, lm, cost, node in zip(*(column.tolist() for column in columns)):
+        table.insert(am, lm, cost, node)
+    return table
+
+
+def _scalar_phase(decoder, table, frame, lattice, stats, beam_config):
+    """The scalar epsilon phase, seeded as the scalar body seeds it: the
+    keys whose AM state has epsilon arcs, in table order."""
+    fanout = decoder._epsilon_fanout
+    seeds = [key for key in table.cost if fanout[key >> KEY_SHIFT]]
+    if seeds:
+        decoder._epsilon_scalar(
+            table, seeds, frame, lattice, stats, beam_config, decoder.lookup
+        )
 
 
 def _lattice():
@@ -90,16 +112,11 @@ def _assert_phase_parity(batched, scalar, frontiers, beam_config):
     lattices = (_lattice(), _lattice())
     stats = (DecoderStats(), DecoderStats())
     for frame, columns in enumerate(frontiers):
-        tables = (
-            _fresh_state(columns, batched._num_lm),
-            _fresh_state(columns, scalar._num_lm),
-        )
+        tables = (_fresh_state(columns, batched._num_lm), _token_table(columns))
         batched._epsilon_phase_batched(
             tables[0], frame, lattices[0], stats[0], beam_config
         )
-        scalar._epsilon_phase(
-            tables[1], frame, lattices[1], stats[1], beam_config
-        )
+        _scalar_phase(scalar, tables[1], frame, lattices[1], stats[1], beam_config)
         for got, want in zip(tables[0].columns(), tables[1].columns()):
             assert np.array_equal(got, want), frame
         for name in ("best_cost", "inserts", "improvements", "recombinations"):

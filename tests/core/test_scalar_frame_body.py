@@ -503,21 +503,45 @@ def test_trace_events_keep_their_order(kind):
 
 @pytest.mark.parametrize("kind", ["on-the-fly", "composed"])
 @pytest.mark.parametrize("levels", [1, 2])
-def test_scalar_solo_scalar_round_trip(kind, levels):
+def test_scalar_solo_scalar_round_trip(kind, levels, monkeypatch):
     """Frames alternate between the scalar body and the solo kernels:
     every switch converts the frontier (``columns`` one way,
     ``survivor_items`` the other) without disturbing order or values.
-    On the two-level graph the batched phase is off, so a solo frame's
-    bulk-filled table goes through the scalar phase (``to_scalar`` /
-    ``adopt``)."""
+    On the two-level graph the batched phase is off, so a vectorized
+    decoder runs every frame in the scalar body, however large its
+    frontier: it builds no ``SoaTokenTable`` and decodes exactly as the
+    scalar config does."""
     task, scores = _task(3)
     am = task.am if levels == 1 else _two_level(task.am)
     config = DecoderConfig(beam=12.0)
     decoder, lender = _pair(kind, am, task.lm, config)
     assert decoder._epsilon_batchable() == (levels == 1)
     matrix = scores[0]
-    solo = {f for f in range(matrix.shape[0]) if f % 5 in (2, 3)}
-    _assert_body_matches(decoder, lender, matrix, force_solo=solo)
+    if levels == 1:
+        solo = {f for f in range(matrix.shape[0]) if f % 5 in (2, 3)}
+        _assert_body_matches(decoder, lender, matrix, force_solo=solo)
+        return
+    scalar, _ = _pair(
+        kind, am, task.lm, dataclasses.replace(config, vectorized=False)
+    )
+    monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", 0)  # every frame
+    built = []
+    build = SoaTokenTable.__init__
+
+    def spy(table, num_lm):
+        built.append(num_lm)
+        build(table, num_lm)
+
+    monkeypatch.setattr(SoaTokenTable, "__init__", spy)
+    got, want = decoder.decode(matrix), scalar.decode(matrix)
+    assert built == []
+    assert (got.words, got.cost, got.finals) == (want.words, want.cost, want.finals)
+    assert _lattice_nodes(got.lattice) == _lattice_nodes(want.lattice)
+    assert got.stats == want.stats
+    for name in LOOKUP_COUNTERS:
+        assert getattr(decoder.lookup.stats, name) == getattr(
+            scalar.lookup.stats, name
+        ), name
 
 
 def test_table_conversions_keep_order_and_values():
@@ -530,17 +554,17 @@ def test_table_conversions_keep_order_and_values():
         (pack_key(5, 1), 2.5, 4), (pack_key(0, 9), 1.0, -1), (pack_key(5, 0), 3.0, 7),
     ]
     assert soa.survivor_items(2.5) == table.survivor_items(2.5)
-    back = soa.to_scalar()
-    assert list(back.cost.items()) == list(table.cost.items())
-    assert list(back.node.items()) == list(table.node.items())
-    assert back.best_cost == table.best_cost == 1.0
-    back.insert(1, 1, 0.5, 3)
-    back.insert(0, 9, 0.75, 6)
-    soa.adopt(back)
-    for a, b in zip(soa.columns(), back.columns()):
+    assert soa.best_cost == table.best_cost == 1.0
+    hints = soa.base_slot_hints([1 * 11 + 1, 5 * 11 + 0, 0 * 11 + 9, 3])
+    assert hints == [-1, 2, 1, -1]
+    # Arrivals after the fill: a new key, then an improvement.
+    for (am, lm, cost, node), hint in zip([(1, 1, 0.5, 3), (0, 9, 0.75, 6)], [-1, 1]):
+        assert soa.insert_hinted(am, lm, cost, node, hint)
+        assert table.insert(am, lm, cost, node)
+    for a, b in zip(soa.columns(), table.columns()):
         assert np.array_equal(a, b)
     assert (soa.best_cost, soa.inserts, soa.improvements) == (0.5, 4, 1)
-    assert soa.base_slot_hints([1 * 11 + 1, 5 * 11 + 0, 3]) == [3, 2, -1]
+    assert soa.survivor_items(math.inf) == table.survivor_items(math.inf)
 
 
 def test_replay_mid_scalar_regime_continues_bit_identically(

@@ -163,7 +163,11 @@ def test_run_entered_on_a_soa_table(tiny_task, tiny_scores, monkeypatch):
     # Some of the frontier sits outside the beam: the prune has work.
     threshold = from_soa.table.best_cost + decoder.config.beam
     assert len(from_soa.table.survivor_items(threshold)) < len(from_soa.table)
-    from_dicts.table = from_soa.table.to_scalar()
+    from_dicts.table = TokenTable()
+    for am, lm, cost, node in zip(
+        *(column.tolist() for column in from_soa.table.columns())
+    ):
+        from_dicts.table.insert(am, lm, cost, node)
     for seg in segments:
         assert decoder._scalar_run(seg, scores[cut:]) == scores.shape[0] - cut
         assert isinstance(seg.table, TokenTable)

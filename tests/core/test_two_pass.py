@@ -3,8 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.asr.task import KALDI_VOXFORGE
 from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.core.two_pass import TwoPassDecoder
+from repro.experiments.common import MAX_ACTIVE, get_bundle
+
+#: The ``ablation-two-pass`` exhibit's two-pass transcripts, one per
+#: utterance of its ``KALDI_VOXFORGE`` bundle, as the first pass's own
+#: frame loop produced them before it ran on the shared frame step.
+ABLATION_WORDS = [
+    ["vu", "jagvu", "riluvni", "ri", "kokrajso", "puca", "halosa"],
+    ["vu", "jagvu", "riluvni", "wo"],
+    ["vu", "jagvu", "te", "te", "vu", "wo", "kijwo", "pel", "lomo"],
+    ["vu", "jagvu", "ge", "nu", "juh", "wo", "kijwo", "pel"],
+    ["vu", "jagvu", "riluvni", "wo", "kijwo", "pel", "je"],
+    ["vu", "jagvu", "riluvni", "jagvu", "te", "vu", "jagvu", "te"],
+    ["vu", "jagvu", "riluvni", "vu", "jagvu", "riluvni", "ri", "kokrajso"],
+    ["vu"],
+]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +94,31 @@ class TestTwoPass:
         lattice, finals, stats = two_pass.first_pass(scores)
         words, cost = two_pass.rescore(lattice, finals, stats)
         assert np.isfinite(cost) or not finals
+
+    def test_first_pass_keeps_at_most_one_final(
+        self, tiny_task, tiny_scorer, two_pass
+    ):
+        """One token per AM state on a one-state LM: at most one
+        hypothesis ends the utterance, so one path is rescored."""
+        for utt in tiny_task.test_set(8, max_words=4):
+            _, finals, _ = two_pass.first_pass(tiny_scorer.score(utt.features))
+            assert len(finals) <= 1
+
+    def test_nbest_is_the_rescored_path(self, tiny_task, tiny_scorer, two_pass):
+        for utt in tiny_task.test_set(8, max_words=4):
+            result = two_pass.decode(tiny_scorer.score(utt.features))
+            assert result.success
+            assert result.nbest(1) == [(result.cost, result.word_ids)]
+
+    def test_ablation_transcripts_are_pinned(self):
+        bundle = get_bundle(KALDI_VOXFORGE)
+        decoder = TwoPassDecoder(
+            bundle.task.am,
+            bundle.task.lm,
+            bundle.task.ngram,
+            DecoderConfig(beam=14.0, max_active=MAX_ACTIVE),
+        )
+        assert [decoder.decode(s).words for s in bundle.scores] == ABLATION_WORDS
 
     def test_bad_scores_rejected(self, two_pass):
         with pytest.raises(ValueError):
