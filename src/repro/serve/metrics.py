@@ -3,9 +3,13 @@
 The serving layer needs live observability — sessions admitted and
 rejected, frames decoded, queue depths, per-batch decode latency —
 without pulling a metrics client into a reproduction repo.  This
-module is that registry: three instrument kinds, a registry-wide lock,
-and a JSON-ready :meth:`MetricsRegistry.snapshot` that the wire
-protocol's ``status`` request serializes verbatim.
+module is that registry: three instrument kinds and a JSON-ready
+:meth:`MetricsRegistry.snapshot` that the wire protocol's ``status``
+request serializes verbatim.
+
+There is no lock: a server records and snapshots its metrics on its
+event loop's thread only (the shard control pipe reads in an executor
+thread, but its handlers run on the loop).
 
 Histograms keep raw samples up to a bounded window (newest samples
 win) and summarize on demand: count/mean/min/max plus interpolated
@@ -15,7 +19,6 @@ p50/p95/p99 — the latency shape a serving dashboard actually watches.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 
 #: Samples retained per histogram.  Enough for stable percentiles over
@@ -30,35 +33,30 @@ PERCENTILES = (50.0, 95.0, 99.0)
 class Counter:
     """Monotonically increasing count."""
 
-    __slots__ = ("_lock", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
+    def __init__(self) -> None:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
 
 class Gauge:
     """A value that goes up and down (active sessions, queue depth)."""
 
-    __slots__ = ("_lock", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
+    def __init__(self) -> None:
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
+        self.value = value
 
     def add(self, delta: float) -> None:
-        with self._lock:
-            self.value += delta
+        self.value += delta
 
 
 def percentile(ordered: list[float], pct: float) -> float:
@@ -77,26 +75,24 @@ def percentile(ordered: list[float], pct: float) -> float:
 class Histogram:
     """Windowed sample distribution with percentile summaries."""
 
-    __slots__ = ("_lock", "_samples", "count", "total")
+    __slots__ = ("_samples", "count", "total")
 
-    def __init__(self, lock: threading.Lock, window: int = DEFAULT_WINDOW) -> None:
-        self._lock = lock
+    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
         self._samples: deque[float] = deque(maxlen=window)
         self.count = 0  # lifetime observations, beyond the window
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self._samples.append(float(value))
-            self.count += 1
-            self.total += float(value)
+        value = float(value)
+        self._samples.append(value)
+        self.count += 1
+        self.total += value
 
     def summary(self) -> dict:
         """JSON-ready summary; NaNs become None for empty histograms."""
-        with self._lock:
-            ordered = sorted(self._samples)
-            count = self.count
-            total = self.total
+        ordered = sorted(self._samples)
+        count = self.count
+        total = self.total
         if not ordered:
             return {
                 "count": 0,
@@ -125,33 +121,29 @@ class MetricsRegistry:
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW) -> None:
-        self._lock = threading.Lock()
         self._window = window
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                instrument = self._counters[name] = Counter(self._lock)
+        instrument = self._counters.get(name)
+        if instrument is None:
+            instrument = self._counters[name] = Counter()
         return instrument
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(self._lock)
+        instrument = self._gauges.get(name)
+        if instrument is None:
+            instrument = self._gauges[name] = Gauge()
         return instrument
 
     def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                instrument = self._histograms[name] = Histogram(
-                    self._lock, window=self._window
-                )
+        instrument = self._histograms.get(name)
+        if instrument is None:
+            instrument = self._histograms[name] = Histogram(
+                window=self._window
+            )
         return instrument
 
     def snapshot(self) -> dict:
@@ -163,12 +155,12 @@ class MetricsRegistry:
              "gauges":     {name: float},
              "histograms": {name: {count, mean, min, max, p50, p95, p99}}}
         """
-        with self._lock:
-            counters = {k: c.value for k, c in sorted(self._counters.items())}
-            gauges = {k: g.value for k, g in sorted(self._gauges.items())}
-            histograms = dict(sorted(self._histograms.items()))
         return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": {k: h.summary() for k, h in histograms.items()},
+            "counters": {
+                k: c.value for k, c in sorted(self._counters.items())
+            },
+            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
+            "histograms": {
+                k: h.summary() for k, h in sorted(self._histograms.items())
+            },
         }

@@ -85,7 +85,8 @@ CLIENT_TYPES = frozenset({START, FRAMES, FINISH, CANCEL, STATUS})
 #: senones (``KALDI_TEDLIUM``); a float64 is at most 24 JSON characters
 #: plus a separator, so a 32-frame ``list`` batch of it is at most
 #: 32 * 120 * 25 = 96 000 bytes.  1 MiB leaves room for batches ten
-#: times that long; a reader buffers about twice it per connection.
+#: times that long; a server buffers at most that much of an incomplete
+#: line per connection.
 MAX_LINE_BYTES = 1 << 20
 
 #: START-time payload negotiation: what FRAMES batches carry.
@@ -103,9 +104,14 @@ class ProtocolError(ValueError):
     """A malformed or out-of-contract message."""
 
 
+#: The compact encoder every reply shares: ``json.dumps`` builds a new
+#: ``JSONEncoder`` per call when the separators are not the defaults.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_message(message: dict) -> bytes:
     """One wire line for a message dict (newline-terminated)."""
-    return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_encode_json(message) + "\n").encode("utf-8")
 
 
 def decode_message(line: bytes | str) -> dict:

@@ -19,10 +19,16 @@ before the engine goes away.
 
 Every outcome a client observes is one protocol message dict
 (partials, finals, errors), handed to the session's *sink* where it is
-produced: a TCP connection sets one that writes the message to its
-socket before the session's first message, so a reply costs no task
-wake-up.  A session without a sink (an in-process client's) queues its
-messages on ``events`` instead.
+produced: a TCP connection sets one that buffers the encoded message
+for its one socket write per loop turn, before the session's first
+message, so a reply costs no task wake-up.  A session without a sink
+(an in-process client's) queues its messages on ``events`` instead.
+
+A cycle is one plain call: select, decode, emit.  Nothing in it
+suspends, so the loop task awaits only to park when no session has a
+turn and to yield once per cycle (socket reads interleave there).
+Idle sessions are swept when the loop parks and, under load, once
+every ``IDLE_POLL_SECONDS`` of busy cycles.
 
 A sharded deployment rebalances with :meth:`Scheduler.move`: the
 session is dropped here and its client told where to re-open it.
@@ -49,7 +55,8 @@ from repro.serve import protocol
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.scoring import ScoreHandle, batch_frames
 
-#: How often the loop re-checks timers when no work is queued.
+#: How often the loop sweeps idle sessions: the longest it parks when
+#: no work is queued, and the shortest gap between sweeps when busy.
 IDLE_POLL_SECONDS = 0.05
 
 
@@ -91,7 +98,6 @@ class Session:
     events: asyncio.Queue = field(default_factory=asyncio.Queue)
     finish_requested: bool = False
     closed: bool = False
-    inflight: bool = False
     admitted_at: float = 0.0
     last_activity: float = 0.0
     frames_decoded: int = 0
@@ -130,8 +136,8 @@ class Scheduler:
         self._ids = iter(range(1, 1 << 62))
 
     # The per-push instruments, bound on first use: a registry lookup is
-    # a lock and a dict probe per call, and a fresh server's ``status``
-    # must not list them before the first push.
+    # a dict probe per call, and a fresh server's ``status`` must not
+    # list them before the first push.
 
     @cached_property
     def _kernel_calls(self):
@@ -165,9 +171,7 @@ class Scheduler:
     def draining(self) -> bool:
         return self._stopping
 
-    async def admit(
-        self, payload: str = protocol.PAYLOAD_SCORES
-    ) -> Session:
+    def admit(self, payload: str = protocol.PAYLOAD_SCORES) -> Session:
         """Admit one session or raise :class:`Busy` — never queue."""
         if self._stopping:
             self.metrics.counter("sessions_rejected").inc()
@@ -225,7 +229,7 @@ class Scheduler:
         session.last_activity = perf_counter()
         self._wake.set()
 
-    async def cancel(self, session: Session) -> None:
+    def cancel(self, session: Session) -> None:
         """Drop a session without a final result (client went away)."""
         if session.closed:
             return
@@ -245,15 +249,16 @@ class Scheduler:
         shard at ``host:port``; returns its id, or ``None`` if no
         session may move.
 
-        The victim is the lexicographically first session neither
-        mid-decode nor finishing (one about to retire anyway), so a
-        rebalance is deterministic.  Nothing of it travels: its client
-        still holds every batch it sent and replays them there.
+        The victim is the lexicographically first session not
+        finishing (one about to retire anyway), so a rebalance is
+        deterministic.  It runs between cycles, so no session is
+        mid-decode.  Nothing of it travels: its client still holds
+        every batch it sent and replays them there.
         """
         movable = [
             session_id
             for session_id, session in self._sessions.items()
-            if not (session.inflight or session.finish_requested)
+            if not session.finish_requested
         ]
         if not movable:
             return None
@@ -297,32 +302,34 @@ class Scheduler:
     # -- scheduler loop -----------------------------------------------------
 
     async def _run(self) -> None:
+        swept = perf_counter()
         while True:
             selected = self._select()
             if not selected:
                 if self._stopping and not self._sessions:
                     break
                 await self._park()
-                await self._evict_idle()
+                swept = perf_counter()
+                self._evict_idle(swept)
                 continue
             self.metrics.counter("decode_cycles").inc()
-            # In flight from selection on, not from when its serving
-            # task first runs: a ``move`` in between must not take it.
-            for session in selected:
-                session.inflight = True
             decodable = [s for s in selected if s.queue]
-            rest = [s for s in selected if not s.queue]
-            if len(decodable) >= 2 and self._fuse_width() >= 2:
-                fused = decodable[: self._fuse_width()]
-                rest = decodable[len(fused) :] + rest
-                await asyncio.gather(
-                    self._serve_fused(fused),
-                    *(self._serve_one(session) for session in rest),
-                )
-            else:
-                await asyncio.gather(
-                    *(self._serve_one(session) for session in selected)
-                )
+            if len(decodable) >= 2:
+                # The selection is at most the fuse width: one engine
+                # call advances every session with a queued batch.
+                selected = [s for s in selected if not s.queue]
+                self._serve_fused(decodable)
+            for session in selected:
+                self._serve_one(session)
+            # A session abandoned mid-stream must time out even while
+            # others keep every cycle busy (the loop then never parks).
+            now = perf_counter()
+            if now - swept >= IDLE_POLL_SECONDS:
+                swept = now
+                self._evict_idle(now)
+            # The cycle's one yield: socket reads, the replies' flush
+            # and control requests run here.
+            await asyncio.sleep(0)
 
     async def _park(self) -> None:
         """Sleep until woken, at most ``IDLE_POLL_SECONDS``.
@@ -346,7 +353,7 @@ class Scheduler:
         return self.engine.max_fused_sessions
 
     def _has_turn(self, session: Session) -> bool:
-        if session.closed or session.inflight:
+        if session.closed:
             return False
         if session.queue or session.finish_requested:
             return True
@@ -377,17 +384,12 @@ class Scheduler:
             self._rr_next = start
         return selected
 
-    async def _serve_one(self, session: Session) -> None:
-        session.inflight = True
-        try:
-            if session.queue:
-                await self._decode_batch(session)
-            elif session.finish_requested:
-                await self._finish(session)
-        finally:
-            session.inflight = False
-            session.last_activity = perf_counter()
-            self._wake.set()
+    def _serve_one(self, session: Session) -> None:
+        if session.queue:
+            self._decode_batch(session)
+        elif session.finish_requested:
+            self._finish(session)
+        session.last_activity = perf_counter()
 
     def _resolve(self, batch) -> np.ndarray:
         """A queued batch as scores, timing the acoustic model."""
@@ -421,45 +423,42 @@ class Scheduler:
             ]
         )
 
-    async def _decode_batch(self, session: Session) -> None:
+    def _decode_batch(self, session: Session) -> None:
         scores = session.queue.popleft()
         self._queue_changed(-1)
         started = perf_counter()
         try:
             partial = self._push_resolved(session.session_id, scores)
         except Exception as exc:
-            await self._fail(session, f"decode failed: {exc}")
+            self._fail(session, f"decode failed: {exc}")
             return
         elapsed = perf_counter() - started
         self._kernel_calls.inc()
         self._record_decode(session, scores, partial, elapsed)
 
-    async def _serve_fused(self, sessions: list[Session]) -> None:
+    def _serve_fused(self, sessions: list[Session]) -> None:
         """One engine dispatch advancing every session a batch
         (:meth:`~repro.serve.engine.InlineEngine.push_many`)."""
-        for session in sessions:
-            session.inflight = True
+        batches = [session.queue.popleft() for session in sessions]
+        self._queue_changed(-len(sessions))
+        items = [
+            (session.session_id, scores)
+            for session, scores in zip(sessions, batches)
+        ]
+        started = perf_counter()
         try:
-            batches = [session.queue.popleft() for session in sessions]
-            self._queue_changed(-len(sessions))
-            items = [
-                (session.session_id, scores)
-                for session, scores in zip(sessions, batches)
-            ]
-            started = perf_counter()
-            try:
-                partials = self._push_many_resolved(items)
-            except Exception:
-                # push_many raises before any session advances, so the
-                # batches can be replayed one at a time — attributing
-                # the failure to the offending session and letting the
-                # others proceed.
-                for session, scores in zip(sessions, batches):
-                    session.queue.appendleft(scores)
-                self._queue_changed(len(sessions))
-                for session in sessions:
-                    await self._decode_batch(session)
-                return
+            partials = self._push_many_resolved(items)
+        except Exception:
+            # push_many raises before any session advances, so the
+            # batches can be replayed one at a time — attributing the
+            # failure to the offending session and letting the others
+            # proceed.
+            for session, scores in zip(sessions, batches):
+                session.queue.appendleft(scores)
+            self._queue_changed(len(sessions))
+            for session in sessions:
+                self._decode_batch(session)
+        else:
             elapsed = perf_counter() - started
             self._kernel_calls.inc()
             fused_sessions, fused_width = self._fused_instruments
@@ -469,12 +468,9 @@ class Scheduler:
                 sessions, batches, partials
             ):
                 self._record_decode(session, scores, partial, elapsed)
-        finally:
-            now = perf_counter()
-            for session in sessions:
-                session.inflight = False
-                session.last_activity = now
-            self._wake.set()
+        now = perf_counter()
+        for session in sessions:
+            session.last_activity = now
 
     def _record_decode(
         self,
@@ -500,11 +496,11 @@ class Scheduler:
             session, protocol.partial_message(session.session_id, partial)
         )
 
-    async def _finish(self, session: Session) -> None:
+    def _finish(self, session: Session) -> None:
         try:
             result = self.engine.finish(session.session_id)
         except Exception as exc:
-            await self._fail(session, f"finish failed: {exc}", cancel=False)
+            self._fail(session, f"finish failed: {exc}", cancel=False)
             return
         self.metrics.histogram("session_seconds").observe(
             perf_counter() - session.admitted_at
@@ -514,7 +510,7 @@ class Scheduler:
         )
         self._retire(session, "sessions_completed")
 
-    async def _fail(
+    def _fail(
         self, session: Session, error: str, cancel: bool = True
     ) -> None:
         if cancel:
@@ -527,11 +523,10 @@ class Scheduler:
         )
         self._retire(session, "sessions_failed")
 
-    async def _evict_idle(self) -> None:
+    def _evict_idle(self, now: float) -> None:
         timeout = self.config.idle_timeout_seconds
-        now = perf_counter()
         for session in list(self._sessions.values()):
-            if session.inflight or session.queue or session.finish_requested:
+            if session.queue or session.finish_requested:
                 continue
             if now - session.last_activity >= timeout:
                 try:

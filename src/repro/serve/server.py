@@ -9,15 +9,18 @@ port is configured — a newline-delimited-JSON TCP listener speaking
 
 Two client surfaces, one protocol:
 
-* the TCP transport, for real deployments and the load generator;
+* the TCP transport, for real deployments and the load generator: each
+  connection is an :class:`asyncio.Protocol` whose read callback
+  dispatches every complete line it brings, and whose replies leave in
+  one socket write per loop turn — no task per connection or session;
 * :meth:`TranscriptionServer.connect_local` — an in-process client
   whose sessions speak the same message dicts straight to the
   scheduler.  Tests use it to drive genuinely concurrent sessions
   without sockets.
 
 Shutdown is graceful by default: ``stop()`` stops admitting, drains
-every in-flight session to a real final result, then closes the
-engine.
+every in-flight session to a real final result, writes each
+connection's pending replies and closes it, then closes the engine.
 
 The server is one thread and one process.  To serve from several
 processes, :class:`~repro.serve.shard.ShardedServer` runs one of these
@@ -71,28 +74,6 @@ class ServeConfig:
         )
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
-    """The next wire line; ``b""`` at end of stream.
-
-    A line longer than the reader's limit is skipped whole and ``None``
-    returned in its place, instead of the ``ValueError`` (and, past it,
-    a stray tail read as a line of its own) that ``readline`` gives.
-    """
-    too_long = False
-    while True:
-        try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:  # end of stream
-            return b"" if too_long else exc.partial
-        except asyncio.LimitOverrunError as exc:
-            # Everything up to the newline (or all that is buffered)
-            # belongs to the over-long line.
-            await reader.readexactly(exc.consumed)
-            too_long = True
-            continue
-        return None if too_long else line
-
-
 class TranscriptionServer:
     """Serve concurrent streaming transcription sessions."""
 
@@ -142,7 +123,7 @@ class TranscriptionServer:
         )
         self.port: int | None = None
         self._tcp_server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._started = False
         self._stopped = False
 
@@ -154,11 +135,8 @@ class TranscriptionServer:
         self._started = True
         self.scheduler.start()
         if self.config.port is not None:
-            self._tcp_server = await asyncio.start_server(
-                self._handle_connection,
-                self.config.host,
-                self.config.port,
-                limit=protocol.MAX_LINE_BYTES,
+            self._tcp_server = await asyncio.get_running_loop().create_server(
+                lambda: _Connection(self), self.config.host, self.config.port
             )
             self.port = self._tcp_server.sockets[0].getsockname()[1]
 
@@ -169,12 +147,14 @@ class TranscriptionServer:
         self._stopped = True
         if self._tcp_server is not None:
             self._tcp_server.close()
-            await self._tcp_server.wait_closed()
         await self.scheduler.stop(drain=drain)
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        # Only now, every session retired, does each connection write
+        # what it still holds and close: closing one sooner would
+        # cancel its sessions and lose their finals.
+        for connection in list(self._connections):
+            connection.close()
+        if self._tcp_server is not None:
+            await self._tcp_server.wait_closed()
         self.engine.close()
 
     async def __aenter__(self) -> "TranscriptionServer":
@@ -201,71 +181,14 @@ class TranscriptionServer:
         """A client that speaks the protocol without a socket."""
         return InProcessClient(self)
 
-    # -- TCP transport ------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        owned: dict[str, Session] = {}
-
-        transport = writer.transport
-
-        def send(message: dict) -> None:
-            # Replies and session events alike are written where they
-            # are produced; the read loop's drain below is the only wait.
-            # A connection already going away (until this handler's
-            # ``finally`` detaches it) takes nothing more.
-            if not transport.is_closing():
-                transport.write(protocol.encode_message(message))
-
-        try:
-            while True:
-                line = await _read_line(reader)
-                if line == b"":
-                    break
-                try:
-                    if line is None:
-                        raise protocol.ProtocolError(
-                            f"message longer than {protocol.MAX_LINE_BYTES} "
-                            "bytes"
-                        )
-                    message = protocol.decode_message(line)
-                    await self._dispatch(message, owned, send)
-                except protocol.ProtocolError as exc:
-                    send(protocol.error_message(str(exc)))
-                # Backpressure: a client that stops reading its replies
-                # stops being read.
-                await writer.drain()
-        except (OSError, asyncio.CancelledError):
-            pass
-        finally:
-            # The client went away: nothing more is written to it, and
-            # the sessions it still owns are dropped (no final result
-            # to deliver to anyone).
-            for session in owned.values():
-                session.sink = None
-            for session in owned.values():
-                if not session.closed:
-                    await self.scheduler.cancel(session)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, OSError, asyncio.CancelledError):
-                # Teardown only: the transport is gone either way, and
-                # letting a late cancel escape here trips asyncio's
-                # connection_made callback on 3.11.
-                pass
-
-    async def _dispatch(
+    def _dispatch(
         self,
         message: dict,
         owned: dict[str, Session],
         send: Callable[[dict], None],
     ) -> None:
+        """Serve one decoded request from a TCP client; ``owned`` holds
+        its connection's sessions and ``send`` is its reply sink."""
         kind = message["type"]
         if kind == protocol.START:
             payload, encoding = protocol.negotiate_start(message)
@@ -281,7 +204,7 @@ class TranscriptionServer:
                 )
                 return
             try:
-                session = await self.scheduler.admit(payload=payload)
+                session = self.scheduler.admit(payload=payload)
             except Busy as exc:
                 send(protocol.busy_message(exc.reason))
                 return
@@ -323,13 +246,122 @@ class TranscriptionServer:
                 elif kind == protocol.FINISH:
                     self.scheduler.request_finish(session)
                 else:
-                    await self.scheduler.cancel(session)
+                    self.scheduler.cancel(session)
             except Busy as exc:
                 send(
                     protocol.busy_message(exc.reason, session.session_id)
                 )
         else:
             send(protocol.error_message(f"unknown type {kind!r}"))
+
+
+class _Connection(asyncio.Protocol):
+    """One TCP client, served from the loop's callbacks.
+
+    Every complete line a read brings is decoded and dispatched in that
+    read's callback.  Replies, and the events of the sessions this
+    connection started, are encoded into a buffer that goes out in one
+    ``transport.write`` per loop turn, so the partials of one fused
+    cycle share a write.  Backpressure is the transport's: while its
+    write buffer is over the high-water mark the connection is not
+    read, so a client that stops reading its replies stops being read
+    and can queue at most ``max_queued_batches`` per session.
+    """
+
+    def __init__(self, server: TranscriptionServer) -> None:
+        self._server = server
+        self._transport: asyncio.Transport | None = None
+        #: The sessions this client started, by id.
+        self._owned: dict[str, Session] = {}
+        #: The bytes of an incomplete line, up to ``MAX_LINE_BYTES``.
+        self._partial = bytearray()
+        #: Inside a line past ``MAX_LINE_BYTES``, until its newline.
+        self._skipping = False
+        #: Encoded replies for this turn's write.
+        self._pending: list[bytes] = []
+
+    # -- asyncio.Protocol ---------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._call_soon = asyncio.get_running_loop().call_soon
+        self._server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        lines = data.split(b"\n")
+        tail = lines.pop()  # after the last newline: an incomplete line
+        if lines:
+            if self._skipping:
+                # The over-long line ends here.
+                self._skipping = False
+                lines[0] = None
+            elif self._partial:
+                lines[0] = bytes(self._partial + lines[0])
+                self._partial.clear()
+            for line in lines:
+                self._serve_line(line)
+        elif self._skipping:
+            return
+        self._partial += tail
+        if len(self._partial) > protocol.MAX_LINE_BYTES:
+            self._partial.clear()
+            self._skipping = True
+
+    def eof_received(self) -> None:
+        # A last line without its newline is still served.
+        if self._partial and not self._skipping:
+            self._serve_line(bytes(self._partial))
+        self._flush()
+        # Returning None closes the transport (after its buffer drains).
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # The client went away: nothing more is written to it, and the
+        # sessions it still owns are dropped (no final result to
+        # deliver to anyone).
+        self._server._connections.discard(self)
+        self._pending.clear()
+        for session in self._owned.values():
+            session.sink = None
+        for session in self._owned.values():
+            if not session.closed:
+                self._server.scheduler.cancel(session)
+
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    # -- requests and replies -----------------------------------------------
+
+    def _serve_line(self, line: bytes | None) -> None:
+        """Dispatch one wire line; ``None`` stands for an over-long one."""
+        try:
+            if line is None or len(line) > protocol.MAX_LINE_BYTES:
+                raise protocol.ProtocolError(
+                    f"message longer than {protocol.MAX_LINE_BYTES} bytes"
+                )
+            message = protocol.decode_message(line)
+            self._server._dispatch(message, self._owned, self.send)
+        except protocol.ProtocolError as exc:
+            self.send(protocol.error_message(str(exc)))
+
+    def send(self, message: dict) -> None:
+        """Queue one message for this turn's write (the session sink)."""
+        pending = self._pending
+        pending.append(protocol.encode_message(message))
+        if len(pending) == 1:
+            self._call_soon(self._flush)
+
+    def _flush(self) -> None:
+        if self._pending and not self._transport.is_closing():
+            self._transport.write(b"".join(self._pending))
+        self._pending.clear()
+
+    def close(self) -> None:
+        """Write what is pending, then close (the server is stopping)."""
+        self._flush()
+        self._transport.close()
 
 
 class InProcessClient:
@@ -364,7 +396,7 @@ class InProcessClient:
             raise ServeError(
                 "this server has no acoustic scorer; stream scores instead"
             )
-        session = await self._server.scheduler.admit(payload=payload)
+        session = self._server.scheduler.admit(payload=payload)
         return InProcessSession(self._server, session, encoding=encoding)
 
     async def status(self) -> dict:
@@ -436,7 +468,7 @@ class InProcessSession:
         The in-process analogue of a client dropping its socket: the
         session is cancelled and its engine state discarded.
         """
-        await self._server.scheduler.cancel(self._session)
+        self._server.scheduler.cancel(self._session)
 
     def push_nowait(self, scores: np.ndarray) -> None:
         """Queue one batch without waiting (several in flight); partials

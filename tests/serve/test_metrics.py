@@ -1,7 +1,6 @@
 """Metrics registry tests: instruments, percentiles, snapshot schema."""
 
 import math
-import threading
 
 import pytest
 
@@ -32,7 +31,7 @@ class TestInstruments:
         assert gauge.value == 2
 
     def test_histogram_window_rolls_off_old_samples(self):
-        hist = Histogram(threading.Lock(), window=4)
+        hist = Histogram(window=4)
         for value in (100.0, 1.0, 2.0, 3.0, 4.0):
             hist.observe(value)
         summary = hist.summary()

@@ -156,6 +156,76 @@ class TestAdmissionControl:
         metrics = asyncio.run(scenario())
         assert metrics["counters"]["sessions_timed_out"] == 1
 
+    def test_idle_session_evicted_while_others_stream(
+        self, monkeypatch, tiny_task, tiny_scores
+    ):
+        """A session gone quiet times out even while another keeps a
+        batch queued for every scheduler cycle, so the loop never parks.
+        The scheduler's clock advances 1 ms per read, whatever the host's
+        speed; the busy session stops re-pushing after ``cap`` partials
+        or once the quiet one is gone."""
+        from itertools import count
+
+        from repro.serve import scheduler as scheduler_module
+
+        ticks = count()
+        monkeypatch.setattr(
+            scheduler_module, "perf_counter", lambda: next(ticks) * 1e-3
+        )
+        batch = tiny_scores[0][:BATCH_FRAMES]
+        cap = 1000
+
+        async def scenario():
+            server = make_server(tiny_task, idle_timeout_seconds=0.1)
+            scheduler = server.scheduler
+            parks = 0
+            park = scheduler._park
+
+            async def counting_park():
+                nonlocal parks
+                parks += 1
+                await park()
+
+            scheduler._park = counting_park
+            async with server:
+                client = server.connect_local()
+                quiet = scheduler._sessions[(await client.open()).session_id]
+                busy = scheduler._sessions[(await client.open()).session_id]
+                partials, evicted = [], asyncio.Event()
+
+                def on_busy(message):
+                    partials.append(message)
+                    if not quiet.closed and len(partials) < cap:
+                        scheduler.push(busy, batch)
+
+                def on_quiet(message):
+                    at_eviction.append((message, len(partials), parks))
+                    evicted.set()
+
+                at_eviction = []
+                busy.sink, quiet.sink = on_busy, on_quiet
+                scheduler.push(busy, batch)
+                parks_at_push = parks
+                await asyncio.wait_for(evicted.wait(), 30)
+                ((message, busy_partials, parks_then),) = at_eviction
+                return (
+                    message,
+                    busy_partials,
+                    parks_then - parks_at_push,
+                    busy.closed,
+                    server.metrics.snapshot()["counters"],
+                )
+
+        message, busy_partials, parks, busy_closed, counters = asyncio.run(
+            scenario()
+        )
+        assert message["type"] == "error" and message["error"] == "idle timeout"
+        # Evicted mid-stream: the other session was still being served
+        # every cycle, and the loop had not parked since its first push.
+        assert 0 < busy_partials < cap
+        assert parks == 0 and not busy_closed
+        assert counters["sessions_timed_out"] == 1
+
 
 class TestShutdown:
     def test_graceful_stop_drains_inflight_sessions(
@@ -285,29 +355,29 @@ class TestMetricsAndStatus:
             )
             batch = tiny_scores[0][:BATCH_FRAMES]
             try:
-                a, b, c = [await home.admit() for _ in range(3)]
+                a, b, c = [home.admit() for _ in range(3)]
                 for session in (a, b, c):
                     home.push(session, batch)
                     home.push(session, batch)
                 check(home, "push", 6)
-                await home._decode_batch(a)
+                home._decode_batch(a)
                 check(home, "solo pop", 5)
-                await home._serve_fused([a, b])
+                home._serve_fused([a, b])
                 assert home.engine.injected == 1
                 check(home, "fused replay", 3)
                 home.push(a, batch)
-                await home._serve_fused([a, b])
+                home._serve_fused([a, b])
                 check(home, "fused pop", 2)
                 home.push(a, batch)
                 home.push(b, batch)
-                await home._fail(a, "boom")  # retires mid-queue
+                home._fail(a, "boom")  # retires mid-queue
                 check(home, "retire", 3)
-                await home.cancel(b)
+                home.cancel(b)
                 check(home, "cancel", 2)
                 assert home.move("127.0.0.1", 1, 1) == c.session_id
                 check(home, "move", 0)
                 assert home.move("127.0.0.1", 1, 1) is None
-                d = await home.admit()
+                d = home.admit()
                 home.push(d, batch)
             finally:
                 await home.stop(drain=False)

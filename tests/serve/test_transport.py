@@ -1,15 +1,19 @@
-"""The TCP transport writes each reply where it is produced, and
+"""The TCP transport writes a loop turn's replies in one write, and
 survives what a client writes.
 
-A connection gives a synchronous sink to the sessions it starts; the
-scheduler hands every event to it as it is emitted, so there is no
-task per session, no write lock, and the read loop's ``drain`` after
-each request is the connection's only backpressure.  Pinned here: the
-server's task count does not grow with the number of sessions; a
-client that stops reading stops being read without holding anyone
-else up; a line too long or too malformed to serve gets ``error``
-while the connection and its other sessions carry on; and a client
-whose session keeps being lost gives up in bounded time.
+A connection is an ``asyncio.Protocol``: its read callback dispatches
+every complete line, and it gives a synchronous sink to the sessions it
+starts.  The scheduler hands every event to that sink as it is emitted;
+the sink buffers it for one ``transport.write`` per loop turn.  There
+is no task per connection or session and no write lock, and the
+transport's write buffer is the only backpressure: over its high-water
+mark the connection is not read.  Pinned here: the server's task count
+does not grow with the number of sessions; a client that stops reading
+stops being read without holding anyone else up; a fused cycle's
+replies share a write; a draining stop writes a connection's finals
+before it closes it; a line too long or too malformed to serve gets
+``error`` while the connection and its other sessions carry on; and a
+client whose session keeps being lost gives up in bounded time.
 """
 
 import asyncio
@@ -29,6 +33,7 @@ from repro.serve import (
     protocol,
 )
 from repro.serve import client as client_module
+from repro.serve import server as server_module
 
 CONFIG = DecoderConfig(beam=14.0)
 BATCH_FRAMES = 8
@@ -71,8 +76,8 @@ def test_task_count_does_not_grow_with_sessions(
     tiny_task, tiny_scores, sequential_results
 ):
     """One connection, 1 then 8 open sessions mid-stream: the same
-    number of asyncio tasks (the server's are its scheduler and one per
-    connection, whatever the sessions)."""
+    number of asyncio tasks (the server's one is its scheduler, whatever
+    the connections and sessions)."""
     scores = [tiny_scores[i % len(tiny_scores)] for i in range(8)]
     wants = [sequential_results[i % len(tiny_scores)] for i in range(8)]
 
@@ -106,7 +111,7 @@ def test_task_count_does_not_grow_with_sessions(
 
 
 def test_a_client_that_never_reads_stops_being_read(
-    tiny_task, tiny_scores, sequential_results
+    monkeypatch, tiny_task, tiny_scores, sequential_results
 ):
     """A client streams an utterance, finishes it, keeps pushing into
     the finished session and never reads a reply.  Once its socket is
@@ -121,23 +126,26 @@ def test_a_client_that_never_reads_stops_being_read(
             decoder_config=CONFIG,
             serve_config=ServeConfig(port=0),
         )
-        handle, dispatch = server._handle_connection, server._dispatch
+        made = server_module._Connection.connection_made
+        dispatch = server._dispatch
         read = []  # the session each request read off any socket named
 
-        async def small_buffers(reader, writer):
+        def small_buffers(connection, transport):
             # Small socket and transport buffers: a few hundred unread
             # replies fill them, instead of the megabytes loopback
             # buffers would otherwise absorb.
-            sock = writer.get_extra_info("socket")
+            sock = transport.get_extra_info("socket")
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-            writer.transport.set_write_buffer_limits(high=4096)
-            await handle(reader, writer)
+            transport.set_write_buffer_limits(high=4096)
+            made(connection, transport)
 
-        async def counting(message, *args):
+        def counting(message, *args):
             read.append(message.get("session"))
-            await dispatch(message, *args)
+            dispatch(message, *args)
 
-        server._handle_connection = small_buffers
+        monkeypatch.setattr(
+            server_module._Connection, "connection_made", small_buffers
+        )
         server._dispatch = counting
         try:
             await server.start()
@@ -214,6 +222,136 @@ def test_a_client_that_never_reads_stops_being_read(
     # (whatever the frame queue could not hold got ``busy``).
     assert closed and frames_decoded > 0
     assert queued == 0
+
+
+def test_a_fused_cycle_leaves_in_one_write(
+    monkeypatch, tiny_task, tiny_scores, sequential_results
+):
+    """Four sessions on one connection push in step, each round's four
+    frame lines in one client write: each round decodes as one fused
+    cycle, and its replies reach the socket in fewer ``transport.write``
+    calls than there are replies, every session's partials in order."""
+    made = server_module._Connection.connection_made
+    writes = []  # the reply lines of each server transport write
+
+    def counting_writes(connection, transport):
+        made(connection, transport)
+        write = transport.write
+
+        def counted(data):
+            writes.append(data.count(b"\n"))
+            write(data)
+
+        transport.write = counted
+
+    monkeypatch.setattr(
+        server_module._Connection, "connection_made", counting_writes
+    )
+    scores = tiny_scores[:4]
+
+    async def scenario():
+        server = await _started_server(tiny_task, max_sessions=4)
+        async with server:
+            reader, writer = await asyncio.open_connection(
+                server.config.host, server.port
+            )
+            writer.write(
+                protocol.encode_message({"type": protocol.START}) * 4
+            )
+            sessions = [
+                protocol.decode_message(await reader.readline())["session"]
+                for _ in range(4)
+            ]
+            replies = {session: [] for session in sessions}
+            rounds = max(len(_batches(matrix)) for matrix in scores)
+            for index in range(rounds):
+                lines = [
+                    protocol.encode_message(
+                        {
+                            "type": protocol.FRAMES,
+                            "session": session,
+                            "scores": protocol.matrix_to_payload(
+                                _batches(matrix)[index]
+                            ),
+                        }
+                    )
+                    for session, matrix in zip(sessions, scores)
+                    if index < len(_batches(matrix))
+                ]
+                writer.write(b"".join(lines))
+                for _ in lines:
+                    reply = protocol.decode_message(await reader.readline())
+                    replies[reply["session"]].append(reply)
+            writer.write(
+                b"".join(
+                    protocol.encode_message(
+                        {"type": protocol.FINISH, "session": session}
+                    )
+                    for session in sessions
+                )
+            )
+            for _ in sessions:
+                reply = protocol.decode_message(await reader.readline())
+                replies[reply["session"]].append(reply)
+            widest = server.metrics.histogram("fused_width").summary()["max"]
+            writer.close()
+            return [replies[session] for session in sessions], widest
+
+    per_session, widest = asyncio.run(asyncio.wait_for(scenario(), 60))
+    assert widest == 4
+    sent = 4 + sum(len(replies) for replies in per_session)  # + started
+    assert sum(writes) == sent
+    assert len(writes) < sent
+    for replies, matrix, want in zip(per_session, scores, sequential_results):
+        *partials, final = replies
+        assert [p["type"] for p in partials] == ["partial"] * len(partials)
+        assert [p["frames_consumed"] for p in partials] == [
+            min(BATCH_FRAMES * n, matrix.shape[0])
+            for n in range(1, len(_batches(matrix)) + 1)
+        ]
+        assert (final["type"], final["words"], final["cost"]) == (
+            "final",
+            want.words,
+            want.cost,
+        )
+
+
+def test_a_draining_stop_writes_the_final_before_closing(
+    tiny_task, tiny_scores
+):
+    """A TCP client mid-utterance when ``stop(drain=True)`` begins reads
+    its session's final — a real result over the frames it sent — and
+    then the end of the stream."""
+    batch = tiny_scores[0][:BATCH_FRAMES]
+
+    async def scenario():
+        server = await _started_server(tiny_task)
+        reader, writer = await asyncio.open_connection(
+            server.config.host, server.port
+        )
+        writer.write(protocol.encode_message({"type": protocol.START}))
+        session = protocol.decode_message(await reader.readline())["session"]
+        writer.write(
+            protocol.encode_message(
+                {
+                    "type": protocol.FRAMES,
+                    "session": session,
+                    "scores": protocol.matrix_to_payload(batch),
+                }
+            )
+        )
+        partial = protocol.decode_message(await reader.readline())
+        stopping = asyncio.ensure_future(server.stop(drain=True))
+        final = protocol.decode_message(await reader.readline())
+        after = await reader.read()
+        await stopping
+        writer.close()
+        return partial, final, after
+
+    partial, final, after = asyncio.run(asyncio.wait_for(scenario(), 60))
+    assert partial["type"] == protocol.PARTIAL
+    assert (final["type"], final["frames"]) == (protocol.FINAL, BATCH_FRAMES)
+    assert after == b""
 
 
 def test_a_batch_past_64_kib_decodes(tiny_task, tiny_scores):
