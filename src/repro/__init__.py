@@ -16,7 +16,13 @@ Package map:
 * :mod:`repro.accel` - cycle-level simulators: UNFOLD, the MICRO-49
   baseline, the Tegra X1 GPU;
 * :mod:`repro.asr` - end-to-end system assembly, tasks, WER;
-* :mod:`repro.experiments` - one driver per evaluated table/figure.
+* :mod:`repro.experiments` - one driver per evaluated table/figure;
+* :mod:`repro.shm` - shared-memory recognizer segments;
+* :mod:`repro.serve` - the streaming transcription service.
+
+Every package resolves the names it exports on first use
+(:func:`lazy_exports`): ``from repro.serve import TcpClient`` imports
+the client and what it needs, not the server or the decoder.
 
 Quickstart::
 
@@ -31,4 +37,41 @@ Quickstart::
     print(utterance.words, "->", result.words)
 """
 
+import importlib
+import sys
+
 __version__ = "1.0.0"
+
+
+def lazy_exports(package: str, table: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's exports.
+
+    ``table`` maps each submodule of ``package`` to the names the
+    package exports from it; ``"NAME as ALIAS"`` exports the
+    submodule's ``NAME`` as ``ALIAS``.  The first access to a name
+    imports its submodule and stores the value in the package's
+    globals, so later accesses never reach ``__getattr__``.  Submodules
+    themselves need no entry: the import system binds them.
+    """
+    namespace = sys.modules[package].__dict__
+    sources = {}
+    for module, names in table.items():
+        for entry in names:
+            name, _, alias = entry.partition(" as ")
+            sources[alias or name] = (f"{package}.{module}", name)
+
+    def __getattr__(name: str):
+        try:
+            module, attribute = sources[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), attribute)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | sources.keys())
+
+    return __getattr__, __dir__

@@ -1,28 +1,6 @@
 """Accelerator simulators: UNFOLD, the fully-composed baseline, the GPU."""
 
-from repro.accel.cache import Cache, CacheConfig, CacheStats, WriteBuffer
-from repro.accel.config import (
-    PAPER_DATASET_BYTES,
-    REZA,
-    UNFOLD,
-    AcceleratorConfig,
-    GpuConfig,
-)
-from repro.accel.dram import DramConfig, DramModel, Traffic
-from repro.accel.energy import (
-    EnergyBreakdown,
-    mj_per_second_of_speech,
-    sram_area_mm2,
-    sram_leakage_mw,
-    sram_read_energy_pj,
-)
-from repro.accel.fully_composed import FullyComposedSimulator
-from repro.accel.gpu import GpuKernelReport, GpuModel
-from repro.accel.layout import ComposedLayout, OnTheFlyLayout
-from repro.accel.pipeline import CycleReport, cycles_for
-from repro.accel.sink import ComposedSink, UnfoldSink
-from repro.accel.stats import RunReport, UtteranceTiming
-from repro.accel.unfold import UnfoldSimulator
+from repro import lazy_exports
 
 __all__ = [
     "Cache",
@@ -55,3 +33,32 @@ __all__ = [
     "GpuModel",
     "GpuKernelReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("Cache", "CacheConfig", "CacheStats", "WriteBuffer"),
+        "config": (
+            "PAPER_DATASET_BYTES",
+            "REZA",
+            "UNFOLD",
+            "AcceleratorConfig",
+            "GpuConfig",
+        ),
+        "dram": ("DramConfig", "DramModel", "Traffic"),
+        "energy": (
+            "EnergyBreakdown",
+            "mj_per_second_of_speech",
+            "sram_area_mm2",
+            "sram_leakage_mw",
+            "sram_read_energy_pj",
+        ),
+        "fully_composed": ("FullyComposedSimulator",),
+        "gpu": ("GpuKernelReport", "GpuModel"),
+        "layout": ("ComposedLayout", "OnTheFlyLayout"),
+        "pipeline": ("CycleReport", "cycles_for"),
+        "sink": ("ComposedSink", "UnfoldSink"),
+        "stats": ("RunReport", "UtteranceTiming"),
+        "unfold": ("UnfoldSimulator",),
+    },
+)

@@ -1,24 +1,6 @@
 """Acoustic-model substrate: phones, lexicon, HMMs, AM WFST, scorers."""
 
-from repro.am.dnn import MlpAcousticModel
-from repro.am.features import (
-    FeatureSynthesizer,
-    SenoneEmissionModel,
-    Utterance,
-    make_emission_model,
-)
-from repro.am.gmm import GmmAcousticModel
-from repro.am.graph import AmGraph, build_am_graph
-from repro.am.hmm import HmmTopology
-from repro.am.lexicon import Lexicon, generate_lexicon
-from repro.am.phones import SILENCE_PHONE, STANDARD_PHONES, PhoneInventory
-from repro.am.rnn import RnnAcousticModel
-from repro.am.scorer import (
-    AcousticScorer,
-    ScorerKind,
-    check_score_matrix,
-    frame_accuracy,
-)
+from repro import lazy_exports
 
 __all__ = [
     "PhoneInventory",
@@ -41,3 +23,28 @@ __all__ = [
     "frame_accuracy",
     "check_score_matrix",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "dnn": ("MlpAcousticModel",),
+        "features": (
+            "FeatureSynthesizer",
+            "SenoneEmissionModel",
+            "Utterance",
+            "make_emission_model",
+        ),
+        "gmm": ("GmmAcousticModel",),
+        "graph": ("AmGraph", "build_am_graph"),
+        "hmm": ("HmmTopology",),
+        "lexicon": ("Lexicon", "generate_lexicon"),
+        "phones": ("SILENCE_PHONE", "STANDARD_PHONES", "PhoneInventory"),
+        "rnn": ("RnnAcousticModel",),
+        "scorer": (
+            "AcousticScorer",
+            "ScorerKind",
+            "check_score_matrix",
+            "frame_accuracy",
+        ),
+    },
+)

@@ -1,33 +1,6 @@
 """End-to-end ASR system assembly: tasks, datasets, pipeline, metrics."""
 
-from repro.asr.dataset import ComponentSizes, build_scorer, measure_component_sizes
-from repro.asr.parallel import DecodePool
-from repro.asr.persist import RecognizerBundle, load_recognizer, save_recognizer
-from repro.asr.streaming import (
-    PartialHypothesis,
-    StreamingSession,
-    decode_streaming,
-    transcribe_streams,
-)
-from repro.asr.system import AsrSystem, OverallReport
-from repro.asr.task import (
-    EESEN_TEDLIUM,
-    KALDI_LIBRISPEECH,
-    KALDI_TEDLIUM,
-    KALDI_VOXFORGE,
-    PAPER_TASKS,
-    TINY,
-    AsrTask,
-    TaskConfig,
-    build_task,
-)
-
-from repro.asr.wer import (
-    EditCounts,
-    align_counts,
-    corpus_edit_counts,
-    word_error_rate,
-)
+from repro import lazy_exports
 
 __all__ = [
     "build_scorer",
@@ -57,3 +30,40 @@ __all__ = [
     "EESEN_TEDLIUM",
     "PAPER_TASKS",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "dataset": (
+            "ComponentSizes",
+            "build_scorer",
+            "measure_component_sizes",
+        ),
+        "parallel": ("DecodePool",),
+        "persist": ("RecognizerBundle", "load_recognizer", "save_recognizer"),
+        "streaming": (
+            "PartialHypothesis",
+            "StreamingSession",
+            "decode_streaming",
+            "transcribe_streams",
+        ),
+        "system": ("AsrSystem", "OverallReport"),
+        "task": (
+            "EESEN_TEDLIUM",
+            "KALDI_LIBRISPEECH",
+            "KALDI_TEDLIUM",
+            "KALDI_VOXFORGE",
+            "PAPER_TASKS",
+            "TINY",
+            "AsrTask",
+            "TaskConfig",
+            "build_task",
+        ),
+        "wer": (
+            "EditCounts",
+            "align_counts",
+            "corpus_edit_counts",
+            "word_error_rate",
+        ),
+    },
+)

@@ -17,7 +17,6 @@ from repro.am.gmm import GmmAcousticModel
 from repro.am.rnn import RnnAcousticModel
 from repro.am.scorer import AcousticScorer, ScorerKind
 from repro.asr.task import AsrTask
-from repro.compress.sizing import measure_dataset_sizing
 
 
 def build_scorer(
@@ -100,6 +99,8 @@ class ComponentSizes:
 def measure_component_sizes(
     task: AsrTask, scorer: AcousticScorer
 ) -> ComponentSizes:
+    from repro.compress.sizing import measure_dataset_sizing
+
     sizing = measure_dataset_sizing(task)
     return ComponentSizes(
         task_name=task.name,

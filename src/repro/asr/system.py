@@ -15,18 +15,21 @@ two stages plus a small shared-buffer communication cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.accel.fully_composed import FullyComposedSimulator
 from repro.accel.gpu import GpuModel
-from repro.accel.stats import RunReport
-from repro.accel.unfold import UnfoldSimulator
 from repro.am.features import Utterance
 from repro.am.scorer import AcousticScorer
 from repro.asr.task import AsrTask
 from repro.asr.wer import word_error_rate
 from repro.core.decoder import DecodeResult, DecoderConfig
+
+if TYPE_CHECKING:
+    from repro.accel.fully_composed import FullyComposedSimulator
+    from repro.accel.stats import RunReport
+    from repro.accel.unfold import UnfoldSimulator
 
 #: Shared-buffer transfer cost per second of speech (acoustic scores
 #: through main memory), in seconds; small relative to either stage.
@@ -164,6 +167,8 @@ class AsrSystem:
 
     def run_gpu_only(self, utterances: list[Utterance]) -> OverallReport:
         """Everything on the Tegra X1 (the paper's software baseline)."""
+        from repro.accel.unfold import UnfoldSimulator
+
         scores = self.score_all(utterances)
         # Functional search result comes from the reference decoder; GPU
         # timing comes from the analytical kernel model.

@@ -1,11 +1,6 @@
 """Experiment drivers: one module per table/figure of the evaluation."""
 
-from repro.experiments.common import (
-    ExperimentResult,
-    TaskBundle,
-    get_bundle,
-    paper_bundles,
-)
+from repro import lazy_exports
 
 __all__ = [
     "ExperimentResult",
@@ -13,3 +8,15 @@ __all__ = [
     "get_bundle",
     "paper_bundles",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "common": (
+            "ExperimentResult",
+            "TaskBundle",
+            "get_bundle",
+            "paper_bundles",
+        ),
+    },
+)

@@ -1,23 +1,6 @@
 """Language-model substrate: corpora, back-off n-grams, LM WFSTs."""
 
-from repro.lm.arpa import write_arpa
-from repro.lm.corpus import (
-    SENTENCE_END,
-    SENTENCE_START,
-    UNKNOWN,
-    CorpusStats,
-    ReferenceGrammar,
-    corpus_stats,
-    make_vocabulary,
-)
-from repro.lm.graph import BACKOFF_SYMBOL, LmGraph, build_lm_graph
-from repro.lm.kneser_ney import KneserNeyModel, train_kneser_ney
-from repro.lm.ngram import (
-    BackoffNGramModel,
-    NGramCounts,
-    NGramEntry,
-    train_ngram_model,
-)
+from repro import lazy_exports
 
 __all__ = [
     "SENTENCE_START",
@@ -38,3 +21,27 @@ __all__ = [
     "BACKOFF_SYMBOL",
     "write_arpa",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "arpa": ("write_arpa",),
+        "corpus": (
+            "SENTENCE_END",
+            "SENTENCE_START",
+            "UNKNOWN",
+            "CorpusStats",
+            "ReferenceGrammar",
+            "corpus_stats",
+            "make_vocabulary",
+        ),
+        "graph": ("BACKOFF_SYMBOL", "LmGraph", "build_lm_graph"),
+        "kneser_ney": ("KneserNeyModel", "train_kneser_ney"),
+        "ngram": (
+            "BackoffNGramModel",
+            "NGramCounts",
+            "NGramEntry",
+            "train_ngram_model",
+        ),
+    },
+)

@@ -18,21 +18,7 @@ bit-identical.  See README "Serving", "Fault tolerance" and "Sharded
 serving" for the quickstart.
 """
 
-from repro.serve.client import ShardedClient, TcpClient, TcpSession
-from repro.serve.engine import EngineError, InlineEngine
-from repro.serve.loadgen import LoadReport, UtteranceOutcome, run_load
-from repro.serve.metrics import MetricsRegistry
-from repro.serve.protocol import ProtocolError
-from repro.serve.scheduler import Busy, Scheduler, SchedulerConfig
-from repro.serve.scoring import ScoreHandle, ScoringError, ScoringService
-from repro.serve.server import (
-    InProcessClient,
-    InProcessSession,
-    ServeConfig,
-    ServeError,
-    TranscriptionServer,
-)
-from repro.serve.shard import ShardedServer, ShardRouter
+from repro import lazy_exports
 
 __all__ = [
     "Busy",
@@ -59,3 +45,23 @@ __all__ = [
     "TranscriptionServer",
     "UtteranceOutcome",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "client": ("ShardedClient", "TcpClient", "TcpSession"),
+        "engine": ("EngineError", "InlineEngine"),
+        "loadgen": ("LoadReport", "UtteranceOutcome", "run_load"),
+        "metrics": ("MetricsRegistry",),
+        "protocol": ("ProtocolError", "ServeError"),
+        "scheduler": ("Busy", "Scheduler", "SchedulerConfig"),
+        "scoring": ("ScoreHandle", "ScoringError", "ScoringService"),
+        "server": (
+            "InProcessClient",
+            "InProcessSession",
+            "ServeConfig",
+            "TranscriptionServer",
+        ),
+        "shard": ("ShardedServer", "ShardRouter"),
+    },
+)

@@ -40,8 +40,8 @@ import asyncio
 import numpy as np
 
 from repro.serve import protocol
+from repro.serve.protocol import ServeError
 from repro.serve.scheduler import Busy
-from repro.serve.server import ServeError
 
 #: How long a lost session keeps re-opening before it gives up,
 #: counted from its first loss since the caller's last partial (it

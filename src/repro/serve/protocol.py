@@ -38,6 +38,10 @@ that still name the old id get what a closed session's do.
 A line is at most ``MAX_LINE_BYTES`` long; a longer one is answered
 with ``error`` and skipped, and the connection stays up.
 
+Every line is RFC 8259 JSON.  A cost of ±inf (a partial or final with
+no hypothesis) is written as ``±1e999``, which ``json.loads`` and
+``JSON.parse`` read back as ±inf; no line holds ``Infinity`` or ``NaN``.
+
 Score batches cross the wire as nested lists of floats — verbose but
 dependency-free and exact (JSON doubles are the decoder's float64).
 
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 
 import numpy as np
 
@@ -104,14 +109,47 @@ class ProtocolError(ValueError):
     """A malformed or out-of-contract message."""
 
 
+class ServeError(RuntimeError):
+    """A server-side error event surfaced to a client call."""
+
+
 #: The compact encoder every reply shares: ``json.dumps`` builds a new
 #: ``JSONEncoder`` per call when the separators are not the defaults.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+#: ``allow_nan=False``: it raises on a non-finite float rather than write
+#: ``Infinity`` or ``NaN``, which RFC 8259 parsers such as
+#: ``JSON.parse`` reject.
+_encode_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def _encode_non_finite(value) -> str:
+    """``value`` as RFC 8259 JSON: ±inf as ``±1e999``, NaN as ``null``.
+
+    ``1e999`` overflows to ±inf in ``json.loads`` and ``JSON.parse``
+    alike.  NaN has no JSON number; ``null`` is what ``JSON.stringify``
+    writes, and a ``null`` in a frame batch decodes to NaN, which
+    :func:`payload_to_matrix` rejects.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "null"
+        return "1e999" if value > 0 else "-1e999"
+    if isinstance(value, dict):
+        return "{%s}" % ",".join(
+            f"{_encode_json(str(key))}:{_encode_non_finite(item)}"
+            for key, item in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ",".join(map(_encode_non_finite, value))
+    return _encode_json(value)
 
 
 def encode_message(message: dict) -> bytes:
     """One wire line for a message dict (newline-terminated)."""
-    return (_encode_json(message) + "\n").encode("utf-8")
+    try:
+        text = _encode_json(message)
+    except ValueError:  # a non-finite float, e.g. a final with no hypothesis
+        text = _encode_non_finite(message)
+    return (text + "\n").encode("utf-8")
 
 
 def decode_message(line: bytes | str) -> dict:

@@ -42,12 +42,9 @@ from repro.lm.graph import LmGraph
 from repro.serve import protocol
 from repro.serve.engine import InlineEngine
 from repro.serve.metrics import MetricsRegistry
+from repro.serve.protocol import ServeError
 from repro.serve.scheduler import Busy, Scheduler, SchedulerConfig, Session
 from repro.serve.scoring import ScoringService
-
-
-class ServeError(RuntimeError):
-    """A server-side error event surfaced to a client call."""
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,8 @@ from repro.am.scorer import AcousticScorer
 from repro.core.decoder import DecoderConfig, OnTheFlyDecoder
 from repro.lm.graph import LmGraph
 from repro.serve.engine import InlineEngine
-from repro.serve.server import ServeConfig, ServeError, TranscriptionServer
+from repro.serve.protocol import ServeError
+from repro.serve.server import ServeConfig, TranscriptionServer
 from repro.shm import attach_recognizer, pack_recognizer, process_memory
 
 #: Virtual nodes per shard on the hash ring; enough that keys spread

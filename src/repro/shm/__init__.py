@@ -8,30 +8,7 @@ worker processes attach.  See :mod:`repro.shm.recognizer` for the
 memory story and :mod:`repro.shm.segments` for the segment format.
 """
 
-from repro.shm.meminfo import (
-    process_memory,
-    rss_bytes,
-    segment_memory,
-    uss_bytes,
-)
-from repro.shm.recognizer import (
-    RECOGNIZER_SHM_VERSION,
-    AttachedRecognizer,
-    attach_recognizer,
-    bundle_quantize,
-    pack_recognizer,
-)
-from repro.shm.segments import (
-    SHM_FORMAT_VERSION,
-    SharedArrays,
-    ShmAttachError,
-    ShmChecksumError,
-    ShmError,
-    ShmVersionError,
-    attach_arrays,
-    pack_arrays,
-    segment_name,
-)
+from repro import lazy_exports
 
 __all__ = [
     "RECOGNIZER_SHM_VERSION",
@@ -53,3 +30,33 @@ __all__ = [
     "segment_name",
     "uss_bytes",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "meminfo": (
+            "process_memory",
+            "rss_bytes",
+            "segment_memory",
+            "uss_bytes",
+        ),
+        "recognizer": (
+            "RECOGNIZER_SHM_VERSION",
+            "AttachedRecognizer",
+            "attach_recognizer",
+            "bundle_quantize",
+            "pack_recognizer",
+        ),
+        "segments": (
+            "SHM_FORMAT_VERSION",
+            "SharedArrays",
+            "ShmAttachError",
+            "ShmChecksumError",
+            "ShmError",
+            "ShmVersionError",
+            "attach_arrays",
+            "pack_arrays",
+            "segment_name",
+        ),
+    },
+)

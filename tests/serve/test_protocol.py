@@ -1,5 +1,9 @@
 """Wire-protocol tests: message round-trips and malformed input."""
 
+import asyncio
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +106,87 @@ class TestScorePayload:
     def test_non_matrix_scores_rejected(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.matrix_to_payload(np.zeros(3), protocol.ENCODING_LIST)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not an RFC 8259 JSON value")
+
+
+class TestStrictJson:
+    """Every line on the wire is RFC 8259 JSON: no ``Infinity``/``NaN``."""
+
+    def test_non_finite_floats_encode_as_json_numbers(self):
+        line = protocol.encode_message(
+            {"type": "final", "cost": math.inf, "costs": [1.5, -math.inf]}
+        )
+        assert line == b'{"type":"final","cost":1e999,"costs":[1.5,-1e999]}\n'
+        message = json.loads(line, parse_constant=_reject_constant)
+        assert message["cost"] == math.inf
+        assert message["costs"] == [1.5, -math.inf]
+
+    def test_nan_is_never_written_as_nan(self):
+        line = protocol.encode_message({"scores": [[0.0, math.nan]]})
+        message = json.loads(line, parse_constant=_reject_constant)
+        assert message == {"scores": [[0.0, None]]}
+        with pytest.raises(protocol.ProtocolError, match="NaN or infinite"):
+            protocol.payload_to_matrix(message["scores"])
+
+    def test_final_with_no_hypothesis_is_strict_json(
+        self, tiny_task, tiny_scores
+    ):
+        """Two flat frames leave no hypothesis, so the final's cost is
+        inf; every reply a live TCP server writes still parses strictly,
+        and :class:`TcpClient` still reads the cost back as inf."""
+        from repro.serve import ServeConfig, TcpClient, TranscriptionServer
+
+        flat = np.full((2, tiny_scores[0].shape[1]), -5.0)
+
+        async def scenario():
+            server = TranscriptionServer(
+                tiny_task.am, tiny_task.lm, serve_config=ServeConfig(port=0)
+            )
+            try:
+                await server.start()
+            except OSError as exc:  # pragma: no cover - no loopback
+                pytest.skip(f"cannot bind a TCP socket: {exc}")
+            async with server:
+                reader, writer = await asyncio.open_connection(
+                    server.config.host, server.port
+                )
+
+                async def request(message):
+                    writer.write(protocol.encode_message(message))
+                    await writer.drain()
+                    line = await reader.readline()
+                    return json.loads(line, parse_constant=_reject_constant)
+
+                started = await request({"type": "start"})
+                session = started["session"]
+                partial = await request(
+                    {"type": "frames", "session": session,
+                     "scores": flat.tolist()}
+                )
+                final = await request({"type": "finish", "session": session})
+                writer.close()
+                await writer.wait_closed()
+
+                client = await TcpClient.connect(
+                    server.config.host, server.port
+                )
+                try:
+                    stream = await client.open()
+                    await stream.push(flat)
+                    via_client = await stream.finish()
+                finally:
+                    await client.close()
+            return partial, final, via_client
+
+        partial, final, via_client = asyncio.run(scenario())
+        assert partial["type"] == protocol.PARTIAL
+        assert final["type"] == protocol.FINAL
+        assert final["cost"] == math.inf and final["success"] is False
+        assert via_client["cost"] == math.inf
+        assert via_client["success"] is False
 
 
 class TestMatrixPayload:
