@@ -19,17 +19,25 @@ from repro.am.scorer import ScorerKind
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _VAR_FLOOR = 1e-3
-#: Frames scored per block.  The (frames, senones, mixtures, dim)
-#: temporaries of a whole utterance, not the recognizer, set a decoding
-#: process's peak RSS (KALDI_TEDLIUM: 114.5 -> 85 MiB), and blocks whose
-#: three temporaries fit a 2 MiB L2 are also faster: inside
-#: ``AsrSystem.transcribe`` (36 utterances, fresh process, two runs) the
-#: scorer costs 52-77 us per frame one-shot, 43-45 at 64 frames, 33-36
-#: at 32 and 32-33 at 16.  The block size is free to tune because
-#: scoring is pure per-frame broadcasting (no cross-frame state, no
-#: shape-dependent BLAS reduction): every block size yields bit-identical
-#: scores (blocks of 8...128 measured equal).
-_SCORE_BLOCK = 32
+#: Frames scored per block.  A block runs in one (block, senones,
+#: mixtures, dim) float64 buffer, reused in place; a whole utterance's
+#: would set a decoding process's peak RSS (KALDI_TEDLIUM: 114.5 against
+#: 85 MiB at 32 frames).  On ``offline_wide`` (KALDI_TEDLIUM: 120
+#: senones x 2 mixtures x 16 dims; 2 vCPUs, one BLAS thread): scorer
+#: CPU per frame, median of 15 interleaved passes over 48 utterances,
+#: and the bench's ``peak_rss_mb``, median of seeds 11-13:
+#:
+#:   block   buffer     us/frame   peak_rss_mb
+#:       8   0.23 MiB   32.9       56.04
+#:      16   0.47 MiB   32.6       56.33
+#:      32   0.94 MiB   33.2       56.93
+#:
+#: The speeds are within noise of each other; 8 has the lowest peak.
+#: The block size is free to tune because scoring is pure per-frame
+#: broadcasting (no cross-frame state, no shape-dependent BLAS
+#: reduction): every block size yields bit-identical scores (blocks of
+#: 8...128 measured equal).
+_SCORE_BLOCK = 8
 
 
 @dataclass
@@ -139,12 +147,22 @@ class GmmAcousticModel:
             (t, self.num_senones),
             dtype=np.result_type(features, self.means, self.log_weights),
         )
+        # One (block, s, m, d) buffer per call: the difference, its
+        # square and the quotient by the variances are computed in place,
+        # the same ufuncs on the same values as the broadcast expression
+        # ``diff * diff / variances``, so the scores are unchanged.
+        buf = np.empty(
+            (min(t, _SCORE_BLOCK),) + self.means.shape,
+            dtype=np.result_type(features, self.means, self.variances),
+        )
         for lo in range(0, t, _SCORE_BLOCK):
             block = features[lo : lo + _SCORE_BLOCK]
-            # (block, s, m, d) broadcasting, reduced over d then
-            # logsumexp over m.
-            diff = block[:, None, None, :] - self.means[None, :, :, :]
-            exponent = -0.5 * np.sum(diff * diff / self.variances[None], axis=3)
+            quotient = buf[: block.shape[0]]
+            np.subtract(block[:, None, None, :], self.means, out=quotient)
+            np.multiply(quotient, quotient, out=quotient)
+            np.divide(quotient, self.variances, out=quotient)
+            # Reduced over d, then logsumexp over m.
+            exponent = -0.5 * np.sum(quotient, axis=3)
             component = exponent + log_norm[None] + self.log_weights[None]
             peak = component.max(axis=2)
             scores[lo : lo + _SCORE_BLOCK] = peak + np.log(

@@ -6,8 +6,8 @@ independent — the natural unit of parallelism for a software decoder
 serving a batch.  :class:`DecodePool` fans a batch of utterances out
 over worker processes.  The recognizer is packed *once in the parent*
 into a named shared-memory segment (:func:`repro.shm.pack_recognizer`,
-bundle-quantized); each worker's initializer attaches the segment and
-decodes from zero-copy read-only views.  Every worker therefore maps
+weights rounded to float32); each worker's initializer attaches the
+segment and decodes from zero-copy read-only views.  Every worker therefore maps
 the same physical pages — unlike fork copy-on-write inheritance, where
 refcount churn progressively privatizes the "shared" recognizer, and
 unlike pickling, which copies it per worker up front.  This holds
@@ -31,10 +31,11 @@ submission order.  Two mechanisms make that hold:
   32-bit format, so a serial in-memory run over the original float64
   graphs would differ from the workers' in the last bits.  The serial
   path decodes the caller's own graphs over the tables a worker
-  attaches (built, as :func:`~repro.shm.pack_recognizer` builds them,
-  from :func:`~repro.shm.bundle_quantize`'s graphs), with no
-  round-tripped copy of the graphs kept.  ``parallelism=1`` without a
-  scorer skips the round-trip and decodes the given graphs directly (no
+  attaches: ``DecoderTables.from_graphs(..., np.float32)``, as
+  :func:`~repro.shm.pack_recognizer` builds them, rounds each weight
+  column exactly as the bundle codec does, without building a
+  round-tripped copy of the graphs.  ``parallelism=1`` without a
+  scorer decodes the given graphs' float64 weights directly (no
   worker machinery either way).
 
 Asking for ``parallelism > 1`` on a host exposing a single CPU decodes
@@ -60,7 +61,7 @@ from repro.core.decoder import (
 )
 from repro.cpus import visible_cpus
 from repro.lm.graph import LmGraph
-from repro.shm import attach_recognizer, bundle_quantize, pack_recognizer
+from repro.shm import attach_recognizer, pack_recognizer
 
 
 # Per-worker-process state, installed by the pool initializer.  The
@@ -161,11 +162,9 @@ class DecodePool:
         if scorer is not None:
             if parallelism == 1:
                 # Decode the deployable artifact: the tables a worker
-                # attaches, from the in-memory codec round-trip that
-                # quantizes weights to the persisted 32-bit format, over
-                # the caller's own graphs (the round-tripped copies are
-                # freed once the tables are built).
-                tables = DecoderTables.from_graphs(*bundle_quantize(am, lm))
+                # attaches, weights rounded to the persisted 32-bit
+                # format, over the caller's own graphs.
+                tables = DecoderTables.from_graphs(am, lm, np.float32)
                 self._decoder = OnTheFlyDecoder(
                     am, lm, self.config, tables=tables
                 )
@@ -173,7 +172,7 @@ class DecodePool:
                 # Pack the recognizer once; every worker's initializer
                 # attaches the segment (no bundle load, no graph or
                 # CSR construction, no COW privatization).
-                self._shm = pack_recognizer(am, lm, scorer, quantize=True)
+                self._shm = pack_recognizer(am, lm, scorer)
                 if "fork" in multiprocessing.get_all_start_methods():
                     # Fork is still the cheaper launch; the recognizer
                     # arrives via the segment either way.

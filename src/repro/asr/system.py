@@ -89,8 +89,9 @@ class AsrSystem:
     scorer: AcousticScorer
     gpu: GpuModel = field(default_factory=GpuModel)
     # Live DecodePools keyed by (parallelism, config fields): building
-    # one costs a bundle round-trip and worker start-up, so transcribe
-    # reuses them across calls instead of paying that per batch.
+    # one costs a table build (a segment pack and worker start-up when
+    # parallel), so transcribe reuses them across calls instead of
+    # paying that per batch.
     _pools: dict = field(default_factory=dict, repr=False, compare=False)
 
     def score_all(self, utterances: list[Utterance]) -> list[np.ndarray]:

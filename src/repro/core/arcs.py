@@ -81,6 +81,28 @@ def _csr_gather(
     return _iota(num_states).repeat(counts), flat
 
 
+def weight_column(values, weight_dtype: type = np.float64) -> np.ndarray:
+    """A float64 weight column holding ``values`` as ``weight_dtype``
+    stores them.
+
+    ``np.float32`` rounds each weight as the bundle codec's
+    ``struct.pack('<f', ...)`` does — a finite weight float32 cannot
+    hold raises :class:`OverflowError` rather than becoming ``inf`` —
+    and widens it back, so every gate computed from the column sees the
+    deployed value (``-1e-50`` is ``-0.0`` there, which is ``>= 0``).
+    """
+    exact = np.asarray(values, dtype=np.float64)
+    if weight_dtype is np.float64:
+        return exact
+    with np.errstate(over="ignore"):
+        stored = exact.astype(weight_dtype)
+    if np.any(np.isinf(stored) & np.isfinite(exact)):
+        raise OverflowError(
+            f"weight too large for {np.dtype(weight_dtype).name}"
+        )
+    return stored.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class EmittingArcs:
     """CSR view of one graph's emitting arcs."""
@@ -99,8 +121,11 @@ class EmittingArcs:
     pure_emitting: bool
 
     @classmethod
-    def from_fst(cls, fst) -> "EmittingArcs":
-        """Flatten ``fst``'s non-epsilon-input arcs, once."""
+    def from_fst(
+        cls, fst, weight_dtype: type = np.float64
+    ) -> "EmittingArcs":
+        """Flatten ``fst``'s non-epsilon-input arcs, once, their weights
+        as ``weight_dtype`` stores them (:func:`weight_column`)."""
         num_states = fst.num_states
         offsets = np.zeros(num_states + 1, dtype=np.int64)
         ilabels: list[int] = []
@@ -125,7 +150,7 @@ class EmittingArcs:
         return cls(
             offsets=offsets,
             ilabel=ilabel,
-            weight=np.array(weights, dtype=np.float64),
+            weight=weight_column(weights, weight_dtype),
             nextstate=np.array(nextstates, dtype=np.int64),
             ordinal=np.array(ordinals, dtype=np.int64),
             score_index=ilabel - 1,
@@ -197,8 +222,11 @@ class EpsilonArcs:
     nonneg_weights: bool
 
     @classmethod
-    def from_fst(cls, fst) -> "EpsilonArcs":
-        """Flatten ``fst``'s epsilon-input arcs, once."""
+    def from_fst(
+        cls, fst, weight_dtype: type = np.float64
+    ) -> "EpsilonArcs":
+        """Flatten ``fst``'s epsilon-input arcs, once, their weights as
+        ``weight_dtype`` stores them (:func:`weight_column`)."""
         num_states = fst.num_states
         offsets = np.zeros(num_states + 1, dtype=np.int64)
         olabels: list[int] = []
@@ -216,7 +244,7 @@ class EpsilonArcs:
                 ordinals.append(ordinal)
                 count += 1
             offsets[state + 1] = offsets[state] + count
-        weight = np.array(weights, dtype=np.float64)
+        weight = weight_column(weights, weight_dtype)
         nextstate = np.array(nextstates, dtype=np.int64)
         has_arcs = (offsets[1:] - offsets[:-1]) > 0
         single_level = not bool(
@@ -278,8 +306,12 @@ class LmWordArcs:
     nonneg_weights: bool
 
     @classmethod
-    def from_graph(cls, graph) -> "LmWordArcs":
-        """Flatten an :class:`~repro.lm.graph.LmGraph`, once."""
+    def from_graph(
+        cls, graph, weight_dtype: type = np.float64
+    ) -> "LmWordArcs":
+        """Flatten an :class:`~repro.lm.graph.LmGraph`, once, its word
+        and back-off weights as ``weight_dtype`` stores them
+        (:func:`weight_column`)."""
         fst = graph.fst
         num_states = fst.num_states
         offsets = np.zeros(num_states + 1, dtype=np.int64)
@@ -300,6 +332,8 @@ class LmWordArcs:
                 weights.append(arc.weight)
                 nextstates.append(arc.nextstate)
             offsets[state + 1] = offsets[state] + len(arcs)
+        backoff_weight = weight_column(backoff_weight, weight_dtype)
+        weight = weight_column(weights, weight_dtype)
         # Every state's back-off chain, which only the gate below reads:
         # the states a failed lookup visits, down to the unigram state,
         # with the penalty paid to *reach* each (0 at the chain head).
@@ -322,7 +356,6 @@ class LmWordArcs:
                 penalty = float(backoff_weight[current])
                 current = nxt
             chain_offsets[state + 1] = chain_offsets[state] + length
-        weight = np.array(weights, dtype=np.float64)
         ilabel = np.array(ilabels, dtype=np.int64)
         nonneg = bool(np.all(weight >= 0.0)) if weight.shape[0] else True
         nonneg = nonneg and bool(np.all(backoff_weight >= 0.0))

@@ -25,6 +25,7 @@ from repro.core.arcs import (
     LmWordArcs,
     plan_recombination,
     stable_cost_order,
+    weight_column,
 )
 from repro.core.batch import BatchSegment, advance_segment
 from repro.core.beam import BeamConfig, prune_items
@@ -174,14 +175,20 @@ class DecoderTables:
     lm_final_weights: np.ndarray
 
     @classmethod
-    def from_graphs(cls, am: AmGraph, lm: LmGraph) -> "DecoderTables":
+    def from_graphs(
+        cls, am: AmGraph, lm: LmGraph, weight_dtype: type = np.float64
+    ) -> "DecoderTables":
+        """Flatten both graphs, every weight as ``weight_dtype`` stores
+        it (:func:`~repro.core.arcs.weight_column`).  ``np.float32``
+        gives the deployable tables: the bundle codec's rounding,
+        without building its round-tripped graphs."""
         return cls(
-            emitting=EmittingArcs.from_fst(am.fst),
-            epsilon=EpsilonArcs.from_fst(am.fst),
-            lm_word_arcs=LmWordArcs.from_graph(lm),
-            lm_final_weights=np.array(
+            emitting=EmittingArcs.from_fst(am.fst, weight_dtype),
+            epsilon=EpsilonArcs.from_fst(am.fst, weight_dtype),
+            lm_word_arcs=LmWordArcs.from_graph(lm, weight_dtype),
+            lm_final_weights=weight_column(
                 [lm.fst.final_weight(s) for s in lm.fst.states()],
-                dtype=np.float64,
+                weight_dtype,
             ),
         )
 

@@ -336,7 +336,7 @@ class ShardedServer:
         self.decoder_config = decoder_config or DecoderConfig()
         self.shards = shards
         self.router = ShardRouter(shards, virtual_nodes=virtual_nodes)
-        self._shm = pack_recognizer(am, lm, scorer, quantize=True)
+        self._shm = pack_recognizer(am, lm, scorer)
         if "fork" in multiprocessing.get_all_start_methods():
             self._ctx = multiprocessing.get_context("fork")
         else:  # pragma: no cover - spawn-only platforms

@@ -16,11 +16,12 @@ child's refcount churn dirties (privatizes) the very pages holding the
 graphs, while an attached segment's pages physically cannot be
 privatized by reads.
 
-Numerics: ``quantize=True`` (the default) round-trips both WFSTs
-through the binary bundle codec before packing, which narrows arc and
-final weights to float32 exactly as :func:`repro.asr.persist` bundles
-do.  Every multi-process consumer historically decoded from a loaded
-bundle, so a quantized segment is **bit-identical** to the pickled
+Numerics: the packed tables hold every arc, back-off and final weight
+rounded to float32 exactly as the binary bundle codec stores it
+(``DecoderTables.from_graphs(..., np.float32)``, byte-equal to building
+them from :func:`bundle_quantize`'s round-tripped graphs, without
+building those).  Every multi-process consumer historically decoded
+from a loaded bundle, so a segment is **bit-identical** to the pickled
 bundle path — results, stats, and all cache counters (property-tested
 in ``tests/shm``).
 """
@@ -102,9 +103,10 @@ def bundle_quantize(am: AmGraph, lm: LmGraph) -> tuple[AmGraph, LmGraph]:
     """Round-trip both graphs through the bundle codec, in memory.
 
     The binary codec stores arc and final weights as float32; loading a
-    saved bundle therefore decodes with narrowed weights.  Packing a
-    segment from the round-tripped graphs keeps shared-memory workers
-    bit-identical to bundle-loading workers without touching disk.
+    saved bundle therefore decodes with narrowed weights.  The
+    reference for :func:`pack_recognizer`'s tables, which round the
+    same weights without building these graphs, and for decoders that
+    walk graphs rather than tables (the bench's traced layers).
     """
     words = lm.words
     am_fst = deserialize(serialize(am.fst))
@@ -120,20 +122,15 @@ def pack_recognizer(
     lm: LmGraph,
     scorer: AcousticScorer | None = None,
     name: str | None = None,
-    quantize: bool = True,
 ) -> AttachedRecognizer:
     """Pack a recognizer into a new named segment; returns the owner.
 
     The owner handle is itself a fully usable
     :class:`AttachedRecognizer` (its arrays view the shared pages), and
-    is responsible for :meth:`~AttachedRecognizer.unlink`.
+    is responsible for :meth:`~AttachedRecognizer.unlink`.  Weights
+    are packed rounded to float32, as the bundle codec stores them.
     """
-    # The round-tripped graphs live only while the tables are built; the
-    # rest of the pack reads the caller's, which the round trip leaves
-    # unchanged where they are read (symbols, senone map, state counts).
-    tables = DecoderTables.from_graphs(
-        *(bundle_quantize(am, lm) if quantize else (am, lm))
-    )
+    tables = DecoderTables.from_graphs(am, lm, np.float32)
     emit, eps, lmw = tables.emitting, tables.epsilon, tables.lm_word_arcs
 
     words_stream = io.StringIO()
@@ -180,7 +177,6 @@ def pack_recognizer(
             arrays[_SCORER_PREFIX + key] = np.asarray(value)
     meta = {
         "recognizer_version": RECOGNIZER_SHM_VERSION,
-        "quantized": bool(quantize),
         "am_num_states": am.fst.num_states,
         "loop_state": am.loop_state,
         "num_senones": am.num_senones,

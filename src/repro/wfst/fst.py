@@ -19,9 +19,12 @@ from repro.wfst.semiring import TROPICAL, Semiring
 EPSILON = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """A single weighted transition.
+
+    Slotted: a graph holds tens of thousands of arcs, and an instance
+    ``__dict__`` would add 40 bytes to each.
 
     Attributes:
         ilabel: Input label id (phone id in the AM, word id in the LM).

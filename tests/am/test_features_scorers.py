@@ -139,6 +139,34 @@ class TestGmm:
         assert scores.dtype == one_shot.dtype
         assert np.array_equal(scores, one_shot)
 
+    def test_scoring_keeps_one_block_buffer(self):
+        """Scoring 2 000 frames of KALDI_TEDLIUM's shape (120 senones,
+        2 mixtures, 16 dims) holds one ``(_SCORE_BLOCK, senones,
+        mixtures, dim)`` float64 buffer, the output, and at most 512 KiB
+        of per-block ``(block, senones, mixtures)`` temporaries: no
+        full-block difference, square or quotient beside the buffer."""
+        import tracemalloc
+
+        from repro.am.gmm import _SCORE_BLOCK
+
+        rng = np.random.default_rng(7)
+        senones, mixtures, dim, frames = 120, 2, 16, 2000
+        gmm = GmmAcousticModel(
+            means=rng.normal(size=(senones, mixtures, dim)),
+            variances=rng.uniform(0.5, 2.0, size=(senones, mixtures, dim)),
+            log_weights=np.full((senones, mixtures), -math.log(mixtures)),
+        )
+        features = rng.normal(size=(frames, dim))
+        tracemalloc.start()
+        try:
+            gmm.score(features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = _SCORE_BLOCK * senones * mixtures * dim * 8
+        output = frames * senones * 8
+        assert peak <= buffer + output + 512 * 1024
+
     def test_metadata(self, setup):
         *_, emissions, _ = setup
         gmm = GmmAcousticModel.from_emissions(emissions, num_mixtures=2)

@@ -1,10 +1,12 @@
 """Unit tests for the Wfst container and symbol tables."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
-from repro.wfst import EPSILON, SymbolTable, Wfst, linear_chain
+from repro.wfst import EPSILON, Arc, SymbolTable, Wfst, linear_chain
 
 
 class TestSymbolTable:
@@ -129,6 +131,22 @@ class TestWfst:
         fst.add_arc(s1, 2, 2, 0.0, s0)
         sources = [src for src, _ in fst.all_arcs()]
         assert sources == [0, 1]
+
+
+class TestArc:
+    def test_slotted_arc_round_trips(self):
+        """An ``Arc`` carries no instance ``__dict__``; ``replace``,
+        pickling, equality and hashing work as on any frozen value."""
+        arc = Arc(ilabel=3, olabel=EPSILON, weight=0.25, nextstate=7)
+        assert not hasattr(arc, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            arc.weight = 1.0
+        moved = dataclasses.replace(arc, nextstate=8)
+        assert moved == Arc(3, EPSILON, 0.25, 8) and moved != arc
+        copy = pickle.loads(pickle.dumps(arc))
+        assert copy == arc and copy is not arc
+        assert hash(copy) == hash(arc) == hash(Arc(3, EPSILON, 0.25, 7))
+        assert len({arc, copy, moved}) == 2
 
 
 class TestLinearChain:

@@ -28,7 +28,8 @@ nothing they write lands in the tree):
   scalar);
 * ``serve``: ``repro serve`` with one shard and with two, each driven
   with scores and features over ``list`` and ``b64f32``;
-* ``tools``: ``tools/frame_step_crossover.py``.
+* ``tools``: ``tools/frame_step_crossover.py`` and
+  ``tools/stage_memory.py``.
 
 A phase's call file is kept until that phase runs again, so the report
 can be rebuilt after re-running one phase, or after editing the
@@ -225,7 +226,10 @@ def _phase_commands(phase: str, env: dict, cwd: Path) -> list:
             lambda log: _serve(["--shards", "2"], env, cwd, log),
         ]
     if phase == "tools":
-        return [_python(str(ROOT / "tools" / "frame_step_crossover.py"))]
+        return [
+            _python(str(ROOT / "tools" / name))
+            for name in ("frame_step_crossover.py", "stage_memory.py")
+        ]
     raise ValueError(phase)
 
 
