@@ -4,8 +4,9 @@ The serving-side counterpart of ``examples/dictation_server.py``'s
 batch platform comparison: start a :class:`repro.serve.TranscriptionServer`,
 stream several utterances through *concurrent* sessions, trip the
 admission controller on purpose, read the live metrics snapshot, and
-drain gracefully.  Everything runs in-process (the TCP transport
-speaks the identical protocol; `python -m repro serve` exposes it).
+drain gracefully.  Everything runs in one process: the client is the
+TCP client over a socket pair (`python -m repro serve` exposes the
+same protocol on a port).
 
 Run:
     python examples/live_service.py
@@ -51,7 +52,7 @@ async def main() -> None:
         decoder_config=DecoderConfig(beam=14.0),
         serve_config=config,
     ) as server:
-        client = server.connect_local()
+        client = await server.connect_local()
 
         print(f"{len(scores)} concurrent streaming sessions:")
         await asyncio.gather(
@@ -81,6 +82,7 @@ async def main() -> None:
             f"batch decode p50 {1e3 * latency['p50']:.2f}ms "
             f"p95 {1e3 * latency['p95']:.2f}ms"
         )
+        await client.close()
     # __aexit__ drained: every admitted session got a real final.
     print("server drained and stopped")
 

@@ -119,11 +119,10 @@ class DecodePool:
         am / lm: recognition graphs.
         scorer: acoustic scorer; required for :meth:`decode_utterances`.
         config: decoder configuration shared by every worker.
-        parallelism: worker process count; ``1`` decodes in-process.
-        single_cpu_fallback: when ``parallelism > 1`` but the host
-            exposes a single visible CPU, quietly decode serially
-            in-process instead of forking workers that would
-            time-slice one core.  Results are identical either way.
+        parallelism: worker process count; ``1`` decodes in-process,
+            and so does any count on a host that exposes a single
+            visible CPU, where workers would time-slice one core.
+            Results are identical either way.
     """
 
     def __init__(
@@ -133,7 +132,6 @@ class DecodePool:
         scorer: AcousticScorer | None = None,
         config: DecoderConfig | None = None,
         parallelism: int = 1,
-        single_cpu_fallback: bool = True,
     ) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
@@ -143,11 +141,7 @@ class DecodePool:
                 "to worker processes"
             )
         self.requested_parallelism = parallelism
-        if (
-            parallelism > 1
-            and single_cpu_fallback
-            and visible_cpus() < 2
-        ):
+        if parallelism > 1 and visible_cpus() < 2:
             # One visible core: worker processes can't overlap, they
             # just add pickling and scheduling.  Decode serially
             # instead — the determinism contract makes this invisible

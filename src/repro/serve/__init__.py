@@ -24,17 +24,12 @@ __all__ = [
     "Busy",
     "EngineError",
     "InlineEngine",
-    "InProcessClient",
-    "InProcessSession",
     "LoadReport",
     "MetricsRegistry",
     "ProtocolError",
     "run_load",
     "Scheduler",
     "SchedulerConfig",
-    "ScoreHandle",
-    "ScoringError",
-    "ScoringService",
     "ServeConfig",
     "ServeError",
     "ShardedClient",
@@ -55,13 +50,7 @@ __getattr__, __dir__ = lazy_exports(
         "metrics": ("MetricsRegistry",),
         "protocol": ("ProtocolError", "ServeError"),
         "scheduler": ("Busy", "Scheduler", "SchedulerConfig"),
-        "scoring": ("ScoreHandle", "ScoringError", "ScoringService"),
-        "server": (
-            "InProcessClient",
-            "InProcessSession",
-            "ServeConfig",
-            "TranscriptionServer",
-        ),
+        "server": ("ServeConfig", "TranscriptionServer"),
         "shard": ("ShardedServer", "ShardRouter"),
     },
 )

@@ -1,9 +1,10 @@
-"""TCP client for the transcription service.
+"""The client of the transcription service.
 
-The socket-side mirror of the in-process client: the same ``open`` /
-``push`` / ``finish`` / ``status`` surface over the NDJSON wire
-protocol, so the load generator (and any application) can target
-either transport unchanged.
+:class:`TcpClient` speaks the NDJSON wire protocol over one
+connection: ``open`` / ``push`` / ``finish`` / ``status``.  It is the
+one client: :meth:`~repro.serve.server.TranscriptionServer.
+connect_local` returns one over a socket pair, and the load generator
+(and any application) drives it, or :class:`ShardedClient`, unchanged.
 
 A background reader task demultiplexes server messages: events tagged
 with a session id go to that session's queue, untagged replies
@@ -53,12 +54,10 @@ RELOCATE_TIMEOUT_SECONDS = 5.0
 RETRY_SECONDS = 0.02
 
 
-def _start_message(payload: str, encoding: str) -> dict:
+def _start_message(payload: str) -> dict:
     start = {"type": protocol.START}
     if payload != protocol.PAYLOAD_SCORES:
         start["payload"] = payload
-    if encoding != protocol.ENCODING_LIST:
-        start["encoding"] = encoding
     return start
 
 
@@ -83,7 +82,12 @@ async def _dial(peers: dict, host: str, port: int) -> "TcpClient":
 
 
 class TcpClient:
-    """One NDJSON connection multiplexing many sessions."""
+    """One NDJSON connection multiplexing many sessions.
+
+    A client made with an endpoint (``host``, ``port``) re-opens a lost
+    session there; one made without (over a socket pair) has nowhere to
+    go, so a lost connection fails its sessions at once.
+    """
 
     def __init__(
         self,
@@ -167,7 +171,6 @@ class TcpClient:
         self,
         key: str | None = None,
         payload: str = protocol.PAYLOAD_SCORES,
-        encoding: str = protocol.ENCODING_LIST,
     ) -> "TcpSession":
         """Open a session; raises :class:`Busy` on admission reject.
 
@@ -176,13 +179,11 @@ class TcpClient:
         client has nowhere else to send the session.
 
         ``payload`` selects what FRAMES batches carry (``scores``, or
-        ``features`` for server-side scoring); ``encoding``
-        selects the wire form (exact ``list`` or compact ``b64f32``).
-        The server echoes the negotiated pair on STARTED and the
-        session sends accordingly.
+        ``features`` for server-side scoring).  The server echoes it on
+        STARTED and the session sends accordingly.
         """
         del key
-        reply = await self._control_request(_start_message(payload, encoding))
+        reply = await self._control_request(_start_message(payload))
         if reply["type"] == protocol.BUSY:
             raise Busy(reply.get("reason", "busy"))
         if reply["type"] != protocol.STARTED:
@@ -195,7 +196,6 @@ class TcpClient:
             session_id,
             queue,
             payload=reply.get("payload", payload),
-            encoding=reply.get("encoding", encoding),
         )
 
     async def status(self) -> dict:
@@ -244,15 +244,12 @@ class TcpSession:
         session_id: str,
         events: asyncio.Queue,
         payload: str = protocol.PAYLOAD_SCORES,
-        encoding: str = protocol.ENCODING_LIST,
     ) -> None:
         self._client = client
         self.session_id = session_id
         self._events = events
-        #: Negotiated at open: which key FRAMES batches ride in and
-        #: how the matrix is encoded on the wire.
+        #: Negotiated at open: which key FRAMES batches ride in.
         self.payload = payload
-        self.encoding = encoding
         #: Partial-hypothesis messages observed so far, in order.
         self.partials: list[dict] = []
         #: Every FRAMES message sent since open, in order: what a
@@ -315,8 +312,14 @@ class TcpSession:
         nothing had happened.  A further loss on the way starts over
         toward its endpoint, until ``RELOCATE_TIMEOUT_SECONDS`` after
         the first loss since the caller's last partial (then it raises
-        :class:`ServeError`).
+        :class:`ServeError`).  A lost connection without an endpoint
+        raises at once.
         """
+        if loss is self._client.lost and self._client.port is None:
+            raise ServeError(
+                f"session {self.session_id!r} lost its connection, "
+                "which has no endpoint to re-open it on"
+            )
         if self._deadline is None:
             self._deadline = (
                 asyncio.get_running_loop().time() + RELOCATE_TIMEOUT_SECONDS
@@ -339,7 +342,7 @@ class TcpSession:
     async def _reopen(self, host: str, port: int) -> None:
         """Start a fresh session on ``host:port`` and move onto it."""
         loop = asyncio.get_running_loop()
-        start = _start_message(self.payload, self.encoding)
+        start = _start_message(self.payload)
         while True:
             if loop.time() >= self._deadline:
                 raise ServeError(
@@ -387,14 +390,12 @@ class TcpSession:
         """Send one batch and wait for its partial hypothesis.
 
         The batch rides in the key the session negotiated (``scores``
-        or ``features``), in the negotiated encoding.
+        or ``features``).
         """
         message = {
             "type": protocol.FRAMES,
             "session": self.session_id,
-            self.payload: protocol.matrix_to_payload(
-                np.asarray(scores), self.encoding
-            ),
+            self.payload: protocol.matrix_to_payload(scores),
         }
         self._sent.append(message)
         await self._send(message)
@@ -479,7 +480,6 @@ class ShardedClient:
         self,
         key: str | None = None,
         payload: str = protocol.PAYLOAD_SCORES,
-        encoding: str = protocol.ENCODING_LIST,
     ) -> TcpSession:
         """Open a session on ``key``'s home shard.
 
@@ -501,7 +501,7 @@ class ShardedClient:
             client = self._peers.get(endpoint)
             try:
                 client = await self._client_for(endpoint)
-                return await client.open(payload=payload, encoding=encoding)
+                return await client.open(payload=payload)
             except (OSError, ServeError):
                 # Only a refused or dropped connection is worth another
                 # try; a live server's error reply is final.

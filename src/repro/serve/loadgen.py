@@ -1,7 +1,7 @@
 """Load generator: replay utterances against the service.
 
-Drives N concurrent streaming sessions through any client (TCP,
-in-process or sharded), replaying a list of score matrices in fixed
+Drives N concurrent streaming sessions through any client (TCP, local
+or sharded), replaying a list of score matrices in fixed
 frame batches — the service-side mirror of
 :func:`~repro.asr.streaming.decode_streaming`'s batching.  The report
 carries every final in input order, for comparison against a
@@ -67,7 +67,6 @@ async def run_load(
     abort_fraction: float = 0.0,
     feature_matrices: list[np.ndarray] | None = None,
     payload: str = protocol.PAYLOAD_SCORES,
-    encoding: str = protocol.ENCODING_LIST,
 ) -> LoadReport:
     """Replay every matrix once, ``concurrency`` sessions at a time.
 
@@ -93,9 +92,9 @@ async def run_load(
     ``payload="features"`` streams ``feature_matrices`` (required,
     aligned 1:1 with ``score_matrices``'s indices) and lets the server
     run the acoustic model.  The same seed replays the same arrival
-    pattern either way, so a features run parity-asserts against a
-    scores run.  ``encoding`` picks the wire form (exact ``list`` or
-    compact ``b64f32``).
+    pattern either way, so a features run's words parity-assert
+    against a scores run's (the wire rounds features before they are
+    scored and scores after, so the costs differ in the last bits).
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
@@ -154,7 +153,7 @@ async def run_load(
                     # clients ignore it — either way the mapping is a
                     # pure function of the input, seed-stable.
                     session = await client.open(
-                        key=f"u{index}", payload=payload, encoding=encoding
+                        key=f"u{index}", payload=payload
                     )
                     break
                 except Busy:

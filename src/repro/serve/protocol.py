@@ -1,21 +1,22 @@
 """Newline-delimited-JSON wire protocol for the transcription service.
 
-One message per line, UTF-8 JSON with a ``type`` field.  The same
-message dicts flow over the TCP transport and through the in-process
-client, so tests and the load generator exercise the identical
-protocol surface either way.
+One message per line, UTF-8 JSON with a ``type`` field.  Every client
+speaks it over a socket: :class:`~repro.serve.client.TcpClient` over
+TCP, and :meth:`~repro.serve.server.TranscriptionServer.connect_local`
+hands out the same client over a socket pair, so tests and the load
+generator exercise the one protocol surface either way.
 
 Client -> server::
 
-    {"type": "start"}                              open a session
-    {"type": "frames", "session": s, "scores": [[...], ...]}
+    {"type": "start" [, "payload": p]}             open a session
+    {"type": "frames", "session": s, p: m}         one frame batch
     {"type": "finish", "session": s}               end-of-utterance
     {"type": "cancel", "session": s}               abandon, no final
     {"type": "status"}                             health + metrics
 
 Server -> client::
 
-    {"type": "started", "session": s}
+    {"type": "started", "session": s, "payload": p}
     {"type": "busy", "reason": r [, "session": s]}  admission/queue reject
     {"type": "partial", "session": s, "words": [...], "cost": c,
      "frames_consumed": n, "active_tokens": k}
@@ -36,30 +37,28 @@ session there and re-sends the batches it sent on this one.  Requests
 that still name the old id get what a closed session's do.
 
 A line is at most ``MAX_LINE_BYTES`` long; a longer one is answered
-with ``error`` and skipped, and the connection stays up.
+with ``error`` and skipped, and the connection stays up.  A FRAMES
+request whose batch the server cannot read (a missing payload key, a
+malformed or non-finite matrix) is answered with an ``error`` naming
+its session, and the session is failed.
 
 Every line is RFC 8259 JSON.  A cost of ±inf (a partial or final with
 no hypothesis) is written as ``±1e999``, which ``json.loads`` and
 ``JSON.parse`` read back as ±inf; no line holds ``Infinity`` or ``NaN``.
 
-Score batches cross the wire as nested lists of floats — verbose but
-dependency-free and exact (JSON doubles are the decoder's float64).
+START negotiates the ``payload``: ``scores`` (default, the classic
+pre-scored protocol) or ``features``, where the client streams raw
+feature frames and the *server* runs the acoustic model when the batch
+is pushed.  A batch rides in the FRAMES key the payload names.
 
-Two START-time negotiations widen that:
-
-* ``payload``: ``scores`` (default — the classic pre-scored protocol)
-  or ``features``, where the client streams raw feature frames and the
-  *server* runs the acoustic model when it dispatches the batch
-  (:mod:`repro.serve.scoring`).  Feature batches ride in a
-  ``features`` key of the same FRAMES message.
-* ``encoding``: ``list`` (default — exact float64 nested lists) or
-  ``b64f32``, a compact base64 little-endian float32 block roughly 7x
-  smaller on the wire.  float32 is lossy for float64 inputs (the
-  decode quantizes, exactly round-tripping anything float32 can
-  represent); both sides of the negotiation see the identical
-  quantized matrix, so transcripts stay deterministic.
-
-``STARTED`` echoes the negotiated pair back to the client.
+A matrix crosses the wire in one form, ``b64f32``: a base64
+little-endian float32 block with an explicit shape.  float32 is lossy
+for float64 inputs (it round-trips exactly anything float32 can
+represent); the server decodes the quantized matrix, so transcripts
+are deterministic, and a reference decode of
+``payload_to_matrix(matrix_to_payload(m))`` is what a served session
+must match.  A START may still carry ``"encoding": "b64f32"``; the key
+is not read.
 """
 
 from __future__ import annotations
@@ -87,11 +86,10 @@ MOVED = "moved"
 CLIENT_TYPES = frozenset({START, FRAMES, FINISH, CANCEL, STATUS})
 
 #: The longest wire line a server reads.  The widest preset scores 120
-#: senones (``KALDI_TEDLIUM``); a float64 is at most 24 JSON characters
-#: plus a separator, so a 32-frame ``list`` batch of it is at most
-#: 32 * 120 * 25 = 96 000 bytes.  1 MiB leaves room for batches ten
-#: times that long; a server buffers at most that much of an incomplete
-#: line per connection.
+#: senones (``KALDI_TEDLIUM``); a 32-frame ``b64f32`` batch of it is
+#: 32 * 120 * 4 = 15 360 bytes, 20 480 in base64.  1 MiB leaves room
+#: for batches fifty times that long; a server buffers at most that
+#: much of an incomplete line per connection.
 MAX_LINE_BYTES = 1 << 20
 
 #: START-time payload negotiation: what FRAMES batches carry.
@@ -99,10 +97,8 @@ PAYLOAD_SCORES = "scores"
 PAYLOAD_FEATURES = "features"
 PAYLOADS = (PAYLOAD_SCORES, PAYLOAD_FEATURES)
 
-#: START-time encoding negotiation: how matrices cross the wire.
-ENCODING_LIST = "list"
+#: How matrices cross the wire: the tag of the one matrix form.
 ENCODING_B64F32 = "b64f32"
-ENCODINGS = (ENCODING_LIST, ENCODING_B64F32)
 
 
 class ProtocolError(ValueError):
@@ -126,8 +122,7 @@ def _encode_non_finite(value) -> str:
 
     ``1e999`` overflows to ±inf in ``json.loads`` and ``JSON.parse``
     alike.  NaN has no JSON number; ``null`` is what ``JSON.stringify``
-    writes, and a ``null`` in a frame batch decodes to NaN, which
-    :func:`payload_to_matrix` rejects.
+    writes.
     """
     if isinstance(value, float) and not math.isfinite(value):
         if math.isnan(value):
@@ -175,32 +170,67 @@ def decode_message(line: bytes | str) -> dict:
 
 
 def matrix_to_payload(
-    matrix: np.ndarray, encoding: str = ENCODING_LIST
-):
-    """A frame matrix (scores or features) in one of the wire forms.
+    matrix: np.ndarray, encoding: str = ENCODING_B64F32
+) -> dict:
+    """A frame matrix (scores or features) in its wire form.
 
-    ``list`` is the exact float64 nested-list form; ``b64f32`` packs
-    the matrix as a base64 little-endian float32 block with an explicit
-    shape — ~7x smaller, quantizing float64 inputs to float32.
+    The matrix is packed as a base64 little-endian float32 block with
+    an explicit shape, quantizing float64 inputs to float32.
+    ``encoding`` names that form; ``b64f32`` is the only one.
     """
+    if encoding != ENCODING_B64F32:
+        raise ProtocolError(
+            f"unknown matrix encoding {encoding!r}; "
+            f"the wire carries {ENCODING_B64F32!r} only"
+        )
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ProtocolError(f"frame batch must be 2-D, got {matrix.shape}")
-    if encoding == ENCODING_LIST:
-        return matrix.tolist()
-    if encoding == ENCODING_B64F32:
-        packed = np.ascontiguousarray(matrix, dtype="<f4")
-        return {
-            "enc": ENCODING_B64F32,
-            "shape": [int(matrix.shape[0]), int(matrix.shape[1])],
-            "data": base64.b64encode(packed.tobytes()).decode("ascii"),
-        }
-    raise ProtocolError(
-        f"unknown matrix encoding {encoding!r}; choose from {ENCODINGS}"
-    )
+    packed = np.ascontiguousarray(matrix, dtype="<f4")
+    return {
+        "enc": ENCODING_B64F32,
+        "shape": [int(matrix.shape[0]), int(matrix.shape[1])],
+        "data": base64.b64encode(packed.tobytes()).decode("ascii"),
+    }
 
 
-def _finite(matrix: np.ndarray) -> np.ndarray:
+def payload_to_matrix(payload) -> np.ndarray:
+    """A wire matrix back to a finite float64 (frames, width) matrix:
+    its float32 block, the matrix both sides agree on."""
+    if not isinstance(payload, dict):
+        raise ProtocolError(
+            f"a matrix payload is a {ENCODING_B64F32!r} object"
+        )
+    if payload.get("enc") != ENCODING_B64F32:
+        raise ProtocolError(
+            f"unknown matrix payload encoding {payload.get('enc')!r}"
+        )
+    shape = payload.get("shape")
+    # ``type(n) is int``: a JSON ``true`` is an ``int`` to
+    # ``isinstance`` but not to ``reshape``.  Frames of no width
+    # would pass the length check below with empty data.
+    if (
+        not isinstance(shape, list)
+        or len(shape) != 2
+        or not all(type(n) is int and n >= 0 for n in shape)
+        or (shape[0] > 0 and shape[1] == 0)
+    ):
+        raise ProtocolError(f"bad b64f32 shape {shape!r}")
+    try:
+        raw = base64.b64decode(payload.get("data", ""), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad b64f32 data: {exc}") from exc
+    expected = 4 * shape[0] * shape[1]
+    if len(raw) != expected:
+        raise ProtocolError(
+            f"b64f32 data is {len(raw)} bytes, shape {shape} "
+            f"needs {expected}"
+        )
+    try:
+        matrix = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    except ValueError as exc:  # zero frames by more than numpy indexes
+        raise ProtocolError(f"bad b64f32 shape {shape!r}: {exc}") from exc
+    matrix = matrix.astype(np.float64)
     # The search's exactness contract (heap vs argsort survivor order,
     # scalar vs vectorized regimes) is stated over finite costs, and a
     # NaN never compares: it must not reach a beam.
@@ -209,73 +239,14 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def payload_to_matrix(payload) -> np.ndarray:
-    """Any wire form back to a finite float64 (frames, width) matrix.
-
-    Self-describing: nested lists decode as exact float64, a ``b64f32``
-    object decodes its float32 block (the matrix both sides agree on).
-    """
-    if isinstance(payload, dict):
-        if payload.get("enc") != ENCODING_B64F32:
-            raise ProtocolError(
-                f"unknown matrix payload encoding {payload.get('enc')!r}"
-            )
-        shape = payload.get("shape")
-        # ``type(n) is int``: a JSON ``true`` is an ``int`` to
-        # ``isinstance`` but not to ``reshape``.  Frames of no width
-        # would pass the length check below with empty data.
-        if (
-            not isinstance(shape, list)
-            or len(shape) != 2
-            or not all(type(n) is int and n >= 0 for n in shape)
-            or (shape[0] > 0 and shape[1] == 0)
-        ):
-            raise ProtocolError(f"bad b64f32 shape {shape!r}")
-        try:
-            raw = base64.b64decode(payload.get("data", ""), validate=True)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad b64f32 data: {exc}") from exc
-        expected = 4 * shape[0] * shape[1]
-        if len(raw) != expected:
-            raise ProtocolError(
-                f"b64f32 data is {len(raw)} bytes, shape {shape} "
-                f"needs {expected}"
-            )
-        try:
-            block = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        except ValueError as exc:  # zero frames by more than numpy indexes
-            raise ProtocolError(f"bad b64f32 shape {shape!r}: {exc}") from exc
-        return _finite(block.astype(np.float64))
-    if not isinstance(payload, list):
-        raise ProtocolError("matrix must be a list of frame rows")
-    try:
-        matrix = np.asarray(payload, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad matrix payload: {exc}") from exc
-    if matrix.ndim == 1 and matrix.shape[0] == 0:
-        # An empty list is a legal zero-frame batch, but numpy gives
-        # it shape (0,); the session API wants 2-D.
-        matrix = matrix.reshape(0, 0)
-    if matrix.ndim != 2:
-        raise ProtocolError(
-            f"matrix payload must be 2-D, got shape {matrix.shape}"
-        )
-    return _finite(matrix)
-
-
-def negotiate_start(message: dict) -> tuple[str, str]:
-    """Validate a START message's (payload, encoding) pair."""
+def negotiate_start(message: dict) -> str:
+    """Validate a START message's payload."""
     payload = message.get("payload", PAYLOAD_SCORES)
-    encoding = message.get("encoding", ENCODING_LIST)
     if payload not in PAYLOADS:
         raise ProtocolError(
             f"unknown payload {payload!r}; choose from {PAYLOADS}"
         )
-    if encoding not in ENCODINGS:
-        raise ProtocolError(
-            f"unknown encoding {encoding!r}; choose from {ENCODINGS}"
-        )
-    return payload, encoding
+    return payload
 
 
 def partial_message(session_id: str, partial) -> dict:

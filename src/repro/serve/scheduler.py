@@ -19,10 +19,15 @@ before the engine goes away.
 
 Every outcome a client observes is one protocol message dict
 (partials, finals, errors), handed to the session's *sink* where it is
-produced: a TCP connection sets one that buffers the encoded message
-for its one socket write per loop turn, before the session's first
-message, so a reply costs no task wake-up.  A session without a sink
-(an in-process client's) queues its messages on ``events`` instead.
+produced: the connection that started the session sets one that
+buffers the encoded message for its one socket write per loop turn,
+before the session's first message, so a reply costs no task wake-up.
+A session whose sink is cleared (its client went away) drops its
+messages.
+
+The queues hold score matrices only.  A ``features`` session's batch
+is scored in :meth:`Scheduler.push`, after its admission checks, on
+the loop's thread; a scoring failure fails that session alone.
 
 A cycle is one plain call: select, decode, emit.  Nothing in it
 suspends, so the loop task awaits only to park when no session has a
@@ -53,7 +58,6 @@ import numpy as np
 
 from repro.serve import protocol
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.scoring import ScoreHandle, batch_frames
 
 #: How often the loop sweeps idle sessions: the longest it parks when
 #: no work is queued, and the shortest gap between sweeps when busy.
@@ -91,11 +95,9 @@ class Session:
 
     session_id: str
     #: What this session's FRAMES batches carry (START negotiation);
-    #: ``features`` sessions queue :class:`~repro.serve.scoring.
-    #: ScoreHandle` objects instead of score matrices.
+    #: ``features`` batches are scored as they are pushed.
     payload: str = protocol.PAYLOAD_SCORES
     queue: deque = field(default_factory=deque)
-    events: asyncio.Queue = field(default_factory=asyncio.Queue)
     finish_requested: bool = False
     closed: bool = False
     admitted_at: float = 0.0
@@ -103,7 +105,7 @@ class Session:
     frames_decoded: int = 0
     saw_first_partial: bool = False
     #: Where this session's messages go as they are emitted; ``None``
-    #: queues them on ``events``.
+    #: drops them.
     sink: Callable[[dict], None] | None = None
 
 
@@ -116,8 +118,12 @@ class Scheduler:
         config: SchedulerConfig | None = None,
         metrics: MetricsRegistry | None = None,
         session_id_prefix: str = "s",
+        scorer=None,
     ) -> None:
         self.engine = engine
+        #: The acoustic model ``features`` batches are scored with;
+        #: ``None`` serves ``scores`` sessions only.
+        self.scorer = scorer
         self.config = config or SchedulerConfig()
         self.metrics = metrics or MetricsRegistry()
         self._sessions: dict[str, Session] = {}
@@ -161,6 +167,14 @@ class Scheduler:
     def _queued_gauge(self):
         return self.metrics.gauge("queued_batches")
 
+    @cached_property
+    def _scoring_instruments(self):
+        metrics = self.metrics
+        return (
+            metrics.counter("feature_batches_scored"),
+            metrics.histogram("scoring_wait_seconds"),
+        )
+
     # -- client-facing operations (called from the event loop) --------------
 
     @property
@@ -196,16 +210,15 @@ class Scheduler:
         self.metrics.gauge("active_sessions").set(len(self._sessions))
         return session
 
-    def push(
-        self, session: Session, scores: np.ndarray | ScoreHandle
-    ) -> None:
+    def push(self, session: Session, batch: np.ndarray) -> None:
         """Queue one frame batch or raise :class:`Busy` — never buffer
         beyond the session's bound.
 
-        ``scores`` is a score matrix or, for a ``features`` session, a
-        :class:`~repro.serve.scoring.ScoreHandle` the dispatch will
-        score; either counts against the same ``max_queued_batches``
-        bound.
+        ``batch`` is a score matrix or, on a ``features`` session, a
+        feature matrix, scored here once it is admitted (a ``busy``
+        push is never scored).  A zero-frame keep-alive queues as a
+        ``(0, 0)`` matrix without reaching the scorer.  A scoring
+        failure fails the session; nothing is queued.
         """
         if session.closed:
             raise Busy("session already closed")
@@ -216,7 +229,22 @@ class Scheduler:
             raise Busy(
                 f"frame queue full ({self.config.max_queued_batches} batches)"
             )
-        session.queue.append(scores)
+        if session.payload == protocol.PAYLOAD_FEATURES:
+            if batch.shape[0] == 0:
+                batch = np.zeros((0, 0))
+            else:
+                scored, waited = self._scoring_instruments
+                started = perf_counter()
+                try:
+                    batch = np.asarray(
+                        self.scorer.score(batch), dtype=np.float64
+                    )
+                except Exception as exc:
+                    self.fail(session, f"acoustic scoring failed: {exc}")
+                    return
+                scored.inc()
+                waited.observe(perf_counter() - started)
+        session.queue.append(batch)
         session.last_activity = perf_counter()
         self._queue_changed(1)
         self._wake.set()
@@ -391,46 +419,14 @@ class Scheduler:
             self._finish(session)
         session.last_activity = perf_counter()
 
-    def _resolve(self, batch) -> np.ndarray:
-        """A queued batch as scores, timing the acoustic model."""
-        if not isinstance(batch, ScoreHandle):
-            return batch
-        started = perf_counter()
-        scores = batch.result()
-        self.metrics.counter("feature_batches_scored").inc()
-        self.metrics.histogram("scoring_wait_seconds").observe(
-            perf_counter() - started
-        )
-        return scores
-
-    def _push_resolved(self, session_id: str, batch):
-        """Engine push with the batch resolved to scores first: a
-        ``features`` batch is scored here, where the engine call runs."""
-        return self.engine.push(session_id, self._resolve(batch))
-
-    def _push_many_resolved(self, items):
-        """Fused engine push with every batch resolved first.
-
-        Resolution failures raise before ``push_many`` runs, keeping
-        its raise-before-advance contract: the caller replays the
-        batches one at a time and the cached handle error fails only
-        the offending session.
-        """
-        return self.engine.push_many(
-            [
-                (session_id, self._resolve(batch))
-                for session_id, batch in items
-            ]
-        )
-
     def _decode_batch(self, session: Session) -> None:
         scores = session.queue.popleft()
         self._queue_changed(-1)
         started = perf_counter()
         try:
-            partial = self._push_resolved(session.session_id, scores)
+            partial = self.engine.push(session.session_id, scores)
         except Exception as exc:
-            self._fail(session, f"decode failed: {exc}")
+            self.fail(session, f"decode failed: {exc}")
             return
         elapsed = perf_counter() - started
         self._kernel_calls.inc()
@@ -447,7 +443,7 @@ class Scheduler:
         ]
         started = perf_counter()
         try:
-            partials = self._push_many_resolved(items)
+            partials = self.engine.push_many(items)
         except Exception:
             # push_many raises before any session advances, so the
             # batches can be replayed one at a time — attributing the
@@ -479,7 +475,7 @@ class Scheduler:
         partial,
         elapsed: float,
     ) -> None:
-        frames = batch_frames(scores)
+        frames = scores.shape[0]
         session.frames_decoded += frames
         batches_decoded, frames_decoded, decode_seconds = (
             self._decode_instruments
@@ -500,7 +496,7 @@ class Scheduler:
         try:
             result = self.engine.finish(session.session_id)
         except Exception as exc:
-            self._fail(session, f"finish failed: {exc}", cancel=False)
+            self.fail(session, f"finish failed: {exc}", cancel=False)
             return
         self.metrics.histogram("session_seconds").observe(
             perf_counter() - session.admitted_at
@@ -510,9 +506,11 @@ class Scheduler:
         )
         self._retire(session, "sessions_completed")
 
-    def _fail(
+    def fail(
         self, session: Session, error: str, cancel: bool = True
     ) -> None:
+        """Retire a session with an ``error`` naming it; the other
+        sessions carry on."""
         if cancel:
             try:
                 self.engine.cancel(session.session_id)
@@ -545,9 +543,7 @@ class Scheduler:
 
     def _emit(self, session: Session, message: dict) -> None:
         sink = session.sink
-        if sink is None:
-            session.events.put_nowait(message)
-        else:
+        if sink is not None:
             sink(message)
 
     def _retire(self, session: Session, counter: str) -> None:

@@ -7,16 +7,14 @@ a :class:`~repro.serve.metrics.MetricsRegistry`, and — when a
 port is configured — a newline-delimited-JSON TCP listener speaking
 :mod:`repro.serve.protocol`.
 
-Two client surfaces, one protocol:
-
-* the TCP transport, for real deployments and the load generator: each
-  connection is an :class:`asyncio.Protocol` whose read callback
-  dispatches every complete line it brings, and whose replies leave in
-  one socket write per loop turn — no task per connection or session;
-* :meth:`TranscriptionServer.connect_local` — an in-process client
-  whose sessions speak the same message dicts straight to the
-  scheduler.  Tests use it to drive genuinely concurrent sessions
-  without sockets.
+One way in: every request arrives on a connection, an
+:class:`asyncio.Protocol` whose read callback hands each complete line
+to :meth:`TranscriptionServer._dispatch`, and whose replies leave in
+one socket write per loop turn — no task per connection or session.
+A connection is accepted from the TCP listener, or made by
+:meth:`TranscriptionServer.connect_local`, which returns a
+:class:`~repro.serve.client.TcpClient` over a socket pair: tests and
+embedded callers get the wire client without a listener or a port.
 
 Shutdown is graceful by default: ``stop()`` stops admitting, drains
 every in-flight session to a real final result, writes each
@@ -30,10 +28,10 @@ per shard over a shared recognizer segment.
 from __future__ import annotations
 
 import asyncio
+import socket
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.am.graph import AmGraph
 from repro.am.scorer import AcousticScorer
@@ -42,9 +40,10 @@ from repro.lm.graph import LmGraph
 from repro.serve import protocol
 from repro.serve.engine import InlineEngine
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.protocol import ServeError
 from repro.serve.scheduler import Busy, Scheduler, SchedulerConfig, Session
-from repro.serve.scoring import ScoringService
+
+if TYPE_CHECKING:
+    from repro.serve.client import TcpClient
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class ServeConfig:
     """Server assembly knobs (transport + admission)."""
 
     host: str = "127.0.0.1"
-    #: TCP port; ``None`` serves in-process clients only, ``0`` binds
+    #: TCP port; ``None`` serves local clients only, ``0`` binds
     #: an ephemeral port (read it back from ``server.port``).
     port: int | None = None
     max_sessions: int = 8
@@ -88,7 +87,7 @@ class TranscriptionServer:
         if engine is not None:
             # Prebuilt engine (shard processes hand in an InlineEngine
             # over a decoder attached to shared memory).  The scorer
-            # stays the server's either way: scoring happens here.
+            # stays the server's either way: its scheduler scores.
             if am is not None or lm is not None:
                 raise ValueError(
                     "pass either a prebuilt engine or am/lm graphs, "
@@ -104,19 +103,16 @@ class TranscriptionServer:
                 decoder_config,
                 max_fused_sessions=self.config.max_sessions,
             )
-        #: Serve-side acoustic scoring for ``features``-payload
-        #: sessions.  Owned here, not by engines: engines keep their
-        #: score-matrix interface, the scheduler resolves (scores)
-        #: handles at dispatch.  ``None`` (no scorer available) rejects
-        #: the ``features`` negotiation at START.
-        self.scoring: ScoringService | None = (
-            ScoringService(scorer) if scorer is not None else None
-        )
+        # Serve-side acoustic scoring for ``features``-payload
+        # sessions is the scheduler's, at push: engines keep their
+        # score-matrix interface.  With no scorer, START rejects the
+        # ``features`` payload.
         self.scheduler = Scheduler(
             self.engine,
             config=self.config.scheduler_config(),
             metrics=self.metrics,
             session_id_prefix=self.config.session_id_prefix,
+            scorer=scorer,
         )
         self.port: int | None = None
         self._tcp_server: asyncio.base_events.Server | None = None
@@ -170,13 +166,28 @@ class TranscriptionServer:
             "ok": not self._stopped,
             "draining": self.scheduler.draining,
             "active_sessions": self.scheduler.active_sessions,
-            "scoring": None if self.scoring is None else "at-dispatch",
+            "scoring": None if self.scheduler.scorer is None else "at-push",
             "metrics": self.metrics.snapshot(),
         }
 
-    def connect_local(self) -> "InProcessClient":
-        """A client that speaks the protocol without a socket."""
-        return InProcessClient(self)
+    async def connect_local(self) -> "TcpClient":
+        """A :class:`~repro.serve.client.TcpClient` connected to this
+        server over a socket pair, with no listener or port.  It has
+        no endpoint to re-open a lost session on, so a lost connection
+        fails its sessions at once."""
+        from repro.serve.client import TcpClient
+
+        ours, theirs = socket.socketpair()
+        try:
+            await asyncio.get_running_loop().connect_accepted_socket(
+                lambda: _Connection(self), ours
+            )
+            reader, writer = await asyncio.open_connection(sock=theirs)
+        except BaseException:
+            ours.close()
+            theirs.close()
+            raise
+        return TcpClient(reader, writer)
 
     def _dispatch(
         self,
@@ -184,14 +195,15 @@ class TranscriptionServer:
         owned: dict[str, Session],
         send: Callable[[dict], None],
     ) -> None:
-        """Serve one decoded request from a TCP client; ``owned`` holds
-        its connection's sessions and ``send`` is its reply sink."""
+        """Serve one decoded request, the only way one reaches the
+        scheduler; ``owned`` holds its connection's sessions and
+        ``send`` is its reply sink."""
         kind = message["type"]
         if kind == protocol.START:
-            payload, encoding = protocol.negotiate_start(message)
+            payload = protocol.negotiate_start(message)
             if (
                 payload == protocol.PAYLOAD_FEATURES
-                and self.scoring is None
+                and self.scheduler.scorer is None
             ):
                 send(
                     protocol.error_message(
@@ -211,7 +223,6 @@ class TranscriptionServer:
                     "type": protocol.STARTED,
                     "session": session.session_id,
                     "payload": payload,
-                    "encoding": encoding,
                 }
             )
             session.sink = send
@@ -237,8 +248,6 @@ class TranscriptionServer:
                             f"this session streams {key}; send a {key!r} key"
                         )
                     batch = protocol.payload_to_matrix(message[key])
-                    if key == protocol.PAYLOAD_FEATURES:
-                        batch = self.scoring.submit(batch)
                     self.scheduler.push(session, batch)
                 elif kind == protocol.FINISH:
                     self.scheduler.request_finish(session)
@@ -248,6 +257,13 @@ class TranscriptionServer:
                 send(
                     protocol.busy_message(exc.reason, session.session_id)
                 )
+            except protocol.ProtocolError as exc:
+                # Unreadable, so never queued.  The error names the
+                # session, so its client's pending push gets it.
+                if session.closed:
+                    send(protocol.error_message(str(exc), session_id))
+                else:
+                    self.scheduler.fail(session, str(exc))
         else:
             send(protocol.error_message(f"unknown type {kind!r}"))
 
@@ -359,131 +375,3 @@ class _Connection(asyncio.Protocol):
         """Write what is pending, then close (the server is stopping)."""
         self._flush()
         self._transport.close()
-
-
-class InProcessClient:
-    """The protocol surface without the socket (tests, benches)."""
-
-    def __init__(self, server: TranscriptionServer) -> None:
-        self._server = server
-
-    async def open(
-        self,
-        key: str | None = None,
-        payload: str = protocol.PAYLOAD_SCORES,
-        encoding: str = protocol.ENCODING_LIST,
-    ) -> "InProcessSession":
-        """Open one streaming session; raises :class:`Busy` when the
-        admission controller rejects it.  ``key`` is accepted for
-        interface parity with the sharded client and ignored.
-
-        ``payload``/``encoding`` mirror the wire's START negotiation:
-        a ``features`` session pushes feature batches and the server
-        scores them; a non-``list`` encoding reproduces the wire's
-        quantization so transcripts match a TCP client's exactly.
-        """
-        del key
-        payload, encoding = protocol.negotiate_start(
-            {"type": protocol.START, "payload": payload, "encoding": encoding}
-        )
-        if (
-            payload == protocol.PAYLOAD_FEATURES
-            and self._server.scoring is None
-        ):
-            raise ServeError(
-                "this server has no acoustic scorer; stream scores instead"
-            )
-        session = self._server.scheduler.admit(payload=payload)
-        return InProcessSession(self._server, session, encoding=encoding)
-
-    async def status(self) -> dict:
-        return self._server.status_message()
-
-    async def close(self) -> None:  # symmetry with the TCP client
-        return None
-
-
-class InProcessSession:
-    """One admitted stream driven through the in-process client."""
-
-    def __init__(
-        self,
-        server: TranscriptionServer,
-        session: Session,
-        encoding: str = protocol.ENCODING_LIST,
-    ) -> None:
-        self._server = server
-        self._session = session
-        self._encoding = encoding
-        #: Partial-hypothesis messages observed so far, in order.
-        self.partials: list[dict] = []
-
-    @property
-    def session_id(self) -> str:
-        return self._session.session_id
-
-    async def _next_event(self) -> dict:
-        event = await self._session.events.get()
-        if event["type"] == protocol.PARTIAL:
-            self.partials.append(event)
-        return event
-
-    def _submit(self, matrix: np.ndarray):
-        """One pushed matrix as what the scheduler actually queues.
-
-        Applies the negotiated encoding's quantization (so a ``b64f32``
-        in-process session decodes exactly what its TCP twin would)
-        and, on a ``features`` session, wraps the batch in the handle
-        the dispatch will score.
-        """
-        matrix = np.asarray(matrix)
-        if self._encoding != protocol.ENCODING_LIST:
-            matrix = protocol.payload_to_matrix(
-                protocol.matrix_to_payload(matrix, self._encoding)
-            )
-        if self._session.payload == protocol.PAYLOAD_FEATURES:
-            return self._server.scoring.submit(matrix)
-        return matrix
-
-    async def push(self, scores: np.ndarray) -> dict:
-        """Queue one batch and wait for its partial hypothesis.
-
-        Raises :class:`~repro.serve.scheduler.Busy` when the session's
-        frame queue is full (explicit backpressure — retry after the
-        next partial arrives) and :class:`ServeError` when the server
-        dropped the session.
-        """
-        self._server.scheduler.push(self._session, self._submit(scores))
-        event = await self._next_event()
-        if event["type"] == protocol.PARTIAL:
-            return event
-        raise ServeError(event.get("error", "session ended unexpectedly"))
-
-    async def abort(self) -> None:
-        """Abandon the stream mid-utterance (no final result).
-
-        The in-process analogue of a client dropping its socket: the
-        session is cancelled and its engine state discarded.
-        """
-        self._server.scheduler.cancel(self._session)
-
-    def push_nowait(self, scores: np.ndarray) -> None:
-        """Queue one batch without waiting (several in flight); partials
-        arrive via :meth:`finish`'s collection or :attr:`partials`."""
-        self._server.scheduler.push(self._session, self._submit(scores))
-
-    async def finish(self) -> dict:
-        """End the utterance; returns the final message after draining
-        any still-pending partials into :attr:`partials`."""
-        try:
-            self._server.scheduler.request_finish(self._session)
-        except Busy:
-            # Already finishing or retired (drain, eviction, stop): the
-            # final or error event is queued — deliver that instead.
-            pass
-        while True:
-            event = await self._next_event()
-            if event["type"] == protocol.FINAL:
-                return event
-            if event["type"] == protocol.ERROR:
-                raise ServeError(event["error"])

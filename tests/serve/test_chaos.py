@@ -42,7 +42,8 @@ from tests.serve.conftest import repro_segments
 
 CONFIG = DecoderConfig(beam=14.0)
 BATCH = 8
-POISON = 1e30
+#: float32 holds it exactly, so it survives the wire.
+POISON = 2.0**100
 
 pytestmark = pytest.mark.usefixtures("no_leaked_segments")
 
@@ -64,15 +65,16 @@ def wire_partial(message):
 
 
 @pytest.fixture(scope="module")
-def reference(tiny_task, tiny_scores):
+def reference(tiny_task, wire_scores):
     """Per utterance: the partial sequence and the final of a solo
-    streaming session over the bundle-quantized recognizer — what the
-    shards serve, so what every session must equal through a crash."""
+    streaming session over the bundle-quantized recognizer and the
+    scores the shards receive — what every session must equal through
+    a crash."""
     decoder = OnTheFlyDecoder(
         *bundle_quantize(tiny_task.am, tiny_task.lm), CONFIG
     )
     out = []
-    for scores in tiny_scores:
+    for scores in wire_scores:
         session = StreamingSession(decoder, lookup=decoder.lookup.fork())
         partials = [
             (list(p.words), p.cost, p.frames_consumed, p.active_tokens)
@@ -83,10 +85,10 @@ def reference(tiny_task, tiny_scores):
 
 
 @pytest.fixture(scope="module")
-def inline_reference(tiny_task, tiny_scores):
+def inline_reference(tiny_task, wire_scores):
     """Sequential parent-graph decode (the in-process engine's truth)."""
     decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-    return transcribe_streams(decoder, tiny_scores, BATCH)
+    return transcribe_streams(decoder, wire_scores, BATCH)
 
 
 def make_sharded(tiny_task, shards=2) -> ShardedServer:
@@ -563,7 +565,7 @@ class TestLoadgenAborts:
             )
             async with server:
                 report = await run_load(
-                    server.connect_local(),
+                    await server.connect_local(),
                     tiny_scores,
                     concurrency=4,
                     batch_frames=BATCH,

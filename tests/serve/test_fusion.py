@@ -108,7 +108,7 @@ def _serve(tiny_task, tiny_scores, width=8, seed=7):
         )
         async with server:
             report = await run_load(
-                server.connect_local(),
+                await server.connect_local(),
                 tiny_scores,
                 concurrency=len(tiny_scores),
                 batch_frames=BATCH_FRAMES,

@@ -23,7 +23,7 @@ def replay(tiny_task, tiny_scores, concurrency, seed=None, **server_overrides):
         )
         async with server:
             return await run_load(
-                server.connect_local(),
+                await server.connect_local(),
                 tiny_scores,
                 concurrency=concurrency,
                 batch_frames=8,
@@ -35,10 +35,10 @@ def replay(tiny_task, tiny_scores, concurrency, seed=None, **server_overrides):
 
 class TestRunLoad:
     def test_outcomes_in_input_order_and_correct(
-        self, tiny_task, tiny_scores
+        self, tiny_task, tiny_scores, wire_scores
     ):
         decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-        expected = transcribe_streams(decoder, tiny_scores, 8)
+        expected = transcribe_streams(decoder, wire_scores, 8)
         report = replay(tiny_task, tiny_scores, concurrency=4)
         assert [o.index for o in report.outcomes] == list(
             range(len(tiny_scores))

@@ -11,7 +11,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.asr.streaming import transcribe_streams
+from repro.asr.streaming import StreamingSession, transcribe_streams
 from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.serve import (
     Busy,
@@ -21,17 +21,21 @@ from repro.serve import (
     ShardedServer,
     TcpClient,
     TranscriptionServer,
+    protocol,
 )
+
+from tests.serve.conftest import wire
 
 CONFIG = DecoderConfig(beam=14.0)
 BATCH_FRAMES = 8
 
 
 @pytest.fixture(scope="module")
-def sequential_results(tiny_task, tiny_scores):
-    """The ground truth every served transcript must match."""
+def sequential_results(tiny_task, wire_scores):
+    """The ground truth every served transcript must match: sequential
+    streaming of the matrices the server receives."""
     decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-    return transcribe_streams(decoder, tiny_scores, BATCH_FRAMES)
+    return transcribe_streams(decoder, wire_scores, BATCH_FRAMES)
 
 
 def make_server(tiny_task, **overrides) -> TranscriptionServer:
@@ -59,7 +63,7 @@ class TestConcurrentSessions:
 
         async def scenario():
             async with make_server(tiny_task, max_sessions=8) as server:
-                client = server.connect_local()
+                client = await server.connect_local()
                 return await asyncio.gather(
                     *(stream_one(client, scores) for scores in tiny_scores)
                 )
@@ -73,7 +77,7 @@ class TestConcurrentSessions:
     def test_partials_flow_during_streaming(self, tiny_task, tiny_scores):
         async def scenario():
             async with make_server(tiny_task) as server:
-                session = await server.connect_local().open()
+                session = await (await server.connect_local()).open()
                 partials = [
                     await session.push(tiny_scores[0][i : i + BATCH_FRAMES])
                     for i in range(0, 24, BATCH_FRAMES)
@@ -89,7 +93,7 @@ class TestConcurrentSessions:
     def test_finish_with_no_pushes(self, tiny_task):
         async def scenario():
             async with make_server(tiny_task) as server:
-                session = await server.connect_local().open()
+                session = await (await server.connect_local()).open()
                 return await session.finish()
 
         final = asyncio.run(scenario())
@@ -103,7 +107,7 @@ class TestAdmissionControl:
     ):
         async def scenario():
             async with make_server(tiny_task, max_sessions=2) as server:
-                client = server.connect_local()
+                client = await server.connect_local()
                 first = await client.open()
                 second = await client.open()
                 with pytest.raises(Busy) as excinfo:
@@ -125,20 +129,30 @@ class TestAdmissionControl:
             async with make_server(
                 tiny_task, max_queued_batches=1
             ) as server:
-                session = await server.connect_local().open()
-                rejected = 0
-                # Synchronous burst: the scheduler never gets the loop
-                # back between pushes, so the second must bounce.
-                session.push_nowait(tiny_scores[0][:BATCH_FRAMES])
-                try:
-                    session.push_nowait(tiny_scores[0][:BATCH_FRAMES])
-                except Busy:
-                    rejected += 1
+                client = await server.connect_local()
+                session = await client.open()
+                # Two FRAMES lines in one write: the server reads both
+                # in one callback, the scheduler never gets the loop
+                # back between them, so the second must bounce.
+                line = protocol.encode_message(
+                    {
+                        "type": protocol.FRAMES,
+                        "session": session.session_id,
+                        "scores": protocol.matrix_to_payload(
+                            tiny_scores[0][:BATCH_FRAMES]
+                        ),
+                    }
+                )
+                client._writer.write(line * 2)
+                replies = [
+                    (await session._next_event())["type"] for _ in range(2)
+                ]
                 await session.finish()
-                return rejected, server.metrics.snapshot()
+                await client.close()
+                return replies, server.metrics.snapshot()
 
-        rejected, metrics = asyncio.run(scenario())
-        assert rejected == 1
+        replies, metrics = asyncio.run(scenario())
+        assert sorted(replies) == [protocol.BUSY, protocol.PARTIAL]
         assert metrics["counters"]["pushes_rejected"] == 1
 
     def test_idle_session_evicted(self, tiny_task, tiny_scores):
@@ -146,7 +160,7 @@ class TestAdmissionControl:
             async with make_server(
                 tiny_task, idle_timeout_seconds=0.05
             ) as server:
-                session = await server.connect_local().open()
+                session = await (await server.connect_local()).open()
                 await session.push(tiny_scores[0][:BATCH_FRAMES])
                 await asyncio.sleep(0.3)  # go quiet past the timeout
                 with pytest.raises(ServeError, match="idle timeout"):
@@ -188,7 +202,7 @@ class TestAdmissionControl:
 
             scheduler._park = counting_park
             async with server:
-                client = server.connect_local()
+                client = await server.connect_local()
                 quiet = scheduler._sessions[(await client.open()).session_id]
                 busy = scheduler._sessions[(await client.open()).session_id]
                 partials, evicted = [], asyncio.Event()
@@ -236,7 +250,7 @@ class TestShutdown:
         async def scenario():
             server = make_server(tiny_task, max_sessions=4)
             await server.start()
-            client = server.connect_local()
+            client = await server.connect_local()
             sessions = []
             for scores in tiny_scores[:3]:
                 session = await client.open()
@@ -267,7 +281,7 @@ class TestShutdown:
         async def scenario():
             server = make_server(tiny_task)
             await server.start()
-            session = await server.connect_local().open()
+            session = await (await server.connect_local()).open()
             await session.push(tiny_scores[0][:BATCH_FRAMES])
             await asyncio.wait_for(server.stop(drain=True), timeout=30)
             return server.scheduler.active_sessions, server.metrics.snapshot()
@@ -280,7 +294,7 @@ class TestShutdown:
         async def scenario():
             server = make_server(tiny_task)
             await server.start()
-            session = await server.connect_local().open()
+            session = await (await server.connect_local()).open()
             await session.push(tiny_scores[0][:BATCH_FRAMES])
             await server.stop(drain=False)
             with pytest.raises(ServeError, match="server stopped"):
@@ -294,7 +308,7 @@ class TestShutdown:
             server = make_server(tiny_task)
             await server.start()
             await server.stop()
-            client = server.connect_local()
+            client = await server.connect_local()
             with pytest.raises(Busy, match="shutting down"):
                 await client.open()
 
@@ -307,7 +321,7 @@ class TestMetricsAndStatus:
     ):
         async def scenario():
             async with make_server(tiny_task) as server:
-                client = server.connect_local()
+                client = await server.connect_local()
                 await stream_one(client, tiny_scores[0])
                 return await client.status()
 
@@ -370,7 +384,7 @@ class TestMetricsAndStatus:
                 check(home, "fused pop", 2)
                 home.push(a, batch)
                 home.push(b, batch)
-                home._fail(a, "boom")  # retires mid-queue
+                home.fail(a, "boom")  # retires mid-queue
                 check(home, "retire", 3)
                 home.cancel(b)
                 check(home, "cancel", 2)
@@ -443,34 +457,28 @@ class TestTcpTransport:
 
 
     @pytest.mark.parametrize(
-        "encoding,poison",
+        "poison",
         [
-            ("list", np.nan),
-            ("list", -np.inf),
-            ("b64f32", np.inf),
+            pytest.param(np.nan, id="nan"),
+            pytest.param(-np.inf, id="-inf"),
+            pytest.param(np.inf, id="inf"),
             # Shapes the length check passes and ``reshape`` refuses:
             # the reply must be a typed error, not a dead connection.
             pytest.param(
-                "b64f32",
                 {"shape": [True, 4], "data": "A" * 22 + "=="},
-                id="b64f32-bool-shape",
+                id="bool-shape",
             ),
-            pytest.param(
-                "b64f32", {"shape": [0, 2**62], "data": ""}, id="b64f32-huge-shape"
-            ),
-            pytest.param(
-                "b64f32", {"shape": [2, 0], "data": ""}, id="b64f32-no-width"
-            ),
+            pytest.param({"shape": [0, 2**62], "data": ""}, id="huge-shape"),
+            pytest.param({"shape": [2, 0], "data": ""}, id="no-width"),
         ],
     )
     def test_non_finite_push_rejected_session_and_group_unaffected(
-        self, tiny_task, tiny_scores, sequential_results, encoding, poison
+        self, tiny_task, tiny_scores, sequential_results, poison
     ):
-        """A NaN/inf batch — or one whose shape cannot be built — gets a
-        typed ``error`` reply and is not applied: its session and the
-        one sharing its connection (and fused with it) still reach the
-        sequential finals."""
-        from repro.serve import protocol
+        """A NaN/inf batch — or one whose shape cannot be built — is not
+        applied: its session gets one typed ``error`` naming it and is
+        failed, while the two sessions sharing its connection (and
+        fused with each other) still reach the sequential finals."""
 
         async def scenario():
             try:
@@ -490,36 +498,33 @@ class TestTcpTransport:
                 async def receive():
                     return protocol.decode_message(await reader.readline())
 
-                sessions = []
-                for _ in range(2):
-                    await send({"type": "start", "encoding": encoding})
-                    sessions.append((await receive())["session"])
+                opened = []
+                for _ in range(3):
+                    await send({"type": "start"})
+                    opened.append((await receive())["session"])
+                victim, *sessions = opened
                 if isinstance(poison, dict):
-                    payload = {"enc": encoding, **poison}
+                    payload = {"enc": "b64f32", **poison}
                 else:
                     bad = np.array(tiny_scores[0][:2])
                     bad[1, 3] = poison
-                    payload = protocol.matrix_to_payload(bad, encoding)
+                    payload = protocol.matrix_to_payload(bad)
                 await send(
-                    {
-                        "type": "frames",
-                        "session": sessions[0],
-                        "scores": payload,
-                    }
+                    {"type": "frames", "session": victim, "scores": payload}
                 )
-                errors, finals = [], {}
+                errors, finals = [await receive()], {}
 
                 async def collect(kind, count):
                     while count:
                         message = await receive()
                         if message["type"] == "error":
-                            errors.append(message["error"])
+                            errors.append(message)
                         elif message["type"] == kind:
                             count -= 1
                             if kind == "final":
                                 finals[message["session"]] = message
 
-                # Both sessions push in step (they fuse), one reply
+                # The other two push in step (they fuse), one reply
                 # awaited per push: the frame queues are bounded.
                 longest = max(s.shape[0] for s in tiny_scores[:2])
                 for start in range(0, longest, BATCH_FRAMES):
@@ -531,8 +536,7 @@ class TestTcpTransport:
                                     "type": "frames",
                                     "session": session,
                                     "scores": protocol.matrix_to_payload(
-                                        scores[start : start + BATCH_FRAMES],
-                                        encoding,
+                                        scores[start : start + BATCH_FRAMES]
                                     ),
                                 }
                             )
@@ -542,16 +546,207 @@ class TestTcpTransport:
                     await send({"type": "finish", "session": session})
                 await collect("final", 2)
                 writer.close()
-                return errors, [finals[s] for s in sessions]
+                counters = server.metrics.snapshot()["counters"]
+                return victim, errors, [finals[s] for s in sessions], counters
 
-        errors, finals = asyncio.run(scenario())
+        victim, errors, finals, counters = asyncio.run(scenario())
         reason = "b64f32 shape" if isinstance(poison, dict) else "NaN or infinite"
-        assert len(errors) == 1 and reason in errors[0]
+        (error,) = errors
+        assert error["type"] == "error" and error["session"] == victim
+        assert reason in error["error"]
+        assert counters["sessions_failed"] == 1
         for final, want in zip(finals, sequential_results):
             assert final["words"] == want.words
+            assert final["cost"] == want.cost
             assert final["frames"] == want.stats.frames
-            if encoding == "list":
-                assert final["cost"] == want.cost
+
+
+def _batches(matrix):
+    return [
+        matrix[start : start + BATCH_FRAMES]
+        for start in range(0, matrix.shape[0], BATCH_FRAMES)
+    ]
+
+
+def _wire_partial(message):
+    return (
+        message["words"],
+        message["cost"],
+        message["frames_consumed"],
+        message["active_tokens"],
+    )
+
+
+class TestOneWayIn:
+    """Every batch reaches the scheduler through ``_dispatch``, from the
+    one client, whether it is connected over a port or a socket pair."""
+
+    @pytest.mark.parametrize("transport", ["local", "port"])
+    @pytest.mark.parametrize("payload", ["scores", "features"])
+    def test_local_and_port_clients_serve_alike(
+        self, tiny_task, tiny_scorer, tiny_utterances, tiny_scores,
+        payload, transport,
+    ):
+        """Either client's pushes give the partial and final sequences
+        of a solo streaming session over the matrices the server
+        receives, and a NaN push gets the same error.  ``push`` raising
+        it shows the error names the session: the client routes only a
+        session-tagged event to a session."""
+        if payload == "scores":
+            matrices = tiny_scores[:3]
+        else:
+            matrices = [u.features for u in tiny_utterances[:3]]
+        decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
+        want = []
+        for matrix in matrices:
+            solo = StreamingSession(decoder, lookup=decoder.lookup.fork())
+            partials = []
+            for batch in map(wire, _batches(matrix)):
+                if payload == "features":
+                    batch = tiny_scorer.score(batch)
+                partial = solo.push(batch)
+                partials.append(
+                    (
+                        list(partial.words),
+                        partial.cost,
+                        partial.frames_consumed,
+                        partial.active_tokens,
+                    )
+                )
+            result = solo.finish()
+            want.append((partials, result.words, result.cost))
+
+        async def stream(client, matrix):
+            session = await client.open(payload=payload)
+            for batch in _batches(matrix):
+                await session.push(batch)
+            final = await session.finish()
+            partials = [_wire_partial(p) for p in session.partials]
+            return partials, final["words"], final["cost"]
+
+        async def scenario():
+            server = TranscriptionServer(
+                tiny_task.am,
+                tiny_task.lm,
+                decoder_config=CONFIG,
+                serve_config=ServeConfig(
+                    port=0 if transport == "port" else None
+                ),
+                scorer=tiny_scorer,
+            )
+            async with server:
+                if transport == "port":
+                    client = await TcpClient.connect(
+                        server.config.host, server.port
+                    )
+                else:
+                    client = await server.connect_local()
+                try:
+                    served = await asyncio.gather(
+                        *(stream(client, matrix) for matrix in matrices)
+                    )
+                    poisoned = np.array(matrices[0][:BATCH_FRAMES])
+                    poisoned[1, 0] = np.nan
+                    session = await client.open(payload=payload)
+                    with pytest.raises(ServeError) as nan:
+                        await asyncio.wait_for(session.push(poisoned), 30)
+                    status = await client.status()
+                finally:
+                    await client.close()
+            return served, str(nan.value), status
+
+        served, error, status = asyncio.run(scenario())
+        assert served == want
+        assert error == "matrix payload holds NaN or infinite values"
+        assert status["metrics"]["counters"]["sessions_failed"] == 1
+
+    @pytest.mark.parametrize(
+        "case, reason",
+        [
+            pytest.param("inf", "NaN or infinite", id="inf"),
+            pytest.param("bad-block", "bad b64f32 data", id="bad-block"),
+            pytest.param("wrong-key", "send a 'scores' key", id="wrong-key"),
+        ],
+    )
+    def test_a_rejected_batch_fails_its_session_not_the_connection(
+        self, monkeypatch, tiny_task, tiny_scores, sequential_results,
+        case, reason,
+    ):
+        """A batch the server cannot read gets an ``error`` naming its
+        session: ``push`` raises instead of waiting for a partial that
+        never comes, the connection's next ``status`` gets the status
+        reply, and the next session streams to its final."""
+        batch = np.array(tiny_scores[0][:BATCH_FRAMES])
+
+        async def scenario():
+            try:
+                server = make_server(tiny_task, port=0)
+                await server.start()
+            except OSError as exc:  # pragma: no cover - no loopback
+                pytest.skip(f"cannot bind a TCP socket: {exc}")
+            async with server:
+                client = await TcpClient.connect(
+                    server.config.host, server.port
+                )
+                try:
+                    session = await client.open()
+                    if case == "inf":
+                        batch[2, 1] = np.inf
+                    elif case == "bad-block":
+                        monkeypatch.setattr(
+                            protocol,
+                            "matrix_to_payload",
+                            lambda matrix, *_: {
+                                "enc": "b64f32", "shape": [1, 1], "data": "!!!"
+                            },
+                        )
+                    else:
+                        session.payload = protocol.PAYLOAD_FEATURES
+                    with pytest.raises(ServeError) as rejected:
+                        await asyncio.wait_for(session.push(batch), 30)
+                    monkeypatch.undo()
+                    status = await asyncio.wait_for(client.status(), 30)
+                    final = await asyncio.wait_for(
+                        stream_one(client, tiny_scores[0]), 30
+                    )
+                finally:
+                    await client.close()
+            return str(rejected.value), status, final
+
+        error, status, final = asyncio.run(scenario())
+        assert reason in error
+        assert status["type"] == protocol.STATUS
+        assert status["metrics"]["counters"]["sessions_failed"] == 1
+        want = sequential_results[0]
+        assert (final["words"], final["cost"]) == (want.words, want.cost)
+
+    def test_a_local_client_that_loses_its_connection_fails_at_once(
+        self, tiny_task, tiny_scores
+    ):
+        """A socket-pair client has no endpoint to re-open a session
+        on: when its connection drops, a pending ``push`` raises at
+        once instead of retrying for ``RELOCATE_TIMEOUT_SECONDS``."""
+        from time import perf_counter
+
+        async def scenario():
+            async with make_server(tiny_task) as server:
+                client = await server.connect_local()
+                session = await client.open()
+                await session.push(tiny_scores[0][:BATCH_FRAMES])
+                for connection in list(server._connections):
+                    connection._transport.abort()
+                began = perf_counter()
+                with pytest.raises(ServeError, match="no endpoint"):
+                    await asyncio.wait_for(
+                        session.push(tiny_scores[0][BATCH_FRAMES:]), 30
+                    )
+                elapsed = perf_counter() - began
+                await client.close()
+                return elapsed, server.scheduler.active_sessions
+
+        elapsed, active = asyncio.run(scenario())
+        assert elapsed < 1.0
+        assert active == 0  # the server cancelled the orphaned session
 
 
 @pytest.mark.usefixtures("no_leaked_segments")
@@ -560,7 +755,7 @@ class TestProcessEngine:
     :class:`ShardedServer`, each attached to one shared segment."""
 
     def test_worker_processes_match_pool_reference(
-        self, tiny_task, tiny_scorer, tiny_scores
+        self, tiny_task, tiny_scorer, tiny_scores, wire_scores
     ):
         """Two shard processes serve concurrent sessions; transcripts
         equal the bundle-quantized DecodePool reference."""
@@ -570,7 +765,7 @@ class TestProcessEngine:
             tiny_task.am, tiny_task.lm, scorer=tiny_scorer, config=CONFIG
         ) as pool:
             expected = pool.decode_streams(
-                tiny_scores[:4], batch_frames=BATCH_FRAMES
+                wire_scores[:4], batch_frames=BATCH_FRAMES
             )
 
         async def scenario():

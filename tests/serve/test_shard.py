@@ -44,11 +44,12 @@ pytestmark = pytest.mark.usefixtures("no_leaked_segments")
 
 
 @pytest.fixture(scope="module")
-def quantized_results(tiny_task, tiny_scores):
-    """Ground truth: sequential streaming over the quantized graphs."""
+def quantized_results(tiny_task, wire_scores):
+    """Ground truth: sequential streaming over the quantized graphs, of
+    the scores the shards receive."""
     am, lm = bundle_quantize(tiny_task.am, tiny_task.lm)
     decoder = OnTheFlyDecoder(am, lm, CONFIG)
-    return transcribe_streams(decoder, tiny_scores, BATCH_FRAMES)
+    return transcribe_streams(decoder, wire_scores, BATCH_FRAMES)
 
 
 def make_sharded(tiny_task, shards=2, **overrides) -> ShardedServer:

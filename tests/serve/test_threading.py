@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,8 @@ from repro.serve import (
     TranscriptionServer,
 )
 from repro.shm import bundle_quantize
+
+from tests.serve.conftest import wire
 
 CONFIG = DecoderConfig(beam=14.0)
 BATCH_FRAMES = 8
@@ -106,7 +109,7 @@ class TestDefaultServerIsSingleThreaded:
                         server.config.host, server.port
                     )
                 else:
-                    client = server.connect_local()
+                    client = await server.connect_local()
                 try:
                     streamed = await asyncio.gather(
                         *(
@@ -188,7 +191,8 @@ def test_default_server_process_has_exactly_one_thread():
     assert done.returncode == 0, done.stderr
 
 
-POISON = 1e30
+#: float32 holds it exactly, so it survives the wire.
+POISON = 2.0**100
 
 
 class PoisonableScorer:
@@ -218,7 +222,7 @@ class TestScorerFailureIsLocal:
             for start in range(0, utterance.num_frames, BATCH_FRAMES):
                 session.push(
                     tiny_scorer.score(
-                        utterance.features[start : start + BATCH_FRAMES]
+                        wire(utterance.features[start : start + BATCH_FRAMES])
                     )
                 )
 
@@ -234,11 +238,12 @@ class TestScorerFailureIsLocal:
                 tiny_task, PoisonableScorer(tiny_scorer), max_sessions=4
             )
             async with server:
-                client = server.connect_local()
+                client = await server.connect_local()
                 outcomes = await asyncio.gather(
                     *(stream(client, i) for i in range(len(utterances))),
                     return_exceptions=True,
                 )
+                await client.close()
                 return outcomes, server.status_message()
 
         outcomes, status = asyncio.run(scenario())
@@ -254,8 +259,8 @@ class TestScorerFailureIsLocal:
         counters = status["metrics"]["counters"]
         assert counters["sessions_failed"] == 1
         assert counters["sessions_completed"] == len(utterances) - 1
-        # The poisoned batch sat in a fused group: the group's other
-        # members were replayed one at a time, not failed with it.
+        # The poisoned batch never reached a queue: the other sessions
+        # kept fusing.
         assert status["metrics"]["histograms"]["fused_width"]["max"] >= 2
 
 
@@ -272,7 +277,11 @@ class TestFusedFeaturesParity:
         """Words, costs and ``DecoderStats`` of every served session
         equal ``AsrSystem.transcribe``; partial sequences equal a solo
         streaming session's."""
-        utterances = [tiny_utterances[i % 6] for i in range(8)]
+        # The features the server receives, so every path scores alike.
+        utterances = [
+            replace(u, features=wire(u.features)) for u in tiny_utterances
+        ]
+        utterances = [utterances[i % 6] for i in range(8)]
         random.Random(order_seed).shuffle(utterances)
         with AsrSystem(tiny_task, tiny_scorer) as system:
             offline = system.transcribe(utterances, config=CONFIG)
@@ -303,7 +312,7 @@ class TestFusedFeaturesParity:
 
             server.engine.finish = finish_and_keep
             async with server:
-                client = server.connect_local()
+                client = await server.connect_local()
                 streamed = await asyncio.gather(
                     *(
                         stream_one(

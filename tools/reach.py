@@ -27,7 +27,7 @@ nothing they write lands in the tree):
 * ``cli``: ``repro sizes`` and ``repro decode`` (serial, two workers,
   scalar);
 * ``serve``: ``repro serve`` with one shard and with two, each driven
-  with scores and features over ``list`` and ``b64f32``;
+  with scores and with features;
 * ``tools``: ``tools/frame_step_crossover.py`` and
   ``tools/stage_memory.py``.
 
@@ -112,13 +112,11 @@ async def main(endpoints):
         client = await TcpClient.connect(*endpoints[0])
     try:
         for payload in ("scores", "features"):
-            for encoding in ("list", "b64f32"):
-                report = await run_load(
-                    client, scores, concurrency=3, batch_frames=8, seed=0,
-                    feature_matrices=features, payload=payload,
-                    encoding=encoding,
-                )
-                print(payload, encoding, [o.words for o in report.outcomes])
+            report = await run_load(
+                client, scores, concurrency=3, batch_frames=8, seed=0,
+                feature_matrices=features, payload=payload,
+            )
+            print(payload, [o.words for o in report.outcomes])
     finally:
         await client.close()
 
@@ -160,7 +158,7 @@ def _run(command: list[str], env: dict, cwd: Path, log) -> None:
 
 
 def _serve(extra: list[str], env: dict, cwd: Path, log) -> None:
-    """Start ``repro serve``, drive it with every payload/encoding, stop
+    """Start ``repro serve``, drive it with every payload, stop
     it as Ctrl-C would.
 
     The server runs in a session of its own, so a server that does not
