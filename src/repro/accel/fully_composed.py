@@ -1,45 +1,31 @@
 """The fully-composed baseline accelerator simulator (Reza et al. [34]).
 
-Same structure as :class:`~repro.accel.unfold.UnfoldSimulator` but for
-the MICRO-49 design point: the decoder searches the offline-composed
-graph, the memory system has a single unified arc cache and no Offset
-Lookup Table, the dataset layout is the uncompressed composed WFST, and
-the lattice uses the raw (pre-Price) record format.
+The MICRO-49 design point on :class:`~repro.accel.unfold.UnfoldSimulator`'s
+run loop, area formula and energy model: the decoder searches the
+offline-composed graph, the memory system has a single unified arc
+cache and no Offset Lookup Table, the dataset layout is the
+uncompressed composed WFST, and the lattice uses the raw (pre-Price)
+record format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.accel.config import REZA, AcceleratorConfig
-from repro.accel.energy import (
-    EnergyBreakdown,
-    FLOAT_OP_PJ,
-    PIPELINE_AREA_MM2,
-    PIPELINE_LEAK_MW,
-    PIPELINE_OP_PJ,
-    sram_area_mm2,
-    sram_leakage_mw,
-    sram_read_energy_pj,
-)
 from repro.accel.layout import ComposedLayout
-from repro.accel.pipeline import cycles_for, throughput_cycles
 from repro.accel.sink import ComposedSink
-from repro.accel.stats import RunReport, UtteranceTiming
-from repro.accel.unfold import DEFAULT_MAX_ACTIVE, _accumulate, _DramDelta
+from repro.accel.unfold import DEFAULT_MAX_ACTIVE, _Simulator, _sram_pj
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.asr.task import AsrTask
-from repro.core.decoder import DecoderConfig, DecoderStats
+from repro.core.decoder import DecoderConfig
 from repro.core.offline_decoder import FullyComposedDecoder
-from repro.core.virtual import VirtualComposedGraph
 
 
 @dataclass
-class FullyComposedSimulator:
+class FullyComposedSimulator(_Simulator):
     """Cycle-level simulation of the MICRO-49 baseline."""
 
     task: "AsrTask"
@@ -48,105 +34,28 @@ class FullyComposedSimulator:
 
     def __post_init__(self) -> None:
         self.layout = ComposedLayout.build(self.task)
-        self.graph = VirtualComposedGraph(self.task.am, self.task.lm)
         if self.decoder_config is None:
             self.decoder_config = DecoderConfig(
                 beam=14.0, preemptive_pruning=False, max_active=DEFAULT_MAX_ACTIVE
             )
 
-    @property
-    def dataset_bytes(self) -> int:
-        return self.layout.total_bytes
-
-    def run(self, score_matrices: list[np.ndarray]) -> RunReport:
-        sink = ComposedSink(
-            self.config, self.layout, self.task.lm.fst.num_states
-        )
+    def _traced_decoder(self) -> tuple[ComposedSink, FullyComposedDecoder]:
+        sink = ComposedSink(self.config, self.layout, self.task.lm.fst.num_states)
         decoder = FullyComposedDecoder(
-            self.graph, self.decoder_config, sink=sink, compact_lattice=False
+            self.task.am,
+            self.task.lm,
+            self.decoder_config,
+            sink=sink,
+            compact_lattice=False,
         )
-        report = RunReport(platform=self.config.name, task_name=self.task.name)
-        totals = DecoderStats()
-        lines_seen = 0
-        for scores in score_matrices:
-            result = decoder.decode(scores)
-            report.results.append(result)
-            sink.finish_utterance()
-            _accumulate(totals, result.stats)
-            delta = _DramDelta(sink.dram.total_lines - lines_seen, sink.dram.config)
-            lines_seen = sink.dram.total_lines
-            cycles = cycles_for(result.stats, delta)
-            bound = throughput_cycles(result.stats, delta)
-            report.utterances.append(
-                UtteranceTiming(
-                    frames=result.stats.frames,
-                    decode_seconds=cycles.seconds(self.config.frequency_hz),
-                    throughput_seconds=bound / self.config.frequency_hz,
-                )
-            )
-        report.decoder_stats = totals
-        report.miss_ratios = {
-            name: cache.stats.miss_ratio for name, cache in sink.caches().items()
-        }
-        report.dram_bytes_by_class = sink.dram.bytes_by_class()
-        report.energy = self._energy(sink, totals, report.decode_seconds)
-        report.area_mm2 = self._area()
-        return report
+        return sink, decoder
 
-    def _energy(
-        self, sink: ComposedSink, stats: DecoderStats, seconds: float
-    ) -> EnergyBreakdown:
-        config = self.config
-        pj: dict[str, float] = {}
-
-        def sram(name: str, capacity_bytes: int, accesses: int) -> None:
-            dynamic = accesses * sram_read_energy_pj(capacity_bytes)
-            leak = sram_leakage_mw(capacity_bytes) * 1e-3 * seconds * 1e12
-            pj[name] = dynamic + leak
-
-        caches = sink.caches()
-        sram(
-            "state_cache",
-            config.state_cache_kb * 1024,
-            caches["state_cache"].stats.accesses,
+    def _own_sram_pj(
+        self, sink: ComposedSink, seconds: float
+    ) -> tuple[float, float]:
+        arc_caches = _sram_pj(
+            self.config.am_arc_cache_kb * 1024,
+            sink.arc_cache.stats.accesses,
+            seconds,
         )
-        sram(
-            "arc_caches",
-            config.am_arc_cache_kb * 1024,
-            caches["arc_cache"].stats.accesses,
-        )
-        sram(
-            "token_cache",
-            config.token_cache_kb * 1024,
-            caches["token_cache"].stats.accesses,
-        )
-        sram("hash_tables", config.hash_table_kb * 1024, sink.sram.hash_accesses)
-        pj["offset_lookup_table"] = 0.0  # the baseline has none
-
-        pipeline_ops = stats.expansions + stats.tokens_created + stats.token_writes
-        float_ops = 4 * stats.expansions
-        pj["pipeline"] = (
-            pipeline_ops * PIPELINE_OP_PJ
-            + float_ops * FLOAT_OP_PJ
-            + PIPELINE_LEAK_MW * 1e-3 * seconds * 1e12
-        )
-        pj["main_memory"] = sink.dram.access_energy_pj() + sink.dram.background_energy_pj(
-            seconds
-        )
-        return EnergyBreakdown(
-            by_component={k: v * 1e-12 for k, v in pj.items()}, seconds=seconds
-        )
-
-    def _area(self) -> float:
-        config = self.config
-        total = PIPELINE_AREA_MM2
-        for kb in (
-            config.state_cache_kb,
-            config.am_arc_cache_kb,
-            config.token_cache_kb,
-            config.hash_table_kb,
-            config.acoustic_buffer_kb,
-        ):
-            if kb:
-                total += sram_area_mm2(kb * 1024)
-        return total
+        return arc_caches, 0.0  # the baseline has no OLT

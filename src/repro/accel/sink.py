@@ -28,17 +28,18 @@ class SramActivity:
     acoustic_buffer_accesses: int = 0
 
 
-class UnfoldSink:
-    """UNFOLD's memory system (Figure 4): four caches + OLT + hashes."""
+class _SinkCore:
+    """What both platforms' memory systems share: the state cache, the
+    token path (token cache, write buffer, hash tables and their
+    overflow buffer), DRAM and the SRAM counters.  A platform adds its
+    arc caches and addresses its own state and arc records."""
 
-    def __init__(self, config: AcceleratorConfig, layout: OnTheFlyLayout) -> None:
-        if not config.has_lm_cache:
-            raise ValueError("UNFOLD requires a dedicated LM arc cache")
+    def __init__(
+        self, config: AcceleratorConfig, layout: OnTheFlyLayout | ComposedLayout
+    ) -> None:
         self.config = config
         self.layout = layout
         self.state_cache = Cache(config.cache_config("state"))
-        self.am_arc_cache = Cache(config.cache_config("am_arc"))
-        self.lm_arc_cache = Cache(config.cache_config("lm_arc"))
         self.token_cache = Cache(config.cache_config("token"))
         self.write_buffer = WriteBuffer(line_bytes=config.line_bytes)
         self.dram = DramModel()
@@ -47,7 +48,44 @@ class UnfoldSink:
         self.overflow = OverflowBuffer(line_bytes=config.line_bytes)
         self._token_cursor = 0
 
-    # -- TraceSink interface -------------------------------------------------
+    # -- TraceSink interface: the token path ---------------------------------
+
+    def on_token_write(self, nbytes: int) -> None:
+        addr = self._token_cursor
+        self._token_cursor += nbytes
+        self.token_cache.access(addr, nbytes)
+        flushed = self.write_buffer.write(addr, nbytes)
+        if flushed:
+            self.dram.write_lines(Traffic.TOKENS, flushed, address=addr)
+
+    def on_token_hash_access(self, am_state: int, lm_state: int) -> None:
+        self.sram.hash_accesses += 1
+        if not self.hash_model.insert():
+            lines = self.overflow.spill(1)
+            if lines:
+                self.dram.write_lines(Traffic.TOKENS, lines)
+
+    def on_frame_end(self, frame: int, active_tokens: int) -> None:
+        self.sram.acoustic_buffer_accesses += active_tokens
+        self.hash_model.end_frame()
+
+    # -- reporting -----------------------------------------------------------
+
+    def finish_utterance(self) -> None:
+        flushed = self.write_buffer.flush()
+        if flushed:
+            self.dram.write_lines(Traffic.TOKENS, flushed)
+
+
+class UnfoldSink(_SinkCore):
+    """UNFOLD's memory system (Figure 4): four caches + OLT + hashes."""
+
+    def __init__(self, config: AcceleratorConfig, layout: OnTheFlyLayout) -> None:
+        if not config.has_lm_cache:
+            raise ValueError("UNFOLD requires a dedicated LM arc cache")
+        super().__init__(config, layout)
+        self.am_arc_cache = Cache(config.cache_config("am_arc"))
+        self.lm_arc_cache = Cache(config.cache_config("lm_arc"))
 
     def on_state_fetch(self, side: GraphSide, state: int) -> None:
         if side is GraphSide.AM:
@@ -68,34 +106,8 @@ class UnfoldSink:
         if misses:
             self.dram.read_lines(Traffic.ARCS, misses, address=addr)
 
-    def on_token_write(self, nbytes: int) -> None:
-        addr = self._token_cursor
-        self._token_cursor += nbytes
-        self.token_cache.access(addr, nbytes)
-        flushed = self.write_buffer.write(addr, nbytes)
-        if flushed:
-            self.dram.write_lines(Traffic.TOKENS, flushed, address=addr)
-
-    def on_token_hash_access(self, am_state: int, lm_state: int) -> None:
-        self.sram.hash_accesses += 1
-        if not self.hash_model.insert():
-            lines = self.overflow.spill(1)
-            if lines:
-                self.dram.write_lines(Traffic.TOKENS, lines)
-
     def on_olt_access(self, lm_state: int, word_id: int, hit: bool) -> None:
         self.sram.olt_accesses += 1
-
-    def on_frame_end(self, frame: int, active_tokens: int) -> None:
-        self.sram.acoustic_buffer_accesses += active_tokens
-        self.hash_model.end_frame()
-
-    # -- reporting -----------------------------------------------------------
-
-    def finish_utterance(self) -> None:
-        flushed = self.write_buffer.flush()
-        if flushed:
-            self.dram.write_lines(Traffic.TOKENS, flushed)
 
     def caches(self) -> dict[str, Cache]:
         return {
@@ -106,7 +118,7 @@ class UnfoldSink:
         }
 
 
-class ComposedSink:
+class ComposedSink(_SinkCore):
     """The baseline's memory system: state + unified arc + token caches."""
 
     def __init__(
@@ -115,18 +127,9 @@ class ComposedSink:
         layout: ComposedLayout,
         num_lm_states: int,
     ) -> None:
-        self.config = config
-        self.layout = layout
+        super().__init__(config, layout)
         self.num_lm_states = num_lm_states
-        self.state_cache = Cache(config.cache_config("state"))
         self.arc_cache = Cache(config.cache_config("am_arc"))
-        self.token_cache = Cache(config.cache_config("token"))
-        self.write_buffer = WriteBuffer(line_bytes=config.line_bytes)
-        self.dram = DramModel()
-        self.sram = SramActivity()
-        self.hash_model = HashTableModel(config.hash_entries)
-        self.overflow = OverflowBuffer(line_bytes=config.line_bytes)
-        self._token_cursor = 0
 
     def on_state_fetch(self, side: GraphSide, state: int) -> None:
         addr, size = self.layout.state_record(state, self.num_lm_states)
@@ -140,32 +143,8 @@ class ComposedSink:
         if misses:
             self.dram.read_lines(Traffic.ARCS, misses, address=addr)
 
-    def on_token_write(self, nbytes: int) -> None:
-        addr = self._token_cursor
-        self._token_cursor += nbytes
-        self.token_cache.access(addr, nbytes)
-        flushed = self.write_buffer.write(addr, nbytes)
-        if flushed:
-            self.dram.write_lines(Traffic.TOKENS, flushed, address=addr)
-
-    def on_token_hash_access(self, am_state: int, lm_state: int) -> None:
-        self.sram.hash_accesses += 1
-        if not self.hash_model.insert():
-            lines = self.overflow.spill(1)
-            if lines:
-                self.dram.write_lines(Traffic.TOKENS, lines)
-
     def on_olt_access(self, lm_state: int, word_id: int, hit: bool) -> None:
         raise AssertionError("the fully-composed baseline has no OLT")
-
-    def on_frame_end(self, frame: int, active_tokens: int) -> None:
-        self.sram.acoustic_buffer_accesses += active_tokens
-        self.hash_model.end_frame()
-
-    def finish_utterance(self) -> None:
-        flushed = self.write_buffer.flush()
-        if flushed:
-            self.dram.write_lines(Traffic.TOKENS, flushed)
 
     def caches(self) -> dict[str, Cache]:
         return {

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 from repro.core.arcs import LmWordArcs
-from repro.core.trace import GraphSide, NullSink, TraceSink
+from repro.core.trace import GraphSide, TraceSink
 from repro.lm.graph import LmGraph
 from repro.wfst.fst import Arc
 
@@ -224,10 +224,10 @@ class LmLookup:
     ) -> None:
         self.graph = graph
         self.strategy = strategy
-        self.sink = sink or NullSink()
+        self.sink = sink
         # Pure-functional runs skip per-event sink calls (same guard as
         # the decoders); traced runs keep the exact event order.
-        self._tracing = not isinstance(self.sink, NullSink)
+        self._tracing = sink is not None
         self.stats = LookupStats()
         self.offset_table: OffsetLookupTable | None = None
         if strategy is LookupStrategy.OFFSET_TABLE:
@@ -466,7 +466,7 @@ class LmLookup:
         clone = object.__new__(LmLookup)
         clone.graph = self.graph
         clone.strategy = self.strategy
-        clone.sink = NullSink()
+        clone.sink = None
         clone._tracing = False
         clone.stats = LookupStats()
         clone.offset_table = None

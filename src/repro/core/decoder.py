@@ -38,7 +38,7 @@ from repro.core.tokens import (
     TokenTable,
     unpack_key,
 )
-from repro.core.trace import GraphSide, NullSink, TraceSink
+from repro.core.trace import GraphSide, TraceSink
 from repro.lm.graph import LmGraph
 from repro.wfst.fst import EPSILON
 
@@ -216,15 +216,15 @@ class OnTheFlyDecoder:
         self.am = am
         self.lm = lm
         self.config = config or DecoderConfig()
-        self.sink = sink or NullSink()
+        self.sink = sink
         # Purely functional runs skip per-event sink calls in the hot loop.
-        self._tracing = not isinstance(self.sink, NullSink)
+        self._tracing = sink is not None
         self.tables = tables
         self.lookup = LmLookup(
             lm,
             strategy=self.config.lookup_strategy,
             offset_table_entries=self.config.offset_table_entries,
-            sink=self.sink,
+            sink=sink,
             word_arcs=tables.lm_word_arcs if tables is not None else None,
         )
         # CSR columns: what the numpy kernels gather from, and what the

@@ -6,12 +6,15 @@ per expansion, no LM lookups, no back-off walks at decode time — and,
 correspondingly, the gigabyte-scale dataset the paper is built to
 eliminate.
 
-A composed state *is* an (AM state, LM state) pair
-(:class:`~repro.core.virtual.VirtualComposedGraph` encodes it densely),
-and a composed arc is an AM arc with the LM side carried along — moved
-only on cross-word arcs, by exactly the LM transition the on-the-fly
-lookup would resolve.  So the baseline runs the on-the-fly decoder's
-token tables, frame step and kernels (both regimes of
+The decoder takes the AM and LM graphs themselves; nothing
+materializes or wraps their composition.  A composed state *is* an
+(AM state, LM state) pair, addressed densely as ``am * num_lm + lm``
+(:meth:`FullyComposedDecoder._trace_state`, the id
+:class:`~repro.accel.layout.ComposedLayout` decodes), and a composed
+arc is an AM arc with the LM side carried along — moved only on
+cross-word arcs, by exactly the LM transition the on-the-fly lookup
+would resolve.  So the baseline runs the on-the-fly decoder's token
+tables, frame step and kernels (both regimes of
 :func:`repro.core.batch.advance_segment`), and this module supplies only
 what a composed graph changes:
 
@@ -23,8 +26,11 @@ what a composed graph changes:
 * trace events address the one composed dataset, by encoded state id;
 * a hypothesis may end the utterance when *both* sides are final.
 
-The explored graph is path-identical to the materialized composition
-(the equivalence tests check it against ``VirtualComposedGraph``).
+The explored graph is path-identical to the materialized phi
+composition (``wfst.compose(am.fst, lm.fst, phi_label=lm.backoff_label)``):
+with pruning off, the best cost equals an exhaustive Viterbi search of
+that graph exactly (``tests/core/test_decoder.py``,
+``TestVirtualComposedGraph``).
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.am.graph import AmGraph
 from repro.core.beam import BeamConfig
 from repro.core.composition import LmLookup, LookupStrategy
 from repro.core.decoder import DecoderConfig, DecoderStats, OnTheFlyDecoder
@@ -45,7 +52,7 @@ from repro.core.tokens import (
     TokenTable,
 )
 from repro.core.trace import GraphSide, TraceSink
-from repro.core.virtual import VirtualComposedGraph
+from repro.lm.graph import LmGraph
 from repro.wfst.fst import EPSILON
 
 
@@ -56,7 +63,8 @@ class FullyComposedDecoder(OnTheFlyDecoder):
 
     def __init__(
         self,
-        graph: VirtualComposedGraph,
+        am: AmGraph,
+        lm: LmGraph,
         config: DecoderConfig | None = None,
         sink: TraceSink | None = None,
         compact_lattice: bool = False,
@@ -65,8 +73,8 @@ class FullyComposedDecoder(OnTheFlyDecoder):
         # the caller's config says; the MICRO-49 baseline also predates
         # the compact lattice format.
         super().__init__(
-            graph.am,
-            graph.lm,
+            am,
+            lm,
             replace(
                 config or DecoderConfig(),
                 lookup_strategy=LookupStrategy.BINARY,
@@ -75,14 +83,13 @@ class FullyComposedDecoder(OnTheFlyDecoder):
             ),
             sink,
         )
-        self.graph = graph
         # ``self.lookup`` is the decode-time lookup every segment is
         # accounted against, and a composed graph never consults it: its
         # counters stay zero.  The LM side of the composition is a
         # private fork's work (forks never trace), the stand-in for what
         # was paid offline.
         self._composer = self.lookup.fork()
-        am_fst = graph.am.fst
+        am_fst = am.fst
         self._am_final_w = np.array(
             [am_fst.final_weight(s) for s in am_fst.states()], dtype=np.float64
         )

@@ -40,24 +40,3 @@ class TraceSink(Protocol):
 
     def on_frame_end(self, frame: int, active_tokens: int) -> None: ...
 
-
-class NullSink:
-    """No-op sink for purely functional decoding."""
-
-    def on_state_fetch(self, side: GraphSide, state: int) -> None:
-        pass
-
-    def on_arc_fetch(self, side: GraphSide, state: int, ordinal: int) -> None:
-        pass
-
-    def on_token_write(self, nbytes: int) -> None:
-        pass
-
-    def on_token_hash_access(self, am_state: int, lm_state: int) -> None:
-        pass
-
-    def on_olt_access(self, lm_state: int, word_id: int, hit: bool) -> None:
-        pass
-
-    def on_frame_end(self, frame: int, active_tokens: int) -> None:
-        pass

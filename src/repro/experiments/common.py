@@ -160,8 +160,6 @@ def get_bundle(config: TaskConfig) -> TaskBundle:
         return _BUNDLES[config.name]
     task = build_task(config)
     scorer = build_scorer(task, training_utterances=40, hidden=256)
-    rng = np.random.default_rng(config.seed + 99)
-    del rng
     utterances = task.test_set(TEST_UTTERANCES, max_words=MAX_WORDS)
     scores = [scorer.score(u.features) for u in utterances]
     sizing = measure_dataset_sizing(task)

@@ -7,11 +7,13 @@ connect_local` returns one over a socket pair, and the load generator
 (and any application) drives it, or :class:`ShardedClient`, unchanged.
 
 A background reader task demultiplexes server messages: events tagged
-with a session id go to that session's queue, untagged replies
-(``started`` / admission ``busy`` / ``status`` / ``error``) resolve
-the oldest pending control request.  Control requests (``open`` and
-``status``) are serialized per connection; per-session streaming is
-fully concurrent.
+with a session id go to that session's queue (or are dropped once the
+session has ended), and ``started`` and the untagged replies (admission
+``busy`` / ``status`` / ``error``) resolve the oldest pending control
+request.  Control requests (``open`` and ``status``) are serialized per
+connection; per-session streaming is fully concurrent.  A session that
+has received its ``final``, ``error`` or ``cancelled`` is over: a later
+``push`` or ``finish`` raises :class:`ServeError` without sending.
 
 Sharded deployments add two things:
 
@@ -52,6 +54,9 @@ RELOCATE_TIMEOUT_SECONDS = 5.0
 
 #: Pause between those attempts.
 RETRY_SECONDS = 0.02
+
+#: The messages after which a session is over.
+_ENDINGS = (protocol.FINAL, protocol.ERROR, protocol.CANCELLED)
 
 
 def _start_message(payload: str) -> dict:
@@ -136,15 +141,12 @@ class TcpClient:
                     break
                 message = protocol.decode_message(line)
                 session_id = message.get("session")
-                queue = (
-                    self._sessions.get(session_id)
-                    if session_id is not None
-                    else None
-                )
+                if session_id is None or message["type"] == protocol.STARTED:
+                    self._control.put_nowait(message)
+                    continue
+                queue = self._sessions.get(session_id)
                 if queue is not None:
                     queue.put_nowait(message)
-                else:
-                    self._control.put_nowait(message)
         except (OSError, asyncio.CancelledError):
             pass
         finally:
@@ -260,6 +262,19 @@ class TcpSession:
         #: loss after the last partial the caller got, cleared by the
         #: next partial.
         self._deadline: float | None = None
+        #: The message that ended the session, once one has.
+        self._ended: dict | None = None
+
+    def _end(self, event: dict) -> None:
+        self._ended = event
+        self._client._sessions.pop(self.session_id, None)
+
+    def _refuse_if_ended(self) -> None:
+        if self._ended is not None:
+            detail = self._ended.get("error", self._ended["type"])
+            raise ServeError(
+                f"session {self.session_id!r} already closed: {detail}"
+            )
 
     async def _event(self) -> dict:
         """The next event naming the session's current id, or its
@@ -267,10 +282,11 @@ class TcpSession:
         and connections still deliver is dropped."""
         while True:
             event = await self._events.get()
-            if (
-                event is self._client.lost
-                or event.get("session") == self.session_id
-            ):
+            if event is self._client.lost:
+                return event
+            if event.get("session") == self.session_id:
+                if event["type"] in _ENDINGS:
+                    self._end(event)
                 return event
 
     async def _next_event(self, replay: bool = True) -> dict:
@@ -316,6 +332,7 @@ class TcpSession:
         raises at once.
         """
         if loss is self._client.lost and self._client.port is None:
+            self._end(loss)
             raise ServeError(
                 f"session {self.session_id!r} lost its connection, "
                 "which has no endpoint to re-open it on"
@@ -392,6 +409,7 @@ class TcpSession:
         The batch rides in the key the session negotiated (``scores``
         or ``features``).
         """
+        self._refuse_if_ended()
         message = {
             "type": protocol.FRAMES,
             "session": self.session_id,
@@ -415,13 +433,14 @@ class TcpSession:
         server's terminal ``cancelled`` acknowledgement (late partials
         in flight are drained into :attr:`partials` on the way).  A
         session that is lost already (its connection dropped, or it
-        was moved) is gone: abort returns without a word.
+        was moved) or has ended is gone: abort returns without a word.
         """
+        if self._ended is not None:
+            return
         await self._send({"type": protocol.CANCEL, "session": self.session_id})
         while True:
             event = await self._next_event(replay=False)
-            if event["type"] in (
-                protocol.CANCELLED,
+            if self._ended is not None or event["type"] in (
                 protocol.ERROR,
                 protocol.MOVED,
             ):
@@ -430,15 +449,14 @@ class TcpSession:
 
     async def finish(self) -> dict:
         """End the utterance and wait for the final result."""
+        self._refuse_if_ended()
         self._finishing = True
         await self._send({"type": protocol.FINISH, "session": self.session_id})
         while True:
             event = await self._next_event()
             if event["type"] == protocol.FINAL:
-                self._client._sessions.pop(self.session_id, None)
                 return event
             if event["type"] == protocol.ERROR:
-                self._client._sessions.pop(self.session_id, None)
                 raise ServeError(event["error"])
 
 

@@ -107,6 +107,8 @@ class Session:
     #: Where this session's messages go as they are emitted; ``None``
     #: drops them.
     sink: Callable[[dict], None] | None = None
+    #: Called once as the session retires (its connection forgets it).
+    on_retire: Callable[[], object] | None = None
 
 
 class Scheduler:
@@ -548,6 +550,8 @@ class Scheduler:
 
     def _retire(self, session: Session, counter: str) -> None:
         session.closed = True
+        if session.on_retire is not None:
+            session.on_retire()
         # Whatever a retiring session still holds leaves the count with
         # it (a failed, timed-out or moved session retires mid-queue).
         if self._sessions.pop(session.session_id, None) is not None:

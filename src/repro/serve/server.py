@@ -31,6 +31,7 @@ import asyncio
 import socket
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.am.graph import AmGraph
@@ -196,8 +197,10 @@ class TranscriptionServer:
         send: Callable[[dict], None],
     ) -> None:
         """Serve one decoded request, the only way one reaches the
-        scheduler; ``owned`` holds its connection's sessions and
-        ``send`` is its reply sink."""
+        scheduler; ``owned`` holds its connection's live sessions (a
+        session leaves it as it retires, so a request naming a retired
+        one gets an ``error`` naming it) and ``send`` is its reply
+        sink."""
         kind = message["type"]
         if kind == protocol.START:
             payload = protocol.negotiate_start(message)
@@ -218,6 +221,7 @@ class TranscriptionServer:
                 send(protocol.busy_message(exc.reason))
                 return
             owned[session.session_id] = session
+            session.on_retire = partial(owned.pop, session.session_id, None)
             send(
                 {
                     "type": protocol.STARTED,
@@ -234,7 +238,8 @@ class TranscriptionServer:
             if session is None:
                 send(
                     protocol.error_message(
-                        f"unknown session {session_id!r}",
+                        f"unknown session {session_id!r}: not started "
+                        "on this connection, or already closed",
                         session_id,
                     )
                 )
@@ -260,10 +265,7 @@ class TranscriptionServer:
             except protocol.ProtocolError as exc:
                 # Unreadable, so never queued.  The error names the
                 # session, so its client's pending push gets it.
-                if session.closed:
-                    send(protocol.error_message(str(exc), session_id))
-                else:
-                    self.scheduler.fail(session, str(exc))
+                self.scheduler.fail(session, str(exc))
         else:
             send(protocol.error_message(f"unknown type {kind!r}"))
 
@@ -284,7 +286,7 @@ class _Connection(asyncio.Protocol):
     def __init__(self, server: TranscriptionServer) -> None:
         self._server = server
         self._transport: asyncio.Transport | None = None
-        #: The sessions this client started, by id.
+        #: The live sessions this client started, by id.
         self._owned: dict[str, Session] = {}
         #: The bytes of an incomplete line, up to ``MAX_LINE_BYTES``.
         self._partial = bytearray()
@@ -333,11 +335,9 @@ class _Connection(asyncio.Protocol):
         # deliver to anyone).
         self._server._connections.discard(self)
         self._pending.clear()
-        for session in self._owned.values():
+        for session in list(self._owned.values()):
             session.sink = None
-        for session in self._owned.values():
-            if not session.closed:
-                self._server.scheduler.cancel(session)
+            self._server.scheduler.cancel(session)
 
     def pause_writing(self) -> None:
         self._transport.pause_reading()

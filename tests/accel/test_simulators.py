@@ -13,17 +13,13 @@ from repro.accel import (
     GpuModel,
     UnfoldSimulator,
 )
-from repro.accel.layout import OnTheFlyLayout
+from repro.accel.dram import Traffic
 
 
 @pytest.fixture(scope="module")
-def scaled_configs(tiny_task):
-    layout = OnTheFlyLayout.build(tiny_task)
+def scaled_configs():
     # Anchor cache pressure to this task's dataset, as the experiments do.
-    unfold = UNFOLD.scaled(1 / 256)
-    reza = REZA.scaled(1 / 256)
-    del layout
-    return unfold, reza
+    return UNFOLD.scaled(1 / 256), REZA.scaled(1 / 256)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +119,74 @@ class TestBaselineComparison:
             unfold_report.bandwidth_mb_per_second
             < reza_report.bandwidth_mb_per_second
         )
+
+
+#: Both platforms' reports on the six tiny utterances at 1/256 scale,
+#: as the simulators first computed them.  Every figure and table is
+#: built from these fields, so they are compared exactly.
+PINNED_REPORTS = {
+    "unfold": {
+        "decode_seconds": 1.03134375e-05,
+        "miss_ratios": {
+            "state_cache": 0.019702066314271984,
+            "am_arc_cache": 0.0037105751391465678,
+            "lm_arc_cache": 0.06395348837209303,
+            "token_cache": 0.1276595744680851,
+        },
+        "dram_bytes_by_class": {
+            Traffic.STATES: 2624,
+            Traffic.ARCS: 1728,
+            Traffic.TOKENS: 704,
+        },
+        "energy": {
+            "state_cache": 3.802484279123013e-09,
+            "arc_caches": 1.1455339665910216e-08,
+            "token_cache": 2.0684629678941935e-10,
+            "hash_tables": 7.099422336282354e-09,
+            "offset_lookup_table": 1.9998611374676402e-10,
+            "pipeline": 2.36850375e-07,
+            "main_memory": 8.798134375e-07,
+        },
+        "area_mm2": 3.4318750000000002,
+    },
+    "reza": {
+        "decode_seconds": 1.4093333333333333e-05,
+        "miss_ratios": {
+            "state_cache": 0.03747323340471092,
+            "arc_cache": 0.05296912114014252,
+            "token_cache": 0.2553191489361702,
+        },
+        "dram_bytes_by_class": {
+            Traffic.STATES: 4480,
+            Traffic.ARCS: 14272,
+            Traffic.TOKENS: 1088,
+        },
+        "energy": {
+            "state_cache": 5.00824e-09,
+            "arc_caches": 1.5561077743976825e-08,
+            "token_cache": 4.5574e-10,
+            "hash_tables": 7.2808573362823535e-09,
+            "offset_lookup_table": 0.0,
+            "pipeline": 3.0432599999999997e-07,
+            "main_memory": 1.8212666666666666e-06,
+        },
+        "area_mm2": 3.4419999999999993,
+    },
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("platform", ["unfold", "reza"])
+    def test_reports_equal_the_pinned_values(
+        self, platform, unfold_report, reza_report
+    ):
+        report = {"unfold": unfold_report, "reza": reza_report}[platform]
+        pinned = PINNED_REPORTS[platform]
+        assert report.decode_seconds == pinned["decode_seconds"]
+        assert report.miss_ratios == pinned["miss_ratios"]
+        assert report.dram_bytes_by_class == pinned["dram_bytes_by_class"]
+        assert report.energy.by_component == pinned["energy"]
+        assert report.area_mm2 == pinned["area_mm2"]
 
 
 class TestGpuModel:

@@ -11,7 +11,7 @@ import pytest
 from repro.am import GmmAcousticModel
 from repro.asr import build_task
 from repro.asr.task import TINY
-from repro.core import DecoderConfig, FullyComposedDecoder, OnTheFlyDecoder, VirtualComposedGraph
+from repro.core import DecoderConfig, FullyComposedDecoder, OnTheFlyDecoder
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3, 4])
@@ -51,9 +51,7 @@ class TestGrammarOrders:
     def test_equivalent_to_composed_baseline(self, ordered_task, ordered_scorer):
         config = DecoderConfig(beam=12.0, preemptive_pruning=False)
         onthefly = OnTheFlyDecoder(ordered_task.am, ordered_task.lm, config)
-        baseline = FullyComposedDecoder(
-            VirtualComposedGraph(ordered_task.am, ordered_task.lm), config
-        )
+        baseline = FullyComposedDecoder(ordered_task.am, ordered_task.lm, config)
         utterance = ordered_task.test_set(1, max_words=4)[0]
         scores = ordered_scorer.score(utterance.features)
         a = onthefly.decode(scores)

@@ -9,8 +9,10 @@ from repro.core import (
     FullyComposedDecoder,
     LookupStrategy,
     OnTheFlyDecoder,
-    VirtualComposedGraph,
+    TokenTable,
 )
+from tests.core.oracle import ComposedViterbi
+from tests.core.test_scalar_frame_body import RecordingSink
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +27,7 @@ def onthefly(tiny_task, config):
 
 @pytest.fixture(scope="module")
 def baseline(tiny_task, config):
-    graph = VirtualComposedGraph(tiny_task.am, tiny_task.lm)
-    return FullyComposedDecoder(graph, config)
+    return FullyComposedDecoder(tiny_task.am, tiny_task.lm, config)
 
 
 class TestRecognition:
@@ -148,57 +149,94 @@ class TestEquivalence:
         assert len(costs) == 1
 
 
+#: The search with nothing pruned: the exhaustive optimum is its result.
+UNPRUNED = DecoderConfig(beam=1e30, max_active=0, preemptive_pruning=False)
+
+
 class TestVirtualComposedGraph:
-    def test_matches_materialized_composition(self, tiny_task):
-        """The virtual graph is the offline composition, lazily."""
-        from repro.wfst import shortest_path
+    """The baseline searches AM ∘ LM without a composed graph: its ids,
+    finals and costs are the materialized composition's."""
 
-        virtual = VirtualComposedGraph(tiny_task.am, tiny_task.lm)
-        materialized = virtual.materialize_equivalent()
-        best = shortest_path(materialized)
-        assert best is not None
-
-        # Walk the virtual graph along the materialized best path's
-        # input labels greedily and reproduce its weight.
-        state = virtual.start
-        total = 0.0
-        for ilabel in best.ilabels:
-            candidates = [
-                a
-                for a in virtual.out_arcs(state)
-                if a.ilabel == ilabel
-            ]
-            assert candidates, "virtual graph is missing a path arc"
-            arc = min(candidates, key=lambda a: a.weight)
-            total += arc.weight
-            state = arc.nextstate
-        # The greedy walk may diverge from the true best path on ties;
-        # it must never beat the optimum.
-        assert virtual.is_final(state) or total >= 0
-        assert total + virtual.final_weight(state) >= best.weight - 1e-9
-
-    def test_encode_decode_round_trip(self, tiny_task):
-        virtual = VirtualComposedGraph(tiny_task.am, tiny_task.lm)
-        for am_state in (0, 1, tiny_task.am.fst.num_states - 1):
-            for lm_state in (0, tiny_task.lm.fst.num_states - 1):
-                encoded = virtual.encode(am_state, lm_state)
-                assert virtual.decode_state(encoded) == (am_state, lm_state)
-
-    def test_arcs_cached(self, tiny_task):
-        virtual = VirtualComposedGraph(tiny_task.am, tiny_task.lm)
-        first = virtual.out_arcs(virtual.start)
-        assert virtual.out_arcs(virtual.start) is first
-        virtual.clear_cache()
-        assert virtual.out_arcs(virtual.start) is not first
-
-    def test_final_only_at_loop_state(self, tiny_task):
-        virtual = VirtualComposedGraph(tiny_task.am, tiny_task.lm)
-        assert virtual.is_final(virtual.encode(tiny_task.am.loop_state, 0))
-        assert not virtual.is_final(virtual.encode(1, 0))
-
-    def test_num_states_bound(self, tiny_task):
-        virtual = VirtualComposedGraph(tiny_task.am, tiny_task.lm)
-        assert (
-            virtual.num_states_bound
-            == tiny_task.am.fst.num_states * tiny_task.lm.fst.num_states
+    def test_matches_materialized_composition(
+        self, tiny_task, tiny_scores
+    ):
+        """Unpruned, the composed decoder's best cost is the exhaustive
+        Viterbi optimum of ``wfst.compose``'s graph exactly, and the
+        on-the-fly decoder's equals it up to summation order; a beam
+        never beats it."""
+        am, lm = tiny_task.am, tiny_task.lm
+        oracle = ComposedViterbi(am, lm)
+        composed = FullyComposedDecoder(am, lm, UNPRUNED)
+        onthefly = OnTheFlyDecoder(am, lm, UNPRUNED)
+        beamed = (
+            FullyComposedDecoder(am, lm, DecoderConfig(beam=12.0)),
+            OnTheFlyDecoder(am, lm, DecoderConfig(beam=12.0)),
         )
+        for scores in tiny_scores:
+            best = oracle.best_cost(scores)
+            assert math.isfinite(best)
+            assert composed.decode(scores).cost == best
+            assert onthefly.decode(scores).cost == pytest.approx(best, rel=1e-9)
+            for decoder in beamed:
+                assert decoder.decode(scores).cost >= best - 1e-9
+
+    def test_encode_decode_round_trip(self, tiny_task, baseline):
+        """A traced composed id names its (AM, LM) pair's record in the
+        baseline's layout."""
+        from repro.accel.layout import ComposedLayout
+
+        layout = ComposedLayout.build(tiny_task)
+        num_lm = tiny_task.lm.fst.num_states
+        for am_state in (0, 1, tiny_task.am.fst.num_states - 1):
+            for lm_state in (0, num_lm - 1):
+                traced = baseline._trace_state(am_state, lm_state)
+                assert divmod(traced, num_lm) == (am_state, lm_state)
+                address, _ = layout.state_record(traced, num_lm)
+                assert address == layout.address_map.state_address(
+                    am_state, lm_state
+                )
+
+    def test_arcs_cached(self, baseline, tiny_scores):
+        """A decoder is reusable: a second decode equals the first."""
+        first = baseline.decode(tiny_scores[1])
+        second = baseline.decode(tiny_scores[1])
+        assert second.words == first.words
+        assert second.cost == first.cost
+        assert second.stats.expansions == first.stats.expansions
+        assert second.stats.active_history == first.stats.active_history
+
+    def test_final_only_at_loop_state(self, tiny_task, baseline):
+        """A hypothesis ends only where both sides are final, at their
+        summed final weight."""
+        am, lm = tiny_task.am.fst, tiny_task.lm.fst
+        table = TokenTable()
+        pairs = [(a, l) for a in am.states() for l in lm.states()]
+        for node, (am_state, lm_state) in enumerate(pairs):
+            table.insert(am_state, lm_state, 0.0, node)
+        finals = {
+            pairs[node]: total
+            for total, node in baseline._final_hypotheses(table)
+        }
+        assert finals == {
+            (a, l): am.final_weight(a) + lm.final_weight(l)
+            for a, l in pairs
+            if am.is_final(a) and lm.is_final(l)
+        }
+        assert (tiny_task.am.loop_state, 0) in finals
+        assert (1, 0) not in finals
+
+    def test_num_states_bound(self, tiny_task, tiny_scores):
+        """Traced ids stay inside the dense ``am × lm`` id space."""
+        sink = RecordingSink()
+        decoder = FullyComposedDecoder(
+            tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0), sink=sink
+        )
+        decoder.decode(tiny_scores[0])
+        states = [
+            event[2]
+            for event in sink.events
+            if event[0] in ("state_fetch", "arc_fetch")
+        ]
+        bound = tiny_task.am.fst.num_states * tiny_task.lm.fst.num_states
+        assert states
+        assert 0 <= min(states) and max(states) < bound

@@ -30,7 +30,6 @@ from repro.core import (
     OnTheFlyDecoder,
     SoaTokenTable,
     TokenTable,
-    VirtualComposedGraph,
     WordLattice,
 )
 from repro.core.tokens import KEY_SHIFT
@@ -101,7 +100,7 @@ def _lattice():
 
 def _make(kind, task, config):
     if kind == "composed":
-        return FullyComposedDecoder(VirtualComposedGraph(task.am, task.lm), config)
+        return FullyComposedDecoder(task.am, task.lm, config)
     return OnTheFlyDecoder(task.am, task.lm, config)
 
 

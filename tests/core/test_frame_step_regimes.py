@@ -28,7 +28,6 @@ from repro.core import (
     OnTheFlyDecoder,
     SoaTokenTable,
     TokenTable,
-    VirtualComposedGraph,
 )
 from repro.core import batch
 from tests.asr.test_batched_sessions import (
@@ -149,7 +148,8 @@ def test_composed_baseline_takes_the_same_regimes(
 
     def make(vectorized, sink=None):
         return FullyComposedDecoder(
-            VirtualComposedGraph(tiny_task.am, tiny_task.lm),
+            tiny_task.am,
+            tiny_task.lm,
             DecoderConfig(beam=14.0, max_active=800, vectorized=vectorized),
             sink=sink,
         )

@@ -38,7 +38,6 @@ from repro.core import (
     OnTheFlyDecoder,
     SoaTokenTable,
     TokenTable,
-    VirtualComposedGraph,
     WordLattice,
     batch,
 )
@@ -179,7 +178,10 @@ class ReferenceBody:
         return True
 
     def step(self, row):
-        decoder, stats, sink = self.decoder, self.stats, self.decoder.sink
+        decoder, stats = self.decoder, self.stats
+        # An untraced decoder has no sink: the reference's events go to
+        # a throwaway one.
+        sink = decoder.sink or RecordingSink()
         config = decoder.config
         frontier = self.frontier
         survivors = []
@@ -337,7 +339,7 @@ def _pair(kind, am, lm, config, sink_type=None):
     def make():
         sink = sink_type() if sink_type is not None else None
         if kind == "composed":
-            return FullyComposedDecoder(VirtualComposedGraph(am, lm), config, sink)
+            return FullyComposedDecoder(am, lm, config, sink)
         return OnTheFlyDecoder(am, lm, config, sink)
 
     return make(), make()

@@ -32,7 +32,6 @@ from repro.core import (
     DecoderConfig,
     FullyComposedDecoder,
     OnTheFlyDecoder,
-    VirtualComposedGraph,
     plan_recombination,
 )
 from repro.core.arcs import _csr_gather, stable_cost_order
@@ -77,9 +76,7 @@ def test_vectorized_equals_scalar(task_seed, beam, max_active, utt_seed):
 
     for make in (
         lambda v: OnTheFlyDecoder(task.am, task.lm, config(v)),
-        lambda v: FullyComposedDecoder(
-            VirtualComposedGraph(task.am, task.lm), config(v)
-        ),
+        lambda v: FullyComposedDecoder(task.am, task.lm, config(v)),
     ):
         scalar = make(False).decode(scores)
         vectorized = make(True).decode(scores)
@@ -399,7 +396,7 @@ def test_trace_sink_forces_scalar_path(tiny_task, tiny_scores, decoder_name):
         if decoder_name == "on-the-fly":
             return OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config, sink=sink)
         return FullyComposedDecoder(
-            VirtualComposedGraph(tiny_task.am, tiny_task.lm), config, sink=sink
+            tiny_task.am, tiny_task.lm, config, sink=sink
         )
 
     scores = tiny_scores[0]

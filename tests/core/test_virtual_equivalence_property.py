@@ -3,7 +3,9 @@
 The tiny-task equivalence tests pin one configuration; this sweeps
 random task seeds and beams, asserting the paper's core correctness
 property — the on-the-fly decoder and the fully-composed baseline
-explore the same search space — on every sample.
+explore the same search space — on every sample, and checking both
+against the exhaustive Viterbi optimum of the materialized composition
+(``tests/core/oracle.py``).
 """
 
 import numpy as np
@@ -17,8 +19,8 @@ from repro.core import (
     DecoderConfig,
     FullyComposedDecoder,
     OnTheFlyDecoder,
-    VirtualComposedGraph,
 )
+from tests.core.oracle import ComposedViterbi
 
 _TASK_CACHE: dict[int, tuple] = {}
 
@@ -32,7 +34,7 @@ def _task(seed: int):
         scorer = GmmAcousticModel.from_emissions(
             task.emissions, num_mixtures=1, noise_scale=task.config.noise_scale
         )
-        _TASK_CACHE[seed] = (task, scorer)
+        _TASK_CACHE[seed] = (task, scorer, ComposedViterbi(task.am, task.lm))
     return _TASK_CACHE[seed]
 
 
@@ -43,7 +45,7 @@ def _task(seed: int):
     st.integers(min_value=0, max_value=10_000),
 )
 def test_equivalence_across_seeds_and_beams(task_seed, beam, utt_seed):
-    task, scorer = _task(task_seed)
+    task, scorer, oracle = _task(task_seed)
     rng = np.random.default_rng(utt_seed)
     words = [
         task.grammar.vocabulary[int(rng.integers(0, len(task.grammar.vocabulary)))]
@@ -54,11 +56,19 @@ def test_equivalence_across_seeds_and_beams(task_seed, beam, utt_seed):
 
     config = DecoderConfig(beam=beam, preemptive_pruning=False)
     ours = OnTheFlyDecoder(task.am, task.lm, config).decode(scores)
-    ref = FullyComposedDecoder(
-        VirtualComposedGraph(task.am, task.lm), config
-    ).decode(scores)
+    ref = FullyComposedDecoder(task.am, task.lm, config).decode(scores)
 
     assert ours.words == ref.words
     if ours.success and ref.success:
         assert ours.cost == pytest.approx(ref.cost, rel=1e-9)
     assert ours.stats.expansions == ref.stats.expansions
+
+    # Against the exhaustive optimum: a beam never beats it, and with
+    # nothing pruned both decoders reach it.
+    best = oracle.best_cost(scores)
+    assert ours.cost >= best - 1e-9 and ref.cost >= best - 1e-9
+    unpruned = DecoderConfig(beam=1e30, max_active=0, preemptive_pruning=False)
+    composed = FullyComposedDecoder(task.am, task.lm, unpruned)
+    onthefly = OnTheFlyDecoder(task.am, task.lm, unpruned)
+    assert composed.decode(scores).cost == best
+    assert onthefly.decode(scores).cost == pytest.approx(best, rel=1e-9)

@@ -16,7 +16,6 @@ import pytest
 from repro.asr.streaming import transcribe_streams
 from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.serve import (
-    Busy,
     ServeConfig,
     ServeError,
     ShardedClient,
@@ -261,7 +260,8 @@ class TestScoringService:
     ):
         """A scoring failure is final for its session: the push gets a
         session-tagged error, and a later push on the same session is
-        refused as closed without running the scorer again."""
+        refused as closed (a ``ServeError``, not the retryable
+        ``Busy``) without running the scorer again."""
         calls = []
 
         class Failing:
@@ -277,7 +277,7 @@ class TestScoringService:
                 session = await client.open(payload="features")
                 with pytest.raises(ServeError) as first:
                     await session.push(batch)
-                with pytest.raises(Busy) as second:
+                with pytest.raises(ServeError) as second:
                     await session.push(batch)
                 status = await client.status()
                 await client.close()

@@ -749,6 +749,88 @@ class TestOneWayIn:
         assert active == 0  # the server cancelled the orphaned session
 
 
+class TestRetiredSessions:
+    """A session that has retired is gone from both ends: its
+    connection holds no entry for it, and a request naming it is an
+    ``error`` naming it, never ``busy``."""
+
+    def test_finished_sessions_leave_their_connection(
+        self, tiny_task, tiny_scores
+    ):
+        """Fifty sessions opened and finished on one client leave their
+        connection's session table empty, and a request naming one of
+        them afterwards is answered with an ``error`` that names it."""
+
+        async def scenario():
+            async with make_server(tiny_task) as server:
+                client = await server.connect_local()
+                ids = []
+                for _ in range(50):
+                    session = await client.open()
+                    await session.push(tiny_scores[0][:BATCH_FRAMES])
+                    await session.finish()
+                    ids.append(session.session_id)
+                (connection,) = server._connections
+                owned = dict(connection._owned)
+                replies = []
+                for kind in (protocol.FRAMES, protocol.FINISH, protocol.CANCEL):
+                    server._dispatch(
+                        {
+                            "type": kind,
+                            "session": ids[-1],
+                            "scores": protocol.matrix_to_payload(
+                                tiny_scores[0][:BATCH_FRAMES]
+                            ),
+                        },
+                        connection._owned,
+                        replies.append,
+                    )
+                active = server.scheduler.active_sessions
+                await client.close()
+                return owned, replies, active, ids[-1]
+
+        owned, replies, active, last = asyncio.run(
+            asyncio.wait_for(scenario(), 60)
+        )
+        assert active == 0
+        assert owned == {}
+        assert [r["type"] for r in replies] == [protocol.ERROR] * 3
+        assert all(r["session"] == last for r in replies)
+        assert all("already closed" in r["error"] for r in replies)
+
+    def test_a_push_after_finish_raises_and_the_connection_carries_on(
+        self, tiny_task, tiny_scores
+    ):
+        """A client session that has its final refuses a ``push`` or a
+        ``finish`` at once, without sending, and the connection's next
+        ``status`` gets the status reply."""
+
+        async def scenario():
+            async with make_server(tiny_task) as server:
+                client = await server.connect_local()
+                session = await client.open()
+                await session.push(tiny_scores[0][:BATCH_FRAMES])
+                final = await session.finish()
+                with pytest.raises(ServeError, match="already closed") as push:
+                    await asyncio.wait_for(
+                        session.push(tiny_scores[0][BATCH_FRAMES:]), 5
+                    )
+                with pytest.raises(ServeError, match="already closed"):
+                    await asyncio.wait_for(session.finish(), 5)
+                await asyncio.wait_for(session.abort(), 5)
+                status = await asyncio.wait_for(client.status(), 5)
+                await client.close()
+                return final, str(push.value), status
+
+        final, error, status = asyncio.run(scenario())
+        assert final["type"] == protocol.FINAL
+        assert error.startswith(f"session {final['session']!r} already closed")
+        assert status["type"] == protocol.STATUS
+        counters = status["metrics"]["counters"]
+        assert counters["sessions_completed"] == 1
+        assert "pushes_rejected" not in counters
+
+
 @pytest.mark.usefixtures("no_leaked_segments")
 class TestProcessEngine:
     """Decoding in worker processes: the shard processes of a
