@@ -65,6 +65,11 @@ class StreamingSession:
         # per-utterance — unless each session got its own fork;
         # transcripts are unaffected either way.
         self._lookup_start = self._seg.lookup.stats.clone()
+        # The last partial's best lattice node and its words: a node's
+        # backtrace never changes, so a push that leaves the best token
+        # on the same node reuses them.
+        self._partial_node = -1
+        self._partial_words: list[str] = []
 
     @property
     def frames_consumed(self) -> int:
@@ -91,16 +96,18 @@ class StreamingSession:
             best = min(table.cost, key=table.cost.__getitem__)
             best_cost = table.cost[best]
             best_node = table.node[best]
-        words = (
-            [
-                self.decoder.lm.words.symbol_of(w)
-                for w in self._seg.lattice.backtrace(best_node)
-            ]
-            if best_node >= 0
-            else []
-        )
+        if best_node != self._partial_node:
+            self._partial_node = best_node
+            self._partial_words = (
+                [
+                    self.decoder.lm.words.symbol_of(w)
+                    for w in self._seg.lattice.backtrace(best_node)
+                ]
+                if best_node >= 0
+                else []
+            )
         return PartialHypothesis(
-            words=words,
+            words=list(self._partial_words),
             cost=best_cost,
             frames_consumed=self._seg.frame,
             active_tokens=len(table),

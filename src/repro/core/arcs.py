@@ -23,8 +23,8 @@ during the phase).
 excluded) into the same CSR layout, ilabel-sorted within each state,
 plus each state's back-off arc and the sign of every resolvable total
 — the batched resolve's gate.  A lookup over these columns alone (a
-shared-memory attach) rebuilds the per-state views ``LmLookup``
-searches.
+shared-memory attach) builds the per-state columns ``LmLookup``'s walks
+read from them.
 
 :func:`plan_recombination` then replays sequential Viterbi insertion
 over a frame's full candidate batch: it computes, entirely in numpy,
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.tokens import KEY_SHIFT, _iota
-from repro.wfst.fst import EPSILON, Arc
+from repro.wfst.fst import EPSILON
 
 
 def _csr_gather(
@@ -380,42 +380,6 @@ class LmWordArcs:
             backoff_weight=backoff_weight,
             nonneg_weights=nonneg,
         )
-
-    def to_arc_lists(
-        self,
-    ) -> tuple[list[list["Arc"]], list["Arc | None"]]:
-        """Rebuild the scalar per-state views ``LmLookup`` walks.
-
-        Returns ``(word_arcs, backoff)`` exactly as the lookup's eager
-        constructor builds them from the graph: word arcs are acceptor
-        arcs (``repro.lm.graph`` emits ``ilabel == olabel``) and the
-        back-off arc carries the back-off label on input, epsilon on
-        output.  The reconstruction is field-for-field identical, which
-        is what lets a lookup over prebuilt (shared-memory) columns
-        serve the scalar resolve path without ever touching a graph.
-        """
-        num_states = self.offsets.shape[0] - 1
-        backoff_label = self.label_space - 1
-        offsets = self.offsets.tolist()
-        ilabels = self.ilabel.tolist()
-        weights = self.weight.tolist()
-        nextstates = self.nextstate.tolist()
-        backoff_next = self.backoff_next.tolist()
-        backoff_weight = self.backoff_weight.tolist()
-        word_arcs = [
-            [
-                Arc(ilabels[i], ilabels[i], weights[i], nextstates[i])
-                for i in range(offsets[s], offsets[s + 1])
-            ]
-            for s in range(num_states)
-        ]
-        backoff: list[Arc | None] = [
-            Arc(backoff_label, EPSILON, backoff_weight[s], backoff_next[s])
-            if backoff_next[s] >= 0
-            else None
-            for s in range(num_states)
-        ]
-        return word_arcs, backoff
 
 
 def _all_resolves_nonneg(

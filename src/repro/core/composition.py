@@ -138,7 +138,7 @@ class OffsetLookupTable:
         return self.num_entries * 6
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolveResult:
     """Outcome of matching a word at an LM state, with back-off."""
 
@@ -210,6 +210,66 @@ class LmExpansionCache:
         stats.expansion_misses += misses
 
 
+class _WalkColumns:
+    """An LM's word arcs as the walks read them, in native columns.
+
+    What both walks (:meth:`LmLookup.resolve` and
+    :meth:`LmLookup.resolve_batch`) read: ``labels[s]`` lists state
+    ``s``'s word-arc labels (ilabel-ascending, back-off arc excluded),
+    and the arc at ordinal ``k`` there has weight ``weights[base[s] +
+    k]`` and destination ``nexts[base[s] + k]`` (flat over the LM, the
+    CSR order); ``backoff_weight[s]`` / ``backoff_next[s]`` are its
+    back-off arc (``-1``: the unigram state, which has none).  Labels
+    stay per state because the searches index them most; the flat
+    columns cost 16 bytes of pointers a word arc.  Built from a graph,
+    every column holds the graph's own int and float objects.
+    """
+
+    __slots__ = (
+        "labels", "base", "weights", "nexts", "backoff_weight", "backoff_next",
+    )
+
+    def __init__(self, graph: LmGraph | None, soa: LmWordArcs | None) -> None:
+        if soa is not None:
+            # A shared-memory attach: the graph cannot be walked.
+            offsets = soa.offsets.tolist()
+            labels = soa.ilabel.tolist()
+            self.weights: list[float] = soa.weight.tolist()
+            self.nexts: list[int] = soa.nextstate.tolist()
+            self.backoff_weight: list[float] = soa.backoff_weight.tolist()
+            self.backoff_next: list[int] = soa.backoff_next.tolist()
+        else:
+            assert graph is not None
+            offsets = [0]
+            labels = []
+            self.weights = []
+            self.nexts = []
+            self.backoff_weight = []
+            self.backoff_next = []
+            for state in graph.fst.states():
+                arcs = graph.fst.out_arcs(state)
+                backoff = graph.backoff_arc(state)
+                if backoff is None:
+                    self.backoff_weight.append(0.0)
+                    self.backoff_next.append(-1)
+                else:
+                    arcs = arcs[:-1]
+                    self.backoff_weight.append(backoff.weight)
+                    self.backoff_next.append(backoff.nextstate)
+                for arc in arcs:
+                    labels.append(arc.ilabel)
+                    self.weights.append(arc.weight)
+                    self.nexts.append(arc.nextstate)
+                offsets.append(len(labels))
+        self.base: list[int] = offsets[:-1]
+        self.labels: list[list[int]] = [
+            labels[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])
+        ]
+
+
+_TAG_MASK = (1 << OffsetLookupTable.TAG_BITS) - 1
+
+
 class LmLookup:
     """Locates LM arcs for cross-word transitions."""
 
@@ -232,135 +292,109 @@ class LmLookup:
         self.offset_table: OffsetLookupTable | None = None
         if strategy is LookupStrategy.OFFSET_TABLE:
             self.offset_table = OffsetLookupTable(offset_table_entries)
-        # Per-state scalar views (word arcs with the back-off arc split
-        # off).  The cell is shared with forks, so whichever lookup
-        # builds the views first shares them with every sibling.  With
-        # prebuilt ``word_arcs`` (a shared-memory attach, where walking
-        # ``graph.fst`` is impossible) the views reconstruct lazily from
-        # the CSR columns; otherwise they are built from the graph here,
-        # as always.
-        self._scalar_cell: list[tuple[list[list[Arc]], list[Arc | None]] | None]
-        if word_arcs is not None:
-            self._scalar_cell = [None]
-            self._soa: LmWordArcs | None = word_arcs
-        else:
-            arc_views: list[list[Arc]] = []
-            backoffs: list[Arc | None] = []
-            for state in graph.fst.states():
-                arcs = graph.fst.out_arcs(state)
-                backoff = graph.backoff_arc(state)
-                backoffs.append(backoff)
-                arc_views.append(
-                    arcs[:-1] if backoff is not None else list(arcs)
-                )
-            self._scalar_cell = [(arc_views, backoffs)]
-            # The CSR word-arc columns, built on first use: the batched
-            # resolve's gate and id ranges, and the views of an attach.
-            self._soa = None
-        # Each state's word-arc labels as native ints, which the batched
-        # resolve searches: built on its first call, shared with forks.
-        self._labels_cell: list[list[list[int]] | None] = [None]
+        # The CSR word-arc columns: the batched resolve's gate and id
+        # ranges.  Prebuilt (a shared-memory attach, where walking
+        # ``graph.fst`` is impossible) or built on first use.
+        self._soa: LmWordArcs | None = word_arcs
+        # The walks' columns, in a cell shared with forks: built from
+        # the graph here, or over prebuilt CSR columns on the first
+        # lookup, whichever sibling makes it.
+        self._columns_cell: list[_WalkColumns | None] = [
+            None if word_arcs is not None else _WalkColumns(graph, None)
+        ]
         self.expansion_cache = LmExpansionCache(
             self.stats, capacity=expansion_cache_states
         )
 
-    def _scalar_views(self) -> tuple[list[list[Arc]], list[Arc | None]]:
-        views = self._scalar_cell[0]
-        if views is None:
-            views = self._ensure_batch_structures().to_arc_lists()
-            self._scalar_cell[0] = views
-        return views
+    def _columns(self) -> _WalkColumns:
+        columns = self._columns_cell[0]
+        if columns is None:
+            columns = _WalkColumns(None, self._soa)
+            self._columns_cell[0] = columns
+        return columns
 
-    def _labels(self) -> list[list[int]]:
-        labels = self._labels_cell[0]
-        if labels is None:
-            labels = [[arc.ilabel for arc in arcs] for arcs in self._word_arcs]
-            self._labels_cell[0] = labels
-        return labels
-
-    @property
-    def _word_arcs(self) -> list[list[Arc]]:
-        """Per-state word-arc views (back-off arc excluded; it is last)."""
-        return self._scalar_views()[0]
-
-    @property
-    def _backoff(self) -> list[Arc | None]:
-        return self._scalar_views()[1]
-
-    # -- single-state search ----------------------------------------------
+    # -- one lookup at one state ------------------------------------------
 
     def find_arc(self, state: int, word_id: int) -> Arc | None:
         """The arc for ``word_id`` at ``state``, or None if backed off."""
-        self.stats.lookups += 1
-        if self.strategy is LookupStrategy.LINEAR:
-            if self._tracing:
-                self.sink.on_state_fetch(GraphSide.LM, state)
-            return self._linear(state, word_id)
-        if self.strategy is LookupStrategy.BINARY:
-            if self._tracing:
-                self.sink.on_state_fetch(GraphSide.LM, state)
-            found = self._binary(state, word_id)
-            return found[0] if found else None
-        return self._with_offset_table(state, word_id)
-
-    def _probe(self, state: int, ordinal: int) -> Arc:
-        self.stats.arc_probes += 1
-        if self._tracing:
-            self.sink.on_arc_fetch(GraphSide.LM, state, ordinal)
-        return self._word_arcs[state][ordinal]
-
-    def _linear(self, state: int, word_id: int) -> Arc | None:
-        for ordinal in range(len(self._word_arcs[state])):
-            arc = self._probe(state, ordinal)
-            if arc.ilabel == word_id:
-                return arc
-            if arc.ilabel > word_id:  # sorted: passed the slot
-                return None
-        return None
-
-    def _binary(self, state: int, word_id: int) -> tuple[Arc, int] | None:
-        arcs = self._word_arcs[state]
-        lo, hi = 0, len(arcs) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            arc = self._probe(state, mid)
-            if arc.ilabel == word_id:
-                return arc, mid
-            if arc.ilabel < word_id:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
-
-    def _with_offset_table(self, state: int, word_id: int) -> Arc | None:
-        table = self.offset_table
-        assert table is not None
-        cached = table.lookup(state, word_id)
-        if cached is not None:
-            # Tag aliasing check on the fetched arc.  An aliased entry
-            # holds another pair's ordinal, which may even lie past this
-            # state's arcs: the fetch is paid either way, and it misses.
-            self.stats.arc_probes += 1
-            if self._tracing:
-                self.sink.on_arc_fetch(GraphSide.LM, state, cached)
-            arcs = self._word_arcs[state]
-            if cached < len(arcs) and arcs[cached].ilabel == word_id:
-                self.stats.olt_hits += 1
-                if self._tracing:
-                    self.sink.on_olt_access(state, word_id, True)
-                return arcs[cached]
-        self.stats.olt_misses += 1
-        if self._tracing:
-            self.sink.on_olt_access(state, word_id, False)
-            # Only a miss needs the state record (arc base + count) for
-            # the binary search; an OLT hit goes straight to the arc.
-            self.sink.on_state_fetch(GraphSide.LM, state)
-        found = self._binary(state, word_id)
-        if found is None:
+        columns = self._columns()
+        found = self._search(state, word_id, columns.labels[state])
+        if found < 0:
             return None
-        arc, ordinal = found
-        table.insert(state, word_id, ordinal)
-        return arc
+        at = columns.base[state] + found
+        return Arc(word_id, word_id, columns.weights[at], columns.nexts[at])
+
+    def _search(self, state: int, word: int, labels: list[int]) -> int:
+        """One lookup of ``word`` among ``state``'s word-arc ``labels``:
+        the matching arc's ordinal, or -1.
+
+        The Offset Lookup Table first, when the strategy has one: a tag
+        match costs one validation fetch of the cached ordinal's arc (an
+        aliased entry's ordinal may even lie past the state's arcs, and
+        misses).  On a miss, the state record (arc base + count) and the
+        strategy's search: a linear scan that stops at the match, at the
+        first larger label or at exhaustion, or a binary search; a found
+        ordinal is cached.  Counts the lookup, its arc probes and its OLT
+        outcome, and reports each fetch to the sink as it is made.
+        """
+        stats = self.stats
+        stats.lookups += 1
+        tracing = self._tracing
+        sink = self.sink
+        table = self.offset_table
+        if table is not None:
+            entries = table._entries
+            index = (state ^ word) & table._mask
+            tag = ((state * 0x9E3779B1) ^ (word * 0x85EBCA77)) & _TAG_MASK
+            cached = entries.get(index)
+            if cached is not None and cached[0] == tag:
+                ordinal = cached[1]
+                stats.arc_probes += 1
+                if tracing:
+                    sink.on_arc_fetch(GraphSide.LM, state, ordinal)
+                if ordinal < len(labels) and labels[ordinal] == word:
+                    stats.olt_hits += 1
+                    if tracing:
+                        sink.on_olt_access(state, word, True)
+                    return ordinal
+            stats.olt_misses += 1
+            if tracing:
+                sink.on_olt_access(state, word, False)
+        if tracing:
+            sink.on_state_fetch(GraphSide.LM, state)
+        found = -1
+        if self.strategy is LookupStrategy.LINEAR:
+            pos = bisect_left(labels, word)
+            if pos < len(labels):
+                probes = pos + 1
+                if labels[pos] == word:
+                    found = pos
+            else:
+                probes = pos
+            if tracing:
+                for ordinal in range(probes):
+                    sink.on_arc_fetch(GraphSide.LM, state, ordinal)
+        else:
+            probes = 0
+            lo = 0
+            hi = len(labels) - 1
+            while lo <= hi:
+                mid = (lo + hi) // 2
+                probes += 1
+                if tracing:
+                    sink.on_arc_fetch(GraphSide.LM, state, mid)
+                label = labels[mid]
+                if label == word:
+                    found = mid
+                    break
+                if label < word:
+                    lo = mid + 1
+                else:
+                    hi = mid - 1
+            if table is not None and found >= 0:
+                entries[index] = (tag, found)
+        stats.arc_probes += probes
+        return found
 
     # -- full back-off resolution (Section 3.3) ----------------------------
 
@@ -374,6 +408,11 @@ class LmLookup:
     ) -> ResolveResult:
         """Match ``word_id`` starting at ``state``, walking back-off arcs.
 
+        One loop over back-off levels: at each, one :meth:`_search`;
+        on a miss the state's back-off arc (one more fetch) and its
+        penalty.  Its back-off counters stay in locals until the walk
+        ends.
+
         Args:
             state: LM state to start from.
             word_id: Cross-word transition's word id.
@@ -385,40 +424,48 @@ class LmLookup:
                 threshold, the hypothesis is discarded without finishing
                 the walk.
         """
+        columns = self._columns()
+        labels_of = columns.labels
+        backoff_next = columns.backoff_next
+        search = self._search
         accumulated = entry_cost
         levels = 0
         current = state
         while True:
-            arc = self.find_arc(current, word_id)
-            if arc is not None:
-                return ResolveResult(
-                    weight=(accumulated - entry_cost) + arc.weight,
-                    next_state=arc.nextstate,
-                    backoff_levels=levels,
-                )
-            backoff = self._backoff[current]
-            if backoff is None:
-                raise LookupError(
-                    f"word {word_id} not found at the unigram state; the LM "
-                    "must keep all unigrams (Section 3.3 guarantee)"
-                )
-            self.stats.arc_probes += 1
+            labels = labels_of[current]
+            found = search(current, word_id, labels)
+            if found >= 0:
+                break
+            nxt = backoff_next[current]
+            if nxt < 0:
+                break
+            # The back-off arc's fetch: it is stored after the word arcs.
             if self._tracing:
-                self.sink.on_arc_fetch(
-                    GraphSide.LM, current, len(self._word_arcs[current])
-                )
-            self.stats.backoff_arcs_taken += 1
-            accumulated += backoff.weight
+                self.sink.on_arc_fetch(GraphSide.LM, current, len(labels))
+            accumulated += columns.backoff_weight[current]
             levels += 1
             if preemptive and accumulated > threshold:
-                self.stats.preemptive_prunes += 1
-                return ResolveResult(
-                    weight=accumulated - entry_cost,
-                    next_state=backoff.nextstate,
-                    pruned=True,
-                    backoff_levels=levels,
-                )
-            current = backoff.nextstate
+                break
+            current = nxt
+        if levels:
+            stats = self.stats
+            stats.arc_probes += levels
+            stats.backoff_arcs_taken += levels
+        if found >= 0:
+            at = columns.base[current] + found
+            return ResolveResult(
+                (accumulated - entry_cost) + columns.weights[at],
+                columns.nexts[at],
+                False,
+                levels,
+            )
+        if nxt < 0:
+            raise LookupError(
+                f"word {word_id} not found at the unigram state; the LM "
+                "must keep all unigrams (Section 3.3 guarantee)"
+            )
+        self.stats.preemptive_prunes += 1
+        return ResolveResult(accumulated - entry_cost, nxt, True, levels)
 
     # -- batched resolution (the batched epsilon phase's engine) ------------
 
@@ -451,8 +498,8 @@ class LmLookup:
     def fork(self) -> "LmLookup":
         """A cold clone sharing the immutable graph structures.
 
-        The clone shares everything derived from the graph — per-state
-        arc views and labels, back-off arcs, the CSR word-arc columns —
+        The clone shares everything derived from the graph — the walks'
+        per-state columns and the CSR word-arc columns —
         but owns fresh *transient* state: zeroed :class:`LookupStats`,
         an empty Offset Lookup Table of the same geometry, and an empty
         LM expansion cache.  A fork therefore behaves exactly like the
@@ -477,8 +524,7 @@ class LmLookup:
                 else 32 * 1024
             )
             clone.offset_table = OffsetLookupTable(entries)
-        clone._scalar_cell = self._scalar_cell
-        clone._labels_cell = self._labels_cell
+        clone._columns_cell = self._columns_cell
         clone._soa = self._ensure_batch_structures()
         clone.expansion_cache = LmExpansionCache(
             clone.stats, capacity=self.expansion_cache.capacity
@@ -517,8 +563,13 @@ class LmLookup:
                 "resolve_batch has no per-event order; use resolve when tracing"
             )
         soa = self._ensure_batch_structures()
-        labels_of = self._labels()
-        word_arcs, backoff_of = self._scalar_views()
+        columns = self._columns()
+        labels_of = columns.labels
+        base_of = columns.base
+        weights = columns.weights
+        nexts = columns.nexts
+        backoff_weight = columns.backoff_weight
+        backoff_next = columns.backoff_next
         n = len(words)
         if n and not 0 <= min(words) <= max(words) < soa.label_space:
             raise ValueError("word id outside the LM label space")
@@ -537,7 +588,7 @@ class LmLookup:
         if use_olt:
             assert table is not None
             slot_mask = table._mask
-            tag_mask = (1 << OffsetLookupTable.TAG_BITS) - 1
+            tag_mask = _TAG_MASK
             entries = table._entries
         if not preemptive:
             threshold = math.inf
@@ -598,20 +649,20 @@ class LmLookup:
                         if use_olt and found >= 0:
                             entries[index] = (tag, found)
                 if found >= 0:
-                    arc = word_arcs[state][found]
-                    out_weight[i] = (accumulated - entry) + arc.weight
-                    out_next[i] = arc.nextstate
+                    found += base_of[state]
+                    out_weight[i] = (accumulated - entry) + weights[found]
+                    out_next[i] = nexts[found]
                     break
-                backoff = backoff_of[state]
-                if backoff is None:
+                nxt = backoff_next[state]
+                if nxt < 0:
                     if exhausted_word < 0:
                         exhausted_word = word
                     break
                 # The back-off arc's fetch is one more probe.
                 steps += 1
                 level += 1
-                accumulated += backoff.weight
-                state = backoff.nextstate
+                accumulated += backoff_weight[state]
+                state = nxt
                 if accumulated > threshold:
                     prunes += 1
                     out_weight[i] = accumulated - entry

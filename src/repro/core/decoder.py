@@ -49,6 +49,10 @@ _PHASES = (
 )
 
 
+#: Score rows the scalar frame body turns into plain lists per call.
+_ROW_BLOCK = 8
+
+
 def _lap(phases: dict[str, float], name: str, mark: float) -> float:
     """Charge the time since ``mark`` to ``name``; returns the new mark."""
     now = perf_counter()
@@ -329,12 +333,13 @@ class OnTheFlyDecoder:
     def _scalar_run(
         self,
         seg: BatchSegment,
-        rows: Sequence[np.ndarray],
+        rows: np.ndarray | Sequence[np.ndarray],
         limit: float = math.inf,
     ) -> int:
-        """Consume ``rows`` on ``seg`` in the scalar frame body, frame by
-        frame, while the frontier entering a frame is at most ``limit``
-        tokens; returns the number of frames consumed.
+        """Consume ``rows`` (float64 score rows) on ``seg`` in the scalar
+        frame body, frame by frame, while the frontier entering a frame
+        is at most ``limit`` tokens; returns the number of frames
+        consumed.
 
         The reference path: every frame under a TraceSink (exact
         per-event ordering), a scalar config or an epsilon graph the
@@ -348,7 +353,14 @@ class OnTheFlyDecoder:
         dicts, and the ``DecoderStats`` counters the run owns are added
         up in locals and written once at its end.  ``frame_work``,
         ``active_history`` and the sink's ``on_frame_end`` still get one
-        entry per frame.
+        entry per frame.  No token table is built per frame: the run
+        alternates two of its own (never the one it entered with, which
+        the caller may hold), giving each frame two fresh dicts; the
+        epsilon worklist is one list each phase leaves empty; and score
+        rows become plain lists one block of at most :data:`_ROW_BLOCK`
+        rows per call, as they are reached, so a run that stops on a
+        grown frontier has converted at most ``_ROW_BLOCK - 1`` rows it
+        did not consume.
 
         :func:`~repro.core.beam.prune_items` selects the survivors
         instead when ``max_active`` may truncate them, and for a
@@ -381,8 +393,14 @@ class OnTheFlyDecoder:
         consumed = 0
         beam_pruned = fetches = expansions = created = recombined = 0
         mark = 0.0
-        for row in rows:
-            size = len(table)
+        rows = np.asarray(rows)
+        total = len(rows)
+        block: list[list[float]] = []
+        at = 0
+        spare: TokenTable | None = None
+        seeds: list[int] = []
+        size = len(table)
+        while consumed < total:
             if size > limit:
                 break
             if phases is not None:
@@ -413,22 +431,30 @@ class OnTheFlyDecoder:
                         sink.on_arc_fetch(side, fetched, arc[0])
             # Plain-list scores: per-element numpy indexing would
             # dominate the token loop.
-            frame_scores = row.tolist()
-            next_table = TokenTable()
-            cost_of = next_table.cost
-            node_of = next_table.node
+            if at == len(block):
+                block = rows[consumed:consumed + _ROW_BLOCK].tolist()
+                at = 0
+            frame_scores = block[at]
+            at += 1
+            if spare is None:
+                next_table = TokenTable()
+                cost_of = next_table.cost
+                node_of = next_table.node
+            else:
+                next_table = spare
+                next_table.cost = cost_of = {}
+                next_table.node = node_of = {}
             get = cost_of.get
             best = math.inf
-            pruned = improvements = frame_expansions = 0
-            seeds: list[int] = []
+            pruned = improvements = recombinations = 0
             for key, token_cost in token_costs.items():
                 if not token_cost <= threshold:
                     pruned += 1
                     continue
                 lattice_node = token_nodes[key]
-                arcs = emitting[key >> KEY_SHIFT]
-                frame_expansions += len(arcs)
-                for _, weight, column, key_delta, dest_seeds in arcs:
+                for _, weight, column, key_delta, dest_seeds in emitting[
+                    key >> KEY_SHIFT
+                ]:
                     cost = token_cost + weight - frame_scores[column]
                     dest = key + key_delta
                     existing = get(dest)
@@ -438,6 +464,7 @@ class OnTheFlyDecoder:
                     elif cost < existing:
                         improvements += 1
                     else:
+                        recombinations += 1
                         continue
                     cost_of[dest] = cost
                     node_of[dest] = lattice_node
@@ -446,7 +473,9 @@ class OnTheFlyDecoder:
             next_table.best_cost = best
             next_table.inserts = inserts = len(cost_of)
             next_table.improvements = improvements
-            next_table.recombinations = frame_expansions - inserts - improvements
+            next_table.recombinations = recombinations
+            # Each arc walked inserted, improved or recombined.
+            frame_expansions = inserts + improvements + recombinations
             survivors_count = len(token_costs) - pruned
             if phases is not None:
                 mark = _lap(phases, "expand", mark)
@@ -475,10 +504,12 @@ class OnTheFlyDecoder:
             expansions += frame_expansions
             created += next_table.inserts
             recombined += next_table.recombinations
-            active = len(cost_of)
-            active_history(active)
+            size = len(cost_of)
+            active_history(size)
             if tracing:
-                sink.on_frame_end(frame, active)
+                sink.on_frame_end(frame, size)
+            if table is not seg.table:
+                spare = table
             table = next_table
             frame += 1
             consumed += 1

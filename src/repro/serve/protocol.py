@@ -147,19 +147,26 @@ def encode_message(message: dict) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+#: ``json.loads``'s decoder, without its per-call type and BOM checks.
+_decode_json = json.JSONDecoder().decode
+
+
 def decode_message(line: bytes | str) -> dict:
-    """Parse one wire line; raises :class:`ProtocolError` on junk."""
+    """Parse one wire line; raises :class:`ProtocolError` on junk.
+
+    A line of strict UTF-8 holding one JSON value between JSON
+    whitespace — every line a client writes — is parsed as it stands.
+    Anything else takes the lenient reading: undecodable bytes become
+    U+FFFD and any Unicode whitespace around the value is dropped.  The
+    first reading succeeds only where the second gives the same message.
+    """
     if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
-    line = line.strip()
-    if not line:
-        raise ProtocolError("empty message")
-    try:
-        message = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: bad JSON, or an integer past Python's digit limit;
-        # RecursionError: nesting deeper than the parser recurses.
-        raise ProtocolError(f"bad JSON: {exc}") from exc
+        try:
+            message = _decode_json(line.decode())
+        except (ValueError, RecursionError):
+            message = _decode_lenient(line.decode("utf-8", errors="replace"))
+    else:
+        message = _decode_lenient(line)
     if not isinstance(message, dict) or not isinstance(
         message.get("type"), str
     ):
@@ -167,6 +174,18 @@ def decode_message(line: bytes | str) -> dict:
     if not isinstance(message.get("session", ""), str):
         raise ProtocolError("'session' must be a string")
     return message
+
+
+def _decode_lenient(text: str):
+    text = text.strip()
+    if not text:
+        raise ProtocolError("empty message")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an integer past Python's digit limit;
+        # RecursionError: nesting deeper than the parser recurses.
+        raise ProtocolError(f"bad JSON: {exc}") from exc
 
 
 def matrix_to_payload(
@@ -233,8 +252,13 @@ def payload_to_matrix(payload) -> np.ndarray:
     matrix = matrix.astype(np.float64)
     # The search's exactness contract (heap vs argsort survivor order,
     # scalar vs vectorized regimes) is stated over finite costs, and a
-    # NaN never compares: it must not reach a beam.
-    if not np.isfinite(matrix).all():
+    # NaN never compares: it must not reach a beam.  The float64 sum of
+    # squares is finite exactly when every value is: at most 2**18
+    # float32 values fit a line, each square is below 2**256, and no
+    # square is negative for an inf to cancel.  A dot product raises no
+    # floating-point warning on the inf it meets, where ``sum`` warns on
+    # inf + -inf.
+    if not math.isfinite(np.vdot(matrix, matrix)):
         raise ProtocolError("matrix payload holds NaN or infinite values")
     return matrix
 

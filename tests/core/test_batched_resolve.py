@@ -419,9 +419,10 @@ def test_forks_allocate_no_per_entry_storage():
 
 
 def test_forks_share_the_label_lists(tiny_task, tiny_scores, monkeypatch):
-    """The first batched resolve builds each state's labels as native
-    ints, once: decodes and a forked streaming session search the same
-    lists, equal to the CSR columns' slices."""
+    """The first lookup builds each state's columns (labels, weights,
+    next states, back-off arc) as native ints and floats, once: decodes
+    and a forked streaming session walk the same lists, equal to the
+    CSR columns' slices."""
     monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", 0)
     decoder = OnTheFlyDecoder(
         tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0, max_active=800)
@@ -431,15 +432,21 @@ def test_forks_share_the_label_lists(tiny_task, tiny_scores, monkeypatch):
     session = StreamingSession(decoder, lookup=decoder.lookup.fork())
     session.push(tiny_scores[3])
     session.finish()
-    labels = decoder.lookup._labels_cell[0]
-    assert labels is not None
-    assert session._seg.lookup._labels_cell[0] is labels
+    columns = decoder.lookup._columns_cell[0]
+    assert columns is not None
+    assert session._seg.lookup._columns_cell[0] is columns
     soa = LmWordArcs.from_graph(tiny_task.lm)
     offsets = soa.offsets.tolist()
-    assert labels == [
+    assert columns.labels == [
         soa.ilabel[lo:hi].tolist() for lo, hi in zip(offsets, offsets[1:])
     ]
-    assert all(type(label) is int for row in labels for label in row)
+    assert columns.base == offsets[:-1]
+    assert columns.weights == soa.weight.tolist()
+    assert columns.nexts == soa.nextstate.tolist()
+    assert columns.backoff_weight == soa.backoff_weight.tolist()
+    assert columns.backoff_next == soa.backoff_next.tolist()
+    assert all(type(label) is int for row in columns.labels for label in row)
+    assert all(type(weight) is float for weight in columns.weights)
 
 
 def test_resolving_every_pair_holds_only_residency():

@@ -201,15 +201,15 @@ def test_frame_whose_every_pair_is_preemptively_pruned(tiny_task, strategy):
     config = DecoderConfig(beam=0.05, lookup_strategy=strategy)
     batched = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
     scalar = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
-    word_arcs, backoff = scalar.lookup._scalar_views()
+    columns = scalar.lookup._columns()
     am, lm = [], []
     for am_state, arcs in enumerate(batched._epsilon_fanout):
         words = [arc[0] for arc in arcs]
         if not words or EPSILON in words:
             continue
-        for lm_state, present in enumerate(word_arcs):
-            if backoff[lm_state] is not None and not any(
-                arc.ilabel in words for arc in present
+        for lm_state, present in enumerate(columns.labels):
+            if columns.backoff_next[lm_state] >= 0 and not any(
+                label in words for label in present
             ):
                 am.append(am_state)
                 lm.append(lm_state)

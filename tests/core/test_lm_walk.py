@@ -1,0 +1,205 @@
+"""The scalar LM walk, pinned event for event.
+
+``LmLookup.resolve`` reports every LM fetch and Offset Lookup Table
+access to the trace sink, and the accelerator simulators turn that
+order into cache and DRAM traffic.  The digests below were recorded
+from the walk as first written (one method per search strategy and one
+per probe); any rewrite of the walk must reproduce them exactly:
+the same events in the same order, the same results and the same
+counters and table contents.
+
+Untraced, the walk must also agree item for item with
+``resolve_batch``, the batched epsilon phase's engine.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import math
+
+import pytest
+
+from repro.asr import KALDI_TEDLIUM, build_task
+from repro.core import LmLookup, LookupStrategy
+
+
+class RecordingSink:
+    """A TraceSink keeping the LM walk's events, in order."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple] = []
+
+    def on_state_fetch(self, side, state):
+        self.events.append(("state_fetch", side.value, state))
+
+    def on_arc_fetch(self, side, state, ordinal):
+        self.events.append(("arc_fetch", side.value, state, ordinal))
+
+    def on_token_write(self, nbytes):
+        self.events.append(("token_write", nbytes))
+
+    def on_token_hash_access(self, am_state, lm_state):
+        self.events.append(("token_hash", am_state, lm_state))
+
+    def on_olt_access(self, lm_state, word_id, hit):
+        self.events.append(("olt", lm_state, word_id, hit))
+
+    def on_frame_end(self, frame, active_tokens):
+        self.events.append(("frame_end", frame, active_tokens))
+
+
+def _pairs(graph):
+    """Every (state, word) pair of ``graph``, state-major."""
+    words = range(1, graph.backoff_label)
+    return [(s, w) for s in range(graph.fst.num_states) for w in words]
+
+
+def _arc_counts(graph):
+    return [
+        len(graph.fst.out_arcs(s)) - (graph.backoff_arc(s) is not None)
+        for s in range(graph.fst.num_states)
+    ]
+
+
+def _costs(state, word):
+    """A pair's entry cost and pruning threshold: spread so that some
+    walks on TINY are pruned at their first back-off hop, some deeper,
+    and some not at all."""
+    entry = (word % 4) * 0.5
+    return entry, entry + 1.0 + (state % 3)
+
+
+def _plant(lookup, state, word, arc_counts):
+    """An aliased OLT entry for the pair: its own slot and tag, holding
+    an ordinal past the state's arcs or one of another label."""
+    if lookup.offset_table is not None and (state + word) % 11 == 0:
+        bogus = arc_counts[state] + 3 if state % 2 else 0
+        lookup.offset_table.insert(state, word, bogus)
+
+
+def _walk_digest(graph, strategy, preemptive):
+    """sha256 of two traced passes over every pair: events, results,
+    counters and the table's final entries."""
+    sink = RecordingSink()
+    lookup = LmLookup(
+        graph, strategy=strategy, offset_table_entries=16, sink=sink
+    )
+    arc_counts = _arc_counts(graph)
+    log = sink.events
+    pruned = 0
+    for _ in range(2):  # the second pass meets a warm table
+        for state, word in _pairs(graph):
+            _plant(lookup, state, word, arc_counts)
+            entry, threshold = _costs(state, word)
+            result = lookup.resolve(
+                state, word, entry_cost=entry, threshold=threshold,
+                preemptive=preemptive,
+            )
+            pruned += result.pruned
+            log.append(
+                (
+                    "result", result.weight.hex(), result.next_state,
+                    result.pruned, result.backoff_levels,
+                )
+            )
+    log.append(("stats", dataclasses.astuple(lookup.stats)))
+    if lookup.offset_table is not None:
+        log.append(("olt", sorted(lookup.offset_table._entries.items())))
+    return hashlib.sha256(repr(log).encode()).hexdigest(), len(log), pruned
+
+
+_PREEMPTIVE = pytest.mark.parametrize(
+    "preemptive", [False, True], ids=["full", "preemptive"]
+)
+_STRATEGIES = pytest.mark.parametrize(
+    "strategy", list(LookupStrategy), ids=lambda s: s.value
+)
+
+#: (strategy, preemptive) -> (sha256, log length) of the walk as first
+#: written.
+_PINNED = {
+    (LookupStrategy.LINEAR, False): (
+        "b0c4321751d8dc0fe6a3a7d821e32ec5ace456fd56c9a83a58fd45a689600e8c",
+        15491,
+    ),
+    (LookupStrategy.LINEAR, True): (
+        "1ad2813422388db2736eafaf61319708125019369aaec5686955515fbdc09570",
+        12137,
+    ),
+    (LookupStrategy.BINARY, False): (
+        "a4cc60550498fccadfdf2dd281b8fc6d4cddec2f502c42c30f07351e146f0213",
+        11381,
+    ),
+    (LookupStrategy.BINARY, True): (
+        "9ddc4e68d45892367f4a9e9ca85db779a7a1a190d9aaa009f3f9c135824f7b8b",
+        9725,
+    ),
+    (LookupStrategy.OFFSET_TABLE, False): (
+        "b9b26dec62a3d8f69731f7fd1e7924e241cfe981cad5cbf8807c5a45caea1d8b",
+        12226,
+    ),
+    (LookupStrategy.OFFSET_TABLE, True): (
+        "129c732eea9fa1b1b6aad610b81eee92219e6348539d4e7bafe4bba5fc844afe",
+        11264,
+    ),
+}
+
+
+@_PREEMPTIVE
+@_STRATEGIES
+def test_traced_walk_is_pinned(tiny_task, strategy, preemptive):
+    digest, length, pruned = _walk_digest(tiny_task.lm, strategy, preemptive)
+    assert (pruned > 0) is preemptive
+    assert (digest, length) == _PINNED[strategy, preemptive]
+
+
+def _assert_items_agree(graph, strategy, preemptive):
+    """Untraced ``resolve`` item by item against one ``resolve_batch``
+    over the same items, each lookup with the same aliased entries
+    planted: per-item outcome, counters and the table's final entries."""
+    pairs = _pairs(graph)
+    arc_counts = _arc_counts(graph)
+    scalar = LmLookup(graph, strategy=strategy)
+    batched = LmLookup(graph, strategy=strategy)
+    for state, word in pairs:
+        for lookup in (scalar, batched):
+            _plant(lookup, state, word, arc_counts)
+    threshold = 2.5 if preemptive else math.inf
+    expected = [
+        scalar.resolve(
+            s, w, entry_cost=0.5, threshold=threshold, preemptive=preemptive
+        )
+        for s, w in pairs
+    ]
+    got = batched.resolve_batch(
+        [s for s, _ in pairs],
+        [w for _, w in pairs],
+        [0.5] * len(pairs),
+        threshold=threshold,
+        preemptive=preemptive,
+    )
+    for i, ref in enumerate(expected):
+        assert (
+            got.weight[i].hex(), got.next_state[i], got.pruned[i],
+            got.backoff_levels[i],
+        ) == (
+            ref.weight.hex(), ref.next_state, ref.pruned, ref.backoff_levels,
+        ), pairs[i]
+    assert batched.stats == scalar.stats
+    if strategy is LookupStrategy.OFFSET_TABLE:
+        assert scalar.stats.olt_hits > 0
+        assert batched.offset_table._entries == scalar.offset_table._entries
+
+
+@_PREEMPTIVE
+@_STRATEGIES
+def test_tiny_resolve_equals_resolve_batch(tiny_task, strategy, preemptive):
+    _assert_items_agree(tiny_task.lm, strategy, preemptive)
+
+
+@_PREEMPTIVE
+def test_tedlium_resolve_equals_resolve_batch(preemptive):
+    _assert_items_agree(
+        build_task(KALDI_TEDLIUM).lm, LookupStrategy.OFFSET_TABLE, preemptive
+    )
