@@ -9,12 +9,7 @@ Run:
     python examples/streaming_transcription.py
 """
 
-from repro.asr import (
-    build_scorer,
-    build_task,
-    decode_streaming,
-    transcribe_streams,
-)
+from repro.asr import AsrSystem, build_scorer, build_task, decode_streaming
 from repro.asr.task import KALDI_VOXFORGE
 from repro.asr.wer import oracle_word_error_rate, word_error_rate
 from repro.core import DecoderConfig, OnTheFlyDecoder
@@ -57,21 +52,17 @@ def main() -> None:
     print(f"1-best WER: {wer:.1%}   oracle (8-best) WER: {oracle:.1%}")
     print("the gap is the headroom a rescoring pass could recover")
 
-    # The same streams again, but as one batch fanned out over worker
-    # processes — independent utterances are the parallelism unit.
-    # Passing the scorer lets the pool ship the recognizer bundle to
-    # its workers; results come back in submission order.
+    # The same utterances again, but as one batch fanned out over worker
+    # processes — independent utterances are the parallelism unit, and
+    # a streamed final equals the batch decode of the same scores.
+    # Results come back in submission order.
     print(f"\nbatch replay across {PARALLELISM} worker processes:")
-    batch = transcribe_streams(
-        decoder,
-        [scorer.score(u.features) for u in utterances],
-        batch_frames=BATCH_FRAMES,
-        parallelism=PARALLELISM,
-        scorer=scorer,
-    )
+    with AsrSystem(task, scorer) as system:
+        batch = system.transcribe(
+            utterances, config=decoder.config, parallelism=PARALLELISM
+        )
     for utt, result in zip(utterances, batch):
         print(f"  [{' '.join(utt.words)}] -> {' '.join(result.words)}")
-
 
 if __name__ == "__main__":
     main()

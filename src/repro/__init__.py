@@ -44,11 +44,12 @@ __version__ = "1.0.0"
 
 
 def lazy_exports(package: str, table: dict[str, tuple[str, ...]]):
-    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's exports.
+    """``__all__`` and PEP 562 ``__getattr__``/``__dir__`` for a package.
 
     ``table`` maps each submodule of ``package`` to the names the
     package exports from it; ``"NAME as ALIAS"`` exports the
-    submodule's ``NAME`` as ``ALIAS``.  The first access to a name
+    submodule's ``NAME`` as ``ALIAS``.  The table is the one list of
+    exports: ``__all__`` is built from it.  The first access to a name
     imports its submodule and stores the value in the package's
     globals, so later accesses never reach ``__getattr__``.  Submodules
     themselves need no entry: the import system binds them.
@@ -74,4 +75,4 @@ def lazy_exports(package: str, table: dict[str, tuple[str, ...]]):
     def __dir__() -> list[str]:
         return sorted(namespace.keys() | sources.keys())
 
-    return __getattr__, __dir__
+    return list(sources), __getattr__, __dir__

@@ -2,39 +2,7 @@
 
 from repro import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheConfig",
-    "CacheStats",
-    "WriteBuffer",
-    "DramModel",
-    "DramConfig",
-    "Traffic",
-    "AcceleratorConfig",
-    "GpuConfig",
-    "UNFOLD",
-    "REZA",
-    "PAPER_DATASET_BYTES",
-    "sram_read_energy_pj",
-    "sram_leakage_mw",
-    "sram_area_mm2",
-    "EnergyBreakdown",
-    "mj_per_second_of_speech",
-    "OnTheFlyLayout",
-    "ComposedLayout",
-    "UnfoldSink",
-    "ComposedSink",
-    "CycleReport",
-    "cycles_for",
-    "RunReport",
-    "UtteranceTiming",
-    "UnfoldSimulator",
-    "FullyComposedSimulator",
-    "GpuModel",
-    "GpuKernelReport",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "cache": ("Cache", "CacheConfig", "CacheStats", "WriteBuffer"),

@@ -75,7 +75,7 @@ def cycles_for(stats: DecoderStats, dram: DramModel) -> CycleReport:
         + lookup.olt_hits * OLT_HIT_CYCLES,
         backoff_cycles=lookup.backoff_arcs_taken * BACKOFF_CYCLES,
         state_fetch_cycles=stats.am_state_fetches * STATE_FETCH_CYCLES,
-        token_cycles=stats.token_writes * TOKEN_WRITE_CYCLES,
+        token_cycles=stats.words_emitted * TOKEN_WRITE_CYCLES,
         dram_stall_cycles=dram.stall_cycles(),
     )
 
@@ -94,12 +94,7 @@ def throughput_cycles(stats: DecoderStats, dram: DramModel) -> float:
     (Figure 4's pipeline runs stages concurrently on different tokens),
     plus amortized DRAM stalls.  Real hardware lands between the two;
     both must agree on every cross-platform ordering the paper reports.
-
-    Falls back to the additive model when per-frame work vectors are
-    unavailable (e.g. streamed or two-pass decodes).
     """
-    if not stats.frame_work:
-        return cycles_for(stats, dram).total_cycles
     total = 0.0
     for survivors, expansions, probes, writes in stats.frame_work:
         stage_cycles = max(

@@ -108,7 +108,7 @@ class _Simulator:
         pipeline_ops = (
             stats.expansions
             + stats.tokens_created
-            + stats.token_writes
+            + stats.words_emitted
             + stats.lookup.arc_probes
         )
         float_ops = 4 * stats.expansions + 3 * stats.lookup.backoff_arcs_taken
@@ -223,8 +223,6 @@ def _accumulate(total: DecoderStats, new: DecoderStats) -> None:
     total.expansions += new.expansions
     total.words_emitted += new.words_emitted
     total.am_state_fetches += new.am_state_fetches
-    total.am_arc_fetches += new.am_arc_fetches
-    total.token_writes += new.token_writes
     total.active_history.extend(new.active_history)
     total.frame_work.extend(new.frame_work)
     lk, nk = total.lookup, new.lookup
@@ -233,7 +231,6 @@ def _accumulate(total: DecoderStats, new: DecoderStats) -> None:
     lk.olt_hits += nk.olt_hits
     lk.olt_misses += nk.olt_misses
     lk.backoff_arcs_taken += nk.backoff_arcs_taken
-    lk.preemptive_prunes += nk.preemptive_prunes
 
 
 class _DramDelta:

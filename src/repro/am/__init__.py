@@ -2,29 +2,7 @@
 
 from repro import lazy_exports
 
-__all__ = [
-    "PhoneInventory",
-    "STANDARD_PHONES",
-    "SILENCE_PHONE",
-    "Lexicon",
-    "generate_lexicon",
-    "HmmTopology",
-    "AmGraph",
-    "build_am_graph",
-    "SenoneEmissionModel",
-    "FeatureSynthesizer",
-    "Utterance",
-    "make_emission_model",
-    "GmmAcousticModel",
-    "MlpAcousticModel",
-    "RnnAcousticModel",
-    "AcousticScorer",
-    "ScorerKind",
-    "frame_accuracy",
-    "check_score_matrix",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "dnn": ("MlpAcousticModel",),

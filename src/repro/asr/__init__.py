@@ -2,36 +2,7 @@
 
 from repro import lazy_exports
 
-__all__ = [
-    "build_scorer",
-    "measure_component_sizes",
-    "ComponentSizes",
-    "AsrSystem",
-    "DecodePool",
-    "StreamingSession",
-    "PartialHypothesis",
-    "decode_streaming",
-    "transcribe_streams",
-    "save_recognizer",
-    "load_recognizer",
-    "RecognizerBundle",
-    "OverallReport",
-    "EditCounts",
-    "align_counts",
-    "corpus_edit_counts",
-    "word_error_rate",
-    "TaskConfig",
-    "AsrTask",
-    "build_task",
-    "TINY",
-    "KALDI_VOXFORGE",
-    "KALDI_LIBRISPEECH",
-    "KALDI_TEDLIUM",
-    "EESEN_TEDLIUM",
-    "PAPER_TASKS",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "dataset": (
@@ -45,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(
             "PartialHypothesis",
             "StreamingSession",
             "decode_streaming",
-            "transcribe_streams",
         ),
         "system": ("AsrSystem", "OverallReport"),
         "task": (

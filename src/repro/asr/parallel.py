@@ -40,8 +40,12 @@ submission order.  Two mechanisms make that hold:
 
 Asking for ``parallelism > 1`` on a host exposing a single CPU decodes
 serially in-process instead: forked workers would only add
-serialization overhead on top of zero actual concurrency.  Each result
-records which strategy produced it in ``DecodeResult.strategy``.
+serialization overhead on top of zero actual concurrency.  The pool's
+``strategy`` names the path it took: ``serial`` or ``pool[N]``.
+
+Streams need no entry point of their own: a streamed final equals the
+decode of the same scores (the streaming parity contract), so a batch
+of streams is a batch for :meth:`DecodePool.decode_scores`.
 """
 
 from __future__ import annotations
@@ -101,17 +105,6 @@ def _decode_features_job(features: np.ndarray) -> DecodeResult:
     return _cold_decode(_WORKER_DECODER, _WORKER_SCORER.score(features))
 
 
-def _streaming_job(job: tuple[np.ndarray, int]) -> DecodeResult:
-    from repro.asr.streaming import decode_streaming
-
-    scores, batch_frames = job
-    decoder = _WORKER_DECODER
-    assert decoder is not None
-    decoder.lookup.reset_transient_state()
-    result, _ = decode_streaming(decoder, scores, batch_frames)
-    return result
-
-
 class DecodePool:
     """Decode batches of utterances, optionally across processes.
 
@@ -145,7 +138,7 @@ class DecodePool:
             # One visible core: worker processes can't overlap, they
             # just add pickling and scheduling.  Decode serially
             # instead — the determinism contract makes this invisible
-            # apart from DecodeResult.strategy.
+            # apart from ``strategy``.
             parallelism = 1
         self.config = config or DecoderConfig()
         self.parallelism = parallelism
@@ -200,12 +193,11 @@ class DecodePool:
         if self._executor is None:
             assert self._decoder is not None
             return [_cold_decode(self._decoder, s) for s in scores]
-        results = list(
+        return list(
             self._executor.map(
                 _decode_scores_job, scores, chunksize=self._chunksize(len(scores))
             )
         )
-        return self._stamp(results)
 
     def decode_utterances(self, utterances) -> list[DecodeResult]:
         """Score and decode utterances; results in input order."""
@@ -217,43 +209,11 @@ class DecodePool:
                 _cold_decode(self._decoder, self._scorer.score(u.features))
                 for u in utterances
             ]
-        results = list(
+        return list(
             self._executor.map(
                 _decode_features_job,
                 [u.features for u in utterances],
                 chunksize=self._chunksize(len(utterances)),
-            )
-        )
-        return self._stamp(results)
-
-    def _stamp(self, results: list[DecodeResult]) -> list[DecodeResult]:
-        for result in results:
-            result.strategy = f"pool[{self.parallelism}]"
-        return results
-
-    def decode_streams(
-        self, scores: list[np.ndarray], batch_frames: int = 32
-    ) -> list[DecodeResult]:
-        """Decode each matrix through a streaming session."""
-        from repro.asr.streaming import decode_streaming
-
-        if self._executor is None:
-            assert self._decoder is not None
-            results = []
-            for matrix in scores:
-                self._decoder.lookup.reset_transient_state()
-                result, _ = decode_streaming(
-                    self._decoder, matrix, batch_frames
-                )
-                results.append(result)
-            return results
-        return self._stamp(
-            list(
-                self._executor.map(
-                    _streaming_job,
-                    [(m, batch_frames) for m in scores],
-                    chunksize=self._chunksize(len(scores)),
-                )
             )
         )
 

@@ -175,51 +175,3 @@ def decode_streaming(
         partials.append(session.push(scores[start : start + batch_frames]))
     return session.finish(), partials
 
-
-def transcribe_streams(
-    decoder: OnTheFlyDecoder,
-    score_matrices: list[np.ndarray],
-    batch_frames: int = 32,
-    parallelism: int = 1,
-    scorer=None,
-    pool=None,
-) -> list[DecodeResult]:
-    """Run a batch of independent streams, optionally across processes.
-
-    Streams are independent utterances, so ``parallelism > 1`` fans
-    them out over a :class:`~repro.asr.parallel.DecodePool` (which
-    needs a ``scorer`` to ship the recognizer bundle to its workers).
-    Results are in input order, and identical across parallelism
-    levels whenever a ``scorer`` is given — the pool's determinism
-    contract (cold per-decode caches per stream, bundle-quantized
-    weights) applies to both modes then.
-
-    A caller issuing many of these — a long-lived service — should
-    pass an existing ``pool``: building a pool per call would re-fork
-    warm workers every batch.  With ``pool`` given,
-    ``parallelism``/``scorer`` are ignored and the pool is left open
-    for the caller.
-    """
-    if pool is not None:
-        return pool.decode_streams(score_matrices, batch_frames)
-    if scorer is None:
-        if parallelism != 1:
-            raise ValueError(
-                "parallel streaming needs a scorer for the bundle"
-            )
-        results = []
-        for scores in score_matrices:
-            decoder.lookup.reset_transient_state()
-            result, _ = decode_streaming(decoder, scores, batch_frames)
-            results.append(result)
-        return results
-    from repro.asr.parallel import DecodePool
-
-    with DecodePool(
-        decoder.am,
-        decoder.lm,
-        scorer=scorer,
-        config=decoder.config,
-        parallelism=parallelism,
-    ) as pool:
-        return pool.decode_streams(score_matrices, batch_frames)

@@ -132,8 +132,9 @@ class AsrSystem:
         (see :class:`repro.asr.parallel.DecodePool`).  On hosts with a
         single visible CPU such a request quietly decodes serially —
         process fan-out can't help there.  Every strategy returns
-        bit-identical results in input order; ``DecodeResult.strategy``
-        records which one ran.
+        bit-identical results in input order, and streamed finals equal
+        them: a batch of streams is a batch for this call.  The pool's
+        ``strategy`` records which one ran.
         """
         pool = self._pool_for(config, parallelism)
         return pool.decode_utterances(utterances)

@@ -81,6 +81,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
     ) as pool:
         results = pool.decode_utterances(utterances)
+        strategy = pool.strategy
     hypotheses = []
     for utterance, result in zip(utterances, results):
         hypotheses.append(result.words)
@@ -90,7 +91,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     wer = word_error_rate([u.words for u in utterances], hypotheses)
     print(
         f"\nWER: {wer:.1%} over {len(utterances)} utterances "
-        f"(strategy: {results[0].strategy if results else '-'})"
+        f"(strategy: {strategy})"
     )
     return 0
 

@@ -2,42 +2,7 @@
 
 from repro import lazy_exports
 
-__all__ = [
-    "BitWriter",
-    "BitReader",
-    "bits_needed",
-    "WeightQuantizer",
-    "fit_wfst_quantizer",
-    "quantize_wfst",
-    "DEFAULT_CLUSTERS",
-    "CENTROID_TABLE_BYTES",
-    "PackedAm",
-    "pack_am",
-    "unpack_am",
-    "AM_SHORT_ARC_BITS",
-    "AM_LONG_ARC_BITS",
-    "PackedLm",
-    "pack_lm",
-    "unpack_lm",
-    "UNIGRAM_ARC_BITS",
-    "BACKOFF_ARC_BITS",
-    "REGULAR_ARC_BITS",
-    "PackedStates",
-    "pack_states",
-    "unpack_states",
-    "packed_state_bits_estimate",
-    "ComposedSizeModel",
-    "ComposedAddressMap",
-    "PronunciationTrie",
-    "build_composed_model",
-    "build_address_map",
-    "PackedComposedSize",
-    "pack_composed_size",
-    "DatasetSizing",
-    "measure_dataset_sizing",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "am_pack": (

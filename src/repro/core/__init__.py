@@ -2,40 +2,7 @@
 
 from repro import lazy_exports
 
-__all__ = [
-    "EmittingArcs",
-    "EpsilonArcs",
-    "LmWordArcs",
-    "RecombinationPlan",
-    "plan_recombination",
-    "TokenTable",
-    "SoaTokenTable",
-    "WordLattice",
-    "LatticeNode",
-    "COMPACT_RECORD_BYTES",
-    "RAW_RECORD_BYTES",
-    "BeamConfig",
-    "LookupStrategy",
-    "LookupStats",
-    "LmLookup",
-    "LmExpansionCache",
-    "OffsetLookupTable",
-    "ResolveResult",
-    "BatchResolveResult",
-    "DecoderConfig",
-    "DecoderStats",
-    "DecodeResult",
-    "OnTheFlyDecoder",
-    "BatchSegment",
-    "advance_segment",
-    "FullyComposedDecoder",
-    "TwoPassDecoder",
-    "TwoPassStats",
-    "GraphSide",
-    "TraceSink",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "arcs": (

@@ -136,11 +136,10 @@ def _step_one(
         phases["expand"] += perf_counter() - mark
     stats.beam_pruned += pruned
     stats.am_state_fetches += survivors
-    stats.am_arc_fetches += expansions
     stats.expansions += expansions
     expansions_before = stats.expansions
     probes_before = lookup_stats.arc_probes
-    writes_before = stats.token_writes
+    words_before = stats.words_emitted
     mark = perf_counter() if phases is not None else 0.0
     decoder._epsilon_phase_batched(
         table, seg.frame, seg.lattice, stats, beam_config, seg.lookup
@@ -153,7 +152,7 @@ def _step_one(
             survivors,
             expansions + (stats.expansions - expansions_before),
             lookup_stats.arc_probes - probes_before,
-            stats.token_writes - writes_before,
+            stats.words_emitted - words_before,
         )
     )
     stats.tokens_created += table.inserts

@@ -47,7 +47,6 @@ class LookupStats:
     olt_hits: int = 0
     olt_misses: int = 0
     backoff_arcs_taken: int = 0
-    preemptive_prunes: int = 0
     # LM expansion cache activity (the batched resolve engine).  The
     # cache models residency only, so these are excluded from
     # equality: scalar runs, which never touch the cache, must still
@@ -464,7 +463,6 @@ class LmLookup:
                 f"word {word_id} not found at the unigram state; the LM "
                 "must keep all unigrams (Section 3.3 guarantee)"
             )
-        self.stats.preemptive_prunes += 1
         return ResolveResult(accumulated - entry_cost, nxt, True, levels)
 
     # -- batched resolution (the batched epsilon phase's engine) ------------
@@ -681,7 +679,6 @@ class LmLookup:
         stats.lookups += lookups
         stats.arc_probes += sum(out_steps)
         stats.backoff_arcs_taken += backoffs
-        stats.preemptive_prunes += prunes
         stats.olt_hits += hits
         if use_olt:
             stats.olt_misses += lookups - hits

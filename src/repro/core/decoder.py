@@ -95,14 +95,15 @@ class DecoderStats:
     tokens_created: int = 0
     tokens_recombined: int = 0
     beam_pruned: int = 0
+    #: Cross-word arcs the LM lookup pruned (it keeps no count of its own).
     preemptive_pruned: int = 0
+    #: Arcs walked: one AM arc fetch each.
     expansions: int = 0
+    #: Words emitted: one lattice node (token write) each.
     words_emitted: int = 0
     am_state_fetches: int = 0
-    am_arc_fetches: int = 0
-    token_writes: int = 0
     active_history: list[int] = field(default_factory=list)
-    #: Per-frame (survivors, expansions, lm_probes, token_writes) — the
+    #: Per-frame (survivors, expansions, lm_probes, words_emitted) — the
     #: work vectors the throughput pipeline model consumes.
     frame_work: list[tuple[int, int, int, int]] = field(default_factory=list)
     lookup: LookupStats = field(default_factory=LookupStats)
@@ -130,10 +131,6 @@ class DecodeResult:
     lattice: WordLattice
     #: Final hypotheses as (total cost, lattice node), best first.
     finals: list[tuple[float, int]] = field(default_factory=list)
-    #: How this result was produced: ``"serial"`` or ``"pool[N]"``.
-    #: Informational only — both strategies yield bit-identical
-    #: results; benches and the 1-CPU fallback report it.
-    strategy: str = "serial"
 
     @property
     def success(self) -> bool:
@@ -482,7 +479,7 @@ class OnTheFlyDecoder:
             if seeds:
                 expansions_before = stats.expansions
                 probes_before = lookup_stats.arc_probes
-                writes_before = stats.token_writes
+                words_before = stats.words_emitted
                 epsilon(
                     next_table, seeds, frame, lattice, stats, beam_config,
                     lookup,
@@ -492,7 +489,7 @@ class OnTheFlyDecoder:
                         survivors_count,
                         frame_expansions + stats.expansions - expansions_before,
                         lookup_stats.arc_probes - probes_before,
-                        stats.token_writes - writes_before,
+                        stats.words_emitted - words_before,
                     )
                 )
             else:
@@ -517,7 +514,6 @@ class OnTheFlyDecoder:
         seg.frame = frame
         stats.beam_pruned += beam_pruned
         stats.am_state_fetches += fetches
-        stats.am_arc_fetches += expansions
         stats.expansions += expansions
         stats.tokens_created += created
         stats.tokens_recombined += recombined
@@ -708,7 +704,6 @@ class OnTheFlyDecoder:
                 add_node(node)
         num_pairs = len(pair_olabel)
         stats.beam_pruned += beam_pruned
-        stats.am_arc_fetches += num_pairs
         stats.expansions += num_pairs
         if num_pairs == 0:
             return
@@ -762,7 +757,6 @@ class OnTheFlyDecoder:
                 node = add(olabel, frame, cost, node)
                 words_done += 1
             insert(dest, lm_state, cost, node, hint)
-        stats.token_writes += words_done
         stats.words_emitted += words_done
         if phases is not None:
             _lap(phases, "commit", mark)
@@ -854,10 +848,8 @@ class OnTheFlyDecoder:
         table.improvements += improvements
         table.recombinations += recombinations
         stats.beam_pruned += beam_pruned
-        stats.am_arc_fetches += expansions
         stats.expansions += expansions
         stats.preemptive_pruned += preemptive_pruned
-        stats.token_writes += words
         stats.words_emitted += words
 
     def _final_hypotheses(

@@ -192,9 +192,7 @@ class FullyComposedDecoder(OnTheFlyDecoder):
         table.improvements += improvements
         table.recombinations += recombinations
         stats.beam_pruned += beam_pruned
-        stats.am_arc_fetches += expansions
         stats.expansions += expansions
-        stats.token_writes += words
         stats.words_emitted += words
 
     def _final_hypotheses(

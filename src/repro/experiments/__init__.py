@@ -2,14 +2,7 @@
 
 from repro import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "TaskBundle",
-    "get_bundle",
-    "paper_bundles",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "common": (

@@ -2,27 +2,7 @@
 
 from repro import lazy_exports
 
-__all__ = [
-    "SENTENCE_START",
-    "SENTENCE_END",
-    "UNKNOWN",
-    "make_vocabulary",
-    "ReferenceGrammar",
-    "CorpusStats",
-    "corpus_stats",
-    "NGramCounts",
-    "NGramEntry",
-    "BackoffNGramModel",
-    "train_ngram_model",
-    "KneserNeyModel",
-    "train_kneser_ney",
-    "LmGraph",
-    "build_lm_graph",
-    "BACKOFF_SYMBOL",
-    "write_arpa",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "arpa": ("write_arpa",),

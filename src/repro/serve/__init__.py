@@ -20,28 +20,7 @@ serving" for the quickstart.
 
 from repro import lazy_exports
 
-__all__ = [
-    "Busy",
-    "EngineError",
-    "InlineEngine",
-    "LoadReport",
-    "MetricsRegistry",
-    "ProtocolError",
-    "run_load",
-    "Scheduler",
-    "SchedulerConfig",
-    "ServeConfig",
-    "ServeError",
-    "ShardedClient",
-    "ShardedServer",
-    "ShardRouter",
-    "TcpClient",
-    "TcpSession",
-    "TranscriptionServer",
-    "UtteranceOutcome",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "client": ("ShardedClient", "TcpClient", "TcpSession"),

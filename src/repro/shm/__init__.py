@@ -10,28 +10,7 @@ memory story and :mod:`repro.shm.segments` for the segment format.
 
 from repro import lazy_exports
 
-__all__ = [
-    "RECOGNIZER_SHM_VERSION",
-    "SHM_FORMAT_VERSION",
-    "AttachedRecognizer",
-    "SharedArrays",
-    "ShmAttachError",
-    "ShmChecksumError",
-    "ShmError",
-    "ShmVersionError",
-    "attach_arrays",
-    "attach_recognizer",
-    "bundle_quantize",
-    "pack_arrays",
-    "pack_recognizer",
-    "process_memory",
-    "rss_bytes",
-    "segment_memory",
-    "segment_name",
-    "uss_bytes",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "meminfo": (

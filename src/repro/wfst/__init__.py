@@ -13,36 +13,7 @@ from repro import lazy_exports
 # now so that it is what the package exports, whatever imports first.
 from repro.wfst.compose import compose
 
-__all__ = [
-    "EPSILON",
-    "Arc",
-    "SymbolTable",
-    "Wfst",
-    "WfstStats",
-    "linear_chain",
-    "compose",
-    "compose_with_stats",
-    "ComposeStats",
-    "connect",
-    "reachable_states",
-    "coreachable_states",
-    "shortest_path",
-    "enumerate_paths",
-    "best_path_per_io",
-    "Path",
-    "serialize",
-    "deserialize",
-    "uncompressed_size",
-    "uncompressed_size_bytes",
-    "SizeBreakdown",
-    "ARC_RECORD_BYTES",
-    "STATE_RECORD_BYTES",
-    "Semiring",
-    "TropicalSemiring",
-    "TROPICAL",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "compose": ("ComposeStats", "compose_with_stats"),
@@ -75,3 +46,5 @@ __getattr__, __dir__ = lazy_exports(
         "semiring": ("TROPICAL", "Semiring", "TropicalSemiring"),
     },
 )
+
+__all__.append("compose")

@@ -130,7 +130,7 @@ class TestCycleModel:
         return stats
 
     def test_components_sum(self):
-        stats = self._stats(expansions=100, am_state_fetches=10, token_writes=5)
+        stats = self._stats(expansions=100, am_state_fetches=10, words_emitted=5)
         stats.lookup.arc_probes = 20
         stats.lookup.olt_hits = 7
         stats.lookup.backoff_arcs_taken = 3

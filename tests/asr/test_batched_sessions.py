@@ -35,7 +35,6 @@ LOOKUP_COUNTERS = (
     "olt_hits",
     "olt_misses",
     "backoff_arcs_taken",
-    "preemptive_prunes",
     "expansion_hits",
     "expansion_misses",
     "expansion_evictions",

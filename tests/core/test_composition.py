@@ -216,7 +216,6 @@ class TestResolve:
             if pruned_any:
                 break
         assert pruned_any
-        assert lookup.stats.preemptive_prunes >= 1
 
     def test_preemptive_prune_never_fires_with_loose_threshold(
         self, lm, tiny_task
@@ -230,7 +229,6 @@ class TestResolve:
                 preemptive=True,
             )
             assert not result.pruned
-        assert lookup.stats.preemptive_prunes == 0
 
     def test_unknown_word_raises(self, lm):
         lookup = _lookup(lm, LookupStrategy.BINARY)

@@ -55,7 +55,7 @@ class TestRecognition:
         stats = result.stats
         assert stats.tokens_created > 0
         assert stats.am_state_fetches > 0
-        assert stats.am_arc_fetches > stats.am_state_fetches
+        assert stats.expansions > stats.am_state_fetches
         assert stats.lookup.lookups > 0
         assert stats.avg_active_tokens > 1
         assert len(stats.active_history) == stats.frames

@@ -103,7 +103,11 @@ def _walk_digest(graph, strategy, preemptive):
                     result.pruned, result.backoff_levels,
                 )
             )
-    log.append(("stats", dataclasses.astuple(lookup.stats)))
+    # The counters as the first walk recorded them: its prune count sat
+    # sixth, after ``backoff_arcs_taken``; the pruned results count it.
+    counters = list(dataclasses.astuple(lookup.stats))
+    counters.insert(5, pruned)
+    log.append(("stats", tuple(counters)))
     if lookup.offset_table is not None:
         log.append(("olt", sorted(lookup.offset_table._entries.items())))
     return hashlib.sha256(repr(log).encode()).hexdigest(), len(log), pruned

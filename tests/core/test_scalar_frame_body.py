@@ -136,8 +136,8 @@ class RecordingSink:
 #: The DecoderStats fields a frame body drives.
 _BODY_STATS = (
     "beam_pruned", "preemptive_pruned", "expansions", "words_emitted",
-    "am_state_fetches", "am_arc_fetches", "token_writes", "tokens_created",
-    "tokens_recombined", "active_history",
+    "am_state_fetches", "tokens_created", "tokens_recombined",
+    "active_history",
 )
 
 
@@ -207,7 +207,6 @@ class ReferenceBody:
                 if arc.ilabel == EPSILON:
                     continue
                 sink.on_arc_fetch(self.side, fetched, ordinal)
-                stats["am_arc_fetches"] += 1
                 stats["expansions"] += 1
                 self._insert(
                     table,
@@ -233,7 +232,6 @@ class ReferenceBody:
                 if arc.ilabel != EPSILON:
                     continue
                 sink.on_arc_fetch(self.side, fetched, ordinal)
-                stats["am_arc_fetches"] += 1
                 stats["expansions"] += 1
                 dest_lm, dest_node = lm, node
                 if arc.olabel == EPSILON:
@@ -260,7 +258,6 @@ class ReferenceBody:
                         arc.olabel, self.frame, dest_cost, node
                     )
                     sink.on_token_write(decoder._lattice_record)
-                    stats["token_writes"] += 1
                     stats["words_emitted"] += 1
                 dest = (arc.nextstate, dest_lm)
                 if self._insert(table, dest, dest_cost, dest_node) and has_epsilon(

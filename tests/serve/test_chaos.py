@@ -22,7 +22,8 @@ from time import perf_counter
 
 import pytest
 
-from repro.asr.streaming import StreamingSession, transcribe_streams
+from repro.asr import DecodePool
+from repro.asr.streaming import StreamingSession
 from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.serve import (
     InlineEngine,
@@ -87,8 +88,8 @@ def reference(tiny_task, wire_scores):
 @pytest.fixture(scope="module")
 def inline_reference(tiny_task, wire_scores):
     """Sequential parent-graph decode (the in-process engine's truth)."""
-    decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-    return transcribe_streams(decoder, wire_scores, BATCH)
+    with DecodePool(tiny_task.am, tiny_task.lm, config=CONFIG) as pool:
+        return pool.decode_scores(wire_scores)
 
 
 def make_sharded(tiny_task, shards=2) -> ShardedServer:

@@ -4,8 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.asr.streaming import transcribe_streams
-from repro.core import DecoderConfig, OnTheFlyDecoder
+from repro.asr import DecodePool
+from repro.core import DecoderConfig
 from repro.serve import ServeConfig, TranscriptionServer
 from repro.serve.loadgen import run_load
 
@@ -37,8 +37,8 @@ class TestRunLoad:
     def test_outcomes_in_input_order_and_correct(
         self, tiny_task, tiny_scores, wire_scores
     ):
-        decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-        expected = transcribe_streams(decoder, wire_scores, 8)
+        with DecodePool(tiny_task.am, tiny_task.lm, config=CONFIG) as pool:
+            expected = pool.decode_scores(wire_scores)
         report = replay(tiny_task, tiny_scores, concurrency=4)
         assert [o.index for o in report.outcomes] == list(
             range(len(tiny_scores))

@@ -13,8 +13,8 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.asr.streaming import transcribe_streams
-from repro.core import DecoderConfig, OnTheFlyDecoder
+from repro.asr import DecodePool
+from repro.core import DecoderConfig
 from repro.serve import (
     ServeConfig,
     ServeError,
@@ -34,15 +34,15 @@ BATCH_FRAMES = 8
 @pytest.fixture(scope="module")
 def sequential_results(tiny_task, wire_feature_scores):
     """What a ``features`` session must decode to."""
-    decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-    return transcribe_streams(decoder, wire_feature_scores, BATCH_FRAMES)
+    with DecodePool(tiny_task.am, tiny_task.lm, config=CONFIG) as pool:
+        return pool.decode_scores(wire_feature_scores)
 
 
 @pytest.fixture(scope="module")
 def score_results(tiny_task, wire_scores):
     """What a ``scores`` session must decode to."""
-    decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-    return transcribe_streams(decoder, wire_scores, BATCH_FRAMES)
+    with DecodePool(tiny_task.am, tiny_task.lm, config=CONFIG) as pool:
+        return pool.decode_scores(wire_scores)
 
 
 class CountingScorer:
@@ -115,8 +115,8 @@ class TestFeatureStreaming:
     ):
         """The wire quantizes features to float32: costs drift from the
         float64 decode, transcripts hold on this task."""
-        decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-        exact = transcribe_streams(decoder, tiny_scores, BATCH_FRAMES)
+        with DecodePool(tiny_task.am, tiny_task.lm, config=CONFIG) as pool:
+            exact = pool.decode_scores(tiny_scores)
         finals, _ = stream_utterances(tiny_task, tiny_scorer, tiny_utterances)
         for final, want in zip(finals, exact):
             assert final["words"] == want.words

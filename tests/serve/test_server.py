@@ -11,7 +11,8 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.asr.streaming import StreamingSession, transcribe_streams
+from repro.asr import DecodePool
+from repro.asr.streaming import StreamingSession
 from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.serve import (
     Busy,
@@ -32,10 +33,10 @@ BATCH_FRAMES = 8
 
 @pytest.fixture(scope="module")
 def sequential_results(tiny_task, wire_scores):
-    """The ground truth every served transcript must match: sequential
-    streaming of the matrices the server receives."""
-    decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-    return transcribe_streams(decoder, wire_scores, BATCH_FRAMES)
+    """The ground truth every served transcript must match: a decode of
+    each matrix the server receives (streamed finals equal it)."""
+    with DecodePool(tiny_task.am, tiny_task.lm, config=CONFIG) as pool:
+        return pool.decode_scores(wire_scores)
 
 
 def make_server(tiny_task, **overrides) -> TranscriptionServer:
@@ -846,9 +847,7 @@ class TestProcessEngine:
         with DecodePool(
             tiny_task.am, tiny_task.lm, scorer=tiny_scorer, config=CONFIG
         ) as pool:
-            expected = pool.decode_streams(
-                wire_scores[:4], batch_frames=BATCH_FRAMES
-            )
+            expected = pool.decode_scores(wire_scores[:4])
 
         async def scenario():
             server = ShardedServer(

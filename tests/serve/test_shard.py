@@ -20,8 +20,8 @@ from time import perf_counter
 
 import pytest
 
-from repro.asr.streaming import transcribe_streams
-from repro.core import DecoderConfig, OnTheFlyDecoder
+from repro.asr import DecodePool
+from repro.core import DecoderConfig
 from repro.serve import (
     ServeConfig,
     ServeError,
@@ -45,11 +45,11 @@ pytestmark = pytest.mark.usefixtures("no_leaked_segments")
 
 @pytest.fixture(scope="module")
 def quantized_results(tiny_task, wire_scores):
-    """Ground truth: sequential streaming over the quantized graphs, of
-    the scores the shards receive."""
+    """Ground truth: a decode over the quantized graphs of the scores
+    the shards receive (streamed finals equal it)."""
     am, lm = bundle_quantize(tiny_task.am, tiny_task.lm)
-    decoder = OnTheFlyDecoder(am, lm, CONFIG)
-    return transcribe_streams(decoder, wire_scores, BATCH_FRAMES)
+    with DecodePool(am, lm, config=CONFIG) as pool:
+        return pool.decode_scores(wire_scores)
 
 
 def make_sharded(tiny_task, shards=2, **overrides) -> ShardedServer:

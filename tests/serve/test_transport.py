@@ -23,8 +23,8 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.asr.streaming import transcribe_streams
-from repro.core import DecoderConfig, OnTheFlyDecoder
+from repro.asr import DecodePool
+from repro.core import DecoderConfig
 from repro.serve import (
     ServeConfig,
     ServeError,
@@ -43,8 +43,8 @@ BATCH_FRAMES = 8
 
 @pytest.fixture(scope="module")
 def sequential_results(tiny_task, wire_scores):
-    decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-    return transcribe_streams(decoder, wire_scores, BATCH_FRAMES)
+    with DecodePool(tiny_task.am, tiny_task.lm, config=CONFIG) as pool:
+        return pool.decode_scores(wire_scores)
 
 
 async def _started_server(tiny_task, **overrides) -> TranscriptionServer:
@@ -372,8 +372,8 @@ def test_a_batch_past_64_kib_decodes(tiny_task, tiny_scores):
         }
     )
     assert len(line) > 1 << 16
-    decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-    (want,) = transcribe_streams(decoder, [wire(scores)], 32)
+    with DecodePool(tiny_task.am, tiny_task.lm, config=CONFIG) as pool:
+        (want,) = pool.decode_scores([wire(scores)])
 
     async def scenario():
         server = await _started_server(tiny_task)
