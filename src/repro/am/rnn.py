@@ -10,12 +10,13 @@ trainable in closed form.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.am.readout import check_alignments, targets_product
+from repro.am.readout import _SMALL_PRODUCT, check_alignments, targets_product
 from repro.am.scorer import ScorerKind
 from repro.cpus import visible_cpus
 
@@ -96,9 +97,13 @@ class RnnAcousticModel:
         return model
 
     def _run_reservoir(
-        self, features: np.ndarray, out: np.ndarray | None = None
+        self,
+        features: np.ndarray,
+        out: np.ndarray | None = None,
+        h: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Reservoir state per frame, written into ``out`` when given.
+        """Reservoir state per frame, written into ``out`` when given,
+        starting from state ``h`` (zeros when ``None``).
 
         The input projections of all frames are one *stacked* gemv —
         ``(T, 1, dim) @ (dim, hidden)`` makes the same BLAS call per
@@ -107,7 +112,10 @@ class RnnAcousticModel:
         written straight into the state rows, so a run allocates no
         ``(T, hidden)`` temporary (``fit`` runs several at once).  The
         recurrence then adds ``h @ w_rec``, from one scratch vector, to
-        each frame's row and takes the ``tanh`` in place.
+        each frame's row and takes the ``tanh`` in place.  Every frame
+        makes the same calls on the same values however the frames are
+        split into runs, as long as each run starts from the last state
+        of the one before.
         """
         features = np.asarray(features)
         hidden = self.w_in.shape[1]
@@ -116,7 +124,7 @@ class RnnAcousticModel:
             return states
         np.matmul(features[:, None, :], self.w_in, out=states[:, None, :])
         w_rec = self.w_rec
-        h = np.zeros(hidden)
+        h = np.zeros(hidden) if h is None else h
         recurrent = np.empty(hidden)
         for t in range(len(features)):
             row = states[t]
@@ -125,6 +133,37 @@ class RnnAcousticModel:
             np.tanh(row, out=row)
             h = row
         return states
+
+    def stream(self) -> "RnnScoreStream":
+        """A scorer for one utterance fed a block of rows at a time,
+        carrying the reservoir state from each block to the next."""
+        return RnnScoreStream(self)
+
+    def block_edges(self, frames: int) -> list[int]:
+        """Row edges of the blocks :meth:`score` feeds its stream.
+
+        Each block is the fewest rows whose read-out product (``rows *
+        hidden * senones`` multiply-adds) exceeds
+        :data:`~repro.am.readout._SMALL_PRODUCT`, and a shorter tail
+        joins the block before it.  Every block's product then takes
+        OpenBLAS's blocked kernel, as the whole utterance's product
+        does, and each row's scores are bit-identical to that product's
+        (a block under the bound would take the small-matrix kernel,
+        whose sums differ).  An utterance shorter than one block is one
+        block, as it always was.
+        """
+        rows = _SMALL_PRODUCT // (self.hidden * self.num_senones) + 1
+        edges = list(range(0, frames - rows + 1, rows)) or [0]
+        return edges + [frames]
+
+    def score_blocks(self, features: np.ndarray) -> Iterator[np.ndarray]:
+        """:meth:`score`'s rows, one block (:meth:`block_edges`) at a
+        time, from one stream."""
+        features = np.asarray(features)
+        stream = self.stream()
+        edges = self.block_edges(len(features))
+        for lo, hi in zip(edges, edges[1:]):
+            yield stream.push(features[lo:hi])
 
     @property
     def num_senones(self) -> int:
@@ -156,23 +195,50 @@ class RnnAcousticModel:
             )
         )
 
-    def posteriors(self, features: np.ndarray) -> np.ndarray:
-        """Senone posteriors (least-squares estimates, clip-normalized)."""
-        states = self._run_reservoir(features)
+    def _scores(self, states: np.ndarray) -> np.ndarray:
+        """Scaled log-likelihoods of reservoir states, row by row.
+
+        The read-out posteriors are least-squares estimates,
+        clip-normalized per row.
+        """
         raw = np.maximum(states @ self.w_out, 0.0)
         norm = raw.sum(axis=1, keepdims=True)
         flat = norm[:, 0] <= 0
         if np.any(flat):
             raw[flat] = 1.0
             norm = raw.sum(axis=1, keepdims=True)
-        return raw / norm
-
-    def score(self, features: np.ndarray) -> np.ndarray:
-        """Scaled log-likelihoods over the whole utterance."""
-        posteriors = np.maximum(self.posteriors(features), _POSTERIOR_FLOOR)
+        posteriors = np.maximum(raw / norm, _POSTERIOR_FLOOR)
         scores = np.log(posteriors) - self.prior_scale * self.log_priors[None, :]
         if self.seen_mask is not None:
             from repro.am.dnn import UNSEEN_SENONE_SCORE
 
             scores[:, ~self.seen_mask] = UNSEEN_SENONE_SCORE
         return scores
+
+    def score(self, features: np.ndarray) -> np.ndarray:
+        """Scaled log-likelihoods over the whole utterance: its stream
+        fed :meth:`block_edges`' blocks."""
+        return np.concatenate(list(self.score_blocks(features)))
+
+
+class RnnScoreStream:
+    """One utterance's scores, a block of feature rows at a time.
+
+    The reservoir state carries from each :meth:`push` to the next, so
+    the rows equal those of scoring the whole utterance at once up to
+    the read-out product, which each block takes on its own: blocks cut
+    at :meth:`RnnAcousticModel.block_edges` reproduce
+    :meth:`RnnAcousticModel.score` bit for bit, and shorter blocks
+    agree to within the rounding of their read-out sums.
+    """
+
+    def __init__(self, model: RnnAcousticModel) -> None:
+        self.model = model
+        self._h: np.ndarray | None = None  # last state; zeros before any
+
+    def push(self, features: np.ndarray) -> np.ndarray:
+        """Scores of the next ``len(features)`` frames."""
+        states = self.model._run_reservoir(features, h=self._h)
+        if len(states):
+            self._h = states[-1].copy()
+        return self.model._scores(states)

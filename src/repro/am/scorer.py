@@ -9,6 +9,11 @@ the paper evaluates: GMM (Kaldi-Tedlium/Voxforge), DNN
 Each scorer also reports its parameter footprint (Figure 2's dataset
 sizing) and per-frame arithmetic cost (the GPU timing model's input for
 Figures 1, 12 and 13).
+
+GMM and DNN frames score independently.  A recurrent scorer (the RNN)
+carries state from frame to frame, and says so by offering
+``stream()``, a scorer of one utterance fed a block of rows at a time,
+and ``score_blocks()``, the rows of ``score()`` a block at a time.
 """
 
 from __future__ import annotations

@@ -40,8 +40,26 @@ submission order.  Two mechanisms make that hold:
 
 Asking for ``parallelism > 1`` on a host exposing a single CPU decodes
 serially in-process instead: forked workers would only add
-serialization overhead on top of zero actual concurrency.  The pool's
-``strategy`` names the path it took: ``serial`` or ``pool[N]``.
+serialization overhead on top of zero actual concurrency.
+
+A serial pool whose scorer is recurrent (it offers ``stream()``, as
+the RNN does) scores ahead on a host with two or more visible CPUs:
+one worker process, forked as the pool is built, scores each
+utterance a block of rows at a time
+(:meth:`~repro.am.rnn.RnnAcousticModel.score_blocks`) and sends the
+blocks down a pipe, while the pool searches the blocks that have
+arrived (:meth:`~repro.core.decoder.OnTheFlyDecoder.decode_blocks`),
+and it scores utterance ``k + 1`` while the pool searches the end of
+utterance ``k``.  The blocks are the rows ``score()`` returns, and the
+search consumes any chunking of them alike (the streaming parity
+contract), so the results are the serial ones.  If the worker dies,
+the utterance it was scoring is rescored in-process from frame 0, and
+so is everything after it.  Frame-parallel scorers (GMM, DNN) score
+in-process: their scoring is too small a share of a frame to pay for
+the two processes' contention.
+
+The pool's ``strategy`` names what it was built as: ``serial``,
+``score-ahead`` or ``pool[N]``.
 
 Streams need no entry point of their own: a streamed final equals the
 decode of the same scores (the streaming parity contract), so a batch
@@ -50,7 +68,11 @@ of streams is a batch for :meth:`DecodePool.decode_scores`.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import signal
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -105,6 +127,129 @@ def _decode_features_job(features: np.ndarray) -> DecodeResult:
     return _cold_decode(_WORKER_DECODER, _WORKER_SCORER.score(features))
 
 
+#: What the pool sends its score-ahead worker to make it exit.  The
+#: worker does not wait for its pipe's end of file: a process forked
+#: later (another pool's worker) holds a copy of the pipe's write end.
+_STOP = None
+
+
+def _score_ahead_main(scorer, commands, blocks) -> None:
+    """The score-ahead worker: score each utterance's features the pool
+    sends, one ``send_bytes`` per block of rows, until the stop
+    message.  A scoring error is sent as an empty message followed by
+    the exception."""
+    # Ctrl-C is the pool's process's to handle; it stops the worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while (features := commands.recv()) is not _STOP:
+            try:
+                if len(features):  # a zero-frame utterance is owed no rows
+                    for block in scorer.score_blocks(features):
+                        blocks.send_bytes(block)
+            except Exception as exc:
+                blocks.send_bytes(b"")
+                blocks.send(exc)
+    except (EOFError, OSError):  # the pool's process is gone
+        pass
+
+
+class _WorkerLost(Exception):
+    """The score-ahead worker died or its pipes broke."""
+
+
+class _ScoreAhead:
+    """The pool's end of its score-ahead worker.
+
+    :meth:`send` queues an utterance's features, and :meth:`blocks`
+    reads back the oldest queued utterance's score rows into one
+    matrix, as they arrive.
+    """
+
+    def __init__(self, scorer: AcousticScorer) -> None:
+        context = multiprocessing.get_context("fork")
+        commands, self._commands = context.Pipe(duplex=False)
+        self._blocks, blocks = context.Pipe(duplex=False)
+        self._width = scorer.num_senones
+        #: Rows owed per queued utterance, oldest first.
+        self._owed: deque[int] = deque()
+        # Objects alive now stay out of the cyclic collector's passes,
+        # in both processes: a pass writes to every object it visits,
+        # which would copy the pages the worker shares with the pool.
+        gc.freeze()
+        self.process = context.Process(
+            target=_score_ahead_main,
+            args=(scorer, commands, blocks),
+            name="score-ahead",
+            daemon=True,
+        )
+        self.process.start()
+        commands.close()
+        blocks.close()
+
+    @property
+    def idle(self) -> bool:
+        return not self._owed
+
+    def send(self, features: np.ndarray) -> None:
+        features = np.asarray(features)
+        frames = len(features)
+        try:
+            self._commands.send(features)
+        except OSError as exc:
+            raise _WorkerLost from exc
+        self._owed.append(frames)
+
+    def blocks(self, then: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """The oldest queued utterance's score rows: each time, every
+        row that has arrived and not been yielded.  ``then`` is sent
+        as soon as the last row is in, so the worker scores it while
+        the caller searches the rest of this one."""
+        frames = self._owed[0]
+        scores = np.empty((frames, self._width))
+        buffer = scores.view(np.uint8).reshape(-1)  # the same memory
+        row_bytes = scores.itemsize * self._width
+        at = ready = 0
+        while ready < frames:
+            ready += self._receive(buffer, ready * row_bytes) // row_bytes
+            while ready < frames and self._blocks.poll():
+                ready += self._receive(buffer, ready * row_bytes) // row_bytes
+            if ready < frames:
+                yield scores[at:ready]
+                at = ready
+        self._owed.popleft()
+        if then is not None:
+            self.send(then)
+        yield scores[at:]
+
+    def _receive(self, buffer: np.ndarray, offset: int) -> int:
+        try:
+            size = self._blocks.recv_bytes_into(buffer, offset)
+            error = self._blocks.recv() if size == 0 else None
+        except (EOFError, OSError) as exc:
+            raise _WorkerLost from exc
+        if error is not None:  # the worker's scoring raised
+            self._owed.popleft()
+            raise error
+        return size
+
+    def close(self) -> None:
+        """Stop the worker (kill it if it owes rows, or has not stopped
+        10 s after the stop message) and reap it."""
+        if self._owed or not self.process.is_alive():
+            self.process.kill()
+        else:
+            try:
+                self._commands.send(_STOP)
+            except OSError:
+                pass
+            self.process.join(10.0)
+            if self.process.exitcode is None:
+                self.process.kill()
+        self.process.join()
+        self._commands.close()
+        self._blocks.close()
+
+
 class DecodePool:
     """Decode batches of utterances, optionally across processes.
 
@@ -115,7 +260,14 @@ class DecodePool:
         parallelism: worker process count; ``1`` decodes in-process,
             and so does any count on a host that exposes a single
             visible CPU, where workers would time-slice one core.
-            Results are identical either way.
+            A serial pool of a recurrent scorer on a host with two or
+            more visible CPUs searches in-process and scores ahead in
+            one forked worker.  Results are identical either way.
+
+    ``strategy`` names what the pool was built as — ``serial``,
+    ``score-ahead`` or ``pool[N]`` — and keeps naming it after
+    :meth:`close`.  :meth:`close` stops and reaps every process the
+    pool started.
     """
 
     def __init__(
@@ -144,8 +296,12 @@ class DecodePool:
         self.parallelism = parallelism
         self._scorer = scorer
         self._executor: ProcessPoolExecutor | None = None
+        self._ahead: _ScoreAhead | None = None
         self._decoder: OnTheFlyDecoder | None = None
         self._shm = None
+        #: How this pool decodes: ``serial``, ``score-ahead`` or
+        #: ``pool[N]``; what it was built as, also after :meth:`close`.
+        self.strategy = "serial"
         if scorer is not None:
             if parallelism == 1:
                 # Decode the deployable artifact: the tables a worker
@@ -155,6 +311,9 @@ class DecodePool:
                 self._decoder = OnTheFlyDecoder(
                     am, lm, self.config, tables=tables
                 )
+                if hasattr(scorer, "stream") and visible_cpus() >= 2:
+                    self._ahead = _ScoreAhead(scorer)
+                    self.strategy = "score-ahead"
             else:
                 # Pack the recognizer once; every worker's initializer
                 # attaches the segment (no bundle load, no graph or
@@ -172,15 +331,9 @@ class DecodePool:
                     initializer=_shm_worker_init,
                     initargs=(self._shm.segment_name, self.config),
                 )
+                self.strategy = f"pool[{parallelism}]"
         else:
             self._decoder = OnTheFlyDecoder(am, lm, self.config)
-
-    @property
-    def strategy(self) -> str:
-        """How this pool decodes: ``serial`` or ``pool[N]``."""
-        if self._executor is not None:
-            return f"pool[{self.parallelism}]"
-        return "serial"
 
     def _chunksize(self, num_jobs: int) -> int:
         """Batch jobs per pickle: a couple of chunks per worker."""
@@ -203,6 +356,8 @@ class DecodePool:
         """Score and decode utterances; results in input order."""
         if self._scorer is None:
             raise ValueError("DecodePool built without a scorer")
+        if self._ahead is not None:
+            return self._decode_ahead([u.features for u in utterances])
         if self._executor is None:
             assert self._decoder is not None
             return [
@@ -217,9 +372,45 @@ class DecodePool:
             )
         )
 
+    def _decode_ahead(self, features: list[np.ndarray]) -> list[DecodeResult]:
+        """:meth:`decode_utterances` through the score-ahead worker,
+        scoring in-process from the first utterance it does not
+        finish."""
+        decoder = self._decoder
+        assert decoder is not None
+        results = []
+        for k, utterance in enumerate(features):
+            ahead = self._ahead
+            if ahead is not None:
+                then = features[k + 1] if k + 1 < len(features) else None
+                try:
+                    if ahead.idle:
+                        ahead.send(utterance)
+                    decoder.lookup.reset_transient_state()
+                    results.append(decoder.decode_blocks(ahead.blocks(then)))
+                    continue
+                except _WorkerLost:
+                    self._stop_ahead()
+                except BaseException:
+                    # Rows still in flight would reach the next call
+                    # out of order: the worker goes.
+                    if not ahead.idle:
+                        self._stop_ahead()
+                    raise
+            results.append(
+                _cold_decode(decoder, self._scorer.score(utterance))
+            )
+        return results
+
+    def _stop_ahead(self) -> None:
+        if self._ahead is not None:
+            self._ahead.close()
+            self._ahead = None
+
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
+        self._stop_ahead()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None

@@ -131,10 +131,13 @@ class AsrSystem:
         ``parallelism > 1`` fans utterances out over worker processes
         (see :class:`repro.asr.parallel.DecodePool`).  On hosts with a
         single visible CPU such a request quietly decodes serially —
-        process fan-out can't help there.  Every strategy returns
-        bit-identical results in input order, and streamed finals equal
-        them: a batch of streams is a batch for this call.  The pool's
-        ``strategy`` records which one ran.
+        process fan-out can't help there.  A serial call with a
+        recurrent scorer on a host with two or more visible CPUs
+        scores ahead in one worker process while it searches.  Every
+        strategy returns bit-identical results in input order, and
+        streamed finals equal them: a batch of streams is a batch for
+        this call.  The pool's ``strategy`` records which one ran;
+        :meth:`close` stops every worker.
         """
         pool = self._pool_for(config, parallelism)
         return pool.decode_utterances(utterances)

@@ -81,7 +81,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         parallelism=args.parallelism,
     ) as pool:
         results = pool.decode_utterances(utterances)
-        strategy = pool.strategy
     hypotheses = []
     for utterance, result in zip(utterances, results):
         hypotheses.append(result.words)
@@ -91,7 +90,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     wer = word_error_rate([u.words for u in utterances], hypotheses)
     print(
         f"\nWER: {wer:.1%} over {len(utterances)} utterances "
-        f"(strategy: {strategy})"
+        f"(strategy: {pool.strategy})"
     )
     return 0
 

@@ -11,7 +11,7 @@ fully-composed WFST is never materialized.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
@@ -301,21 +301,28 @@ class OnTheFlyDecoder:
 
     def decode(self, scores: np.ndarray) -> DecodeResult:
         """Decode one utterance from its acoustic score matrix."""
-        if scores.ndim != 2 or scores.shape[1] < self.am.num_senones:
-            raise ValueError(
-                f"score matrix shape {scores.shape} incompatible with "
-                f"{self.am.num_senones} senones"
-            )
+        return self.decode_blocks([scores])
+
+    def decode_blocks(self, blocks: Iterable[np.ndarray]) -> DecodeResult:
+        """Decode one utterance whose score rows arrive a block at a
+        time; the result equals :meth:`decode`'s of the blocks stacked
+        (the streaming parity contract), whatever their sizes."""
         profile = self.config.profile
         started = perf_counter() if profile else 0.0
         self._phase_seconds = dict.fromkeys(_PHASES, 0.0) if profile else None
         start_lookup = self.lookup.stats.clone()
         seg = self.new_segment()
-        # Every regime sees bit-identical float64 score values.
-        advance_segment(
-            self, seg, np.ascontiguousarray(scores, dtype=np.float64)
-        )
-        seg.stats.frames = scores.shape[0]
+        for scores in blocks:
+            if scores.ndim != 2 or scores.shape[1] < self.am.num_senones:
+                raise ValueError(
+                    f"score matrix shape {scores.shape} incompatible with "
+                    f"{self.am.num_senones} senones"
+                )
+            # Every regime sees bit-identical float64 score values.
+            advance_segment(
+                self, seg, np.ascontiguousarray(scores, dtype=np.float64)
+            )
+        seg.stats.frames = seg.frame
         seg.stats.lookup = self.lookup.stats.since(start_lookup)
         result = self._finalize(seg.table, seg.lattice, seg.stats)
         if profile:

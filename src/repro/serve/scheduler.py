@@ -27,7 +27,11 @@ messages.
 
 The queues hold score matrices only.  A ``features`` session's batch
 is scored in :meth:`Scheduler.push`, after its admission checks, on
-the loop's thread; a scoring failure fails that session alone.
+the loop's thread; a scoring failure fails that session alone.  A
+recurrent scorer (one that offers ``stream()``, as the RNN does)
+scores each session through its own stream, so the reservoir state
+carries from one push to the next as it does through an utterance
+scored whole.
 
 A cycle is one plain call: select, decode, emit.  Nothing in it
 suspends, so the loop task awaits only to park when no session has a
@@ -97,6 +101,9 @@ class Session:
     #: What this session's FRAMES batches carry (START negotiation);
     #: ``features`` batches are scored as they are pushed.
     payload: str = protocol.PAYLOAD_SCORES
+    #: A recurrent scorer's stream over this session's ``features``
+    #: batches, made at its first admitted push.
+    stream: object | None = None
     queue: deque = field(default_factory=deque)
     finish_requested: bool = False
     closed: bool = False
@@ -239,7 +246,7 @@ class Scheduler:
                 started = perf_counter()
                 try:
                     batch = np.asarray(
-                        self.scorer.score(batch), dtype=np.float64
+                        self._score(session, batch), dtype=np.float64
                     )
                 except Exception as exc:
                     self.fail(session, f"acoustic scoring failed: {exc}")
@@ -250,6 +257,15 @@ class Scheduler:
         session.last_activity = perf_counter()
         self._queue_changed(1)
         self._wake.set()
+
+    def _score(self, session: Session, features: np.ndarray) -> np.ndarray:
+        """Scores of one admitted ``features`` batch of ``session``."""
+        scorer = self.scorer
+        if not hasattr(scorer, "stream"):
+            return scorer.score(features)
+        if session.stream is None:
+            session.stream = scorer.stream()
+        return session.stream.push(features)
 
     def request_finish(self, session: Session) -> None:
         """Ask for the final result once queued batches are decoded."""

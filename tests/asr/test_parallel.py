@@ -252,3 +252,186 @@ class TestAsrSystemStreams:
         for got, want in zip(first, second):
             assert got.words == want.words
             assert got.cost == want.cost
+
+
+def _pool(task, scorer, cpus, monkeypatch, **options):
+    """A pool built as on a host with ``cpus`` visible CPUs."""
+    import repro.asr.parallel as parallel_mod
+
+    monkeypatch.setattr(parallel_mod, "visible_cpus", lambda: cpus)
+    return DecodePool(task.am, task.lm, scorer=scorer, config=CONFIG, **options)
+
+
+@pytest.fixture(scope="module")
+def long_utterances():
+    """Utterances up to 12 words: the longer ones are several blocks."""
+    from repro.asr import TINY, build_task
+
+    return build_task(TINY).test_set(5, max_words=12)
+
+
+@pytest.fixture(scope="module")
+def rnn_serial_results(tiny_task, tiny_rnn, long_utterances):
+    """The RNN's results scoring in-process: a one-CPU host's pool."""
+    with pytest.MonkeyPatch.context() as patch:
+        with _pool(tiny_task, tiny_rnn, 1, patch) as pool:
+            assert pool.strategy == "serial"
+            return pool.decode_utterances(long_utterances)
+
+
+def _assert_same(results, want):
+    assert len(results) == len(want)
+    for got, expected in zip(results, want):
+        assert got.words == expected.words
+        assert got.cost == expected.cost
+        assert got.stats == expected.stats
+
+
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` is no child of this process any more (reaped)."""
+    import os
+
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestScoreAhead:
+    """A serial pool of a recurrent scorer scores in a forked worker,
+    and decodes exactly what it decodes scoring in-process."""
+
+    def test_strategy_is_what_the_pool_was_built_as(
+        self, tiny_task, tiny_scorer, tiny_rnn, monkeypatch
+    ):
+        """``serial``, ``score-ahead`` and ``pool[2]``, inside the
+        ``with`` block and after it."""
+        for scorer, options, strategy in [
+            (tiny_scorer, {}, "serial"),
+            (tiny_rnn, {}, "score-ahead"),
+            (tiny_scorer, {"parallelism": 2}, "pool[2]"),
+        ]:
+            with _pool(tiny_task, scorer, 2, monkeypatch, **options) as pool:
+                assert pool.strategy == strategy
+            assert pool.strategy == strategy
+        with _pool(tiny_task, tiny_rnn, 1, monkeypatch) as pool:
+            assert pool.strategy == "serial"
+
+    def test_score_ahead_equals_serial(
+        self, tiny_task, tiny_rnn, long_utterances, rnn_serial_results,
+        monkeypatch,
+    ):
+        """Batch after batch, and one utterance per call (as a bench's
+        ``transcribe([u])`` loop sends them), with a zero-frame
+        utterance in between."""
+        frames = [u.num_frames for u in long_utterances]
+        assert max(len(tiny_rnn.block_edges(n)) for n in frames) > 3
+        empty = types.SimpleNamespace(features=long_utterances[0].features[:0])
+        with _pool(tiny_task, tiny_rnn, 2, monkeypatch) as pool:
+            assert pool.strategy == "score-ahead"
+            _assert_same(
+                pool.decode_utterances(long_utterances), rnn_serial_results
+            )
+            one_by_one = [
+                pool.decode_utterances([u])[0] for u in long_utterances
+            ]
+            _assert_same(one_by_one, rnn_serial_results)
+            mixed = pool.decode_utterances(
+                [long_utterances[0], empty, long_utterances[1]]
+            )
+            assert mixed[1].stats.frames == 0
+            _assert_same(mixed[::2], rnn_serial_results[:2])
+            assert pool._ahead is not None
+
+    def test_a_scoring_error_is_raised_and_the_worker_kept(
+        self, tiny_task, tiny_rnn, long_utterances, rnn_serial_results,
+        monkeypatch,
+    ):
+        """The worker's exception reaches the caller as scoring
+        in-process raises it, and the next call still scores ahead."""
+        bad = types.SimpleNamespace(
+            features=np.zeros((20, tiny_rnn.dim + 1))
+        )
+        with pytest.raises(ValueError) as in_process:
+            tiny_rnn.score(bad.features)
+        with _pool(tiny_task, tiny_rnn, 2, monkeypatch) as pool:
+            with pytest.raises(ValueError) as ahead:
+                pool.decode_utterances([bad, long_utterances[0]])
+            assert str(ahead.value) == str(in_process.value)
+            worker = pool._ahead
+            _assert_same(
+                pool.decode_utterances(long_utterances[:2]),
+                rnn_serial_results[:2],
+            )
+            assert pool._ahead is worker and worker.process.is_alive()
+
+    def test_a_worker_killed_mid_utterance(
+        self, tiny_task, tiny_rnn, long_utterances, rnn_serial_results,
+        monkeypatch,
+    ):
+        """The worker kills itself after sending an utterance's first
+        block: that utterance is rescored in-process from frame 0, so
+        is the rest of the batch, every result is the serial pool's,
+        and the dead worker is reaped."""
+        import os
+        import signal
+
+        from repro.am.rnn import RnnAcousticModel
+
+        first = max(
+            range(len(long_utterances)),
+            key=lambda k: long_utterances[k].num_frames,
+        )
+        assert len(tiny_rnn.block_edges(long_utterances[first].num_frames)) > 2
+        pool_pid = os.getpid()
+        score_blocks = RnnAcousticModel.score_blocks
+
+        def dies_after_one_block(self, features):
+            blocks = score_blocks(self, features)
+            yield next(blocks)
+            if os.getpid() != pool_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield from blocks
+
+        # Patched before the fork: the worker inherits it.
+        monkeypatch.setattr(
+            RnnAcousticModel, "score_blocks", dies_after_one_block
+        )
+        order = [first] + [k for k in range(len(long_utterances)) if k != first]
+        with _pool(tiny_task, tiny_rnn, 2, monkeypatch) as pool:
+            worker = pool._ahead.process
+            results = pool.decode_utterances([long_utterances[k] for k in order])
+            assert pool._ahead is None and pool.strategy == "score-ahead"
+            assert worker.exitcode == -signal.SIGKILL
+            assert _gone(worker.pid)
+        _assert_same(results, [rnn_serial_results[k] for k in order])
+
+    def test_close_leaves_no_child_process(
+        self, tiny_task, tiny_rnn, long_utterances, monkeypatch
+    ):
+        """Two pools' workers alive at once: the second inherits the
+        first's pipe ends, so the first must stop on its stop message,
+        not on end of file.  Each exits cleanly and is reaped, and so
+        are an ``AsrSystem``'s."""
+        from repro.asr import AsrSystem
+
+        first = _pool(tiny_task, tiny_rnn, 2, monkeypatch)
+        second = _pool(tiny_task, tiny_rnn, 2, monkeypatch)
+        workers = [first._ahead.process, second._ahead.process]
+        for pool in (first, second):
+            pool.decode_utterances(long_utterances[:1])
+        first.close()
+        assert workers[0].exitcode == 0 and _gone(workers[0].pid)
+        assert workers[1].is_alive()
+        second.close()
+        assert workers[1].exitcode == 0 and _gone(workers[1].pid)
+
+        system = AsrSystem(task=tiny_task, scorer=tiny_rnn)
+        system.transcribe(long_utterances[:1], config=CONFIG)
+        system.transcribe(long_utterances[:1], config=DecoderConfig(beam=10.0))
+        workers = [pool._ahead.process for pool in system._pools.values()]
+        assert len(workers) == 2
+        system.close()
+        for worker in workers:
+            assert worker.exitcode == 0 and _gone(worker.pid)

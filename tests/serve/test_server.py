@@ -47,8 +47,10 @@ def make_server(tiny_task, **overrides) -> TranscriptionServer:
     )
 
 
-async def stream_one(client, scores, batch_frames=BATCH_FRAMES):
-    session = await client.open()
+async def stream_one(
+    client, scores, batch_frames=BATCH_FRAMES, payload=protocol.PAYLOAD_SCORES
+):
+    session = await client.open(payload=payload)
     for start in range(0, scores.shape[0], batch_frames):
         await session.push(scores[start : start + batch_frames])
     return await session.finish()
@@ -720,6 +722,83 @@ class TestOneWayIn:
         assert status["metrics"]["counters"]["sessions_failed"] == 1
         want = sequential_results[0]
         assert (final["words"], final["cost"]) == (want.words, want.cost)
+
+    def test_an_rnn_features_session_carries_its_state_across_pushes(
+        self, tiny_task, tiny_rnn, tiny_utterances
+    ):
+        """A ``features`` session of a recurrent scorer scores its
+        pushes through one stream.  Its final has the words of the
+        offline decode of the features the server receives and its cost
+        to rel 1e-9 (each push's read-out product is its own), and it
+        equals, bit for bit, a solo session fed a stream's scores of the
+        same wire pushes.  Scoring each push from a zero state would
+        miss both."""
+        async def scenario():
+            server = TranscriptionServer(
+                tiny_task.am, tiny_task.lm, decoder_config=CONFIG,
+                scorer=tiny_rnn,
+            )
+            async with server:
+                client = await server.connect_local()
+                try:
+                    return await asyncio.gather(
+                        *(
+                            stream_one(client, u.features, payload="features")
+                            for u in tiny_utterances
+                        )
+                    )
+                finally:
+                    await client.close()
+
+        finals = asyncio.run(scenario())
+        decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
+        for final, utterance in zip(finals, tiny_utterances):
+            want = decoder.decode(tiny_rnn.score(wire(utterance.features)))
+            assert final["words"] == want.words
+            assert final["cost"] == pytest.approx(want.cost, rel=1e-9)
+        for final, utterance in zip(finals, tiny_utterances):
+            stream = tiny_rnn.stream()
+            solo = StreamingSession(decoder, lookup=decoder.lookup.fork())
+            for batch in map(wire, _batches(utterance.features)):
+                solo.push(stream.push(batch))
+            want = solo.finish()
+            assert (final["words"], final["cost"]) == (want.words, want.cost)
+
+    def test_a_busy_features_push_leaves_the_stream_alone(
+        self, tiny_task, tiny_rnn, tiny_utterances
+    ):
+        """A push refused ``busy`` is not scored: once the queue has
+        room, the same batch scores as the stream's next rows."""
+        from repro.serve.engine import InlineEngine
+        from repro.serve.scheduler import Scheduler, SchedulerConfig
+
+        features = wire(tiny_utterances[0].features)
+        first, second = features[:BATCH_FRAMES], features[BATCH_FRAMES:16]
+        stream = tiny_rnn.stream()
+        want = [stream.push(first), stream.push(second)]
+
+        async def scenario():
+            scheduler = Scheduler(
+                InlineEngine(tiny_task.am, tiny_task.lm, CONFIG),
+                SchedulerConfig(max_queued_batches=1),
+                scorer=tiny_rnn,
+            )
+            try:
+                session = scheduler.admit(protocol.PAYLOAD_FEATURES)
+                scheduler.push(session, first)
+                with pytest.raises(Busy):
+                    scheduler.push(session, second)
+                got = [session.queue.popleft()]
+                scheduler._queue_changed(-1)
+                scheduler.push(session, second)
+                got.append(session.queue.popleft())
+                scheduler._queue_changed(-1)
+            finally:
+                await scheduler.stop(drain=False)
+            return got
+
+        got = asyncio.run(scenario())
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_a_local_client_that_loses_its_connection_fails_at_once(
         self, tiny_task, tiny_scores
