@@ -10,8 +10,8 @@ Each scorer also reports its parameter footprint (Figure 2's dataset
 sizing) and per-frame arithmetic cost (the GPU timing model's input for
 Figures 1, 12 and 13).
 
-GMM and DNN frames score independently.  A recurrent scorer (the RNN)
-carries state from frame to frame, and says so by offering
+GMM and DNN frames score independently.  A recurrent scorer (the RNN;
+see :func:`is_recurrent`) carries state from frame to frame, and offers
 ``stream()``, a scorer of one utterance fed a block of rows at a time,
 and ``score_blocks()``, the rows of ``score()`` a block at a time.
 """
@@ -48,6 +48,12 @@ class AcousticScorer(Protocol):
     def score(self, features: np.ndarray) -> np.ndarray:
         """Log-likelihoods, shape (frames, senones)."""
         ...
+
+
+def is_recurrent(scorer: AcousticScorer) -> bool:
+    """Whether ``scorer`` carries state from frame to frame, by its
+    declared ``kind`` (a scorer that declares none is frame-parallel)."""
+    return getattr(scorer, "kind", None) is ScorerKind.RNN
 
 
 def frame_accuracy(scores: np.ndarray, alignment: list[int]) -> float:

@@ -42,21 +42,21 @@ Asking for ``parallelism > 1`` on a host exposing a single CPU decodes
 serially in-process instead: forked workers would only add
 serialization overhead on top of zero actual concurrency.
 
-A serial pool whose scorer is recurrent (it offers ``stream()``, as
-the RNN does) scores ahead on a host with two or more visible CPUs:
-one worker process, forked as the pool is built, scores each
-utterance a block of rows at a time
+A serial pool whose scorer is recurrent
+(:func:`~repro.am.scorer.is_recurrent`: the RNN) scores ahead on a
+host with two or more visible CPUs: one worker process, forked as the
+pool is built, scores each utterance a block of rows at a time
 (:meth:`~repro.am.rnn.RnnAcousticModel.score_blocks`) and sends the
 blocks down a pipe, while the pool searches the blocks that have
-arrived (:meth:`~repro.core.decoder.OnTheFlyDecoder.decode_blocks`),
-and it scores utterance ``k + 1`` while the pool searches the end of
-utterance ``k``.  The blocks are the rows ``score()`` returns, and the
-search consumes any chunking of them alike (the streaming parity
-contract), so the results are the serial ones.  If the worker dies,
-the utterance it was scoring is rescored in-process from frame 0, and
-so is everything after it.  Frame-parallel scorers (GMM, DNN) score
-in-process: their scoring is too small a share of a frame to pay for
-the two processes' contention.
+arrived (:meth:`~repro.core.decoder.OnTheFlyDecoder.decode_blocks`).
+One utterance is in flight at a time.  The blocks are the rows
+``score()`` returns, and the search consumes any chunking of them
+alike (the streaming parity contract), so the results are the serial
+ones.  If the worker dies, the utterance it was scoring is rescored
+in-process from frame 0, and so is everything after it.
+Frame-parallel scorers (GMM, DNN) score in-process: their scoring is
+too small a share of a frame to pay for the two processes'
+contention.
 
 The pool's ``strategy`` names what it was built as: ``serial``,
 ``score-ahead`` or ``pool[N]``.
@@ -71,14 +71,13 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import signal
-from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from repro.am.graph import AmGraph
-from repro.am.scorer import AcousticScorer
+from repro.am.scorer import AcousticScorer, is_recurrent
 from repro.core.decoder import (
     DecodeResult,
     DecoderConfig,
@@ -160,9 +159,9 @@ class _WorkerLost(Exception):
 class _ScoreAhead:
     """The pool's end of its score-ahead worker.
 
-    :meth:`send` queues an utterance's features, and :meth:`blocks`
-    reads back the oldest queued utterance's score rows into one
-    matrix, as they arrive.
+    :meth:`send` hands it one utterance's features, and :meth:`blocks`
+    reads that utterance's score rows back into one matrix, as they
+    arrive.
     """
 
     def __init__(self, scorer: AcousticScorer) -> None:
@@ -170,55 +169,55 @@ class _ScoreAhead:
         commands, self._commands = context.Pipe(duplex=False)
         self._blocks, blocks = context.Pipe(duplex=False)
         self._width = scorer.num_senones
-        #: Rows owed per queued utterance, oldest first.
-        self._owed: deque[int] = deque()
-        # Objects alive now stay out of the cyclic collector's passes,
-        # in both processes: a pass writes to every object it visits,
-        # which would copy the pages the worker shares with the pool.
-        gc.freeze()
+        #: Rows of the utterance sent that have not arrived yet.
+        self.owed = 0
+        # The worker's copy of every object alive now stays out of its
+        # cyclic collector's passes: a pass writes to every object it
+        # visits, which would copy the pages it shares with the pool.
+        # The pool's process is left as it was: frozen only for the
+        # fork, and not at all if it had frozen objects of its own.
+        scoped = gc.get_freeze_count() == 0
+        if scoped:
+            gc.freeze()
         self.process = context.Process(
             target=_score_ahead_main,
             args=(scorer, commands, blocks),
             name="score-ahead",
             daemon=True,
         )
-        self.process.start()
+        try:
+            self.process.start()
+        finally:
+            if scoped:
+                gc.unfreeze()
         commands.close()
         blocks.close()
 
-    @property
-    def idle(self) -> bool:
-        return not self._owed
-
     def send(self, features: np.ndarray) -> None:
         features = np.asarray(features)
-        frames = len(features)
         try:
             self._commands.send(features)
         except OSError as exc:
             raise _WorkerLost from exc
-        self._owed.append(frames)
+        self.owed = len(features)
 
-    def blocks(self, then: np.ndarray | None = None) -> Iterator[np.ndarray]:
-        """The oldest queued utterance's score rows: each time, every
-        row that has arrived and not been yielded.  ``then`` is sent
-        as soon as the last row is in, so the worker scores it while
-        the caller searches the rest of this one."""
-        frames = self._owed[0]
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The score rows of the utterance sent: each time, every row
+        that has arrived and not been yielded."""
+        frames = self.owed
         scores = np.empty((frames, self._width))
         buffer = scores.view(np.uint8).reshape(-1)  # the same memory
         row_bytes = scores.itemsize * self._width
-        at = ready = 0
-        while ready < frames:
+        at = 0
+        while self.owed:
+            ready = frames - self.owed
             ready += self._receive(buffer, ready * row_bytes) // row_bytes
             while ready < frames and self._blocks.poll():
                 ready += self._receive(buffer, ready * row_bytes) // row_bytes
-            if ready < frames:
+            self.owed = frames - ready
+            if self.owed:
                 yield scores[at:ready]
                 at = ready
-        self._owed.popleft()
-        if then is not None:
-            self.send(then)
         yield scores[at:]
 
     def _receive(self, buffer: np.ndarray, offset: int) -> int:
@@ -228,14 +227,14 @@ class _ScoreAhead:
         except (EOFError, OSError) as exc:
             raise _WorkerLost from exc
         if error is not None:  # the worker's scoring raised
-            self._owed.popleft()
+            self.owed = 0
             raise error
         return size
 
     def close(self) -> None:
         """Stop the worker (kill it if it owes rows, or has not stopped
         10 s after the stop message) and reap it."""
-        if self._owed or not self.process.is_alive():
+        if self.owed or not self.process.is_alive():
             self.process.kill()
         else:
             try:
@@ -311,7 +310,7 @@ class DecodePool:
                 self._decoder = OnTheFlyDecoder(
                     am, lm, self.config, tables=tables
                 )
-                if hasattr(scorer, "stream") and visible_cpus() >= 2:
+                if is_recurrent(scorer) and visible_cpus() >= 2:
                     self._ahead = _ScoreAhead(scorer)
                     self.strategy = "score-ahead"
             else:
@@ -379,22 +378,20 @@ class DecodePool:
         decoder = self._decoder
         assert decoder is not None
         results = []
-        for k, utterance in enumerate(features):
+        for utterance in features:
             ahead = self._ahead
             if ahead is not None:
-                then = features[k + 1] if k + 1 < len(features) else None
                 try:
-                    if ahead.idle:
-                        ahead.send(utterance)
+                    ahead.send(utterance)
                     decoder.lookup.reset_transient_state()
-                    results.append(decoder.decode_blocks(ahead.blocks(then)))
+                    results.append(decoder.decode_blocks(ahead.blocks()))
                     continue
                 except _WorkerLost:
                     self._stop_ahead()
                 except BaseException:
                     # Rows still in flight would reach the next call
                     # out of order: the worker goes.
-                    if not ahead.idle:
+                    if ahead.owed:
                         self._stop_ahead()
                     raise
             results.append(

@@ -81,6 +81,9 @@ class DecoderConfig:
     #: Record a per-phase wall-clock breakdown of each decode on the
     #: decoder's ``last_phase_seconds`` (``bench/`` reads it).  Only
     #: reads clocks: the decode takes the same regimes either way.
+    #: :meth:`OnTheFlyDecoder.decode_blocks` times its whole loop, so
+    #: ``other`` and ``total`` include any wait for a block to arrive
+    #: (a score-ahead pool's worker still scoring).
     profile: bool = False
 
     def beam_config(self) -> BeamConfig:

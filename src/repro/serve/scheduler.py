@@ -28,7 +28,7 @@ messages.
 The queues hold score matrices only.  A ``features`` session's batch
 is scored in :meth:`Scheduler.push`, after its admission checks, on
 the loop's thread; a scoring failure fails that session alone.  A
-recurrent scorer (one that offers ``stream()``, as the RNN does)
+recurrent scorer (:func:`~repro.am.scorer.is_recurrent`: the RNN)
 scores each session through its own stream, so the reservoir state
 carries from one push to the next as it does through an utterance
 scored whole.
@@ -60,6 +60,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.am.scorer import is_recurrent
 from repro.serve import protocol
 from repro.serve.metrics import MetricsRegistry
 
@@ -261,7 +262,7 @@ class Scheduler:
     def _score(self, session: Session, features: np.ndarray) -> np.ndarray:
         """Scores of one admitted ``features`` batch of ``session``."""
         scorer = self.scorer
-        if not hasattr(scorer, "stream"):
+        if not is_recurrent(scorer):
             return scorer.score(features)
         if session.stream is None:
             session.stream = scorer.stream()

@@ -344,6 +344,25 @@ class TestScoreAhead:
             _assert_same(mixed[::2], rnn_serial_results[:2])
             assert pool._ahead is not None
 
+    def test_the_pools_process_is_not_left_frozen(
+        self, tiny_task, tiny_rnn, monkeypatch
+    ):
+        """The objects alive at the fork are frozen for the worker's
+        sake only: the pool's process has none frozen after it, or
+        what it froze itself (less what has been freed since)."""
+        assert gc.get_freeze_count() == 0
+        with _pool(tiny_task, tiny_rnn, 2, monkeypatch) as pool:
+            assert pool.strategy == "score-ahead"
+            assert gc.get_freeze_count() == 0
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with _pool(tiny_task, tiny_rnn, 2, monkeypatch) as pool:
+                assert pool.strategy == "score-ahead"
+                assert 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()
+
     def test_a_scoring_error_is_raised_and_the_worker_kept(
         self, tiny_task, tiny_rnn, long_utterances, rnn_serial_results,
         monkeypatch,
