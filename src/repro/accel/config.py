@@ -3,9 +3,10 @@
 Two hardware points are modelled:
 
 * ``UNFOLD``: the paper's design — separate AM/LM arc caches, Offset
-  Lookup Table, compressed datasets, 800 MHz;
+  Lookup Table, compressed datasets, compact lattice records, 800 MHz;
 * ``REZA`` (Reza et al. [34], MICRO-49): the fully-composed baseline —
-  one big arc cache, larger token cache and hash tables, 600 MHz.
+  one big arc cache, larger token cache and hash tables, raw lattice
+  records, 600 MHz.
 
 Because this reproduction's datasets are megabytes rather than
 gigabytes, each configuration can be *scaled*: dividing every capacity
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.accel.cache import CacheConfig
+from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES
 
 #: The paper's fully-composed datasets are ~0.5-1.2 GB; scaling anchors
 #: cache pressure to this reference.
@@ -42,6 +44,9 @@ class AcceleratorConfig:
     hash_table_kb: int
     hash_entries: int
     offset_table_entries: int  # 0 = no OLT (baseline)
+    #: Bytes per word-lattice record the Token Issuer writes: Price's
+    #: compact layout [22] (UNFOLD) or the baseline's raw one.
+    lattice_record_bytes: int
     acoustic_buffer_kb: int = 64
     line_bytes: int = 64
 
@@ -140,6 +145,7 @@ UNFOLD = AcceleratorConfig(
     hash_table_kb=576,
     hash_entries=32 * 1024,
     offset_table_entries=32 * 1024,
+    lattice_record_bytes=COMPACT_RECORD_BYTES,
 )
 
 #: Table 3, Reza et al. column (MICRO-49 baseline).
@@ -157,6 +163,7 @@ REZA = AcceleratorConfig(
     hash_table_kb=768,
     hash_entries=32 * 1024,
     offset_table_entries=0,
+    lattice_record_bytes=RAW_RECORD_BYTES,
 )
 
 

@@ -3,9 +3,9 @@
 The MICRO-49 design point on :class:`~repro.accel.unfold.UnfoldSimulator`'s
 run loop, area formula and energy model: the decoder searches the
 offline-composed graph, the memory system has a single unified arc
-cache and no Offset Lookup Table, the dataset layout is the
-uncompressed composed WFST, and the lattice uses the raw (pre-Price)
-record format.
+cache and no Offset Lookup Table, and the dataset layout is the
+uncompressed composed WFST.  Its lattice record size (raw, pre-Price)
+comes with the ``REZA`` configuration.
 """
 
 from __future__ import annotations
@@ -42,11 +42,7 @@ class FullyComposedSimulator(_Simulator):
     def _traced_decoder(self) -> tuple[ComposedSink, FullyComposedDecoder]:
         sink = ComposedSink(self.config, self.layout, self.task.lm.fst.num_states)
         decoder = FullyComposedDecoder(
-            self.task.am,
-            self.task.lm,
-            self.decoder_config,
-            sink=sink,
-            compact_lattice=False,
+            self.task.am, self.task.lm, self.decoder_config, sink=sink
         )
         return sink, decoder
 

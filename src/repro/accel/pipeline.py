@@ -79,33 +79,3 @@ def cycles_for(stats: DecoderStats, dram: DramModel) -> CycleReport:
         dram_stall_cycles=dram.stall_cycles(),
     )
 
-
-#: Throughput model: number of parallel FP adders in Likelihood Evaluation
-#: (Table 3: 4 floating-point adders).
-LIKELIHOOD_LANES = 4
-
-
-def throughput_cycles(stats: DecoderStats, dram: DramModel) -> float:
-    """Max-of-stages (decoupled pipeline) cycle bound.
-
-    The additive model (:func:`cycles_for`) charges every operation as
-    if stages never overlapped — an upper bound.  This model assumes
-    perfect decoupling: each frame costs the *slowest* stage's work
-    (Figure 4's pipeline runs stages concurrently on different tokens),
-    plus amortized DRAM stalls.  Real hardware lands between the two;
-    both must agree on every cross-platform ordering the paper reports.
-    """
-    total = 0.0
-    for survivors, expansions, probes, writes in stats.frame_work:
-        stage_cycles = max(
-            survivors * STATE_FETCH_CYCLES,
-            expansions * EXPANSION_CYCLES + probes * LM_PROBE_CYCLES,
-            expansions / LIKELIHOOD_LANES,
-            expansions * HASH_CYCLES + writes * TOKEN_WRITE_CYCLES,
-        )
-        total += stage_cycles + _PIPELINE_FILL_CYCLES
-    return total + dram.stall_cycles()
-
-
-#: Per-frame pipeline drain/refill overhead between frames.
-_PIPELINE_FILL_CYCLES = 8.0

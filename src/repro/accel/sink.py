@@ -50,7 +50,8 @@ class _SinkCore:
 
     # -- TraceSink interface: the token path ---------------------------------
 
-    def on_token_write(self, nbytes: int) -> None:
+    def on_token_write(self) -> None:
+        nbytes = self.config.lattice_record_bytes
         addr = self._token_cursor
         self._token_cursor += nbytes
         self.token_cache.access(addr, nbytes)

@@ -11,16 +11,11 @@ from repro.core.decoder import DecoderStats
 
 @dataclass(frozen=True)
 class UtteranceTiming:
-    """Per-utterance decode latency (Table 5's unit of measurement).
-
-    ``decode_seconds`` uses the additive (no-overlap) cycle model;
-    ``throughput_seconds`` the max-of-stages bound.  Real hardware lands
-    between the two.
-    """
+    """Per-utterance decode latency (Table 5's unit of measurement),
+    under the additive (no-overlap) cycle model."""
 
     frames: int
     decode_seconds: float
-    throughput_seconds: float = 0.0
 
     @property
     def speech_seconds(self) -> float:
@@ -49,11 +44,6 @@ class RunReport:
     @property
     def decode_seconds(self) -> float:
         return sum(u.decode_seconds for u in self.utterances)
-
-    @property
-    def throughput_seconds(self) -> float:
-        """Total decode time under the max-of-stages pipeline bound."""
-        return sum(u.throughput_seconds for u in self.utterances)
 
     @property
     def realtime_factor(self) -> float:

@@ -32,7 +32,7 @@ from repro.accel.energy import (
     sram_read_energy_pj,
 )
 from repro.accel.layout import OnTheFlyLayout
-from repro.accel.pipeline import cycles_for, throughput_cycles
+from repro.accel.pipeline import cycles_for
 from repro.accel.sink import UnfoldSink
 from repro.accel.stats import RunReport, UtteranceTiming
 from typing import TYPE_CHECKING
@@ -81,12 +81,10 @@ class _Simulator:
             delta = _DramDelta(sink.dram.total_lines - lines_seen, sink.dram.config)
             lines_seen = sink.dram.total_lines
             cycles = cycles_for(result.stats, delta)
-            bound = throughput_cycles(result.stats, delta)
             report.utterances.append(
                 UtteranceTiming(
                     frames=result.stats.frames,
                     decode_seconds=cycles.seconds(self.config.frequency_hz),
-                    throughput_seconds=bound / self.config.frequency_hz,
                 )
             )
         report.decoder_stats = totals
@@ -224,7 +222,6 @@ def _accumulate(total: DecoderStats, new: DecoderStats) -> None:
     total.words_emitted += new.words_emitted
     total.am_state_fetches += new.am_state_fetches
     total.active_history.extend(new.active_history)
-    total.frame_work.extend(new.frame_work)
     lk, nk = total.lookup, new.lookup
     lk.lookups += nk.lookups
     lk.arc_probes += nk.arc_probes

@@ -127,7 +127,6 @@ def _step_one(
     phases = decoder._phase_seconds
     beam_config = decoder._beam_config
     stats = seg.stats
-    lookup_stats = seg.lookup.stats
     mark = perf_counter() if phases is not None else 0.0
     table, survivors, expansions, pruned = decoder._expand_frame_vectorized(
         seg.table, row, beam_config
@@ -137,9 +136,6 @@ def _step_one(
     stats.beam_pruned += pruned
     stats.am_state_fetches += survivors
     stats.expansions += expansions
-    expansions_before = stats.expansions
-    probes_before = lookup_stats.arc_probes
-    words_before = stats.words_emitted
     mark = perf_counter() if phases is not None else 0.0
     decoder._epsilon_phase_batched(
         table, seg.frame, seg.lattice, stats, beam_config, seg.lookup
@@ -147,14 +143,6 @@ def _step_one(
     if phases is not None:
         phases["epsilon"] += perf_counter() - mark
     # The kernels never run under a trace sink: no frame-end event.
-    stats.frame_work.append(
-        (
-            survivors,
-            expansions + (stats.expansions - expansions_before),
-            lookup_stats.arc_probes - probes_before,
-            stats.words_emitted - words_before,
-        )
-    )
     stats.tokens_created += table.inserts
     stats.tokens_recombined += table.recombinations
     stats.active_history.append(len(table))

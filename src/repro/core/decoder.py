@@ -30,7 +30,7 @@ from repro.core.arcs import (
 from repro.core.batch import BatchSegment, advance_segment
 from repro.core.beam import BeamConfig, prune_items
 from repro.core.composition import LmLookup, LookupStats, LookupStrategy
-from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES, WordLattice
+from repro.core.lattice import WordLattice
 from repro.core.tokens import (
     KEY_LM_MASK,
     KEY_SHIFT,
@@ -69,9 +69,6 @@ class DecoderConfig:
     lookup_strategy: LookupStrategy = LookupStrategy.OFFSET_TABLE
     offset_table_entries: int = 32 * 1024
     preemptive_pruning: bool = True
-    #: Word-lattice record format: compact (Price [22], UNFOLD's choice)
-    #: or the raw 16-byte records of the MICRO-49 baseline.
-    compact_lattice: bool = True
     #: Bulk-numpy frame kernels for frontiers large enough to pay for
     #: their dispatch (see :data:`repro.core.batch.SCALAR_FRONTIER_MAX`).
     #: Ignored (scalar path forced) whenever a real TraceSink is
@@ -106,9 +103,6 @@ class DecoderStats:
     words_emitted: int = 0
     am_state_fetches: int = 0
     active_history: list[int] = field(default_factory=list)
-    #: Per-frame (survivors, expansions, lm_probes, words_emitted) — the
-    #: work vectors the throughput pipeline model consumes.
-    frame_work: list[tuple[int, int, int, int]] = field(default_factory=list)
     lookup: LookupStats = field(default_factory=LookupStats)
 
     @property
@@ -247,11 +241,6 @@ class OnTheFlyDecoder:
             self._eps_arcs = tables.epsilon
             self._lm_final_w = tables.lm_final_weights
         self._beam_config = self.config.beam_config()
-        self._lattice_record = (
-            COMPACT_RECORD_BYTES
-            if self.config.compact_lattice
-            else RAW_RECORD_BYTES
-        )
         #: Whether large frontiers may take the numpy frame kernels.
         self._vectorized = (
             self.config.vectorized
@@ -358,16 +347,15 @@ class OnTheFlyDecoder:
         is skipped where it is read), Viterbi recombination
         (:meth:`TokenTable.insert`'s) runs inline on the new table's two
         dicts, and the ``DecoderStats`` counters the run owns are added
-        up in locals and written once at its end.  ``frame_work``,
-        ``active_history`` and the sink's ``on_frame_end`` still get one
-        entry per frame.  No token table is built per frame: the run
-        alternates two of its own (never the one it entered with, which
-        the caller may hold), giving each frame two fresh dicts; the
-        epsilon worklist is one list each phase leaves empty; and score
-        rows become plain lists one block of at most :data:`_ROW_BLOCK`
-        rows per call, as they are reached, so a run that stops on a
-        grown frontier has converted at most ``_ROW_BLOCK - 1`` rows it
-        did not consume.
+        up in locals and written once at its end.  ``active_history``
+        and the sink's ``on_frame_end`` still get one entry per frame.
+        No token table is built per frame: the run alternates two of its
+        own (never the one it entered with, which the caller may hold),
+        giving each frame two fresh dicts; the epsilon worklist is one
+        list each phase leaves empty; and score rows become plain lists
+        one block of at most :data:`_ROW_BLOCK` rows per call, as they
+        are reached, so a run that stops on a grown frontier has
+        converted at most ``_ROW_BLOCK - 1`` rows it did not consume.
 
         :func:`~repro.core.beam.prune_items` selects the survivors
         instead when ``max_active`` may truncate them, and for a
@@ -392,8 +380,6 @@ class OnTheFlyDecoder:
         stats = seg.stats
         lattice = seg.lattice
         lookup = seg.lookup
-        lookup_stats = lookup.stats
-        frame_work = stats.frame_work.append
         active_history = stats.active_history.append
         table = seg.table
         frame = seg.frame
@@ -481,34 +467,20 @@ class OnTheFlyDecoder:
             next_table.inserts = inserts = len(cost_of)
             next_table.improvements = improvements
             next_table.recombinations = recombinations
-            # Each arc walked inserted, improved or recombined.
-            frame_expansions = inserts + improvements + recombinations
             survivors_count = len(token_costs) - pruned
             if phases is not None:
                 mark = _lap(phases, "expand", mark)
             if seeds:
-                expansions_before = stats.expansions
-                probes_before = lookup_stats.arc_probes
-                words_before = stats.words_emitted
                 epsilon(
                     next_table, seeds, frame, lattice, stats, beam_config,
                     lookup,
                 )
-                frame_work(
-                    (
-                        survivors_count,
-                        frame_expansions + stats.expansions - expansions_before,
-                        lookup_stats.arc_probes - probes_before,
-                        stats.words_emitted - words_before,
-                    )
-                )
-            else:
-                frame_work((survivors_count, frame_expansions, 0, 0))
             if phases is not None:
                 _lap(phases, "epsilon", mark)
             beam_pruned += size - survivors_count
             fetches += survivors_count
-            expansions += frame_expansions
+            # Each arc walked inserted, improved or recombined.
+            expansions += inserts + improvements + recombinations
             created += next_table.inserts
             recombined += next_table.recombinations
             size = len(cost_of)
@@ -837,7 +809,7 @@ class OnTheFlyDecoder:
                     cost += result.weight
                     node = lattice.add(olabel, frame, cost, token_node)
                     if tracing:
-                        sink.on_token_write(self._lattice_record)
+                        sink.on_token_write()
                     words += 1
                     dest = nextstate << KEY_SHIFT | result.next_state
                 existing = get(dest)

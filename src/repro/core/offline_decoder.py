@@ -67,11 +67,9 @@ class FullyComposedDecoder(OnTheFlyDecoder):
         lm: LmGraph,
         config: DecoderConfig | None = None,
         sink: TraceSink | None = None,
-        compact_lattice: bool = False,
     ) -> None:
         # The knobs of the on-the-fly lookup do not exist here, whatever
-        # the caller's config says; the MICRO-49 baseline also predates
-        # the compact lattice format.
+        # the caller's config says.
         super().__init__(
             am,
             lm,
@@ -79,7 +77,6 @@ class FullyComposedDecoder(OnTheFlyDecoder):
                 config or DecoderConfig(),
                 lookup_strategy=LookupStrategy.BINARY,
                 preemptive_pruning=False,
-                compact_lattice=compact_lattice,
             ),
             sink,
         )
@@ -171,7 +168,7 @@ class FullyComposedDecoder(OnTheFlyDecoder):
                     cost = token_cost + (weight + composed.weight)
                     node = lattice.add(olabel, frame, cost, token_node)
                     if tracing:
-                        sink.on_token_write(self._lattice_record)
+                        sink.on_token_write()
                     words += 1
                     dest = nextstate << KEY_SHIFT | composed.next_state
                 existing = get(dest)

@@ -32,7 +32,7 @@ class TraceSink(Protocol):
 
     def on_arc_fetch(self, side: GraphSide, state: int, ordinal: int) -> None: ...
 
-    def on_token_write(self, nbytes: int) -> None: ...
+    def on_token_write(self) -> None: ...
 
     def on_token_hash_access(self, am_state: int, lm_state: int) -> None: ...
 

@@ -2,15 +2,19 @@
 
 UNFOLD adopts Price's compact lattice representation [22]; the paper
 credits it with part of the Token Cache power reduction in Figure 10.
-This ablation decodes the same utterances with both record formats and
-compares token DRAM traffic and token-cache behaviour.
+This ablation decodes the same utterances on UNFOLD with both record
+sizes (a hardware parameter, ``AcceleratorConfig.lattice_record_bytes``)
+and compares token DRAM traffic and token-cache behaviour.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.accel import Traffic, UnfoldSimulator
 from repro.asr.task import KALDI_VOXFORGE
 from repro.core.decoder import DecoderConfig
+from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES
 from repro.experiments.common import (
     MAX_ACTIVE,
     ExperimentResult,
@@ -25,13 +29,16 @@ TITLE = "Word-lattice record format: compact (Price [22]) vs raw"
 def run(bundle: TaskBundle | None = None) -> ExperimentResult:
     bundle = bundle or get_bundle(KALDI_VOXFORGE)
     rows = []
-    for label, compact in (("compact-8B", True), ("raw-16B", False)):
+    for label, record_bytes in (
+        ("compact-8B", COMPACT_RECORD_BYTES),
+        ("raw-16B", RAW_RECORD_BYTES),
+    ):
         sim = UnfoldSimulator(
             bundle.task,
-            config=bundle.unfold_config,
-            decoder_config=DecoderConfig(
-                compact_lattice=compact, max_active=MAX_ACTIVE
+            config=replace(
+                bundle.unfold_config, lattice_record_bytes=record_bytes
             ),
+            decoder_config=DecoderConfig(max_active=MAX_ACTIVE),
         )
         report = sim.run(bundle.scores)
         rows.append(

@@ -11,6 +11,7 @@ from repro.accel import (
     sram_leakage_mw,
     sram_read_energy_pj,
 )
+from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES
 
 
 class TestEnergyScaling:
@@ -88,6 +89,18 @@ class TestConfigs:
         # Scaled caches remain valid geometries.
         for which in ("state", "am_arc", "lm_arc", "token"):
             scaled.cache_config(which)
+
+    @pytest.mark.parametrize(
+        "config, record_bytes",
+        [(UNFOLD, COMPACT_RECORD_BYTES), (REZA, RAW_RECORD_BYTES)],
+        ids=["unfold", "reza"],
+    )
+    def test_lattice_record_size(self, config, record_bytes):
+        """UNFOLD writes Price's compact lattice records [22], the
+        baseline raw ones; scaling the caches keeps the record."""
+        assert config.lattice_record_bytes == record_bytes
+        for factor in (1, 1 / 64, 2**-15):
+            assert config.scaled(factor).lattice_record_bytes == record_bytes
 
     def test_scaling_baseline_keeps_no_olt(self):
         scaled = REZA.scaled(1 / 64)

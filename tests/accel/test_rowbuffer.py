@@ -88,5 +88,5 @@ class TestRowBuffer:
 
         sink = UnfoldSink(UNFOLD.scaled(1 / 64), OnTheFlyLayout.build(tiny_task))
         for i in range(200):
-            sink.on_token_write(8)
+            sink.on_token_write()
         assert sink.dram.row_hit_ratio > 0.5

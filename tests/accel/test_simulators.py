@@ -4,6 +4,8 @@ These are the integration tests behind the paper's headline claims:
 smaller dataset, fewer DRAM accesses, lower energy, modest slowdown.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.accel import (
@@ -14,6 +16,7 @@ from repro.accel import (
     UnfoldSimulator,
 )
 from repro.accel.dram import Traffic
+from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +190,34 @@ class TestPinnedReports:
         assert report.dram_bytes_by_class == pinned["dram_bytes_by_class"]
         assert report.energy.by_component == pinned["energy"]
         assert report.area_mm2 == pinned["area_mm2"]
+
+
+class TestLatticeRecordSize:
+    #: (platform, record bytes) -> (token DRAM bytes, token cache miss
+    #: ratio) on the six tiny utterances at 1/256 scale, as the decoders
+    #: first produced them with compact and with raw lattice records.
+    PINNED = {
+        ("unfold", COMPACT_RECORD_BYTES): (704, 0.1276595744680851),
+        ("unfold", RAW_RECORD_BYTES): (1088, 0.2553191489361702),
+        ("reza", COMPACT_RECORD_BYTES): (704, 0.1276595744680851),
+        ("reza", RAW_RECORD_BYTES): (1088, 0.2553191489361702),
+    }
+
+    @pytest.mark.parametrize("platform, record_bytes", sorted(PINNED))
+    def test_token_traffic_follows_the_configured_record_size(
+        self, platform, record_bytes, tiny_task, tiny_scores, scaled_configs
+    ):
+        unfold, reza = scaled_configs
+        if platform == "unfold":
+            simulator, config = UnfoldSimulator, unfold
+        else:
+            simulator, config = FullyComposedSimulator, reza
+        config = replace(config, lattice_record_bytes=record_bytes)
+        report = simulator(tiny_task, config=config).run(tiny_scores)
+        assert (
+            report.dram_bytes_by_class[Traffic.TOKENS],
+            report.miss_ratios["token_cache"],
+        ) == self.PINNED[platform, record_bytes]
 
 
 class TestGpuModel:

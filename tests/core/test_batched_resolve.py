@@ -480,7 +480,7 @@ def test_resolve_batch_rejects_tracing():
         def on_arc_fetch(self, side, state, ordinal):
             pass
 
-        def on_token_write(self, nbytes):
+        def on_token_write(self):
             pass
 
         def on_token_hash_access(self, am, lm):

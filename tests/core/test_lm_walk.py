@@ -36,8 +36,8 @@ class RecordingSink:
     def on_arc_fetch(self, side, state, ordinal):
         self.events.append(("arc_fetch", side.value, state, ordinal))
 
-    def on_token_write(self, nbytes):
-        self.events.append(("token_write", nbytes))
+    def on_token_write(self):
+        self.events.append(("token_write",))
 
     def on_token_hash_access(self, am_state, lm_state):
         self.events.append(("token_hash", am_state, lm_state))

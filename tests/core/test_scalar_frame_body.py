@@ -120,8 +120,8 @@ class RecordingSink:
     def on_arc_fetch(self, side, state, ordinal):
         self.events.append(("arc_fetch", side, state, ordinal))
 
-    def on_token_write(self, nbytes):
-        self.events.append(("token_write", nbytes))
+    def on_token_write(self):
+        self.events.append(("token_write",))
 
     def on_token_hash_access(self, am_state, lm_state):
         self.events.append(("token_hash", am_state, lm_state))
@@ -257,7 +257,7 @@ class ReferenceBody:
                     dest_node = self.lattice.add(
                         arc.olabel, self.frame, dest_cost, node
                     )
-                    sink.on_token_write(decoder._lattice_record)
+                    sink.on_token_write()
                     stats["words_emitted"] += 1
                 dest = (arc.nextstate, dest_lm)
                 if self._insert(table, dest, dest_cost, dest_node) and has_epsilon(

@@ -39,6 +39,7 @@ from repro.core import (
     batch,
 )
 from repro.core.tokens import pack_key
+from tests.accel.test_layout_sink import _FrameWork
 from tests.asr.test_batched_sessions import (
     LOOKUP_COUNTERS,
     _assert_identical,
@@ -199,7 +200,7 @@ def _run_against_reference(decoder, lender, stepper, scores):
         assert getattr(decoder.lookup.stats, name) == getattr(
             lender.lookup.stats, name
         ), name
-    # frame_work and everything else: as one-frame runs leave it.
+    # Everything else: as one-frame runs leave it.
     _assert_same_segment(stepped, seg, "one run vs one-frame runs")
     return seg, reference
 
@@ -209,15 +210,17 @@ def test_max_active_binds_inside_a_run():
     config = DecoderConfig(beam=30.0, max_active=2, vectorized=False)
     decoder, lender = _pair("on-the-fly", task.am, task.lm, config)
     stepper = OnTheFlyDecoder(task.am, task.lm, config)
+    sink = _FrameWork()
     uncapped = OnTheFlyDecoder(
-        task.am, task.lm, dataclasses.replace(config, max_active=0)
+        task.am, task.lm, dataclasses.replace(config, max_active=0), sink=sink
     )
     for matrix in scores[:3]:
         _run_against_reference(decoder, lender, stepper, matrix)
         # The cap binds: uncapped, this utterance has frames with more
         # survivors than it allows.
-        work = uncapped.decode(matrix).stats.frame_work
-        assert max(survivors for survivors, *_ in work) > 2
+        sink.rows.clear()
+        uncapped.decode(matrix)
+        assert max(survivors for survivors, *_ in sink.rows) > 2
 
 
 @pytest.mark.parametrize("levels", [1, 2])

@@ -371,9 +371,8 @@ class CountingSink:
     def on_arc_fetch(self, side, state, ordinal):
         self.counts["arc_fetch", side] += 1
 
-    def on_token_write(self, nbytes):
+    def on_token_write(self):
         self.counts["token_write"] += 1
-        self.counts["token_bytes"] += nbytes
 
     def on_token_hash_access(self, am_state, lm_state):
         self.counts["token_hash"] += 1
