@@ -82,8 +82,7 @@ def main() -> None:
         f"\nsearch activity: {stats.expansions} expansions, "
         f"{stats.tokens_created} tokens, "
         f"{stats.lookup.lookups} LM lookups "
-        f"({stats.lookup.backoff_arcs_taken} back-off walks, "
-        f"OLT hit ratio {stats.lookup.olt_hit_ratio:.0%})"
+        f"({stats.lookup.backoff_arcs_taken} back-off arcs taken)"
     )
     assert result.words == reference, "quickstart should decode perfectly"
     print("\nOK: the on-the-fly composed search recovered the utterance.")

@@ -23,9 +23,9 @@ Determinism contract: results — including the activity counters in
 submission order.  Two mechanisms make that hold:
 
 * every utterance starts from cold per-decode caches (an O(1)
-  ``LmLookup.reset_transient_state()``: Offset Lookup Table plus the
-  LM expansion cache), so counters are independent of how utterances
-  land on workers;
+  ``LmLookup.reset_transient_state()``: the LM expansion cache, and a
+  traced lookup's Offset Lookup Table), so counters are independent of
+  how utterances land on workers;
 * whenever a scorer is supplied the pool decodes the *persisted*
   recognizer's weights — the bundle stores arc weights in the paper's
   32-bit format, so a serial in-memory run over the original float64

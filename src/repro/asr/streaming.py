@@ -55,7 +55,7 @@ class StreamingSession:
         # Sessions default to the decoder's own lookup; a serving layer
         # running several sessions on one decoder passes each a
         # ``decoder.lookup.fork()`` instead, giving every session its
-        # own OLT/expansion-cache evolution (solo-identical counters).
+        # own expansion-cache evolution (solo-identical counters).
         self._seg = decoder.new_segment(lookup)
         self._finished = False
         # Lookup-counter baseline so finish() can report this

@@ -37,7 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "offline_decoder": ("FullyComposedDecoder",),
         "tokens": ("SoaTokenTable", "TokenTable"),
-        "trace": ("GraphSide", "TraceSink"),
+        "trace": ("GraphSide", "NullSink", "TraceSink"),
         "two_pass": ("TwoPassDecoder", "TwoPassStats"),
     },
 )

@@ -11,10 +11,15 @@ three strategies:
   recent ``(LM state, word id) -> arc offset`` results — plus preemptive
   back-off pruning: ~18% slowdown.
 
-This module implements all three, with exact probe accounting (every
-probe is an LM arc fetch, reported to the trace sink), the OLT model
-(XOR-indexed, tagged, Section 3.5), and the back-off walk with the
-preemptive pruning check of Section 3.3.
+The search needs none of them to find an arc: they are accelerator
+hardware, which saves DRAM fetches, not work.  So the walk runs two
+ways.  Untraced (every functional decode, batched or scalar), it is
+plain: one ``bisect_left`` over the state's labels per back-off level,
+with the back-off penalties and the preemptive pruning check of
+Section 3.3.  With a trace sink attached it is the hardware's model:
+all three strategies, with exact probe accounting (every probe is an
+LM arc fetch, reported to the sink) and the OLT (XOR-indexed, tagged,
+Section 3.5).  Both find the same arcs, weights and back-off levels.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 
 from repro.core.arcs import LmWordArcs
 from repro.core.trace import GraphSide, TraceSink
@@ -40,7 +46,13 @@ class LookupStrategy(enum.Enum):
 
 @dataclass
 class LookupStats:
-    """Activity counters for the LM lookup engine."""
+    """Activity counters for the LM lookup engine.
+
+    ``lookups`` (one per state searched) and ``backoff_arcs_taken``
+    count the search itself, on every walk.  ``arc_probes``,
+    ``olt_hits`` and ``olt_misses`` count the lookup hardware's model,
+    which only a traced walk runs: an untraced decode leaves them 0.
+    """
 
     lookups: int = 0
     arc_probes: int = 0  # LM arc records touched while searching
@@ -265,12 +277,61 @@ class _WalkColumns:
             labels[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])
         ]
 
+    def walk(
+        self, state: int, word: int, entry: float, threshold: float
+    ) -> tuple[float, int, bool, int]:
+        """The plain back-off walk of one item: ``(weight, next_state,
+        pruned, levels)``, ``next_state`` -1 when the unigram state
+        lacks ``word``.
+
+        At each level one ``bisect_left`` over the state's labels; on a
+        miss the back-off arc's penalty joins the accumulator (in the
+        traced walk's order) and the walk is pruned once the
+        accumulated cost exceeds ``threshold`` (``inf``: never).
+        """
+        labels_of = self.labels
+        backoff_next = self.backoff_next
+        accumulated = entry
+        levels = 0
+        while True:
+            labels = labels_of[state]
+            pos = bisect_left(labels, word)
+            if pos < len(labels) and labels[pos] == word:
+                at = self.base[state] + pos
+                return (
+                    (accumulated - entry) + self.weights[at],
+                    self.nexts[at],
+                    False,
+                    levels,
+                )
+            nxt = backoff_next[state]
+            if nxt < 0:
+                return accumulated - entry, -1, False, levels
+            accumulated += self.backoff_weight[state]
+            levels += 1
+            state = nxt
+            if accumulated > threshold:
+                return accumulated - entry, state, True, levels
+
+
+def _exhausted(word: int) -> LookupError:
+    return LookupError(
+        f"word {word} not found at the unigram state; the LM must keep "
+        "all unigrams (Section 3.3 guarantee)"
+    )
+
 
 _TAG_MASK = (1 << OffsetLookupTable.TAG_BITS) - 1
 
 
 class LmLookup:
-    """Locates LM arcs for cross-word transitions."""
+    """Locates LM arcs for cross-word transitions.
+
+    Untraced, by the plain walk; with a ``sink``, by the lookup
+    hardware's model (``strategy``, and an ``offset_table_entries``
+    OLT for :attr:`LookupStrategy.OFFSET_TABLE`), which reports every
+    fetch to the sink.
+    """
 
     def __init__(
         self,
@@ -288,8 +349,10 @@ class LmLookup:
         # the decoders); traced runs keep the exact event order.
         self._tracing = sink is not None
         self.stats = LookupStats()
+        # The lookup hardware's model, the OLT included, lives on the
+        # traced walk only; untraced lookups walk plainly.
         self.offset_table: OffsetLookupTable | None = None
-        if strategy is LookupStrategy.OFFSET_TABLE:
+        if strategy is LookupStrategy.OFFSET_TABLE and self._tracing:
             self.offset_table = OffsetLookupTable(offset_table_entries)
         # The CSR word-arc columns: the batched resolve's gate and id
         # ranges.  Prebuilt (a shared-memory attach, where walking
@@ -315,7 +378,8 @@ class LmLookup:
     # -- one lookup at one state ------------------------------------------
 
     def find_arc(self, state: int, word_id: int) -> Arc | None:
-        """The arc for ``word_id`` at ``state``, or None if backed off."""
+        """The arc for ``word_id`` at ``state``, or None if backed off:
+        one :meth:`_search` of the lookup model, counted as such."""
         columns = self._columns()
         found = self._search(state, word_id, columns.labels[state])
         if found < 0:
@@ -407,10 +471,10 @@ class LmLookup:
     ) -> ResolveResult:
         """Match ``word_id`` starting at ``state``, walking back-off arcs.
 
-        One loop over back-off levels: at each, one :meth:`_search`;
-        on a miss the state's back-off arc (one more fetch) and its
-        penalty.  Its back-off counters stay in locals until the walk
-        ends.
+        Untraced, the plain walk (:meth:`_WalkColumns.walk`, shared with
+        :meth:`resolve_batch`); with a sink, the lookup hardware's model
+        (:meth:`_resolve_traced`).  Both give bit-identical results and
+        the same ``lookups`` and ``backoff_arcs_taken``.
 
         Args:
             state: LM state to start from.
@@ -422,6 +486,35 @@ class LmLookup:
                 accumulated cost (monotonically increasing) exceeds the
                 threshold, the hypothesis is discarded without finishing
                 the walk.
+        """
+        if self._tracing:
+            return self._resolve_traced(
+                state, word_id, entry_cost, threshold, preemptive
+            )
+        weight, nxt, pruned, levels = self._columns().walk(
+            state, word_id, entry_cost, threshold if preemptive else math.inf
+        )
+        stats = self.stats
+        stats.lookups += levels + (not pruned)
+        stats.backoff_arcs_taken += levels
+        if nxt < 0:
+            raise _exhausted(word_id)
+        return ResolveResult(weight, nxt, pruned, levels)
+
+    def _resolve_traced(
+        self,
+        state: int,
+        word_id: int,
+        entry_cost: float,
+        threshold: float,
+        preemptive: bool,
+    ) -> ResolveResult:
+        """:meth:`resolve` as the lookup hardware walks it.
+
+        One loop over back-off levels: at each, one :meth:`_search`;
+        on a miss the state's back-off arc (one more fetch) and its
+        penalty.  Its back-off counters stay in locals until the walk
+        ends.
         """
         columns = self._columns()
         labels_of = columns.labels
@@ -439,8 +532,7 @@ class LmLookup:
             if nxt < 0:
                 break
             # The back-off arc's fetch: it is stored after the word arcs.
-            if self._tracing:
-                self.sink.on_arc_fetch(GraphSide.LM, current, len(labels))
+            self.sink.on_arc_fetch(GraphSide.LM, current, len(labels))
             accumulated += columns.backoff_weight[current]
             levels += 1
             if preemptive and accumulated > threshold:
@@ -459,10 +551,7 @@ class LmLookup:
                 levels,
             )
         if nxt < 0:
-            raise LookupError(
-                f"word {word_id} not found at the unigram state; the LM "
-                "must keep all unigrams (Section 3.3 guarantee)"
-            )
+            raise _exhausted(word_id)
         return ResolveResult(accumulated - entry_cost, nxt, True, levels)
 
     # -- batched resolution (the batched epsilon phase's engine) ------------
@@ -483,7 +572,8 @@ class LmLookup:
         return self._ensure_batch_structures().nonneg_weights and not self._tracing
 
     def reset_transient_state(self) -> None:
-        """Cold-start the per-decode caches (OLT + expansion residency).
+        """Cold-start the per-decode caches (a traced lookup's OLT and
+        the expansion residency).
 
         Neither affects results — only which work is re-spent — but
         clearing both keeps every activity counter independent of how
@@ -498,15 +588,12 @@ class LmLookup:
 
         The clone shares everything derived from the graph — the walks'
         per-state columns and the CSR word-arc columns —
-        but owns fresh *transient* state: zeroed :class:`LookupStats`,
-        an empty Offset Lookup Table of the same geometry, and an empty
-        LM expansion cache.  A fork therefore behaves exactly like the
-        parent lookup immediately after ``reset_transient_state()``,
-        which is what gives each serve session the same cache
-        evolution — hence identical counters — as a solo cold decode.
-        Forks never trace: batched work has no per-event order to
-        report, and the batched kernels are gated off under a real sink
-        anyway.
+        but owns fresh *transient* state: zeroed :class:`LookupStats`
+        and an empty LM expansion cache.  A fork therefore behaves
+        exactly like the parent lookup immediately after
+        ``reset_transient_state()``, which is what gives each serve
+        session the same counters as a solo cold decode.  Forks never
+        trace, so they walk plainly and hold no Offset Lookup Table.
         """
         clone = object.__new__(LmLookup)
         clone.graph = self.graph
@@ -515,13 +602,6 @@ class LmLookup:
         clone._tracing = False
         clone.stats = LookupStats()
         clone.offset_table = None
-        if self.strategy is LookupStrategy.OFFSET_TABLE:
-            entries = (
-                self.offset_table.num_entries
-                if self.offset_table is not None
-                else 32 * 1024
-            )
-            clone.offset_table = OffsetLookupTable(entries)
         clone._columns_cell = self._columns_cell
         clone._soa = self._ensure_batch_structures()
         clone.expansion_cache = LmExpansionCache(
@@ -539,22 +619,14 @@ class LmLookup:
     ) -> BatchResolveResult:
         """:meth:`resolve` over a batch of (state, word) items.
 
-        Literally the scalar ``resolve`` walk, item by item in list
-        order, with the per-probe bookkeeping kept in locals: at each
-        back-off level the Offset Lookup Table (when the strategy has
-        one), then the strategy's search over the state's native label
-        list.  Equality with the scalar engine holds by construction:
-        bit-identical weights (the back-off accumulator adds in the
-        scalar order) and identical ``LookupStats`` counters, including
-        the OLT's hit/miss/probe accounting and its final contents.
-        The items must not be interleaved with scalar resolves that the
-        batch order would not reproduce.  Native lists in, native lists
-        out: nothing here is array-shaped.  A word id outside the label
-        space or an LM state outside ``[0, num_states)`` raises
-        ``ValueError`` before any item has touched the lookup's state —
-        counters, OLT and expansion residency; stats land on
-        completion: every item is accounted before an exhausted item
-        raises.
+        The untraced ``resolve``'s plain walk, item by item in list
+        order, so the results and counters are the scalar calls'.
+        Native lists in, native lists out: nothing here is array-shaped.
+        A word id outside the label space or an LM state outside
+        ``[0, num_states)`` raises ``ValueError`` before any item has
+        touched the lookup's state — counters and expansion residency;
+        stats land on completion: every item is accounted before an
+        exhausted item raises.
         """
         if self._tracing:
             raise RuntimeError(
@@ -562,129 +634,32 @@ class LmLookup:
             )
         soa = self._ensure_batch_structures()
         columns = self._columns()
-        labels_of = columns.labels
-        base_of = columns.base
-        weights = columns.weights
-        nexts = columns.nexts
-        backoff_weight = columns.backoff_weight
-        backoff_next = columns.backoff_next
         n = len(words)
         if n and not 0 <= min(words) <= max(words) < soa.label_space:
             raise ValueError("word id outside the LM label space")
-        if n and not 0 <= min(states) <= max(states) < len(labels_of):
+        if n and not 0 <= min(states) <= max(states) < len(columns.labels):
             raise ValueError("LM state id outside [0, num_states)")
         self.expansion_cache.touch(states)
-        out_weight = [0.0] * n
-        out_next = [-1] * n
-        out_pruned = [False] * n
-        out_levels = [0] * n
-        out_steps = [0] * n
-        exhausted_word = -1
-        table = self.offset_table
-        use_olt = self.strategy is LookupStrategy.OFFSET_TABLE
-        linear = self.strategy is LookupStrategy.LINEAR
-        if use_olt:
-            assert table is not None
-            slot_mask = table._mask
-            tag_mask = _TAG_MASK
-            entries = table._entries
         if not preemptive:
             threshold = math.inf
-        # Counters land once per batch, not per probe: an item's probes
-        # add up in a small local, and its lookups and back-off arcs
-        # follow from the level its walk ended at (below).
-        prunes = hits = 0
-        for i in range(n):
-            word = words[i]
-            entry = entry_costs[i]
-            accumulated = entry
-            state = states[i]
-            level = 0
-            steps = 0
-            if use_olt:
-                word_hash = word * 0x85EBCA77
-            while True:
-                labels = labels_of[state]
-                found = -1
-                if use_olt:
-                    index = (state ^ word) & slot_mask
-                    tag = ((state * 0x9E3779B1) ^ word_hash) & tag_mask
-                    cached = entries.get(index)
-                    if cached is not None and cached[0] == tag:
-                        # One validation probe on the fetched arc; an
-                        # aliased ordinal may lie past the state's arcs.
-                        steps += 1
-                        ordinal = cached[1]
-                        if ordinal < len(labels) and labels[ordinal] == word:
-                            hits += 1
-                            found = ordinal
-                if found < 0:
-                    if linear:
-                        # The scan stops at the match, at the first
-                        # larger label, or at exhaustion — probing each
-                        # arc it passes.
-                        pos = bisect_left(labels, word)
-                        if pos < len(labels):
-                            steps += pos + 1
-                            if labels[pos] == word:
-                                found = pos
-                        else:
-                            steps += pos
-                    else:
-                        lo = 0
-                        hi = len(labels) - 1
-                        while lo <= hi:
-                            mid = (lo + hi) // 2
-                            steps += 1
-                            label = labels[mid]
-                            if label == word:
-                                found = mid
-                                break
-                            if label < word:
-                                lo = mid + 1
-                            else:
-                                hi = mid - 1
-                        if use_olt and found >= 0:
-                            entries[index] = (tag, found)
-                if found >= 0:
-                    found += base_of[state]
-                    out_weight[i] = (accumulated - entry) + weights[found]
-                    out_next[i] = nexts[found]
-                    break
-                nxt = backoff_next[state]
-                if nxt < 0:
-                    if exhausted_word < 0:
-                        exhausted_word = word
-                    break
-                # The back-off arc's fetch is one more probe.
-                steps += 1
-                level += 1
-                accumulated += backoff_weight[state]
-                state = nxt
-                if accumulated > threshold:
-                    prunes += 1
-                    out_weight[i] = accumulated - entry
-                    out_next[i] = state
-                    out_pruned[i] = True
-                    break
-            out_levels[i] = level
-            out_steps[i] = steps
+        out_weight: list[float] = []
+        out_next: list[int] = []
+        out_pruned: list[bool] = []
+        out_levels: list[int] = []
+        for weight, nxt, pruned, levels in map(
+            columns.walk, states, words, entry_costs, repeat(threshold, n)
+        ):
+            out_weight.append(weight)
+            out_next.append(nxt)
+            out_pruned.append(pruned)
+            out_levels.append(levels)
         # A walk that ended at ``level`` took ``level`` back-off arcs and
         # made ``level + 1`` lookups, except that one pruned on arriving
-        # at ``level`` never searched there.  Every OLT lookup that is
-        # not a hit is a miss.
+        # at ``level`` never searched there.
         backoffs = sum(out_levels)
-        lookups = backoffs + n - prunes
         stats = self.stats
-        stats.lookups += lookups
-        stats.arc_probes += sum(out_steps)
+        stats.lookups += backoffs + n - out_pruned.count(True)
         stats.backoff_arcs_taken += backoffs
-        stats.olt_hits += hits
-        if use_olt:
-            stats.olt_misses += lookups - hits
-        if exhausted_word >= 0:
-            raise LookupError(
-                f"word {exhausted_word} not found at the unigram state; "
-                "the LM must keep all unigrams (Section 3.3 guarantee)"
-            )
+        if -1 in out_next:
+            raise _exhausted(words[out_next.index(-1)])
         return BatchResolveResult(out_weight, out_next, out_pruned, out_levels)

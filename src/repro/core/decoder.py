@@ -66,6 +66,11 @@ class DecoderConfig:
 
     beam: float = 12.0
     max_active: int = 0
+    #: The lookup hardware's model (Section 3.5's Offset Lookup Table
+    #: and the probing search), which only a traced decode runs: it
+    #: sets the LM events and the ``arc_probes`` / ``olt_*`` counters,
+    #: never a result.  An untraced decode's lookup is one
+    #: ``bisect_left`` per back-off level whatever these say.
     lookup_strategy: LookupStrategy = LookupStrategy.OFFSET_TABLE
     offset_table_entries: int = 32 * 1024
     preemptive_pruning: bool = True
@@ -73,7 +78,8 @@ class DecoderConfig:
     #: their dispatch (see :data:`repro.core.batch.SCALAR_FRONTIER_MAX`).
     #: Ignored (scalar path forced) whenever a real TraceSink is
     #: attached: cycle-level simulation needs exact per-event ordering.
-    #: Both paths produce identical results and DecoderStats.
+    #: Both paths produce identical results and DecoderStats; a traced
+    #: decode's are identical except the modelled lookup counters.
     vectorized: bool = True
     #: Record a per-phase wall-clock breakdown of each decode on the
     #: decoder's ``last_phase_seconds`` (``bench/`` reads it).  Only
@@ -194,9 +200,9 @@ class DecoderTables:
 class OnTheFlyDecoder:
     """UNFOLD's decoding algorithm, functionally modelled.
 
-    The decoder is reusable across utterances; the Offset Lookup Table
-    persists between utterances (as the hardware table would), while
-    token tables and lattices are per-utterance.
+    The decoder is reusable across utterances; a traced decoder's
+    Offset Lookup Table persists between utterances (as the hardware
+    table would), while token tables and lattices are per-utterance.
     """
 
     #: Where a traced fetch of a token's state and arcs goes: this
@@ -637,8 +643,8 @@ class OnTheFlyDecoder:
         Replays the scalar loop exactly under the :meth:`_epsilon_batchable`
         gates: seeds are processed in the worklist's pop order (reverse
         table order), LM transitions resolve through
-        :meth:`LmLookup.resolve_batch` (bit-identical weights and
-        lookup counters, including the OLT's evolution), and the
+        :meth:`LmLookup.resolve_batch` (the scalar loop's plain walk:
+        bit-identical weights and lookup counters), and the
         surviving arrivals are committed to the lattice and token
         table in the same interleaved order the scalar loop used.
 

@@ -6,10 +6,11 @@ back-pointers.  Backtracing from the best final token yields the
 recognized word sequence; the full node set is the word lattice the
 Token Issuer writes to main memory.
 
-Two record layouts are sized, matching the paper's Token Cache traffic
+Two record sizes are defined, matching the paper's Token Cache traffic
 discussion: the *raw* layout of the MICRO-49 baseline and the *compact*
 layout of Price [22] adopted by UNFOLD (Section 3.1), which the paper
-credits with extra memory-traffic savings.
+credits with extra memory-traffic savings.  The accelerator model picks
+one (``AcceleratorConfig.lattice_record_bytes``).
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class WordLattice:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def size_bytes(self, compact: bool = True) -> int:
-        """Lattice footprint under the chosen record layout."""
-        record = COMPACT_RECORD_BYTES if compact else RAW_RECORD_BYTES
-        return len(self.nodes) * record
 
     def depth(self, node_id: int) -> int:
         """Number of words on the path ending at ``node_id``."""

@@ -40,3 +40,16 @@ class TraceSink(Protocol):
 
     def on_frame_end(self, frame: int, active_tokens: int) -> None: ...
 
+
+
+
+class NullSink:
+    """A sink that drops every event: attached, it makes a decode's
+    lookups walk the lookup hardware's model, for that model's counters
+    (``arc_probes``, ``olt_hits``, ``olt_misses``) alone."""
+
+    def _drop(self, *event: object) -> None:
+        pass
+
+    on_state_fetch = on_arc_fetch = on_token_write = _drop
+    on_token_hash_access = on_olt_access = on_frame_end = _drop

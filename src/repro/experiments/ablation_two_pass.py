@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.asr.task import KALDI_VOXFORGE
 from repro.asr.wer import word_error_rate
 from repro.core.decoder import DecoderConfig, OnTheFlyDecoder
+from repro.core.trace import NullSink
 from repro.core.two_pass import TwoPassDecoder
 from repro.experiments.common import MAX_ACTIVE, ExperimentResult, TaskBundle, get_bundle
 
@@ -21,7 +22,11 @@ TITLE = "One-pass vs two-pass on-the-fly composition"
 def run(bundle: TaskBundle | None = None) -> ExperimentResult:
     bundle = bundle or get_bundle(KALDI_VOXFORGE)
     config = DecoderConfig(beam=14.0, max_active=MAX_ACTIVE)
-    one_pass = OnTheFlyDecoder(bundle.task.am, bundle.task.lm, config)
+    # The one-pass work counts LM arc probes, which only a traced walk
+    # models: this arm decodes with a sink that drops every event.
+    one_pass = OnTheFlyDecoder(
+        bundle.task.am, bundle.task.lm, config, sink=NullSink()
+    )
     two_pass = TwoPassDecoder(
         bundle.task.am, bundle.task.lm, bundle.task.ngram, config
     )

@@ -3,8 +3,10 @@
 The batched epsilon phase stands on ``LmLookup.resolve_batch`` being
 an *exact* replay of per-item ``resolve`` calls — bit-identical
 weights, the same back-off level counts, the same preemptive-pruning
-decisions, and identical ``LookupStats`` counters including the Offset
-Lookup Table's hit/miss evolution.  These tests pin that contract over
+decisions, and the same ``lookups`` and ``backoff_arcs_taken``.  The
+reference is the traced walk, which models the lookup hardware (the
+Offset Lookup Table and the probes); the batch walks plainly and
+counts none of the model.  These tests pin that contract over
 randomized LM graphs (with negative back-off penalties, which real
 ARPA models have), every (state, word) pair of two presets, and an
 aliased OLT entry pointing past its state's arcs; plus the LM expansion
@@ -29,11 +31,13 @@ from repro.core import (
     LmLookup,
     LmWordArcs,
     LookupStrategy,
+    NullSink,
     OnTheFlyDecoder,
     batch,
 )
 from repro.lm.graph import LmGraph
 from repro.wfst.fst import SymbolTable, Wfst
+from tests.core.test_lm_walk import unmodelled
 
 
 def _random_lm(
@@ -92,10 +96,21 @@ def _random_lm(
     )
 
 
+def _model(graph, strategy, olt_entries=32 * 1024):
+    """A traced lookup: its walk models the OLT and the probes."""
+    return LmLookup(
+        graph,
+        strategy=strategy,
+        offset_table_entries=olt_entries,
+        sink=NullSink(),
+    )
+
+
 def _assert_batch_matches_scalar(
     graph, strategy, batches, preemptive, threshold, olt_entries
 ):
-    scalar = LmLookup(graph, strategy=strategy, offset_table_entries=olt_entries)
+    scalar = _model(graph, strategy, olt_entries)
+    plain = LmLookup(graph, strategy=strategy, offset_table_entries=olt_entries)
     batched = LmLookup(graph, strategy=strategy, offset_table_entries=olt_entries)
     for states, word_ids, entries in batches:
         expected = [
@@ -108,6 +123,17 @@ def _assert_batch_matches_scalar(
             )
             for s, w, e in zip(states, word_ids, entries)
         ]
+        walked = [
+            plain.resolve(
+                int(s),
+                int(w),
+                entry_cost=float(e),
+                threshold=threshold,
+                preemptive=preemptive,
+            )
+            for s, w, e in zip(states, word_ids, entries)
+        ]
+        assert walked == expected
         got = batched.resolve_batch(
             states.tolist(),
             word_ids.tolist(),
@@ -120,16 +146,14 @@ def _assert_batch_matches_scalar(
             assert int(got.next_state[i]) == ref.next_state
             assert bool(got.pruned[i]) == ref.pruned
             assert int(got.backoff_levels[i]) == ref.backoff_levels
-        # Counter-for-counter equality, including OLT hits/misses and
-        # probes (expansion_* fields are compare=False: scalar has no
-        # expansion cache activity).
-        assert batched.stats == scalar.stats
+        # Counter-for-counter equality but the model's (expansion_*
+        # fields are compare=False: scalar has no expansion cache
+        # activity).
+        assert batched.stats == plain.stats == unmodelled(scalar.stats)
+    # Only the traced walk keeps a table, and the batches exercised it.
+    assert batched.offset_table is None
     if strategy is LookupStrategy.OFFSET_TABLE:
-        # The OLT contents must evolve identically too, or the *next*
-        # decode would diverge.
-        got = batched.offset_table._entries
-        assert got
-        assert got == scalar.offset_table._entries
+        assert scalar.offset_table._entries
 
 
 @settings(max_examples=25, deadline=None)
@@ -242,7 +266,7 @@ def test_wide_lm_matches_scalar(strategy):
     them, and every strategy's batch still matches scalar resolves."""
     graph = _wide_unigram_lm()
     states, word_ids = _every_pair(graph)
-    scalar = LmLookup(graph, strategy=strategy)
+    scalar = _model(graph, strategy)
     lookup = LmLookup(graph, strategy=strategy)
     got = lookup.resolve_batch(states, word_ids, [0.0] * len(word_ids))
     for i, (s, w) in enumerate(zip(states, word_ids)):
@@ -250,21 +274,22 @@ def test_wide_lm_matches_scalar(strategy):
         assert got.weight[i].hex() == ref.weight.hex(), (s, w)
         assert got.next_state[i] == ref.next_state, (s, w)
         assert got.backoff_levels[i] == ref.backoff_levels, (s, w)
-    assert lookup.stats == scalar.stats
+    assert lookup.stats == unmodelled(scalar.stats)
     if strategy is LookupStrategy.LINEAR:
         # State 2's scan for word 320 passes both its arcs, backs off
         # and passes all 320 unigram arcs.
-        probe = LmLookup(graph, strategy=strategy)
-        probe.resolve_batch([2], [320], [0.0])
+        probe = _model(graph, strategy)
+        probe.resolve(2, 320)
         assert probe.stats.arc_probes == 2 + 1 + 320
 
 
 def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
     """An aliased OLT entry holds another pair's ordinal, which can lie
     past the probed state's arcs (``(0, 6586)`` and ``(1, 49)`` share a
-    slot and a tag in a one-entry table).  Both paths pay the
-    validation probe, miss, and search; results, counters and the
-    table's contents agree, at every (state, word) pair."""
+    slot and a tag in a one-entry table).  The traced walk pays the
+    validation probe, misses, and searches; the batch, which keeps no
+    table, finds the same result and counts the same lookups, at every
+    (state, word) pair."""
     graph = _random_lm(17)
     num_states = graph.fst.num_states
     arc_counts = [
@@ -273,11 +298,10 @@ def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
     ]
     states, word_ids = _every_pair(graph)
     for state, word in zip(states, word_ids):
-        clean = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
-        scalar = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
+        clean = _model(graph, LookupStrategy.OFFSET_TABLE)
+        scalar = _model(graph, LookupStrategy.OFFSET_TABLE)
         batched = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
-        for planted in (scalar, batched):
-            planted.offset_table.insert(state, word, arc_counts[state] + 3)
+        scalar.offset_table.insert(state, word, arc_counts[state] + 3)
         want = clean.resolve(state, word)
         ref = scalar.resolve(state, word)
         got = batched.resolve_batch([state], [word], [0.0])
@@ -285,16 +309,16 @@ def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
         assert got.weight[0] == ref.weight, (state, word)
         assert got.next_state[0] == ref.next_state, (state, word)
         assert got.backoff_levels[0] == ref.backoff_levels, (state, word)
-        assert batched.stats == scalar.stats, (state, word)
+        assert batched.stats == unmodelled(scalar.stats), (state, word)
         assert scalar.stats.arc_probes == clean.stats.arc_probes + 1
         assert scalar.stats.olt_hits == 0
-        assert batched.offset_table._entries == scalar.offset_table._entries
 
 
 def test_resolve_batch_olt_warm_hit_ratio():
-    """Repeating a batch must warm the OLT as the scalar calls do."""
+    """Repeated items warm the traced walk's OLT; the batch counts the
+    same lookups without one."""
     graph = _random_lm(7)
-    scalar = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
+    scalar = _model(graph, LookupStrategy.OFFSET_TABLE)
     batched = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
     states = [1, 2, 3, 1, 2, 3]
     word_ids = [1, 2, 3, 1, 2, 3]
@@ -303,9 +327,41 @@ def test_resolve_batch_olt_warm_hit_ratio():
         for s, w in zip(states, word_ids):
             scalar.resolve(s, w)
         batched.resolve_batch(states, word_ids, entries)
-    assert batched.stats == scalar.stats
-    assert batched.stats.olt_hits > 0
-    assert batched.stats.olt_hit_ratio == scalar.stats.olt_hit_ratio
+    assert batched.stats == unmodelled(scalar.stats)
+    assert scalar.stats.olt_hits > 0
+    assert batched.stats.olt_hit_ratio == 0.0
+
+
+def test_a_walk_at_the_threshold_goes_on():
+    """Preemptive pruning drops a walk once its cost *exceeds* the
+    threshold: where the first back-off penalty lands exactly on it,
+    the batch walks on, as the traced walk does."""
+    graph = _random_lm(7)
+    model = _model(graph, LookupStrategy.BINARY)
+    batched = LmLookup(graph, strategy=LookupStrategy.BINARY)
+    ties = 0
+    for state in range(1, graph.fst.num_states):
+        penalty = graph.backoff_arc(state).weight
+        labels = {arc.ilabel for arc in graph.fst.out_arcs(state)}
+        for word in range(1, graph.backoff_label):
+            if word in labels:
+                continue
+            want = model.resolve(
+                state, word, threshold=penalty, preemptive=True
+            )
+            got = batched.resolve_batch(
+                [state], [word], [0.0], threshold=penalty, preemptive=True
+            )
+            assert (
+                got.weight[0], got.next_state[0], got.pruned[0],
+                got.backoff_levels[0],
+            ) == (
+                want.weight, want.next_state, want.pruned,
+                want.backoff_levels,
+            ), (state, word)
+            ties += not (want.pruned and want.backoff_levels == 1)
+    assert ties
+    assert batched.stats == unmodelled(model.stats)
 
 
 def test_lookup_error_parity():
@@ -349,10 +405,9 @@ def test_lookup_error_parity():
 
 
 def _transient_state(lookup):
-    """Counters, OLT entries and expansion residency (LRU order)."""
+    """Counters and expansion residency (LRU order)."""
     return (
         dataclasses.asdict(lookup.stats),
-        dict(lookup.offset_table._entries),
         list(lookup.expansion_cache._resident),
     )
 
@@ -361,8 +416,8 @@ def _transient_state(lookup):
 @pytest.mark.parametrize("position", [0, 2])
 def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
     """Ids are validated for the whole batch up front: the items before
-    the bad one must not have overwritten OLT entries, moved expansion
-    residency or gone uncounted."""
+    the bad one must not have moved expansion residency or gone
+    uncounted."""
     graph = _random_lm(13)
     lookup = LmLookup(
         graph,
@@ -372,7 +427,7 @@ def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
     )
     lookup.resolve_batch([1, 2, 3], [1, 2, 3], [0.0, 0.0, 0.0])
     before = _transient_state(lookup)
-    assert before[1] and before[2]
+    assert before[0]["lookups"] and before[1]
     words = [4, 5, 6]
     words[position] = bad_word
     with pytest.raises(ValueError, match="label space"):
@@ -402,8 +457,8 @@ def test_bad_lm_state_raises_before_anything_is_touched(tiny_task, states):
 
 
 def test_forks_allocate_no_per_entry_storage():
-    """A fork's OLT is empty and so holds nothing: 64 serve sessions
-    or lockstep utterances used to zero-fill 768 KiB each."""
+    """A fork never traces, so it holds no OLT: 64 serve sessions or
+    lockstep utterances used to zero-fill 768 KiB each."""
     lookup = LmLookup(_random_lm(2), strategy=LookupStrategy.OFFSET_TABLE)
     lookup.fork()  # builds the shared batch structures
     tracemalloc.start()
@@ -414,7 +469,7 @@ def test_forks_allocate_no_per_entry_storage():
     finally:
         tracemalloc.stop()
     assert len(forks) == 64
-    assert all(fork.offset_table.num_entries == 32 * 1024 for fork in forks)
+    assert all(fork.offset_table is None for fork in forks)
     assert grown < 64 * 1024, grown
 
 
@@ -473,27 +528,8 @@ def test_resolving_every_pair_holds_only_residency():
 
 
 def test_resolve_batch_rejects_tracing():
-    class Sink:
-        def on_state_fetch(self, side, state):
-            pass
-
-        def on_arc_fetch(self, side, state, ordinal):
-            pass
-
-        def on_token_write(self):
-            pass
-
-        def on_token_hash_access(self, am, lm):
-            pass
-
-        def on_olt_access(self, lm_state, word_id, hit):
-            pass
-
-        def on_frame_end(self, frame, active):
-            pass
-
     graph = _random_lm(1)
-    lookup = LmLookup(graph, sink=Sink())
+    lookup = LmLookup(graph, sink=NullSink())
     assert not lookup.batch_supported
     with pytest.raises(RuntimeError):
         lookup.resolve_batch([0], [1], [0.0])
@@ -524,23 +560,29 @@ def test_expansion_cache_hits_misses_evictions():
 
 
 def test_reset_transient_state_clears_both_caches():
+    """The batch fills the expansion residency; the traced walk, the
+    OLT it models."""
     graph = _random_lm(5)
     lookup = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
     lookup.resolve_batch([1, 2], [1, 2], [0.0, 0.0])
     assert len(lookup.expansion_cache._resident) > 0
+    model = _model(graph, LookupStrategy.OFFSET_TABLE)
+    model.resolve(1, 1)
+    model.resolve(2, 2)
     # The OLT caches the pair at whichever chain state the arc was
     # found, so scan the full (state, word) space for live entries.
     cached = [
         (s, w)
         for s in range(graph.fst.num_states)
         for w in (1, 2)
-        if lookup.offset_table.lookup(s, w) is not None
+        if model.offset_table.lookup(s, w) is not None
     ]
-    assert cached  # the batch populated the OLT
+    assert cached  # the walks populated the OLT
     lookup.reset_transient_state()
+    model.reset_transient_state()
     assert len(lookup.expansion_cache._resident) == 0
     assert all(
-        lookup.offset_table.lookup(s, w) is None for s, w in cached
+        model.offset_table.lookup(s, w) is None for s, w in cached
     )
 
 

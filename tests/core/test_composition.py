@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LmLookup, LookupStats, LookupStrategy, OffsetLookupTable
+from repro.core import (
+    LmLookup,
+    LookupStats,
+    LookupStrategy,
+    NullSink,
+    OffsetLookupTable,
+)
 from repro.lm import SENTENCE_END
 
 
@@ -23,6 +29,13 @@ def model(tiny_task):
 
 def _lookup(lm, strategy, entries=1024):
     return LmLookup(lm, strategy=strategy, offset_table_entries=entries)
+
+
+def _model(lm, strategy):
+    """A traced lookup: only its walk models the OLT and the probes."""
+    return LmLookup(
+        lm, strategy=strategy, offset_table_entries=1024, sink=NullSink()
+    )
 
 
 class TestOffsetLookupTable:
@@ -111,9 +124,9 @@ def test_lookup_stats_delta_covers_every_counter():
 
 class TestStrategiesAgree:
     def test_all_strategies_find_same_arcs(self, lm, tiny_task):
-        linear = _lookup(lm, LookupStrategy.LINEAR)
-        binary = _lookup(lm, LookupStrategy.BINARY)
-        olt = _lookup(lm, LookupStrategy.OFFSET_TABLE)
+        linear = _model(lm, LookupStrategy.LINEAR)
+        binary = _model(lm, LookupStrategy.BINARY)
+        olt = _model(lm, LookupStrategy.OFFSET_TABLE)
         for state in range(lm.fst.num_states):
             for word in tiny_task.grammar.vocabulary[:6]:
                 word_id = lm.word_id(word)
@@ -124,8 +137,8 @@ class TestStrategiesAgree:
                 assert len({(a.ilabel, a.nextstate, a.weight) if a else None for a in arcs}) == 1
 
     def test_linear_costs_more_probes_than_binary(self, lm, tiny_task):
-        linear = _lookup(lm, LookupStrategy.LINEAR)
-        binary = _lookup(lm, LookupStrategy.BINARY)
+        linear = _model(lm, LookupStrategy.LINEAR)
+        binary = _model(lm, LookupStrategy.BINARY)
         state = lm.unigram_state  # widest state: one arc per word
         for word in tiny_task.grammar.vocabulary:
             word_id = lm.word_id(word)
@@ -134,7 +147,7 @@ class TestStrategiesAgree:
         assert linear.stats.arc_probes > binary.stats.arc_probes
 
     def test_offset_table_hits_on_repeats(self, lm, tiny_task):
-        olt = _lookup(lm, LookupStrategy.OFFSET_TABLE)
+        olt = _model(lm, LookupStrategy.OFFSET_TABLE)
         state = lm.unigram_state
         word_id = lm.word_id(tiny_task.grammar.vocabulary[0])
         olt.find_arc(state, word_id)
@@ -146,7 +159,7 @@ class TestStrategiesAgree:
         assert olt.stats.arc_probes == first_probes + 1
 
     def test_hit_ratio_property(self, lm, tiny_task):
-        olt = _lookup(lm, LookupStrategy.OFFSET_TABLE)
+        olt = _model(lm, LookupStrategy.OFFSET_TABLE)
         state = lm.unigram_state
         for _ in range(9):
             olt.find_arc(state, lm.word_id(tiny_task.grammar.vocabulary[1]))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import DecoderConfig, OnTheFlyDecoder
+from repro.core import DecoderConfig, NullSink, OnTheFlyDecoder
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +55,9 @@ class TestEdgeCases:
         assert first.lattice is not again.lattice
 
     def test_offset_table_warm_across_utterances(self, tiny_task, tiny_scores):
+        # The OLT is the traced walk's model of the lookup hardware.
         decoder = OnTheFlyDecoder(
-            tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0)
+            tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0), sink=NullSink()
         )
         decoder.decode(tiny_scores[0])
         second = decoder.decode(tiny_scores[0])
@@ -67,7 +68,6 @@ class TestEdgeCases:
         result = decoder.decode(tiny_scores[1])
         if result.success:
             assert len(result.word_ids) <= len(result.lattice)
-            assert result.lattice.size_bytes() == 8 * len(result.lattice)
 
     def test_cost_finite_only_on_success(self, decoder, tiny_scores):
         result = decoder.decode(tiny_scores[0])

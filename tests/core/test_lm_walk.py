@@ -8,8 +8,13 @@ per probe); any rewrite of the walk must reproduce them exactly:
 the same events in the same order, the same results and the same
 counters and table contents.
 
-Untraced, the walk must also agree item for item with
-``resolve_batch``, the batched epsilon phase's engine.
+That walk is the lookup hardware's model, and only a traced lookup
+runs it.  Untraced, ``resolve`` and ``resolve_batch`` (the batched
+epsilon phase's engine) walk plainly, one ``bisect_left`` per back-off
+level, and must agree with the model item for item: the same weights,
+next states, prunes and levels, and the same ``lookups`` and
+``backoff_arcs_taken``; the model's own counters (``arc_probes``,
+``olt_hits``, ``olt_misses``) are a traced decode's only.
 """
 
 from __future__ import annotations
@@ -20,8 +25,30 @@ import math
 
 import pytest
 
+from repro.am import GmmAcousticModel
 from repro.asr import KALDI_TEDLIUM, build_task
-from repro.core import LmLookup, LookupStrategy
+from repro.core import (
+    DecoderConfig,
+    LmLookup,
+    LookupStrategy,
+    NullSink,
+    OnTheFlyDecoder,
+)
+
+#: The lookup model's counters: a traced decode's only.
+MODELLED = ("arc_probes", "olt_hits", "olt_misses")
+
+
+def unmodelled(stats):
+    """``LookupStats`` with the model's counters zeroed: what a plain
+    walk of the same items counts."""
+    return dataclasses.replace(stats, **dict.fromkeys(MODELLED, 0))
+
+
+def without_model(stats):
+    """``DecoderStats`` with the lookup model's counters zeroed: what an
+    untraced decode of the same search reports."""
+    return dataclasses.replace(stats, lookup=unmodelled(stats.lookup))
 
 
 class RecordingSink:
@@ -158,21 +185,42 @@ def test_traced_walk_is_pinned(tiny_task, strategy, preemptive):
     assert (digest, length) == _PINNED[strategy, preemptive]
 
 
-def _assert_items_agree(graph, strategy, preemptive):
-    """Untraced ``resolve`` item by item against one ``resolve_batch``
-    over the same items, each lookup with the same aliased entries
-    planted: per-item outcome, counters and the table's final entries."""
+def _assert_plain_equals_model(graph, strategy, preemptive):
+    """Untraced ``resolve`` item by item and one ``resolve_batch`` over
+    the same items, against the traced model walk with aliased OLT
+    entries planted: per-item outcome, ``lookups`` and
+    ``backoff_arcs_taken``; the plain walks count no model."""
     pairs = _pairs(graph)
     arc_counts = _arc_counts(graph)
+    model = LmLookup(graph, strategy=strategy, sink=NullSink())
     scalar = LmLookup(graph, strategy=strategy)
     batched = LmLookup(graph, strategy=strategy)
+    assert scalar.offset_table is None and batched.offset_table is None
     for state, word in pairs:
-        for lookup in (scalar, batched):
-            _plant(lookup, state, word, arc_counts)
+        _plant(model, state, word, arc_counts)
     threshold = 2.5 if preemptive else math.inf
-    expected = [
-        scalar.resolve(
-            s, w, entry_cost=0.5, threshold=threshold, preemptive=preemptive
+
+    def outcome(result):
+        return (
+            result.weight.hex(), result.next_state, result.pruned,
+            result.backoff_levels,
+        )
+
+    want = [
+        outcome(
+            model.resolve(
+                s, w, entry_cost=0.5, threshold=threshold,
+                preemptive=preemptive,
+            )
+        )
+        for s, w in pairs
+    ]
+    plain = [
+        outcome(
+            scalar.resolve(
+                s, w, entry_cost=0.5, threshold=threshold,
+                preemptive=preemptive,
+            )
         )
         for s, w in pairs
     ]
@@ -183,27 +231,119 @@ def _assert_items_agree(graph, strategy, preemptive):
         threshold=threshold,
         preemptive=preemptive,
     )
-    for i, ref in enumerate(expected):
+    for i, ref in enumerate(want):
+        assert plain[i] == ref, pairs[i]
         assert (
             got.weight[i].hex(), got.next_state[i], got.pruned[i],
             got.backoff_levels[i],
-        ) == (
-            ref.weight.hex(), ref.next_state, ref.pruned, ref.backoff_levels,
-        ), pairs[i]
-    assert batched.stats == scalar.stats
+        ) == ref, pairs[i]
+    assert any(pruned for _, _, pruned, _ in want) is preemptive
+    assert scalar.stats == batched.stats == unmodelled(model.stats)
     if strategy is LookupStrategy.OFFSET_TABLE:
-        assert scalar.stats.olt_hits > 0
-        assert batched.offset_table._entries == scalar.offset_table._entries
+        assert model.stats.olt_hits > 0
 
 
 @_PREEMPTIVE
 @_STRATEGIES
 def test_tiny_resolve_equals_resolve_batch(tiny_task, strategy, preemptive):
-    _assert_items_agree(tiny_task.lm, strategy, preemptive)
+    _assert_plain_equals_model(tiny_task.lm, strategy, preemptive)
+
+
+@pytest.fixture(scope="module")
+def tedlium():
+    """``KALDI_TEDLIUM`` and three utterances' oracle scores."""
+    task = build_task(KALDI_TEDLIUM)
+    scorer = GmmAcousticModel.from_emissions(
+        task.emissions, num_mixtures=1, noise_scale=task.config.noise_scale
+    )
+    return task, [scorer.score(u.features) for u in task.test_set(3, max_words=6)]
 
 
 @_PREEMPTIVE
-def test_tedlium_resolve_equals_resolve_batch(preemptive):
-    _assert_items_agree(
-        build_task(KALDI_TEDLIUM).lm, LookupStrategy.OFFSET_TABLE, preemptive
+def test_tedlium_resolve_equals_resolve_batch(tedlium, preemptive):
+    _assert_plain_equals_model(
+        tedlium[0].lm, LookupStrategy.OFFSET_TABLE, preemptive
     )
+
+
+def _decode_all(task, scores, strategy, preemptive, sink=None):
+    """One decoder (its OLT persists) over every utterance: their
+    results and the lookup's counters summed."""
+    config = DecoderConfig(
+        beam=14.0,
+        max_active=800,
+        lookup_strategy=strategy,
+        preemptive_pruning=preemptive,
+    )
+    decoder = OnTheFlyDecoder(task.am, task.lm, config, sink=sink)
+    results = [decoder.decode(matrix) for matrix in scores]
+    total = dataclasses.replace(results[0].stats.lookup)
+    for result in results[1:]:
+        for f in dataclasses.fields(total):
+            name = f.name
+            setattr(
+                total, name,
+                getattr(total, name) + getattr(result.stats.lookup, name),
+            )
+    return decoder, results, total
+
+
+#: (strategy, preemptive) -> (lookups, arc_probes, olt_hits, olt_misses,
+#: backoff_arcs_taken) of ``_decode_all`` over ``tedlium``, recorded from
+#: untraced decodes when the lookup hardware's model still ran on every
+#: walk (mostly in ``resolve_batch``: these frontiers take the kernels).
+_PINNED_DECODES = {
+    (LookupStrategy.LINEAR, False): (10604, 653541, 0, 0, 6954),
+    (LookupStrategy.LINEAR, True): (8210, 282541, 0, 0, 6607),
+    (LookupStrategy.BINARY, False): (10604, 55528, 0, 0, 6954),
+    (LookupStrategy.BINARY, True): (8210, 38528, 0, 0, 6607),
+    (LookupStrategy.OFFSET_TABLE, False): (10604, 34263, 3428, 7176, 6954),
+    (LookupStrategy.OFFSET_TABLE, True): (8210, 29986, 1444, 6766, 6607),
+}
+
+_COUNTERS = ("lookups", *MODELLED, "backoff_arcs_taken")
+
+
+@pytest.fixture(scope="module")
+def traced_decodes(tedlium):
+    """``_decode_all`` over ``tedlium`` with a sink, once per config."""
+    memo = {}
+
+    def get(strategy, preemptive):
+        if (strategy, preemptive) not in memo:
+            memo[strategy, preemptive] = _decode_all(
+                *tedlium, strategy, preemptive, NullSink()
+            )
+        return memo[strategy, preemptive]
+
+    return get
+
+
+@_PREEMPTIVE
+@_STRATEGIES
+def test_traced_decode_counts_the_pinned_model(
+    traced_decodes, strategy, preemptive
+):
+    """Traced decodes count what every decode counted while each walk
+    ran the model: the OLT, the probes and the back-off walk."""
+    _, _, total = traced_decodes(strategy, preemptive)
+    counted = tuple(getattr(total, name) for name in _COUNTERS)
+    assert counted == _PINNED_DECODES[strategy, preemptive]
+
+
+@_PREEMPTIVE
+@_STRATEGIES
+def test_untraced_decode_holds_no_model(
+    tedlium, traced_decodes, strategy, preemptive
+):
+    """An untraced decode holds no OLT and counts none of the model;
+    the search and every other stat equal the traced decode's."""
+    plain, untraced, _ = _decode_all(*tedlium, strategy, preemptive)
+    _, traced, total = traced_decodes(strategy, preemptive)
+    assert plain.lookup.offset_table is None
+    assert total.arc_probes > 0
+    for want, got in zip(traced, untraced):
+        assert (got.words, got.cost, got.finals) == (
+            want.words, want.cost, want.finals,
+        )
+        assert got.stats == without_model(want.stats)

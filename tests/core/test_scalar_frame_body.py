@@ -45,6 +45,7 @@ from repro.core.beam import prune_items
 from repro.core.tokens import KEY_SHIFT, pack_key, unpack_key
 from repro.wfst.fst import EPSILON
 from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes, _task
+from tests.core.test_lm_walk import without_model
 
 # -- (a) the table -----------------------------------------------------------
 
@@ -494,7 +495,7 @@ def test_trace_events_keep_their_order(kind):
         untraced.words, untraced.cost, untraced.finals,
     )
     assert _lattice_nodes(traced.lattice) == _lattice_nodes(untraced.lattice)
-    assert traced.stats == untraced.stats
+    assert untraced.stats == without_model(traced.stats)
 
 
 # -- (d) regime round trips ----------------------------------------------------
