@@ -22,7 +22,7 @@ during the phase).
 :class:`LmWordArcs` flattens an LM graph's word arcs (back-off arc
 excluded) into the same CSR layout, ilabel-sorted within each state,
 plus each state's back-off arc and the sign of every resolvable total
-— the batched resolve's gate.  A lookup over these columns alone (a
+— the batched epsilon phase's gate.  A lookup over these columns alone (a
 shared-memory attach) builds the per-state columns ``LmLookup``'s walks
 read from them.
 

@@ -28,7 +28,7 @@ import enum
 import math
 from bisect import bisect_left
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
@@ -59,7 +59,7 @@ class LookupStats:
     olt_hits: int = 0
     olt_misses: int = 0
     backoff_arcs_taken: int = 0
-    # LM expansion cache activity (the batched resolve engine).  The
+    # LM expansion cache activity (the batched epsilon phase's).  The
     # cache models residency only, so these are excluded from
     # equality: scalar runs, which never touch the cache, must still
     # compare equal to batched runs stat-for-stat.
@@ -161,12 +161,8 @@ class ResolveResult:
 
 @dataclass(slots=True)
 class BatchResolveResult:
-    """:meth:`LmLookup.resolve_batch` outcome, one entry per item.
-
-    Native lists: a frame's batch is a few dozen items (see DESIGN.md,
-    "Where a vectorized frame goes"), which its consumer walks item by
-    item anyway.
-    """
+    """:meth:`LmLookup.resolve_batch` outcome, one entry per item, in
+    native lists.  No decoder reads it (see ``resolve_batch``)."""
 
     weight: list[float]
     next_state: list[int]
@@ -224,8 +220,10 @@ class LmExpansionCache:
 class _WalkColumns:
     """An LM's word arcs as the walks read them, in native columns.
 
-    What both walks (:meth:`LmLookup.resolve` and
-    :meth:`LmLookup.resolve_batch`) read: ``labels[s]`` lists state
+    What the plain walk (:meth:`walk`, behind the untraced
+    :meth:`LmLookup.resolve`, :meth:`LmLookup.resolve_batch` and the
+    batched epsilon phase's :attr:`LmLookup.plain_walk`) and the
+    traced walk read: ``labels[s]`` lists state
     ``s``'s word-arc labels (ilabel-ascending, back-off arc excluded),
     and the arc at ordinal ``k`` there has weight ``weights[base[s] +
     k]`` and destination ``nexts[base[s] + k]`` (flat over the LM, the
@@ -314,7 +312,8 @@ class _WalkColumns:
                 return accumulated - entry, state, True, levels
 
 
-def _exhausted(word: int) -> LookupError:
+def exhausted_word_error(word: int) -> LookupError:
+    """What a walk raises when the unigram state lacks ``word``."""
     return LookupError(
         f"word {word} not found at the unigram state; the LM must keep "
         "all unigrams (Section 3.3 guarantee)"
@@ -354,9 +353,10 @@ class LmLookup:
         self.offset_table: OffsetLookupTable | None = None
         if strategy is LookupStrategy.OFFSET_TABLE and self._tracing:
             self.offset_table = OffsetLookupTable(offset_table_entries)
-        # The CSR word-arc columns: the batched resolve's gate and id
-        # ranges.  Prebuilt (a shared-memory attach, where walking
-        # ``graph.fst`` is impossible) or built on first use.
+        # The CSR word-arc columns: the batched epsilon phase's gate and
+        # ``resolve_batch``'s id ranges.  Prebuilt (a shared-memory
+        # attach, where walking ``graph.fst`` is impossible) or built on
+        # first use.
         self._soa: LmWordArcs | None = word_arcs
         # The walks' columns, in a cell shared with forks: built from
         # the graph here, or over prebuilt CSR columns on the first
@@ -375,13 +375,40 @@ class LmLookup:
             self._columns_cell[0] = columns
         return columns
 
+    @property
+    def plain_walk(
+        self,
+    ) -> Callable[[int, int, float, float], tuple[float, int, bool, int]]:
+        """:meth:`_WalkColumns.walk`, bound: ``(state, word, entry,
+        threshold) -> (weight, next_state, pruned, levels)``.
+
+        For a caller that walks item by item and keeps the books
+        itself, as the untraced :meth:`resolve` does per item:
+        ``lookups += levels + (not pruned)``, ``backoff_arcs_taken +=
+        levels``, and :func:`exhausted_word_error` on a ``next_state``
+        of -1 (the batched epsilon phase also touches the expansion
+        cache with the walked states).
+        """
+        return self._columns().walk
+
     # -- one lookup at one state ------------------------------------------
 
     def find_arc(self, state: int, word_id: int) -> Arc | None:
-        """The arc for ``word_id`` at ``state``, or None if backed off:
-        one :meth:`_search` of the lookup model, counted as such."""
+        """The arc for ``word_id`` at ``state``, or None if backed off.
+
+        Untraced, one ``bisect_left`` over the state's labels, counted
+        as one lookup (the plain walk's one level); traced, one
+        :meth:`_search` of the lookup model, counted as such.
+        """
         columns = self._columns()
-        found = self._search(state, word_id, columns.labels[state])
+        labels = columns.labels[state]
+        if self._tracing:
+            found = self._search(state, word_id, labels)
+        else:
+            self.stats.lookups += 1
+            found = bisect_left(labels, word_id)
+            if found == len(labels) or labels[found] != word_id:
+                found = -1
         if found < 0:
             return None
         at = columns.base[state] + found
@@ -498,7 +525,7 @@ class LmLookup:
         stats.lookups += levels + (not pruned)
         stats.backoff_arcs_taken += levels
         if nxt < 0:
-            raise _exhausted(word_id)
+            raise exhausted_word_error(word_id)
         return ResolveResult(weight, nxt, pruned, levels)
 
     def _resolve_traced(
@@ -551,10 +578,10 @@ class LmLookup:
                 levels,
             )
         if nxt < 0:
-            raise _exhausted(word_id)
+            raise exhausted_word_error(word_id)
         return ResolveResult(accumulated - entry_cost, nxt, True, levels)
 
-    # -- batched resolution (the batched epsilon phase's engine) ------------
+    # -- batched resolution -------------------------------------------------
 
     def _ensure_batch_structures(self) -> LmWordArcs:
         if self._soa is None:
@@ -563,7 +590,8 @@ class LmLookup:
 
     @property
     def batch_supported(self) -> bool:
-        """Whether :meth:`resolve_batch` preserves scalar semantics here.
+        """Whether a batched walk preserves scalar semantics here (the
+        batched epsilon phase's gate).
 
         Requires non-negative LM costs (so a frame's pruning threshold
         cannot move mid-phase) and no trace sink (batched work has no
@@ -619,6 +647,11 @@ class LmLookup:
     ) -> BatchResolveResult:
         """:meth:`resolve` over a batch of (state, word) items.
 
+        No longer the decoder's engine: the batched epsilon phase walks
+        each pair through :attr:`plain_walk` in the loop that commits
+        it.  It stays as the batch form of the untraced walk, which
+        ``bench/common.py``'s ``CoreProbe`` times by name.
+
         The untraced ``resolve``'s plain walk, item by item in list
         order, so the results and counters are the scalar calls'.
         Native lists in, native lists out: nothing here is array-shaped.
@@ -661,5 +694,5 @@ class LmLookup:
         stats.lookups += backoffs + n - out_pruned.count(True)
         stats.backoff_arcs_taken += backoffs
         if -1 in out_next:
-            raise _exhausted(words[out_next.index(-1)])
+            raise exhausted_word_error(words[out_next.index(-1)])
         return BatchResolveResult(out_weight, out_next, out_pruned, out_levels)

@@ -29,7 +29,12 @@ from repro.core.arcs import (
 )
 from repro.core.batch import BatchSegment, advance_segment
 from repro.core.beam import BeamConfig, prune_items
-from repro.core.composition import LmLookup, LookupStats, LookupStrategy
+from repro.core.composition import (
+    LmLookup,
+    LookupStats,
+    LookupStrategy,
+    exhausted_word_error,
+)
 from repro.core.lattice import WordLattice
 from repro.core.tokens import (
     KEY_LM_MASK,
@@ -45,7 +50,7 @@ from repro.wfst.fst import EPSILON
 
 #: Clocks a profiled decode accumulates (``other``/``total`` are derived).
 _PHASES = (
-    "expand", "epsilon", "prune", "gather", "plan", "fill", "resolve", "commit"
+    "expand", "epsilon", "prune", "gather", "plan", "fill", "seeds", "pairs"
 )
 
 
@@ -208,6 +213,10 @@ class OnTheFlyDecoder:
     #: Where a traced fetch of a token's state and arcs goes: this
     #: dataset, at the id :meth:`_trace_state` gives the token.
     _trace_side = GraphSide.AM
+    #: A composed graph's LM side (a private untraced fork; see
+    #: :class:`~repro.core.offline_decoder.FullyComposedDecoder`), or
+    #: None: cross-word arcs walk the segment's lookup on the fly.
+    _composer: LmLookup | None = None
 
     def __init__(
         self,
@@ -264,8 +273,9 @@ class OnTheFlyDecoder:
         #: ``config.profile``), in seconds: expand (prune + emitting),
         #: epsilon, other (bookkeeping + finalize), total — and, for
         #: the frames that took the numpy kernels, the sections of
-        #: expand (prune, gather, plan, fill) and of epsilon (resolve,
-        #: commit; its seed selection and gather are the remainder).
+        #: expand (prune, gather, plan, fill) and of epsilon (seeds:
+        #: selecting the seeds and reading their columns; pairs: the
+        #: loop that walks and commits every pair).
         self.last_phase_seconds: dict[str, float] | None = None
 
     @cached_property
@@ -600,35 +610,6 @@ class OnTheFlyDecoder:
             and self.lookup.batch_supported
         )
 
-    def _cross_word_arrivals(
-        self,
-        lookup: LmLookup,
-        lm_states: Sequence[int],
-        words: Sequence[int],
-        token_costs: Sequence[float],
-        arc_weights: Sequence[float],
-        threshold: float,
-    ) -> tuple[list[float], list[int], list[bool]]:
-        """A frame's cross-word arcs, composed with the LM.
-
-        Per arc: the arriving token's cost, its LM state, and whether
-        preemptive pruning dropped it mid-walk — added up in the scalar
-        loop's order, ``(token + arc) + lm``.
-        """
-        base_costs = [t + a for t, a in zip(token_costs, arc_weights)]
-        result = lookup.resolve_batch(
-            lm_states,
-            words,
-            base_costs,
-            threshold=threshold,
-            preemptive=self.config.preemptive_pruning,
-        )
-        return (
-            [b + w for b, w in zip(base_costs, result.weight)],
-            result.next_state,
-            result.pruned,
-        )
-
     def _epsilon_phase_batched(
         self,
         table: SoaTokenTable,
@@ -642,112 +623,111 @@ class OnTheFlyDecoder:
 
         Replays the scalar loop exactly under the :meth:`_epsilon_batchable`
         gates: seeds are processed in the worklist's pop order (reverse
-        table order), LM transitions resolve through
-        :meth:`LmLookup.resolve_batch` (the scalar loop's plain walk:
-        bit-identical weights and lookup counters), and the
-        surviving arrivals are committed to the lattice and token
-        table in the same interleaved order the scalar loop used.
+        table order), and each (seed, epsilon arc) pair is finished in
+        the one pass that reaches it — its arrival cost, for a
+        cross-word arc the LM's plain walk (:attr:`LmLookup.plain_walk`:
+        the scalar loop's weights, next states and lookup counters), the
+        preemptive drop, then the lattice node and the token-table
+        insert, in the order the scalar loop made them.  Single-level
+        gate: no arrival re-enters the worklist, so nothing else is
+        left to do.
 
         numpy touches only what is frontier-sized — finding the seeds
         and reading their columns; a frame's seeds fan out into a few
-        dozen arcs at most (DESIGN.md, "Where a vectorized frame
-        goes"), so everything pair-sized runs on native lists: one
-        pass over the seeds appends each pair's fields to their own
-        columns.
+        dozen pairs at most (DESIGN.md, "Where a vectorized frame
+        goes"), so the pairs run on native values.  Counters are summed
+        in locals and written once, and the word pairs' LM states go to
+        the expansion cache in one call, in pair order.
+
+        A composed graph's decoder (``FullyComposedDecoder``) has a
+        ``_composer``: its cross-word arcs walk from an entry of 0.0
+        with no threshold, cost ``token + (arc + lm)``, and count on
+        the composer.
         """
-        if lookup is None:
-            lookup = self.lookup
+        phases = self._phase_seconds
+        mark = perf_counter() if phases is not None else 0.0
         am_col, lm_col, cost_col, node_col = table.columns()
         # The worklist pops seeds off the end: reverse table order.
         seed_pos = self._epsilon_flags[am_col].nonzero()[0][::-1]
         if seed_pos.shape[0] == 0:
             return
-        threshold = table.best_cost + beam_config.beam
-        fanout = self._epsilon_fanout
-        pair_lm: list[int] = []
-        pair_olabel: list[int] = []
-        token_cost: list[float] = []
-        arc_weight: list[float] = []
-        pair_dest: list[int] = []
-        pair_node: list[int] = []
-        add_lm, add_olabel = pair_lm.append, pair_olabel.append
-        add_cost, add_weight = token_cost.append, arc_weight.append
-        add_dest, add_node = pair_dest.append, pair_node.append
-        beam_pruned = 0
-        for am_state, lm_state, cost, node in zip(
+        seeds = zip(
             am_col[seed_pos].tolist(),
             lm_col[seed_pos].tolist(),
             cost_col[seed_pos].tolist(),
             node_col[seed_pos].tolist(),
-        ):
+        )
+        if phases is not None:
+            mark = _lap(phases, "seeds", mark)
+        threshold = table.best_cost + beam_config.beam
+        composer = self._composer
+        if lookup is None:
+            lookup = self.lookup
+        walker = lookup if composer is None else composer
+        walk = walker.plain_walk
+        limit = threshold if self.config.preemptive_pruning else math.inf
+        fanout = self._epsilon_fanout
+        num_lm = self._num_lm
+        low, high = table.base_key_range()
+        base_slot = table.base_slot
+        add = lattice.add
+        insert = table.insert_hinted
+        visited: list[int] = []
+        visit = visited.append
+        beam_pruned = expansions = preemptive_pruned = words = backoffs = 0
+        for am_state, lm_state, cost, node in seeds:
             if cost > threshold:
                 beam_pruned += 1
                 continue
-            for olabel, weight, nextstate, _, _ in fanout[am_state]:
-                add_lm(lm_state)
-                add_olabel(olabel)
-                add_cost(cost)
-                add_weight(weight)
-                add_dest(nextstate)
-                add_node(node)
-        num_pairs = len(pair_olabel)
-        stats.beam_pruned += beam_pruned
-        stats.expansions += num_pairs
-        if num_pairs == 0:
-            return
-
-        phases = self._phase_seconds
-        mark = perf_counter() if phases is not None else 0.0
-        if EPSILON not in pair_olabel:
-            # Common AM shape: every epsilon arc is a cross-word arc.
-            final_cost, final_lm, pruned = self._cross_word_arrivals(
-                lookup, pair_lm, pair_olabel, token_cost, arc_weight, threshold
-            )
-        else:
-            final_cost = [t + a for t, a in zip(token_cost, arc_weight)]
-            final_lm = list(pair_lm)
-            pruned = [False] * num_pairs
-            word_idx = [
-                i for i, olabel in enumerate(pair_olabel) if olabel != EPSILON
-            ]
-            if word_idx:
-                arrivals = self._cross_word_arrivals(
-                    lookup,
-                    [pair_lm[i] for i in word_idx],
-                    [pair_olabel[i] for i in word_idx],
-                    [token_cost[i] for i in word_idx],
-                    [arc_weight[i] for i in word_idx],
-                    threshold,
+            arcs = fanout[am_state]
+            expansions += len(arcs)
+            for olabel, weight, nextstate, _, _ in arcs:
+                arrival = cost + weight
+                if olabel == EPSILON:
+                    dest_lm = lm_state
+                    dest_node = node
+                else:
+                    visit(lm_state)
+                    if composer is None:
+                        w, dest_lm, pruned, levels = walk(
+                            lm_state, olabel, arrival, limit
+                        )
+                        backoffs += levels
+                        if pruned:
+                            preemptive_pruned += 1
+                            continue
+                        arrival += w
+                    else:
+                        w, dest_lm, _, levels = walk(
+                            lm_state, olabel, 0.0, math.inf
+                        )
+                        backoffs += levels
+                        arrival = cost + (weight + w)
+                    if dest_lm < 0:
+                        raise exhausted_word_error(olabel)
+                    dest_node = add(olabel, frame, arrival, node)
+                    words += 1
+                key = nextstate * num_lm + dest_lm
+                insert(
+                    nextstate,
+                    dest_lm,
+                    arrival,
+                    dest_node,
+                    base_slot(key) if low <= key <= high else -1,
                 )
-                for i, cost, lm_state, dropped in zip(word_idx, *arrivals):
-                    final_cost[i] = cost
-                    final_lm[i] = lm_state
-                    pruned[i] = dropped
-        stats.preemptive_pruned += pruned.count(True)
+        stats.beam_pruned += beam_pruned
+        stats.expansions += expansions
+        stats.preemptive_pruned += preemptive_pruned
+        stats.words_emitted += words
+        # A walk searches each level it reaches, except one it is
+        # pruned on arriving at: one lookup per back-off arc taken, plus
+        # one per walk that was not pruned (each emitted a word).
+        counts = walker.stats
+        counts.lookups += backoffs + words
+        counts.backoff_arcs_taken += backoffs
+        walker.expansion_cache.touch(visited)
         if phases is not None:
-            mark = _lap(phases, "resolve", mark)
-
-        num_lm = self._num_lm
-        hints = table.base_slot_hints(
-            [dest * num_lm + lm for dest, lm in zip(pair_dest, final_lm)]
-        )
-        add = lattice.add
-        insert = table.insert_hinted
-        words_done = 0
-        # Single-level gate: no arrival re-enters the worklist, so the
-        # scalar loop's remaining work is exactly this commit sequence.
-        for olabel, cost, lm_state, dest, node, hint, dropped in zip(
-            pair_olabel, final_cost, final_lm, pair_dest, pair_node, hints, pruned
-        ):
-            if dropped:
-                continue
-            if olabel != EPSILON:
-                node = add(olabel, frame, cost, node)
-                words_done += 1
-            insert(dest, lm_state, cost, node, hint)
-        stats.words_emitted += words_done
-        if phases is not None:
-            _lap(phases, "commit", mark)
+            _lap(phases, "pairs", mark)
 
     def _epsilon_scalar(
         self,

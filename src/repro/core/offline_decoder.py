@@ -22,7 +22,9 @@ what a composed graph changes:
   ``am_weight + lm_weight`` — back-off penalties included — so an
   arrival costs ``token + (am + lm)`` rather than the on-the-fly
   ``(token + am) + lm``, and nothing at decode time can prune the
-  back-off walk or consult an Offset Lookup Table;
+  back-off walk or consult an Offset Lookup Table (the scalar epsilon
+  phase here; the kernels' batched phase is the on-the-fly decoder's
+  own loop, which takes this arithmetic when it finds ``_composer``);
 * trace events address the one composed dataset, by encoded state id;
 * a hypothesis may end the utterance when *both* sides are final.
 
@@ -35,14 +37,13 @@ that graph exactly (``tests/core/test_decoder.py``,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
 
 from repro.am.graph import AmGraph
 from repro.core.beam import BeamConfig
-from repro.core.composition import LmLookup, LookupStrategy
+from repro.core.composition import LmLookup
 from repro.core.decoder import DecoderConfig, DecoderStats, OnTheFlyDecoder
 from repro.core.lattice import WordLattice
 from repro.core.tokens import (
@@ -68,16 +69,12 @@ class FullyComposedDecoder(OnTheFlyDecoder):
         config: DecoderConfig | None = None,
         sink: TraceSink | None = None,
     ) -> None:
-        # The knobs of the on-the-fly lookup do not exist here, whatever
-        # the caller's config says.
+        # Nothing at decode time can prune a composed arc's back-off
+        # walk, whatever the caller's config says.
         super().__init__(
             am,
             lm,
-            replace(
-                config or DecoderConfig(),
-                lookup_strategy=LookupStrategy.BINARY,
-                preemptive_pruning=False,
-            ),
+            replace(config or DecoderConfig(), preemptive_pruning=False),
             sink,
         )
         # ``self.lookup`` is the decode-time lookup every segment is
@@ -93,28 +90,6 @@ class FullyComposedDecoder(OnTheFlyDecoder):
 
     def _trace_state(self, am_state: int, lm_state: int) -> int:
         return am_state * self._num_lm + lm_state
-
-    def _cross_word_arrivals(
-        self,
-        lookup: LmLookup,
-        lm_states: Sequence[int],
-        words: Sequence[int],
-        token_costs: Sequence[float],
-        arc_weights: Sequence[float],
-        threshold: float,
-    ) -> tuple[list[float], list[int], list[bool]]:
-        """Cross-word arcs at their offline-composed weight, unpruned."""
-        result = self._composer.resolve_batch(
-            lm_states, words, [0.0] * len(words)
-        )
-        return (
-            [
-                t + (a + w)
-                for t, a, w in zip(token_costs, arc_weights, result.weight)
-            ],
-            result.next_state,
-            result.pruned,
-        )
 
     def _epsilon_scalar(
         self,

@@ -273,31 +273,32 @@ class SoaTokenTable:
             )
         return index
 
-    def base_slot_hints(self, keys: list[int]) -> list[int]:
-        """Bulk-winner slot of each packed key, -1 where absent.
+    def base_key_range(self) -> tuple[int, int]:
+        """First and last of the sorted candidate keys (the bulk
+        winners' key range), ``(0, -1)`` when there are none.
 
-        One vectorized binary search replacing a per-insert
-        ``searchsorted``; valid as long as no ``bulk_fill`` intervenes
-        (the winners are static after it).  Native lists in and out:
-        the caller hands the hints to :meth:`insert_hinted` one by one.
-        Keys that all lie below or above the bulk winners' — first and
-        last of the sorted candidate keys — need no search and no
-        :meth:`key_index`: the usual frame, since epsilon arcs lead to
-        the word-boundary state, where no emitting arc does.
+        A key outside it is no bulk winner's, so needs no
+        :meth:`base_slot` search and no :meth:`key_index`: the usual
+        epsilon arrival, since epsilon arcs lead to the word-boundary
+        state, where no emitting arc does.
         """
         sorted_keys = self._sorted_keys
-        size = sorted_keys.shape[0]
-        if (
-            size == 0
-            or max(keys) < sorted_keys[0]
-            or min(keys) > sorted_keys[size - 1]
-        ):
-            return [-1] * len(keys)
+        if sorted_keys.shape[0] == 0:
+            return 0, -1
+        return int(sorted_keys[0]), int(sorted_keys[-1])
+
+    def base_slot(self, key: int) -> int:
+        """Bulk-winner slot of the packed ``key``, -1 where absent.
+
+        One binary search over :meth:`key_index`; valid as long as no
+        ``bulk_fill`` intervenes (the winners are static after it).
+        The caller hands the slot to :meth:`insert_hinted`.
+        """
         distinct, slots = self.key_index()
-        wanted = np.array(keys, dtype=np.int64)
-        pos = np.searchsorted(distinct, wanted)
-        np.minimum(pos, distinct.shape[0] - 1, out=pos)
-        return np.where(distinct[pos] == wanted, slots[pos], -1).tolist()
+        pos = int(np.searchsorted(distinct, key))
+        if pos < distinct.shape[0] and distinct[pos] == key:
+            return int(slots[pos])
+        return -1
 
     def insert_hinted(
         self,
@@ -309,8 +310,8 @@ class SoaTokenTable:
     ) -> bool:
         """:meth:`TokenTable.insert`, the base-index search precomputed.
 
-        ``base_slot`` is the key's entry from :meth:`base_slot_hints`
-        (-1 when the key is not among the bulk winners); epsilon-phase
+        ``base_slot`` is the key's :meth:`base_slot` (-1 when the key
+        is not among the bulk winners); epsilon-phase
         arrivals are still looked up in the side dict.
         """
         key = am_state * self.num_lm + lm_state

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.am.graph import AmGraph
-from repro.core.composition import LookupStrategy
 from repro.core.decoder import (
     DecodeResult,
     DecoderConfig,
@@ -93,16 +92,11 @@ class TwoPassDecoder:
             lm.word_id(w): -ngram.log_prob(w)
             for w in ngram.vocabulary
         }
-        # A one-state LM has no back-off to walk or prune, and nothing an
-        # Offset Lookup Table would cache.
+        # A one-state LM has no back-off to walk or prune.
         self._first = OnTheFlyDecoder(
             am,
             _unigram_graph(lm, self._unigram_cost),
-            replace(
-                self.config,
-                preemptive_pruning=False,
-                lookup_strategy=LookupStrategy.BINARY,
-            ),
+            replace(self.config, preemptive_pruning=False),
         )
 
     # -- pass one: AM-only search, lattice out ------------------------------

@@ -271,6 +271,39 @@ def test_replay_in_scalar_regime_continues_across_a_regime_flip(
     _assert_same(straight.finish(), resumed.finish(), "replayed")
 
 
+def _without_word(lm, word):
+    """A copy of ``lm`` with no arc of ``word``: every walk of it backs
+    off to the unigram state and finds it missing there too, against
+    the Section 3.3 guarantee that every walk ends in a match."""
+    fst = lm.fst.copy()
+    fst.arcs = [[a for a in arcs if a.ilabel != word] for arcs in fst.arcs]
+    return dataclasses.replace(lm, fst=fst)
+
+
+@pytest.mark.parametrize("kind", ["on-the-fly", "composed"])
+def test_an_exhausted_word_raises_alike_in_both_regimes(
+    kind, tiny_task, tiny_scores, monkeypatch
+):
+    """A decoded word the unigram state lacks raises the same
+    ``LookupError`` from the kernels' epsilon phase as from the scalar
+    body's."""
+    plain = OnTheFlyDecoder(tiny_task.am, tiny_task.lm).decode(tiny_scores[0])
+    word = plain.word_ids[0]
+    lm = _without_word(tiny_task.lm, word)
+    make = FullyComposedDecoder if kind == "composed" else OnTheFlyDecoder
+    messages = []
+    regimes = ((0, "_epsilon_phase_batched"), (10**9, "_epsilon_scalar"))
+    for limit, phase in regimes:
+        monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", limit)
+        decoder = make(tiny_task.am, lm, DecoderConfig(beam=14.0))
+        with pytest.raises(LookupError) as raised:
+            decoder.decode(tiny_scores[0])
+        assert phase in {entry.name for entry in raised.traceback}
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"word {word} not found at the unigram state")
+
+
 def test_profiled_decode_takes_the_same_regimes(
     tiny_task, tiny_scores, monkeypatch
 ):
@@ -279,7 +312,7 @@ def test_profiled_decode_takes_the_same_regimes(
     clocks sitting *under* ``expand`` and ``epsilon``."""
     sections = {
         "expand": ("prune", "gather", "plan", "fill"),
-        "epsilon": ("resolve", "commit"),
+        "epsilon": ("seeds", "pairs"),
     }
     config = DecoderConfig(beam=14.0)
     for limit in (batch.SCALAR_FRONTIER_MAX, 0):

@@ -9,12 +9,12 @@ the same events in the same order, the same results and the same
 counters and table contents.
 
 That walk is the lookup hardware's model, and only a traced lookup
-runs it.  Untraced, ``resolve`` and ``resolve_batch`` (the batched
-epsilon phase's engine) walk plainly, one ``bisect_left`` per back-off
-level, and must agree with the model item for item: the same weights,
-next states, prunes and levels, and the same ``lookups`` and
-``backoff_arcs_taken``; the model's own counters (``arc_probes``,
-``olt_hits``, ``olt_misses``) are a traced decode's only.
+runs it.  Untraced, ``resolve``, ``resolve_batch`` and ``find_arc``
+walk plainly, one ``bisect_left`` per back-off level, and must agree
+with the model item for item: the same weights, next states, prunes
+and levels, and the same ``lookups`` and ``backoff_arcs_taken``; the
+model's own counters (``arc_probes``, ``olt_hits``, ``olt_misses``)
+are a traced decode's only.
 """
 
 from __future__ import annotations
@@ -264,6 +264,26 @@ def test_tedlium_resolve_equals_resolve_batch(tedlium, preemptive):
     _assert_plain_equals_model(
         tedlium[0].lm, LookupStrategy.OFFSET_TABLE, preemptive
     )
+
+
+@pytest.mark.parametrize("strategy", list(LookupStrategy))
+def test_untraced_find_arc_walks_plainly(tiny_task, strategy):
+    """On every (state, word) pair an untraced ``find_arc`` returns the
+    traced lookup's arc, counting one lookup a call and none of the
+    model's counters."""
+    graph = tiny_task.lm
+    plain = LmLookup(graph, strategy=strategy)
+    model = LmLookup(graph, strategy=strategy, sink=NullSink())
+    pairs = _pairs(graph)
+    found = 0
+    for state, word in pairs:
+        arc = plain.find_arc(state, word)
+        assert arc == model.find_arc(state, word), (state, word)
+        found += arc is not None
+    assert 0 < found < len(pairs)
+    assert plain.stats.lookups == model.stats.lookups == len(pairs)
+    for name in MODELLED:
+        assert getattr(plain.stats, name) == 0, name
 
 
 def _decode_all(task, scores, strategy, preemptive, sink=None):

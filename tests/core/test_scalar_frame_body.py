@@ -555,7 +555,8 @@ def test_table_conversions_keep_order_and_values():
     ]
     assert soa.survivor_items(2.5) == table.survivor_items(2.5)
     assert soa.best_cost == table.best_cost == 1.0
-    hints = soa.base_slot_hints([1 * 11 + 1, 5 * 11 + 0, 0 * 11 + 9, 3])
+    keys = (1 * 11 + 1, 5 * 11 + 0, 0 * 11 + 9, 3)
+    hints = [soa.base_slot(key) for key in keys]
     assert hints == [-1, 2, 1, -1]
     # Arrivals after the fill: a new key, then an improvement.
     for (am, lm, cost, node), hint in zip([(1, 1, 0.5, 3), (0, 9, 0.75, 6)], [-1, 1]):

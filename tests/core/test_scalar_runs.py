@@ -253,7 +253,7 @@ def test_profiled_runs_change_nothing(tiny_task, tiny_scores, monkeypatch):
         # Scalar frames report no kernel sections.
         assert all(
             phases[name] == 0.0
-            for name in ("prune", "gather", "plan", "fill", "resolve", "commit")
+            for name in ("prune", "gather", "plan", "fill", "seeds", "pairs")
         )
 
 

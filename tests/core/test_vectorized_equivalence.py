@@ -238,14 +238,16 @@ def test_slot_hints_inside_the_winners_key_range(batch, arrivals):
     plan = plan_recombination(keys, costs, 31)
     table = _filled_table(plan, keys, costs, num_lm)
     wanted = [k for k, _ in arrivals]
-    hints = table.base_slot_hints(wanted)
+    low, high = table.base_key_range()
+    hints = [table.base_slot(k) if low <= k <= high else -1 for k in wanted]
 
     winner_keys = keys[plan.winners]  # slot order
     order = np.argsort(winner_keys)
     ordered = winner_keys[order]
     pos = np.minimum(np.searchsorted(ordered, wanted), ordered.shape[0] - 1)
     assert hints == np.where(ordered[pos] == wanted, order[pos], -1).tolist()
-    in_range = min(wanted) <= ordered[-1] and max(wanted) >= ordered[0]
+    assert (low, high) == (ordered[0], ordered[-1])
+    in_range = any(low <= k <= high for k in wanted)
     assert (table._key_index is not None) == in_range
 
     reference = TokenTable()
