@@ -20,23 +20,19 @@ per worker, not one round-trip per utterance.
 
 Determinism contract: results — including the activity counters in
 ``DecoderStats`` — are identical for every parallelism level, in
-submission order.  Two mechanisms make that hold:
-
-* every utterance starts from cold per-decode caches (an O(1)
-  ``LmLookup.reset_transient_state()``: the LM expansion cache, and a
-  traced lookup's Offset Lookup Table), so counters are independent of
-  how utterances land on workers;
-* whenever a scorer is supplied the pool decodes the *persisted*
-  recognizer's weights — the bundle stores arc weights in the paper's
-  32-bit format, so a serial in-memory run over the original float64
-  graphs would differ from the workers' in the last bits.  The serial
-  path decodes the caller's own graphs over the tables a worker
-  attaches: ``DecoderTables.from_graphs(..., np.float32)``, as
-  :func:`~repro.shm.pack_recognizer` builds them, rounds each weight
-  column exactly as the bundle codec does, without building a
-  round-tripped copy of the graphs.  ``parallelism=1`` without a
-  scorer decodes the given graphs' float64 weights directly (no
-  worker machinery either way).
+submission order.  A pool never traces, so its decoders carry no
+state from one utterance to the next, and counters are independent of
+how utterances land on workers.  Whenever a scorer is supplied the
+pool decodes the *persisted* recognizer's weights — the bundle stores
+arc weights in the paper's 32-bit format, so a serial in-memory run
+over the original float64 graphs would differ from the workers' in
+the last bits.  The serial path decodes the caller's own graphs over
+the tables a worker attaches: ``DecoderTables.from_graphs(...,
+np.float32)``, as :func:`~repro.shm.pack_recognizer` builds them,
+rounds each weight column exactly as the bundle codec does, without
+building a round-tripped copy of the graphs.  ``parallelism=1``
+without a scorer decodes the given graphs' float64 weights directly
+(no worker machinery either way).
 
 Asking for ``parallelism > 1`` on a host exposing a single CPU decodes
 serially in-process instead: forked workers would only add
@@ -110,20 +106,14 @@ def _shm_worker_init(segment: str, config: DecoderConfig) -> None:
     _WORKER_SCORER = _WORKER_ATTACHED.scorer
 
 
-def _cold_decode(decoder: OnTheFlyDecoder, scores: np.ndarray) -> DecodeResult:
-    """Decode one utterance from cold per-decode caches."""
-    decoder.lookup.reset_transient_state()
-    return decoder.decode(scores)
-
-
 def _decode_scores_job(scores: np.ndarray) -> DecodeResult:
     assert _WORKER_DECODER is not None
-    return _cold_decode(_WORKER_DECODER, scores)
+    return _WORKER_DECODER.decode(scores)
 
 
 def _decode_features_job(features: np.ndarray) -> DecodeResult:
     assert _WORKER_DECODER is not None and _WORKER_SCORER is not None
-    return _cold_decode(_WORKER_DECODER, _WORKER_SCORER.score(features))
+    return _WORKER_DECODER.decode(_WORKER_SCORER.score(features))
 
 
 #: What the pool sends its score-ahead worker to make it exit.  The
@@ -344,7 +334,7 @@ class DecodePool:
         """Decode pre-computed score matrices; results in input order."""
         if self._executor is None:
             assert self._decoder is not None
-            return [_cold_decode(self._decoder, s) for s in scores]
+            return [self._decoder.decode(s) for s in scores]
         return list(
             self._executor.map(
                 _decode_scores_job, scores, chunksize=self._chunksize(len(scores))
@@ -360,7 +350,7 @@ class DecodePool:
         if self._executor is None:
             assert self._decoder is not None
             return [
-                _cold_decode(self._decoder, self._scorer.score(u.features))
+                self._decoder.decode(self._scorer.score(u.features))
                 for u in utterances
             ]
         return list(
@@ -383,7 +373,6 @@ class DecodePool:
             if ahead is not None:
                 try:
                     ahead.send(utterance)
-                    decoder.lookup.reset_transient_state()
                     results.append(decoder.decode_blocks(ahead.blocks()))
                     continue
                 except _WorkerLost:
@@ -394,9 +383,7 @@ class DecodePool:
                     if ahead.owed:
                         self._stop_ahead()
                     raise
-            results.append(
-                _cold_decode(decoder, self._scorer.score(utterance))
-            )
+            results.append(decoder.decode(self._scorer.score(utterance)))
         return results
 
     def _stop_ahead(self) -> None:

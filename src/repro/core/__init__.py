@@ -16,7 +16,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "beam": ("BeamConfig",),
         "composition": (
             "BatchResolveResult",
-            "LmExpansionCache",
             "LmLookup",
             "LookupStats",
             "LookupStrategy",

@@ -12,10 +12,8 @@ one call; and the numpy kernels for a large one.
 
 Exactness is non-negotiable: both regimes leave bit-identical table
 contents, lattice, stats and lookup state to the scalar reference
-body.  Only the LM expansion cache belongs to the kernels (the batched
-epsilon phase is its one reader), so its counters record the regime
-mix — which is why every entry point steps through here and so makes
-the same choice on the same frame.
+body, so no counter records the regime mix.  Every entry point steps
+through here, so all make the same choice on the same frame.
 
 Segments are independent: each owns its frontier, lattice, stats and
 lookup, and nothing steps two of them together.  A kernel that fused
@@ -53,8 +51,8 @@ __all__ = [
 #: (``tools/frame_step_crossover.py``; table and reasoning in DESIGN.md,
 #: "Frame-step regimes").  96 was the minimax of a curve that also had
 #: fused regimes on it; on the scalar-vs-solo curve alone scalar now
-#: wins up to ~100-128 tokens, so 96 sits just below the crossover, and
-#: moving it shifts which frames consult the expansion cache.
+#: wins up to ~100-128 tokens, so 96 sits just below the crossover.
+#: Moving it changes no result and no counter.
 SCALAR_FRONTIER_MAX = 96
 
 
@@ -103,8 +101,8 @@ def advance_segment(
     batch (:meth:`~repro.core.decoder.OnTheFlyDecoder._epsilon_batchable`,
     asked when a frontier first outgrows the constant) runs every frame
     in the scalar body.  The regime depends on nothing but the
-    segment's own frontier, so a segment reports the same counters,
-    expansion cache included, however its frames are chunked.
+    segment's own frontier, so a segment takes the same regimes
+    however its frames are chunked.
     ``seg.table`` is replaced by each next frontier and ``seg.frame``
     advances.
     """

@@ -27,9 +27,8 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from collections import OrderedDict
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 from repro.core.arcs import LmWordArcs
@@ -59,13 +58,12 @@ class LookupStats:
     olt_hits: int = 0
     olt_misses: int = 0
     backoff_arcs_taken: int = 0
-    # LM expansion cache activity (the batched epsilon phase's).  The
-    # cache models residency only, so these are excluded from
-    # equality: scalar runs, which never touch the cache, must still
-    # compare equal to batched runs stat-for-stat.
-    expansion_hits: int = field(default=0, compare=False)
-    expansion_misses: int = field(default=0, compare=False)
-    expansion_evictions: int = field(default=0, compare=False)
+    # Always 0: the search keeps no LM expansion cache.  The fields stay
+    # for ``bench/common.py``'s ``CoreProbe.decode``, which reads them
+    # by ``getattr``; a benchmark-only change drops them.
+    expansion_hits: int = 0
+    expansion_misses: int = 0
+    expansion_evictions: int = 0
 
     @property
     def olt_hit_ratio(self) -> float:
@@ -75,11 +73,6 @@ class LookupStats:
     @property
     def avg_probes_per_lookup(self) -> float:
         return self.arc_probes / self.lookups if self.lookups else 0.0
-
-    @property
-    def expansion_hit_ratio(self) -> float:
-        total = self.expansion_hits + self.expansion_misses
-        return self.expansion_hits / total if total else 0.0
 
     def clone(self) -> "LookupStats":
         """An independent copy (a delta baseline)."""
@@ -168,53 +161,6 @@ class BatchResolveResult:
     next_state: list[int]
     pruned: list[bool]
     backoff_levels: list[int]
-
-
-class LmExpansionCache:
-    """LRU residency of LM states (the paper's LM arc cache, Section 3.3).
-
-    UNFOLD caches recently expanded LM arcs so repeated cross-word
-    transitions out of the same LM state skip the DRAM fetch; this
-    models which states would be resident in such a cache.  It holds
-    state ids only — the arcs themselves are the lookup's shared
-    per-state views — so it can never change results, only the
-    ``expansion_hits`` / ``expansion_misses`` / ``expansion_evictions``
-    counters on :class:`LookupStats`.
-    """
-
-    def __init__(self, stats: LookupStats, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.stats = stats
-        self.capacity = capacity
-        self._resident: OrderedDict[int, None] = OrderedDict()
-
-    def clear(self) -> None:
-        self._resident.clear()
-
-    def touch(self, states: Sequence[int]) -> None:
-        """Access each state in order, admitting and evicting as needed.
-
-        Hit/miss accounting matches a sequential walk of ``states``:
-        the first occurrence of an absent state misses, every other
-        access hits.
-        """
-        resident = self._resident
-        stats = self.stats
-        hits = 0
-        misses = 0
-        for state in states:
-            if state in resident:
-                hits += 1
-                resident.move_to_end(state)
-            else:
-                misses += 1
-                resident[state] = None
-                if len(resident) > self.capacity:
-                    resident.popitem(last=False)
-                    stats.expansion_evictions += 1
-        stats.expansion_hits += hits
-        stats.expansion_misses += misses
 
 
 class _WalkColumns:
@@ -320,9 +266,6 @@ def exhausted_word_error(word: int) -> LookupError:
     )
 
 
-_TAG_MASK = (1 << OffsetLookupTable.TAG_BITS) - 1
-
-
 class LmLookup:
     """Locates LM arcs for cross-word transitions.
 
@@ -338,7 +281,6 @@ class LmLookup:
         strategy: LookupStrategy = LookupStrategy.OFFSET_TABLE,
         offset_table_entries: int = 32 * 1024,
         sink: TraceSink | None = None,
-        expansion_cache_states: int = 1024,
         word_arcs: LmWordArcs | None = None,
     ) -> None:
         self.graph = graph
@@ -364,9 +306,6 @@ class LmLookup:
         self._columns_cell: list[_WalkColumns | None] = [
             None if word_arcs is not None else _WalkColumns(graph, None)
         ]
-        self.expansion_cache = LmExpansionCache(
-            self.stats, capacity=expansion_cache_states
-        )
 
     def _columns(self) -> _WalkColumns:
         columns = self._columns_cell[0]
@@ -386,8 +325,7 @@ class LmLookup:
         itself, as the untraced :meth:`resolve` does per item:
         ``lookups += levels + (not pruned)``, ``backoff_arcs_taken +=
         levels``, and :func:`exhausted_word_error` on a ``next_state``
-        of -1 (the batched epsilon phase also touches the expansion
-        cache with the walked states).
+        of -1.
         """
         return self._columns().walk
 
@@ -434,8 +372,7 @@ class LmLookup:
         table = self.offset_table
         if table is not None:
             entries = table._entries
-            index = (state ^ word) & table._mask
-            tag = ((state * 0x9E3779B1) ^ (word * 0x85EBCA77)) & _TAG_MASK
+            index, tag = table._slot(state, word)
             cached = entries.get(index)
             if cached is not None and cached[0] == tag:
                 ordinal = cached[1]
@@ -600,27 +537,23 @@ class LmLookup:
         return self._ensure_batch_structures().nonneg_weights and not self._tracing
 
     def reset_transient_state(self) -> None:
-        """Cold-start the per-decode caches (a traced lookup's OLT and
-        the expansion residency).
+        """Cold-start a traced lookup's Offset Lookup Table (its only
+        per-decode state; an untraced lookup has none).
 
-        Neither affects results — only which work is re-spent — but
-        clearing both keeps every activity counter independent of how
-        utterances were batched (the pool's determinism contract).
+        The table never changes a result, only the ``olt_*`` and
+        ``arc_probes`` counters, which after a reset depend on the
+        decode alone.
         """
         if self.offset_table is not None:
             self.offset_table.invalidate()
-        self.expansion_cache.clear()
 
     def fork(self) -> "LmLookup":
         """A cold clone sharing the immutable graph structures.
 
         The clone shares everything derived from the graph — the walks'
-        per-state columns and the CSR word-arc columns —
-        but owns fresh *transient* state: zeroed :class:`LookupStats`
-        and an empty LM expansion cache.  A fork therefore behaves
-        exactly like the parent lookup immediately after
-        ``reset_transient_state()``, which is what gives each serve
-        session the same counters as a solo cold decode.  Forks never
+        per-state columns and the CSR word-arc columns — but owns
+        zeroed :class:`LookupStats`, which is what gives each serve
+        session the same counters as a solo decode.  Forks never
         trace, so they walk plainly and hold no Offset Lookup Table.
         """
         clone = object.__new__(LmLookup)
@@ -632,9 +565,6 @@ class LmLookup:
         clone.offset_table = None
         clone._columns_cell = self._columns_cell
         clone._soa = self._ensure_batch_structures()
-        clone.expansion_cache = LmExpansionCache(
-            clone.stats, capacity=self.expansion_cache.capacity
-        )
         return clone
 
     def resolve_batch(
@@ -656,10 +586,9 @@ class LmLookup:
         order, so the results and counters are the scalar calls'.
         Native lists in, native lists out: nothing here is array-shaped.
         A word id outside the label space or an LM state outside
-        ``[0, num_states)`` raises ``ValueError`` before any item has
-        touched the lookup's state — counters and expansion residency;
-        stats land on completion: every item is accounted before an
-        exhausted item raises.
+        ``[0, num_states)`` raises ``ValueError`` before any item is
+        counted; stats land on completion: every item is accounted
+        before an exhausted item raises.
         """
         if self._tracing:
             raise RuntimeError(
@@ -672,7 +601,6 @@ class LmLookup:
             raise ValueError("word id outside the LM label space")
         if n and not 0 <= min(states) <= max(states) < len(columns.labels):
             raise ValueError("LM state id outside [0, num_states)")
-        self.expansion_cache.touch(states)
         if not preemptive:
             threshold = math.inf
         out_weight: list[float] = []

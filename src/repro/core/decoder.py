@@ -636,8 +636,7 @@ class OnTheFlyDecoder:
         and reading their columns; a frame's seeds fan out into a few
         dozen pairs at most (DESIGN.md, "Where a vectorized frame
         goes"), so the pairs run on native values.  Counters are summed
-        in locals and written once, and the word pairs' LM states go to
-        the expansion cache in one call, in pair order.
+        in locals and written once.
 
         A composed graph's decoder (``FullyComposedDecoder``) has a
         ``_composer``: its cross-word arcs walk from an entry of 0.0
@@ -672,8 +671,6 @@ class OnTheFlyDecoder:
         base_slot = table.base_slot
         add = lattice.add
         insert = table.insert_hinted
-        visited: list[int] = []
-        visit = visited.append
         beam_pruned = expansions = preemptive_pruned = words = backoffs = 0
         for am_state, lm_state, cost, node in seeds:
             if cost > threshold:
@@ -687,7 +684,6 @@ class OnTheFlyDecoder:
                     dest_lm = lm_state
                     dest_node = node
                 else:
-                    visit(lm_state)
                     if composer is None:
                         w, dest_lm, pruned, levels = walk(
                             lm_state, olabel, arrival, limit
@@ -725,7 +721,6 @@ class OnTheFlyDecoder:
         counts = walker.stats
         counts.lookups += backoffs + words
         counts.backoff_arcs_taken += backoffs
-        walker.expansion_cache.touch(visited)
         if phases is not None:
             _lap(phases, "pairs", mark)
 
@@ -746,13 +741,23 @@ class OnTheFlyDecoder:
         keys of the tokens at AM states with epsilon arcs, in table
         order (consumed; arrivals at such states join it), and a
         token's cost and lattice node are read when it is popped — an
-        improvement since it was listed is seen.
+        improvement since it was listed is seen.  A traced arc fetch
+        goes to :attr:`_trace_side`, at the popped token's
+        :meth:`_trace_state`.
+
+        A composed graph's decoder has a ``_composer``, and its
+        cross-word arcs walk it from an entry of 0.0 with no threshold
+        and cost ``token + (arc + lm)``, as in
+        :meth:`_epsilon_phase_batched`.
         """
         sink = self.sink
         tracing = self._tracing
+        side = self._trace_side
+        trace_state = self._trace_state
         fanout = self._epsilon_fanout
         preemptive = self.config.preemptive_pruning
-        resolve = lookup.resolve
+        composer = self._composer
+        resolve = (lookup if composer is None else composer).resolve
         beam = beam_config.beam
         cost_of = table.cost
         node_of = table.node
@@ -770,11 +775,13 @@ class OnTheFlyDecoder:
             am_state = key >> KEY_SHIFT
             lm_state = key & KEY_LM_MASK
             token_node = node_of[key]
+            if tracing:
+                fetched = trace_state(am_state, lm_state)
             arcs = fanout[am_state]
             expansions += len(arcs)
             for olabel, weight, nextstate, ordinal, dest_seeds in arcs:
                 if tracing:
-                    sink.on_arc_fetch(GraphSide.AM, am_state, ordinal)
+                    sink.on_arc_fetch(side, fetched, ordinal)
                 cost = token_cost + weight
                 if olabel == EPSILON:
                     # Silence (or other non-word) epsilon arc.
@@ -782,17 +789,21 @@ class OnTheFlyDecoder:
                     dest = nextstate << KEY_SHIFT | lm_state
                 else:
                     # Cross-word transition: transition in the LM too.
-                    result = resolve(
-                        lm_state,
-                        olabel,
-                        entry_cost=cost,
-                        threshold=threshold,
-                        preemptive=preemptive,
-                    )
-                    if result.pruned:
-                        preemptive_pruned += 1
-                        continue
-                    cost += result.weight
+                    if composer is None:
+                        result = resolve(
+                            lm_state,
+                            olabel,
+                            entry_cost=cost,
+                            threshold=threshold,
+                            preemptive=preemptive,
+                        )
+                        if result.pruned:
+                            preemptive_pruned += 1
+                            continue
+                        cost += result.weight
+                    else:
+                        result = resolve(lm_state, olabel)
+                        cost = token_cost + (weight + result.weight)
                     node = lattice.add(olabel, frame, cost, token_node)
                     if tracing:
                         sink.on_token_write()

@@ -22,9 +22,9 @@ what a composed graph changes:
   ``am_weight + lm_weight`` — back-off penalties included — so an
   arrival costs ``token + (am + lm)`` rather than the on-the-fly
   ``(token + am) + lm``, and nothing at decode time can prune the
-  back-off walk or consult an Offset Lookup Table (the scalar epsilon
-  phase here; the kernels' batched phase is the on-the-fly decoder's
-  own loop, which takes this arithmetic when it finds ``_composer``);
+  back-off walk or consult an Offset Lookup Table (both epsilon
+  phases are the on-the-fly decoder's own loops, which take this
+  arithmetic when they find ``_composer``);
 * trace events address the one composed dataset, by encoded state id;
 * a hypothesis may end the utterance when *both* sides are final.
 
@@ -42,19 +42,10 @@ from dataclasses import replace
 import numpy as np
 
 from repro.am.graph import AmGraph
-from repro.core.beam import BeamConfig
-from repro.core.composition import LmLookup
-from repro.core.decoder import DecoderConfig, DecoderStats, OnTheFlyDecoder
-from repro.core.lattice import WordLattice
-from repro.core.tokens import (
-    KEY_LM_MASK,
-    KEY_SHIFT,
-    SoaTokenTable,
-    TokenTable,
-)
+from repro.core.decoder import DecoderConfig, OnTheFlyDecoder
+from repro.core.tokens import SoaTokenTable, TokenTable
 from repro.core.trace import GraphSide, TraceSink
 from repro.lm.graph import LmGraph
-from repro.wfst.fst import EPSILON
 
 
 class FullyComposedDecoder(OnTheFlyDecoder):
@@ -90,82 +81,6 @@ class FullyComposedDecoder(OnTheFlyDecoder):
 
     def _trace_state(self, am_state: int, lm_state: int) -> int:
         return am_state * self._num_lm + lm_state
-
-    def _epsilon_scalar(
-        self,
-        table: TokenTable,
-        worklist: list[int],
-        frame: int,
-        lattice: WordLattice,
-        stats: DecoderStats,
-        beam_config: BeamConfig,
-        lookup: LmLookup,
-    ) -> None:
-        """The scalar epsilon phase over composed arcs.
-
-        The on-the-fly loop with the cross-word step replaced: the LM
-        transition is part of the arc (no threshold, no pruning), and
-        its weight joins the AM arc's before the token's cost.
-        """
-        compose = self._composer.resolve
-        sink = self.sink
-        tracing = self._tracing
-        fanout = self._epsilon_fanout
-        beam = beam_config.beam
-        cost_of = table.cost
-        node_of = table.node
-        get = cost_of.get
-        best = table.best_cost
-        beam_pruned = expansions = words = 0
-        improvements = recombinations = 0
-        while worklist:
-            key = worklist.pop()
-            token_cost = cost_of[key]
-            if token_cost > best + beam:
-                beam_pruned += 1
-                continue
-            am_state = key >> KEY_SHIFT
-            token_lm = key & KEY_LM_MASK
-            token_node = node_of[key]
-            if tracing:
-                fetched = self._trace_state(am_state, token_lm)
-            arcs = fanout[am_state]
-            expansions += len(arcs)
-            for olabel, weight, nextstate, ordinal, dest_seeds in arcs:
-                if tracing:
-                    sink.on_arc_fetch(GraphSide.COMPOSED, fetched, ordinal)
-                if olabel == EPSILON:
-                    cost = token_cost + weight
-                    node = token_node
-                    dest = nextstate << KEY_SHIFT | token_lm
-                else:
-                    composed = compose(token_lm, olabel)
-                    cost = token_cost + (weight + composed.weight)
-                    node = lattice.add(olabel, frame, cost, token_node)
-                    if tracing:
-                        sink.on_token_write()
-                    words += 1
-                    dest = nextstate << KEY_SHIFT | composed.next_state
-                existing = get(dest)
-                if existing is not None:
-                    if cost < existing:
-                        improvements += 1
-                    else:
-                        recombinations += 1
-                        continue
-                cost_of[dest] = cost
-                node_of[dest] = node
-                if cost < best:
-                    best = cost
-                if dest_seeds:
-                    worklist.append(dest)
-        table.best_cost = best
-        table.inserts = len(cost_of)
-        table.improvements += improvements
-        table.recombinations += recombinations
-        stats.beam_pruned += beam_pruned
-        stats.expansions += expansions
-        stats.words_emitted += words
 
     def _final_hypotheses(
         self, table: TokenTable | SoaTokenTable

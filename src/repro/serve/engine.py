@@ -4,9 +4,9 @@ The scheduler (``repro.serve.scheduler``) is transport-agnostic; the
 engine owns the actual :class:`~repro.asr.streaming.StreamingSession`
 objects and executes their frame batches.  :class:`InlineEngine` is
 one in-process decoder shared by every session.  Sessions interleave
-on it freely: the decoder's transient cache (the LM expansion
-residency) only changes counters, never results, so concurrent
-sessions decode to exactly what a sequential pass would.
+on it freely: each owns its search state and the decoder keeps none
+between frames, so concurrent sessions decode to exactly what a
+sequential pass would.
 
 The engine is synchronous and its calls run on the event loop's own
 thread: they are Python that holds the GIL from start to finish, so a

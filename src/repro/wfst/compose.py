@@ -190,7 +190,9 @@ def _expand_phi(
 
     Follows failure (phi) arcs, accumulating their weights, until a state
     with a direct match is reached — the exact back-off walk the
-    on-the-fly decoder performs (Section 3.3 of the paper).
+    on-the-fly decoder performs (Section 3.3 of the paper).  The arc
+    weighs ``a + (phis + direct)``: the LM side's total first, as the
+    fully-composed decoder adds it, so the two agree to the last bit.
     """
     label = arc_a.olabel
     weight_so_far = 0.0
@@ -200,7 +202,7 @@ def _expand_phi(
         direct = index.single_match(state, label)
         if direct is not None:
             dst = intern((arc_a.nextstate, direct.nextstate, _FILTER_OPEN))
-            weight = arc_a.weight + weight_so_far + direct.weight
+            weight = arc_a.weight + (weight_so_far + direct.weight)
             out.add_arc(src, arc_a.ilabel, label, weight, dst)
             stats.arcs_created += 1
             return

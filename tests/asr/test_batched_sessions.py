@@ -6,8 +6,8 @@ engine call per scheduler cycle via
 session's partials, final result, lattice, stats and lookup counters
 must be bit-identical to pushing that session's batches alone (with its
 own forked lookup) and to a cold offline decode — every ``DecoderStats``
-field and every lookup counter (OLT hits/misses, expansion-cache
-hits/misses/evictions, preemptive prunes) — across tight beams, tiny
+field and every lookup counter (lookups, OLT hits/misses, back-off
+arcs, preemptive prunes) — across tight beams, tiny
 token caps, disabled preemptive pruning and random small tasks; ragged
 batches and zero-frame batches must retire sessions cleanly; and
 validation must complete before any session mutates so callers can
@@ -26,18 +26,14 @@ from repro.asr import TINY, build_task
 from repro.asr.streaming import StreamingSession, push_sessions
 from repro.core import DecoderConfig, OnTheFlyDecoder
 
-#: Lookup counters asserted by name: the expansion-cache fields carry
-#: ``compare=False`` (they don't participate in LookupStats equality),
-#: so stats equality alone would not cover them.
+#: The ``LookupStats`` counters the search drives, asserted by name so
+#: that a failure names the counter.
 LOOKUP_COUNTERS = (
     "lookups",
     "arc_probes",
     "olt_hits",
     "olt_misses",
     "backoff_arcs_taken",
-    "expansion_hits",
-    "expansion_misses",
-    "expansion_evictions",
 )
 
 
@@ -190,7 +186,7 @@ class TestFusedSessionParity:
     ):
         # Two sessions on the decoder's own lookup: the call advances
         # them one after the other, exactly as two plain pushes would
-        # (the shared cache evolves in that order either way).
+        # (the shared counters grow in that order either way).
         batches = [tiny_scores[0][:8], tiny_scores[1][:8]]
         decoder.lookup.reset_transient_state()
         together = [StreamingSession(decoder) for _ in batches]

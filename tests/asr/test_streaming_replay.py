@@ -4,8 +4,8 @@ A session's search state is never exported: a session whose shard
 crashed, or that ``rebalance`` moved, resumes by replaying the client's
 pushes from frame 0 into a fresh session.  That is exact only if a
 replayed session is bit-identical to the one it replaces — the partial
-it reports, the expansion-cache contents its continuation starts
-from, and then every partial, word, cost, lattice
+it reports, the lookup counters its continuation starts from, and then
+every partial, word, cost, lattice
 node, decoder stat and lookup counter up to the final result — at any
 cut, in any batching, on either hot loop and with any lookup strategy.
 """
@@ -21,9 +21,6 @@ from repro.core import DecoderConfig, LookupStrategy, OnTheFlyDecoder, batch
 from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes
 
 BATCH = 8
-EXPANSION_COUNTERS = tuple(
-    name for name in LOOKUP_COUNTERS if name.startswith("expansion_")
-)
 
 
 def _decoder(task, **config):
@@ -50,12 +47,8 @@ def _replay(decoder, batches):
 
 
 def _lookup_state(session):
-    """Counters and expansion residency (LRU order)."""
-    lookup = session._seg.lookup
-    return (
-        dataclasses.asdict(lookup.stats),
-        list(lookup.expansion_cache._resident),
-    )
+    """The session's lookup counters."""
+    return dataclasses.asdict(session._seg.lookup.stats)
 
 
 def _assert_same_state(live, replayed):
@@ -70,7 +63,7 @@ def _assert_same_state(live, replayed):
     assert replayed.push(np.zeros((0, 0))) == live.push(np.zeros((0, 0)))
 
 
-def _assert_same(want, got, expansion=True):
+def _assert_same(want, got):
     assert got.words == want.words
     assert got.cost == want.cost
     assert got.finals == want.finals
@@ -81,10 +74,9 @@ def _assert_same(want, got, expansion=True):
                 f.name
             )
     for name in LOOKUP_COUNTERS:
-        if expansion or name not in EXPANSION_COUNTERS:
-            assert getattr(got.stats.lookup, name) == getattr(
-                want.stats.lookup, name
-            ), name
+        assert getattr(got.stats.lookup, name) == getattr(
+            want.stats.lookup, name
+        ), name
 
 
 def _continue_both(live, replayed, scores):
@@ -107,8 +99,8 @@ def _cut(scores, where):
 @pytest.fixture(scope="module")
 def wide_task():
     """A task whose frontier runs to thousands of tokens, far past
-    ``SCALAR_FRONTIER_MAX``: its frames take the numpy kernels, whose
-    batched epsilon phase fills the LM expansion cache."""
+    ``SCALAR_FRONTIER_MAX``: its frames take the numpy kernels and
+    their batched epsilon phase."""
     task = build_task(
         KALDI_VOXFORGE.with_overrides(
             name="voxforge-wide", vocab_size=80, corpus_sentences=800
@@ -174,17 +166,16 @@ class TestReplay:
         _assert_same(want, got)
 
     @pytest.mark.parametrize("cut", [2 * BATCH, 5 * BATCH])
-    def test_replay_rebuilds_the_lm_expansion_residency(self, wide_task, cut):
-        """The replay refills the expansion cache state for state, in
-        LRU order: the continuation finds resident exactly the states
-        the live session does, hit for hit."""
+    def test_replay_continues_through_kernel_frames(self, wide_task, cut):
+        """Cut after frames that took the numpy kernels, the replay
+        stands where the live session stands and continues with it,
+        partial for partial."""
         task, utterances = wide_task
         decoder = _decoder(task)
         for scores in utterances:
             delivered = _batches(scores, stop=cut)
             live = _replay(decoder, delivered)
             assert max(live._seg.stats.active_history) > batch.SCALAR_FRONTIER_MAX
-            assert live._seg.lookup.expansion_cache._resident
             replayed = _replay(decoder, delivered)
             _assert_same_state(live, replayed)
             want, got = _continue_both(live, replayed, scores)
@@ -195,9 +186,7 @@ class TestReplay:
     )
     def test_replay_on_the_other_hot_loop(self, wide_task, live_vectorized):
         """A session replayed on a decoder with the other hot loop (a
-        shard configured differently) continues identically, except for
-        the expansion counters: only the numpy kernels consult that
-        cache."""
+        shard configured differently) continues identically."""
         task, utterances = wide_task
         scores = utterances[0]
         cut = 2 * BATCH
@@ -209,7 +198,7 @@ class TestReplay:
         )
         assert replayed._seg.stats == live._seg.stats
         want, got = _continue_both(live, replayed, scores)
-        _assert_same(want, got, expansion=False)
+        _assert_same(want, got)
 
     def test_replay_on_a_rebuilt_decoder(self, tiny_task, tiny_scores):
         """The shard a session moves to built its own decoder."""

@@ -9,10 +9,9 @@ Offset Lookup Table and the probes); the batch walks plainly and
 counts none of the model.  These tests pin that contract over
 randomized LM graphs (with negative back-off penalties, which real
 ARPA models have), every (state, word) pair of two presets, and an
-aliased OLT entry pointing past its state's arcs; plus the LM expansion
-cache's hit/evict accounting, the label lists forks share, the bound
-on what resolving keeps (residency only), and the ``nonneg_weights``
-gate the decoders consult.
+aliased OLT entry pointing past its state's arcs; plus the label
+lists forks share, the bound on what resolving keeps (nothing per
+state), and the ``nonneg_weights`` gate the decoders consult.
 """
 
 import dataclasses
@@ -404,35 +403,23 @@ def test_lookup_error_parity():
     assert batched.stats.lookups == 2 and batched.stats.backoff_arcs_taken == 1
 
 
-def _transient_state(lookup):
-    """Counters and expansion residency (LRU order)."""
-    return (
-        dataclasses.asdict(lookup.stats),
-        list(lookup.expansion_cache._resident),
-    )
-
-
 @pytest.mark.parametrize("bad_word", [-1, 10**6])
 @pytest.mark.parametrize("position", [0, 2])
 def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
     """Ids are validated for the whole batch up front: the items before
-    the bad one must not have moved expansion residency or gone
-    uncounted."""
+    the bad one must not have been counted."""
     graph = _random_lm(13)
     lookup = LmLookup(
-        graph,
-        strategy=LookupStrategy.OFFSET_TABLE,
-        offset_table_entries=4,
-        expansion_cache_states=2,
+        graph, strategy=LookupStrategy.OFFSET_TABLE, offset_table_entries=4
     )
     lookup.resolve_batch([1, 2, 3], [1, 2, 3], [0.0, 0.0, 0.0])
-    before = _transient_state(lookup)
-    assert before[0]["lookups"] and before[1]
+    before = dataclasses.asdict(lookup.stats)
+    assert before["lookups"]
     words = [4, 5, 6]
     words[position] = bad_word
     with pytest.raises(ValueError, match="label space"):
         lookup.resolve_batch([5, 4, 1], words, [0.0, 0.0, 0.0])
-    assert _transient_state(lookup) == before
+    assert dataclasses.asdict(lookup.stats) == before
 
 
 @pytest.mark.parametrize(
@@ -442,18 +429,18 @@ def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
 )
 def test_bad_lm_state_raises_before_anything_is_touched(tiny_task, states):
     """State ids are range-checked for the whole batch up front, as word
-    ids are: a -1 must not search the wrapped index's labels, nor count
-    an expansion miss."""
+    ids are: a -1 must not search the wrapped index's labels, nor be
+    counted."""
     lookup = LmLookup(
         tiny_task.lm, strategy=LookupStrategy.OFFSET_TABLE
     ).fork()
     lookup.resolve_batch([0, 1, 2], [1, 2, 3], [0.0, 0.0, 0.0])
-    before = _transient_state(lookup)
+    before = dataclasses.asdict(lookup.stats)
     num_states = tiny_task.lm.fst.num_states
     states = [num_states if s == "num_states" else s for s in states]
     with pytest.raises(ValueError, match="LM state"):
         lookup.resolve_batch(states, [1] * len(states), [0.0] * len(states))
-    assert _transient_state(lookup) == before
+    assert dataclasses.asdict(lookup.stats) == before
 
 
 def test_forks_allocate_no_per_entry_storage():
@@ -504,15 +491,14 @@ def test_forks_share_the_label_lists(tiny_task, tiny_scores, monkeypatch):
     assert all(type(weight) is float for weight in columns.weights)
 
 
-def test_resolving_every_pair_holds_only_residency():
+def test_resolving_every_pair_holds_nothing_per_state():
     """Once the label lists exist, resolving every (state, word) pair
-    of ``KALDI_TEDLIUM``'s LM keeps nothing but the expansion cache's
-    residency entries: no per-state row over the vocabulary."""
+    of ``KALDI_TEDLIUM``'s LM keeps nothing per state: not a row over
+    the vocabulary, not even one pointer a state."""
     graph = build_task(KALDI_TEDLIUM).lm
     num_states = graph.fst.num_states
     lookup = LmLookup(graph, strategy=LookupStrategy.BINARY)
     lookup.resolve_batch([0], [1], [0.0])  # builds the label lists
-    assert lookup.expansion_cache.capacity >= num_states
     words = list(range(1, graph.backoff_label))
     entries = [0.0] * len(words)
     tracemalloc.start()
@@ -523,8 +509,7 @@ def test_resolving_every_pair_holds_only_residency():
         grown = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert lookup.stats.expansion_misses == num_states
-    assert grown <= 200 * num_states, grown
+    assert grown < 8 * num_states, grown
 
 
 def test_resolve_batch_rejects_tracing():
@@ -535,37 +520,9 @@ def test_resolve_batch_rejects_tracing():
         lookup.resolve_batch([0], [1], [0.0])
 
 
-def test_expansion_cache_hits_misses_evictions():
-    graph = _random_lm(11, num_states=8)
-    lookup = LmLookup(
-        graph, strategy=LookupStrategy.BINARY, expansion_cache_states=2
-    )
-    word_ids = [1, 1]
-    entries = [0.0, 0.0]
-    # Four distinct states through a 2-state cache: all miss, and the
-    # last two evict the first two (LRU).
-    for state in (1, 2, 3, 4):
-        lookup.resolve_batch([state, state], word_ids, entries)
-    stats = lookup.stats
-    assert stats.expansion_misses == 4
-    # The second item of each batch hits the state the first admitted.
-    assert stats.expansion_hits == 4
-    assert stats.expansion_evictions == 2
-    # Revisiting an evicted state misses again; a cached one hits.
-    lookup.resolve_batch([4], word_ids[:1], entries[:1])
-    assert lookup.stats.expansion_hits == 5
-    lookup.resolve_batch([1], word_ids[:1], entries[:1])
-    assert lookup.stats.expansion_misses == 5
-    assert 0.0 < lookup.stats.expansion_hit_ratio < 1.0
-
-
-def test_reset_transient_state_clears_both_caches():
-    """The batch fills the expansion residency; the traced walk, the
-    OLT it models."""
+def test_reset_transient_state_clears_the_olt():
+    """The traced walk fills the OLT it models; a reset empties it."""
     graph = _random_lm(5)
-    lookup = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
-    lookup.resolve_batch([1, 2], [1, 2], [0.0, 0.0])
-    assert len(lookup.expansion_cache._resident) > 0
     model = _model(graph, LookupStrategy.OFFSET_TABLE)
     model.resolve(1, 1)
     model.resolve(2, 2)
@@ -578,9 +535,7 @@ def test_reset_transient_state_clears_both_caches():
         if model.offset_table.lookup(s, w) is not None
     ]
     assert cached  # the walks populated the OLT
-    lookup.reset_transient_state()
     model.reset_transient_state()
-    assert len(lookup.expansion_cache._resident) == 0
     assert all(
         model.offset_table.lookup(s, w) is None for s, w in cached
     )

@@ -36,12 +36,6 @@ from repro.core.tokens import KEY_SHIFT
 from repro.wfst.fst import EPSILON
 from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes, _task
 
-#: The counters both phases drive (the expansion cache is the batched
-#: engine's own: the scalar phase never consults it).
-_SHARED_LOOKUP_COUNTERS = tuple(
-    name for name in LOOKUP_COUNTERS if not name.startswith("expansion_")
-)
-
 
 def _frontier(rng, decoder, size, seed_share, cost_spread):
     """A drawn frontier: distinct (am, lm) tokens, ``seed_share`` of
@@ -135,7 +129,7 @@ def _assert_phase_parity(batched, scalar, frontiers, beam_config):
         ):
             if a is None:
                 continue
-            for name in _SHARED_LOOKUP_COUNTERS:
+            for name in LOOKUP_COUNTERS:
                 assert getattr(a.stats, name) == getattr(b.stats, name), (
                     frame,
                     name,

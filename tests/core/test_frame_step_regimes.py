@@ -7,11 +7,8 @@ contract: wherever the constant sits — 0 (never scalar), small values
 that flip regimes mid-utterance, 10**9 (always scalar) — every entry
 point (``decode``, ``StreamingSession.push`` at any chunking,
 ``push_sessions``) reports the same words, costs,
-finals, lattice, ``DecoderStats`` and all nine lookup counters as every
-other, and the same as the ``vectorized=False`` reference on everything
-but the expansion-cache counters (only the batched epsilon engine
-consults that cache, so how often it is consulted *is* the regime mix —
-which is why all entry points must make the same choice).
+finals, lattice, ``DecoderStats`` and every lookup counter as every
+other and as the ``vectorized=False`` reference.
 """
 
 import dataclasses
@@ -38,12 +35,8 @@ from tests.asr.test_batched_sessions import (
 )
 from tests.core.test_vectorized_equivalence import CountingSink
 
-EXPANSION_COUNTERS = tuple(
-    name for name in LOOKUP_COUNTERS if name.startswith("expansion_")
-)
 
-
-def _assert_same(ref, got, context, expansion=True):
+def _assert_same(ref, got, context):
     assert ref.words == got.words, context
     assert ref.cost == got.cost, context
     assert ref.finals == got.finals, context
@@ -55,10 +48,9 @@ def _assert_same(ref, got, context, expansion=True):
                 f.name,
             )
     for name in LOOKUP_COUNTERS:
-        if expansion or name not in EXPANSION_COUNTERS:
-            assert getattr(ref.stats.lookup, name) == getattr(
-                got.stats.lookup, name
-            ), (context, name)
+        assert getattr(ref.stats.lookup, name) == getattr(
+            got.stats.lookup, name
+        ), (context, name)
 
 
 def _decode_cold(decoder, scores):
@@ -125,16 +117,7 @@ def test_entry_points_agree_at_any_threshold(
         _assert_same(want, streamed[i], ("push", threshold, i))
         _assert_same(want, together[i], ("push_sessions", threshold, i))
         _assert_same(want, whole[i], ("one call", threshold, i))
-        _assert_same(
-            reference[i], want, ("scalar", threshold, i), expansion=False
-        )
-    if threshold == 10**9:
-        # Never vectorized: the expansion cache is never consulted.
-        assert all(
-            getattr(r.stats.lookup, name) == 0
-            for r in decoded
-            for name in EXPANSION_COUNTERS
-        )
+        _assert_same(reference[i], want, ("scalar", threshold, i))
 
 
 @pytest.mark.parametrize("threshold", [0, 8, 10**9])
@@ -143,7 +126,8 @@ def test_composed_baseline_takes_the_same_regimes(
 ):
     """The fully-composed baseline steps through the same frame step:
     wherever the threshold sits it matches its scalar reference, traced
-    or not, and reports no decode-time lookup activity."""
+    or not, composes with the same lookups, and reports no decode-time
+    lookup activity."""
     monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", threshold)
 
     def make(vectorized, sink=None):
@@ -155,6 +139,14 @@ def test_composed_baseline_takes_the_same_regimes(
         )
 
     swept, reference = make(True), make(False)
+    kernel_frames = []
+    batched = swept._epsilon_phase_batched
+
+    def counted(*args):
+        kernel_frames.append(args[1])
+        return batched(*args)
+
+    monkeypatch.setattr(swept, "_epsilon_phase_batched", counted)
     swept_sink, reference_sink = CountingSink(), CountingSink()
     traced, traced_reference = (
         make(True, swept_sink), make(False, reference_sink)
@@ -166,11 +158,11 @@ def test_composed_baseline_takes_the_same_regimes(
         traced_reference.decode(scores)
         assert want.stats.lookup == LookupStats()
     assert swept_sink.counts == reference_sink.counts
-    # The sweep really moved the regime: only the numpy kernels compose
-    # through the expansion cache.
-    composed_rows = swept._composer.stats.expansion_misses
-    assert (composed_rows > 0) == (threshold < 10**9)
-    assert reference._composer.stats.expansion_misses == 0
+    assert swept._composer.stats == reference._composer.stats
+    assert traced._composer.stats == reference._composer.stats
+    assert swept._composer.stats.lookups > 0
+    # The sweep really moved the regime: kernel frames ran below 10**9.
+    assert bool(kernel_frames) == (threshold < 10**9)
 
 
 @pytest.fixture()
@@ -229,7 +221,7 @@ def test_one_call_mixes_scalar_and_solo_segments(
         pytest.fail("no threshold split scalar-only and kernel segments")
     # Same transcripts as at the shipped threshold, too.
     for want, have in zip(reference, got):
-        _assert_same(want, have, "vs default", expansion=False)
+        _assert_same(want, have, "vs default")
 
 
 def test_replay_in_scalar_regime_continues_across_a_regime_flip(
@@ -307,8 +299,8 @@ def test_an_exhausted_word_raises_alike_in_both_regimes(
 def test_profiled_decode_takes_the_same_regimes(
     tiny_task, tiny_scores, monkeypatch
 ):
-    """``profile=True`` only reads clocks: same stats, expansion cache
-    included, and a phase breakdown that adds up — the kernels' section
+    """``profile=True`` only reads clocks: same stats, and a phase
+    breakdown that adds up — the kernels' section
     clocks sitting *under* ``expand`` and ``epsilon``."""
     sections = {
         "expand": ("prune", "gather", "plan", "fill"),
@@ -390,6 +382,3 @@ def test_traced_decoder_runs_the_scalar_body_on_every_frame(
     assert isinstance(session._seg.table, TokenTable)
     assert sink.frames == 2 * scores.shape[0]
     _assert_same(decoded, session.finish(), "traced")
-    assert all(
-        getattr(decoded.stats.lookup, name) == 0 for name in EXPANSION_COUNTERS
-    )

@@ -306,11 +306,11 @@ def _assert_body_matches(decoder, reference_decoder, scores, force_solo=()):
         for name in _BODY_STATS:
             assert getattr(seg.stats, name) == reference.stats[name], (frame, name)
         for name in LOOKUP_COUNTERS:
-            # The expansion cache is the numpy kernels' own.
-            if not (force_solo and name.startswith("expansion_")):
-                assert getattr(decoder.lookup.stats, name) == getattr(
-                    reference_decoder.lookup.stats, name
-                ), (frame, name)
+            assert getattr(decoder.lookup.stats, name) == getattr(
+                reference_decoder.lookup.stats, name
+            ), (frame, name)
+        if decoder._composer is not None:
+            assert decoder._composer.stats == reference_decoder._composer.stats
     return seg, reference
 
 

@@ -6,11 +6,17 @@ property — the on-the-fly decoder and the fully-composed baseline
 explore the same search space — on every sample, and checking both
 against the exhaustive Viterbi optimum of the materialized composition
 (``tests/core/oracle.py``).
+
+Each example's utterance is a function of its draws alone: the words
+and the synthesizer's noise come from one generator seeded by
+``utt_seed``, so a failing example replays as it failed.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.am import GmmAcousticModel
@@ -44,6 +50,13 @@ def _task(seed: int):
     st.floats(min_value=6.0, max_value=18.0),
     st.integers(min_value=0, max_value=10_000),
 )
+# Saved by a failing run while the synthesizer's generator was shared
+# by every example, so its scores then depended on the examples run
+# before it.
+@example(task_seed=4, beam=17.768408508309985, utt_seed=3682)
+# The composed decoder one ulp off the oracle while ``wfst.compose``
+# added a back-off arc's weights in another order.
+@example(task_seed=4, beam=9.23376510930179, utt_seed=6513)
 def test_equivalence_across_seeds_and_beams(task_seed, beam, utt_seed):
     task, scorer, oracle = _task(task_seed)
     rng = np.random.default_rng(utt_seed)
@@ -51,7 +64,8 @@ def test_equivalence_across_seeds_and_beams(task_seed, beam, utt_seed):
         task.grammar.vocabulary[int(rng.integers(0, len(task.grammar.vocabulary)))]
         for _ in range(int(rng.integers(1, 4)))
     ]
-    utterance = task.synthesizer.synthesize(words)
+    synthesizer = dataclasses.replace(task.synthesizer, rng=rng)
+    utterance = synthesizer.synthesize(words)
     scores = scorer.score(utterance.features)
 
     config = DecoderConfig(beam=beam, preemptive_pruning=False)

@@ -140,6 +140,20 @@ class TestPhiComposition:
         # word 1 (1.0), then word 2 backs off (0.25) to unigram (2.0).
         assert paths[0].weight == pytest.approx(3.25)
 
+    def test_backoff_arc_weighs_am_plus_lm_total(self):
+        """A backed-off arc weighs ``a + (phis + direct)``, the sum the
+        fully-composed decoder adds: ``(0.1 + 0.2) + 0.3`` would be one
+        ulp more."""
+        lm = _machine(
+            2,
+            [(0, 5, 5, 0.3, 0), (1, self.PHI, EPSILON, 0.2, 0)],
+            finals=[0],
+            start=1,
+        )
+        a = linear_chain([(10, 5, 0.1)])
+        (path,) = enumerate_paths(compose(a, lm, phi_label=self.PHI))
+        assert path.weight == 0.1 + (0.2 + 0.3) != (0.1 + 0.2) + 0.3
+
     def test_unmatchable_word_pruned(self):
         a = linear_chain([(10, 7, 0.0)])
         c = compose(a, self._lm(), phi_label=self.PHI)
