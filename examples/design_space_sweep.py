@@ -13,7 +13,6 @@ from dataclasses import replace
 from repro.accel import UNFOLD, UnfoldSimulator
 from repro.asr import build_scorer, build_task
 from repro.asr.task import KALDI_VOXFORGE
-from repro.core.decoder import DecoderConfig
 
 
 def main() -> None:
@@ -42,12 +41,7 @@ def main() -> None:
     print(f"{'entries':>10s} {'hit%':>7s} {'decode us':>10s}")
     for entries in (64, 256, 1024, 4096):
         config = replace(base, offset_table_entries=entries)
-        sim = UnfoldSimulator(
-            task,
-            config=config,
-            decoder_config=DecoderConfig(offset_table_entries=entries),
-        )
-        report = sim.run(scores)
+        report = UnfoldSimulator(task, config=config).run(scores)
         hit = report.decoder_stats.lookup.olt_hit_ratio
         print(
             f"{entries:>10d} {100 * hit:>6.1f}% "

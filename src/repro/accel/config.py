@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.accel.cache import CacheConfig
+from repro.accel.lookup import LookupStrategy
 from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES
 
 #: The paper's fully-composed datasets are ~0.5-1.2 GB; scaling anchors
@@ -47,6 +48,10 @@ class AcceleratorConfig:
     #: Bytes per word-lattice record the Token Issuer writes: Price's
     #: compact layout [22] (UNFOLD) or the baseline's raw one.
     lattice_record_bytes: int
+    #: How the LM lookup hardware searches a state's word arcs
+    #: (:mod:`repro.accel.lookup`); ``OFFSET_TABLE`` searches binary
+    #: alone when the configuration has no OLT.
+    lookup_strategy: LookupStrategy = LookupStrategy.OFFSET_TABLE
     acoustic_buffer_kb: int = 64
     line_bytes: int = 64
 
@@ -76,8 +81,15 @@ class AcceleratorConfig:
         return self.offset_table_entries > 0
 
     @property
+    def offset_table_bytes(self) -> int:
+        """The OLT's storage: a valid bit, a 24-bit tag and a 23-bit
+        arc offset, 6 bytes an entry (Section 3.5: 32K entries take
+        192 KB)."""
+        return self.offset_table_entries * 6
+
+    @property
     def total_sram_kb(self) -> int:
-        olt_kb = self.offset_table_entries * 6 // 1024
+        olt_kb = self.offset_table_bytes // 1024
         return (
             self.state_cache_kb
             + self.am_arc_cache_kb

@@ -1,7 +1,8 @@
 """Trace sinks: decoder events -> cache/DRAM activity.
 
 One sink per simulated platform.  Every decoder event is translated to
-a byte address in the platform's dataset layout and driven through the
+a byte address in the platform's dataset layout (an LM walk first
+through UNFOLD's lookup hardware model) and driven through the
 platform's caches; misses become DRAM line fills classified by traffic
 type (states / arcs / tokens), which is exactly the accounting Figures
 9-11 are built from.
@@ -16,7 +17,11 @@ from repro.accel.config import AcceleratorConfig
 from repro.accel.dram import DramModel, Traffic
 from repro.accel.hashmodel import HashTableModel, OverflowBuffer
 from repro.accel.layout import ComposedLayout, OnTheFlyLayout
+from repro.accel.lookup import LookupModel
+from repro.core.arcs import LmWordArcs
+from repro.core.composition import LookupStats
 from repro.core.trace import GraphSide
+from repro.lm.graph import LmGraph
 
 
 @dataclass
@@ -72,21 +77,32 @@ class _SinkCore:
 
     # -- reporting -----------------------------------------------------------
 
-    def finish_utterance(self) -> None:
+    def finish_utterance(self, lookup: LookupStats) -> None:
+        """Flush buffered token writes; UNFOLD also fills the
+        utterance's ``lookup`` with its lookup hardware's counts."""
         flushed = self.write_buffer.flush()
         if flushed:
             self.dram.write_lines(Traffic.TOKENS, flushed)
 
 
 class UnfoldSink(_SinkCore):
-    """UNFOLD's memory system (Figure 4): four caches + OLT + hashes."""
+    """UNFOLD's memory system (Figure 4): four caches + OLT + hashes,
+    with the LM lookup hardware's model over ``lm``."""
 
-    def __init__(self, config: AcceleratorConfig, layout: OnTheFlyLayout) -> None:
+    def __init__(
+        self, config: AcceleratorConfig, layout: OnTheFlyLayout, lm: LmGraph
+    ) -> None:
         if not config.has_lm_cache:
             raise ValueError("UNFOLD requires a dedicated LM arc cache")
         super().__init__(config, layout)
         self.am_arc_cache = Cache(config.cache_config("am_arc"))
         self.lm_arc_cache = Cache(config.cache_config("lm_arc"))
+        self.lookup_model = LookupModel(
+            LmWordArcs.from_graph(lm),
+            self,
+            config.lookup_strategy,
+            config.offset_table_entries,
+        )
 
     def on_state_fetch(self, side: GraphSide, state: int) -> None:
         if side is GraphSide.AM:
@@ -107,8 +123,17 @@ class UnfoldSink(_SinkCore):
         if misses:
             self.dram.read_lines(Traffic.ARCS, misses, address=addr)
 
+    def on_lm_walk(
+        self, lm_state: int, word_id: int, levels: int, pruned: bool
+    ) -> None:
+        self.lookup_model.on_lm_walk(lm_state, word_id, levels, pruned)
+
     def on_olt_access(self, lm_state: int, word_id: int, hit: bool) -> None:
         self.sram.olt_accesses += 1
+
+    def finish_utterance(self, lookup: LookupStats) -> None:
+        super().finish_utterance(lookup)
+        self.lookup_model.settle(lookup)
 
     def caches(self) -> dict[str, Cache]:
         return {
@@ -144,8 +169,10 @@ class ComposedSink(_SinkCore):
         if misses:
             self.dram.read_lines(Traffic.ARCS, misses, address=addr)
 
-    def on_olt_access(self, lm_state: int, word_id: int, hit: bool) -> None:
-        raise AssertionError("the fully-composed baseline has no OLT")
+    def on_lm_walk(
+        self, lm_state: int, word_id: int, levels: int, pruned: bool
+    ) -> None:
+        raise AssertionError("the fully-composed baseline walks no LM")
 
     def caches(self) -> dict[str, Cache]:
         return {

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.accel.sink import _SinkCore
     from repro.asr.task import AsrTask
-from repro.core.composition import LookupStrategy
 from repro.core.decoder import DecoderConfig, DecoderStats, OnTheFlyDecoder
 
 #: Default histogram-pruning cap for simulated runs: hardware bounds
@@ -76,7 +75,7 @@ class _Simulator:
         for scores in score_matrices:
             result = decoder.decode(scores)
             report.results.append(result)
-            sink.finish_utterance()
+            sink.finish_utterance(result.stats.lookup)
             _accumulate(totals, result.stats)
             delta = _DramDelta(sink.dram.total_lines - lines_seen, sink.dram.config)
             lines_seen = sink.dram.total_lines
@@ -153,7 +152,7 @@ class _Simulator:
             if kb:
                 total += sram_area_mm2(kb * 1024)
         if config.offset_table_entries:
-            total += sram_area_mm2(config.offset_table_entries * 6)
+            total += sram_area_mm2(config.offset_table_bytes)
         return total
 
 
@@ -168,20 +167,12 @@ class UnfoldSimulator(_Simulator):
     def __post_init__(self) -> None:
         self.layout = OnTheFlyLayout.build(self.task)
         if self.decoder_config is None:
-            strategy = (
-                LookupStrategy.OFFSET_TABLE
-                if self.config.has_offset_table
-                else LookupStrategy.BINARY
-            )
             self.decoder_config = DecoderConfig(
-                beam=14.0,
-                lookup_strategy=strategy,
-                offset_table_entries=max(64, self.config.offset_table_entries),
-                max_active=DEFAULT_MAX_ACTIVE,
+                beam=14.0, max_active=DEFAULT_MAX_ACTIVE
             )
 
     def _traced_decoder(self) -> tuple[UnfoldSink, OnTheFlyDecoder]:
-        sink = UnfoldSink(self.config, self.layout)
+        sink = UnfoldSink(self.config, self.layout, self.task.lm)
         decoder = OnTheFlyDecoder(
             self.task.am, self.task.lm, self.decoder_config, sink=sink
         )
@@ -201,7 +192,7 @@ class UnfoldSimulator(_Simulator):
             * seconds
             * 1e12
         )
-        olt_bytes = max(1, config.offset_table_entries * 6)
+        olt_bytes = max(1, config.offset_table_bytes)
         return arc_caches, _sram_pj(olt_bytes, sink.sram.olt_accesses, seconds)
 
 

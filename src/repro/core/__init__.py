@@ -18,8 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "BatchResolveResult",
             "LmLookup",
             "LookupStats",
-            "LookupStrategy",
-            "OffsetLookupTable",
             "ResolveResult",
         ),
         "decoder": (
@@ -36,7 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "offline_decoder": ("FullyComposedDecoder",),
         "tokens": ("SoaTokenTable", "TokenTable"),
-        "trace": ("GraphSide", "NullSink", "TraceSink"),
+        "trace": ("GraphSide", "TraceSink"),
         "two_pass": ("TwoPassDecoder", "TwoPassStats"),
     },
 )

@@ -29,12 +29,7 @@ from repro.core.arcs import (
 )
 from repro.core.batch import BatchSegment, advance_segment
 from repro.core.beam import BeamConfig, prune_items
-from repro.core.composition import (
-    LmLookup,
-    LookupStats,
-    LookupStrategy,
-    exhausted_word_error,
-)
+from repro.core.composition import LmLookup, LookupStats, exhausted_word_error
 from repro.core.lattice import WordLattice
 from repro.core.tokens import (
     KEY_LM_MASK,
@@ -71,20 +66,13 @@ class DecoderConfig:
 
     beam: float = 12.0
     max_active: int = 0
-    #: The lookup hardware's model (Section 3.5's Offset Lookup Table
-    #: and the probing search), which only a traced decode runs: it
-    #: sets the LM events and the ``arc_probes`` / ``olt_*`` counters,
-    #: never a result.  An untraced decode's lookup is one
-    #: ``bisect_left`` per back-off level whatever these say.
-    lookup_strategy: LookupStrategy = LookupStrategy.OFFSET_TABLE
-    offset_table_entries: int = 32 * 1024
     preemptive_pruning: bool = True
     #: Bulk-numpy frame kernels for frontiers large enough to pay for
     #: their dispatch (see :data:`repro.core.batch.SCALAR_FRONTIER_MAX`).
     #: Ignored (scalar path forced) whenever a real TraceSink is
     #: attached: cycle-level simulation needs exact per-event ordering.
-    #: Both paths produce identical results and DecoderStats; a traced
-    #: decode's are identical except the modelled lookup counters.
+    #: Both paths produce identical results and DecoderStats, and so
+    #: does a traced decode.
     vectorized: bool = True
     #: Record a per-phase wall-clock breakdown of each decode on the
     #: decoder's ``last_phase_seconds`` (``bench/`` reads it).  Only
@@ -205,9 +193,11 @@ class DecoderTables:
 class OnTheFlyDecoder:
     """UNFOLD's decoding algorithm, functionally modelled.
 
-    The decoder is reusable across utterances; a traced decoder's
-    Offset Lookup Table persists between utterances (as the hardware
-    table would), while token tables and lattices are per-utterance.
+    The decoder is reusable across utterances; token tables and
+    lattices are per-utterance.  A traced decoder's sink sees every
+    utterance, so what the sink models (the UNFOLD sink's Offset
+    Lookup Table, its caches) persists between them, as the hardware
+    would.
     """
 
     #: Where a traced fetch of a token's state and arcs goes: this
@@ -235,8 +225,6 @@ class OnTheFlyDecoder:
         self.tables = tables
         self.lookup = LmLookup(
             lm,
-            strategy=self.config.lookup_strategy,
-            offset_table_entries=self.config.offset_table_entries,
             sink=sink,
             word_arcs=tables.lm_word_arcs if tables is not None else None,
         )

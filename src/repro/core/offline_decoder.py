@@ -22,9 +22,8 @@ what a composed graph changes:
   ``am_weight + lm_weight`` — back-off penalties included — so an
   arrival costs ``token + (am + lm)`` rather than the on-the-fly
   ``(token + am) + lm``, and nothing at decode time can prune the
-  back-off walk or consult an Offset Lookup Table (both epsilon
-  phases are the on-the-fly decoder's own loops, which take this
-  arithmetic when they find ``_composer``);
+  back-off walk (both epsilon phases are the on-the-fly decoder's own
+  loops, which take this arithmetic when they find ``_composer``);
 * trace events address the one composed dataset, by encoded state id;
 * a hypothesis may end the utterance when *both* sides are final.
 

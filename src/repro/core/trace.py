@@ -1,10 +1,14 @@
 """Decoder-to-simulator event tracing.
 
 The functional decoders are instrumented with a narrow sink interface:
-every state fetch, arc fetch, token write and offset-table access is
-reported as it happens.  The accelerator simulators subscribe a sink
-that converts events into memory addresses and drives the cache/DRAM
-models; functional runs pass no sink and pay almost nothing.
+every state fetch, arc fetch and token write is reported as it
+happens, and each LM walk once it ends (``on_lm_walk``: where it
+started, for which word, how many back-off levels it took and whether
+it was pruned).  The accelerator simulators subscribe a sink that
+converts events into memory addresses and drives the cache/DRAM
+models — the UNFOLD sink replays each LM walk through its lookup
+hardware's model (:mod:`repro.accel.lookup`) into OLT accesses and LM
+fetches; functional runs pass no sink and pay almost nothing.
 
 Graph ids distinguish the traffic classes Figure 11 separates (states,
 arcs, tokens) and the two arc streams the accelerator caches separately
@@ -36,20 +40,8 @@ class TraceSink(Protocol):
 
     def on_token_hash_access(self, am_state: int, lm_state: int) -> None: ...
 
-    def on_olt_access(self, lm_state: int, word_id: int, hit: bool) -> None: ...
+    def on_lm_walk(
+        self, lm_state: int, word_id: int, levels: int, pruned: bool
+    ) -> None: ...
 
     def on_frame_end(self, frame: int, active_tokens: int) -> None: ...
-
-
-
-
-class NullSink:
-    """A sink that drops every event: attached, it makes a decode's
-    lookups walk the lookup hardware's model, for that model's counters
-    (``arc_probes``, ``olt_hits``, ``olt_misses``) alone."""
-
-    def _drop(self, *event: object) -> None:
-        pass
-
-    on_state_fetch = on_arc_fetch = on_token_write = _drop
-    on_token_hash_access = on_olt_access = on_frame_end = _drop

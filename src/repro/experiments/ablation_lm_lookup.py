@@ -7,9 +7,10 @@ slower than the fully-composed baseline, binary search cuts that to
 
 from __future__ import annotations
 
-from repro.accel import UnfoldSimulator
+from dataclasses import replace
+
+from repro.accel import LookupStrategy, UnfoldSimulator
 from repro.asr.task import KALDI_VOXFORGE
-from repro.core.composition import LookupStrategy
 from repro.core.decoder import DecoderConfig
 from repro.experiments.common import MAX_ACTIVE, ExperimentResult, TaskBundle, get_bundle
 
@@ -30,15 +31,9 @@ def run(bundle: TaskBundle | None = None) -> ExperimentResult:
     for name, strategy, preemptive in variants:
         sim = UnfoldSimulator(
             bundle.task,
-            config=bundle.unfold_config,
+            config=replace(bundle.unfold_config, lookup_strategy=strategy),
             decoder_config=DecoderConfig(
-                beam=14.0,
-                lookup_strategy=strategy,
-                preemptive_pruning=preemptive,
-                max_active=MAX_ACTIVE,
-                offset_table_entries=max(
-                    64, bundle.unfold_config.offset_table_entries
-                ),
+                beam=14.0, preemptive_pruning=preemptive, max_active=MAX_ACTIVE
             ),
         )
         report = sim.run(bundle.scores)

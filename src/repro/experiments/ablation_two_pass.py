@@ -8,10 +8,10 @@ latency structure (the second pass cannot start before the first ends).
 
 from __future__ import annotations
 
+from repro.accel import UNFOLD, UnfoldSimulator
 from repro.asr.task import KALDI_VOXFORGE
 from repro.asr.wer import word_error_rate
-from repro.core.decoder import DecoderConfig, OnTheFlyDecoder
-from repro.core.trace import NullSink
+from repro.core.decoder import DecoderConfig
 from repro.core.two_pass import TwoPassDecoder
 from repro.experiments.common import MAX_ACTIVE, ExperimentResult, TaskBundle, get_bundle
 
@@ -22,17 +22,18 @@ TITLE = "One-pass vs two-pass on-the-fly composition"
 def run(bundle: TaskBundle | None = None) -> ExperimentResult:
     bundle = bundle or get_bundle(KALDI_VOXFORGE)
     config = DecoderConfig(beam=14.0, max_active=MAX_ACTIVE)
-    # The one-pass work counts LM arc probes, which only a traced walk
-    # models: this arm decodes with a sink that drops every event.
-    one_pass = OnTheFlyDecoder(
-        bundle.task.am, bundle.task.lm, config, sink=NullSink()
+    # The one-pass work counts LM arc probes, which UNFOLD's lookup
+    # hardware makes: this arm decodes on the simulator (Table 3's
+    # 32K-entry OLT).
+    one_pass = UnfoldSimulator(
+        bundle.task, config=UNFOLD, decoder_config=config
     )
     two_pass = TwoPassDecoder(
         bundle.task.am, bundle.task.lm, bundle.task.ngram, config
     )
 
     refs = bundle.references
-    one_results = [one_pass.decode(s) for s in bundle.scores]
+    one_results = one_pass.run(bundle.scores).results
     two_results = [two_pass.decode(s) for s in bundle.scores]
 
     one_wer = word_error_rate(refs, [r.words for r in one_results])

@@ -8,7 +8,6 @@ being WFST; the same shape must emerge from our tasks.
 from __future__ import annotations
 
 from repro.asr.dataset import measure_component_sizes
-from repro.core.composition import OffsetLookupTable
 from repro.experiments.common import ExperimentResult, TaskBundle, paper_bundles
 
 EXPERIMENT_ID = "fig02"
@@ -20,7 +19,6 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
     rows = []
     for bundle in bundles:
         sizes = measure_component_sizes(bundle.task, bundle.scorer)
-        olt = OffsetLookupTable(bundle.unfold_config.offset_table_entries)
         rows.append(
             {
                 "task": bundle.name,
@@ -29,7 +27,7 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
                 "wfst_mb": sizes.composed_wfst_bytes / 2**20,
                 "wfst_share_pct": 100 * sizes.wfst_share,
                 # Decode-time lookup state (not stored dataset).
-                "olt_kb": olt.size_bytes / 1024,
+                "olt_kb": bundle.unfold_config.offset_table_bytes / 1024,
             }
         )
     return ExperimentResult(

@@ -23,7 +23,7 @@ SWEEP_FACTORS = (0.125, 0.25, 0.5, 1.0)
 
 def run(bundle: TaskBundle | None = None) -> ExperimentResult:
     bundle = bundle or get_bundle(KALDI_VOXFORGE)
-    base_entries = max(64, bundle.unfold_config.offset_table_entries)
+    base_entries = bundle.unfold_config.offset_table_entries
     rows = []
     baseline_seconds = None
     for factor in SWEEP_FACTORS:
@@ -31,16 +31,10 @@ def run(bundle: TaskBundle | None = None) -> ExperimentResult:
         power = 1
         while power < entries:
             power *= 2
-        config = replace(
-            bundle.unfold_config,
-            offset_table_entries=power,
-        )
         sim = UnfoldSimulator(
             bundle.task,
-            config=config,
-            decoder_config=DecoderConfig(
-                beam=14.0, offset_table_entries=power, max_active=MAX_ACTIVE
-            ),
+            config=replace(bundle.unfold_config, offset_table_entries=power),
+            decoder_config=DecoderConfig(beam=14.0, max_active=MAX_ACTIVE),
         )
         report = sim.run(bundle.scores)
         lookup = report.decoder_stats.lookup

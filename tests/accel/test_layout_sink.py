@@ -17,7 +17,14 @@ from repro.accel.dram import DramModel, Traffic
 from repro.accel.pipeline import cycles_for
 from repro.accel.sink import ComposedSink, UnfoldSink
 from repro.accel.stats import RunReport, UtteranceTiming
-from repro.core import DecoderConfig, FullyComposedDecoder, OnTheFlyDecoder
+from repro.accel.lookup import LookupModel
+from repro.core import (
+    DecoderConfig,
+    FullyComposedDecoder,
+    LmWordArcs,
+    LookupStats,
+    OnTheFlyDecoder,
+)
 from repro.core.decoder import DecoderStats
 from repro.core.trace import GraphSide
 
@@ -88,32 +95,57 @@ class TestComposedLayout:
 
 class TestUnfoldSink:
     def test_events_drive_caches_and_dram(self, tiny_task, layout):
-        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout)
+        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout, tiny_task.lm)
         sink.on_state_fetch(GraphSide.AM, 0)
         sink.on_arc_fetch(GraphSide.AM, 0, 0)
         sink.on_arc_fetch(GraphSide.LM, 0, 0)
         sink.on_token_write()
         sink.on_token_hash_access(0, 0)
-        sink.on_olt_access(0, 1, True)
+        sink.on_olt_access(0, 1, True)  # the lookup model's
         sink.on_frame_end(0, 3)
-        assert sink.state_cache.stats.accesses >= 1
-        assert sink.am_arc_cache.stats.accesses >= 1
-        assert sink.lm_arc_cache.stats.accesses >= 1
+        assert sink.state_cache.stats.accesses == 1
+        assert sink.am_arc_cache.stats.accesses == 1
+        assert sink.lm_arc_cache.stats.accesses == 1
         assert sink.token_cache.stats.accesses >= 1
         assert sink.sram.hash_accesses == 1
         assert sink.sram.olt_accesses == 1
         assert sink.dram.total_lines >= 2  # cold misses
 
+    def test_an_lm_walk_runs_the_lookup_model(self, tiny_task, layout):
+        """A walk event becomes the model's OLT access, LM state fetch
+        and binary probes, through the LM arc and state caches; twice,
+        and the second is one OLT hit and one validating fetch."""
+        lm = tiny_task.lm
+        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout, lm)
+        state = lm.unigram_state
+        word = lm.word_id(tiny_task.grammar.vocabulary[0])
+        sink.on_lm_walk(state, word, 0, False)
+        probes = sink.lookup_model.stats.arc_probes
+        assert probes >= 1
+        assert sink.lm_arc_cache.stats.accesses == probes
+        assert sink.state_cache.stats.accesses == 1
+        assert sink.sram.olt_accesses == 1
+        sink.on_lm_walk(state, word, 0, False)
+        assert sink.lm_arc_cache.stats.accesses == probes + 1
+        assert sink.state_cache.stats.accesses == 1
+        assert sink.sram.olt_accesses == 2
+        counted = LookupStats()
+        sink.finish_utterance(counted)
+        assert (counted.arc_probes, counted.olt_hits, counted.olt_misses) == (
+            probes + 1, 1, 1,
+        )
+        assert sink.lookup_model.stats == LookupStats()
+
     def test_finish_utterance_flushes_tokens(self, tiny_task, layout):
-        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout)
+        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout, tiny_task.lm)
         sink.on_token_write()
         before = sink.dram.writes[Traffic.TOKENS]
-        sink.finish_utterance()
+        sink.finish_utterance(LookupStats())
         assert sink.dram.writes[Traffic.TOKENS] == before + 1
 
-    def test_requires_lm_cache(self, layout):
+    def test_requires_lm_cache(self, tiny_task, layout):
         with pytest.raises(ValueError):
-            UnfoldSink(REZA, layout)
+            UnfoldSink(REZA, layout, tiny_task.lm)
 
 
 class TestComposedSink:
@@ -122,7 +154,7 @@ class TestComposedSink:
             REZA.scaled(1 / 16), composed_layout, tiny_task.lm.fst.num_states
         )
         with pytest.raises(AssertionError):
-            sink.on_olt_access(0, 1, True)
+            sink.on_lm_walk(0, 1, 0, False)
 
     def test_single_arc_cache(self, tiny_task, composed_layout):
         sink = ComposedSink(
@@ -146,14 +178,14 @@ class TestTokenRecords:
             base.scaled(1 / 16), lattice_record_bytes=record_bytes
         )
         if platform == "unfold":
-            sink = UnfoldSink(config, layout)
+            sink = UnfoldSink(config, layout, tiny_task.lm)
         else:
             sink = ComposedSink(
                 config, composed_layout, tiny_task.lm.fst.num_states
             )
         for _ in range(64):
             sink.on_token_write()
-        sink.finish_utterance()
+        sink.finish_utterance(LookupStats())
         assert sink.dram.writes[Traffic.TOKENS] * config.line_bytes == (
             64 * record_bytes
         )
@@ -162,9 +194,16 @@ class TestTokenRecords:
 class _FrameWork:
     """A TraceSink that counts each frame's work from its events:
     (survivors, expansions, LM arc probes, words emitted), one row per
-    ``on_frame_end``."""
+    ``on_frame_end``; the LM probes are the lookup model's (Table 3's
+    32K-entry OLT) over ``lm``."""
 
-    def __init__(self) -> None:
+    def __init__(self, lm) -> None:
+        self.model = LookupModel(
+            LmWordArcs.from_graph(lm),
+            self,
+            UNFOLD.lookup_strategy,
+            UNFOLD.offset_table_entries,
+        )
         self.rows: list[tuple[int, int, int, int]] = []
         self.active: list[int] = []
         self._row = [0, 0, 0, 0]
@@ -181,6 +220,9 @@ class _FrameWork:
 
     def on_token_hash_access(self, am_state, lm_state):
         pass
+
+    def on_lm_walk(self, lm_state, word_id, levels, pruned):
+        self.model.on_lm_walk(lm_state, word_id, levels, pruned)
 
     def on_olt_access(self, lm_state, word_id, hit):
         pass
@@ -214,7 +256,7 @@ class TestFrameWorkFromEvents:
     ):
         """Every traced frame ends in ``on_frame_end``, so a sink
         recovers the per-frame work the search no longer records."""
-        sink = _FrameWork()
+        sink = _FrameWork(tiny_task.lm)
         decoder = cls(
             tiny_task.am,
             tiny_task.lm,
@@ -226,6 +268,8 @@ class TestFrameWorkFromEvents:
             sink.rows.clear()
             sink.active.clear()
             stats = decoder.decode(scores).stats
+            assert stats.lookup.arc_probes == 0
+            sink.model.settle(stats.lookup)
             assert len(sink.rows) == stats.frames
             assert sink.active == stats.active_history
             assert [sum(column) for column in zip(*sink.rows)] == [
@@ -281,7 +325,6 @@ class TestCycleModel:
                         task.am, task.lm, DecoderConfig(vectorized=vectorized)
                     )
                     offline = decoder.decode(scores)
-                    decoder.lookup.reset_transient_state()
                     streamed, _ = decode_streaming(decoder, scores, 16)
                     nothing = decoder.decode(empty)
                     context = (task.name, cls.__name__, vectorized)

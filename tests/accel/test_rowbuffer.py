@@ -86,7 +86,9 @@ class TestRowBuffer:
         from repro.accel.layout import OnTheFlyLayout
         from repro.accel.sink import UnfoldSink
 
-        sink = UnfoldSink(UNFOLD.scaled(1 / 64), OnTheFlyLayout.build(tiny_task))
+        sink = UnfoldSink(
+            UNFOLD.scaled(1 / 64), OnTheFlyLayout.build(tiny_task), tiny_task.lm
+        )
         for i in range(200):
             sink.on_token_write()
         assert sink.dram.row_hit_ratio > 0.5

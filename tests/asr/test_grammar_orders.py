@@ -62,9 +62,9 @@ class TestGrammarOrders:
 
     def test_backoff_chain_depth_bounded_by_order(self, ordered_task):
         """A back-off walk can descend at most order-1 levels."""
-        from repro.core import LmLookup, LookupStrategy
+        from repro.core import LmLookup
 
-        lookup = LmLookup(ordered_task.lm, strategy=LookupStrategy.BINARY)
+        lookup = LmLookup(ordered_task.lm)
         max_levels = 0
         for state in range(ordered_task.lm.fst.num_states):
             for word in ordered_task.grammar.vocabulary[:5]:

@@ -7,17 +7,21 @@ replayed session is bit-identical to the one it replaces — the partial
 it reports, the lookup counters its continuation starts from, and then
 every partial, word, cost, lattice
 node, decoder stat and lookup counter up to the final result — at any
-cut, in any batching, on either hot loop and with any lookup strategy.
+cut, in any batching, on either hot loop and under any lookup hardware
+a trace sink models.
 """
 
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.accel import UNFOLD, LookupStrategy, OnTheFlyLayout
+from repro.accel.sink import UnfoldSink
 from repro.asr import KALDI_VOXFORGE, build_scorer, build_task
 from repro.asr.streaming import StreamingSession, push_sessions
-from repro.core import DecoderConfig, LookupStrategy, OnTheFlyDecoder, batch
+from repro.core import DecoderConfig, OnTheFlyDecoder, batch
 from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes
 
 BATCH = 8
@@ -139,15 +143,34 @@ class TestReplay:
     def test_replay_under_each_lookup_strategy(
         self, tiny_task, tiny_scores, strategy
     ):
-        decoder = _decoder(tiny_task, lookup_strategy=strategy)
+        """A session traced into an UNFOLD sink replays bit-identically
+        whichever lookup hardware the sink models, and the replay's sink
+        models the same LM lookups as the live one's."""
+        layout = OnTheFlyLayout.build(tiny_task)
+        config = replace(UNFOLD.scaled(1 / 16), lookup_strategy=strategy)
+
+        def traced_session():
+            sink = UnfoldSink(config, layout, tiny_task.lm)
+            decoder = OnTheFlyDecoder(
+                tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0), sink=sink
+            )
+            # The decoder's own lookup: forks never trace.
+            return StreamingSession(decoder), sink
+
         scores = tiny_scores[4]
         cut = _cut(scores, "last-batch")
-        live = _replay(decoder, _batches(scores, stop=cut))
-        replayed = _replay(decoder, [scores[:cut]])
+        live, live_sink = traced_session()
+        for chunk in _batches(scores, stop=cut):
+            live.push(chunk)
+        replayed, replayed_sink = traced_session()
+        replayed.push(scores[:cut])
         _assert_same_state(live, replayed)
         assert live._seg.stats.words_emitted > 0
+        assert live_sink.lookup_model.stats.arc_probes > 0
+        assert replayed_sink.lookup_model.stats == live_sink.lookup_model.stats
         want, got = _continue_both(live, replayed, scores)
         _assert_same(want, got)
+        assert replayed_sink.lookup_model.stats == live_sink.lookup_model.stats
 
     @pytest.mark.parametrize("max_active", [5, 50])
     def test_replay_under_max_active(self, tiny_task, tiny_scores, max_active):

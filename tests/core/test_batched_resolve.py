@@ -3,10 +3,10 @@
 The batched epsilon phase stands on ``LmLookup.resolve_batch`` being
 an *exact* replay of per-item ``resolve`` calls — bit-identical
 weights, the same back-off level counts, the same preemptive-pruning
-decisions, and the same ``lookups`` and ``backoff_arcs_taken``.  The
-reference is the traced walk, which models the lookup hardware (the
-Offset Lookup Table and the probes); the batch walks plainly and
-counts none of the model.  These tests pin that contract over
+decisions, and the same counters.  The reference is a traced
+``resolve``, whose sink runs the lookup hardware's model (the Offset
+Lookup Table and the probes) over each walk it reports; that model
+changes nothing the walk returns.  These tests pin that contract over
 randomized LM graphs (with negative back-off penalties, which real
 ARPA models have), every (state, word) pair of two presets, and an
 aliased OLT entry pointing past its state's arcs; plus the label
@@ -25,18 +25,17 @@ from hypothesis import strategies as st
 
 from repro.asr import KALDI_LIBRISPEECH, KALDI_TEDLIUM, TINY, build_task
 from repro.asr.streaming import StreamingSession
+from repro.accel import LookupStrategy
 from repro.core import (
     DecoderConfig,
     LmLookup,
     LmWordArcs,
-    LookupStrategy,
-    NullSink,
     OnTheFlyDecoder,
     batch,
 )
 from repro.lm.graph import LmGraph
 from repro.wfst.fst import SymbolTable, Wfst
-from tests.core.test_lm_walk import unmodelled
+from tests.core.test_lm_walk import ModelSink
 
 
 def _random_lm(
@@ -96,21 +95,17 @@ def _random_lm(
 
 
 def _model(graph, strategy, olt_entries=32 * 1024):
-    """A traced lookup: its walk models the OLT and the probes."""
-    return LmLookup(
-        graph,
-        strategy=strategy,
-        offset_table_entries=olt_entries,
-        sink=NullSink(),
-    )
+    """A traced lookup, whose sink's lookup model (``.sink.model``)
+    replays every walk into the OLT and the probes."""
+    return LmLookup(graph, sink=ModelSink(graph, strategy, olt_entries))
 
 
 def _assert_batch_matches_scalar(
     graph, strategy, batches, preemptive, threshold, olt_entries
 ):
     scalar = _model(graph, strategy, olt_entries)
-    plain = LmLookup(graph, strategy=strategy, offset_table_entries=olt_entries)
-    batched = LmLookup(graph, strategy=strategy, offset_table_entries=olt_entries)
+    plain = LmLookup(graph)
+    batched = LmLookup(graph)
     for states, word_ids, entries in batches:
         expected = [
             scalar.resolve(
@@ -145,14 +140,10 @@ def _assert_batch_matches_scalar(
             assert int(got.next_state[i]) == ref.next_state
             assert bool(got.pruned[i]) == ref.pruned
             assert int(got.backoff_levels[i]) == ref.backoff_levels
-        # Counter-for-counter equality but the model's (expansion_*
-        # fields are compare=False: scalar has no expansion cache
-        # activity).
-        assert batched.stats == plain.stats == unmodelled(scalar.stats)
-    # Only the traced walk keeps a table, and the batches exercised it.
-    assert batched.offset_table is None
+        assert batched.stats == plain.stats == scalar.stats
+    # The traced walks' model kept a table, and the batches exercised it.
     if strategy is LookupStrategy.OFFSET_TABLE:
-        assert scalar.offset_table._entries
+        assert scalar.sink.model.table._entries
 
 
 @settings(max_examples=25, deadline=None)
@@ -266,29 +257,29 @@ def test_wide_lm_matches_scalar(strategy):
     graph = _wide_unigram_lm()
     states, word_ids = _every_pair(graph)
     scalar = _model(graph, strategy)
-    lookup = LmLookup(graph, strategy=strategy)
+    lookup = LmLookup(graph)
     got = lookup.resolve_batch(states, word_ids, [0.0] * len(word_ids))
     for i, (s, w) in enumerate(zip(states, word_ids)):
         ref = scalar.resolve(s, w)
         assert got.weight[i].hex() == ref.weight.hex(), (s, w)
         assert got.next_state[i] == ref.next_state, (s, w)
         assert got.backoff_levels[i] == ref.backoff_levels, (s, w)
-    assert lookup.stats == unmodelled(scalar.stats)
+    assert lookup.stats == scalar.stats
     if strategy is LookupStrategy.LINEAR:
         # State 2's scan for word 320 passes both its arcs, backs off
         # and passes all 320 unigram arcs.
         probe = _model(graph, strategy)
         probe.resolve(2, 320)
-        assert probe.stats.arc_probes == 2 + 1 + 320
+        assert probe.sink.model.stats.arc_probes == 2 + 1 + 320
 
 
 def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
     """An aliased OLT entry holds another pair's ordinal, which can lie
     past the probed state's arcs (``(0, 6586)`` and ``(1, 49)`` share a
-    slot and a tag in a one-entry table).  The traced walk pays the
-    validation probe, misses, and searches; the batch, which keeps no
-    table, finds the same result and counts the same lookups, at every
-    (state, word) pair."""
+    slot and a tag in a one-entry table).  The model pays the
+    validation probe, misses, and searches; the walk, traced or
+    batched, finds the same result and counts the same lookups, at
+    every (state, word) pair."""
     graph = _random_lm(17)
     num_states = graph.fst.num_states
     arc_counts = [
@@ -299,8 +290,8 @@ def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
     for state, word in zip(states, word_ids):
         clean = _model(graph, LookupStrategy.OFFSET_TABLE)
         scalar = _model(graph, LookupStrategy.OFFSET_TABLE)
-        batched = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
-        scalar.offset_table.insert(state, word, arc_counts[state] + 3)
+        batched = LmLookup(graph)
+        scalar.sink.model.table.insert(state, word, arc_counts[state] + 3)
         want = clean.resolve(state, word)
         ref = scalar.resolve(state, word)
         got = batched.resolve_batch([state], [word], [0.0])
@@ -308,17 +299,18 @@ def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
         assert got.weight[0] == ref.weight, (state, word)
         assert got.next_state[0] == ref.next_state, (state, word)
         assert got.backoff_levels[0] == ref.backoff_levels, (state, word)
-        assert batched.stats == unmodelled(scalar.stats), (state, word)
-        assert scalar.stats.arc_probes == clean.stats.arc_probes + 1
-        assert scalar.stats.olt_hits == 0
+        assert batched.stats == scalar.stats, (state, word)
+        counted = scalar.sink.model.stats
+        assert counted.arc_probes == clean.sink.model.stats.arc_probes + 1
+        assert counted.olt_hits == 0
 
 
 def test_resolve_batch_olt_warm_hit_ratio():
-    """Repeated items warm the traced walk's OLT; the batch counts the
+    """Repeated items warm the traced walks' OLT; the batch counts the
     same lookups without one."""
     graph = _random_lm(7)
     scalar = _model(graph, LookupStrategy.OFFSET_TABLE)
-    batched = LmLookup(graph, strategy=LookupStrategy.OFFSET_TABLE)
+    batched = LmLookup(graph)
     states = [1, 2, 3, 1, 2, 3]
     word_ids = [1, 2, 3, 1, 2, 3]
     entries = [0.0] * 6
@@ -326,8 +318,8 @@ def test_resolve_batch_olt_warm_hit_ratio():
         for s, w in zip(states, word_ids):
             scalar.resolve(s, w)
         batched.resolve_batch(states, word_ids, entries)
-    assert batched.stats == unmodelled(scalar.stats)
-    assert scalar.stats.olt_hits > 0
+    assert batched.stats == scalar.stats
+    assert scalar.sink.model.stats.olt_hits > 0
     assert batched.stats.olt_hit_ratio == 0.0
 
 
@@ -337,7 +329,7 @@ def test_a_walk_at_the_threshold_goes_on():
     the batch walks on, as the traced walk does."""
     graph = _random_lm(7)
     model = _model(graph, LookupStrategy.BINARY)
-    batched = LmLookup(graph, strategy=LookupStrategy.BINARY)
+    batched = LmLookup(graph)
     ties = 0
     for state in range(1, graph.fst.num_states):
         penalty = graph.backoff_arc(state).weight
@@ -360,7 +352,7 @@ def test_a_walk_at_the_threshold_goes_on():
             ), (state, word)
             ties += not (want.pruned and want.backoff_levels == 1)
     assert ties
-    assert batched.stats == unmodelled(model.stats)
+    assert batched.stats == model.stats
 
 
 def test_lookup_error_parity():
@@ -390,17 +382,19 @@ def test_lookup_error_parity():
         state_of_context={(): 0},
         context_of_state=[(), ()],
     )
-    scalar = LmLookup(graph, strategy=LookupStrategy.BINARY)
-    batched = LmLookup(graph, strategy=LookupStrategy.BINARY)
+    scalar = _model(graph, LookupStrategy.BINARY)
+    batched = LmLookup(graph)
     with pytest.raises(LookupError) as scalar_err:
         scalar.resolve(1, missing)
     with pytest.raises(LookupError) as batched_err:
         batched.resolve_batch([1], [missing], [0.0])
     assert str(batched_err.value) == str(scalar_err.value)
-    # The walk to exhaustion is accounted before the raise, as the
-    # scalar walk accounts it step by step.
+    # The walk to exhaustion is accounted before the raise, and the
+    # traced one reported first: two missed binary searches of four
+    # arcs (three probes each) and the back-off arc's fetch.
     assert batched.stats == scalar.stats
     assert batched.stats.lookups == 2 and batched.stats.backoff_arcs_taken == 1
+    assert scalar.sink.model.stats.arc_probes == 3 + 1 + 3
 
 
 @pytest.mark.parametrize("bad_word", [-1, 10**6])
@@ -409,9 +403,7 @@ def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
     """Ids are validated for the whole batch up front: the items before
     the bad one must not have been counted."""
     graph = _random_lm(13)
-    lookup = LmLookup(
-        graph, strategy=LookupStrategy.OFFSET_TABLE, offset_table_entries=4
-    )
+    lookup = LmLookup(graph)
     lookup.resolve_batch([1, 2, 3], [1, 2, 3], [0.0, 0.0, 0.0])
     before = dataclasses.asdict(lookup.stats)
     assert before["lookups"]
@@ -431,9 +423,7 @@ def test_bad_lm_state_raises_before_anything_is_touched(tiny_task, states):
     """State ids are range-checked for the whole batch up front, as word
     ids are: a -1 must not search the wrapped index's labels, nor be
     counted."""
-    lookup = LmLookup(
-        tiny_task.lm, strategy=LookupStrategy.OFFSET_TABLE
-    ).fork()
+    lookup = LmLookup(tiny_task.lm).fork()
     lookup.resolve_batch([0, 1, 2], [1, 2, 3], [0.0, 0.0, 0.0])
     before = dataclasses.asdict(lookup.stats)
     num_states = tiny_task.lm.fst.num_states
@@ -444,9 +434,10 @@ def test_bad_lm_state_raises_before_anything_is_touched(tiny_task, states):
 
 
 def test_forks_allocate_no_per_entry_storage():
-    """A fork never traces, so it holds no OLT: 64 serve sessions or
-    lockstep utterances used to zero-fill 768 KiB each."""
-    lookup = LmLookup(_random_lm(2), strategy=LookupStrategy.OFFSET_TABLE)
+    """A fork shares the graph's columns and holds nothing per entry:
+    64 serve sessions or lockstep utterances used to zero-fill an
+    Offset Lookup Table of 768 KiB each."""
+    lookup = LmLookup(_random_lm(2))
     lookup.fork()  # builds the shared batch structures
     tracemalloc.start()
     try:
@@ -456,7 +447,6 @@ def test_forks_allocate_no_per_entry_storage():
     finally:
         tracemalloc.stop()
     assert len(forks) == 64
-    assert all(fork.offset_table is None for fork in forks)
     assert grown < 64 * 1024, grown
 
 
@@ -497,7 +487,7 @@ def test_resolving_every_pair_holds_nothing_per_state():
     the vocabulary, not even one pointer a state."""
     graph = build_task(KALDI_TEDLIUM).lm
     num_states = graph.fst.num_states
-    lookup = LmLookup(graph, strategy=LookupStrategy.BINARY)
+    lookup = LmLookup(graph)
     lookup.resolve_batch([0], [1], [0.0])  # builds the label lists
     words = list(range(1, graph.backoff_label))
     entries = [0.0] * len(words)
@@ -514,31 +504,10 @@ def test_resolving_every_pair_holds_nothing_per_state():
 
 def test_resolve_batch_rejects_tracing():
     graph = _random_lm(1)
-    lookup = LmLookup(graph, sink=NullSink())
+    lookup = _model(graph, LookupStrategy.BINARY)
     assert not lookup.batch_supported
     with pytest.raises(RuntimeError):
         lookup.resolve_batch([0], [1], [0.0])
-
-
-def test_reset_transient_state_clears_the_olt():
-    """The traced walk fills the OLT it models; a reset empties it."""
-    graph = _random_lm(5)
-    model = _model(graph, LookupStrategy.OFFSET_TABLE)
-    model.resolve(1, 1)
-    model.resolve(2, 2)
-    # The OLT caches the pair at whichever chain state the arc was
-    # found, so scan the full (state, word) space for live entries.
-    cached = [
-        (s, w)
-        for s in range(graph.fst.num_states)
-        for w in (1, 2)
-        if model.offset_table.lookup(s, w) is not None
-    ]
-    assert cached  # the walks populated the OLT
-    model.reset_transient_state()
-    assert all(
-        model.offset_table.lookup(s, w) is None for s, w in cached
-    )
 
 
 def test_nonneg_weights_accepts_negative_backoff_with_nonneg_totals():

@@ -1,4 +1,6 @@
-"""Tests for the LM lookup engine and the Offset Lookup Table."""
+"""Tests for the LM lookup engine, and for the lookup hardware's model
+(``repro.accel.lookup``: the Offset Lookup Table and the strategies'
+searches) over the same LM."""
 
 import dataclasses
 import math
@@ -7,14 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    LmLookup,
-    LookupStats,
-    LookupStrategy,
-    NullSink,
-    OffsetLookupTable,
-)
+from repro.accel import UNFOLD, LookupStrategy, OffsetLookupTable
+from repro.core import LmLookup, LookupStats
 from repro.lm import SENTENCE_END
+from tests.core.test_lm_walk import ModelSink
 
 
 @pytest.fixture
@@ -27,15 +25,10 @@ def model(tiny_task):
     return tiny_task.ngram
 
 
-def _lookup(lm, strategy, entries=1024):
-    return LmLookup(lm, strategy=strategy, offset_table_entries=entries)
-
-
 def _model(lm, strategy):
-    """A traced lookup: only its walk models the OLT and the probes."""
-    return LmLookup(
-        lm, strategy=strategy, offset_table_entries=1024, sink=NullSink()
-    )
+    """The lookup hardware's model over ``lm``, with a 1024-entry OLT
+    for :attr:`LookupStrategy.OFFSET_TABLE`."""
+    return ModelSink(lm, strategy, table_entries=1024).model
 
 
 class TestOffsetLookupTable:
@@ -103,8 +96,8 @@ class TestOffsetLookupTable:
 
     def test_size_bytes_matches_paper_configuration(self):
         # Section 3.5: 32K entries require 192 KB.
-        table = OffsetLookupTable(32 * 1024)
-        assert table.size_bytes == 192 * 1024
+        assert UNFOLD.offset_table_entries == 32 * 1024
+        assert UNFOLD.offset_table_bytes == 192 * 1024
 
 
 def test_lookup_stats_delta_covers_every_counter():
@@ -127,14 +120,21 @@ class TestStrategiesAgree:
         linear = _model(lm, LookupStrategy.LINEAR)
         binary = _model(lm, LookupStrategy.BINARY)
         olt = _model(lm, LookupStrategy.OFFSET_TABLE)
+        found = 0
         for state in range(lm.fst.num_states):
+            labels = [arc.ilabel for arc in lm.fst.out_arcs(state)]
             for word in tiny_task.grammar.vocabulary[:6]:
                 word_id = lm.word_id(word)
-                arcs = [
-                    engine.find_arc(state, word_id)
-                    for engine in (linear, binary, olt)
-                ]
-                assert len({(a.ilabel, a.nextstate, a.weight) if a else None for a in arcs}) == 1
+                want = labels.index(word_id) if word_id in labels else -1
+                for _ in range(2):  # the second time, the OLT hits
+                    ordinals = {
+                        engine.search(state, word_id)
+                        for engine in (linear, binary, olt)
+                    }
+                    assert ordinals == {want}, (state, word)
+                found += want >= 0
+        assert found
+        assert olt.stats.olt_hits == found
 
     def test_linear_costs_more_probes_than_binary(self, lm, tiny_task):
         linear = _model(lm, LookupStrategy.LINEAR)
@@ -142,17 +142,17 @@ class TestStrategiesAgree:
         state = lm.unigram_state  # widest state: one arc per word
         for word in tiny_task.grammar.vocabulary:
             word_id = lm.word_id(word)
-            linear.find_arc(state, word_id)
-            binary.find_arc(state, word_id)
+            linear.search(state, word_id)
+            binary.search(state, word_id)
         assert linear.stats.arc_probes > binary.stats.arc_probes
 
     def test_offset_table_hits_on_repeats(self, lm, tiny_task):
         olt = _model(lm, LookupStrategy.OFFSET_TABLE)
         state = lm.unigram_state
         word_id = lm.word_id(tiny_task.grammar.vocabulary[0])
-        olt.find_arc(state, word_id)
+        olt.search(state, word_id)
         first_probes = olt.stats.arc_probes
-        olt.find_arc(state, word_id)
+        olt.search(state, word_id)
         assert olt.stats.olt_hits == 1
         assert olt.stats.olt_misses == 1
         # A hit costs exactly one validating arc fetch.
@@ -162,14 +162,14 @@ class TestStrategiesAgree:
         olt = _model(lm, LookupStrategy.OFFSET_TABLE)
         state = lm.unigram_state
         for _ in range(9):
-            olt.find_arc(state, lm.word_id(tiny_task.grammar.vocabulary[1]))
+            olt.search(state, lm.word_id(tiny_task.grammar.vocabulary[1]))
         assert olt.stats.olt_hit_ratio == pytest.approx(8 / 9)
 
 
 class TestResolve:
     def test_resolve_weight_equals_model_log_prob(self, lm, model, tiny_task):
         """The back-off walk reproduces the n-gram model exactly."""
-        lookup = _lookup(lm, LookupStrategy.BINARY)
+        lookup = LmLookup(lm)
         for state in range(lm.fst.num_states):
             context = lm.context_of_state[state]
             for word in tiny_task.grammar.vocabulary:
@@ -181,14 +181,14 @@ class TestResolve:
                 )
 
     def test_resolve_destination_has_matching_history(self, lm, tiny_task):
-        lookup = _lookup(lm, LookupStrategy.BINARY)
+        lookup = LmLookup(lm)
         for word in tiny_task.grammar.vocabulary[:5]:
             result = lookup.resolve(lm.unigram_state, lm.word_id(word))
             context = lm.context_of_state[result.next_state]
             assert context == () or context[-1] == word
 
     def test_backoff_levels_counted(self, lm, model, tiny_task):
-        lookup = _lookup(lm, LookupStrategy.BINARY)
+        lookup = LmLookup(lm)
         # Find some (state, word) needing back-off: a trigram state and a
         # word with no explicit trigram there.
         found = False
@@ -210,7 +210,7 @@ class TestResolve:
         assert found, "task too small to exercise back-off"
 
     def test_preemptive_prune_fires_with_tight_threshold(self, lm, model, tiny_task):
-        lookup = _lookup(lm, LookupStrategy.BINARY)
+        lookup = LmLookup(lm)
         pruned_any = False
         for state in range(lm.fst.num_states):
             if lm.state_level(state) == 0:
@@ -233,7 +233,7 @@ class TestResolve:
     def test_preemptive_prune_never_fires_with_loose_threshold(
         self, lm, tiny_task
     ):
-        lookup = _lookup(lm, LookupStrategy.BINARY)
+        lookup = LmLookup(lm)
         for word in tiny_task.grammar.vocabulary[:5]:
             result = lookup.resolve(
                 lm.unigram_state,
@@ -244,7 +244,7 @@ class TestResolve:
             assert not result.pruned
 
     def test_unknown_word_raises(self, lm):
-        lookup = _lookup(lm, LookupStrategy.BINARY)
+        lookup = LmLookup(lm)
         missing = lm.words.add("zz-not-in-lm")
         with pytest.raises(LookupError):
             lookup.resolve(lm.unigram_state, missing)

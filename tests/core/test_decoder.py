@@ -4,14 +4,15 @@ import math
 
 import pytest
 
+from repro.accel import LookupStrategy
 from repro.core import (
     DecoderConfig,
     FullyComposedDecoder,
-    LookupStrategy,
     OnTheFlyDecoder,
     TokenTable,
 )
 from tests.core.oracle import ComposedViterbi
+from tests.core.test_lm_walk import ModelSink
 from tests.core.test_scalar_frame_body import RecordingSink
 
 
@@ -133,20 +134,23 @@ class TestEquivalence:
                 assert a.cost == pytest.approx(b.cost, rel=1e-9)
 
     def test_lookup_strategies_do_not_change_result(self, tiny_task, tiny_scores):
-        results = []
+        """Traced under each strategy's lookup model, a decode equals
+        the untraced one: words, cost, finals and every stat."""
+        config = DecoderConfig(beam=12.0, preemptive_pruning=False)
+        want = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config).decode(
+            tiny_scores[1]
+        )
         for strategy in LookupStrategy:
+            sink = ModelSink(tiny_task.lm, strategy)
             decoder = OnTheFlyDecoder(
-                tiny_task.am,
-                tiny_task.lm,
-                DecoderConfig(
-                    beam=12.0, lookup_strategy=strategy, preemptive_pruning=False
-                ),
+                tiny_task.am, tiny_task.lm, config, sink=sink
             )
-            results.append(decoder.decode(tiny_scores[1]))
-        words = {tuple(r.words) for r in results}
-        costs = {round(r.cost, 9) for r in results}
-        assert len(words) == 1
-        assert len(costs) == 1
+            got = decoder.decode(tiny_scores[1])
+            assert (got.words, got.cost, got.finals) == (
+                want.words, want.cost, want.finals,
+            )
+            assert got.stats == want.stats
+            assert sink.model.stats.arc_probes > 0
 
 
 #: The search with nothing pruned: the exhaustive optimum is its result.

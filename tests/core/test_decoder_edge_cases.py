@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import DecoderConfig, NullSink, OnTheFlyDecoder
+from repro.accel import LookupStrategy
+from repro.core import DecoderConfig, OnTheFlyDecoder
+from tests.core.test_lm_walk import ModelSink
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +57,19 @@ class TestEdgeCases:
         assert first.lattice is not again.lattice
 
     def test_offset_table_warm_across_utterances(self, tiny_task, tiny_scores):
-        # The OLT is the traced walk's model of the lookup hardware.
+        # The OLT is the sink's: the lookup hardware's model.
+        sink = ModelSink(tiny_task.lm, LookupStrategy.OFFSET_TABLE)
         decoder = OnTheFlyDecoder(
-            tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0), sink=NullSink()
+            tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0), sink=sink
         )
-        decoder.decode(tiny_scores[0])
+        first = decoder.decode(tiny_scores[0])
+        sink.model.settle(first.stats.lookup)
         second = decoder.decode(tiny_scores[0])
-        # Re-decoding the same utterance hits the (persistent) OLT.
+        sink.model.settle(second.stats.lookup)
+        # Re-decoding the same utterance hits the (persistent) OLT; a
+        # fresh sink starts cold.
         assert second.stats.lookup.olt_hit_ratio > 0.5
+        assert first.stats.lookup.olt_hit_ratio < 0.5
 
     def test_lattice_consistent_with_words(self, decoder, tiny_scores):
         result = decoder.decode(tiny_scores[1])

@@ -53,12 +53,8 @@ def _assert_same(ref, got, context):
         ), (context, name)
 
 
-def _decode_cold(decoder, scores):
-    out = []
-    for matrix in scores:
-        decoder.lookup.reset_transient_state()
-        out.append(decoder.decode(matrix))
-    return out
+def _decode_each(decoder, scores):
+    return [decoder.decode(matrix) for matrix in scores]
 
 
 def _stream(decoder, matrix, cuts):
@@ -106,11 +102,11 @@ def test_entry_points_agree_at_any_threshold(
     default = batch.SCALAR_FRONTIER_MAX
     batch.SCALAR_FRONTIER_MAX = threshold
     try:
-        decoded = _decode_cold(decoder, scores)
+        decoded = _decode_each(decoder, scores)
         streamed = [_stream(decoder, m, c) for m, c in zip(scores, cuts)]
         together = _push_together(decoder, scores, chunk)
         whole = _pushed_together(decoder, scores)
-        reference = _decode_cold(scalar, scores)
+        reference = _decode_each(scalar, scores)
     finally:
         batch.SCALAR_FRONTIER_MAX = default
     for i, want in enumerate(decoded):
@@ -180,7 +176,7 @@ def test_one_call_mixes_scalar_and_solo_segments(
     takes the numpy kernels, each stepped on its own, and nobody can
     tell.  Which threshold splits them depends on the utterances, so
     the sweep starts at the median frontier size and walks outwards."""
-    reference = _decode_cold(decoder, tiny_scores)
+    reference = _decode_each(decoder, tiny_scores)
     sizes = sorted({n for r in reference for n in r.stats.active_history})
     median = sizes[len(sizes) // 2]
     thresholds = sorted(sizes, key=lambda size: abs(size - median))
@@ -204,7 +200,7 @@ def test_one_call_mixes_scalar_and_solo_segments(
     monkeypatch.setattr(decoder, "_scalar_run", spy_run)
     for threshold in thresholds:
         monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", threshold)
-        expected = _decode_cold(decoder, tiny_scores)
+        expected = _decode_each(decoder, tiny_scores)
         frames.clear()
         got = _pushed_together(decoder, tiny_scores)
         # Every frame of every utterance was consumed exactly once.
@@ -233,7 +229,7 @@ def test_replay_in_scalar_regime_continues_across_a_regime_flip(
     config = DecoderConfig(beam=14.0, max_active=800)
     decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
     scores = max(tiny_scores, key=lambda m: m.shape[0])
-    history = _decode_cold(decoder, [scores])[0].stats.active_history
+    history = _decode_each(decoder, [scores])[0].stats.active_history
     # ``history[i]`` tokens leave frame ``i`` and enter frame ``i + 1``.
     # Cut after a frame that ran scalar, with a larger frontier ahead.
     threshold, cut = next(
@@ -315,8 +311,8 @@ def test_profiled_decode_takes_the_same_regimes(
         )
         for i, (want, got) in enumerate(
             zip(
-                _decode_cold(plain, tiny_scores),
-                _decode_cold(profiled, tiny_scores),
+                _decode_each(plain, tiny_scores),
+                _decode_each(profiled, tiny_scores),
             )
         ):
             _assert_same(want, got, ("profile", limit, i))
@@ -376,7 +372,6 @@ def test_traced_decoder_runs_the_scalar_body_on_every_frame(
     )
     scores = tiny_scores[0]
     decoded = traced.decode(scores)
-    traced.lookup.reset_transient_state()
     session = StreamingSession(traced)
     session.push(scores)
     assert isinstance(session._seg.table, TokenTable)

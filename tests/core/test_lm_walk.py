@@ -1,20 +1,20 @@
-"""The scalar LM walk, pinned event for event.
+"""The LM walk and the lookup hardware's model, pinned event for event.
 
-``LmLookup.resolve`` reports every LM fetch and Offset Lookup Table
-access to the trace sink, and the accelerator simulators turn that
-order into cache and DRAM traffic.  The digests below were recorded
-from the walk as first written (one method per search strategy and one
-per probe); any rewrite of the walk must reproduce them exactly:
-the same events in the same order, the same results and the same
-counters and table contents.
+``LmLookup.resolve`` walks the LM plainly, one ``bisect_left`` per
+back-off level, and a traced lookup reports each walk to its sink as
+one ``on_lm_walk`` event.  The UNFOLD sink's lookup model
+(``repro.accel.lookup``) replays that event into every LM fetch and
+Offset Lookup Table access, and the simulators turn that order into
+cache and DRAM traffic.  The digests below were recorded from the
+traced walk as first written (one method per search strategy and one
+per probe), when it ran the model itself; the walk and the model
+together must reproduce them exactly: the same events in the same
+order, the same results and the same counters and table contents.
 
-That walk is the lookup hardware's model, and only a traced lookup
-runs it.  Untraced, ``resolve``, ``resolve_batch`` and ``find_arc``
-walk plainly, one ``bisect_left`` per back-off level, and must agree
-with the model item for item: the same weights, next states, prunes
-and levels, and the same ``lookups`` and ``backoff_arcs_taken``; the
-model's own counters (``arc_probes``, ``olt_hits``, ``olt_misses``)
-are a traced decode's only.
+A traced walk is the untraced walk: ``resolve`` traced or not and
+``resolve_batch`` agree item for item, the same weights, next states,
+prunes and levels and the same counters, and a traced decode's
+results and ``DecoderStats`` equal an untraced decode's in full.
 """
 
 from __future__ import annotations
@@ -25,36 +25,36 @@ import math
 
 import pytest
 
+from repro.accel import LookupModel, LookupStrategy
 from repro.am import GmmAcousticModel
 from repro.asr import KALDI_TEDLIUM, build_task
-from repro.core import (
-    DecoderConfig,
-    LmLookup,
-    LookupStrategy,
-    NullSink,
-    OnTheFlyDecoder,
-)
-
-#: The lookup model's counters: a traced decode's only.
-MODELLED = ("arc_probes", "olt_hits", "olt_misses")
+from repro.core import DecoderConfig, LmLookup, LmWordArcs, OnTheFlyDecoder
 
 
-def unmodelled(stats):
-    """``LookupStats`` with the model's counters zeroed: what a plain
-    walk of the same items counts."""
-    return dataclasses.replace(stats, **dict.fromkeys(MODELLED, 0))
+class ModelSink:
+    """A TraceSink that runs the lookup model over ``graph`` (a
+    ``strategy`` OLT of ``table_entries``) and drops every event."""
+
+    def __init__(self, graph, strategy, table_entries=32 * 1024):
+        self.model = LookupModel(
+            LmWordArcs.from_graph(graph), self, strategy, table_entries
+        )
+
+    def on_lm_walk(self, lm_state, word_id, levels, pruned):
+        self.model.on_lm_walk(lm_state, word_id, levels, pruned)
+
+    def _drop(self, *event):
+        pass
+
+    on_state_fetch = on_arc_fetch = on_token_write = _drop
+    on_token_hash_access = on_olt_access = on_frame_end = _drop
 
 
-def without_model(stats):
-    """``DecoderStats`` with the lookup model's counters zeroed: what an
-    untraced decode of the same search reports."""
-    return dataclasses.replace(stats, lookup=unmodelled(stats.lookup))
+class RecordingSink(ModelSink):
+    """A ModelSink keeping the LM walk's events, in order."""
 
-
-class RecordingSink:
-    """A TraceSink keeping the LM walk's events, in order."""
-
-    def __init__(self) -> None:
+    def __init__(self, graph, strategy, table_entries=32 * 1024):
+        super().__init__(graph, strategy, table_entries)
         self.events: list[tuple] = []
 
     def on_state_fetch(self, side, state):
@@ -97,27 +97,26 @@ def _costs(state, word):
     return entry, entry + 1.0 + (state % 3)
 
 
-def _plant(lookup, state, word, arc_counts):
+def _plant(model, state, word, arc_counts):
     """An aliased OLT entry for the pair: its own slot and tag, holding
     an ordinal past the state's arcs or one of another label."""
-    if lookup.offset_table is not None and (state + word) % 11 == 0:
+    if model.table is not None and (state + word) % 11 == 0:
         bogus = arc_counts[state] + 3 if state % 2 else 0
-        lookup.offset_table.insert(state, word, bogus)
+        model.table.insert(state, word, bogus)
 
 
 def _walk_digest(graph, strategy, preemptive):
     """sha256 of two traced passes over every pair: events, results,
     counters and the table's final entries."""
-    sink = RecordingSink()
-    lookup = LmLookup(
-        graph, strategy=strategy, offset_table_entries=16, sink=sink
-    )
+    sink = RecordingSink(graph, strategy, table_entries=16)
+    model = sink.model
+    lookup = LmLookup(graph, sink=sink)
     arc_counts = _arc_counts(graph)
     log = sink.events
     pruned = 0
     for _ in range(2):  # the second pass meets a warm table
         for state, word in _pairs(graph):
-            _plant(lookup, state, word, arc_counts)
+            _plant(model, state, word, arc_counts)
             entry, threshold = _costs(state, word)
             result = lookup.resolve(
                 state, word, entry_cost=entry, threshold=threshold,
@@ -130,13 +129,15 @@ def _walk_digest(graph, strategy, preemptive):
                     result.pruned, result.backoff_levels,
                 )
             )
-    # The counters as the first walk recorded them: its prune count sat
-    # sixth, after ``backoff_arcs_taken``; the pruned results count it.
+    # The counters as the first walk recorded them, the model's with
+    # the search's: its prune count sat sixth, after
+    # ``backoff_arcs_taken``; the pruned results count it.
+    model.settle(lookup.stats)
     counters = list(dataclasses.astuple(lookup.stats))
     counters.insert(5, pruned)
     log.append(("stats", tuple(counters)))
-    if lookup.offset_table is not None:
-        log.append(("olt", sorted(lookup.offset_table._entries.items())))
+    if model.table is not None:
+        log.append(("olt", sorted(model.table._entries.items())))
     return hashlib.sha256(repr(log).encode()).hexdigest(), len(log), pruned
 
 
@@ -186,18 +187,18 @@ def test_traced_walk_is_pinned(tiny_task, strategy, preemptive):
 
 
 def _assert_plain_equals_model(graph, strategy, preemptive):
-    """Untraced ``resolve`` item by item and one ``resolve_batch`` over
-    the same items, against the traced model walk with aliased OLT
-    entries planted: per-item outcome, ``lookups`` and
-    ``backoff_arcs_taken``; the plain walks count no model."""
+    """A traced ``resolve`` (its sink's model holding aliased OLT
+    entries), an untraced one item by item and one ``resolve_batch``
+    over the same items: the same per-item outcome and the same
+    counters, all of them; the model's own counts are its sink's."""
     pairs = _pairs(graph)
     arc_counts = _arc_counts(graph)
-    model = LmLookup(graph, strategy=strategy, sink=NullSink())
-    scalar = LmLookup(graph, strategy=strategy)
-    batched = LmLookup(graph, strategy=strategy)
-    assert scalar.offset_table is None and batched.offset_table is None
+    sink = ModelSink(graph, strategy)
+    traced = LmLookup(graph, sink=sink)
+    scalar = LmLookup(graph)
+    batched = LmLookup(graph)
     for state, word in pairs:
-        _plant(model, state, word, arc_counts)
+        _plant(sink.model, state, word, arc_counts)
     threshold = 2.5 if preemptive else math.inf
 
     def outcome(result):
@@ -208,7 +209,7 @@ def _assert_plain_equals_model(graph, strategy, preemptive):
 
     want = [
         outcome(
-            model.resolve(
+            traced.resolve(
                 s, w, entry_cost=0.5, threshold=threshold,
                 preemptive=preemptive,
             )
@@ -238,9 +239,10 @@ def _assert_plain_equals_model(graph, strategy, preemptive):
             got.backoff_levels[i],
         ) == ref, pairs[i]
     assert any(pruned for _, _, pruned, _ in want) is preemptive
-    assert scalar.stats == batched.stats == unmodelled(model.stats)
+    assert scalar.stats == batched.stats == traced.stats
+    assert sink.model.stats.arc_probes > 0
     if strategy is LookupStrategy.OFFSET_TABLE:
-        assert model.stats.olt_hits > 0
+        assert sink.model.stats.olt_hits > 0
 
 
 @_PREEMPTIVE
@@ -267,34 +269,40 @@ def test_tedlium_resolve_equals_resolve_batch(tedlium, preemptive):
 
 
 @pytest.mark.parametrize("strategy", list(LookupStrategy))
-def test_untraced_find_arc_walks_plainly(tiny_task, strategy):
-    """On every (state, word) pair an untraced ``find_arc`` returns the
-    traced lookup's arc, counting one lookup a call and none of the
-    model's counters."""
+def test_model_search_finds_the_walks_arc(tiny_task, strategy):
+    """On every (state, word) pair the model's one-level search finds
+    the ordinal of the state's arc for the word, or -1 exactly where
+    the walk backs off; that arc's weight and destination are the
+    walk's."""
     graph = tiny_task.lm
-    plain = LmLookup(graph, strategy=strategy)
-    model = LmLookup(graph, strategy=strategy, sink=NullSink())
+    model = ModelSink(graph, strategy).model
+    walk = LmLookup(graph).plain_walk
     pairs = _pairs(graph)
     found = 0
     for state, word in pairs:
-        arc = plain.find_arc(state, word)
-        assert arc == model.find_arc(state, word), (state, word)
-        found += arc is not None
+        ordinal = model.search(state, word)
+        arcs = graph.fst.out_arcs(state)
+        labels = [arc.ilabel for arc in arcs]
+        assert ordinal == (labels.index(word) if word in labels else -1)
+        weight, nxt, _, levels = walk(state, word, 0.0, math.inf)
+        assert (levels == 0) is (ordinal >= 0), (state, word)
+        if ordinal >= 0:
+            assert (weight, nxt) == (
+                arcs[ordinal].weight, arcs[ordinal].nextstate,
+            )
+            found += 1
     assert 0 < found < len(pairs)
-    assert plain.stats.lookups == model.stats.lookups == len(pairs)
-    for name in MODELLED:
-        assert getattr(plain.stats, name) == 0, name
+    assert model.stats.arc_probes >= len(pairs) - found
 
 
-def _decode_all(task, scores, strategy, preemptive, sink=None):
-    """One decoder (its OLT persists) over every utterance: their
-    results and the lookup's counters summed."""
+def _decode_all(task, scores, strategy, preemptive, traced):
+    """One decoder (with ``traced``, its sink's OLT persists) over
+    every utterance: the sink, the results and the lookup's counters
+    summed, the model's among them."""
     config = DecoderConfig(
-        beam=14.0,
-        max_active=800,
-        lookup_strategy=strategy,
-        preemptive_pruning=preemptive,
+        beam=14.0, max_active=800, preemptive_pruning=preemptive
     )
+    sink = ModelSink(task.lm, strategy) if traced else None
     decoder = OnTheFlyDecoder(task.am, task.lm, config, sink=sink)
     results = [decoder.decode(matrix) for matrix in scores]
     total = dataclasses.replace(results[0].stats.lookup)
@@ -305,13 +313,18 @@ def _decode_all(task, scores, strategy, preemptive, sink=None):
                 total, name,
                 getattr(total, name) + getattr(result.stats.lookup, name),
             )
-    return decoder, results, total
+    # No code of the search writes the hardware's counters.
+    assert (total.arc_probes, total.olt_hits, total.olt_misses) == (0, 0, 0)
+    if traced:
+        sink.model.settle(total)
+    return sink, results, total
 
 
 #: (strategy, preemptive) -> (lookups, arc_probes, olt_hits, olt_misses,
 #: backoff_arcs_taken) of ``_decode_all`` over ``tedlium``, recorded from
 #: untraced decodes when the lookup hardware's model still ran on every
-#: walk (mostly in ``resolve_batch``: these frontiers take the kernels).
+#: walk (mostly in ``resolve_batch``: these frontiers take the kernels),
+#: inside the search.
 _PINNED_DECODES = {
     (LookupStrategy.LINEAR, False): (10604, 653541, 0, 0, 6954),
     (LookupStrategy.LINEAR, True): (8210, 282541, 0, 0, 6607),
@@ -321,7 +334,9 @@ _PINNED_DECODES = {
     (LookupStrategy.OFFSET_TABLE, True): (8210, 29986, 1444, 6766, 6607),
 }
 
-_COUNTERS = ("lookups", *MODELLED, "backoff_arcs_taken")
+_COUNTERS = (
+    "lookups", "arc_probes", "olt_hits", "olt_misses", "backoff_arcs_taken",
+)
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +347,7 @@ def traced_decodes(tedlium):
     def get(strategy, preemptive):
         if (strategy, preemptive) not in memo:
             memo[strategy, preemptive] = _decode_all(
-                *tedlium, strategy, preemptive, NullSink()
+                *tedlium, strategy, preemptive, traced=True
             )
         return memo[strategy, preemptive]
 
@@ -356,14 +371,14 @@ def test_traced_decode_counts_the_pinned_model(
 def test_untraced_decode_holds_no_model(
     tedlium, traced_decodes, strategy, preemptive
 ):
-    """An untraced decode holds no OLT and counts none of the model;
-    the search and every other stat equal the traced decode's."""
-    plain, untraced, _ = _decode_all(*tedlium, strategy, preemptive)
+    """An untraced decode has no sink, so nothing models the lookup
+    hardware; its results and every stat equal the traced decode's,
+    whose model counted."""
+    _, untraced, _ = _decode_all(*tedlium, strategy, preemptive, False)
     _, traced, total = traced_decodes(strategy, preemptive)
-    assert plain.lookup.offset_table is None
     assert total.arc_probes > 0
-    for want, got in zip(traced, untraced):
+    for want, got in zip(traced, untraced, strict=True):
         assert (got.words, got.cost, got.finals) == (
             want.words, want.cost, want.finals,
         )
-        assert got.stats == without_model(want.stats)
+        assert got.stats == want.stats

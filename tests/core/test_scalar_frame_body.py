@@ -45,7 +45,6 @@ from repro.core.beam import prune_items
 from repro.core.tokens import KEY_SHIFT, pack_key, unpack_key
 from repro.wfst.fst import EPSILON
 from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes, _task
-from tests.core.test_lm_walk import without_model
 
 # -- (a) the table -----------------------------------------------------------
 
@@ -127,8 +126,8 @@ class RecordingSink:
     def on_token_hash_access(self, am_state, lm_state):
         self.events.append(("token_hash", am_state, lm_state))
 
-    def on_olt_access(self, lm_state, word_id, hit):
-        self.events.append(("olt", lm_state, word_id, hit))
+    def on_lm_walk(self, lm_state, word_id, levels, pruned):
+        self.events.append(("lm_walk", lm_state, word_id, levels, pruned))
 
     def on_frame_end(self, frame, active_tokens):
         self.events.append(("frame_end", frame, active_tokens))
@@ -483,19 +482,29 @@ def test_trace_events_keep_their_order(kind):
     assert kinds[-1] == "frame_end"
     assert kinds.count("token_write") > 0
     # Every lattice write follows the fetch of the arc that caused it
-    # (and, on the fly, the LM traffic of its lookup).
-    first_write = kinds.index("token_write")
-    before = kinds[:first_write]
-    last_arc = len(before) - 1 - before[::-1].index("arc_fetch")
-    assert events[last_arc][1] in (side, GraphSide.LM)
-    decoder.lookup.reset_transient_state()  # the stepping above warmed it
+    # (and, on the fly, the walk of its lookup).
+    walk = ["lm_walk"] if kind == "on-the-fly" else []
+    cause = ["arc_fetch", *walk, "token_write"]
+    writes = [i for i, name in enumerate(kinds) if name == "token_write"]
+    for at in writes:
+        assert kinds[at + 1 - len(cause) : at + 1] == cause, at
+        assert events[at + 1 - len(cause)][1] is side, at
+    # One walk event per walk: its levels are the back-off arcs taken,
+    # and each walk not pruned made one lookup more.
+    walks = [event for event in events if event[0] == "lm_walk"]
+    counted = decoder.lookup.stats
+    assert bool(walks) is bool(walk)
+    assert sum(event[3] for event in walks) == counted.backoff_arcs_taken
+    assert len(walks) - sum(event[4] for event in walks) == (
+        counted.lookups - counted.backoff_arcs_taken
+    )
     traced = decoder.decode(scores)
     untraced = plain.decode(scores)
     assert (traced.words, traced.cost, traced.finals) == (
         untraced.words, untraced.cost, untraced.finals,
     )
     assert _lattice_nodes(traced.lattice) == _lattice_nodes(untraced.lattice)
-    assert untraced.stats == without_model(traced.stats)
+    assert untraced.stats == traced.stats
 
 
 # -- (d) regime round trips ----------------------------------------------------

@@ -210,7 +210,7 @@ def test_max_active_binds_inside_a_run():
     config = DecoderConfig(beam=30.0, max_active=2, vectorized=False)
     decoder, lender = _pair("on-the-fly", task.am, task.lm, config)
     stepper = OnTheFlyDecoder(task.am, task.lm, config)
-    sink = _FrameWork()
+    sink = _FrameWork(task.lm)
     uncapped = OnTheFlyDecoder(
         task.am, task.lm, dataclasses.replace(config, max_active=0), sink=sink
     )
@@ -243,8 +243,6 @@ def test_profiled_runs_change_nothing(tiny_task, tiny_scores, monkeypatch):
         tiny_task.am, tiny_task.lm, dataclasses.replace(config, profile=True)
     )
     for i, scores in enumerate(tiny_scores):
-        plain.lookup.reset_transient_state()
-        profiled.lookup.reset_transient_state()
         want, got = plain.decode(scores), profiled.decode(scores)
         _assert_identical([want], [got], ("profile", i))
         phases = profiled.last_phase_seconds

@@ -70,9 +70,9 @@ class TestKneserNey:
         model = train_kneser_ney(corpus, vocab, order=3, cutoffs=(1, 1, 1))
         graph = build_lm_graph(model)  # invariants checked inside
         assert graph.unigram_state == 0
-        from repro.core import LmLookup, LookupStrategy
+        from repro.core import LmLookup
 
-        lookup = LmLookup(graph, strategy=LookupStrategy.BINARY)
+        lookup = LmLookup(graph)
         for word in vocab[:5]:
             result = lookup.resolve(graph.unigram_state, graph.word_id(word))
             assert result.weight == pytest.approx(

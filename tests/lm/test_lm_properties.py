@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LmLookup, LookupStrategy
+from repro.accel import LookupStrategy
+from repro.core import LmLookup
 from repro.lm import (
     SENTENCE_END,
     ReferenceGrammar,
@@ -29,7 +30,7 @@ def _random_lm(seed: int, order: int, vocab_size: int = 10):
 def test_resolve_equals_model_probability(seed, order):
     """Back-off walks through the WFST reproduce the model exactly."""
     vocab, _, model, graph = _random_lm(seed, order)
-    lookup = LmLookup(graph, strategy=LookupStrategy.BINARY)
+    lookup = LmLookup(graph)
     states = list(range(graph.fst.num_states))
     for state in states[:: max(1, len(states) // 8)]:
         context = graph.context_of_state[state]
@@ -45,7 +46,7 @@ def test_resolve_equals_model_probability(seed, order):
 def test_sentence_scoring_through_graph(seed):
     """Graph walk + final weight == model sentence score, any sentence."""
     vocab, grammar, model, graph = _random_lm(seed, order=3)
-    lookup = LmLookup(graph, strategy=LookupStrategy.BINARY)
+    lookup = LmLookup(graph)
     sentence = grammar.sample_sentence(max_len=6)
     state = graph.fst.start
     total = 0.0
@@ -60,18 +61,24 @@ def test_sentence_scoring_through_graph(seed):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_all_strategies_agree_on_random_models(seed):
+    """Traced under each strategy's lookup model, a walk resolves as
+    the untraced one does, and every model's search finds the same
+    unigram arc."""
+    from tests.core.test_lm_walk import ModelSink
+
     vocab, _, _, graph = _random_lm(seed, order=3)
-    engines = [
-        LmLookup(graph, strategy=s, offset_table_entries=256)
-        for s in LookupStrategy
-    ]
+    sinks = [ModelSink(graph, s, table_entries=256) for s in LookupStrategy]
+    engines = [LmLookup(graph, sink=sink) for sink in sinks]
+    plain = LmLookup(graph)
     for word in vocab[:5]:
         word_id = graph.word_id(word)
-        results = [e.resolve(graph.unigram_state, word_id) for e in engines]
-        weights = {round(r.weight, 12) for r in results}
-        states = {r.next_state for r in results}
-        assert len(weights) == 1
-        assert len(states) == 1
+        want = plain.resolve(graph.unigram_state, word_id)
+        for engine in engines:
+            assert engine.resolve(graph.unigram_state, word_id) == want
+        ordinals = {
+            sink.model.search(graph.unigram_state, word_id) for sink in sinks
+        }
+        assert len(ordinals) == 1 and -1 not in ordinals
 
 
 @settings(max_examples=10, deadline=None)
