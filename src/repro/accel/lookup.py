@@ -50,28 +50,25 @@ class OffsetLookupTable:
         # construction, while an empty table holds no per-entry storage.
         self._entries: dict[int, tuple[int, int]] = {}
 
-    def _slot(self, state: int, word: int) -> tuple[int, int]:
+    def slot(self, state: int, word: int) -> tuple[int, int]:
+        """The pair's ``(index, tag)``: what :meth:`lookup` and
+        :meth:`insert` take, so a miss that caches its find hashes the
+        pair once."""
         index = (state ^ word) & self._mask
         tag = ((state * 0x9E3779B1) ^ (word * 0x85EBCA77)) & (
             (1 << self.TAG_BITS) - 1
         )
         return index, tag
 
-    def lookup(self, state: int, word: int) -> int | None:
-        """Cached arc ordinal, or None on miss."""
-        index, tag = self._slot(state, word)
-        entry = self._entries.get(index)
-        if entry is not None and entry[0] == tag:
+    def lookup(self, slot: tuple[int, int]) -> int | None:
+        """The arc ordinal cached under ``slot``'s tag, or None on a miss."""
+        entry = self._entries.get(slot[0])
+        if entry is not None and entry[0] == slot[1]:
             return entry[1]
         return None
 
-    def insert(self, state: int, word: int, ordinal: int) -> None:
-        index, tag = self._slot(state, word)
-        self._entries[index] = (tag, ordinal)
-
-    def invalidate(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
+    def insert(self, slot: tuple[int, int], ordinal: int) -> None:
+        self._entries[slot[0]] = (slot[1], ordinal)
 
 
 class LookupModel:
@@ -136,11 +133,9 @@ class LookupModel:
         target = self.target
         table = self.table
         if table is not None:
-            entries = table._entries
-            index, tag = table._slot(state, word)
-            cached = entries.get(index)
-            if cached is not None and cached[0] == tag:
-                ordinal = cached[1]
+            slot = table.slot(state, word)
+            ordinal = table.lookup(slot)
+            if ordinal is not None:
                 stats.arc_probes += 1
                 target.on_arc_fetch(GraphSide.LM, state, ordinal)
                 if ordinal < len(labels) and labels[ordinal] == word:
@@ -174,7 +169,7 @@ class LookupModel:
                 else:
                     hi = mid - 1
         if table is not None and found >= 0:
-            entries[index] = (tag, found)
+            table.insert(slot, found)
         stats.arc_probes += probes
         return found
 

@@ -44,27 +44,19 @@ class StreamingSession:
     the same regime on every frame (scalar for small frontiers and
     always under a trace sink, numpy kernels otherwise) and produces
     bit-identical partials, results and :class:`DecoderStats` — the
-    streaming analogue of the offline decoder's parity contract.
-    Several sessions advance in one call through :func:`push_sessions`
-    (the serving layer's one engine call per scheduler cycle), each
-    still stepped on its own.
+    streaming analogue of the offline decoder's parity contract.  The
+    segment holds the session's counters, the LM lookup's among them,
+    so any number of sessions interleave on one decoder and its one
+    lookup, each counting what a solo decode would.  Several sessions
+    advance in one call through :func:`push_sessions` (the serving
+    layer's one engine call per scheduler cycle), each still stepped
+    on its own.
     """
 
-    def __init__(self, decoder: OnTheFlyDecoder, lookup=None) -> None:
+    def __init__(self, decoder: OnTheFlyDecoder) -> None:
         self.decoder = decoder
-        # Sessions default to the decoder's own lookup; a serving layer
-        # running several sessions on one decoder passes each a
-        # ``decoder.lookup.fork()`` instead, giving every session its
-        # own lookup counters (solo-identical).
-        self._seg = decoder.new_segment(lookup)
+        self._seg = decoder.new_segment()
         self._finished = False
-        # Lookup-counter baseline so finish() can report this
-        # utterance's delta, as decode() does.  With several sessions
-        # interleaved on one decoder (the serving layer), the delta is
-        # decoder-wide over the session's lifetime rather than
-        # per-utterance — unless each session got its own fork;
-        # transcripts are unaffected either way.
-        self._lookup_start = self._seg.lookup.stats.clone()
         # The last partial's best lattice node and its words: a node's
         # backtrace never changes, so a push that leaves the best token
         # on the same node reuses them.
@@ -120,7 +112,6 @@ class StreamingSession:
         self._finished = True
         seg = self._seg
         seg.stats.frames = seg.frame
-        seg.stats.lookup = seg.lookup.stats.since(self._lookup_start)
         return self.decoder._finalize(seg.table, seg.lattice, seg.stats)
 
 
@@ -135,8 +126,8 @@ def push_sessions(
     batch in turn through :func:`~repro.core.batch.advance_segment`
     (batches may be ragged; zero-frame batches are keep-alives).  So
     each session's partials, final result and stats are exactly those
-    of pushing its batch alone, in the same order — whether or not the
-    sessions share a decoder or a lookup.
+    of pushing its batch alone, in the same order, whether or not the
+    sessions share a decoder (which, with its lookup, holds no state).
     """
     if len(sessions) != len(batches):
         raise ValueError("one score batch per session required")

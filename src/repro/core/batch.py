@@ -11,13 +11,14 @@ vectorized frame), run over the segment's consecutive small frames in
 one call; and the numpy kernels for a large one.
 
 Exactness is non-negotiable: both regimes leave bit-identical table
-contents, lattice, stats and lookup state to the scalar reference
-body, so no counter records the regime mix.  Every entry point steps
-through here, so all make the same choice on the same frame.
+contents, lattice and stats to the scalar reference body, so no
+counter records the regime mix.  Every entry point steps through here,
+so all make the same choice on the same frame.
 
-Segments are independent: each owns its frontier, lattice, stats and
-lookup, and nothing steps two of them together.  A kernel that fused
-several segments' frontiers into one numpy call per frame (a CPU copy
+Segments are independent: each owns its frontier, lattice and stats
+(the decoder's LM lookup holds no state, so all share it), and nothing
+steps two of them together.  A kernel that fused several segments'
+frontiers into one numpy call per frame (a CPU copy
 of Braun et al.'s batched GPU decoder, arXiv:1910.10032) was measured
 against per-segment steps and removed: a ~1 000-token frontier already
 amortises its own dispatches (DESIGN.md, "Kernel-level fusion").
@@ -34,7 +35,6 @@ import numpy as np
 from repro.core.tokens import SoaTokenTable, TokenTable
 
 if TYPE_CHECKING:
-    from repro.core.composition import LmLookup
     from repro.core.decoder import DecoderStats, OnTheFlyDecoder
     from repro.core.lattice import WordLattice
 
@@ -66,18 +66,16 @@ class BatchSegment:
     read either (``columns``/``survivor_items``/``best_cost``).
     """
 
-    __slots__ = ("table", "lattice", "stats", "lookup", "frame")
+    __slots__ = ("table", "lattice", "stats", "frame")
 
     def __init__(
         self,
         table: TokenTable | SoaTokenTable,
-        lookup: LmLookup,
         lattice: WordLattice,
         stats: DecoderStats,
         frame: int = 0,
     ) -> None:
         self.table = table
-        self.lookup = lookup
         self.lattice = lattice
         self.stats = stats
         #: Index of the next frame this segment consumes (the lattice
@@ -136,7 +134,7 @@ def _step_one(
     stats.expansions += expansions
     mark = perf_counter() if phases is not None else 0.0
     decoder._epsilon_phase_batched(
-        table, seg.frame, seg.lattice, stats, beam_config, seg.lookup
+        table, seg.frame, seg.lattice, stats, beam_config
     )
     if phases is not None:
         phases["epsilon"] += perf_counter() - mark

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 from repro.core.arcs import LmWordArcs
@@ -30,10 +30,11 @@ from repro.lm.graph import LmGraph
 
 @dataclass
 class LookupStats:
-    """Activity counters for the LM lookup engine.
+    """Activity counters for the LM lookup engine, one decode's.
 
     ``lookups`` (one per state searched) and ``backoff_arcs_taken``
-    count the search itself, on every walk.  ``arc_probes``,
+    count the search itself: the epsilon phases add up their walks'
+    and write them to the segment's ``DecoderStats``.  ``arc_probes``,
     ``olt_hits`` and ``olt_misses`` count the lookup hardware: no code
     here writes them, and the UNFOLD simulator fills them in each
     utterance it simulates, from its lookup model
@@ -61,19 +62,6 @@ class LookupStats:
     @property
     def avg_probes_per_lookup(self) -> float:
         return self.arc_probes / self.lookups if self.lookups else 0.0
-
-    def clone(self) -> "LookupStats":
-        """An independent copy (a delta baseline)."""
-        return replace(self)
-
-    def since(self, before: "LookupStats") -> "LookupStats":
-        """Every counter's growth since the ``before`` clone was taken."""
-        return LookupStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(before, f.name)
-                for f in fields(self)
-            }
-        )
 
 
 @dataclass(slots=True)
@@ -202,8 +190,14 @@ def exhausted_word_error(word: int) -> LookupError:
 class LmLookup:
     """Locates LM arcs for cross-word transitions, by the plain walk.
 
-    With a ``sink``, each :meth:`resolve` also reports its walk to the
-    sink (``on_lm_walk``), for the accelerator's lookup model.
+    The walk over the LM's read-only columns and nothing else: a lookup
+    counts nothing and changes nothing as it walks, so one instance per
+    decoder serves every decode and session on it.  The caller keeps
+    the books (the epsilon phases, in the segment's
+    ``DecoderStats.lookup``): ``lookups += levels + (not pruned)`` and
+    ``backoff_arcs_taken += levels`` per walk.  With a ``sink``, each
+    :meth:`resolve` also reports its walk to the sink
+    (``on_lm_walk``), for the accelerator's lookup model.
     """
 
     def __init__(
@@ -217,24 +211,21 @@ class LmLookup:
         # Pure-functional runs skip per-event sink calls (same guard as
         # the decoders); traced runs keep the exact event order.
         self._tracing = sink is not None
-        self.stats = LookupStats()
         # The CSR word-arc columns: the batched epsilon phase's gate and
         # ``resolve_batch``'s id ranges.  Prebuilt (a shared-memory
         # attach, where walking ``graph.fst`` is impossible) or built on
         # first use.
         self._soa: LmWordArcs | None = word_arcs
-        # The walk's columns, in a cell shared with forks: built from
-        # the graph here, or over prebuilt CSR columns on the first
-        # lookup, whichever sibling makes it.
-        self._columns_cell: list[_WalkColumns | None] = [
+        # The walk's columns: built from the graph here, or over
+        # prebuilt CSR columns on the first lookup.
+        self._walk_columns: _WalkColumns | None = (
             None if word_arcs is not None else _WalkColumns(graph, None)
-        ]
+        )
 
     def _columns(self) -> _WalkColumns:
-        columns = self._columns_cell[0]
+        columns = self._walk_columns
         if columns is None:
-            columns = _WalkColumns(None, self._soa)
-            self._columns_cell[0] = columns
+            columns = self._walk_columns = _WalkColumns(None, self._soa)
         return columns
 
     @property
@@ -244,9 +235,8 @@ class LmLookup:
         """:meth:`_WalkColumns.walk`, bound: ``(state, word, entry,
         threshold) -> (weight, next_state, pruned, levels)``.
 
-        For a caller that walks item by item and keeps the books
-        itself, as :meth:`resolve` does per item: ``lookups += levels +
-        (not pruned)``, ``backoff_arcs_taken += levels``, and
+        For a caller that walks item by item: it keeps the books, as
+        every caller of :meth:`resolve` does, and raises
         :func:`exhausted_word_error` on a ``next_state`` of -1.
         """
         return self._columns().walk
@@ -282,9 +272,6 @@ class LmLookup:
         weight, nxt, pruned, levels = self._columns().walk(
             state, word_id, entry_cost, threshold if preemptive else math.inf
         )
-        stats = self.stats
-        stats.lookups += levels + (not pruned)
-        stats.backoff_arcs_taken += levels
         if self._tracing:
             self.sink.on_lm_walk(state, word_id, levels, pruned)
         if nxt < 0:
@@ -310,27 +297,10 @@ class LmLookup:
         return self._ensure_batch_structures().nonneg_weights and not self._tracing
 
     def reset_transient_state(self) -> None:
-        """Nothing to reset: a lookup keeps no per-decode state (a cold
+        """Nothing to reset: a lookup keeps no state at all (a cold
         Offset Lookup Table is a fresh simulator sink).  It stays for
         ``bench/common.py``'s ``CoreProbe``, which calls it before each
         decode."""
-
-    def fork(self) -> "LmLookup":
-        """A clone sharing the immutable graph structures.
-
-        The clone shares everything derived from the graph — the walk's
-        per-state columns and the CSR word-arc columns — but owns
-        zeroed :class:`LookupStats`, which is what gives each serve
-        session the same counters as a solo decode.  Forks never trace.
-        """
-        clone = object.__new__(LmLookup)
-        clone.graph = self.graph
-        clone.sink = None
-        clone._tracing = False
-        clone.stats = LookupStats()
-        clone._columns_cell = self._columns_cell
-        clone._soa = self._ensure_batch_structures()
-        return clone
 
     def resolve_batch(
         self,
@@ -348,12 +318,11 @@ class LmLookup:
         ``bench/common.py``'s ``CoreProbe`` times by name.
 
         ``resolve``'s walk, item by item in list order, so the results
-        and counters are the scalar calls'.
+        are the scalar calls'.
         Native lists in, native lists out: nothing here is array-shaped.
         A word id outside the label space or an LM state outside
         ``[0, num_states)`` raises ``ValueError`` before any item is
-        counted; stats land on completion: every item is accounted
-        before an exhausted item raises.
+        walked; an exhausted item raises once every item is walked.
         """
         if self._tracing:
             raise RuntimeError(
@@ -379,13 +348,6 @@ class LmLookup:
             out_next.append(nxt)
             out_pruned.append(pruned)
             out_levels.append(levels)
-        # A walk that ended at ``level`` took ``level`` back-off arcs and
-        # made ``level + 1`` lookups, except that one pruned on arriving
-        # at ``level`` never searched there.
-        backoffs = sum(out_levels)
-        stats = self.stats
-        stats.lookups += backoffs + n - out_pruned.count(True)
-        stats.backoff_arcs_taken += backoffs
         if -1 in out_next:
             raise exhausted_word_error(words[out_next.index(-1)])
         return BatchResolveResult(out_weight, out_next, out_pruned, out_levels)

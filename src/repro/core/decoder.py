@@ -193,8 +193,10 @@ class DecoderTables:
 class OnTheFlyDecoder:
     """UNFOLD's decoding algorithm, functionally modelled.
 
-    The decoder is reusable across utterances; token tables and
-    lattices are per-utterance.  A traced decoder's sink sees every
+    The decoder is reusable across utterances; token tables, lattices
+    and stats are per-utterance, and neither the decoder nor its LM
+    lookup keeps state between frames, so one serves any number of
+    interleaved decodes and sessions.  A traced decoder's sink sees every
     utterance, so what the sink models (the UNFOLD sink's Offset
     Lookup Table, its caches) persists between them, as the hardware
     would.
@@ -203,10 +205,11 @@ class OnTheFlyDecoder:
     #: Where a traced fetch of a token's state and arcs goes: this
     #: dataset, at the id :meth:`_trace_state` gives the token.
     _trace_side = GraphSide.AM
-    #: A composed graph's LM side (a private untraced fork; see
-    #: :class:`~repro.core.offline_decoder.FullyComposedDecoder`), or
-    #: None: cross-word arcs walk the segment's lookup on the fly.
-    _composer: LmLookup | None = None
+    #: Whether the graph searched is the offline-composed one
+    #: (:class:`~repro.core.offline_decoder.FullyComposedDecoder`): its
+    #: cross-word arcs were composed offline, so they walk the LM
+    #: plainly, uncounted and untraced.
+    _composer = False
 
     def __init__(
         self,
@@ -284,16 +287,11 @@ class OnTheFlyDecoder:
     def _trace_state(self, am_state: int, lm_state: int) -> int:
         return am_state
 
-    def new_segment(self, lookup: LmLookup | None = None) -> BatchSegment:
+    def new_segment(self) -> BatchSegment:
         """Start-of-utterance search state (one token at the loop state)."""
         table = TokenTable()
         table.insert(self.am.loop_state, self.lm.fst.start, 0.0, -1)
-        return BatchSegment(
-            table,
-            lookup if lookup is not None else self.lookup,
-            WordLattice(),
-            DecoderStats(),
-        )
+        return BatchSegment(table, WordLattice(), DecoderStats())
 
     def decode(self, scores: np.ndarray) -> DecodeResult:
         """Decode one utterance from its acoustic score matrix."""
@@ -306,7 +304,6 @@ class OnTheFlyDecoder:
         profile = self.config.profile
         started = perf_counter() if profile else 0.0
         self._phase_seconds = dict.fromkeys(_PHASES, 0.0) if profile else None
-        start_lookup = self.lookup.stats.clone()
         seg = self.new_segment()
         for scores in blocks:
             if scores.ndim != 2 or scores.shape[1] < self.am.num_senones:
@@ -319,7 +316,6 @@ class OnTheFlyDecoder:
                 self, seg, np.ascontiguousarray(scores, dtype=np.float64)
             )
         seg.stats.frames = seg.frame
-        seg.stats.lookup = self.lookup.stats.since(start_lookup)
         result = self._finalize(seg.table, seg.lattice, seg.stats)
         if profile:
             total = perf_counter() - started
@@ -383,7 +379,6 @@ class OnTheFlyDecoder:
         max_active = beam_config.max_active
         stats = seg.stats
         lattice = seg.lattice
-        lookup = seg.lookup
         active_history = stats.active_history.append
         table = seg.table
         frame = seg.frame
@@ -475,10 +470,7 @@ class OnTheFlyDecoder:
             if phases is not None:
                 mark = _lap(phases, "expand", mark)
             if seeds:
-                epsilon(
-                    next_table, seeds, frame, lattice, stats, beam_config,
-                    lookup,
-                )
+                epsilon(next_table, seeds, frame, lattice, stats, beam_config)
             if phases is not None:
                 _lap(phases, "epsilon", mark)
             beam_pruned += size - survivors_count
@@ -605,7 +597,6 @@ class OnTheFlyDecoder:
         lattice: WordLattice,
         stats: DecoderStats,
         beam_config: BeamConfig,
-        lookup: LmLookup | None = None,
     ) -> None:
         """One frame's epsilon phase as batched composition.
 
@@ -623,13 +614,13 @@ class OnTheFlyDecoder:
         numpy touches only what is frontier-sized — finding the seeds
         and reading their columns; a frame's seeds fan out into a few
         dozen pairs at most (DESIGN.md, "Where a vectorized frame
-        goes"), so the pairs run on native values.  Counters are summed
-        in locals and written once.
+        goes"), so the pairs run on native values.  Counters, the
+        walks' among them, are summed in locals and written once.
 
-        A composed graph's decoder (``FullyComposedDecoder``) has a
+        A composed graph's decoder (``FullyComposedDecoder``) sets
         ``_composer``: its cross-word arcs walk from an entry of 0.0
-        with no threshold, cost ``token + (arc + lm)``, and count on
-        the composer.
+        with no threshold, cost ``token + (arc + lm)``, and count
+        nowhere.
         """
         phases = self._phase_seconds
         mark = perf_counter() if phases is not None else 0.0
@@ -648,10 +639,7 @@ class OnTheFlyDecoder:
             mark = _lap(phases, "seeds", mark)
         threshold = table.best_cost + beam_config.beam
         composer = self._composer
-        if lookup is None:
-            lookup = self.lookup
-        walker = lookup if composer is None else composer
-        walk = walker.plain_walk
+        walk = self.lookup.plain_walk
         limit = threshold if self.config.preemptive_pruning else math.inf
         fanout = self._epsilon_fanout
         num_lm = self._num_lm
@@ -672,7 +660,12 @@ class OnTheFlyDecoder:
                     dest_lm = lm_state
                     dest_node = node
                 else:
-                    if composer is None:
+                    if composer:
+                        w, dest_lm, _, _ = walk(
+                            lm_state, olabel, 0.0, math.inf
+                        )
+                        arrival = cost + (weight + w)
+                    else:
                         w, dest_lm, pruned, levels = walk(
                             lm_state, olabel, arrival, limit
                         )
@@ -681,12 +674,6 @@ class OnTheFlyDecoder:
                             preemptive_pruned += 1
                             continue
                         arrival += w
-                    else:
-                        w, dest_lm, _, levels = walk(
-                            lm_state, olabel, 0.0, math.inf
-                        )
-                        backoffs += levels
-                        arrival = cost + (weight + w)
                     if dest_lm < 0:
                         raise exhausted_word_error(olabel)
                     dest_node = add(olabel, frame, arrival, node)
@@ -703,12 +690,13 @@ class OnTheFlyDecoder:
         stats.expansions += expansions
         stats.preemptive_pruned += preemptive_pruned
         stats.words_emitted += words
-        # A walk searches each level it reaches, except one it is
-        # pruned on arriving at: one lookup per back-off arc taken, plus
-        # one per walk that was not pruned (each emitted a word).
-        counts = walker.stats
-        counts.lookups += backoffs + words
-        counts.backoff_arcs_taken += backoffs
+        if not composer:
+            # A walk searches each level it reaches, except one it is
+            # pruned on arriving at: one lookup per back-off arc taken,
+            # plus one per walk that was not pruned (each emitted a word).
+            counts = stats.lookup
+            counts.lookups += backoffs + words
+            counts.backoff_arcs_taken += backoffs
         if phases is not None:
             _lap(phases, "pairs", mark)
 
@@ -720,7 +708,6 @@ class OnTheFlyDecoder:
         lattice: WordLattice,
         stats: DecoderStats,
         beam_config: BeamConfig,
-        lookup: LmLookup,
     ) -> None:
         """Propagate tokens across non-emitting arcs within the frame.
 
@@ -733,10 +720,12 @@ class OnTheFlyDecoder:
         goes to :attr:`_trace_side`, at the popped token's
         :meth:`_trace_state`.
 
-        A composed graph's decoder has a ``_composer``, and its
-        cross-word arcs walk it from an entry of 0.0 with no threshold
-        and cost ``token + (arc + lm)``, as in
-        :meth:`_epsilon_phase_batched`.
+        The on-the-fly walks go through ``self.lookup.resolve``, read
+        once per phase (``bench/``'s ``CoreProbe`` times that instance
+        attribute), and their counters are summed in locals, as every
+        other counter is.  A composed graph's decoder sets
+        ``_composer``, and its cross-word arcs walk the LM plainly,
+        uncounted and untraced, as in :meth:`_epsilon_phase_batched`.
         """
         sink = self.sink
         tracing = self._tracing
@@ -745,13 +734,14 @@ class OnTheFlyDecoder:
         fanout = self._epsilon_fanout
         preemptive = self.config.preemptive_pruning
         composer = self._composer
-        resolve = (lookup if composer is None else composer).resolve
+        resolve = self.lookup.resolve
+        walk = self.lookup.plain_walk if composer else None
         beam = beam_config.beam
         cost_of = table.cost
         node_of = table.node
         get = cost_of.get
         best = table.best_cost
-        beam_pruned = expansions = preemptive_pruned = words = 0
+        beam_pruned = expansions = preemptive_pruned = words = backoffs = 0
         improvements = recombinations = 0
         while worklist:
             key = worklist.pop()
@@ -777,7 +767,14 @@ class OnTheFlyDecoder:
                     dest = nextstate << KEY_SHIFT | lm_state
                 else:
                     # Cross-word transition: transition in the LM too.
-                    if composer is None:
+                    if composer:
+                        w, dest_lm, _, _ = walk(
+                            lm_state, olabel, 0.0, math.inf
+                        )
+                        if dest_lm < 0:
+                            raise exhausted_word_error(olabel)
+                        cost = token_cost + (weight + w)
+                    else:
                         result = resolve(
                             lm_state,
                             olabel,
@@ -785,18 +782,17 @@ class OnTheFlyDecoder:
                             threshold=threshold,
                             preemptive=preemptive,
                         )
+                        backoffs += result.backoff_levels
                         if result.pruned:
                             preemptive_pruned += 1
                             continue
                         cost += result.weight
-                    else:
-                        result = resolve(lm_state, olabel)
-                        cost = token_cost + (weight + result.weight)
+                        dest_lm = result.next_state
                     node = lattice.add(olabel, frame, cost, token_node)
                     if tracing:
                         sink.on_token_write()
                     words += 1
-                    dest = nextstate << KEY_SHIFT | result.next_state
+                    dest = nextstate << KEY_SHIFT | dest_lm
                 existing = get(dest)
                 if existing is not None:
                     if cost < existing:
@@ -818,6 +814,11 @@ class OnTheFlyDecoder:
         stats.expansions += expansions
         stats.preemptive_pruned += preemptive_pruned
         stats.words_emitted += words
+        if not composer:
+            # As in the batched phase: a lookup per level searched.
+            counts = stats.lookup
+            counts.lookups += backoffs + words
+            counts.backoff_arcs_taken += backoffs
 
     def _final_hypotheses(
         self, table: TokenTable | SoaTokenTable

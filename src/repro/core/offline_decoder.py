@@ -23,7 +23,9 @@ what a composed graph changes:
   arrival costs ``token + (am + lm)`` rather than the on-the-fly
   ``(token + am) + lm``, and nothing at decode time can prune the
   back-off walk (both epsilon phases are the on-the-fly decoder's own
-  loops, which take this arithmetic when they find ``_composer``);
+  loops, which take this arithmetic when they find ``_composer`` set,
+  and walk the LM plainly, uncounted and untraced: the stand-in for
+  what was paid offline);
 * trace events address the one composed dataset, by encoded state id;
 * a hypothesis may end the utterance when *both* sides are final.
 
@@ -48,9 +50,14 @@ from repro.lm.graph import LmGraph
 
 
 class FullyComposedDecoder(OnTheFlyDecoder):
-    """Beam search over the offline-composed graph."""
+    """Beam search over the offline-composed graph.
+
+    Its cross-word arcs were composed offline, so no decode-time LM
+    lookup is counted or traced: ``DecoderStats.lookup`` stays zero.
+    """
 
     _trace_side = GraphSide.COMPOSED
+    _composer = True
 
     def __init__(
         self,
@@ -67,12 +74,6 @@ class FullyComposedDecoder(OnTheFlyDecoder):
             replace(config or DecoderConfig(), preemptive_pruning=False),
             sink,
         )
-        # ``self.lookup`` is the decode-time lookup every segment is
-        # accounted against, and a composed graph never consults it: its
-        # counters stay zero.  The LM side of the composition is a
-        # private fork's work (forks never trace), the stand-in for what
-        # was paid offline.
-        self._composer = self.lookup.fork()
         am_fst = am.fst
         self._am_final_w = np.array(
             [am_fst.final_weight(s) for s in am_fst.states()], dtype=np.float64

@@ -28,7 +28,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "loadgen": ("LoadReport", "UtteranceOutcome", "run_load"),
         "metrics": ("MetricsRegistry",),
         "protocol": ("ProtocolError", "ServeError"),
-        "scheduler": ("Busy", "Scheduler", "SchedulerConfig"),
+        "scheduler": ("Busy", "Scheduler"),
         "server": ("ServeConfig", "TranscriptionServer"),
         "shard": ("ShardedServer", "ShardRouter"),
     },

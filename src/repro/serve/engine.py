@@ -38,10 +38,11 @@ class InlineEngine:
     dispatch through :meth:`push_many` — one engine call per scheduler
     cycle instead of one engine round-trip per session
     (:func:`repro.asr.streaming.push_sessions`), each session still
-    stepped on its own.  Every session gets its own forked lookup
-    (``decoder.lookup.fork()``), so its lookup counters are a solo
-    cold decode's.  Per-session results, partials and stats are
-    bit-identical to pushing each session alone.
+    stepped on its own.  Every session is a segment on the one decoder
+    and its one LM lookup, which hold no state; the segment keeps the
+    session's counters, so its lookup counts are a solo decode's.
+    Per-session results, partials and stats are bit-identical to
+    pushing each session alone.
     """
 
     def __init__(
@@ -69,9 +70,7 @@ class InlineEngine:
     def start(self, session_id: str) -> None:
         if session_id in self._sessions:
             raise EngineError(f"session {session_id!r} already started")
-        self._sessions[session_id] = StreamingSession(
-            self._decoder, lookup=self._decoder.lookup.fork()
-        )
+        self._sessions[session_id] = StreamingSession(self._decoder)
 
     def _session(self, session_id: str) -> StreamingSession:
         session = self._sessions.get(session_id)

@@ -60,9 +60,14 @@ from time import perf_counter
 
 import numpy as np
 
+from typing import TYPE_CHECKING
+
 from repro.am.scorer import is_recurrent
 from repro.serve import protocol
 from repro.serve.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.serve.server import ServeConfig
 
 #: How often the loop sweeps idle sessions: the longest it parks when
 #: no work is queued, and the shortest gap between sweeps when busy.
@@ -75,23 +80,6 @@ class Busy(Exception):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Admission-control and pacing knobs."""
-
-    max_sessions: int = 8
-    max_queued_batches: int = 4
-    idle_timeout_seconds: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
-        if self.max_queued_batches < 1:
-            raise ValueError("max_queued_batches must be >= 1")
-        if self.idle_timeout_seconds <= 0:
-            raise ValueError("idle_timeout_seconds must be positive")
 
 
 @dataclass
@@ -125,16 +113,16 @@ class Scheduler:
     def __init__(
         self,
         engine,
-        config: SchedulerConfig | None = None,
+        config: ServeConfig,
         metrics: MetricsRegistry | None = None,
-        session_id_prefix: str = "s",
         scorer=None,
     ) -> None:
         self.engine = engine
         #: The acoustic model ``features`` batches are scored with;
         #: ``None`` serves ``scores`` sessions only.
         self.scorer = scorer
-        self.config = config or SchedulerConfig()
+        #: The admission bounds and the session-id prefix are read here.
+        self.config = config
         self.metrics = metrics or MetricsRegistry()
         self._sessions: dict[str, Session] = {}
         self._order: list[str] = []  # round-robin ring
@@ -148,7 +136,7 @@ class Scheduler:
         self._task: asyncio.Task | None = None
         #: Id prefix, distinct per shard in a sharded deployment so
         #: session ids stay unique cluster-wide.
-        self._id_prefix = session_id_prefix
+        self._id_prefix = config.session_id_prefix
         self._ids = iter(range(1, 1 << 62))
 
     # The per-push instruments, bound on first use: a registry lookup is

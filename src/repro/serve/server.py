@@ -41,7 +41,7 @@ from repro.lm.graph import LmGraph
 from repro.serve import protocol
 from repro.serve.engine import InlineEngine
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.scheduler import Busy, Scheduler, SchedulerConfig, Session
+from repro.serve.scheduler import Busy, Scheduler, Session
 
 if TYPE_CHECKING:
     from repro.serve.client import TcpClient
@@ -49,7 +49,12 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Server assembly knobs (transport + admission)."""
+    """Server assembly knobs (transport + admission).
+
+    The admission bounds are checked here, where the config is made:
+    a sharded server's parent rejects a bad one before it packs a
+    segment or forks a shard.
+    """
 
     host: str = "127.0.0.1"
     #: TCP port; ``None`` serves local clients only, ``0`` binds
@@ -63,12 +68,13 @@ class ServeConfig:
     #: cluster-wide and across a shard's lifetimes.
     session_id_prefix: str = "s"
 
-    def scheduler_config(self) -> SchedulerConfig:
-        return SchedulerConfig(
-            max_sessions=self.max_sessions,
-            max_queued_batches=self.max_queued_batches,
-            idle_timeout_seconds=self.idle_timeout_seconds,
-        )
+    def __post_init__(self) -> None:
+        if self.max_sessions < 1:
+            raise ValueError("max_sessions must be >= 1")
+        if self.max_queued_batches < 1:
+            raise ValueError("max_queued_batches must be >= 1")
+        if self.idle_timeout_seconds <= 0:
+            raise ValueError("idle_timeout_seconds must be positive")
 
 
 class TranscriptionServer:
@@ -109,11 +115,7 @@ class TranscriptionServer:
         # score-matrix interface.  With no scorer, START rejects the
         # ``features`` payload.
         self.scheduler = Scheduler(
-            self.engine,
-            config=self.config.scheduler_config(),
-            metrics=self.metrics,
-            session_id_prefix=self.config.session_id_prefix,
-            scorer=scorer,
+            self.engine, self.config, metrics=self.metrics, scorer=scorer
         )
         self.port: int | None = None
         self._tcp_server: asyncio.base_events.Server | None = None

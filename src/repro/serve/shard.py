@@ -368,17 +368,28 @@ class ShardedServer:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
+        """Spawn the shards and wait until every one is ready.
+
+        A start that fails stops what it spawned and unlinks the
+        segment before it re-raises (``async with`` never reaches
+        ``__aexit__`` then): no shard and no segment outlives it.
+        """
         if self._started:
             return
         self._started = True
         loop = asyncio.get_running_loop()
-        self._handles = [self._spawn(index) for index in range(self.shards)]
-        await asyncio.gather(
-            *(
-                loop.run_in_executor(None, handle.wait_ready)
-                for handle in self._handles
+        try:
+            for index in range(self.shards):
+                self._handles.append(self._spawn(index))
+            await asyncio.gather(
+                *(
+                    loop.run_in_executor(None, handle.wait_ready)
+                    for handle in self._handles
+                )
             )
-        )
+        except BaseException:
+            await self.stop()
+            raise
         self._supervisor = loop.create_task(
             self._supervise(), name="shard-supervisor"
         )

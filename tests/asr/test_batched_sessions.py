@@ -4,8 +4,8 @@ The serving layer advances concurrent streaming sessions through one
 engine call per scheduler cycle via
 :func:`repro.asr.streaming.push_sessions`.  Its contract: every
 session's partials, final result, lattice, stats and lookup counters
-must be bit-identical to pushing that session's batches alone (with its
-own forked lookup) and to a cold offline decode — every ``DecoderStats``
+must be bit-identical to pushing that session's batches alone (on the
+same decoder and lookup) and to a cold offline decode — every ``DecoderStats``
 field and every lookup counter (lookups, OLT hits/misses, back-off
 arcs, preemptive prunes) — across tight beams, tiny
 token caps, disabled preemptive pruning and random small tasks; ragged
@@ -105,21 +105,17 @@ def _offline_reference(decoder, scores):
 
 
 def _pushed_together(decoder, scores):
-    """Every utterance in one ``push_sessions`` call, one forked-lookup
-    session each."""
-    sessions = [
-        StreamingSession(decoder, lookup=decoder.lookup.fork())
-        for _ in scores
-    ]
+    """Every utterance in one ``push_sessions`` call, one session each."""
+    sessions = [StreamingSession(decoder) for _ in scores]
     push_sessions(sessions, scores)
     return [session.finish() for session in sessions]
 
 
 def _solo_reference(decoder, scores, chunk):
-    """Each stream pushed alone on a fresh forked-lookup session."""
+    """Each stream pushed alone on a fresh session."""
     partials, results = [], []
     for matrix in scores:
-        session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+        session = StreamingSession(decoder)
         parts = [
             session.push(matrix[start : start + chunk])
             for start in range(0, max(matrix.shape[0], 1), chunk)
@@ -130,10 +126,7 @@ def _solo_reference(decoder, scores, chunk):
 
 
 def _fused_run(decoder, scores, chunk):
-    sessions = [
-        StreamingSession(decoder, lookup=decoder.lookup.fork())
-        for _ in scores
-    ]
+    sessions = [StreamingSession(decoder) for _ in scores]
     partials = [[] for _ in scores]
     longest = max(max(s.shape[0] for s in scores), 1)
     for start in range(0, longest, chunk):
@@ -191,9 +184,9 @@ class TestFusedSessionParity:
         assert [p.frames_consumed for p in partials] == [8, 8]
 
     def test_single_session_equals_push(self, decoder, tiny_scores):
-        solo = StreamingSession(decoder, lookup=decoder.lookup.fork())
+        solo = StreamingSession(decoder)
         expected = solo.push(tiny_scores[0][:12])
-        fused = StreamingSession(decoder, lookup=decoder.lookup.fork())
+        fused = StreamingSession(decoder)
         (got,) = push_sessions([fused], [tiny_scores[0][:12]])
         assert got == expected
 
@@ -255,17 +248,14 @@ def test_pushed_together_equals_cold_decodes_property(
 
 class TestValidation:
     def test_length_mismatch(self, decoder, tiny_scores):
-        session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+        session = StreamingSession(decoder)
         with pytest.raises(ValueError):
             push_sessions([session], [])
 
     def test_raises_before_any_session_advances(
         self, decoder, tiny_scores
     ):
-        sessions = [
-            StreamingSession(decoder, lookup=decoder.lookup.fork())
-            for _ in range(3)
-        ]
+        sessions = [StreamingSession(decoder) for _ in range(3)]
         bad = tiny_scores[2][:8, :2]  # too few senone columns
         with pytest.raises(ValueError):
             push_sessions(
@@ -274,9 +264,9 @@ class TestValidation:
         assert [s.frames_consumed for s in sessions] == [0, 0, 0]
 
     def test_finished_session_rejected(self, decoder, tiny_scores):
-        finished = StreamingSession(decoder, lookup=decoder.lookup.fork())
+        finished = StreamingSession(decoder)
         finished.finish()
-        live = StreamingSession(decoder, lookup=decoder.lookup.fork())
+        live = StreamingSession(decoder)
         with pytest.raises(RuntimeError):
             push_sessions(
                 [live, finished], [tiny_scores[0][:8], tiny_scores[1][:8]]
@@ -284,10 +274,7 @@ class TestValidation:
         assert live.frames_consumed == 0
 
     def test_zero_frame_keepalive(self, decoder, tiny_scores):
-        sessions = [
-            StreamingSession(decoder, lookup=decoder.lookup.fork())
-            for _ in range(2)
-        ]
+        sessions = [StreamingSession(decoder) for _ in range(2)]
         push_sessions(sessions, [tiny_scores[0][:8], tiny_scores[1][:8]])
         empty = tiny_scores[1][:0]
         partials = push_sessions(

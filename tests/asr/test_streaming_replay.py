@@ -34,7 +34,7 @@ def _decoder(task, **config):
 
 
 def _session(decoder):
-    return StreamingSession(decoder, lookup=decoder.lookup.fork())
+    return StreamingSession(decoder)
 
 
 def _batches(scores, start=0, stop=None):
@@ -52,7 +52,7 @@ def _replay(decoder, batches):
 
 def _lookup_state(session):
     """The session's lookup counters."""
-    return dataclasses.asdict(session._seg.lookup.stats)
+    return dataclasses.asdict(session._seg.stats.lookup)
 
 
 def _assert_same_state(live, replayed):
@@ -135,7 +135,7 @@ class TestReplay:
         _assert_same_state(live, replayed)
         if where == "last-batch":
             # Words have ended: the continuation starts after LM lookups.
-            assert live._seg.lookup.stats.lookups > 0
+            assert live._seg.stats.lookup.lookups > 0
         want, got = _continue_both(live, replayed, scores)
         _assert_same(want, got)
 
@@ -154,7 +154,6 @@ class TestReplay:
             decoder = OnTheFlyDecoder(
                 tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0), sink=sink
             )
-            # The decoder's own lookup: forks never trace.
             return StreamingSession(decoder), sink
 
         scores = tiny_scores[4]
@@ -314,15 +313,14 @@ class TestReplay:
     def test_replay_on_a_shared_lookup_keeps_the_transcript(
         self, tiny_task, tiny_scores
     ):
-        """Without a fork the replay runs on the lookup other
-        utterances used: the untraced walk keeps no state across
-        decodes, so neither the decode nor its lookup counters differ."""
+        """The replay runs on the lookup other utterances used: the
+        lookup keeps no state across decodes, so neither the decode nor
+        its lookup counters differ."""
         decoder = _decoder(tiny_task)
         scores = tiny_scores[1]
         want = _replay(decoder, _batches(scores)).finish()
         for matrix in tiny_scores:
             decoder.decode(matrix)
-        assert decoder.lookup.stats.lookups > want.stats.lookup.lookups
         shared = StreamingSession(decoder)
         for chunk in _batches(scores):
             shared.push(chunk)

@@ -2,19 +2,19 @@
 
 The batched epsilon phase stands on ``LmLookup.resolve_batch`` being
 an *exact* replay of per-item ``resolve`` calls — bit-identical
-weights, the same back-off level counts, the same preemptive-pruning
-decisions, and the same counters.  The reference is a traced
+weights, the same back-off level counts and the same
+preemptive-pruning decisions (from which the caller counts the walk's
+lookups).  The reference is a traced
 ``resolve``, whose sink runs the lookup hardware's model (the Offset
 Lookup Table and the probes) over each walk it reports; that model
 changes nothing the walk returns.  These tests pin that contract over
 randomized LM graphs (with negative back-off penalties, which real
 ARPA models have), every (state, word) pair of two presets, and an
 aliased OLT entry pointing past its state's arcs; plus the label
-lists forks share, the bound on what resolving keeps (nothing per
+lists the walk reads, the bound on what resolving keeps (nothing per
 state), and the ``nonneg_weights`` gate the decoders consult.
 """
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -32,10 +32,11 @@ from repro.core import (
     LmWordArcs,
     OnTheFlyDecoder,
     batch,
+    composition,
 )
 from repro.lm.graph import LmGraph
 from repro.wfst.fst import SymbolTable, Wfst
-from tests.core.test_lm_walk import ModelSink
+from tests.core.sinks import ModelSink
 
 
 def _random_lm(
@@ -140,7 +141,6 @@ def _assert_batch_matches_scalar(
             assert int(got.next_state[i]) == ref.next_state
             assert bool(got.pruned[i]) == ref.pruned
             assert int(got.backoff_levels[i]) == ref.backoff_levels
-        assert batched.stats == plain.stats == scalar.stats
     # The traced walks' model kept a table, and the batches exercised it.
     if strategy is LookupStrategy.OFFSET_TABLE:
         assert scalar.sink.model.table._entries
@@ -264,7 +264,6 @@ def test_wide_lm_matches_scalar(strategy):
         assert got.weight[i].hex() == ref.weight.hex(), (s, w)
         assert got.next_state[i] == ref.next_state, (s, w)
         assert got.backoff_levels[i] == ref.backoff_levels, (s, w)
-    assert lookup.stats == scalar.stats
     if strategy is LookupStrategy.LINEAR:
         # State 2's scan for word 320 passes both its arcs, backs off
         # and passes all 320 unigram arcs.
@@ -278,8 +277,7 @@ def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
     past the probed state's arcs (``(0, 6586)`` and ``(1, 49)`` share a
     slot and a tag in a one-entry table).  The model pays the
     validation probe, misses, and searches; the walk, traced or
-    batched, finds the same result and counts the same lookups, at
-    every (state, word) pair."""
+    batched, finds the same result, at every (state, word) pair."""
     graph = _random_lm(17)
     num_states = graph.fst.num_states
     arc_counts = [
@@ -291,7 +289,8 @@ def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
         clean = _model(graph, LookupStrategy.OFFSET_TABLE)
         scalar = _model(graph, LookupStrategy.OFFSET_TABLE)
         batched = LmLookup(graph)
-        scalar.sink.model.table.insert(state, word, arc_counts[state] + 3)
+        table = scalar.sink.model.table
+        table.insert(table.slot(state, word), arc_counts[state] + 3)
         want = clean.resolve(state, word)
         ref = scalar.resolve(state, word)
         got = batched.resolve_batch([state], [word], [0.0])
@@ -299,15 +298,14 @@ def test_out_of_range_olt_ordinal_is_a_miss_on_both_paths():
         assert got.weight[0] == ref.weight, (state, word)
         assert got.next_state[0] == ref.next_state, (state, word)
         assert got.backoff_levels[0] == ref.backoff_levels, (state, word)
-        assert batched.stats == scalar.stats, (state, word)
         counted = scalar.sink.model.stats
         assert counted.arc_probes == clean.sink.model.stats.arc_probes + 1
         assert counted.olt_hits == 0
 
 
 def test_resolve_batch_olt_warm_hit_ratio():
-    """Repeated items warm the traced walks' OLT; the batch counts the
-    same lookups without one."""
+    """Repeated items warm the traced walks' OLT; the batch walks to
+    the same results without one."""
     graph = _random_lm(7)
     scalar = _model(graph, LookupStrategy.OFFSET_TABLE)
     batched = LmLookup(graph)
@@ -315,12 +313,12 @@ def test_resolve_batch_olt_warm_hit_ratio():
     word_ids = [1, 2, 3, 1, 2, 3]
     entries = [0.0] * 6
     for _ in range(3):
-        for s, w in zip(states, word_ids):
-            scalar.resolve(s, w)
-        batched.resolve_batch(states, word_ids, entries)
-    assert batched.stats == scalar.stats
+        want = [scalar.resolve(s, w) for s, w in zip(states, word_ids)]
+        got = batched.resolve_batch(states, word_ids, entries)
+        assert got.weight == [r.weight for r in want]
+        assert got.next_state == [r.next_state for r in want]
+        assert got.backoff_levels == [r.backoff_levels for r in want]
     assert scalar.sink.model.stats.olt_hits > 0
-    assert batched.stats.olt_hit_ratio == 0.0
 
 
 def test_a_walk_at_the_threshold_goes_on():
@@ -352,7 +350,6 @@ def test_a_walk_at_the_threshold_goes_on():
             ), (state, word)
             ties += not (want.pruned and want.backoff_levels == 1)
     assert ties
-    assert batched.stats == model.stats
 
 
 def test_lookup_error_parity():
@@ -389,29 +386,42 @@ def test_lookup_error_parity():
     with pytest.raises(LookupError) as batched_err:
         batched.resolve_batch([1], [missing], [0.0])
     assert str(batched_err.value) == str(scalar_err.value)
-    # The walk to exhaustion is accounted before the raise, and the
-    # traced one reported first: two missed binary searches of four
-    # arcs (three probes each) and the back-off arc's fetch.
-    assert batched.stats == scalar.stats
-    assert batched.stats.lookups == 2 and batched.stats.backoff_arcs_taken == 1
+    # The traced walk to exhaustion is reported before the raise: two
+    # missed binary searches of four arcs (three probes each) and the
+    # back-off arc's fetch.
     assert scalar.sink.model.stats.arc_probes == 3 + 1 + 3
+
+
+def _counted_walks(monkeypatch) -> list[int]:
+    """A one-item list counting every walk from here on."""
+    walks = [0]
+    walk = composition._WalkColumns.walk
+
+    def counted(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(composition._WalkColumns, "walk", counted)
+    return walks
 
 
 @pytest.mark.parametrize("bad_word", [-1, 10**6])
 @pytest.mark.parametrize("position", [0, 2])
-def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
+def test_bad_word_id_raises_before_anything_is_touched(
+    bad_word, position, monkeypatch
+):
     """Ids are validated for the whole batch up front: the items before
-    the bad one must not have been counted."""
+    the bad one must not have been walked."""
     graph = _random_lm(13)
     lookup = LmLookup(graph)
+    walks = _counted_walks(monkeypatch)
     lookup.resolve_batch([1, 2, 3], [1, 2, 3], [0.0, 0.0, 0.0])
-    before = dataclasses.asdict(lookup.stats)
-    assert before["lookups"]
+    assert walks == [3]
     words = [4, 5, 6]
     words[position] = bad_word
     with pytest.raises(ValueError, match="label space"):
         lookup.resolve_batch([5, 4, 1], words, [0.0, 0.0, 0.0])
-    assert dataclasses.asdict(lookup.stats) == before
+    assert walks == [3]
 
 
 @pytest.mark.parametrize(
@@ -419,54 +429,38 @@ def test_bad_word_id_raises_before_anything_is_touched(bad_word, position):
     [[-1], ["num_states"], [2, "num_states", 0], [1, -1, 3]],
     ids=["negative", "num_states", "mixed-high", "mixed-negative"],
 )
-def test_bad_lm_state_raises_before_anything_is_touched(tiny_task, states):
+def test_bad_lm_state_raises_before_anything_is_touched(
+    tiny_task, states, monkeypatch
+):
     """State ids are range-checked for the whole batch up front, as word
-    ids are: a -1 must not search the wrapped index's labels, nor be
-    counted."""
-    lookup = LmLookup(tiny_task.lm).fork()
+    ids are: a -1 must not search the wrapped index's labels, nor any
+    item be walked."""
+    lookup = LmLookup(tiny_task.lm)
+    walks = _counted_walks(monkeypatch)
     lookup.resolve_batch([0, 1, 2], [1, 2, 3], [0.0, 0.0, 0.0])
-    before = dataclasses.asdict(lookup.stats)
     num_states = tiny_task.lm.fst.num_states
     states = [num_states if s == "num_states" else s for s in states]
     with pytest.raises(ValueError, match="LM state"):
         lookup.resolve_batch(states, [1] * len(states), [0.0] * len(states))
-    assert dataclasses.asdict(lookup.stats) == before
+    assert walks == [3]
 
 
-def test_forks_allocate_no_per_entry_storage():
-    """A fork shares the graph's columns and holds nothing per entry:
-    64 serve sessions or lockstep utterances used to zero-fill an
-    Offset Lookup Table of 768 KiB each."""
-    lookup = LmLookup(_random_lm(2))
-    lookup.fork()  # builds the shared batch structures
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        forks = [lookup.fork() for _ in range(64)]
-        grown = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert len(forks) == 64
-    assert grown < 64 * 1024, grown
-
-
-def test_forks_share_the_label_lists(tiny_task, tiny_scores, monkeypatch):
-    """The first lookup builds each state's columns (labels, weights,
-    next states, back-off arc) as native ints and floats, once: decodes
-    and a forked streaming session walk the same lists, equal to the
-    CSR columns' slices."""
+def test_label_lists_are_the_csr_slices(tiny_task, tiny_scores, monkeypatch):
+    """The lookup builds each state's columns (labels, weights, next
+    states, back-off arc) as native ints and floats, once: decodes and
+    a streaming session walk the same lists, equal to the CSR columns'
+    slices."""
     monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", 0)
     decoder = OnTheFlyDecoder(
         tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0, max_active=800)
     )
     for scores in tiny_scores[:3]:
         decoder.decode(scores)
-    session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+    columns = decoder.lookup._columns()
+    session = StreamingSession(decoder)
     session.push(tiny_scores[3])
     session.finish()
-    columns = decoder.lookup._columns_cell[0]
-    assert columns is not None
-    assert session._seg.lookup._columns_cell[0] is columns
+    assert decoder.lookup._columns() is columns
     soa = LmWordArcs.from_graph(tiny_task.lm)
     offsets = soa.offsets.tolist()
     assert columns.labels == [

@@ -12,7 +12,7 @@ from repro.core import (
     TokenTable,
 )
 from tests.core.oracle import ComposedViterbi
-from tests.core.test_lm_walk import ModelSink
+from tests.core.sinks import ModelSink
 from tests.core.test_scalar_frame_body import RecordingSink
 
 

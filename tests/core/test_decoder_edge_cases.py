@@ -7,7 +7,7 @@ import pytest
 
 from repro.accel import LookupStrategy
 from repro.core import DecoderConfig, OnTheFlyDecoder
-from tests.core.test_lm_walk import ModelSink
+from tests.core.sinks import ModelSink
 
 
 @pytest.fixture(scope="module")

@@ -58,7 +58,7 @@ def _decode_each(decoder, scores):
 
 
 def _stream(decoder, matrix, cuts):
-    session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+    session = StreamingSession(decoder)
     edges = [0, *sorted(cuts), matrix.shape[0]]
     for a, b in zip(edges, edges[1:]):
         session.push(matrix[a:b])
@@ -66,9 +66,7 @@ def _stream(decoder, matrix, cuts):
 
 
 def _push_together(decoder, scores, chunk):
-    sessions = [
-        StreamingSession(decoder, lookup=decoder.lookup.fork()) for _ in scores
-    ]
+    sessions = [StreamingSession(decoder) for _ in scores]
     for start in range(0, max(s.shape[0] for s in scores), chunk):
         push_sessions(sessions, [s[start : start + chunk] for s in scores])
     return [session.finish() for session in sessions]
@@ -122,8 +120,8 @@ def test_composed_baseline_takes_the_same_regimes(
 ):
     """The fully-composed baseline steps through the same frame step:
     wherever the threshold sits it matches its scalar reference, traced
-    or not, composes with the same lookups, and reports no decode-time
-    lookup activity."""
+    or not, and reports no decode-time lookup activity for the words it
+    composed."""
     monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", threshold)
 
     def make(vectorized, sink=None):
@@ -147,16 +145,16 @@ def test_composed_baseline_takes_the_same_regimes(
     traced, traced_reference = (
         make(True, swept_sink), make(False, reference_sink)
     )
+    words = 0
     for i, scores in enumerate(tiny_scores):
         want = reference.decode(scores)
+        words += want.stats.words_emitted
         _assert_same(want, swept.decode(scores), ("composed", threshold, i))
         _assert_same(want, traced.decode(scores), ("traced", threshold, i))
         traced_reference.decode(scores)
         assert want.stats.lookup == LookupStats()
     assert swept_sink.counts == reference_sink.counts
-    assert swept._composer.stats == reference._composer.stats
-    assert traced._composer.stats == reference._composer.stats
-    assert swept._composer.stats.lookups > 0
+    assert words > 0
     # The sweep really moved the regime: kernel frames ran below 10**9.
     assert bool(kernel_frames) == (threshold < 10**9)
 
@@ -239,12 +237,12 @@ def test_replay_in_scalar_regime_continues_across_a_regime_flip(
     )
     monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", threshold)
 
-    straight = StreamingSession(decoder, lookup=decoder.lookup.fork())
+    straight = StreamingSession(decoder)
     straight.push(scores[:cut])
     assert isinstance(straight._seg.table, TokenTable)  # the scalar regime's
 
     fresh = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
-    resumed = StreamingSession(fresh, lookup=fresh.lookup.fork())
+    resumed = StreamingSession(fresh)
     for start in range(0, cut, 3):
         resumed.push(scores[start : min(start + 3, cut)])
     assert isinstance(resumed._seg.table, TokenTable)

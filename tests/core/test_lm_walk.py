@@ -25,55 +25,14 @@ import math
 
 import pytest
 
-from repro.accel import LookupModel, LookupStrategy
+from repro.accel import LookupStrategy
 from repro.am import GmmAcousticModel
 from repro.asr import KALDI_TEDLIUM, build_task
-from repro.core import DecoderConfig, LmLookup, LmWordArcs, OnTheFlyDecoder
-
-
-class ModelSink:
-    """A TraceSink that runs the lookup model over ``graph`` (a
-    ``strategy`` OLT of ``table_entries``) and drops every event."""
-
-    def __init__(self, graph, strategy, table_entries=32 * 1024):
-        self.model = LookupModel(
-            LmWordArcs.from_graph(graph), self, strategy, table_entries
-        )
-
-    def on_lm_walk(self, lm_state, word_id, levels, pruned):
-        self.model.on_lm_walk(lm_state, word_id, levels, pruned)
-
-    def _drop(self, *event):
-        pass
-
-    on_state_fetch = on_arc_fetch = on_token_write = _drop
-    on_token_hash_access = on_olt_access = on_frame_end = _drop
-
-
-class RecordingSink(ModelSink):
-    """A ModelSink keeping the LM walk's events, in order."""
-
-    def __init__(self, graph, strategy, table_entries=32 * 1024):
-        super().__init__(graph, strategy, table_entries)
-        self.events: list[tuple] = []
-
-    def on_state_fetch(self, side, state):
-        self.events.append(("state_fetch", side.value, state))
-
-    def on_arc_fetch(self, side, state, ordinal):
-        self.events.append(("arc_fetch", side.value, state, ordinal))
-
-    def on_token_write(self):
-        self.events.append(("token_write",))
-
-    def on_token_hash_access(self, am_state, lm_state):
-        self.events.append(("token_hash", am_state, lm_state))
-
-    def on_olt_access(self, lm_state, word_id, hit):
-        self.events.append(("olt", lm_state, word_id, hit))
-
-    def on_frame_end(self, frame, active_tokens):
-        self.events.append(("frame_end", frame, active_tokens))
+from repro.asr.streaming import StreamingSession
+from repro.core import DecoderConfig, LmLookup, LookupStats, OnTheFlyDecoder
+from repro.core.batch import SCALAR_FRONTIER_MAX
+from repro.serve.engine import InlineEngine
+from tests.core.sinks import ModelSink, RecordingSink
 
 
 def _pairs(graph):
@@ -102,7 +61,7 @@ def _plant(model, state, word, arc_counts):
     an ordinal past the state's arcs or one of another label."""
     if model.table is not None and (state + word) % 11 == 0:
         bogus = arc_counts[state] + 3 if state % 2 else 0
-        model.table.insert(state, word, bogus)
+        model.table.insert(model.table.slot(state, word), bogus)
 
 
 def _walk_digest(graph, strategy, preemptive):
@@ -113,6 +72,7 @@ def _walk_digest(graph, strategy, preemptive):
     lookup = LmLookup(graph, sink=sink)
     arc_counts = _arc_counts(graph)
     log = sink.events
+    counts = LookupStats()
     pruned = 0
     for _ in range(2):  # the second pass meets a warm table
         for state, word in _pairs(graph):
@@ -123,6 +83,9 @@ def _walk_digest(graph, strategy, preemptive):
                 preemptive=preemptive,
             )
             pruned += result.pruned
+            levels = result.backoff_levels
+            counts.lookups += levels + (not result.pruned)
+            counts.backoff_arcs_taken += levels
             log.append(
                 (
                     "result", result.weight.hex(), result.next_state,
@@ -130,10 +93,10 @@ def _walk_digest(graph, strategy, preemptive):
                 )
             )
     # The counters as the first walk recorded them, the model's with
-    # the search's: its prune count sat sixth, after
-    # ``backoff_arcs_taken``; the pruned results count it.
-    model.settle(lookup.stats)
-    counters = list(dataclasses.astuple(lookup.stats))
+    # the search's (which the walk's caller keeps, from its results):
+    # its prune count sat sixth, after ``backoff_arcs_taken``.
+    model.settle(counts)
+    counters = list(dataclasses.astuple(counts))
     counters.insert(5, pruned)
     log.append(("stats", tuple(counters)))
     if model.table is not None:
@@ -189,8 +152,8 @@ def test_traced_walk_is_pinned(tiny_task, strategy, preemptive):
 def _assert_plain_equals_model(graph, strategy, preemptive):
     """A traced ``resolve`` (its sink's model holding aliased OLT
     entries), an untraced one item by item and one ``resolve_batch``
-    over the same items: the same per-item outcome and the same
-    counters, all of them; the model's own counts are its sink's."""
+    over the same items: the same per-item outcome, so the same walk
+    counters; the model's own counts are its sink's."""
     pairs = _pairs(graph)
     arc_counts = _arc_counts(graph)
     sink = ModelSink(graph, strategy)
@@ -239,7 +202,6 @@ def _assert_plain_equals_model(graph, strategy, preemptive):
             got.backoff_levels[i],
         ) == ref, pairs[i]
     assert any(pruned for _, _, pruned, _ in want) is preemptive
-    assert scalar.stats == batched.stats == traced.stats
     assert sink.model.stats.arc_probes > 0
     if strategy is LookupStrategy.OFFSET_TABLE:
         assert sink.model.stats.olt_hits > 0
@@ -382,3 +344,62 @@ def test_untraced_decode_holds_no_model(
             want.words, want.cost, want.finals,
         )
         assert got.stats == want.stats
+
+
+def _served_like_solo(decoder, scores):
+    """Solo decodes of three utterances, then a streamed session and
+    three sessions interleaved through ``InlineEngine.push_many``, all
+    on ``decoder``: every final equals its solo decode, stats (the
+    lookup's counters among them) included, and the decoder's lookup
+    holds afterwards what it held before, bar walk columns built on
+    first use."""
+    lookup = decoder.lookup
+    before = dict(vars(lookup))
+    solo = [decoder.decode(matrix) for matrix in scores]
+    assert solo[0].stats.lookup.lookups > 0
+    session = StreamingSession(decoder)
+    for start in range(0, scores[0].shape[0], 7):
+        session.push(scores[0][start:start + 7])
+    finals = [session.finish()]
+    engine = InlineEngine(decoder=decoder)
+    ids = [f"s{i}" for i in range(len(scores))]
+    for session_id in ids:
+        engine.start(session_id)
+    at = [0] * len(scores)
+    while any(a < m.shape[0] for a, m in zip(at, scores)):
+        items = []
+        for i, (session_id, matrix) in enumerate(zip(ids, scores)):
+            step = 5 + 3 * i  # ragged: the sessions drift apart
+            items.append((session_id, matrix[at[i]:at[i] + step]))
+            at[i] += step
+        engine.push_many(items)
+    finals += [engine.finish(session_id) for session_id in ids]
+    for want, got in zip([solo[0]] + solo, finals, strict=True):
+        assert (got.words, got.cost, got.finals) == (
+            want.words, want.cost, want.finals,
+        )
+        assert got.stats == want.stats
+    after = vars(lookup)
+    assert after.keys() == before.keys()
+    for name, value in after.items():
+        assert value is before[name] or before[name] is None, name
+        assert not isinstance(value, LookupStats), name
+    return solo
+
+
+def test_one_lookup_serves_every_session_and_keeps_nothing(
+    tiny_task, tiny_scores, tedlium
+):
+    """The lookup is the LM's walk and nothing else: decodes, a
+    streamed session and fused served sessions share one, and each
+    counts its own walks.  On ``KALDI_TEDLIUM`` the frontiers outgrow
+    the scalar regime, so the kernels' epsilon phase walks too."""
+    config = DecoderConfig(beam=14.0, max_active=800)
+    _served_like_solo(
+        OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config), tiny_scores[:3]
+    )
+    task, scores = tedlium
+    solo = _served_like_solo(
+        OnTheFlyDecoder(task.am, task.lm, config), scores
+    )
+    assert max(solo[0].stats.active_history) > SCALAR_FRONTIER_MAX

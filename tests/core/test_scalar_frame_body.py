@@ -35,6 +35,7 @@ from repro.core import (
     DecoderStats,
     FullyComposedDecoder,
     GraphSide,
+    LookupStats,
     OnTheFlyDecoder,
     SoaTokenTable,
     TokenTable,
@@ -44,7 +45,7 @@ from repro.core import (
 from repro.core.beam import prune_items
 from repro.core.tokens import KEY_SHIFT, pack_key, unpack_key
 from repro.wfst.fst import EPSILON
-from tests.asr.test_batched_sessions import LOOKUP_COUNTERS, _lattice_nodes, _task
+from tests.asr.test_batched_sessions import _lattice_nodes, _task
 
 # -- (a) the table -----------------------------------------------------------
 
@@ -147,8 +148,10 @@ class ReferenceBody:
     One ``[cost, node]`` record per ``(am, lm)`` tuple key, the graph's
     own ``Arc`` lists, ``insert`` one call per arc, the epsilon seeds
     found by scanning the new table.  ``decoder`` lends its graphs,
-    config, lookup (its own: cache evolution and trace events are part
-    of the contract) and sink; nothing of its frame body runs.
+    config, lookup (its own: trace events are part of the contract) and
+    sink; nothing of its frame body runs.  The walks' counters are kept
+    in :attr:`lookup`, as the lookup itself kept them when first
+    written.
     """
 
     def __init__(self, decoder):
@@ -160,6 +163,7 @@ class ReferenceBody:
         self.lattice = WordLattice()
         self.stats = {name: 0 for name in _BODY_STATS}
         self.stats["active_history"] = []
+        self.lookup = LookupStats()
         self.frame = 0
         self.table_counters = (1, 0, 0)
 
@@ -238,9 +242,10 @@ class ReferenceBody:
                     dest_cost = cost + arc.weight
                 else:
                     if self.composed:
-                        composed = decoder._composer.resolve(lm, arc.olabel)
-                        dest_cost = cost + (arc.weight + composed.weight)
-                        dest_lm = composed.next_state
+                        weight, dest_lm, _, _ = decoder.lookup.plain_walk(
+                            lm, arc.olabel, 0.0, math.inf
+                        )
+                        dest_cost = cost + (arc.weight + weight)
                     else:
                         result = decoder.lookup.resolve(
                             lm,
@@ -249,6 +254,9 @@ class ReferenceBody:
                             threshold=threshold,
                             preemptive=config.preemptive_pruning,
                         )
+                        levels = result.backoff_levels
+                        self.lookup.lookups += levels + (not result.pruned)
+                        self.lookup.backoff_arcs_taken += levels
                         if result.pruned:
                             stats["preemptive_pruned"] += 1
                             continue
@@ -304,12 +312,7 @@ def _assert_body_matches(decoder, reference_decoder, scores, force_solo=()):
         assert _lattice_nodes(seg.lattice) == _lattice_nodes(reference.lattice), frame
         for name in _BODY_STATS:
             assert getattr(seg.stats, name) == reference.stats[name], (frame, name)
-        for name in LOOKUP_COUNTERS:
-            assert getattr(decoder.lookup.stats, name) == getattr(
-                reference_decoder.lookup.stats, name
-            ), (frame, name)
-        if decoder._composer is not None:
-            assert decoder._composer.stats == reference_decoder._composer.stats
+        assert seg.stats.lookup == reference.lookup, frame
     return seg, reference
 
 
@@ -426,7 +429,7 @@ def test_seeds_collected_while_inserting_are_the_table_order_filter(
         lattice = WordLattice()
         for word in (1, 2, 3):  # the back-pointers drawn above refer to
             lattice.add(word, 0, 0.0, -1)
-        seg = batch.BatchSegment(frontier, side.lookup, lattice, DecoderStats(), 1)
+        seg = batch.BatchSegment(frontier, lattice, DecoderStats(), 1)
         assert side._scalar_run(seg, row[None, :]) == 1
         segments.append(seg)
     got, want = segments
@@ -439,10 +442,6 @@ def test_seeds_collected_while_inserting_are_the_table_order_filter(
         assert getattr(got.table, name) == getattr(want.table, name), name
     assert _lattice_nodes(got.lattice) == _lattice_nodes(want.lattice)
     assert got.stats == want.stats
-    for name in LOOKUP_COUNTERS:
-        assert getattr(decoder.lookup.stats, name) == getattr(
-            scanning.lookup.stats, name
-        ), name
 
 
 @pytest.mark.parametrize("kind", ["on-the-fly", "composed"])
@@ -463,7 +462,7 @@ def test_trace_events_keep_their_order(kind):
     config = DecoderConfig(beam=8.0)
     decoder, lender = _pair(kind, task.am, task.lm, config, RecordingSink)
     plain, _ = _pair(kind, task.am, task.lm, config)
-    _assert_body_matches(decoder, lender, scores)
+    seg, _ = _assert_body_matches(decoder, lender, scores)
     events = decoder.sink.events
     assert events == lender.sink.events
     side = GraphSide.COMPOSED if kind == "composed" else GraphSide.AM
@@ -492,7 +491,7 @@ def test_trace_events_keep_their_order(kind):
     # One walk event per walk: its levels are the back-off arcs taken,
     # and each walk not pruned made one lookup more.
     walks = [event for event in events if event[0] == "lm_walk"]
-    counted = decoder.lookup.stats
+    counted = seg.stats.lookup
     assert bool(walks) is bool(walk)
     assert sum(event[3] for event in walks) == counted.backoff_arcs_taken
     assert len(walks) - sum(event[4] for event in walks) == (
@@ -547,10 +546,6 @@ def test_scalar_solo_scalar_round_trip(kind, levels, monkeypatch):
     assert (got.words, got.cost, got.finals) == (want.words, want.cost, want.finals)
     assert _lattice_nodes(got.lattice) == _lattice_nodes(want.lattice)
     assert got.stats == want.stats
-    for name in LOOKUP_COUNTERS:
-        assert getattr(decoder.lookup.stats, name) == getattr(
-            scalar.lookup.stats, name
-        ), name
 
 
 def test_table_conversions_keep_order_and_values():
@@ -587,10 +582,10 @@ def test_replay_mid_scalar_regime_continues_bit_identically(
     decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
     scores = tiny_scores[1]
     cut = scores.shape[0] // 2
-    straight = StreamingSession(decoder, lookup=decoder.lookup.fork())
+    straight = StreamingSession(decoder)
     straight.push(scores[:cut])
     fresh = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, config)
-    resumed = StreamingSession(fresh, lookup=fresh.lookup.fork())
+    resumed = StreamingSession(fresh)
     for start in range(0, cut, 3):
         resumed.push(scores[start : min(start + 3, cut)])
     assert isinstance(straight._seg.table, TokenTable)
@@ -609,8 +604,6 @@ def test_replay_mid_scalar_regime_continues_bit_identically(
     assert (got.words, got.cost, got.finals) == (want.words, want.cost, want.finals)
     assert _lattice_nodes(got.lattice) == _lattice_nodes(want.lattice)
     assert got.stats == want.stats
-    for name in LOOKUP_COUNTERS:
-        assert getattr(got.stats.lookup, name) == getattr(want.stats.lookup, name)
 
 
 # -- (e) max_active under ties -------------------------------------------------

@@ -41,7 +41,6 @@ from repro.core import (
 from repro.core.tokens import pack_key
 from tests.accel.test_layout_sink import _FrameWork
 from tests.asr.test_batched_sessions import (
-    LOOKUP_COUNTERS,
     _assert_identical,
     _lattice_nodes,
     _task,
@@ -64,15 +63,11 @@ def _assert_same_segment(want, got, context):
     assert want.frame == got.frame, context
     assert _lattice_nodes(want.lattice) == _lattice_nodes(got.lattice), context
     assert want.stats == got.stats, context
-    for name in LOOKUP_COUNTERS:
-        assert getattr(want.lookup.stats, name) == getattr(
-            got.lookup.stats, name
-        ), (context, name)
 
 
 def _frame_by_frame(decoder, chunks):
     """One session, every frame through its own ``advance_segment`` call."""
-    session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+    session = StreamingSession(decoder)
     partials = []
     for chunk in chunks:
         matrix = np.ascontiguousarray(chunk, dtype=np.float64)
@@ -119,10 +114,7 @@ def test_sessions_pushed_together_equal_each_pushed_alone(
     default = batch.SCALAR_FRONTIER_MAX
     batch.SCALAR_FRONTIER_MAX = threshold
     try:
-        together = [
-            StreamingSession(decoder, lookup=decoder.lookup.fork())
-            for _ in matrices
-        ]
+        together = [StreamingSession(decoder) for _ in matrices]
         partials_together = [[] for _ in matrices]
         for call in range(pushes):
             partials = push_sessions(
@@ -133,7 +125,7 @@ def test_sessions_pushed_together_equal_each_pushed_alone(
         finals_together = [session.finish() for session in together]
         alone = []
         for chunks in chunkings:
-            session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+            session = StreamingSession(decoder)
             partials = [session.push(chunk) for chunk in chunks]
             alone.append((partials, session.finish()))
         stepped = [_frame_by_frame(decoder, chunks) for chunks in chunkings]
@@ -156,7 +148,7 @@ def test_run_entered_on_a_soa_table(tiny_task, tiny_scores, monkeypatch):
     scores = max(tiny_scores, key=lambda m: m.shape[0])
     cut = scores.shape[0] // 3
     monkeypatch.setattr(batch, "SCALAR_FRONTIER_MAX", 0)
-    segments = [decoder.new_segment(decoder.lookup.fork()) for _ in range(2)]
+    segments = [decoder.new_segment() for _ in range(2)]
     for seg in segments:
         batch.advance_segment(decoder, seg, scores[:cut])
     from_soa, from_dicts = segments
@@ -196,10 +188,7 @@ def _run_against_reference(decoder, lender, stepper, scores):
     assert _lattice_nodes(seg.lattice) == _lattice_nodes(reference.lattice)
     for name in _BODY_STATS:
         assert getattr(seg.stats, name) == reference.stats[name], name
-    for name in LOOKUP_COUNTERS:
-        assert getattr(decoder.lookup.stats, name) == getattr(
-            lender.lookup.stats, name
-        ), name
+    assert seg.stats.lookup == reference.lookup
     # Everything else: as one-frame runs leave it.
     _assert_same_segment(stepped, seg, "one run vs one-frame runs")
     return seg, reference

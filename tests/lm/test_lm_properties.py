@@ -64,7 +64,7 @@ def test_all_strategies_agree_on_random_models(seed):
     """Traced under each strategy's lookup model, a walk resolves as
     the untraced one does, and every model's search finds the same
     unigram arc."""
-    from tests.core.test_lm_walk import ModelSink
+    from tests.core.sinks import ModelSink
 
     vocab, _, _, graph = _random_lm(seed, order=3)
     sinks = [ModelSink(graph, s, table_entries=256) for s in LookupStrategy]

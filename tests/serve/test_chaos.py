@@ -76,7 +76,7 @@ def reference(tiny_task, wire_scores):
     )
     out = []
     for scores in wire_scores:
-        session = StreamingSession(decoder, lookup=decoder.lookup.fork())
+        session = StreamingSession(decoder)
         partials = [
             (list(p.words), p.cost, p.frames_consumed, p.active_tokens)
             for p in map(session.push, batches(scores))

@@ -28,10 +28,7 @@ class TestInlineEnginePushMany:
         for session_id in ids:
             engine.start(session_id)
         decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-        references = [
-            StreamingSession(decoder, lookup=decoder.lookup.fork())
-            for _ in ids
-        ]
+        references = [StreamingSession(decoder) for _ in ids]
         for start in range(0, max(s.shape[0] for s in tiny_scores), 8):
             items = [
                 (session_id, tiny_scores[i][start : start + 8])
@@ -72,9 +69,7 @@ class TestInlineEnginePushMany:
         decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
         for session_id, scores in (("a", tiny_scores[0]),
                                    ("b", tiny_scores[2])):
-            reference = StreamingSession(
-                decoder, lookup=decoder.lookup.fork()
-            )
+            reference = StreamingSession(decoder)
             assert engine.push(session_id, scores[:8]) == reference.push(
                 scores[:8]
             )

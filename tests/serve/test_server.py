@@ -346,7 +346,7 @@ class TestMetricsAndStatus:
         """The gauge is a running count: after every transition that
         touches a queue it must equal the sum over the live sessions."""
         from repro.serve.engine import EngineError, InlineEngine
-        from repro.serve.scheduler import Scheduler, SchedulerConfig
+        from repro.serve.scheduler import Scheduler
 
         class FirstFusedPushFails(InlineEngine):
             """Raises before any session advances, so the scheduler
@@ -366,7 +366,7 @@ class TestMetricsAndStatus:
             assert gauge == truth == want, step
 
         async def scenario():
-            config = SchedulerConfig(max_sessions=4)
+            config = ServeConfig(max_sessions=4)
             home = Scheduler(
                 FirstFusedPushFails(tiny_task.am, tiny_task.lm, CONFIG), config
             )
@@ -602,7 +602,7 @@ class TestOneWayIn:
         decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
         want = []
         for matrix in matrices:
-            solo = StreamingSession(decoder, lookup=decoder.lookup.fork())
+            solo = StreamingSession(decoder)
             partials = []
             for batch in map(wire, _batches(matrix)):
                 if payload == "features":
@@ -758,7 +758,7 @@ class TestOneWayIn:
             assert final["cost"] == pytest.approx(want.cost, rel=1e-9)
         for final, utterance in zip(finals, tiny_utterances):
             stream = tiny_rnn.stream()
-            solo = StreamingSession(decoder, lookup=decoder.lookup.fork())
+            solo = StreamingSession(decoder)
             for batch in map(wire, _batches(utterance.features)):
                 solo.push(stream.push(batch))
             want = solo.finish()
@@ -770,7 +770,7 @@ class TestOneWayIn:
         """A push refused ``busy`` is not scored: once the queue has
         room, the same batch scores as the stream's next rows."""
         from repro.serve.engine import InlineEngine
-        from repro.serve.scheduler import Scheduler, SchedulerConfig
+        from repro.serve.scheduler import Scheduler
 
         features = wire(tiny_utterances[0].features)
         first, second = features[:BATCH_FRAMES], features[BATCH_FRAMES:16]
@@ -780,7 +780,7 @@ class TestOneWayIn:
         async def scenario():
             scheduler = Scheduler(
                 InlineEngine(tiny_task.am, tiny_task.lm, CONFIG),
-                SchedulerConfig(max_queued_batches=1),
+                ServeConfig(max_queued_batches=1),
                 scorer=tiny_rnn,
             )
             try:

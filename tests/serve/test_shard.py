@@ -253,6 +253,52 @@ async def exchange(host, port, message):
         writer.close()
 
 
+class TestStartFailure:
+    def test_bad_admission_bounds_fail_before_packing(
+        self, tiny_task, monkeypatch
+    ):
+        """The config checks its bounds where it is made: the parent
+        raises before it packs a segment or forks a shard."""
+        packed = []
+        monkeypatch.setattr(
+            shard_module, "pack_recognizer", lambda *args: packed.append(args)
+        )
+        with pytest.raises(ValueError, match="max_sessions"):
+            ShardedServer(
+                tiny_task.am,
+                tiny_task.lm,
+                serve_config=ServeConfig(max_sessions=0),
+            )
+        assert packed == []
+
+    def test_a_shard_that_fails_to_start_takes_the_rest_down(
+        self, tiny_task, monkeypatch
+    ):
+        """Shard 1 fails to bind (armed before the fork, as the chaos
+        tests arm theirs): ``async with`` raises, and shard 0 and the
+        segment are gone with it, though ``__aexit__`` never ran."""
+        start = TranscriptionServer.start
+
+        async def failing(server):
+            if server.config.session_id_prefix.startswith("sh1."):
+                raise OSError("injected bind failure")
+            await start(server)
+
+        monkeypatch.setattr(TranscriptionServer, "start", failing)
+        server = make_sharded(tiny_task)
+        segment = server.segment_name
+
+        async def scenario():
+            with pytest.raises(ServeError, match="shard 1 failed to start"):
+                async with server:
+                    pass
+
+        asyncio.run(scenario())
+        assert len(server._handles) == 2
+        assert not any(h.process.is_alive() for h in server._handles)
+        assert not os.path.exists(f"/dev/shm/{segment}")
+
+
 class TestShardRespawn:
     def test_late_control_reply_marks_the_shard_dead(
         self, monkeypatch, tiny_task

@@ -214,10 +214,7 @@ class TestScorerFailureIsLocal:
         utterances = tiny_utterances[:4]
         victim = 2
         decoder = OnTheFlyDecoder(tiny_task.am, tiny_task.lm, CONFIG)
-        want = [
-            StreamingSession(decoder, lookup=decoder.lookup.fork())
-            for _ in utterances
-        ]
+        want = [StreamingSession(decoder) for _ in utterances]
         for session, utterance in zip(want, utterances):
             for start in range(0, utterance.num_frames, BATCH_FRAMES):
                 session.push(
@@ -290,7 +287,7 @@ class TestFusedFeaturesParity:
         decoder = OnTheFlyDecoder(*graphs, CONFIG)
         solo_partials = []
         for utterance in utterances:
-            solo = StreamingSession(decoder, lookup=decoder.lookup.fork())
+            solo = StreamingSession(decoder)
             scores = tiny_scorer.score(utterance.features)
             solo_partials.append(
                 [

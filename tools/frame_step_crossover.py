@@ -36,7 +36,7 @@ REGIMES = (("scalar", 10**9), ("solo", 0))
 def _timed_frames(decoder, scores, threshold):
     """(tokens entering, seconds) for every frame."""
     batch.SCALAR_FRONTIER_MAX = threshold
-    seg = decoder.new_segment(decoder.lookup.fork())
+    seg = decoder.new_segment()
     out = []
     for frame in range(scores.shape[0]):
         entering = len(seg.table)
