@@ -42,7 +42,7 @@ def main() -> None:
     for entries in (64, 256, 1024, 4096):
         config = replace(base, offset_table_entries=entries)
         report = UnfoldSimulator(task, config=config).run(scores)
-        hit = report.decoder_stats.lookup.olt_hit_ratio
+        hit = report.lookup.olt_hit_ratio
         print(
             f"{entries:>10d} {100 * hit:>6.1f}% "
             f"{1e6 * report.decode_seconds:>10.1f}"

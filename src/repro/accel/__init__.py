@@ -24,10 +24,15 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "fully_composed": ("FullyComposedSimulator",),
         "gpu": ("GpuKernelReport", "GpuModel"),
         "layout": ("ComposedLayout", "OnTheFlyLayout"),
-        "lookup": ("LookupModel", "LookupStrategy", "OffsetLookupTable"),
+        "lookup": (
+            "LookupCounts",
+            "LookupModel",
+            "LookupStrategy",
+            "OffsetLookupTable",
+        ),
         "pipeline": ("CycleReport", "cycles_for"),
         "sink": ("ComposedSink", "UnfoldSink"),
         "stats": ("RunReport", "UtteranceTiming"),
-        "unfold": ("UnfoldSimulator",),
+        "unfold": ("SIMULATED_SEARCH", "UnfoldSimulator"),
     },
 )

@@ -10,12 +10,12 @@ comes with the ``REZA`` configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.accel.config import REZA, AcceleratorConfig
 from repro.accel.layout import ComposedLayout
 from repro.accel.sink import ComposedSink
-from repro.accel.unfold import DEFAULT_MAX_ACTIVE, _Simulator, _sram_pj
+from repro.accel.unfold import SIMULATED_SEARCH, _Simulator, _sram_pj
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,17 +30,15 @@ class FullyComposedSimulator(_Simulator):
 
     task: "AsrTask"
     config: AcceleratorConfig = field(default_factory=lambda: REZA)
-    decoder_config: DecoderConfig | None = None
+    decoder_config: DecoderConfig = replace(
+        SIMULATED_SEARCH, preemptive_pruning=False
+    )
 
     def __post_init__(self) -> None:
         self.layout = ComposedLayout.build(self.task)
-        if self.decoder_config is None:
-            self.decoder_config = DecoderConfig(
-                beam=14.0, preemptive_pruning=False, max_active=DEFAULT_MAX_ACTIVE
-            )
 
     def _traced_decoder(self) -> tuple[ComposedSink, FullyComposedDecoder]:
-        sink = ComposedSink(self.config, self.layout, self.task.lm.fst.num_states)
+        sink = ComposedSink(self.config, self.layout, self.task)
         decoder = FullyComposedDecoder(
             self.task.am, self.task.lm, self.decoder_config, sink=sink
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.accel.config import GpuConfig
+from repro.accel.lookup import LookupCounts
 from repro.accel.stats import RunReport, UtteranceTiming
 from repro.core.decoder import DecoderStats
 
@@ -45,18 +46,24 @@ class GpuModel:
 
     # -- Viterbi search kernel ------------------------------------------------
 
-    def search_time_seconds(self, stats: DecoderStats) -> float:
-        work = stats.expansions + stats.lookup.arc_probes
+    def search_time_seconds(
+        self, stats: DecoderStats, lookup: LookupCounts
+    ) -> float:
+        work = stats.expansions + lookup.arc_probes
         return work / self.config.expansions_per_second
 
-    def search_run_report(
-        self, per_utterance: list[DecoderStats], task_name: str
-    ) -> RunReport:
-        """A RunReport-shaped view of GPU Viterbi decoding (Figure 9)."""
-        report = RunReport(platform=self.config.name, task_name=task_name)
+    def search_run_report(self, simulated: RunReport) -> RunReport:
+        """A RunReport-shaped view of GPU Viterbi decoding (Figure 9)
+        of the search ``simulated`` made, LM probes included."""
+        report = RunReport(
+            platform=self.config.name, task_name=simulated.task_name
+        )
         total_joules = 0.0
-        for stats in per_utterance:
-            seconds = self.search_time_seconds(stats)
+        for result, lookup in zip(
+            simulated.results, simulated.lookup_by_utterance, strict=True
+        ):
+            stats = result.stats
+            seconds = self.search_time_seconds(stats, lookup)
             total_joules += seconds * self.config.search_power_w
             report.utterances.append(
                 UtteranceTiming(frames=stats.frames, decode_seconds=seconds)

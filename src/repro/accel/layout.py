@@ -103,7 +103,7 @@ class OnTheFlyLayout:
     def lm_arc_record(self, state: int, ordinal: int) -> tuple[int, int]:
         """Address of the ``ordinal``-th word arc (or the back-off arc).
 
-        The decoder reports back-off fetches with ordinal == word count.
+        The lookup model fetches a back-off arc with ordinal == word count.
         """
         packed = self.packed_lm
         # Events arrive in original state ids; the layout stores the
@@ -152,17 +152,15 @@ class ComposedLayout:
     def total_bytes(self) -> int:
         return self.address_map.model.total_bytes
 
-    def state_record(self, composed_state: int, num_lm: int) -> tuple[int, int]:
-        am_state, lm_state = divmod(composed_state, num_lm)
+    def state_record(self, am_state: int, lm_state: int) -> tuple[int, int]:
         return (
             self.address_map.state_address(am_state, lm_state),
             STATE_RECORD_BYTES,
         )
 
     def arc_record(
-        self, composed_state: int, ordinal: int, num_lm: int
+        self, am_state: int, lm_state: int, ordinal: int
     ) -> tuple[int, int]:
-        am_state, lm_state = divmod(composed_state, num_lm)
         return (
             self.address_map.arc_address(am_state, lm_state, ordinal),
             ARC_RECORD_BYTES,

@@ -4,18 +4,19 @@ The search walks the LM plainly and reports each walk as one
 ``on_lm_walk(state, word, levels, pruned)`` event.  The hardware it
 models saves DRAM fetches but never changes a weight or a next state:
 a linear scan or a binary search over a state's word arcs, and the
-Offset Lookup Table in front of the binary search.
+Offset Lookup Table in front of the binary search.  The model counts
+what that hardware did in its own record, :class:`LookupCounts`; the
+search's results and stats never see it.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.arcs import LmWordArcs
-from repro.core.composition import LookupStats
-from repro.core.trace import GraphSide
 
 if TYPE_CHECKING:
     from repro.accel.sink import UnfoldSink
@@ -25,6 +26,34 @@ class LookupStrategy(enum.Enum):
     LINEAR = "linear"
     BINARY = "binary"
     OFFSET_TABLE = "offset_table"  # binary, behind the OLT if any
+
+
+@dataclass
+class LookupCounts:
+    """What the lookup hardware did: one search per state searched
+    (``lookups``, the search's own count again), the LM arc records it
+    touched (``arc_probes``) and its OLT's hits and misses."""
+
+    lookups: int = 0
+    arc_probes: int = 0
+    olt_hits: int = 0
+    olt_misses: int = 0
+
+    def __iadd__(self, other: "LookupCounts") -> "LookupCounts":
+        self.lookups += other.lookups
+        self.arc_probes += other.arc_probes
+        self.olt_hits += other.olt_hits
+        self.olt_misses += other.olt_misses
+        return self
+
+    @property
+    def olt_hit_ratio(self) -> float:
+        total = self.olt_hits + self.olt_misses
+        return self.olt_hits / total if total else 0.0
+
+    @property
+    def avg_probes_per_lookup(self) -> float:
+        return self.arc_probes / self.lookups if self.lookups else 0.0
 
 
 class OffsetLookupTable:
@@ -73,13 +102,13 @@ class OffsetLookupTable:
 
 class LookupModel:
     """The lookup hardware, replaying the search's LM walks into
-    ``target``'s ``on_olt_access``, ``on_state_fetch`` and
-    ``on_arc_fetch``, in the hardware's order.
+    ``target``'s ``access_olt``, ``fetch_lm_state`` and ``fetch_lm_arc``
+    (:class:`~repro.accel.sink.UnfoldSink`'s), in the hardware's order.
 
     ``table_entries`` sizes the OLT of :attr:`LookupStrategy.OFFSET_TABLE`
     (0: none).  The table persists across utterances, as the hardware's
-    would.  ``stats`` holds ``arc_probes``, ``olt_hits`` and
-    ``olt_misses`` since the last :meth:`settle`.
+    would.  ``stats`` counts what the model did until its owner swaps in
+    a fresh record (the sink does, at each utterance's end).
     """
 
     def __init__(
@@ -102,7 +131,7 @@ class LookupModel:
         self.table: OffsetLookupTable | None = None
         if strategy is LookupStrategy.OFFSET_TABLE and table_entries:
             self.table = OffsetLookupTable(table_entries)
-        self.stats = LookupStats()
+        self.stats = LookupCounts()
 
     def on_lm_walk(
         self, lm_state: int, word_id: int, levels: int, pruned: bool
@@ -113,7 +142,7 @@ class LookupModel:
         state = lm_state
         for _ in range(levels):
             self.search(state, word_id)
-            self.target.on_arc_fetch(GraphSide.LM, state, len(self.labels[state]))
+            self.target.fetch_lm_arc(state, len(self.labels[state]))
             state = self.backoff_next[state]
         self.stats.arc_probes += levels
         if not pruned:
@@ -130,6 +159,7 @@ class LookupModel:
         """
         labels = self.labels[state]
         stats = self.stats
+        stats.lookups += 1
         target = self.target
         table = self.table
         if table is not None:
@@ -137,14 +167,14 @@ class LookupModel:
             ordinal = table.lookup(slot)
             if ordinal is not None:
                 stats.arc_probes += 1
-                target.on_arc_fetch(GraphSide.LM, state, ordinal)
+                target.fetch_lm_arc(state, ordinal)
                 if ordinal < len(labels) and labels[ordinal] == word:
                     stats.olt_hits += 1
-                    target.on_olt_access(state, word, True)
+                    target.access_olt(state, word, True)
                     return ordinal
             stats.olt_misses += 1
-            target.on_olt_access(state, word, False)
-        target.on_state_fetch(GraphSide.LM, state)
+            target.access_olt(state, word, False)
+        target.fetch_lm_state(state)
         found = -1
         if self.linear:
             pos = bisect_left(labels, word)
@@ -152,14 +182,14 @@ class LookupModel:
                 found = pos
             probes = min(pos + 1, len(labels))
             for ordinal in range(probes):
-                target.on_arc_fetch(GraphSide.LM, state, ordinal)
+                target.fetch_lm_arc(state, ordinal)
         else:
             probes = lo = 0
             hi = len(labels) - 1
             while lo <= hi:
                 mid = (lo + hi) // 2
                 probes += 1
-                target.on_arc_fetch(GraphSide.LM, state, mid)
+                target.fetch_lm_arc(state, mid)
                 label = labels[mid]
                 if label == word:
                     found = mid
@@ -172,12 +202,3 @@ class LookupModel:
             table.insert(slot, found)
         stats.arc_probes += probes
         return found
-
-    def settle(self, lookup: LookupStats) -> None:
-        """Move the counts since the last settle into an utterance's
-        ``lookup``."""
-        stats = self.stats
-        lookup.arc_probes = stats.arc_probes
-        lookup.olt_hits = stats.olt_hits
-        lookup.olt_misses = stats.olt_misses
-        self.stats = LookupStats()

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.accel.dram import DramModel
+from repro.accel.lookup import LookupCounts
 from repro.core.decoder import DecoderStats
 
 #: Cycles per pipelined hypothesis expansion (arc issue + likelihood +
@@ -65,15 +66,17 @@ class CycleReport:
         return self.total_cycles / frequency_hz
 
 
-def cycles_for(stats: DecoderStats, dram: DramModel) -> CycleReport:
-    """Convert decoder activity + memory stalls into cycles."""
-    lookup = stats.lookup
+def cycles_for(
+    stats: DecoderStats, lookup: LookupCounts, dram: DramModel
+) -> CycleReport:
+    """Convert the search's activity, the lookup hardware's and memory
+    stalls into cycles."""
     return CycleReport(
         expansion_cycles=stats.expansions * EXPANSION_CYCLES
         + stats.tokens_created * HASH_CYCLES,
         lookup_cycles=lookup.arc_probes * LM_PROBE_CYCLES
         + lookup.olt_hits * OLT_HIT_CYCLES,
-        backoff_cycles=lookup.backoff_arcs_taken * BACKOFF_CYCLES,
+        backoff_cycles=stats.lookup.backoff_arcs_taken * BACKOFF_CYCLES,
         state_fetch_cycles=stats.am_state_fetches * STATE_FETCH_CYCLES,
         token_cycles=stats.words_emitted * TOKEN_WRITE_CYCLES,
         dram_stall_cycles=dram.stall_cycles(),

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.accel.dram import Traffic
 from repro.accel.energy import EnergyBreakdown
+from repro.accel.lookup import LookupCounts
 from repro.core.decoder import DecoderStats
 
 
@@ -24,12 +25,19 @@ class UtteranceTiming:
 
 @dataclass
 class RunReport:
-    """Everything one simulated platform produced over a test set."""
+    """Everything one simulated platform produced over a test set.
+
+    ``results`` are the decoder's own, untouched; what the lookup
+    hardware did is the simulator's record, per utterance
+    (``lookup_by_utterance``) and in total (``lookup``).
+    """
 
     platform: str
     task_name: str
     utterances: list[UtteranceTiming] = field(default_factory=list)
     decoder_stats: DecoderStats = field(default_factory=DecoderStats)
+    lookup: LookupCounts = field(default_factory=LookupCounts)
+    lookup_by_utterance: list[LookupCounts] = field(default_factory=list)
     energy: EnergyBreakdown | None = None
     miss_ratios: dict[str, float] = field(default_factory=dict)
     dram_bytes_by_class: dict[Traffic, int] = field(default_factory=dict)

@@ -32,6 +32,7 @@ from repro.accel.energy import (
     sram_read_energy_pj,
 )
 from repro.accel.layout import OnTheFlyLayout
+from repro.accel.lookup import LookupCounts
 from repro.accel.pipeline import cycles_for
 from repro.accel.sink import UnfoldSink
 from repro.accel.stats import RunReport, UtteranceTiming
@@ -42,10 +43,12 @@ if TYPE_CHECKING:
     from repro.asr.task import AsrTask
 from repro.core.decoder import DecoderConfig, DecoderStats, OnTheFlyDecoder
 
-#: Default histogram-pruning cap for simulated runs: hardware bounds
-#: the frontier anyway (hash-table capacity / overflow buffer), and an
-#: uncapped beam on noisy tasks adds only losing hypotheses.
-DEFAULT_MAX_ACTIVE = 800
+#: The search every simulated run makes unless told otherwise (the
+#: experiments ``replace()`` fields of it).  Its histogram-pruning cap
+#: stands for the hardware's own bound on the frontier (hash-table
+#: capacity, overflow buffer); an uncapped beam on the noisier tasks
+#: lets the frontier explode and adds only losing hypotheses.
+SIMULATED_SEARCH = DecoderConfig(beam=14.0, max_active=800)
 
 
 class _Simulator:
@@ -75,11 +78,13 @@ class _Simulator:
         for scores in score_matrices:
             result = decoder.decode(scores)
             report.results.append(result)
-            sink.finish_utterance(result.stats.lookup)
+            lookup = sink.finish_utterance()
+            report.lookup_by_utterance.append(lookup)
+            report.lookup += lookup
             _accumulate(totals, result.stats)
             delta = _DramDelta(sink.dram.total_lines - lines_seen, sink.dram.config)
             lines_seen = sink.dram.total_lines
-            cycles = cycles_for(result.stats, delta)
+            cycles = cycles_for(result.stats, lookup, delta)
             report.utterances.append(
                 UtteranceTiming(
                     frames=result.stats.frames,
@@ -91,22 +96,28 @@ class _Simulator:
             name: cache.stats.miss_ratio for name, cache in sink.caches().items()
         }
         report.dram_bytes_by_class = sink.dram.bytes_by_class()
-        report.energy = self._energy(sink, totals, report.decode_seconds)
+        report.energy = self._energy(
+            sink, totals, report.lookup, report.decode_seconds
+        )
         report.area_mm2 = self._area()
         return report
 
     def _energy(
-        self, sink: "_SinkCore", stats: DecoderStats, seconds: float
+        self,
+        sink: "_SinkCore",
+        stats: DecoderStats,
+        lookup: LookupCounts,
+        seconds: float,
     ) -> EnergyBreakdown:
         config = self.config
         arc_caches, offset_lookup_table = self._own_sram_pj(sink, seconds)
         # The baseline resolves no LM arc at decode time, so its lookup
-        # counters are zero and add nothing here.
+        # counts are zero and add nothing here.
         pipeline_ops = (
             stats.expansions
             + stats.tokens_created
             + stats.words_emitted
-            + stats.lookup.arc_probes
+            + lookup.arc_probes
         )
         float_ops = 4 * stats.expansions + 3 * stats.lookup.backoff_arcs_taken
         pj = {
@@ -162,17 +173,13 @@ class UnfoldSimulator(_Simulator):
 
     task: "AsrTask"
     config: AcceleratorConfig = field(default_factory=lambda: UNFOLD)
-    decoder_config: DecoderConfig | None = None
+    decoder_config: DecoderConfig = SIMULATED_SEARCH
 
     def __post_init__(self) -> None:
         self.layout = OnTheFlyLayout.build(self.task)
-        if self.decoder_config is None:
-            self.decoder_config = DecoderConfig(
-                beam=14.0, max_active=DEFAULT_MAX_ACTIVE
-            )
 
     def _traced_decoder(self) -> tuple[UnfoldSink, OnTheFlyDecoder]:
-        sink = UnfoldSink(self.config, self.layout, self.task.lm)
+        sink = UnfoldSink(self.config, self.layout, self.task)
         decoder = OnTheFlyDecoder(
             self.task.am, self.task.lm, self.decoder_config, sink=sink
         )
@@ -213,12 +220,8 @@ def _accumulate(total: DecoderStats, new: DecoderStats) -> None:
     total.words_emitted += new.words_emitted
     total.am_state_fetches += new.am_state_fetches
     total.active_history.extend(new.active_history)
-    lk, nk = total.lookup, new.lookup
-    lk.lookups += nk.lookups
-    lk.arc_probes += nk.arc_probes
-    lk.olt_hits += nk.olt_hits
-    lk.olt_misses += nk.olt_misses
-    lk.backoff_arcs_taken += nk.backoff_arcs_taken
+    total.lookup.lookups += new.lookup.lookups
+    total.lookup.backoff_arcs_taken += new.lookup.backoff_arcs_taken
 
 
 class _DramDelta:

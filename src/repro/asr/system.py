@@ -179,9 +179,7 @@ class AsrSystem:
         # timing comes from the analytical kernel model.
         sim = UnfoldSimulator(self.task)
         accel_report = sim.run(scores)
-        search = self.gpu.search_run_report(
-            [r.stats for r in accel_report.results], self.task.name
-        )
+        search = self.gpu.search_run_report(accel_report)
         scorer_seconds, scorer_joules = self._scorer_stage(utterances)
         return OverallReport(
             platform="tegra-x1",

@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "offline_decoder": ("FullyComposedDecoder",),
         "tokens": ("SoaTokenTable", "TokenTable"),
-        "trace": ("GraphSide", "TraceSink"),
+        "trace": ("TraceSink",),
         "two_pass": ("TwoPassDecoder", "TwoPassStats"),
     },
 )

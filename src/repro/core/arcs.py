@@ -159,9 +159,9 @@ class EmittingArcs:
 
     def scalar_rows(
         self, dest_has_epsilon: list[bool]
-    ) -> list[list[tuple[int, float, int, int, bool]]]:
+    ) -> list[list[tuple[float, int, int, bool]]]:
         """Per state, its arcs as the scalar frame body walks them:
-        ``(ordinal, weight, score_index, key_delta, dest_has_epsilon)``.
+        ``(weight, score_index, key_delta, dest_has_epsilon)``.
 
         An emitting arc leaves the LM side alone, so it moves a
         :func:`~repro.core.tokens.pack_key` key by a constant —
@@ -175,7 +175,6 @@ class EmittingArcs:
         nextstates = self.nextstate.tolist()
         rows = list(
             zip(
-                self.ordinal.tolist(),
                 self.weight.tolist(),
                 self.score_index.tolist(),
                 nextstates,
@@ -184,8 +183,8 @@ class EmittingArcs:
         )
         return [
             [
-                (ordinal, weight, column, (dest - state) << KEY_SHIFT, seeds)
-                for ordinal, weight, column, dest, seeds in rows[lo:hi]
+                (weight, column, (dest - state) << KEY_SHIFT, seeds)
+                for weight, column, dest, seeds in rows[lo:hi]
             ]
             for state, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))
         ]

@@ -30,38 +30,28 @@ from repro.lm.graph import LmGraph
 
 @dataclass
 class LookupStats:
-    """Activity counters for the LM lookup engine, one decode's.
+    """The LM walk's counters, one decode's.
 
     ``lookups`` (one per state searched) and ``backoff_arcs_taken``
     count the search itself: the epsilon phases add up their walks'
-    and write them to the segment's ``DecoderStats``.  ``arc_probes``,
-    ``olt_hits`` and ``olt_misses`` count the lookup hardware: no code
-    here writes them, and the UNFOLD simulator fills them in each
-    utterance it simulates, from its lookup model
-    (:meth:`repro.accel.lookup.LookupModel.settle`).  Everywhere else
-    they read 0.
+    and write them to the segment's ``DecoderStats``.  The other six
+    fields are always 0 and nothing in ``src/`` writes them: the lookup
+    hardware's counts (``arc_probes``, ``olt_hits``, ``olt_misses``)
+    are the simulator's own record
+    (:class:`repro.accel.lookup.LookupCounts`), and the search keeps no
+    LM expansion cache (``expansion_*``).  They stay only because
+    ``bench/common.py``'s ``CoreProbe.decode`` reads them by name; a
+    benchmark-only change drops them.
     """
 
     lookups: int = 0
-    arc_probes: int = 0  # LM arc records touched while searching
+    arc_probes: int = 0
     olt_hits: int = 0
     olt_misses: int = 0
     backoff_arcs_taken: int = 0
-    # Always 0: the search keeps no LM expansion cache.  The fields stay
-    # for ``bench/common.py``'s ``CoreProbe.decode``, which reads them
-    # by ``getattr``; a benchmark-only change drops them.
     expansion_hits: int = 0
     expansion_misses: int = 0
     expansion_evictions: int = 0
-
-    @property
-    def olt_hit_ratio(self) -> float:
-        total = self.olt_hits + self.olt_misses
-        return self.olt_hits / total if total else 0.0
-
-    @property
-    def avg_probes_per_lookup(self) -> float:
-        return self.arc_probes / self.lookups if self.lookups else 0.0
 
 
 @dataclass(slots=True)

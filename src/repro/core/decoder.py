@@ -36,9 +36,8 @@ from repro.core.tokens import (
     KEY_SHIFT,
     SoaTokenTable,
     TokenTable,
-    unpack_key,
 )
-from repro.core.trace import GraphSide, TraceSink
+from repro.core.trace import TraceSink
 from repro.lm.graph import LmGraph
 from repro.wfst.fst import EPSILON
 
@@ -202,9 +201,6 @@ class OnTheFlyDecoder:
     would.
     """
 
-    #: Where a traced fetch of a token's state and arcs goes: this
-    #: dataset, at the id :meth:`_trace_state` gives the token.
-    _trace_side = GraphSide.AM
     #: Whether the graph searched is the offline-composed one
     #: (:class:`~repro.core.offline_decoder.FullyComposedDecoder`): its
     #: cross-word arcs were composed offline, so they walk the LM
@@ -270,7 +266,7 @@ class OnTheFlyDecoder:
         self.last_phase_seconds: dict[str, float] | None = None
 
     @cached_property
-    def _emitting_rows(self) -> list[list[tuple[int, float, int, int, bool]]]:
+    def _emitting_rows(self) -> list[list[tuple[float, int, int, bool]]]:
         """Per AM state, its emitting arcs as the scalar body walks them
         (:meth:`EmittingArcs.scalar_rows`; built on its first frame)."""
         return self._arcs.scalar_rows(self._eps_arcs.has_arcs.tolist())
@@ -283,9 +279,6 @@ class OnTheFlyDecoder:
         ordinal, dest_has_epsilon)`` tuples — what both epsilon phases
         fan their seeds out from (built on the first one's first frame)."""
         return self._eps_arcs.fanout()
-
-    def _trace_state(self, am_state: int, lm_state: int) -> int:
-        return am_state
 
     def new_segment(self) -> BatchSegment:
         """Start-of-utterance search state (one token at the loop state)."""
@@ -370,8 +363,6 @@ class OnTheFlyDecoder:
         emitting = self._emitting_rows
         tracing = self._tracing
         sink = self.sink
-        side = self._trace_side
-        trace_state = self._trace_state
         epsilon = self._epsilon_scalar
         phases = self._phase_seconds
         beam_config = self._beam_config
@@ -409,18 +400,12 @@ class OnTheFlyDecoder:
                 token_nodes = {key: node for key, _, node in survivors}
                 threshold = math.inf
             if tracing:
-                # The events depend on the survivors alone and nothing
-                # else reports during the expansion: told up front, they
-                # arrive in the order the loop below would raise them.
+                # The expansions depend on the survivors alone and
+                # nothing else reports during them: told up front, they
+                # arrive in the order the loop below makes them.
                 for key, token_cost in token_costs.items():
-                    if not token_cost <= threshold:
-                        continue
-                    am_state, lm_state = unpack_key(key)
-                    fetched = trace_state(am_state, lm_state)
-                    sink.on_state_fetch(side, fetched)
-                    sink.on_token_hash_access(am_state, lm_state)
-                    for arc in emitting[am_state]:
-                        sink.on_arc_fetch(side, fetched, arc[0])
+                    if token_cost <= threshold:
+                        sink.on_expand(key >> KEY_SHIFT, key & KEY_LM_MASK)
             # Plain-list scores: per-element numpy indexing would
             # dominate the token loop.
             if at == len(block):
@@ -444,7 +429,7 @@ class OnTheFlyDecoder:
                     pruned += 1
                     continue
                 lattice_node = token_nodes[key]
-                for _, weight, column, key_delta, dest_seeds in emitting[
+                for weight, column, key_delta, dest_seeds in emitting[
                     key >> KEY_SHIFT
                 ]:
                     cost = token_cost + weight - frame_scores[column]
@@ -716,9 +701,8 @@ class OnTheFlyDecoder:
         keys of the tokens at AM states with epsilon arcs, in table
         order (consumed; arrivals at such states join it), and a
         token's cost and lattice node are read when it is popped — an
-        improvement since it was listed is seen.  A traced arc fetch
-        goes to :attr:`_trace_side`, at the popped token's
-        :meth:`_trace_state`.
+        improvement since it was listed is seen.  A traced phase reports
+        each arc it walks as ``on_epsilon_arc``.
 
         The on-the-fly walks go through ``self.lookup.resolve``, read
         once per phase (``bench/``'s ``CoreProbe`` times that instance
@@ -729,8 +713,6 @@ class OnTheFlyDecoder:
         """
         sink = self.sink
         tracing = self._tracing
-        side = self._trace_side
-        trace_state = self._trace_state
         fanout = self._epsilon_fanout
         preemptive = self.config.preemptive_pruning
         composer = self._composer
@@ -753,13 +735,11 @@ class OnTheFlyDecoder:
             am_state = key >> KEY_SHIFT
             lm_state = key & KEY_LM_MASK
             token_node = node_of[key]
-            if tracing:
-                fetched = trace_state(am_state, lm_state)
             arcs = fanout[am_state]
             expansions += len(arcs)
             for olabel, weight, nextstate, ordinal, dest_seeds in arcs:
                 if tracing:
-                    sink.on_arc_fetch(side, fetched, ordinal)
+                    sink.on_epsilon_arc(am_state, lm_state, ordinal)
                 cost = token_cost + weight
                 if olabel == EPSILON:
                     # Silence (or other non-word) epsilon arc.

@@ -8,9 +8,8 @@ eliminate.
 
 The decoder takes the AM and LM graphs themselves; nothing
 materializes or wraps their composition.  A composed state *is* an
-(AM state, LM state) pair, addressed densely as ``am * num_lm + lm``
-(:meth:`FullyComposedDecoder._trace_state`, the id
-:class:`~repro.accel.layout.ComposedLayout` decodes), and a composed
+(AM state, LM state) pair, the pair its trace events name and
+:class:`~repro.accel.layout.ComposedLayout` addresses, and a composed
 arc is an AM arc with the LM side carried along — moved only on
 cross-word arcs, by exactly the LM transition the on-the-fly lookup
 would resolve.  So the baseline runs the on-the-fly decoder's token
@@ -26,7 +25,6 @@ what a composed graph changes:
   loops, which take this arithmetic when they find ``_composer`` set,
   and walk the LM plainly, uncounted and untraced: the stand-in for
   what was paid offline);
-* trace events address the one composed dataset, by encoded state id;
 * a hypothesis may end the utterance when *both* sides are final.
 
 The explored graph is path-identical to the materialized phi
@@ -45,7 +43,7 @@ import numpy as np
 from repro.am.graph import AmGraph
 from repro.core.decoder import DecoderConfig, OnTheFlyDecoder
 from repro.core.tokens import SoaTokenTable, TokenTable
-from repro.core.trace import GraphSide, TraceSink
+from repro.core.trace import TraceSink
 from repro.lm.graph import LmGraph
 
 
@@ -56,7 +54,6 @@ class FullyComposedDecoder(OnTheFlyDecoder):
     lookup is counted or traced: ``DecoderStats.lookup`` stays zero.
     """
 
-    _trace_side = GraphSide.COMPOSED
     _composer = True
 
     def __init__(
@@ -78,9 +75,6 @@ class FullyComposedDecoder(OnTheFlyDecoder):
         self._am_final_w = np.array(
             [am_fst.final_weight(s) for s in am_fst.states()], dtype=np.float64
         )
-
-    def _trace_state(self, am_state: int, lm_state: int) -> int:
-        return am_state * self._num_lm + lm_state
 
     def _final_hypotheses(
         self, table: TokenTable | SoaTokenTable

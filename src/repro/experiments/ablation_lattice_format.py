@@ -11,16 +11,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.accel import Traffic, UnfoldSimulator
+from repro.accel import SIMULATED_SEARCH, Traffic, UnfoldSimulator
 from repro.asr.task import KALDI_VOXFORGE
-from repro.core.decoder import DecoderConfig
 from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES
-from repro.experiments.common import (
-    MAX_ACTIVE,
-    ExperimentResult,
-    TaskBundle,
-    get_bundle,
-)
+from repro.experiments.common import ExperimentResult, TaskBundle, get_bundle
 
 EXPERIMENT_ID = "ablation-lattice"
 TITLE = "Word-lattice record format: compact (Price [22]) vs raw"
@@ -38,7 +32,8 @@ def run(bundle: TaskBundle | None = None) -> ExperimentResult:
             config=replace(
                 bundle.unfold_config, lattice_record_bytes=record_bytes
             ),
-            decoder_config=DecoderConfig(max_active=MAX_ACTIVE),
+            # This exhibit has always searched at beam 12.
+            decoder_config=replace(SIMULATED_SEARCH, beam=12.0),
         )
         report = sim.run(bundle.scores)
         rows.append(

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.accel import LookupStrategy, UnfoldSimulator
+from repro.accel import SIMULATED_SEARCH, LookupStrategy, UnfoldSimulator
 from repro.asr.task import KALDI_VOXFORGE
-from repro.core.decoder import DecoderConfig
-from repro.experiments.common import MAX_ACTIVE, ExperimentResult, TaskBundle, get_bundle
+from repro.experiments.common import ExperimentResult, TaskBundle, get_bundle
 
 EXPERIMENT_ID = "ablation-lookup"
 TITLE = "LM arc-fetch strategy vs the fully-composed baseline"
@@ -32,8 +31,8 @@ def run(bundle: TaskBundle | None = None) -> ExperimentResult:
         sim = UnfoldSimulator(
             bundle.task,
             config=replace(bundle.unfold_config, lookup_strategy=strategy),
-            decoder_config=DecoderConfig(
-                beam=14.0, preemptive_pruning=preemptive, max_active=MAX_ACTIVE
+            decoder_config=replace(
+                SIMULATED_SEARCH, preemptive_pruning=preemptive
             ),
         )
         report = sim.run(bundle.scores)
@@ -41,7 +40,7 @@ def run(bundle: TaskBundle | None = None) -> ExperimentResult:
             {
                 "strategy": name,
                 "slowdown_vs_baseline_x": report.decode_seconds / baseline_seconds,
-                "avg_probes_per_lookup": report.decoder_stats.lookup.avg_probes_per_lookup,
+                "avg_probes_per_lookup": report.lookup.avg_probes_per_lookup,
             }
         )
     return ExperimentResult(

@@ -7,9 +7,10 @@ hypotheses that would be beam-pruned anyway are discarded).
 
 from __future__ import annotations
 
-from repro.accel import UnfoldSimulator
-from repro.core.decoder import DecoderConfig
-from repro.experiments.common import MAX_ACTIVE, ExperimentResult, TaskBundle, paper_bundles
+from dataclasses import replace
+
+from repro.accel import SIMULATED_SEARCH, UnfoldSimulator
+from repro.experiments.common import ExperimentResult, TaskBundle, paper_bundles
 
 EXPERIMENT_ID = "ablation-preemptive"
 TITLE = "Preemptive back-off pruning: on vs off"
@@ -22,12 +23,12 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
         with_pruning = UnfoldSimulator(
             bundle.task,
             config=bundle.unfold_config,
-            decoder_config=DecoderConfig(beam=14.0, preemptive_pruning=True, max_active=MAX_ACTIVE),
+            decoder_config=replace(SIMULATED_SEARCH, preemptive_pruning=True),
         ).run(bundle.scores)
         without = UnfoldSimulator(
             bundle.task,
             config=bundle.unfold_config,
-            decoder_config=DecoderConfig(beam=14.0, preemptive_pruning=False, max_active=MAX_ACTIVE),
+            decoder_config=replace(SIMULATED_SEARCH, preemptive_pruning=False),
         ).run(bundle.scores)
         on_stats = with_pruning.decoder_stats
         pruned_share = (

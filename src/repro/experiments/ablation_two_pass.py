@@ -8,12 +8,11 @@ latency structure (the second pass cannot start before the first ends).
 
 from __future__ import annotations
 
-from repro.accel import UNFOLD, UnfoldSimulator
+from repro.accel import SIMULATED_SEARCH, UNFOLD, UnfoldSimulator
 from repro.asr.task import KALDI_VOXFORGE
 from repro.asr.wer import word_error_rate
-from repro.core.decoder import DecoderConfig
 from repro.core.two_pass import TwoPassDecoder
-from repro.experiments.common import MAX_ACTIVE, ExperimentResult, TaskBundle, get_bundle
+from repro.experiments.common import ExperimentResult, TaskBundle, get_bundle
 
 EXPERIMENT_ID = "ablation-two-pass"
 TITLE = "One-pass vs two-pass on-the-fly composition"
@@ -21,19 +20,17 @@ TITLE = "One-pass vs two-pass on-the-fly composition"
 
 def run(bundle: TaskBundle | None = None) -> ExperimentResult:
     bundle = bundle or get_bundle(KALDI_VOXFORGE)
-    config = DecoderConfig(beam=14.0, max_active=MAX_ACTIVE)
     # The one-pass work counts LM arc probes, which UNFOLD's lookup
     # hardware makes: this arm decodes on the simulator (Table 3's
     # 32K-entry OLT).
-    one_pass = UnfoldSimulator(
-        bundle.task, config=UNFOLD, decoder_config=config
-    )
+    one_pass = UnfoldSimulator(bundle.task, config=UNFOLD)
     two_pass = TwoPassDecoder(
-        bundle.task.am, bundle.task.lm, bundle.task.ngram, config
+        bundle.task.am, bundle.task.lm, bundle.task.ngram, SIMULATED_SEARCH
     )
 
     refs = bundle.references
-    one_results = one_pass.run(bundle.scores).results
+    one_report = one_pass.run(bundle.scores)
+    one_results = one_report.results
     two_results = [two_pass.decode(s) for s in bundle.scores]
 
     one_wer = word_error_rate(refs, [r.words for r in one_results])
@@ -42,7 +39,7 @@ def run(bundle: TaskBundle | None = None) -> ExperimentResult:
     # Latency structure: the one-pass decoder finishes when the frames
     # do; the two-pass decoder appends a rescoring stage proportional to
     # the lattice it must re-read.
-    one_work = sum(r.stats.expansions + r.stats.lookup.arc_probes for r in one_results)
+    one_work = one_report.decoder_stats.expansions + one_report.lookup.arc_probes
     two_first = sum(r.stats.expansions for r in two_results)
     two_rescore = sum(len(r.lattice) for r in two_results)
 

@@ -48,13 +48,6 @@ MAX_WORDS = 8
 #: graph under pressure — at reproduction scale.
 MIN_SCALE = 1.0 / 8.0
 
-#: Histogram-pruning cap used by every simulated run.  Real decoders
-#: (and the paper's accelerator, via its hash-table capacity) bound the
-#: per-frame frontier; an uncapped beam on the noisier tasks lets the
-#: frontier explode and only adds hypotheses that lose anyway.
-MAX_ACTIVE = 800
-
-
 @dataclass
 class TaskBundle:
     """Everything the experiment drivers need for one task."""
@@ -90,8 +83,9 @@ class TaskBundle:
 
     def gpu_search_report(self) -> RunReport:
         if "gpu" not in self._reports:
-            stats = [r.stats for r in self.unfold_report().results]
-            self._reports["gpu"] = GpuModel().search_run_report(stats, self.name)
+            self._reports["gpu"] = GpuModel().search_run_report(
+                self.unfold_report()
+            )
         return self._reports["gpu"]
 
     def system(self) -> AsrSystem:

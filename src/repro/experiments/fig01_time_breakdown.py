@@ -21,9 +21,8 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
     gpu = GpuModel()
     rows = []
     for bundle in bundles:
-        stats = [r.stats for r in bundle.unfold_report().results]
-        search_s = sum(gpu.search_time_seconds(s) for s in stats)
-        frames = sum(s.frames for s in stats)
+        search_s = bundle.gpu_search_report().decode_seconds
+        frames = bundle.unfold_report().decoder_stats.frames
         scorer_s = gpu.scorer_time_seconds(bundle.scorer.flops_per_frame, frames)
         total = search_s + scorer_s
         rows.append(

@@ -12,8 +12,7 @@ from dataclasses import replace
 
 from repro.accel import UnfoldSimulator
 from repro.asr.task import KALDI_VOXFORGE
-from repro.core.decoder import DecoderConfig
-from repro.experiments.common import MAX_ACTIVE, ExperimentResult, TaskBundle, get_bundle
+from repro.experiments.common import ExperimentResult, TaskBundle, get_bundle
 
 EXPERIMENT_ID = "fig07"
 TITLE = "Offset Lookup Table: entries vs miss ratio and speedup"
@@ -34,16 +33,14 @@ def run(bundle: TaskBundle | None = None) -> ExperimentResult:
         sim = UnfoldSimulator(
             bundle.task,
             config=replace(bundle.unfold_config, offset_table_entries=power),
-            decoder_config=DecoderConfig(beam=14.0, max_active=MAX_ACTIVE),
         )
         report = sim.run(bundle.scores)
-        lookup = report.decoder_stats.lookup
         if baseline_seconds is None:
             baseline_seconds = report.decode_seconds
         rows.append(
             {
                 "entries": power,
-                "olt_miss_pct": 100 * (1 - lookup.olt_hit_ratio),
+                "olt_miss_pct": 100 * (1 - report.lookup.olt_hit_ratio),
                 "speedup_x": baseline_seconds / report.decode_seconds,
             }
         )

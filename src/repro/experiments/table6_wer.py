@@ -7,14 +7,10 @@ paper reports a WER difference below 0.01%).
 
 from __future__ import annotations
 
+from repro.accel import SIMULATED_SEARCH
 from repro.asr.wer import word_error_rate
-from repro.core.decoder import DecoderConfig, OnTheFlyDecoder
-from repro.experiments.common import (
-    MAX_ACTIVE,
-    ExperimentResult,
-    TaskBundle,
-    paper_bundles,
-)
+from repro.core.decoder import OnTheFlyDecoder
+from repro.experiments.common import ExperimentResult, TaskBundle, paper_bundles
 
 EXPERIMENT_ID = "table6"
 TITLE = "Word error rate (%)"
@@ -32,9 +28,7 @@ def run(bundles: list[TaskBundle] | None = None) -> ExperimentResult:
         # The paper's <0.01% claim: decode through the Section 3.4
         # bit-packed (6-bit quantized) models.
         q_am, q_lm = bundle.quantized_graphs()
-        q_decoder = OnTheFlyDecoder(
-            q_am, q_lm, DecoderConfig(beam=14.0, max_active=MAX_ACTIVE)
-        )
+        q_decoder = OnTheFlyDecoder(q_am, q_lm, SIMULATED_SEARCH)
         q_hyps = [q_decoder.decode(s).words for s in bundle.scores]
         quantized_wer = word_error_rate(refs, q_hyps)
         rows.append(

@@ -17,16 +17,15 @@ from repro.accel.dram import DramModel, Traffic
 from repro.accel.pipeline import cycles_for
 from repro.accel.sink import ComposedSink, UnfoldSink
 from repro.accel.stats import RunReport, UtteranceTiming
-from repro.accel.lookup import LookupModel
+from repro.accel.lookup import LookupCounts, LookupModel
 from repro.core import (
     DecoderConfig,
+    EmittingArcs,
     FullyComposedDecoder,
     LmWordArcs,
-    LookupStats,
     OnTheFlyDecoder,
 )
 from repro.core.decoder import DecoderStats
-from repro.core.trace import GraphSide
 
 
 @pytest.fixture(scope="module")
@@ -84,27 +83,40 @@ class TestComposedLayout:
         assert composed_layout.total_bytes == composed_layout.address_map.model.total_bytes
 
     def test_state_addresses_in_range(self, composed_layout, tiny_task):
-        num_lm = tiny_task.lm.fst.num_states
         for am_state in (0, 1, 5):
             for lm_state in (0, 1):
-                composed = am_state * num_lm + lm_state
-                addr, size = composed_layout.state_record(composed, num_lm)
+                addr, size = composed_layout.state_record(am_state, lm_state)
                 assert 0 <= addr < composed_layout.address_map.model.state_bytes
                 assert size == 8
 
 
 class TestUnfoldSink:
     def test_events_drive_caches_and_dram(self, tiny_task, layout):
-        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout, tiny_task.lm)
-        sink.on_state_fetch(GraphSide.AM, 0)
-        sink.on_arc_fetch(GraphSide.AM, 0, 0)
-        sink.on_arc_fetch(GraphSide.LM, 0, 0)
+        """An expansion is the state fetch, the token-hash access and one
+        fetch per emitting arc of its AM state; an epsilon arc is one
+        more AM arc fetch."""
+        config = UNFOLD.scaled(1 / 16)
+        sink = UnfoldSink(config, layout, tiny_task)
+        am = tiny_task.am.loop_state
+        emitting = EmittingArcs.from_fst(tiny_task.am.fst)
+        ordinals = emitting.ordinal[
+            emitting.offsets[am]:emitting.offsets[am + 1]
+        ].tolist()
+        assert ordinals
+        # The cache counts one access per line a record touches.
+        lines = 0
+        for ordinal in ordinals + [0]:
+            addr, size = layout.am_arc_record(am, ordinal)
+            line = config.line_bytes
+            lines += (addr + size - 1) // line - addr // line + 1
+        sink.on_expand(am, 0)
+        sink.on_epsilon_arc(am, 0, 0)
+        sink.fetch_lm_arc(0, 0)  # the lookup model's
         sink.on_token_write()
-        sink.on_token_hash_access(0, 0)
-        sink.on_olt_access(0, 1, True)  # the lookup model's
+        sink.access_olt(0, 1, True)  # the lookup model's
         sink.on_frame_end(0, 3)
         assert sink.state_cache.stats.accesses == 1
-        assert sink.am_arc_cache.stats.accesses == 1
+        assert sink.am_arc_cache.stats.accesses == lines
         assert sink.lm_arc_cache.stats.accesses == 1
         assert sink.token_cache.stats.accesses >= 1
         assert sink.sram.hash_accesses == 1
@@ -116,7 +128,7 @@ class TestUnfoldSink:
         and binary probes, through the LM arc and state caches; twice,
         and the second is one OLT hit and one validating fetch."""
         lm = tiny_task.lm
-        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout, lm)
+        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout, tiny_task)
         state = lm.unigram_state
         word = lm.word_id(tiny_task.grammar.vocabulary[0])
         sink.on_lm_walk(state, word, 0, False)
@@ -129,38 +141,34 @@ class TestUnfoldSink:
         assert sink.lm_arc_cache.stats.accesses == probes + 1
         assert sink.state_cache.stats.accesses == 1
         assert sink.sram.olt_accesses == 2
-        counted = LookupStats()
-        sink.finish_utterance(counted)
-        assert (counted.arc_probes, counted.olt_hits, counted.olt_misses) == (
-            probes + 1, 1, 1,
+        counted = sink.finish_utterance()
+        assert counted == LookupCounts(
+            lookups=2, arc_probes=probes + 1, olt_hits=1, olt_misses=1
         )
-        assert sink.lookup_model.stats == LookupStats()
+        assert sink.lookup_model.stats == LookupCounts()
 
     def test_finish_utterance_flushes_tokens(self, tiny_task, layout):
-        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout, tiny_task.lm)
+        sink = UnfoldSink(UNFOLD.scaled(1 / 16), layout, tiny_task)
         sink.on_token_write()
         before = sink.dram.writes[Traffic.TOKENS]
-        sink.finish_utterance(LookupStats())
+        sink.finish_utterance()
         assert sink.dram.writes[Traffic.TOKENS] == before + 1
 
     def test_requires_lm_cache(self, tiny_task, layout):
         with pytest.raises(ValueError):
-            UnfoldSink(REZA, layout, tiny_task.lm)
+            UnfoldSink(REZA, layout, tiny_task)
 
 
 class TestComposedSink:
     def test_no_olt_allowed(self, tiny_task, composed_layout):
-        sink = ComposedSink(
-            REZA.scaled(1 / 16), composed_layout, tiny_task.lm.fst.num_states
-        )
+        sink = ComposedSink(REZA.scaled(1 / 16), composed_layout, tiny_task)
         with pytest.raises(AssertionError):
             sink.on_lm_walk(0, 1, 0, False)
+        assert sink.finish_utterance() == LookupCounts()
 
     def test_single_arc_cache(self, tiny_task, composed_layout):
-        sink = ComposedSink(
-            REZA.scaled(1 / 16), composed_layout, tiny_task.lm.fst.num_states
-        )
-        sink.on_arc_fetch(GraphSide.COMPOSED, 5, 0)
+        sink = ComposedSink(REZA.scaled(1 / 16), composed_layout, tiny_task)
+        sink.on_epsilon_arc(5, 0, 0)
         assert sink.arc_cache.stats.accesses >= 1
         assert set(sink.caches()) == {"state_cache", "arc_cache", "token_cache"}
 
@@ -178,14 +186,12 @@ class TestTokenRecords:
             base.scaled(1 / 16), lattice_record_bytes=record_bytes
         )
         if platform == "unfold":
-            sink = UnfoldSink(config, layout, tiny_task.lm)
+            sink = UnfoldSink(config, layout, tiny_task)
         else:
-            sink = ComposedSink(
-                config, composed_layout, tiny_task.lm.fst.num_states
-            )
+            sink = ComposedSink(config, composed_layout, tiny_task)
         for _ in range(64):
             sink.on_token_write()
-        sink.finish_utterance(LookupStats())
+        sink.finish_utterance()
         assert sink.dram.writes[Traffic.TOKENS] * config.line_bytes == (
             64 * record_bytes
         )
@@ -194,37 +200,43 @@ class TestTokenRecords:
 class _FrameWork:
     """A TraceSink that counts each frame's work from its events:
     (survivors, expansions, LM arc probes, words emitted), one row per
-    ``on_frame_end``; the LM probes are the lookup model's (Table 3's
-    32K-entry OLT) over ``lm``."""
+    ``on_frame_end``; an expansion walks its AM state's emitting arcs
+    (``task``'s), and the LM probes are the lookup model's (Table 3's
+    32K-entry OLT) over its LM."""
 
-    def __init__(self, lm) -> None:
+    def __init__(self, task) -> None:
         self.model = LookupModel(
-            LmWordArcs.from_graph(lm),
+            LmWordArcs.from_graph(task.lm),
             self,
             UNFOLD.lookup_strategy,
             UNFOLD.offset_table_entries,
         )
+        offsets = EmittingArcs.from_fst(task.am.fst).offsets
+        self.emitting = (offsets[1:] - offsets[:-1]).tolist()
         self.rows: list[tuple[int, int, int, int]] = []
         self.active: list[int] = []
         self._row = [0, 0, 0, 0]
 
-    def on_state_fetch(self, side, state):
-        if side is not GraphSide.LM:
-            self._row[0] += 1
+    def on_expand(self, am_state, lm_state):
+        self._row[0] += 1
+        self._row[1] += self.emitting[am_state]
 
-    def on_arc_fetch(self, side, state, ordinal):
-        self._row[2 if side is GraphSide.LM else 1] += 1
+    def on_epsilon_arc(self, am_state, lm_state, ordinal):
+        self._row[1] += 1
 
     def on_token_write(self):
         self._row[3] += 1
 
-    def on_token_hash_access(self, am_state, lm_state):
-        pass
-
     def on_lm_walk(self, lm_state, word_id, levels, pruned):
         self.model.on_lm_walk(lm_state, word_id, levels, pruned)
 
-    def on_olt_access(self, lm_state, word_id, hit):
+    def fetch_lm_arc(self, state, ordinal):
+        self._row[2] += 1
+
+    def fetch_lm_state(self, state):
+        pass
+
+    def access_olt(self, lm_state, word_id, hit):
         pass
 
     def on_frame_end(self, frame, active_tokens):
@@ -256,7 +268,7 @@ class TestFrameWorkFromEvents:
     ):
         """Every traced frame ends in ``on_frame_end``, so a sink
         recovers the per-frame work the search no longer records."""
-        sink = _FrameWork(tiny_task.lm)
+        sink = _FrameWork(tiny_task)
         decoder = cls(
             tiny_task.am,
             tiny_task.lm,
@@ -267,15 +279,15 @@ class TestFrameWorkFromEvents:
         for scores in tiny_scores:
             sink.rows.clear()
             sink.active.clear()
+            sink.model.stats = LookupCounts()
             stats = decoder.decode(scores).stats
             assert stats.lookup.arc_probes == 0
-            sink.model.settle(stats.lookup)
             assert len(sink.rows) == stats.frames
             assert sink.active == stats.active_history
             assert [sum(column) for column in zip(*sink.rows)] == [
                 stats.am_state_fetches,
                 stats.expansions,
-                stats.lookup.arc_probes,
+                sink.model.stats.arc_probes,
                 stats.words_emitted,
             ]
             rows += sink.rows
@@ -335,7 +347,8 @@ class TestCycleModel:
                     assert offline.stats.words_emitted > 0, context
                     assert nothing.stats.frames == 0, context
                     assert (
-                        cycles_for(nothing.stats, busy).total_cycles
+                        cycles_for(nothing.stats, LookupCounts(), busy)
+                        .total_cycles
                         == busy.stall_cycles()
                     ), context
                     if kernels:
@@ -351,12 +364,11 @@ class TestCycleModel:
 
     def test_components_sum(self):
         stats = self._stats(expansions=100, am_state_fetches=10, words_emitted=5)
-        stats.lookup.arc_probes = 20
-        stats.lookup.olt_hits = 7
         stats.lookup.backoff_arcs_taken = 3
+        lookup = LookupCounts(arc_probes=20, olt_hits=7)
         dram = DramModel()
         dram.read_lines(Traffic.ARCS, 32)
-        report = cycles_for(stats, dram)
+        report = cycles_for(stats, lookup, dram)
         assert report.total_cycles == pytest.approx(
             report.expansion_cycles
             + report.lookup_cycles
@@ -369,14 +381,13 @@ class TestCycleModel:
         assert report.seconds(800e6) == report.total_cycles / 800e6
 
     def test_probes_cost_more_than_olt_hits(self):
-        probing = self._stats()
-        probing.lookup.arc_probes = 100
-        hitting = self._stats()
-        hitting.lookup.olt_hits = 100
+        stats = self._stats()
+        probing = LookupCounts(arc_probes=100)
+        hitting = LookupCounts(olt_hits=100)
         dram = DramModel()
         assert (
-            cycles_for(probing, dram).total_cycles
-            > cycles_for(hitting, dram).total_cycles
+            cycles_for(stats, probing, dram).total_cycles
+            > cycles_for(stats, hitting, dram).total_cycles
         )
 
 

@@ -87,7 +87,7 @@ class TestRowBuffer:
         from repro.accel.sink import UnfoldSink
 
         sink = UnfoldSink(
-            UNFOLD.scaled(1 / 64), OnTheFlyLayout.build(tiny_task), tiny_task.lm
+            UNFOLD.scaled(1 / 64), OnTheFlyLayout.build(tiny_task), tiny_task
         )
         for i in range(200):
             sink.on_token_write()

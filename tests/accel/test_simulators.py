@@ -10,12 +10,15 @@ import pytest
 
 from repro.accel import (
     REZA,
+    SIMULATED_SEARCH,
     UNFOLD,
     FullyComposedSimulator,
     GpuModel,
+    LookupCounts,
     UnfoldSimulator,
 )
 from repro.accel.dram import Traffic
+from repro.core import FullyComposedDecoder, OnTheFlyDecoder
 from repro.core.lattice import COMPACT_RECORD_BYTES, RAW_RECORD_BYTES
 
 
@@ -178,6 +181,35 @@ PINNED_REPORTS = {
 }
 
 
+class TestSimulatedResults:
+    @pytest.mark.parametrize("platform", ["unfold", "reza"])
+    def test_a_simulated_result_is_the_decoders_own(
+        self, platform, unfold_report, reza_report, tiny_task, tiny_scores
+    ):
+        """The simulator edits no result: each utterance's stats, the
+        lookup's among them, equal an untraced decode's with the same
+        config, and what the lookup hardware did is the report's own
+        record, whose total is the sum of its utterances'."""
+        report, decoder = {
+            "unfold": (unfold_report, OnTheFlyDecoder),
+            "reza": (reza_report, FullyComposedDecoder),
+        }[platform]
+        plain = decoder(tiny_task.am, tiny_task.lm, SIMULATED_SEARCH)
+        for result, scores in zip(report.results, tiny_scores, strict=True):
+            assert result.stats == plain.decode(scores).stats
+        assert len(report.lookup_by_utterance) == len(tiny_scores)
+        total = LookupCounts()
+        for counts in report.lookup_by_utterance:
+            total += counts
+        assert report.lookup == total
+        if platform == "unfold":
+            assert report.lookup.arc_probes > 0
+            assert report.lookup.olt_hits > 0
+            assert report.lookup.lookups == report.decoder_stats.lookup.lookups
+        else:
+            assert report.lookup == LookupCounts()
+
+
 class TestPinnedReports:
     @pytest.mark.parametrize("platform", ["unfold", "reza"])
     def test_reports_equal_the_pinned_values(
@@ -223,17 +255,13 @@ class TestLatticeRecordSize:
 class TestGpuModel:
     def test_gpu_much_slower_than_accelerator(self, unfold_report):
         gpu = GpuModel()
-        report = gpu.search_run_report(
-            [r.stats for r in unfold_report.results], "tiny"
-        )
+        report = gpu.search_run_report(unfold_report)
         assert report.decode_seconds > unfold_report.decode_seconds
         assert report.realtime_factor > 1  # still real-time capable
 
     def test_gpu_energy_dominates(self, unfold_report):
         gpu = GpuModel()
-        report = gpu.search_run_report(
-            [r.stats for r in unfold_report.results], "tiny"
-        )
+        report = gpu.search_run_report(unfold_report)
         assert (
             report.energy_mj_per_speech_second
             > 3 * unfold_report.energy_mj_per_speech_second

@@ -26,7 +26,7 @@ from repro.asr import TINY, build_task
 from repro.asr.streaming import StreamingSession, push_sessions
 from repro.core import DecoderConfig, OnTheFlyDecoder
 
-#: The ``LookupStats`` counters the search drives, asserted by name so
+#: ``LookupStats`` counters, asserted by name so
 #: that a failure names the counter.
 LOOKUP_COUNTERS = (
     "lookups",

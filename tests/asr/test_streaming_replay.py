@@ -150,7 +150,7 @@ class TestReplay:
         config = replace(UNFOLD.scaled(1 / 16), lookup_strategy=strategy)
 
         def traced_session():
-            sink = UnfoldSink(config, layout, tiny_task.lm)
+            sink = UnfoldSink(config, layout, tiny_task)
             decoder = OnTheFlyDecoder(
                 tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0), sink=sink
             )

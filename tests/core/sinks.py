@@ -1,5 +1,6 @@
 """Trace sinks the tests share: the lookup hardware's model behind a
-sink that drops every other event, and one that records them."""
+sink that drops every other event, and one that records the model's
+accesses."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from repro.core import LmWordArcs
 
 class ModelSink:
     """A TraceSink that runs the lookup model over ``graph`` (a
-    ``strategy`` OLT of ``table_entries``) and drops every event."""
+    ``strategy`` OLT of ``table_entries``) and drops every event and
+    every access the model makes."""
 
     def __init__(self, graph, strategy, table_entries=32 * 1024):
         self.model = LookupModel(
@@ -22,31 +24,23 @@ class ModelSink:
     def _drop(self, *event):
         pass
 
-    on_state_fetch = on_arc_fetch = on_token_write = _drop
-    on_token_hash_access = on_olt_access = on_frame_end = _drop
+    on_expand = on_epsilon_arc = on_token_write = on_frame_end = _drop
+    fetch_lm_state = fetch_lm_arc = access_olt = _drop
 
 
 class RecordingSink(ModelSink):
-    """A ModelSink keeping the LM walk's events, in order."""
+    """A ModelSink keeping the lookup model's accesses, in order, as the
+    LM fetch and OLT events they were first recorded as."""
 
     def __init__(self, graph, strategy, table_entries=32 * 1024):
         super().__init__(graph, strategy, table_entries)
         self.events: list[tuple] = []
 
-    def on_state_fetch(self, side, state):
-        self.events.append(("state_fetch", side.value, state))
+    def fetch_lm_state(self, state):
+        self.events.append(("state_fetch", "lm", state))
 
-    def on_arc_fetch(self, side, state, ordinal):
-        self.events.append(("arc_fetch", side.value, state, ordinal))
+    def fetch_lm_arc(self, state, ordinal):
+        self.events.append(("arc_fetch", "lm", state, ordinal))
 
-    def on_token_write(self):
-        self.events.append(("token_write",))
-
-    def on_token_hash_access(self, am_state, lm_state):
-        self.events.append(("token_hash", am_state, lm_state))
-
-    def on_olt_access(self, lm_state, word_id, hit):
+    def access_olt(self, lm_state, word_id, hit):
         self.events.append(("olt", lm_state, word_id, hit))
-
-    def on_frame_end(self, frame, active_tokens):
-        self.events.append(("frame_end", frame, active_tokens))

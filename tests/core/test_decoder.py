@@ -184,21 +184,25 @@ class TestVirtualComposedGraph:
             for decoder in beamed:
                 assert decoder.decode(scores).cost >= best - 1e-9
 
-    def test_encode_decode_round_trip(self, tiny_task, baseline):
-        """A traced composed id names its (AM, LM) pair's record in the
-        baseline's layout."""
+    def test_encode_decode_round_trip(self, tiny_task):
+        """A traced (AM, LM) pair names its own record in the baseline's
+        layout: distinct pairs, distinct state records, so each address
+        leads back to its pair."""
         from repro.accel.layout import ComposedLayout
 
         layout = ComposedLayout.build(tiny_task)
         num_lm = tiny_task.lm.fst.num_states
+        pairs = {}
         for am_state in (0, 1, tiny_task.am.fst.num_states - 1):
-            for lm_state in (0, num_lm - 1):
-                traced = baseline._trace_state(am_state, lm_state)
-                assert divmod(traced, num_lm) == (am_state, lm_state)
-                address, _ = layout.state_record(traced, num_lm)
+            for lm_state in (0, 1, num_lm - 1):
+                address, _ = layout.state_record(am_state, lm_state)
                 assert address == layout.address_map.state_address(
                     am_state, lm_state
                 )
+                assert pairs.setdefault(address, (am_state, lm_state)) == (
+                    am_state, lm_state,
+                )
+        assert len(pairs) == 9
 
     def test_arcs_cached(self, baseline, tiny_scores):
         """A decoder is reusable: a second decode equals the first."""
@@ -230,17 +234,18 @@ class TestVirtualComposedGraph:
         assert (1, 0) not in finals
 
     def test_num_states_bound(self, tiny_task, tiny_scores):
-        """Traced ids stay inside the dense ``am × lm`` id space."""
+        """Traced pairs stay inside the ``am × lm`` state space."""
         sink = RecordingSink()
         decoder = FullyComposedDecoder(
             tiny_task.am, tiny_task.lm, DecoderConfig(beam=14.0), sink=sink
         )
         decoder.decode(tiny_scores[0])
-        states = [
-            event[2]
+        pairs = {
+            event[1:3]
             for event in sink.events
-            if event[0] in ("state_fetch", "arc_fetch")
-        ]
-        bound = tiny_task.am.fst.num_states * tiny_task.lm.fst.num_states
-        assert states
-        assert 0 <= min(states) and max(states) < bound
+            if event[0] in ("expand", "epsilon_arc")
+        }
+        assert pairs
+        assert {am for am, _ in pairs} <= set(tiny_task.am.fst.states())
+        assert {lm for _, lm in pairs} <= set(tiny_task.lm.fst.states())
+        assert len({lm for _, lm in pairs}) > 1

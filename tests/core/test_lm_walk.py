@@ -64,6 +64,14 @@ def _plant(model, state, word, arc_counts):
         model.table.insert(model.table.slot(state, word), bogus)
 
 
+def _add_model_counts(stats, counts):
+    """Fill the walk's ``LookupStats`` with the model's record, as the
+    eight-field tuple the pinned values hash was first laid out."""
+    stats.arc_probes += counts.arc_probes
+    stats.olt_hits += counts.olt_hits
+    stats.olt_misses += counts.olt_misses
+
+
 def _walk_digest(graph, strategy, preemptive):
     """sha256 of two traced passes over every pair: events, results,
     counters and the table's final entries."""
@@ -95,7 +103,7 @@ def _walk_digest(graph, strategy, preemptive):
     # The counters as the first walk recorded them, the model's with
     # the search's (which the walk's caller keeps, from its results):
     # its prune count sat sixth, after ``backoff_arcs_taken``.
-    model.settle(counts)
+    _add_model_counts(counts, model.stats)
     counters = list(dataclasses.astuple(counts))
     counters.insert(5, pruned)
     log.append(("stats", tuple(counters)))
@@ -278,7 +286,8 @@ def _decode_all(task, scores, strategy, preemptive, traced):
     # No code of the search writes the hardware's counters.
     assert (total.arc_probes, total.olt_hits, total.olt_misses) == (0, 0, 0)
     if traced:
-        sink.model.settle(total)
+        assert sink.model.stats.lookups == total.lookups
+        _add_model_counts(total, sink.model.stats)
     return sink, results, total
 
 

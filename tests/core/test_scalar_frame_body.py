@@ -34,7 +34,6 @@ from repro.core import (
     DecoderConfig,
     DecoderStats,
     FullyComposedDecoder,
-    GraphSide,
     LookupStats,
     OnTheFlyDecoder,
     SoaTokenTable,
@@ -115,17 +114,14 @@ class RecordingSink:
     def __init__(self) -> None:
         self.events: list[tuple] = []
 
-    def on_state_fetch(self, side, state):
-        self.events.append(("state_fetch", side, state))
+    def on_expand(self, am_state, lm_state):
+        self.events.append(("expand", am_state, lm_state))
 
-    def on_arc_fetch(self, side, state, ordinal):
-        self.events.append(("arc_fetch", side, state, ordinal))
+    def on_epsilon_arc(self, am_state, lm_state, ordinal):
+        self.events.append(("epsilon_arc", am_state, lm_state, ordinal))
 
     def on_token_write(self):
         self.events.append(("token_write",))
-
-    def on_token_hash_access(self, am_state, lm_state):
-        self.events.append(("token_hash", am_state, lm_state))
 
     def on_lm_walk(self, lm_state, word_id, levels, pruned):
         self.events.append(("lm_walk", lm_state, word_id, levels, pruned))
@@ -157,7 +153,6 @@ class ReferenceBody:
     def __init__(self, decoder):
         self.decoder = decoder
         self.composed = isinstance(decoder, FullyComposedDecoder)
-        self.side = GraphSide.COMPOSED if self.composed else GraphSide.AM
         self.fst = decoder.am.fst
         self.frontier = {(decoder.am.loop_state, decoder.lm.fst.start): [0.0, -1]}
         self.lattice = WordLattice()
@@ -204,13 +199,10 @@ class ReferenceBody:
         self._best = math.inf
         self._inserts = self._improvements = self._recombinations = 0
         for (am, lm), cost, node in survivors:
-            fetched = decoder._trace_state(am, lm)
-            sink.on_state_fetch(self.side, fetched)
-            sink.on_token_hash_access(am, lm)
-            for ordinal, arc in enumerate(self.fst.out_arcs(am)):
+            sink.on_expand(am, lm)
+            for arc in self.fst.out_arcs(am):
                 if arc.ilabel == EPSILON:
                     continue
-                sink.on_arc_fetch(self.side, fetched, ordinal)
                 stats["expansions"] += 1
                 self._insert(
                     table,
@@ -231,11 +223,10 @@ class ReferenceBody:
             if cost > threshold:
                 stats["beam_pruned"] += 1
                 continue
-            fetched = decoder._trace_state(am, lm)
             for ordinal, arc in enumerate(self.fst.out_arcs(am)):
                 if arc.ilabel != EPSILON:
                     continue
-                sink.on_arc_fetch(self.side, fetched, ordinal)
+                sink.on_epsilon_arc(am, lm, ordinal)
                 stats["expansions"] += 1
                 dest_lm, dest_node = lm, node
                 if arc.olabel == EPSILON:
@@ -465,29 +456,24 @@ def test_trace_events_keep_their_order(kind):
     seg, _ = _assert_body_matches(decoder, lender, scores)
     events = decoder.sink.events
     assert events == lender.sink.events
-    side = GraphSide.COMPOSED if kind == "composed" else GraphSide.AM
     loop, start = task.am.loop_state, task.lm.fst.start
-    fetched = decoder._trace_state(loop, start)
-    entries = len(task.am.fst.out_arcs(loop))
-    # Frame 0, pinned: the start token's state, its hash probe, one fetch
-    # per arc out of the word-boundary state, in arc order.
-    assert events[: 2 + entries] == [
-        ("state_fetch", side, fetched),
-        ("token_hash", loop, start),
-        *[("arc_fetch", side, fetched, i) for i in range(entries)],
-    ]
     kinds = [event[0] for event in events]
+    # Frame 0, pinned: the start token's expansion opens the trace, and
+    # is the frame's only one.
+    assert events[0] == ("expand", loop, start)
+    assert kinds[: kinds.index("frame_end")].count("expand") == 1
     assert kinds.count("frame_end") == scores.shape[0]
     assert kinds[-1] == "frame_end"
     assert kinds.count("token_write") > 0
-    # Every lattice write follows the fetch of the arc that caused it
-    # (and, on the fly, the walk of its lookup).
+    # Every lattice write follows the epsilon arc that caused it (and,
+    # on the fly, the walk of its lookup), and that arc is a word's.
     walk = ["lm_walk"] if kind == "on-the-fly" else []
-    cause = ["arc_fetch", *walk, "token_write"]
+    cause = ["epsilon_arc", *walk, "token_write"]
     writes = [i for i, name in enumerate(kinds) if name == "token_write"]
     for at in writes:
         assert kinds[at + 1 - len(cause) : at + 1] == cause, at
-        assert events[at + 1 - len(cause)][1] is side, at
+        _, am, _, ordinal = events[at + 1 - len(cause)]
+        assert task.am.fst.out_arcs(am)[ordinal].olabel != EPSILON, at
     # One walk event per walk: its levels are the back-off arcs taken,
     # and each walk not pruned made one lookup more.
     walks = [event for event in events if event[0] == "lm_walk"]

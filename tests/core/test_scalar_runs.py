@@ -199,7 +199,7 @@ def test_max_active_binds_inside_a_run():
     config = DecoderConfig(beam=30.0, max_active=2, vectorized=False)
     decoder, lender = _pair("on-the-fly", task.am, task.lm, config)
     stepper = OnTheFlyDecoder(task.am, task.lm, config)
-    sink = _FrameWork(task.lm)
+    sink = _FrameWork(task)
     uncapped = OnTheFlyDecoder(
         task.am, task.lm, dataclasses.replace(config, max_active=0), sink=sink
     )

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.accel import SIMULATED_SEARCH
 from repro.asr.task import KALDI_VOXFORGE
 from repro.core import DecoderConfig, OnTheFlyDecoder
 from repro.core.two_pass import TwoPassDecoder
-from repro.experiments.common import MAX_ACTIVE, get_bundle
+from repro.experiments.common import get_bundle
 
 #: The ``ablation-two-pass`` exhibit's two-pass transcripts, one per
 #: utterance of its ``KALDI_VOXFORGE`` bundle, as the first pass's own
@@ -116,7 +117,7 @@ class TestTwoPass:
             bundle.task.am,
             bundle.task.lm,
             bundle.task.ngram,
-            DecoderConfig(beam=14.0, max_active=MAX_ACTIVE),
+            SIMULATED_SEARCH,
         )
         assert [decoder.decode(s).words for s in bundle.scores] == ABLATION_WORDS
 

@@ -367,17 +367,14 @@ class CountingSink:
     def __init__(self) -> None:
         self.counts: Counter = Counter()
 
-    def on_state_fetch(self, side, state):
-        self.counts["state_fetch", side] += 1
+    def on_expand(self, am_state, lm_state):
+        self.counts["expand"] += 1
 
-    def on_arc_fetch(self, side, state, ordinal):
-        self.counts["arc_fetch", side] += 1
+    def on_epsilon_arc(self, am_state, lm_state, ordinal):
+        self.counts["epsilon_arc"] += 1
 
     def on_token_write(self):
         self.counts["token_write"] += 1
-
-    def on_token_hash_access(self, am_state, lm_state):
-        self.counts["token_hash"] += 1
 
     def on_lm_walk(self, lm_state, word_id, levels, pruned):
         self.counts["lm_walk", levels, pruned] += 1

@@ -33,9 +33,7 @@ def pipeline():
     factor = 1 / 8
     unfold = UnfoldSimulator(task, config=UNFOLD.scaled(factor)).run(scores)
     reza = FullyComposedSimulator(task, config=REZA.scaled(factor)).run(scores)
-    gpu = GpuModel().search_run_report(
-        [r.stats for r in unfold.results], task.name
-    )
+    gpu = GpuModel().search_run_report(unfold)
     return task, utterances, sizing, unfold, reza, gpu
 
 
